@@ -1,18 +1,19 @@
-"""Cross-engine micro-benchmark for the vectorized executor core.
+"""Cross-engine micro-benchmark for the executor's batch protocol.
 
-Times the same scan-heavy statements three ways on identical data:
+Times the same scan-heavy statements on identical data:
 
-* **row mode** — the classic tuple-at-a-time volcano loop;
-* **batch mode** — the ``next_batch`` protocol at a typical vector width
-  and at a large width (one ``next()`` call chain per *batch* instead of
-  per row, compiled filter/projection closures, bulk meter charges);
+* **width 1** — every ``next_batch`` pull carries one row: the operator
+  call chain is paid per row, as in a tuple-at-a-time volcano loop;
+* **width 1024** — the shipped default: one call chain per *batch*, with
+  compiled filter/projection closures and bulk meter charges doing the
+  per-row work in tight local loops;
 * **sqlite3** — the stdlib C engine on the same rows, as an external
   yardstick for where a Python interpreter loop stands.
 
 The acceptance gate is on the scan-heavy set (filter + projection scans):
-batch mode must process **at least 2x the rows/sec of row mode**.
+width 1024 must process **at least 2x the rows/sec of width 1**.
 Aggregation- and sort-dominated statements are reported for context but
-not gated — their per-group/per-key Python work is the same in both modes,
+not gated — their per-group/per-key Python work is the same at any width,
 so batching only shaves the iterator call chain.
 
 Results are published to ``benchmarks/results/vectorized_throughput.txt``.
@@ -31,9 +32,9 @@ from repro.core.config import PopConfig
 N_ROWS = 80_000
 SEED = 2004
 REPS = 2
-BATCH_WIDTHS = [64, 1024]
-#: The gate: scan-heavy statements must at least double row-mode throughput
-#: at some batch width.
+NARROW, WIDE = 1, 1024
+#: The gate: scan-heavy statements must at least double width-1 throughput
+#: at the shipped width.
 MIN_SCAN_SPEEDUP = 2.0
 
 # (name, SQL, scan_heavy) — scan_heavy rows carry the 2x gate.
@@ -122,27 +123,22 @@ def test_vectorized_throughput(benchmark):
     def run():
         measurements = []
         for name, sql, scan_heavy in STATEMENTS:
-            row_time, row_rows = time_engine(db, sql, PopConfig())
-            best_batch = None
-            for width in BATCH_WIDTHS:
-                batch_time, batch_rows = time_engine(
-                    db, sql, PopConfig(batch_size=width)
-                )
-                assert batch_rows == row_rows, (
-                    f"{name}: batch width {width} changed the result"
-                )
-                if best_batch is None or batch_time < best_batch[1]:
-                    best_batch = (width, batch_time)
+            narrow_time, narrow_rows = time_engine(
+                db, sql, PopConfig(batch_size=NARROW)
+            )
+            wide_time, wide_rows = time_engine(
+                db, sql, PopConfig(batch_size=WIDE)
+            )
+            assert wide_rows == narrow_rows, f"{name}: width changed the result"
             sqlite_time, _ = time_sqlite(con, SQLITE_SQL[name])
             measurements.append(
                 {
                     "name": name,
                     "scan_heavy": scan_heavy,
-                    "row": row_time,
-                    "batch_width": best_batch[0],
-                    "batch": best_batch[1],
+                    "narrow": narrow_time,
+                    "wide": wide_time,
                     "sqlite": sqlite_time,
-                    "speedup": row_time / best_batch[1],
+                    "speedup": narrow_time / wide_time,
                 }
             )
         return measurements
@@ -152,19 +148,17 @@ def test_vectorized_throughput(benchmark):
     table = format_table(
         [
             "statement",
-            "row rows/s",
-            "batch rows/s",
-            "best width",
+            f"width {NARROW} rows/s",
+            f"width {WIDE} rows/s",
             "sqlite rows/s",
-            "batch speedup",
+            "speedup",
             "gated",
         ],
         [
             (
                 m["name"],
-                f"{rows_per_sec(m['row']):,.0f}",
-                f"{rows_per_sec(m['batch']):,.0f}",
-                m["batch_width"],
+                f"{rows_per_sec(m['narrow']):,.0f}",
+                f"{rows_per_sec(m['wide']):,.0f}",
                 f"{rows_per_sec(m['sqlite']):,.0f}",
                 f"{m['speedup']:.2f}x",
                 "yes" if m["scan_heavy"] else "no",
@@ -174,14 +168,14 @@ def test_vectorized_throughput(benchmark):
     )
     publish(
         "vectorized_throughput",
-        f"Vectorized executor: rows/sec over {N_ROWS:,} rows "
-        f"(row vs batch vs sqlite3)",
+        f"Executor batch protocol: rows/sec over {N_ROWS:,} rows "
+        f"(width {NARROW} vs width {WIDE} vs sqlite3)",
         table,
     )
 
     for m in measurements:
         if m["scan_heavy"]:
             assert m["speedup"] >= MIN_SCAN_SPEEDUP, (
-                f"{m['name']}: batch mode is only {m['speedup']:.2f}x row "
-                f"mode (gate: {MIN_SCAN_SPEEDUP}x)"
+                f"{m['name']}: width {WIDE} is only {m['speedup']:.2f}x "
+                f"width {NARROW} (gate: {MIN_SCAN_SPEEDUP}x)"
             )

@@ -4,9 +4,9 @@ Four codebase invariants, chosen because violating any of them silently
 breaks the reproduction rather than crashing it:
 
 * **iterator-contract** — every executor operator (subclass of
-  :class:`repro.executor.base.Operator`) implements ``next`` and, when it
-  overrides ``open``/``close``, delegates to ``super()`` so span tracking
-  and operator registration keep working.
+  :class:`repro.executor.base.Operator`) implements ``next_batch`` and,
+  when it overrides ``open``/``close``, delegates to ``super()`` so span
+  tracking and operator registration keep working.
 * **determinism** — ``random.*`` / ``time.*`` calls are confined to
   ``repro/common/rng.py`` and ``repro/obs/`` (seeded
   ``random.Random(seed)`` construction is allowed anywhere); anything else
@@ -325,12 +325,14 @@ def _calls_super(method: ast.FunctionDef, name: str) -> bool:
 
 
 def check_iterator_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
-    """Executor operators implement the open/next/close protocol correctly.
+    """Executor operators implement the open/next_batch/close protocol
+    correctly.
 
     Works on the whole-package class graph: collects every class
     transitively derived (by name) from ``Operator``, then checks that each
-    concrete operator resolves a real ``next`` (the base raises
-    NotImplementedError) and that ``open``/``close`` overrides delegate to
+    concrete operator resolves a real ``next_batch`` (the base raises
+    NotImplementedError; a row-at-a-time ``next`` is not a substitute —
+    nothing calls it) and that ``open``/``close`` overrides delegate to
     ``super()``.
     """
     classes: dict[str, tuple[str, ast.ClassDef]] = {}
@@ -350,17 +352,17 @@ def check_iterator_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
             for base in _base_names(node)
         )
 
-    def resolves_next(name: str) -> Optional[bool]:
-        """True when a real ``next`` is inherited; None when the chain
+    def resolves_next_batch(name: str) -> Optional[bool]:
+        """True when a real ``next_batch`` is inherited; None when the chain
         leaves the scanned sources (assume the external base provides it)."""
         if name == "Operator":
-            return False  # the base's next only raises NotImplementedError
+            return False  # the base's only raises NotImplementedError
         if name not in classes:
             return None
         _, node = classes[name]
-        if "next" in _methods(node):
+        if "next_batch" in _methods(node):
             return True
-        results = [resolves_next(base) for base in _base_names(node)]
+        results = [resolves_next_batch(base) for base in _base_names(node)]
         if any(r is True for r in results):
             return True
         if any(r is None for r in results):
@@ -381,13 +383,14 @@ def check_iterator_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
         rel, node = classes[name]
         methods = _methods(node)
         concrete = name not in has_subclasses and not name.startswith("_")
-        if concrete and resolves_next(name) is False:
+        if concrete and resolves_next_batch(name) is False:
             yield Finding(
                 rule="iterator-contract",
                 severity=ERROR,
                 message=(
-                    f"operator {name} never implements next(); the base "
-                    "Operator.next raises NotImplementedError at runtime"
+                    f"operator {name} never implements next_batch(); the "
+                    "base Operator.next_batch raises NotImplementedError "
+                    "at runtime"
                 ),
                 file=rel,
                 line=node.lineno,
@@ -525,20 +528,12 @@ def _batch_return_ok(value: Optional[ast.expr]) -> bool:
 
 
 def check_batch_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
-    """Native ``next_batch`` overrides preserve row accounting and
-    CHECK-boundary invariants.
+    """``next_batch`` implementations preserve row accounting.
 
-    The vectorized path keeps POP semantics only if every batch operator
-    (a) returns either ``self.emit_batch(...)`` — the single place batch
-    rows enter ``rows_out`` and the cancellation token is polled — or the
-    ``None`` EOF sentinel, (b) never calls the per-row ``self.emit(...)``
-    inside ``next_batch`` (rows would be double-counted against validity
-    ranges), and (c) never pulls a child through an attribute ``.next()``
-    call: an execution must drive each child through exactly one protocol,
-    or buffered valve state and per-pull meter charges desynchronize from
-    the row-mode baseline the differential suite compares against.  The
-    builtin ``next(iterator, default)`` over plain iterators (merge
-    generators, spill readers) remains legal.
+    POP's cardinality feedback is exact only if every operator returns
+    either ``self.emit_batch(...)`` — the single place rows enter
+    ``rows_out`` and the cancellation token is polled — or the ``None``
+    EOF sentinel.
     """
     classes: dict[str, tuple[str, ast.ClassDef]] = {}
     for rel, tree in trees.items():
@@ -575,39 +570,6 @@ def check_batch_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
                             "than self.emit_batch(...) or None: batch rows "
                             "would bypass rows_out accounting and the "
                             "cancellation poll"
-                        ),
-                        file=rel,
-                        line=sub.lineno,
-                    )
-            elif isinstance(sub, ast.Call) and isinstance(
-                sub.func, ast.Attribute
-            ):
-                if (
-                    sub.func.attr == "emit"
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id == "self"
-                ):
-                    yield Finding(
-                        rule="batch-contract",
-                        severity=ERROR,
-                        message=(
-                            f"{name}.next_batch() calls self.emit(): rows "
-                            "counted per-row inside the batch path are "
-                            "double-counted against validity ranges"
-                        ),
-                        file=rel,
-                        line=sub.lineno,
-                    )
-                elif sub.func.attr == "next":
-                    yield Finding(
-                        rule="batch-contract",
-                        severity=ERROR,
-                        message=(
-                            f"{name}.next_batch() pulls a child via "
-                            ".next(): batch executions must drive children "
-                            "through next_batch only (use next_batch(1) for "
-                            "demand-exact pulls), or per-pull meter charges "
-                            "and feedback bounds diverge from row mode"
                         ),
                         file=rel,
                         line=sub.lineno,

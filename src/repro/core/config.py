@@ -9,26 +9,38 @@ from typing import Optional
 from repro.core.flavors import DEFAULT_FLAVORS
 
 
-def _default_batch_size() -> int:
-    """Batch size from the ``REPRO_BATCH_SIZE`` environment variable.
+#: Rows per executor batch when neither ``PopConfig.batch_size`` nor
+#: ``REPRO_BATCH_SIZE`` says otherwise.
+DEFAULT_BATCH_SIZE = 1024
 
-    ``0`` (the default) keeps the classic row-at-a-time executor; any
-    positive value turns on the vectorized batch drain for every statement
-    whose :class:`PopConfig` does not set ``batch_size`` explicitly.  The
-    env route exists so whole harnesses (chaos, server smoke, CI jobs) can
-    flip execution mode without threading a parameter through every
-    config-construction site.
+
+def check_batch_size(value, source: str = "batch_size") -> int:
+    """``value`` if it is a usable batch width, else a ``ValueError``
+    naming ``source`` and the accepted range."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(
+            f"{source} must be an integer >= 1 (rows per next_batch pull), "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _default_batch_size() -> int:
+    """Batch width from the ``REPRO_BATCH_SIZE`` environment variable,
+    :data:`DEFAULT_BATCH_SIZE` when it is unset.
+
+    The env route exists so whole harnesses (chaos, server smoke, the
+    benchmark) can set the width without threading a parameter through
+    every config-construction site.
     """
     raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
     if not raw:
-        return 0
+        return DEFAULT_BATCH_SIZE
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be an integer, got {raw!r}"
-        ) from exc
-    return value
+    except ValueError:
+        value = raw
+    return check_batch_size(value, "REPRO_BATCH_SIZE")
 
 
 @dataclass
@@ -202,13 +214,11 @@ class PopConfig:
     #: spill-based degradation.  ``None`` disables the governor (the
     #: default — legacy full grants, hard ``ResourceExhausted`` failures).
     memory: Optional[MemoryPolicy] = None
-    #: Rows per executor batch.  ``0`` = classic row-at-a-time iteration;
-    #: any positive value drives the plan through the vectorized
-    #: ``next_batch`` path (docs/vectorized.md).  Semantics are identical
-    #: in both modes — rows, CHECK decisions, re-opt counts, and meter
-    #: totals match the row engine exactly — only cancellation/deadline
-    #: poll granularity moves to batch boundaries.  Defaults from the
-    #: ``REPRO_BATCH_SIZE`` environment variable.
+    #: Rows per executor batch (>= 1; docs/vectorized.md).  Rows, CHECK
+    #: decisions, re-opt counts, and meter totals do not depend on it —
+    #: only how much work passes between two cancellation/deadline polls.
+    #: Defaults from the ``REPRO_BATCH_SIZE`` environment variable, else
+    #: :data:`DEFAULT_BATCH_SIZE`.
     batch_size: int = field(default_factory=_default_batch_size)
 
     def reopt_limit_for(self, query) -> int:
@@ -222,8 +232,7 @@ class PopConfig:
     def __post_init__(self) -> None:
         if self.reuse_policy not in ("cost", "never", "always"):
             raise ValueError(f"unknown reuse policy {self.reuse_policy!r}")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be non-negative (0 = row mode)")
+        check_batch_size(self.batch_size)
         self.flavors = frozenset(self.flavors)
 
 

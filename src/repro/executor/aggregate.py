@@ -89,26 +89,15 @@ class GroupByExec(Operator):
                     continue
                 state.update(i, row[slot])
 
-        if batch_size > 0:
-            while True:
-                batch = self.child.next_batch(batch_size)
-                if batch is None:
-                    break
-                # Blocking aggregation drain: poll per consumed batch.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_agg)
-                for row in batch:
-                    consume(row)
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                # Blocking aggregation drain: poll per consumed row.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_agg)
+        while True:
+            batch = self.child.next_batch(batch_size)
+            if batch is None:
+                break
+            # Blocking aggregation drain: poll per consumed batch.
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_agg)
+            for row in batch:
                 consume(row)
         if not groups and not plan.group_keys:
             groups[()] = (_AggState(n_aggs), 0)
@@ -125,16 +114,6 @@ class GroupByExec(Operator):
             results.append(key + tuple(values))
         self._results = results
         self._pos = 0
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._results is not None
-        if self._pos < len(self._results):
-            row = self._results[self._pos]
-            self._pos += 1
-            return self.emit(row)
-        self.finish()
-        return None
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
@@ -173,25 +152,6 @@ class DistinctExec(Operator):
         """Release the duplicate-tracking set (idempotent)."""
         super().close()
         self._seen = set()
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        p = self.ctx.cost_params
-        while True:
-            row = self.child.next()
-            if row is None:
-                self.finish()
-                return None
-            self.ctx.meter.charge(p.cpu_hash_probe)
-            if row in self._seen:
-                # Duplicate-heavy streams can consume many rows between
-                # emits; poll so cancellation stays within one row's work.
-                if self.ctx.interruptible:
-                    self.ctx.check_interrupt()
-                continue
-            self._seen.add(row)
-            self.ctx.meter.charge(p.cpu_emit)
-            return self.emit(row)
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

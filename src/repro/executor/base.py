@@ -1,12 +1,12 @@
-"""Executor infrastructure: the open/next/close operator protocol, the
-execution context, and the re-optimization signal.
+"""Executor infrastructure: the open/next_batch/close operator protocol,
+the execution context, and the re-optimization signal.
 
-Rows are plain tuples; ``None`` is the end-of-stream sentinel.  Every
-operator counts the rows it emits and remembers whether it reached
-end-of-stream — those counters are the raw material POP harvests as
-cardinality feedback after a CHECK fires (paper §2.1: "actual cardinalities
-measured during the initial run help the re-optimization step avoid the same
-mistake").
+Rows are plain tuples, pulled in batches (lists of 1..``max_rows`` rows);
+``None`` is the end-of-stream sentinel.  Every operator counts the
+individual rows it emits and remembers whether it reached end-of-stream —
+those counters are the raw material POP harvests as cardinality feedback
+after a CHECK fires (paper §2.1: "actual cardinalities measured during the
+initial run help the re-optimization step avoid the same mistake").
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.common.errors import (
     ExecutionTimeout,
     ResourceExhausted,
 )
+from repro.core.config import DEFAULT_BATCH_SIZE, check_batch_size
 from repro.executor.meter import WorkMeter
 from repro.obs import wall_clock
 from repro.optimizer.costmodel import DEFAULT_COST_PARAMS, CostModel, CostParams
@@ -91,7 +92,7 @@ class ExecutionContext:
         progress=None,
         cancel=None,
         wall_deadline: Optional[float] = None,
-        batch_size: int = 0,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         snapshot=None,
     ):
         self.catalog = catalog
@@ -134,8 +135,8 @@ class ExecutionContext:
         #: exceeded at the plan root -> :class:`ExecutionTimeout`.
         self.work_deadline = work_deadline
         #: Optional :class:`repro.common.cancel.CancelToken`.  Checked in
-        #: :meth:`Operator.emit` (one attribute read when absent) and at
-        #: every :meth:`check_interrupt` site, so client disconnects and
+        #: :meth:`Operator.emit_batch` (one attribute read when absent) and
+        #: at every :meth:`check_interrupt` site, so client disconnects and
         #: ``\\kill`` unwind mid-query through the normal teardown path.
         self.cancel = cancel
         #: Absolute wall-clock deadline for the whole *statement* (guard
@@ -144,7 +145,7 @@ class ExecutionContext:
         #: :class:`~repro.common.errors.ExecutionTimeout`.
         self.wall_deadline = wall_deadline
         #: True when any interrupt source is armed: operators consult this
-        #: once per blocking loop instead of re-deriving it per row.
+        #: once per blocking loop instead of re-deriving it per batch.
         self.interruptible = cancel is not None or wall_deadline is not None
         #: Memory-pressure factor applied to every sort/hash/temp memory
         #: grant (1.0 = unconstrained).  Runtime state — mid-execution
@@ -159,14 +160,13 @@ class ExecutionContext:
         #: *current* size, so mid-query renegotiation takes effect at the
         #: next ``grant_pages`` call.
         self.reservation = reservation
-        #: Rows per batch for the vectorized drain path.  ``0`` selects the
-        #: classic row-at-a-time protocol; any positive value makes
-        #: ``run_plan`` drive the root via :meth:`Operator.next_batch` and
-        #: operators pull their children in batches of this size.  Row
-        #: accounting, CHECK semantics, and meter totals are identical in
-        #: both modes (see docs/vectorized.md); only poll granularity for
-        #: cancellation/deadlines moves to batch boundaries.
-        self.batch_size = batch_size
+        #: Rows per batch (>= 1): ``run_plan`` drains the root and blocking
+        #: operators drain their children in :meth:`Operator.next_batch`
+        #: pulls of this size.  Rows, row counters, CHECK decisions and
+        #: meter totals do not depend on it (see docs/vectorized.md); it
+        #: only sets how much work passes between two
+        #: cancellation/deadline polls.
+        self.batch_size = check_batch_size(batch_size)
         #: Optional :class:`repro.txn.Snapshot` pinning this attempt to a
         #: commit epoch.  Scan operators cap themselves at the snapshot's
         #: per-table visible-row watermark (rids are positional, so
@@ -229,7 +229,7 @@ class ExecutionContext:
         The cooperative interrupt point: called from the plan-root drain
         loop, from every blocking operator phase (sort-run builds, hash
         builds, TEMP fills, merge drains), and from CHECK evaluations, so
-        a cancel or a blown wall deadline unwinds within one row's worth
+        a cancel or a blown wall deadline unwinds within one batch's worth
         of work and funnels through ``run_plan``'s teardown (operators
         closed, spill files released).  The cancel poll is one attribute
         read; the wall probe is one monotonic-clock sample, taken only
@@ -344,7 +344,8 @@ class ExecutionContext:
 
 
 class Operator:
-    """Base class for executor operators (Volcano-style iterators)."""
+    """Base class for executor operators (Volcano-style iterators that
+    hand over a batch of rows per pull)."""
 
     def __init__(self, plan: PlanOp, ctx: ExecutionContext):
         self.plan = plan
@@ -375,37 +376,21 @@ class Operator:
                 est_card=self.plan.est_card,
             )
 
-    def next(self) -> Optional[tuple]:
-        """The next output row, or ``None`` at end-of-stream."""
-        raise NotImplementedError
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         """The next batch of 1..``max_rows`` output rows, or ``None`` at
         end-of-stream.
 
         Partial batches are legal anywhere in the stream, so consumers must
-        not infer EOF from a short batch — only from ``None``.  The default
-        implementation is a row-loop shim over :meth:`next`, which keeps
-        every operator (including out-of-tree ones) correct under a
-        batch-mode drain; native overrides exist purely for speed and must
-        preserve row accounting exactly: ``rows_out`` counts individual
-        rows, per-row meter charges are batched into arithmetically equal
-        bulk charges, and CHECK/cancellation semantics are unchanged (see
-        docs/vectorized.md).  Overrides return rows via
-        :meth:`emit_batch` (contract rule ``batch-contract``).
+        not infer EOF from a short batch — only from ``None``.
+        Implementations keep row accounting exact whatever the width:
+        ``rows_out`` counts individual rows, per-row meter charges are
+        made as one ``n × per-row`` bulk charge per batch, and a consumer
+        that must not over-pull (a CHECK about to cross its bound, a LIMIT,
+        a nested-loop outer) caps its request (see docs/vectorized.md).
+        Rows are returned via :meth:`emit_batch` (contract rule
+        ``batch-contract``).
         """
-        out = []
-        nxt = self.next
-        while len(out) < max_rows:
-            row = nxt()
-            if row is None:
-                break
-            out.append(row)
-        if not out:
-            return None
-        # Rows were already counted (and the cancel token polled) by the
-        # per-row ``emit`` calls inside ``next`` — return them as-is.
-        return out
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release per-execution state.
@@ -433,30 +418,15 @@ class Operator:
 
     # -- shared helpers ----------------------------------------------------
 
-    def emit(self, row: tuple) -> tuple:
-        """Count and return one output row.
-
-        The universal per-row funnel doubles as the cheapest cancellation
-        probe: with no token attached the added cost is one ``is None``
-        check; with one attached, a tripped token stops the pipeline at
-        the very next emitted row, wherever in the tree it happens.
-        """
-        cancel = self.ctx.cancel
-        if cancel is not None and cancel.cancelled:
-            raise ExecutionCancelled(
-                f"statement cancelled: {cancel.reason or 'cancelled'}"
-            )
-        self.rows_out += 1
-        return row
-
     def emit_batch(self, rows: list[tuple]) -> list[tuple]:
         """Count and return one output batch.
 
-        The batch-mode analogue of :meth:`emit`: one cancellation probe per
-        batch instead of per row (poll granularity is the *only* semantic
-        difference between the modes), and ``rows_out`` advances by the
-        individual row count so cardinality feedback harvested by POP is
-        identical to row-at-a-time execution.
+        The universal output funnel doubles as the cheapest cancellation
+        probe: with no token attached the added cost is one ``is None``
+        check; with one attached, a tripped token stops the pipeline at
+        the very next emitted batch, wherever in the tree it happens.
+        ``rows_out`` advances by the individual row count, so the
+        cardinality feedback POP harvests does not depend on batch width.
         """
         cancel = self.ctx.cancel
         if cancel is not None and cancel.cancelled:
@@ -472,7 +442,9 @@ class Operator:
 
     def require_open(self) -> None:
         if not self._open:
-            raise ExecutionError(f"{type(self).__name__}.next() before open()")
+            raise ExecutionError(
+                f"{type(self).__name__}.next_batch() before open()"
+            )
 
     # -- harvesting hooks (overridden by materializing operators) ----------
 

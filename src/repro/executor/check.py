@@ -86,62 +86,23 @@ class CheckExec(Operator):
         if triggered and not self.ctx.dry_run_checks:
             raise ReoptimizationSignal(self.plan, self.count, complete)
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        # CHECK points are the plan's designated reactive sites (paper §3):
-        # the same place a cardinality violation is detected is where a
-        # cancel or wall-clock deadline is honored.
-        if self.ctx.interruptible:
-            self.ctx.check_interrupt()
-        row = self.child.next()
-        self.ctx.meter.charge(self.ctx.cost_params.cpu_check, "check")
-        if row is None:
-            self.finish()
-            if not self._disabled and not self._evaluated_once:
-                self._evaluate(complete=True)
-                self._evaluated_once = True
-            return None
-        self.count += 1
-        if (
-            not self._disabled
-            and not self._evaluated_once
-            and self.count > self.plan.check_range.high
-        ):
-            self._evaluate(complete=False)
-            self._evaluated_once = True  # dry-run mode: log only once
-        budget = self.ctx.work_budget
-        if (
-            budget is not None
-            and not self._disabled
-            and not self.ctx.dry_run_checks
-            and self.ctx.meter.units > budget
-            # Without compensation, a trigger is only safe before any row
-            # has been pipelined to the application.
-            and (self.ctx.rows_returned == 0 or self.plan.flavor == "ECDC")
-        ):
-            # §7 extension: the statement blew its work budget — whatever
-            # knowledge and intermediates exist, try a better plan now.
-            raise ReoptimizationSignal(
-                self.plan, self.count, complete=False, reason="budget"
-            )
-        return self.emit(row)
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         """Batch drain with row-exact CHECK semantics.
 
         The counter advances by individual rows and the mid-stream
-        evaluation happens at the exact count where the row loop evaluates
-        it (the first count above ``high``), so ``observed`` — and with it
-        the harvested feedback and any re-optimized plan — is identical to
-        row mode.  To keep the *child's* emitted-row counter identical too
-        (it feeds the same edge's lower bound at harvest time), the child
-        request is capped at the rows remaining until the range can first
-        be violated: the child stops at exactly the row where row-at-a-time
-        execution stops.  Interrupt polls and the §7 work-budget trigger
-        move to batch boundaries — the documented poll-granularity
-        difference between the modes.
+        evaluation happens at the first count above ``high``, so
+        ``observed`` — and with it the harvested feedback and any
+        re-optimized plan — does not depend on batch width.  To keep the
+        *child's* emitted-row counter width-independent too (it feeds the
+        same edge's lower bound at harvest time), the child request is
+        capped at the rows remaining until the range can first be
+        violated: the child stops at exactly the crossing row.  Interrupt
+        polls and the §7 work-budget trigger happen once per batch.
         """
         self.require_open()
+        # CHECK points are the plan's designated reactive sites (paper §3):
+        # the same place a cardinality violation is detected is where a
+        # cancel or wall-clock deadline is honored.
         if self.ctx.interruptible:
             self.ctx.check_interrupt()
         want = max_rows
@@ -172,8 +133,12 @@ class CheckExec(Operator):
             and not self._disabled
             and not self.ctx.dry_run_checks
             and self.ctx.meter.units > budget
+            # Without compensation, a trigger is only safe before any row
+            # has been pipelined to the application.
             and (self.ctx.rows_returned == 0 or self.plan.flavor == "ECDC")
         ):
+            # §7 extension: the statement blew its work budget — whatever
+            # knowledge and intermediates exist, try a better plan now.
             raise ReoptimizationSignal(
                 self.plan, self.count, complete=False, reason="budget"
             )
@@ -208,13 +173,10 @@ class BufCheckExec(Operator):
         self._buffer = []
         self._pos = 0
         self._child_eof = False
-        # Fill the valve until the check's outcome is certain.  In batch
-        # mode the child is pulled through ``next_batch(1)`` — single-row
-        # batches keep the pull count (and the child's emitted-row counter,
-        # which feeds cardinality harvesting) exactly equal to row mode
-        # while still driving the child's one-protocol-per-execution batch
-        # path.
-        batch_mode = self.ctx.batch_size > 0
+        # Fill the valve until the check's outcome is certain.  The child
+        # is pulled through ``next_batch(1)``: single-row batches keep the
+        # child's emitted-row counter (which feeds cardinality harvesting)
+        # exactly demand-driven — no row past the verdict is ever pulled.
         count = 0
         triggered = False
         complete = False
@@ -228,18 +190,14 @@ class BufCheckExec(Operator):
                 # Buffer exhausted without a verdict; optimistically succeed
                 # and continue pipelined (the ECB "morphs into" streaming).
                 break
-            if batch_mode:
-                one = self.child.next_batch(1)
-                row = one[0] if one else None
-            else:
-                row = self.child.next()
+            one = self.child.next_batch(1)
             self.ctx.meter.charge(p.cpu_check + p.cpu_temp_insert, "check")
-            if row is None:
+            if one is None:
                 self._child_eof = True
                 complete = True
                 triggered = count < rng.low
                 break
-            self._buffer.append(row)
+            self._buffer.append(one[0])
             count += 1
         if forced and not disabled:
             triggered = True
@@ -258,25 +216,6 @@ class BufCheckExec(Operator):
         if triggered and not disabled and not self.ctx.dry_run_checks:
             raise ReoptimizationSignal(self.plan, count, complete)
         self._decided = True
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        p = self.ctx.cost_params
-        if self._pos < len(self._buffer):
-            row = self._buffer[self._pos]
-            self._pos += 1
-            self.ctx.meter.charge(p.cpu_temp_scan, "check")
-            return self.emit(row)
-        if self._child_eof:
-            self.finish()
-            return None
-        row = self.child.next()
-        self.ctx.meter.charge(p.cpu_check, "check")
-        if row is None:
-            self._child_eof = True
-            self.finish()
-            return None
-        return self.emit(row)
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

@@ -48,9 +48,9 @@ class NLJoinExec(Operator):
         self._outer_row: Optional[tuple] = None
         self._residual = None
         self._outer_key_slot: Optional[int] = None
-        #: Batch mode: latched on outer EOF so a follow-up ``next_batch``
-        #: call (after a partial batch was returned) never re-pulls an
-        #: exhausted outer — a CHECK below would charge its EOF pull twice.
+        #: Latched on outer EOF so a follow-up ``next_batch`` call (after a
+        #: partial batch was returned) never re-pulls an exhausted outer —
+        #: a CHECK below would charge its EOF pull twice.
         self._outer_eof = False
 
     def open(self) -> None:
@@ -83,19 +83,11 @@ class NLJoinExec(Operator):
             self.inner.reset()  # type: ignore[attr-defined]
 
     def _advance_outer(self) -> bool:
-        row = self.outer.next()
-        if row is None:
-            self._outer_row = None
-            return False
-        self._bind_outer(row)
-        return True
-
-    def _advance_outer_batch(self) -> bool:
         if self._outer_eof:
             return False
         # Single-row outer pulls: the outer must advance one row at a time
         # (each row rebinds the inner), and ``next_batch(1)`` keeps the
-        # outer's emitted-row counter exactly demand-driven like row mode.
+        # outer's emitted-row counter exactly demand-driven.
         one = self.outer.next_batch(1)
         if not one:
             self._outer_row = None
@@ -104,24 +96,6 @@ class NLJoinExec(Operator):
         self._bind_outer(one[0])
         return True
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._residual is not None
-        p = self.ctx.cost_params
-        while True:
-            if self._outer_row is None:
-                if not self._advance_outer():
-                    self.finish()
-                    return None
-            inner_row = self.inner.next()
-            if inner_row is None:
-                self._outer_row = None
-                continue
-            joined = self._outer_row + inner_row
-            if self._residual(joined):
-                self.ctx.meter.charge(p.cpu_emit)
-                return self.emit(joined)
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         assert self._residual is not None
@@ -129,7 +103,7 @@ class NLJoinExec(Operator):
         out: list[tuple] = []
         while len(out) < max_rows:
             if self._outer_row is None:
-                if not self._advance_outer_batch():
+                if not self._advance_outer():
                     break
             # Inner request capped at the rows still wanted so the output
             # never overshoots ``max_rows``; the inner is drained to EOF
@@ -166,12 +140,12 @@ class HashJoinExec(Operator):
         self._matches: list[tuple] = []
         self._match_pos = 0
         self._outer_row: Optional[tuple] = None
-        #: Batch mode: outer rows pulled but not yet probed (a batch is
-        #: charged and buffered whole, then probed row by row so the
-        #: match-serving state machine stays identical to row mode).
+        #: Outer rows pulled but not yet probed (a batch is charged and
+        #: buffered whole, then probed row by row, so a key with more
+        #: matches than the caller wants can be served across calls).
         self._outer_pending: list[tuple] = []
         self._pending_pos = 0
-        #: Batch mode: latched on outer EOF (see NLJoinExec._outer_eof).
+        #: Latched on outer EOF (see NLJoinExec._outer_eof).
         self._outer_eof = False
         self._outer_slots: list[int] = []
         self._inner_slots: list[int] = []
@@ -204,32 +178,15 @@ class HashJoinExec(Operator):
         self._table = {}
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            # Vectorized build drain: per-batch poll and one bulk
-            # cpu_hash_build charge per batch (equal totals to the loop
-            # below, which charges per drained row).
-            while True:
-                batch = self.inner.next_batch(batch_size)
-                if batch is None:
-                    break
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
-                for row in batch:
-                    key = tuple(row[s] for s in self._inner_slots)
-                    if any(k is None for k in key):
-                        continue
-                    self._table.setdefault(key, []).append(row)
-                    self._build_rows += 1
-        else:
-            while True:
-                row = self.inner.next()
-                if row is None:
-                    break
-                # Blocking build phase: poll before emit() ever sees a row.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_hash_build)
+        while True:
+            batch = self.inner.next_batch(batch_size)
+            if batch is None:
+                break
+            # Blocking build phase: poll before emit_batch() ever sees a row.
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
+            for row in batch:
                 key = tuple(row[s] for s in self._inner_slots)
                 if any(k is None for k in key):
                     continue
@@ -302,41 +259,18 @@ class HashJoinExec(Operator):
         build_parts = None
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.inner.next_batch(batch_size)
-                if batch is None:
-                    break
-                # A kill mid-Grace-build must not leak the partition files
-                # it already created: raising here unwinds into run_plan's
-                # teardown, which closes this operator and releases the
-                # spill manager exactly once.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
-                for row in batch:
-                    key = self._build_key(row)
-                    if any(k is None for k in key):
-                        continue
-                    self._build_rows += 1
-                    if build_parts is None:
-                        self._table.setdefault(key, []).append(row)
-                        if self._build_rows > capacity:
-                            build_parts = self._spill_table(fanout)
-                    else:
-                        build_parts[_partition_of(key, 0, fanout)].append(row)
-        else:
-            while True:
-                row = self.inner.next()
-                if row is None:
-                    break
-                # A kill mid-Grace-build must not leak the partition files
-                # it already created: raising here unwinds into run_plan's
-                # teardown, which closes this operator and releases the
-                # spill manager exactly once.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_hash_build)
+        while True:
+            batch = self.inner.next_batch(batch_size)
+            if batch is None:
+                break
+            # A kill mid-Grace-build must not leak the partition files it
+            # already created: raising here unwinds into run_plan's
+            # teardown, which closes this operator and releases the spill
+            # manager exactly once.
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
+            for row in batch:
                 key = self._build_key(row)
                 if any(k is None for k in key):
                     continue
@@ -383,27 +317,14 @@ class HashJoinExec(Operator):
         ]
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.outer.next_batch(batch_size)
-                if batch is None:
-                    break
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_hash_probe)
-                for row in batch:
-                    key = tuple(row[s] for s in self._outer_slots)
-                    if any(k is None for k in key):
-                        continue
-                    probe_parts[_partition_of(key, 0, fanout)].append(row)
-        else:
-            while True:
-                row = self.outer.next()
-                if row is None:
-                    break
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_hash_probe)
+        while True:
+            batch = self.outer.next_batch(batch_size)
+            if batch is None:
+                break
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_hash_probe)
+            for row in batch:
                 key = tuple(row[s] for s in self._outer_slots)
                 if any(k is None for k in key):
                     continue
@@ -480,35 +401,6 @@ class HashJoinExec(Operator):
             for brow in table.get(tuple(prow[s] for s in slots), ()):
                 yield prow + brow
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        p = self.ctx.cost_params
-        if self._result_iter is not None:
-            row = next(self._result_iter, None)
-            if row is None:
-                self.finish()
-                return None
-            self.ctx.meter.charge(p.cpu_emit)
-            return self.emit(row)
-        while True:
-            if self._match_pos < len(self._matches):
-                inner_row = self._matches[self._match_pos]
-                self._match_pos += 1
-                assert self._outer_row is not None
-                self.ctx.meter.charge(p.cpu_emit)
-                return self.emit(self._outer_row + inner_row)
-            row = self.outer.next()
-            if row is None:
-                self.finish()
-                return None
-            self.ctx.meter.charge(p.cpu_hash_probe + self._probe_spill_per_row)
-            key = tuple(row[s] for s in self._outer_slots)
-            if any(k is None for k in key):
-                continue
-            self._outer_row = row
-            self._matches = self._table.get(key, [])
-            self._match_pos = 0
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         p = self.ctx.cost_params
@@ -545,7 +437,7 @@ class HashJoinExec(Operator):
             if self._outer_eof:
                 break
             # Outer request capped at the rows still wanted: the pull is
-            # demand-driven like row mode up to one batch of slack.
+            # demand-driven up to one batch of slack.
             batch = self.outer.next_batch(max_rows - len(out))
             if batch is None:
                 self._outer_eof = True
@@ -599,21 +491,12 @@ class MergeJoinExec(Operator):
         interruptible = self.ctx.interruptible
         rows: list[tuple] = []
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = child.next_batch(batch_size)
-                if batch is None:
-                    return rows
-                rows.extend(batch)
-                # Blocking merge build: poll per drained batch.
-                if interruptible:
-                    self.ctx.check_interrupt()
         while True:
-            row = child.next()
-            if row is None:
+            batch = child.next_batch(batch_size)
+            if batch is None:
                 return rows
-            rows.append(row)
-            # Blocking merge build: poll per drained row.
+            rows.extend(batch)
+            # Blocking merge build: poll per drained batch.
             if interruptible:
                 self.ctx.check_interrupt()
 
@@ -655,16 +538,6 @@ class MergeJoinExec(Operator):
                         self._output.append(left[li] + right[rj])
                 i, j = i_end, j_end
         self._pos = 0
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        if self._pos < len(self._output):
-            row = self._output[self._pos]
-            self._pos += 1
-            self.ctx.meter.charge(self.ctx.cost_params.cpu_emit)
-            return self.emit(row)
-        self.finish()
-        return None
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

@@ -18,8 +18,8 @@ class ProjectExec(Operator):
         self.child = child
         child_layout = plan.children[0].layout
         self._slots = [child_layout.slot(c) for c in plan.columns]
-        # Compiled once: the batch path applies one C-level itemgetter per
-        # row instead of rebuilding a generator expression per call.
+        # Compiled once: one C-level itemgetter call per row instead of
+        # rebuilding a generator expression per row.
         if len(self._slots) == 1:
             slot = self._slots[0]
             self._proj = lambda row: (row[slot],)
@@ -29,15 +29,6 @@ class ProjectExec(Operator):
     def open(self) -> None:
         super().open()
         self.child.open()
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        row = self.child.next()
-        if row is None:
-            self.finish()
-            return None
-        self.ctx.meter.charge(self.ctx.cost_params.cpu_emit)
-        return self.emit(tuple(row[s] for s in self._slots))
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
@@ -83,18 +74,6 @@ class HavingFilterExec(Operator):
                 return False
         return True
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        p = self.ctx.cost_params
-        while True:
-            row = self.child.next()
-            if row is None:
-                self.finish()
-                return None
-            self.ctx.meter.charge(p.cpu_row)
-            if self._passes(row):
-                return self.emit(row)
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         p = self.ctx.cost_params
@@ -126,26 +105,14 @@ class ReturnExec(Operator):
         super().open()
         self.child.open()
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        if self.plan.limit is not None and self.rows_out >= self.plan.limit:
-            self.finish()
-            return None
-        row = self.child.next()
-        if row is None:
-            self.finish()
-            return None
-        self.ctx.rows_returned += 1
-        return self.emit(row)
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         want = max_rows
         limit = self.plan.limit
         if limit is not None:
-            # Cap the child request at the rows still owed so the total
-            # child pull count matches row mode exactly (downstream CHECK
-            # counters depend on it).
+            # Cap the child request at the rows still owed so no row past
+            # the limit is ever pulled (downstream CHECK counters depend
+            # on it).
             remaining = limit - self.rows_out
             if remaining <= 0:
                 self.finish()
@@ -181,21 +148,6 @@ class AntiJoinExec(Operator):
     def open(self) -> None:
         super().open()
         self.child.open()
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        p = self.ctx.cost_params
-        while True:
-            row = self.child.next()
-            if row is None:
-                self.finish()
-                return None
-            self.ctx.meter.charge(p.cpu_hash_probe)
-            if self.compensation.get(row, 0) > 0:
-                self.compensation[row] -= 1
-                self.compensated += 1
-                continue
-            return self.emit(row)
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

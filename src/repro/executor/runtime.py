@@ -101,7 +101,7 @@ def run_plan(
     freshly built operator tree here — the single sanctioned injection
     point (see :mod:`repro.resilience`).  When the context carries a work
     deadline, it is enforced at the plan root after ``open`` and after
-    every emitted row; a cancel token or wall-clock deadline is likewise
+    every emitted batch; a cancel token or wall-clock deadline is likewise
     polled at the root via :meth:`ExecutionContext.check_interrupt`.
 
     Teardown ordering matters on abort paths: every registered operator
@@ -131,30 +131,15 @@ def run_plan(
         if interruptible:
             ctx.check_interrupt()
         batch_size = ctx.batch_size
-        if batch_size > 0:
-            # Vectorized drain: one root call and one deadline/interrupt
-            # poll per batch instead of per row.  Identical rows, row
-            # counters, CHECK decisions, and meter totals as the row loop
-            # below (tests/test_executor_batch_differential.py).
-            while True:
-                batch = root.next_batch(batch_size)
-                if batch is None:
-                    break
-                rows.extend(batch)
-                if deadline is not None:
-                    _check_deadline(ctx, deadline)
-                if interruptible:
-                    ctx.check_interrupt()
-        else:
-            while True:
-                row = root.next()
-                if row is None:
-                    break
-                rows.append(row)
-                if deadline is not None:
-                    _check_deadline(ctx, deadline)
-                if interruptible:
-                    ctx.check_interrupt()
+        while True:
+            batch = root.next_batch(batch_size)
+            if batch is None:
+                break
+            rows.extend(batch)
+            if deadline is not None:
+                _check_deadline(ctx, deadline)
+            if interruptible:
+                ctx.check_interrupt()
         completed = True
     finally:
         close_failure = None

@@ -51,27 +51,9 @@ class TableScanExec(Operator):
         else:
             self._iter = islice(iter(self.table.rows), visible)
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._iter is not None and self._filter is not None
-        interruptible = self.ctx.interruptible
-        rejected = 0
-        for row in self._iter:
-            self.ctx.meter.charge(self._charge_per_row)
-            if self._filter(row):
-                return self.emit(row)
-            # Selective filters can reject long stretches without a single
-            # emit(); poll on a stride so cancel latency stays bounded.
-            rejected += 1
-            if interruptible and rejected % 256 == 0:
-                self.ctx.check_interrupt()
-        self.finish()
-        return None
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
-        """Vectorized scan: one filter lookup per row inside a tight local
-        loop, one bulk meter charge per batch (``scanned × per-row``, so
-        totals equal row mode exactly)."""
+        """One filter lookup per row inside a tight local loop, one bulk
+        meter charge per batch (``scanned × per-row``)."""
         self.require_open()
         assert self._iter is not None and self._filter is not None
         match = self._filter
@@ -87,6 +69,9 @@ class TableScanExec(Operator):
                 if len(out) >= max_rows:
                     break
             else:
+                # Selective filters can reject long stretches without
+                # filling a batch; poll on a stride so cancel latency
+                # stays bounded.
                 rejected += 1
                 if interruptible and rejected % 256 == 0:
                     self.ctx.check_interrupt()
@@ -204,28 +189,9 @@ class IndexScanExec(Operator):
         self._pos = 0
         self.eof_seen = False
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._filter is not None
-        interruptible = self.ctx.interruptible
-        rejected = 0
-        while self._pos < len(self._rids):
-            rid = self._rids[self._pos]
-            self._pos += 1
-            self.ctx.meter.charge(self._fetch_charge)
-            row = self.table.fetch(rid)
-            if self._filter(row):
-                return self.emit(row)
-            rejected += 1
-            if interruptible and rejected % 256 == 0:
-                self.ctx.check_interrupt()
-        if self.plan.correlation is None:
-            self.finish()
-        return None
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
-        """Vectorized rid-list drain (both modes; correlated rebinds keep
-        working because position state lives in ``_rids``/``_pos``)."""
+        """Rid-list drain (both modes; correlated rebinds keep working
+        because position state lives in ``_rids``/``_pos``)."""
         self.require_open()
         assert self._filter is not None
         match = self._filter
@@ -280,22 +246,6 @@ class MVScanExec(Operator):
             self.plan.filters, self.plan.layout, self.ctx.params
         )
         self._iter = iter(self.mv.rows)
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._iter is not None and self._filter is not None
-        p = self.ctx.cost_params
-        interruptible = self.ctx.interruptible
-        rejected = 0
-        for row in self._iter:
-            self.ctx.meter.charge(p.cpu_temp_scan)
-            if self._filter(row):
-                return self.emit(row)
-            rejected += 1
-            if interruptible and rejected % 256 == 0:
-                self.ctx.check_interrupt()
-        self.finish()
-        return None
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

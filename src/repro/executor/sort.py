@@ -85,25 +85,15 @@ class SortExec(Operator):
         interruptible = self.ctx.interruptible
         rows: list[tuple] = []
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.child.next_batch(batch_size)
-                if batch is None:
-                    break
-                rows.extend(batch)
-                # Blocking build phase: poll per drained batch.
-                if interruptible:
-                    self.ctx.check_interrupt()
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                rows.append(row)
-                # Blocking build phase: no row reaches emit() until the
-                # drain finishes, so poll the interrupt sources here.
-                if interruptible:
-                    self.ctx.check_interrupt()
+        while True:
+            batch = self.child.next_batch(batch_size)
+            if batch is None:
+                break
+            rows.extend(batch)
+            # Blocking build phase: no row reaches emit_batch() until the
+            # drain finishes, so poll the interrupt sources here.
+            if interruptible:
+                self.ctx.check_interrupt()
         slots = [self.plan.layout.slot(k) for k in self.plan.keys]
         # Stable multi-key sort honoring per-key direction: sort by each key
         # from least to most significant.
@@ -132,54 +122,31 @@ class SortExec(Operator):
         buf: list[tuple] = []
         n = 0
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.child.next_batch(batch_size)
-                if batch is None:
-                    break
-                # Cancellation during the spilling build is the hard case
-                # this poll exists for: the run files created below are
-                # torn down by run_plan's finally (close + release_spill)
-                # when it raises.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                for row in batch:
-                    # Same flush-before-append body as the row loop below,
-                    # applied per row of the batch: run boundaries fall on
-                    # exactly the same input ordinals regardless of how the
-                    # batch straddles the capacity (an input that exactly
-                    # fills the grant still never flushes).
-                    if len(buf) >= capacity:
-                        buf.sort(key=key)
-                        runs.append(
-                            self.ctx.spill.spill_rows(
-                                "sort", buf, f"sort-run-{len(runs)}"
-                            )
-                        )
-                        buf = []
-                    buf.append(row)
-                n += len(batch)
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                # Cancellation during the spilling build is the hard case
-                # this poll exists for: the run files created below are torn
-                # down by run_plan's finally (close + release_spill) when it
-                # raises.
-                if interruptible:
-                    self.ctx.check_interrupt()
+        while True:
+            batch = self.child.next_batch(batch_size)
+            if batch is None:
+                break
+            # Cancellation during the spilling build is the hard case this
+            # poll exists for: the run files created below are torn down
+            # by run_plan's finally (close + release_spill) when it raises.
+            if interruptible:
+                self.ctx.check_interrupt()
+            for row in batch:
+                # Flush-before-append, per row of the batch: run boundaries
+                # fall on the same input ordinals however the batch
+                # straddles the capacity, and a flush happens only when
+                # another row actually arrives — an input that exactly
+                # fills the grant stays in memory.
                 if len(buf) >= capacity:
-                    # Flush only when another row actually arrives: an input
-                    # that exactly fills the grant stays in memory.
                     buf.sort(key=key)
                     runs.append(
-                        self.ctx.spill.spill_rows("sort", buf, f"sort-run-{len(runs)}")
+                        self.ctx.spill.spill_rows(
+                            "sort", buf, f"sort-run-{len(runs)}"
+                        )
                     )
                     buf = []
                 buf.append(row)
-                n += 1
+            n += len(batch)
         if n:
             self.ctx.meter.charge(n * max(1.0, math.log2(n + 1)) * p.cpu_sort, "sort")
         if runs:
@@ -197,22 +164,6 @@ class SortExec(Operator):
         self._pos = 0
         self.build_complete = True
 
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        if self._merge is not None:
-            row = next(self._merge, None)
-            if row is not None:
-                return self.emit(row)
-            self.finish()
-            return None
-        assert self._rows is not None
-        if self._pos < len(self._rows):
-            row = self._rows[self._pos]
-            self._pos += 1
-            return self.emit(row)
-        self.finish()
-        return None
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         if self._merge is not None:
@@ -229,8 +180,8 @@ class SortExec(Operator):
             return None
         take = min(max_rows, len(rows) - pos)
         self._pos = pos + take
-        # No per-row serve charge in row mode either: the sort cost was
-        # charged in full at build time.
+        # No per-row serve charge: the sort cost was charged in full at
+        # build time.
         return self.emit_batch(rows[pos:pos + take])
 
     @property

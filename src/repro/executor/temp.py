@@ -43,26 +43,15 @@ class TempExec(Operator):
         interruptible = self.ctx.interruptible
         rows: list[tuple] = []
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.child.next_batch(batch_size)
-                if batch is None:
-                    break
-                # Blocking fill phase: poll per inserted batch.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_temp_insert, "temp")
-                rows.extend(batch)
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                # Blocking fill phase: poll per inserted row.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_temp_insert, "temp")
-                rows.append(row)
+        while True:
+            batch = self.child.next_batch(batch_size)
+            if batch is None:
+                break
+            # Blocking fill phase: poll per inserted batch.
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_temp_insert, "temp")
+            rows.extend(batch)
         pages = self.ctx.cost_model.pages_for(len(rows))
         if pages > self.ctx.grant_pages(p.temp_mem_pages, "temp"):
             self.ctx.meter.charge(pages * p.io_page, "temp")
@@ -78,50 +67,30 @@ class TempExec(Operator):
         interruptible = self.ctx.interruptible
         rows: list[tuple] = []
         batch_size = self.ctx.batch_size
-        if batch_size > 0:
-            while True:
-                batch = self.child.next_batch(batch_size)
-                if batch is None:
-                    break
-                # A cancel mid-overflow must not leak the spill file:
-                # raising here unwinds into run_plan's teardown and
-                # release_spill.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(len(batch) * p.cpu_temp_insert, "temp")
-                # Exact capacity split for batches straddling the boundary:
-                # the memory prefix holds precisely ``capacity`` rows and
-                # the remainder overflows, matching the row loop ordinal
-                # for ordinal (the PR-5 off-by-one bug class).
-                room = capacity - len(rows)
-                if room >= len(batch):
-                    rows.extend(batch)
-                    continue
-                if room > 0:
-                    rows.extend(batch[:room])
-                overflow = batch[room:] if room > 0 else batch
-                if self._overflow is None:
-                    self._overflow = self.ctx.spill.create("temp", "temp-overflow")
-                    self.spilled = True
-                self._overflow.append_batch(overflow)
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                # A cancel mid-overflow must not leak the spill file:
-                # raising here unwinds into run_plan's teardown and
-                # release_spill.
-                if interruptible:
-                    self.ctx.check_interrupt()
-                self.ctx.meter.charge(p.cpu_temp_insert, "temp")
-                if len(rows) < capacity:
-                    rows.append(row)
-                else:
-                    if self._overflow is None:
-                        self._overflow = self.ctx.spill.create("temp", "temp-overflow")
-                        self.spilled = True
-                    self._overflow.append(row)
+        while True:
+            batch = self.child.next_batch(batch_size)
+            if batch is None:
+                break
+            # A cancel mid-overflow must not leak the spill file: raising
+            # here unwinds into run_plan's teardown and release_spill.
+            if interruptible:
+                self.ctx.check_interrupt()
+            self.ctx.meter.charge(len(batch) * p.cpu_temp_insert, "temp")
+            # Exact capacity split for batches straddling the boundary:
+            # the memory prefix holds precisely ``capacity`` rows and the
+            # remainder overflows, whatever the batch width (the PR-5
+            # off-by-one bug class).
+            room = capacity - len(rows)
+            if room >= len(batch):
+                rows.extend(batch)
+                continue
+            if room > 0:
+                rows.extend(batch[:room])
+            overflow = batch[room:] if room > 0 else batch
+            if self._overflow is None:
+                self._overflow = self.ctx.spill.create("temp", "temp-overflow")
+                self.spilled = True
+            self._overflow.append_batch(overflow)
         self._rows = rows
         self._pos = 0
         self.build_complete = True
@@ -130,24 +99,6 @@ class TempExec(Operator):
         """Restart iteration over the materialized rows (NLJN rescans)."""
         self._pos = 0
         self._overflow_iter = None
-
-    def next(self) -> Optional[tuple]:
-        self.require_open()
-        assert self._rows is not None
-        if self._pos < len(self._rows):
-            row = self._rows[self._pos]
-            self._pos += 1
-            self.ctx.meter.charge(self.ctx.cost_params.cpu_temp_scan, "temp")
-            return self.emit(row)
-        if self._overflow is not None:
-            if self._overflow_iter is None:
-                self._overflow_iter = self._overflow.rows()
-            row = next(self._overflow_iter, None)
-            if row is not None:
-                self.ctx.meter.charge(self.ctx.cost_params.cpu_temp_scan, "temp")
-                return self.emit(row)
-        self.finish()
-        return None
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()

@@ -9,10 +9,11 @@ Attribution works by *frame accounting* rather than interval subtraction.
 Operator intervals overlap arbitrarily (a parent's ``open`` spans its whole
 subtree; an NLJN inner is re-opened per outer row), so subtracting child
 open→close windows from the parent's cannot yield exclusive time.  Instead
-the collector wraps each operator's ``open``/``next``/``rebind``/``reset``
-instance methods; every call pushes a frame recording the work-meter and
-wall-clock readings on entry, and child frames report their inclusive
-duration up to the enclosing frame on exit:
+the collector wraps each operator's
+``open``/``next_batch``/``rebind``/``reset`` instance methods; every call
+pushes a frame recording the work-meter and wall-clock readings on entry,
+and child frames report their inclusive duration up to the enclosing frame
+on exit:
 
     self = (exit - entry) - sum(inclusive durations of direct child frames)
 
@@ -44,7 +45,7 @@ QERROR_EXCLUDED = frozenset({"CHECK", "BUFCHECK", "RETURN", "ANTIJOIN"})
 #: purpose: the runtime closes operators in a flat ``finally`` loop where
 #: per-operator cleanup charges nothing, and wrapping it would complicate
 #: the idempotence the ``close-guarded`` contract rule demands.
-_WRAPPED_METHODS = ("open", "next", "next_batch", "rebind", "reset")
+_WRAPPED_METHODS = ("open", "next_batch", "rebind", "reset")
 
 #: Spill-manager category -> operator KIND that spills under it.
 _SPILL_KINDS = {"sort": "SORT", "hash": "HSJOIN", "temp": "TEMP"}
@@ -62,7 +63,8 @@ class OpProfile:
     rows_out: int = 0
     eof: bool = False  #: reached end-of-stream (rows_out is then exact)
     opens: int = 0  #: ``open`` invocations (NLJN inners re-open per row)
-    calls: int = 0  #: wrapped method invocations (open+next+rebind+reset)
+    #: wrapped method invocations (open+next_batch+rebind+reset)
+    calls: int = 0
     self_units: float = 0.0  #: exclusive work units (children subtracted)
     total_units: float = 0.0  #: inclusive work units (subtree)
     self_wall: float = 0.0  #: exclusive wall seconds

@@ -24,7 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.chaosutil import canonical_rows, query_seed
@@ -32,7 +33,7 @@ from repro.common.locking import active_witness
 from repro.core.config import PopConfig, ResiliencePolicy
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
-from repro.resilience.faults import ALL_KINDS, FaultPlan
+from repro.resilience.faults import ALL_KINDS, EXEC_KINDS, STATS, FaultPlan
 
 __all__ = [  # canonical_rows / query_seed re-exported for compatibility
     "canonical_rows",
@@ -57,6 +58,11 @@ class QueryOutcome:
     ok: bool
     problems: list
     faults_injected: int = 0
+    #: Faults per kind: in the seeded schedule, and actually fired.  An
+    #: execution fault whose trigger lies past the statement's last pull
+    #: is planned but never fires.
+    planned: Counter = field(default_factory=Counter)
+    fired: Counter = field(default_factory=Counter)
     retries: int = 0
     fallback: bool = False
     reoptimizations: int = 0
@@ -114,6 +120,7 @@ def run_query_under_chaos(
     outcome = QueryOutcome(
         workload=workload, query=name, chaos_seed=chaos_seed,
         ok=False, problems=problems,
+        planned=Counter(spec.kind for spec in plan.specs),
     )
     try:
         result = db.execute(
@@ -139,6 +146,7 @@ def run_query_under_chaos(
     # Every injected fault must be observable: one trace event each, and a
     # matching counter total.
     events = tracer.events("fault.injected")
+    outcome.fired = Counter(e["attrs"]["kind"] for e in events)
     if len(events) != report.faults_injected:
         problems.append(
             f"{report.faults_injected} faults fired but "
@@ -556,21 +564,34 @@ def main(argv: Optional[list] = None) -> int:
         scenario=args.scenario,
     )
     failed = [o for o in outcomes if not o.ok]
-    total_faults = sum(o.faults_injected for o in outcomes)
     total_retries = sum(o.retries for o in outcomes)
     fallbacks = sum(1 for o in outcomes if o.fallback)
+    planned = sum((o.planned for o in outcomes), Counter())
+    fired = sum((o.fired for o in outcomes), Counter())
+    exec_planned = sum(planned[k] for k in EXEC_KINDS)
+    exec_fired = sum(fired[k] for k in EXEC_KINDS)
+    by_kind = ", ".join(f"{k} {fired[k]}/{planned[k]}" for k in EXEC_KINDS)
     print(
-        f"chaos: {len(outcomes)} runs, {total_faults} faults injected, "
+        f"chaos: {len(outcomes)} runs, "
+        f"{exec_fired}/{exec_planned} execution faults fired ({by_kind}), "
+        f"{fired[STATS]}/{planned[STATS]} stats faults fired, "
         f"{total_retries} retries, {fallbacks} fallbacks, "
         f"{len(failed)} failures"
     )
-    if failed:
-        for o in failed:
-            print(f"  FAILED {o.workload}/{o.query} seed={o.chaos_seed}:")
-            for problem in o.problems:
-                print(f"    - {problem}")
-        return 1
-    return 0
+    status = 0
+    if exec_planned and not exec_fired:
+        # The injector is not reaching the executor: every run "passed"
+        # without a single mid-execution fault.
+        print(
+            f"  FAILED: {exec_planned} execution faults planned, none fired"
+        )
+        status = 1
+    for o in failed:
+        print(f"  FAILED {o.workload}/{o.query} seed={o.chaos_seed}:")
+        for problem in o.problems:
+            print(f"    - {problem}")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ hand or generated reproducibly from a seed (:meth:`FaultPlan.seeded` via
 plan through a statement execution:
 
 * **iterator** — raise :class:`~repro.common.errors.TransientError` on the
-  Nth ``next()`` call anywhere in the operator tree (a mid-pipeline crash);
-* **stall** — charge extra work units on the Nth ``next()`` call (a slow
-  operator, against the deterministic work-unit clock);
+  Nth ``next_batch`` pull anywhere in the operator tree (a mid-pipeline
+  crash);
+* **stall** — charge extra work units on the Nth ``next_batch`` pull (a
+  slow operator, against the deterministic work-unit clock);
 * **mem_shrink** — apply memory pressure mid-execution: with a governor
   reservation the statement's reservation is renegotiated down and the
   operators spill; without one, every subsequent sort/hash/temp grant is
@@ -17,10 +18,14 @@ plan through a statement execution:
 * **stats** — corrupt (scale the row count of) or drop a table's catalog
   statistics before optimization, restored when the statement finishes.
 
-Execution faults trigger on a *global* ``next()``-call counter that spans
-all operators and all attempts of one statement, so a fault schedule is a
-pure function of the seed and the (deterministic) execution it perturbs.
-Each spec fires at most ``times`` times (default once — "transient").
+Execution faults trigger on a *global* pull counter that spans all
+operators and all attempts of one statement, so a fault schedule is a pure
+function of the seed, the batch width, and the (deterministic) execution it
+perturbs.  A pull is one ``next_batch`` call, whatever it returns: wide
+batches make a statement take fewer pulls, so a late ``trigger_at`` that a
+width-1 run reaches may lie past the end of a width-1024 run and never
+fire.  Each spec fires at most ``times`` times (default once —
+"transient").
 
 The injector is mounted on :class:`~repro.executor.base.ExecutionContext`
 as ``fault_injector`` and armed by ``run_plan`` — the single sanctioned
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 from repro.common.errors import TransientError
 from repro.common.rng import make_rng
 
-#: Execution-time fault kinds (trigger on the global next()-call counter).
+#: Execution-time fault kinds (trigger on the global pull counter).
 ITERATOR = "iterator"
 STALL = "stall"
 MEM_SHRINK = "mem_shrink"
@@ -57,11 +62,13 @@ _STATS_SCALES = (100.0, 0.01, 0.0)
 class FaultSpec:
     """One fault to inject.
 
-    ``trigger_at`` is the 1-based global ``next()``-call index for execution
-    kinds and ignored for ``stats`` faults; ``payload`` is the stall charge
-    (work units), the shrink factor, or the stats scale (0.0 = drop);
-    ``target_table`` names the table whose statistics a ``stats`` fault
-    corrupts; ``times`` caps how often the spec may fire.
+    ``trigger_at`` is the 1-based global ``next_batch``-pull index for
+    execution kinds (how many pulls a statement makes depends on its batch
+    width — see the module docstring) and ignored for ``stats`` faults;
+    ``payload`` is the stall charge (work units), the shrink factor, or the
+    stats scale (0.0 = drop); ``target_table`` names the table whose
+    statistics a ``stats`` fault corrupts; ``times`` caps how often the
+    spec may fire.
     """
 
     kind: str
@@ -83,7 +90,7 @@ class FiredFault:
     against the ``fault.injected`` trace events)."""
 
     kind: str
-    at_call: int  #: global next()-call index (0 for stats faults)
+    at_call: int  #: global pull index (0 for stats faults)
     op_kind: str  #: plan-operator KIND, or "catalog" for stats faults
     payload: float
     target_table: Optional[str] = None
@@ -108,7 +115,7 @@ class FaultPlan:
         """Generate ``n_faults`` faults deterministically from ``seed``.
 
         Trigger points are drawn log-uniformly in ``[1, max_trigger]`` so
-        early (open-phase) and late (pipelined-phase) calls are both
+        early (open-phase) and late (pipelined-phase) pulls are both
         exercised.  ``stats`` faults are only drawn when ``tables`` names
         candidates.
         """
@@ -151,7 +158,7 @@ class FaultInjector:
     """Carries one :class:`FaultPlan` through a statement execution.
 
     The injector is armed over a freshly built operator tree by
-    ``run_plan`` (it wraps each operator's ``next`` with a counting
+    ``run_plan`` (it wraps each operator's ``next_batch`` with a counting
     prologue), fires due faults, and records every firing in
     :attr:`fired`.  ``disarm()`` makes all later arming a no-op — the
     guard disarms before running the safe-plan fallback so the fallback is
@@ -194,17 +201,17 @@ class FaultInjector:
             self._wrap(op, ctx)
 
     def _wrap(self, op, ctx) -> None:
-        inner = op.next
+        inner = op.next_batch
 
-        def next_with_faults():
-            self._before_next(op, ctx)
-            return inner()
+        def next_batch_with_faults(max_rows):
+            self._before_pull(op, ctx)
+            return inner(max_rows)
 
-        op.next = next_with_faults
+        op.next_batch = next_batch_with_faults
 
     # -------------------------------------------------------------- firing
 
-    def _before_next(self, op, ctx) -> None:
+    def _before_pull(self, op, ctx) -> None:
         if not self._active or not self._pending:
             return
         self.call_count += 1
@@ -241,7 +248,7 @@ class FaultInjector:
         elif spec.kind == ITERATOR:
             raise TransientError(
                 f"injected transient failure at {op.plan.KIND}"
-                f"[op={op.plan.op_id}] next() call {count}"
+                f"[op={op.plan.op_id}] next_batch pull {count}"
             )
 
     @staticmethod

@@ -57,15 +57,13 @@ def star_db() -> Database:
     return database
 
 
-@pytest.fixture(scope="session")
-def tpch_db() -> Database:
-    """A tiny deterministic TPC-H database (shared across the session)."""
+def build_tpch_db() -> Database:
+    """A tiny deterministic TPC-H database."""
     return make_tpch_db(scale_factor=0.002, seed=42)
 
 
-@pytest.fixture(scope="session")
-def dmv_db() -> Database:
-    """A tiny deterministic DMV database (shared across the session)."""
+def build_dmv_db() -> Database:
+    """A tiny deterministic DMV database."""
     scale = DmvScale(
         owners=1500,
         cars=2000,
@@ -77,6 +75,28 @@ def dmv_db() -> Database:
         registrations=2000,
     )
     return make_dmv_db(scale=scale, seed=7)
+
+
+@pytest.fixture(scope="session")
+def tpch_db() -> Database:
+    """:func:`build_tpch_db`, shared across the session."""
+    return build_tpch_db()
+
+
+@pytest.fixture(scope="session")
+def dmv_db() -> Database:
+    """:func:`build_dmv_db`, shared across the session."""
+    return build_dmv_db()
+
+
+def pull_all(op, width=None):
+    """Drain an opened operator to EOF; ``width`` rows per pull (the
+    context's batch size by default)."""
+    width = op.ctx.batch_size if width is None else width
+    rows = []
+    while (batch := op.next_batch(width)) is not None:
+        rows.extend(batch)
+    return rows
 
 
 def canonical(rows):

@@ -521,7 +521,7 @@ class TestContractChecker:
     def test_string_equality_exempt(self):
         assert check_module("def f(a):\n    return a == 'x'\n") == []
 
-    def test_operator_without_next_flagged(self):
+    def test_operator_without_next_batch_flagged(self):
         source = (
             "class Broken(Operator):\n"
             "    def describe(self):\n"
@@ -529,12 +529,24 @@ class TestContractChecker:
         )
         findings = check_module(source)
         assert [f.rule for f in findings] == ["iterator-contract"]
-        assert "next" in findings[0].message
+        assert "next_batch()" in findings[0].message
+
+    def test_row_at_a_time_next_is_not_the_protocol(self):
+        """An operator that only defines the retired per-row ``next`` can
+        never be pulled: nothing in the engine calls it."""
+        source = (
+            "class RowOnly(Operator):\n"
+            "    def next(self):\n"
+            "        return None\n"
+        )
+        findings = check_module(source)
+        assert [f.rule for f in findings] == ["iterator-contract"]
+        assert "next_batch()" in findings[0].message
 
     def test_open_override_must_call_super(self):
         source = (
             "class Leaky(Operator):\n"
-            "    def next(self):\n"
+            "    def next_batch(self, max_rows):\n"
             "        return None\n"
             "    def open(self):\n"
             "        self.started = True\n"
@@ -548,7 +560,7 @@ class TestContractChecker:
             "class Fine(Operator):\n"
             "    def open(self):\n"
             "        super().open()\n"
-            "    def next(self):\n"
+            "    def next_batch(self, max_rows):\n"
             "        return None\n"
             "    def close(self):\n"
             "        super().close()\n"
@@ -770,15 +782,12 @@ def test_order_preserving_joins_claim_outer_order(tpch_db):
 
 
 class TestBatchContractRule:
-    """The vectorized-executor rule: ``next_batch`` overrides must funnel
-    rows through ``emit_batch``, never per-row ``emit``, and must not mix
-    the row protocol into a batch execution."""
+    """``next_batch`` implementations must funnel rows through
+    ``emit_batch`` — the one place rows are counted."""
 
     def test_raw_list_return_flagged(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        return [(1,)]\n"
         )
@@ -786,37 +795,9 @@ class TestBatchContractRule:
         assert [f.rule for f in findings] == ["batch-contract"]
         assert "emit_batch" in findings[0].message
 
-    def test_per_row_emit_inside_batch_flagged(self):
-        source = (
-            "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
-            "    def next_batch(self, max_rows):\n"
-            "        self.emit((1,))\n"
-            "        return None\n"
-        )
-        findings = check_module(source)
-        assert [f.rule for f in findings] == ["batch-contract"]
-        assert "double-counted" in findings[0].message
-
-    def test_child_pull_via_next_flagged(self):
-        source = (
-            "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
-            "    def next_batch(self, max_rows):\n"
-            "        row = self.child.next()\n"
-            "        return None\n"
-        )
-        findings = check_module(source)
-        assert [f.rule for f in findings] == ["batch-contract"]
-        assert "next_batch(1)" in findings[0].message
-
     def test_builtin_next_over_iterator_is_fine(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        out = [next(self._merge, None)]\n"
             "        if out[0] is None:\n"
@@ -828,8 +809,6 @@ class TestBatchContractRule:
     def test_eof_and_emit_batch_returns_are_fine(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        batch = self.child.next_batch(max_rows)\n"
             "        if batch is None:\n"

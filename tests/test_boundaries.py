@@ -13,6 +13,7 @@ from repro.plan.physical import BufCheck, Check, TableScan, number_plan
 from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 def catalog_with_rows(n):
@@ -34,10 +35,7 @@ def drain(plan, cat, **ctx_kwargs):
     ctx = ExecutionContext(cat, **ctx_kwargs)
     op = build_executor(plan, ctx)
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows, ctx
+    return pull_all(op), ctx
 
 
 class TestCheckBoundaries:

@@ -31,6 +31,7 @@ from repro.common.errors import (
 )
 from repro.core.config import MemoryPolicy, PopConfig, ResiliencePolicy
 from repro.governor import MemoryGovernor
+from repro.obs import MetricsRegistry
 
 JOIN_SQL = (
     "SELECT c.c_segment, o.o_total FROM cust c, orders o "
@@ -48,7 +49,10 @@ class CountdownToken:
 
     The executor only reads ``.cancelled`` and ``.reason``, so a property
     with a side effect gives a deterministic mid-query cancel point —
-    no timing, no threads.
+    no timing, no threads.  Polls happen once per emitted batch and per
+    blocking-phase batch: at the default width ``JOIN_SQL`` makes 89 of
+    them ungoverned and 102 under the spilling budget below, so the
+    thresholds in this module sit inside those runs.
     """
 
     def __init__(self, polls: int, reason: str = "countdown elapsed"):
@@ -89,7 +93,7 @@ class TestExecuteCancel:
 
     def test_mid_query_cancel_unwinds(self, star_db):
         with pytest.raises(ExecutionCancelled, match="countdown"):
-            star_db.execute(JOIN_SQL, cancel=CountdownToken(500))
+            star_db.execute(JOIN_SQL, cancel=CountdownToken(40))
 
     def test_cancel_mid_grace_join_releases_spill(self, star_db):
         """Kill a spilling join mid-flight: no leaked pages, governor at
@@ -108,8 +112,15 @@ class TestExecuteCancel:
             # cancel below would not be interrupting spill-backed work.
             clean = star_db.execute(JOIN_SQL)
             assert clean.report.spilled
+            # Poll 20 falls after the build side was partitioned to disk
+            # (poll 5) and before the join's output reaches the sort (35):
+            # the probe side is mid-partitioning, 16 spill files are open.
+            metrics = MetricsRegistry()
             with pytest.raises(ExecutionCancelled):
-                star_db.execute(JOIN_SQL, cancel=CountdownToken(5000))
+                star_db.execute(
+                    JOIN_SQL, cancel=CountdownToken(20), metrics=metrics
+                )
+            assert metrics.total("governor.spill_files") == 16
             snap = governor.snapshot()
             assert snap["used_pages"] == 0
             assert snap["reservations"] == []
@@ -120,7 +131,7 @@ class TestExecuteCancel:
     def test_cancel_leaves_database_usable(self, star_db):
         oracle = star_db.execute("SELECT c.c_id FROM cust c").rows
         with pytest.raises(ExecutionCancelled):
-            star_db.execute(JOIN_SQL, cancel=CountdownToken(500))
+            star_db.execute(JOIN_SQL, cancel=CountdownToken(40))
         again = star_db.execute("SELECT c.c_id FROM cust c").rows
         assert sorted(again) == sorted(oracle)
 
@@ -148,13 +159,14 @@ class TestWallClockDeadline:
         with a classified ``timeout`` (fallback disabled)."""
         from repro.executor.scans import TableScanExec
 
-        original = TableScanExec.next
+        original = TableScanExec.next_batch
 
-        def stalled(self):
+        def stalled(self, max_rows):
+            # One row per 20ms pull: partial batches are legal anywhere.
             time.sleep(0.02)
-            return original(self)
+            return original(self, 1)
 
-        monkeypatch.setattr(TableScanExec, "next", stalled)
+        monkeypatch.setattr(TableScanExec, "next_batch", stalled)
         pop = PopConfig(
             resilience=ResiliencePolicy(
                 deadline_seconds=0.1, fallback_enabled=False

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro import Database
-from tests.conftest import canonical
+from tests.conftest import canonical, pull_all
 
 
 @pytest.fixture
@@ -119,8 +119,6 @@ class TestAntiJoinCompensation:
         ctx.compensation = Counter({(1,): 1, (3,): 1})
         op = build_executor(plan, ctx)
         op.open()
-        rows = []
-        while (row := op.next()) is not None:
-            rows.append(row)
+        rows = pull_all(op)
         # One of the two (1,) rows and the (3,) row are compensated away.
         assert sorted(rows) == [(1,), (2,)]

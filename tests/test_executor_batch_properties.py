@@ -1,17 +1,18 @@
-"""Property tests for the vectorized executor (hypothesis-driven).
+"""Property tests for the executor's batch protocol (hypothesis-driven).
 
-Three invariants the batch protocol must hold for *every* batch size, not
-just the sizes the differential streams happen to use:
+Three invariants that must hold for *every* batch size, not just the sizes
+the differential streams happen to use.  The baseline is width 1, where
+every pull asks for exactly one row and nothing can be over-pulled:
 
 * **batch-size invariance** — the rows a plan produces (values and order)
   do not depend on ``batch_size``;
 * **CHECK-boundary exactness** — an upper-bound violation is detected at
-  exactly the same observed cardinality as in row mode: the first row
+  exactly the same observed cardinality as at width 1: the first row
   count strictly above the range's high bound, never late by partial
   batches (CheckExec caps its child request at the crossing row);
 * **meter identity** — the WorkMeter total and every per-category subtotal
-  equal the row-mode charges up to float-summation round-off, because
-  every native batch path charges exactly ``n ×`` the per-row amounts.
+  equal the width-1 charges up to float-summation round-off, because
+  every operator charges exactly ``n ×`` the per-row amounts.
 
 These run at the executor layer (build plan → ``run_plan``) so the
 properties are about the operators themselves, with no optimizer noise.
@@ -42,7 +43,7 @@ from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
 
-BATCH_SIZES = st.integers(min_value=1, max_value=257)
+BATCH_SIZES = st.integers(min_value=2, max_value=257) | st.just(1024)
 
 
 def make_catalog(n_rows: int) -> Catalog:
@@ -81,15 +82,15 @@ def execute(plan_factory, cat, batch_size):
     return rows, signal, meter
 
 
-def assert_meter_identity(batch_meter, row_meter):
-    assert batch_meter.units == pytest.approx(
-        row_meter.units, rel=1e-9, abs=1e-9
+def assert_meter_identity(wide_meter, narrow_meter):
+    assert wide_meter.units == pytest.approx(
+        narrow_meter.units, rel=1e-9, abs=1e-9
     )
-    row_cats = row_meter.by_category()
-    batch_cats = batch_meter.by_category()
-    assert set(batch_cats) == set(row_cats)
-    for category, units in row_cats.items():
-        assert batch_cats[category] == pytest.approx(
+    narrow_cats = narrow_meter.by_category()
+    wide_cats = wide_meter.by_category()
+    assert set(wide_cats) == set(narrow_cats)
+    for category, units in narrow_cats.items():
+        assert wide_cats[category] == pytest.approx(
             units, rel=1e-9, abs=1e-9
         ), category
 
@@ -111,11 +112,11 @@ class TestBatchSizeInvariance:
             )
             return Sort(distinct, ["t.a", "t.b"], props, est_cost=4.0)
 
-        row_rows, row_sig, row_meter = execute(factory, cat, 0)
-        batch_rows, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert row_sig is None and batch_sig is None
-        assert batch_rows == row_rows
-        assert_meter_identity(batch_meter, row_meter)
+        narrow_rows, narrow_sig, narrow_meter = execute(factory, cat, 1)
+        wide_rows, wide_sig, wide_meter = execute(factory, cat, batch_size)
+        assert narrow_sig is None and wide_sig is None
+        assert wide_rows == narrow_rows
+        assert_meter_identity(wide_meter, narrow_meter)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,17 +126,17 @@ class TestBatchSizeInvariance:
     )
     def test_limit_rows_identical(self, n_rows, limit, batch_size):
         """RETURN caps its child demand at the remaining limit, so early
-        termination consumes the same child prefix in both modes."""
+        termination consumes the same child prefix at every width."""
         cat = make_catalog(n_rows)
 
         def factory():
             return Return(scan_plan(float(max(n_rows, 1))), limit=limit)
 
-        row_rows, _, row_meter = execute(factory, cat, 0)
-        batch_rows, _, batch_meter = execute(factory, cat, batch_size)
-        assert batch_rows == row_rows
-        assert len(batch_rows) == min(n_rows, limit)
-        assert_meter_identity(batch_meter, row_meter)
+        narrow_rows, _, narrow_meter = execute(factory, cat, 1)
+        wide_rows, _, wide_meter = execute(factory, cat, batch_size)
+        assert wide_rows == narrow_rows
+        assert len(wide_rows) == min(n_rows, limit)
+        assert_meter_identity(wide_meter, narrow_meter)
 
 
 class TestCheckBoundaryExactness:
@@ -154,7 +155,7 @@ class TestCheckBoundaryExactness:
         low=st.integers(min_value=0, max_value=5).map(float),
         batch_size=BATCH_SIZES,
     )
-    def test_trigger_decision_and_count_match_row_mode(
+    def test_trigger_decision_and_count_are_width_invariant(
         self, n_rows, high, low, batch_size
     ):
         cat = make_catalog(n_rows)
@@ -166,18 +167,18 @@ class TestCheckBoundaryExactness:
                 "LC",
             )
 
-        row_rows, row_sig, row_meter = execute(factory, cat, 0)
-        batch_rows, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert (batch_sig is None) == (row_sig is None)
-        if row_sig is not None:
-            assert batch_sig.observed == row_sig.observed
-            assert batch_sig.complete == row_sig.complete
-            if not row_sig.complete:
+        narrow_rows, narrow_sig, narrow_meter = execute(factory, cat, 1)
+        wide_rows, wide_sig, wide_meter = execute(factory, cat, batch_size)
+        assert (wide_sig is None) == (narrow_sig is None)
+        if narrow_sig is not None:
+            assert wide_sig.observed == narrow_sig.observed
+            assert wide_sig.complete == narrow_sig.complete
+            if not narrow_sig.complete:
                 # Detected exactly at the crossing row, not a batch later.
-                assert row_sig.observed == math.floor(max(low, high)) + 1
+                assert narrow_sig.observed == math.floor(max(low, high)) + 1
         else:
-            assert batch_rows == row_rows
-        assert_meter_identity(batch_meter, row_meter)
+            assert wide_rows == narrow_rows
+        assert_meter_identity(wide_meter, narrow_meter)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -188,7 +189,7 @@ class TestCheckBoundaryExactness:
         self, n_rows, batch_size
     ):
         """The materialization-point optimization (exact count at open)
-        is mode-independent."""
+        is width-independent."""
         cat = make_catalog(n_rows)
         high = max(0, n_rows - 1)
 
@@ -199,9 +200,9 @@ class TestCheckBoundaryExactness:
                 "LC",
             )
 
-        _, row_sig, row_meter = execute(factory, cat, 0)
-        _, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert row_sig is not None and batch_sig is not None
-        assert batch_sig.observed == row_sig.observed == n_rows
-        assert batch_sig.complete and row_sig.complete
-        assert_meter_identity(batch_meter, row_meter)
+        _, narrow_sig, narrow_meter = execute(factory, cat, 1)
+        _, wide_sig, wide_meter = execute(factory, cat, batch_size)
+        assert narrow_sig is not None and wide_sig is not None
+        assert wide_sig.observed == narrow_sig.observed == n_rows
+        assert wide_sig.complete and narrow_sig.complete
+        assert_meter_identity(wide_meter, narrow_meter)

@@ -9,6 +9,7 @@ from repro.plan.physical import BufCheck, Check, TableScan, Temp, number_plan
 from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 def make_catalog(n_rows: int) -> Catalog:
@@ -30,10 +31,7 @@ def run_checked(plan, ctx):
     number_plan(plan)
     op = build_executor(plan, ctx)
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows
+    return pull_all(op)
 
 
 class TestCheck:
@@ -93,8 +91,7 @@ class TestCheck:
         op = build_executor(plan, ctx)
         op.open()
         with pytest.raises(ReoptimizationSignal):
-            while op.next() is not None:
-                pass
+            pull_all(op)
 
     def test_disabled_check_is_transparent(self):
         cat = make_catalog(100)
@@ -103,10 +100,7 @@ class TestCheck:
         ctx = ExecutionContext(cat, disabled_check_op_ids={plan.op_id})
         op = build_executor(plan, ctx)
         op.open()
-        count = 0
-        while op.next() is not None:
-            count += 1
-        assert count == 100
+        assert len(pull_all(op)) == 100
 
     def test_event_logged_on_success_too(self):
         cat = make_catalog(10)

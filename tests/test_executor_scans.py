@@ -11,6 +11,7 @@ from repro.plan.physical import IndexScan, MVScan, TableScan
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 @pytest.fixture
@@ -33,12 +34,7 @@ def props(pred_ids=frozenset()):
 
 def drain(op):
     op.open()
-    rows = []
-    while True:
-        row = op.next()
-        if row is None:
-            return rows
-        rows.append(row)
+    return pull_all(op)
 
 
 class TestTableScan:
@@ -127,10 +123,10 @@ class TestIndexScan:
         op = build_executor(plan, ctx)
         op.open()
         op.rebind(9)
-        assert op.next() == (9, "v0")
-        assert op.next() is None
+        assert op.next_batch(1) == [(9, "v0")]
+        assert op.next_batch(1) is None
         op.rebind(3)
-        assert op.next() == (3, "v0")
+        assert op.next_batch(1) == [(3, "v0")]
 
 
 class TestMVScan:

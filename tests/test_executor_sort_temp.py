@@ -10,6 +10,7 @@ from repro.plan.physical import Sort, TableScan, Temp
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 def make_catalog(rows):
@@ -30,10 +31,7 @@ def scan_plan():
 
 def drain(op):
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows
+    return pull_all(op)
 
 
 class TestSort:
@@ -101,11 +99,11 @@ class TestTemp:
         plan = Temp(scan_plan(), 5)
         op = build_executor(plan, ExecutionContext(cat))
         op.open()
-        assert op.next() == (1, "a")
+        assert op.next_batch(1) == [(1, "a")]
         op.reset()
-        assert op.next() == (1, "a")
-        assert op.next() == (2, "b")
-        assert op.next() is None
+        assert op.next_batch(1) == [(1, "a")]
+        assert op.next_batch(1) == [(2, "b")]
+        assert op.next_batch(1) is None
 
     def test_materialized_rows_exposed_after_open(self):
         cat = make_catalog([(1, "a")])

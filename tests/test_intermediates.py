@@ -11,6 +11,7 @@ from repro.plan.physical import Check, Sort, TableScan, Temp, number_plan
 from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 def make_catalog(n=20):
@@ -34,8 +35,7 @@ def run_to_signal(plan, cat):
     op = build_executor(plan, ctx)
     try:
         op.open()
-        while op.next() is not None:
-            pass
+        pull_all(op)
     except ReoptimizationSignal as signal:
         return ctx, signal
     raise AssertionError("expected a reoptimization signal")

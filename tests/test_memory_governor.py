@@ -287,8 +287,10 @@ class TestEndToEnd:
         )
         config = PopConfig(reuse_policy="never")
         oracle = canonical(dmv_db.execute(sql, pop=config).rows)
+        # Pull 2 is the build-side scan's second batch (1500 owners at the
+        # default width): the build is under way, its grant already taken.
         faults = FaultPlan(
-            [FaultSpec(MEM_SHRINK, trigger_at=40, payload=0.001)]
+            [FaultSpec(MEM_SHRINK, trigger_at=2, payload=0.001)]
         )
         result = dmv_db.execute(sql, pop=config, faults=faults)
         assert canonical(result.rows) == oracle

@@ -42,13 +42,17 @@ from repro.common.errors import (
     is_retryable,
 )
 from repro.core.config import ResiliencePolicy
+from repro.executor.base import ExecutionContext
 from repro.executor.meter import WorkMeter
+from repro.executor.runtime import run_plan
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import (
+    EXEC_KINDS,
     FALLBACK,
     RAISE,
     RETRY,
     ExecutionGuard,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
@@ -122,6 +126,42 @@ class TestFaultPlans:
 
 
 # ------------------------------------------------------------ guard (unit)
+
+
+class TestInjectorCountsBatchPulls:
+    """The injector's clock is the ``next_batch`` pull: whatever the batch
+    width, a fault whose trigger the statement reaches must fire."""
+
+    @pytest.mark.parametrize("width", [1, 1024])
+    def test_every_reached_exec_fault_fires(self, star_db, width):
+        physical = star_db.execute_without_pop(SORT_SQL).report.attempts[0].plan
+        # Seed 3 draws all three execution kinds at six distinct triggers
+        # (2..39), inside the 91 pulls this plan takes at width 1024.
+        plan = FaultPlan.seeded(3, n_faults=6, max_trigger=40)
+        assert {s.kind for s in plan.specs} == set(EXEC_KINDS)
+        injector = FaultInjector(plan)
+        for _attempt in range(len(plan.specs) + 1):
+            # One injector across attempts, like the driver's retry loop:
+            # the pull counter keeps running, each attempt gets a fresh
+            # context (and with it un-shrunk memory).
+            ctx = ExecutionContext(
+                star_db.catalog, batch_size=width, fault_injector=injector
+            )
+            try:
+                rows = run_plan(physical, ctx)
+            except (TransientError, ResourceExhausted):
+                continue
+            break
+        else:
+            pytest.fail("statement never survived its fault schedule")
+        assert canonical(rows) == oracle_rows(star_db, SORT_SQL)
+        reached = [
+            s for s in plan.exec_specs if s.trigger_at <= injector.call_count
+        ]
+        assert len(reached) == 6
+        assert sorted((f.kind, f.at_call) for f in injector.fired) == sorted(
+            (s.kind, s.trigger_at) for s in reached
+        )
 
 
 class TestExecutionGuard:
@@ -420,6 +460,20 @@ class TestChaosHarness:
         assert outcome.ok, outcome.problems
         assert outcome.faults_injected >= 1
 
+    def test_silent_injector_fails_the_campaign(self, monkeypatch, capsys):
+        """A campaign that planned execution faults and fired none did not
+        test anything: the harness must say so and exit non-zero."""
+        from repro.resilience import chaos
+
+        monkeypatch.setattr(FaultInjector, "_wrap", lambda self, op, ctx: None)
+        args = ["--workload", "tpch", "--limit", "2", "--seeds", "1", "--quiet"]
+        assert chaos.main(args) == 1
+        out = capsys.readouterr().out
+        assert "0/" in out and "execution faults planned, none fired" in out
+        monkeypatch.undo()
+        assert chaos.main(args) == 0
+        assert "none fired" not in capsys.readouterr().out
+
     def test_chaos_detects_divergence(self, star_db):
         outcome = run_query_under_chaos(
             star_db, "unit", "join", JOIN_SQL, chaos_seed=5,
@@ -469,7 +523,7 @@ class Operator:
         pass
     def close(self):
         pass
-    def next(self):
+    def next_batch(self, max_rows):
         raise NotImplementedError
 """
 
@@ -488,7 +542,7 @@ class Leaky(Operator):
     def close(self):
         super().close()
         self._table.clear()
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )
@@ -508,7 +562,7 @@ class Tidy(Operator):
         self._table = {}
         if self._table:
             pass
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )
@@ -526,7 +580,7 @@ class Spanner(Operator):
     def close(self):
         super().close()
         self.end_span()
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )

@@ -45,16 +45,19 @@ def serve(db, **overrides):
 @pytest.fixture
 def stalled_scans(monkeypatch):
     """Make every table scan sleep 1ms per row, so full scans take
-    seconds — long enough that kills/sheds/drains land mid-query."""
+    seconds — long enough that kills/sheds/drains land mid-query.
+
+    Pulls are narrowed to 8 rows (partial batches are legal anywhere), so
+    a cancel or deadline poll still comes round every 8ms."""
     from repro.executor.scans import TableScanExec
 
-    original = TableScanExec.next
+    original = TableScanExec.next_batch
 
-    def stalled(self):
-        time.sleep(0.001)
-        return original(self)
+    def stalled(self, max_rows):
+        time.sleep(0.008)
+        return original(self, min(max_rows, 8))
 
-    monkeypatch.setattr(TableScanExec, "next", stalled)
+    monkeypatch.setattr(TableScanExec, "next_batch", stalled)
 
 
 # ----------------------------------------------------------------- protocol

@@ -25,6 +25,7 @@ from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog
 from repro.storage.spill import BATCH_ROWS, SpillManager
 from repro.storage.table import Schema
+from tests.conftest import pull_all
 
 
 def make_catalog(rows):
@@ -45,10 +46,7 @@ def scan_plan(est_card=10):
 
 def drain(op):
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows
+    return pull_all(op)
 
 
 def spill_policy(**overrides):
@@ -156,7 +154,8 @@ class TestSpillFile:
 
     def test_append_batch_interleaves_with_append(self):
         """Mixed per-row and batched writes preserve order and counts —
-        the TEMP overflow path appends batch tails after row-mode runs."""
+        Grace partitioning appends row by row, TEMP overflow by batch
+        tail, into the same kind of file."""
         mgr = self.manager()
         spill = mgr.create("temp")
         expect = []
@@ -280,10 +279,7 @@ class TestSpillingTemp:
         assert op.materialized_rows is None
         for _ in range(2):  # NLJN-rescan usage pattern
             op.reset()
-            again = []
-            while (row := op.next()) is not None:
-                again.append(row)
-            assert again == rows
+            assert pull_all(op) == rows
         ctx.release_spill()
 
 
@@ -409,52 +405,52 @@ class TestSpillLifecycle:
         ] == []
 
 
-class TestBatchModeDegradedParity:
-    """Spilling operators driven through ``next_batch`` must produce the
-    same rows *and* the same metered spill I/O as the row-mode degraded
-    paths — batch writes reuse the identical flush boundaries
+class TestDegradedWidthInvariance:
+    """Spilling operators must produce the same rows *and* the same
+    metered spill I/O at every batch width as at width 1, where every pull
+    is demand-exact — batch writes keep the per-row flush boundaries
     (``SpillFile.append_batch``), so the charge streams line up exactly."""
 
-    BATCH_SIZES = [1, 7, 64, 1024]
+    BATCH_SIZES = [7, 64, 1024]
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_spilled_sort_parity(self, batch_size):
+    def test_spilled_sort_width_invariant(self, batch_size):
         cat = make_catalog([((i * 131) % 900, f"v{i}") for i in range(900)])
         child = scan_plan(900)
         plan = Sort(child, ("t.a",), child.properties.with_order(("t.a",)), 5)
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
-        batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
-        got = run_plan(plan, batch_ctx)
+        narrow_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, narrow_ctx)
+        wide_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
+        got = run_plan(plan, wide_ctx)
         assert got == expect  # exact order through the k-way merge
-        assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+        assert wide_ctx.meter.by_category()["spill"] == pytest.approx(
+            narrow_ctx.meter.by_category()["spill"]
         )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_temp_overflow_parity(self, batch_size):
+    def test_temp_overflow_width_invariant(self, batch_size):
         rows = [(i, f"v{i}") for i in range(700)]
         cat = make_catalog(rows)
         plan = Temp(scan_plan(700), 5)
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
-        batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
-        got = run_plan(plan, batch_ctx)
+        narrow_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, narrow_ctx)
+        wide_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
+        got = run_plan(plan, wide_ctx)
         assert got == expect == rows
-        assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+        assert wide_ctx.meter.by_category()["spill"] == pytest.approx(
+            narrow_ctx.meter.by_category()["spill"]
         )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_grace_hash_join_parity(self, batch_size):
+    def test_grace_hash_join_width_invariant(self, batch_size):
         cat = join_catalog()
         plan = join_plan()
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
-        batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
-        got = run_plan(plan, batch_ctx)
+        narrow_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, narrow_ctx)
+        wide_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
+        got = run_plan(plan, wide_ctx)
         assert got == expect  # identical partition visit order, too
-        assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+        assert wide_ctx.meter.by_category()["spill"] == pytest.approx(
+            narrow_ctx.meter.by_category()["spill"]
         )
-        assert batch_ctx.meter.units == pytest.approx(row_ctx.meter.units)
+        assert wide_ctx.meter.units == pytest.approx(narrow_ctx.meter.units)
