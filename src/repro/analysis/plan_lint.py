@@ -49,8 +49,11 @@ class LintContext:
     with no context still runs every purely structural rule.
     """
 
-    #: :class:`repro.storage.catalog.Catalog` — table stats, temp MVs.
+    #: :class:`repro.storage.catalog.Catalog` — table stats.
     catalog: Optional[object] = None
+    #: The statement's :class:`repro.storage.catalog.TempMVRegistry`; MV
+    #: scans are checked against it (skipped when absent).
+    temp_mvs: Optional[object] = None
     #: :class:`repro.optimizer.costmodel.CostModel` — monotonicity probes.
     cost_model: Optional[object] = None
     #: :class:`repro.core.config.PopConfig` in effect for this plan.

@@ -410,19 +410,16 @@ def rule_reuse_consistency(
                     inner=op.inner.KIND,
                 )
         if isinstance(op, MVScan):
-            catalog = ctx.catalog
-            if catalog is None:
+            if ctx.temp_mvs is None:
                 continue
-            mv = None
-            for candidate in catalog.temp_mvs():
-                if candidate.name == op.mv_name:
-                    mv = candidate
-                    break
+            mv = next(
+                (m for m in ctx.temp_mvs if m.name == op.mv_name), None
+            )
             if mv is None:
                 yield _finding(
                     "reuse-consistency", WARN, op,
                     f"MV scan references {op.mv_name!r}, which is not "
-                    "registered in the catalog (already cleaned up?)",
+                    "registered for this statement (another statement's?)",
                     mv_name=op.mv_name,
                 )
                 continue

@@ -10,6 +10,16 @@ termination is guaranteed (paper §7's heuristic).
 Rows already pipelined to the application before an ECDC check fired are
 compensated with an anti-join on the next attempt, so the application never
 observes duplicates (paper §3.3).
+
+Every attempt — first plan, cache hit, re-optimized round, guard retry,
+safe-plan fallback — goes through the same four phases, ``_plan`` →
+``_execute`` → ``_finish`` → ``_settle``, over one
+:class:`StatementContext`.  That context owns everything scoped to the
+statement (meter, feedback, compensation set, guard, temp-MV registry, the
+statement's own ``OptimizerOptions``).  The rule it enforces: nothing
+reachable from two statements — the catalog, ``Optimizer.options`` — is
+written while a statement runs; what statements do share (plan cache,
+learned feedback, metrics) is shared on purpose and guards itself.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Any, Optional
 
 from repro.analysis.plan_lint import LintContext, assert_plan_clean
 from repro.common.errors import ExecutionError, ReproError, failure_class
-from repro.core.config import PopConfig
+from repro.core.config import NO_POP, PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.core.intermediates import harvest_execution_state
 from repro.core.placement import place_checkpoints
@@ -32,13 +42,22 @@ from repro.executor.base import (
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
 from repro.obs import ProfileCollector, wall_clock
+from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.parametric import PeekingSelectivity
 from repro.plan.explain import explain_plan, join_order
 from repro.plan.logical import Query
-from repro.plan.physical import AntiJoin, MVScan, PlanOp, Return, find_ops
+from repro.plan.physical import (
+    AntiJoin,
+    MVScan,
+    PlanOp,
+    Return,
+    find_ops,
+    number_plan,
+)
 from repro.resilience import FALLBACK, RAISE, ExecutionGuard, FaultInjector
+from repro.storage.catalog import TempMVRegistry
 
 #: Harvest configuration for completed runs: feedback only, no temp MVs.
 _FEEDBACK_ONLY = PopConfig(reuse_policy="never")
@@ -255,6 +274,97 @@ class PopReport:
         return "\n".join(lines)
 
 
+@dataclass
+class StatementContext:
+    """Everything scoped to one :meth:`PopDriver.run` call.
+
+    Created by ``run`` and confined to its thread; the attempt phases read
+    and advance it instead of passing a dozen arguments around.
+    """
+
+    query: Query
+    params: Optional[dict]
+    config: PopConfig
+    meter: WorkMeter
+    feedback: CardinalityFeedback
+    #: This statement's optimizer switches: the shared
+    #: ``Optimizer.options`` with the reuse policy applied.
+    options: OptimizerOptions
+    reopt_limit: int
+    guard: Optional[ExecutionGuard] = None
+    injector: Optional[FaultInjector] = None
+    plan_cache: Any = None
+    statement: Any = None
+    #: Bind-value peeking: cached-path statements are optimized at their
+    #: actual parameter values, so plans and validity ranges are tailored
+    #: to them (and the admission test has teeth).
+    peek: Optional[PeekingSelectivity] = None
+    reservation: Any = None
+    cancel: Any = None
+    snapshot: Any = None
+    #: The ``pop.statement`` span every attempt span hangs under.
+    span: Optional[int] = None
+    #: Intermediate results promoted by this statement's interrupted
+    #: attempts (paper §2.3); dropped with the context.
+    temp_mvs: TempMVRegistry = field(default_factory=TempMVRegistry)
+    #: Rows already handed to the application by interrupted attempts; the
+    #: next plan anti-joins against them (paper §3.3).
+    compensation: Counter = field(default_factory=Counter)
+    delivered: list = field(default_factory=list)
+    attempts: list = field(default_factory=list)
+    #: ``attempt`` indexes reports; ``reopt_round`` consumes the
+    #: re-optimization budget.  Guard retries advance only the former, so
+    #: a transient crash never eats a CHECK's re-planning round.
+    attempt: int = 0
+    reopt_round: int = 0
+    #: Set by the guard's decision: the next attempt runs the safe plan.
+    fallback: bool = False
+
+    @property
+    def caching(self) -> bool:
+        return self.plan_cache is not None and self.statement is not None
+
+    @property
+    def can_reopt(self) -> bool:
+        """Whether a CHECK firing in the current attempt may re-optimize;
+        the last permitted round and the safe plan run without CHECKs, so
+        termination is guaranteed (paper §7)."""
+        return (
+            not self.fallback
+            and self.config.enabled
+            and self.reopt_round < self.reopt_limit
+        )
+
+
+@dataclass
+class PlannedAttempt:
+    """What the plan phase hands to the execute phase."""
+
+    span: Optional[int]
+    plan: PlanOp
+    checkpoints: int
+    optimization_units: float
+    #: The plan-cache ``LookupResult`` when the plan is a reused one.
+    cached: Any = None
+
+
+@dataclass
+class AttemptRun:
+    """One execution of a planned attempt and how it ended."""
+
+    ctx: ExecutionContext
+    report: AttemptReport
+    sink: list
+    units_before: float
+    renegotiations_before: int
+    signal: Optional[ReoptimizationSignal] = None
+    error: Optional[ReproError] = None
+
+    @property
+    def interrupted(self) -> bool:
+        return self.signal is not None or self.error is not None
+
+
 class PopDriver:
     """Runs statements with progressive optimization."""
 
@@ -337,585 +447,248 @@ class PopDriver:
         commits never shift row-sets mid-statement.
         """
         config = self.config
-        cost_model = self.optimizer.cost_model
-        tracer = self.tracer
-        metrics = self.metrics
         if meter is None:
-            meter = WorkMeter(track_categories=metrics is not None)
-        feedback = feedback if feedback is not None else CardinalityFeedback()
-        reopt_limit = config.reopt_limit_for(query)
-        compensation: Counter = Counter()
-        delivered: list[tuple] = []
-        attempts: list[AttemptReport] = []
-        self._apply_reuse_policy()
+            meter = WorkMeter(track_categories=self.metrics is not None)
         injector = FaultInjector(faults) if faults is not None else None
         guard = None
         if config.resilience is not None or injector is not None:
             guard = ExecutionGuard(
-                config.resilience, meter=meter, tracer=tracer, metrics=metrics
+                config.resilience,
+                meter=meter,
+                tracer=self.tracer,
+                metrics=self.metrics,
             )
-        started = wall_clock()
-        stmt_span = None
-        if tracer is not None:
-            tracer.bind_meter(meter)
-            stmt_span = tracer.start_span(
-                "pop.statement",
-                pop=config.enabled,
-                tables=len(query.tables),
-                reopt_limit=reopt_limit,
-                guarded=guard is not None,
-            )
-        if metrics is not None:
-            metrics.inc("pop.statements")
-        if guard is not None:
-            guard.begin_statement(injector, self.catalog)
-        try:
-            delivered = self._run_guarded(
-                query,
-                params,
-                meter,
-                feedback,
-                config,
-                cost_model,
-                reopt_limit,
-                compensation,
-                attempts,
-                guard,
-                injector,
-                stmt_span,
-                plan_cache,
-                statement,
-                reservation,
-                cancel,
-                snapshot,
-            )
-        finally:
-            if guard is not None:
-                guard.end_statement()
-            self.catalog.clear_temp_mvs()
-        wall = wall_clock() - started
-        if metrics is not None:
-            metrics.inc("pop.attempts", len(attempts))
-            for category, units in meter.by_category().items():
-                metrics.set_gauge("work.units", units, category=category)
-        if tracer is not None:
-            tracer.end_span(
-                stmt_span,
-                attempts=len(attempts),
-                reoptimizations=sum(1 for a in attempts if a.reoptimized),
-                total_units=meter.snapshot(),
-                rows=len(delivered),
-                retries=guard.retries if guard is not None else 0,
-                fallback=(
-                    guard.fallback_reason is not None
-                    if guard is not None
-                    else False
-                ),
-            )
-        return delivered, PopReport(
-            attempts=attempts,
-            total_units=meter.snapshot(),
-            wall_seconds=wall,
-            pop_enabled=config.enabled,
-            retries=guard.retries if guard is not None else 0,
-            backoff_units=(
-                guard.backoff_units_charged if guard is not None else 0.0
-            ),
-            breaker_tripped=(
-                guard.breaker_tripped if guard is not None else False
-            ),
-            fallback_used=(
-                guard.fallback_reason is not None if guard is not None else False
-            ),
-            fallback_reason=(
-                guard.fallback_reason if guard is not None else None
-            ),
-            faults_injected=len(injector.fired) if injector is not None else 0,
-        )
-
-    def _run_guarded(
-        self,
-        query: Query,
-        params,
-        meter: WorkMeter,
-        feedback: CardinalityFeedback,
-        config: PopConfig,
-        cost_model,
-        reopt_limit: int,
-        compensation: Counter,
-        attempts: list,
-        guard,
-        injector,
-        stmt_span,
-        plan_cache=None,
-        statement=None,
-        reservation=None,
-        cancel=None,
-        snapshot=None,
-    ) -> list[tuple]:
-        """The optimize/execute loop of :meth:`run` (Figure 3), guarded."""
-        tracer = self.tracer
-        metrics = self.metrics
-        delivered: list[tuple] = []
-        #: ``attempt`` indexes reports; ``reopt_round`` consumes the
-        #: re-optimization budget.  Guard retries advance only the former,
-        #: so a transient crash never eats a CHECK's re-planning round.
-        attempt = 0
-        reopt_round = 0
-        #: Bind-value peeking: cached-path statements are optimized at
-        #: their actual parameter values, so plans and validity ranges are
-        #: tailored to them (and the admission test has teeth).
         peek = None
         if statement is not None and statement.params:
             peek = PeekingSelectivity(
                 statement.params, base=self.optimizer.selectivity
             )
-        #: The cache is probed only on the very first round: later rounds
-        #: exist because runtime knowledge invalidated the plan in hand,
-        #: which a cached plan cannot survive either.
-        probe_cache = plan_cache is not None and statement is not None
-        while True:
-            attempt_span = (
-                tracer.start_span("pop.attempt", parent=stmt_span, attempt=attempt)
-                if tracer is not None
-                else None
-            )
-            units_before_opt = meter.snapshot()
-            can_reopt = config.enabled and reopt_round < reopt_limit
-            cached = None
-            if probe_cache:
-                probe_cache = False
-                cached = self._cache_lookup(
-                    plan_cache, statement, query, config, feedback,
-                    meter, cost_model, attempt_span,
-                )
-            if cached is not None:
-                plan = cached.entry.plan
-                checkpoints_placed = cached.entry.checkpoints
-                opt_units = meter.snapshot() - units_before_opt
-            else:
-                opt_span = (
-                    tracer.start_span("optimizer.optimize", parent=attempt_span)
-                    if tracer is not None
-                    else None
-                )
-                attempt_feedback = feedback if config.use_feedback else None
-                if peek is not None:
-                    opt = self.optimizer.optimize(
-                        query, attempt_feedback, selectivity=peek
-                    )
-                else:
-                    opt = self.optimizer.optimize(query, attempt_feedback)
-                meter.charge(
-                    cost_model.reoptimization_cost(opt.plans_enumerated),
-                    "optimize",
-                )
-                opt_units = meter.snapshot() - units_before_opt
-                if tracer is not None:
-                    tracer.end_span(
-                        opt_span,
-                        plans_enumerated=opt.plans_enumerated,
-                        newton_iterations=opt.newton_iterations,
-                        est_cost=opt.plan.est_cost,
-                    )
-                if metrics is not None:
-                    metrics.inc("optimizer.invocations")
-                    metrics.inc(
-                        "optimizer.plans_enumerated", opt.plans_enumerated
-                    )
-                    metrics.inc(
-                        "optimizer.newton_iterations", opt.newton_iterations
-                    )
+        sc = StatementContext(
+            query=query,
+            params=params,
+            config=config,
+            meter=meter,
+            feedback=feedback if feedback is not None else CardinalityFeedback(),
+            options=replace(
+                self.optimizer.options,
+                consider_mvs=config.reuse_policy != "never",
+                mv_cost_zero=config.reuse_policy == "always",
+            ),
+            reopt_limit=config.reopt_limit_for(query),
+            guard=guard,
+            injector=injector,
+            plan_cache=plan_cache,
+            statement=statement,
+            peek=peek,
+            reservation=reservation,
+            cancel=cancel,
+            snapshot=snapshot,
+        )
+        started = wall_clock()
+        self._open_statement(sc)
+        try:
+            self._run_attempts(sc)
+        finally:
+            if guard is not None:
+                guard.end_statement()
+        return sc.delivered, self._close_statement(sc, wall_clock() - started)
 
-                place_span = (
-                    tracer.start_span(
-                        "pop.place_checkpoints", parent=attempt_span
-                    )
-                    if tracer is not None
-                    else None
-                )
-                if can_reopt:
-                    placement = place_checkpoints(
-                        opt.plan,
-                        config,
-                        cost_model,
-                        is_spj=not (query.has_aggregates or query.distinct),
-                        lc_above_hash_build=self.lc_above_hash_build,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                else:
-                    placement = place_checkpoints(
-                        opt.plan, PopConfig(enabled=False), cost_model
-                    )
-                if tracer is not None:
-                    tracer.end_span(place_span, checkpoints=placement.count)
-                plan = placement.plan
-                checkpoints_placed = placement.count
-            if compensation:
-                # Cached plans are never reached here: compensation is empty
-                # on the first round, the only one that probes the cache.
-                plan = self._wrap_compensation(plan)
-            if config.strict_analysis:
-                self._lint_attempt_plan(
-                    plan,
-                    feedback,
-                    attempt,
-                    cached_fingerprint=(
-                        cached.entry.fingerprint if cached is not None else None
-                    ),
-                )
-
-            budget = None
-            if config.work_budget is not None and can_reopt:
-                # Escalate per attempt so a statement cannot livelock on
-                # budget triggers: each round gets a larger deadline.
-                budget = config.work_budget * (attempt + 1)
-            ctx = ExecutionContext(
-                self.catalog,
-                params=params,
-                cost_params=self.optimizer.cost_model.params,
-                meter=meter,
-                dry_run_checks=config.dry_run,
-                force_trigger_op_ids=(
-                    set(config.force_trigger_op_ids) if attempt == 0 else set()
-                ),
-                work_budget=budget,
-                tracer=tracer,
-                metrics=metrics,
-                fault_injector=injector,
-                work_deadline=(
-                    guard.deadline_for_attempt(meter)
-                    if guard is not None
-                    else None
-                ),
-                cancel=cancel,
-                # Statement-scoped wall deadline: set once on the first
-                # attempt, shared by every retry/re-optimization round.
-                wall_deadline=(
-                    guard.wall_deadline_for_statement()
-                    if guard is not None
-                    else None
-                ),
-                memory=config.memory,
-                reservation=reservation,
-                # One collector per attempt so re-optimized rounds stay
-                # separately attributable (None keeps the executor's
-                # profiling sites at a single comparison).
-                profiler=ProfileCollector(meter) if self.profile else None,
-                progress=self.progress,
-                batch_size=config.batch_size,
-                snapshot=snapshot,
+    def _open_statement(self, sc: StatementContext) -> None:
+        if self.tracer is not None:
+            self.tracer.bind_meter(sc.meter)
+            sc.span = self.tracer.start_span(
+                "pop.statement",
+                pop=sc.config.enabled,
+                tables=len(sc.query.tables),
+                reopt_limit=sc.reopt_limit,
+                guarded=sc.guard is not None,
             )
-            ctx.compensation = compensation
-            renegs_before = (
-                reservation.renegotiations if reservation is not None else 0
-            )
-            if tracer is not None:
-                ctx.exec_span_id = tracer.start_span(
-                    "pop.execute",
-                    parent=attempt_span,
-                    checkpoints=checkpoints_placed,
-                    cached=cached is not None,
-                )
-            sink: list[tuple] = []
-            units_before_exec = meter.snapshot()
-            report = AttemptReport(
-                plan=plan,
-                plan_text=explain_plan(plan),
-                join_order=join_order(plan),
-                checkpoints_placed=checkpoints_placed,
-                optimization_units=opt_units,
-                execution_units=0.0,
-                reused_mvs=[op.mv_name for op in find_ops(plan, MVScan)],
-                cache_hit=cached is not None,
-                cache_fingerprint=(
-                    cached.entry.fingerprint if cached is not None else None
-                ),
-                cache_admission=(
-                    [e.to_dict() for e in cached.admission.evaluations]
-                    if cached is not None
-                    else None
-                ),
-            )
-            if self.progress is not None:
-                self.progress.begin_attempt(plan, meter.snapshot())
-            try:
-                run_plan(plan, ctx, sink)
-            except ReoptimizationSignal as signal:
-                report.execution_units = meter.snapshot() - units_before_exec
-                report.checkpoint_events = ctx.checkpoint_events
-                report.actual_cards = _collect_actuals(ctx)
-                report.signal_op_id = signal.check_op.op_id
-                report.signal_flavor = getattr(signal.check_op, "flavor", "?")
-                report.signal_observed = float(signal.observed)
-                report.signal_complete = signal.complete
-                report.signal_reason = signal.reason
-                report.rows_emitted = ctx.rows_returned
-                self._harvest_memory(ctx, report, reservation, renegs_before)
-                attempts.append(report)
-                if tracer is not None:
-                    tracer.event(
-                        "pop.reoptimize",
-                        span=ctx.exec_span_id,
-                        op_id=report.signal_op_id,
-                        flavor=report.signal_flavor,
-                        observed=report.signal_observed,
-                        complete=report.signal_complete,
-                        reason=report.signal_reason,
-                    )
-                if metrics is not None:
-                    metrics.inc("pop.reoptimizations", reason=signal.reason)
-                if cached is not None:
-                    # Runtime proved the cached plan's ranges stale for this
-                    # parameter regime — drop the variant (POP feedback
-                    # invalidation) and re-optimize from scratch.
-                    plan_cache.discard(
-                        statement.shape, cached.entry.fingerprint
-                    )
-                    if metrics is not None:
-                        metrics.inc(
-                            "plan_cache.invalidations", reason="reoptimized"
-                        )
-                    if tracer is not None:
-                        tracer.event(
-                            "plan_cache.invalidate",
-                            span=ctx.exec_span_id,
-                            fingerprint=cached.entry.fingerprint,
-                            reason="reoptimized",
-                        )
-                if ctx.rows_returned:
-                    # Only compensating flavors may fire after rows went out.
-                    if report.signal_flavor != "ECDC":
-                        raise ExecutionError(
-                            f"non-compensating checkpoint {report.signal_flavor} "
-                            "fired after rows were returned"
-                        ) from signal
-                    for row in sink:
-                        compensation[row] += 1
-                    delivered.extend(sink)
-                    if metrics is not None:
-                        metrics.inc("pop.compensation_rows", len(sink))
-                registered = harvest_execution_state(
-                    ctx, signal, feedback, self.catalog, config
-                )
-                self._observe_attempt(
-                    ctx, report, attempt_span, interrupted=True,
-                    harvested_mvs=registered,
-                )
-                attempt += 1
-                reopt_round += 1
-                if guard is not None and guard.on_reoptimize(
-                    report.join_order, attempt
-                ):
-                    guard.request_fallback(
-                        "re-optimization breaker tripped"
-                    )
-                    delivered.extend(
-                        self._run_fallback(
-                            query, params, meter, compensation, attempts,
-                            stmt_span, attempt, reservation, cancel, snapshot,
-                        )
-                    )
-                    return delivered
-                continue
-            except ReproError as exc:
-                report.execution_units = meter.snapshot() - units_before_exec
-                report.checkpoint_events = ctx.checkpoint_events
-                report.actual_cards = _collect_actuals(ctx)
-                report.rows_emitted = ctx.rows_returned
-                report.failure = str(exc)
-                report.failure_class = failure_class(exc)
-                self._harvest_memory(ctx, report, reservation, renegs_before)
-                attempts.append(report)
-                decision = guard.on_failure(exc) if guard is not None else RAISE
-                self._observe_attempt(
-                    ctx, report, attempt_span, interrupted=True
-                )
-                if decision == RAISE:
-                    raise
-                # Rows already pipelined to the application before the
-                # failure must not be re-delivered: fold them into the
-                # ECDC compensation set, same as a late CHECK (§3.3).
-                if ctx.rows_returned:
-                    for row in sink:
-                        compensation[row] += 1
-                    delivered.extend(sink)
-                    if metrics is not None:
-                        metrics.inc("pop.compensation_rows", len(sink))
-                # Retries re-plan with whatever exact cardinalities the
-                # failed attempt managed to observe (feedback only, no MV
-                # promotion from a half-run plan).
-                if config.use_feedback:
-                    harvest_execution_state(
-                        ctx, None, feedback, self.catalog, _FEEDBACK_ONLY
-                    )
-                attempt += 1
-                if decision == FALLBACK:
-                    delivered.extend(
-                        self._run_fallback(
-                            query, params, meter, compensation, attempts,
-                            stmt_span, attempt, reservation, cancel, snapshot,
-                        )
-                    )
-                    return delivered
-                continue
-            # Success.
-            report.execution_units = meter.snapshot() - units_before_exec
-            report.checkpoint_events = ctx.checkpoint_events
-            report.actual_cards = _collect_actuals(ctx)
-            report.rows_emitted = ctx.rows_returned
-            self._harvest_memory(ctx, report, reservation, renegs_before)
-            attempts.append(report)
-            delivered.extend(sink)
-            # Record the completed run's exact cardinalities (no MV
-            # promotion) — this is what cross-query learning absorbs (§7).
-            if config.use_feedback:
-                harvest_execution_state(
-                    ctx, None, feedback, self.catalog, _FEEDBACK_ONLY
-                )
-            if plan_cache is not None and statement is not None:
-                self._cache_settle(
-                    plan_cache, statement, query, plan, cached, report
-                )
-            self._observe_attempt(ctx, report, attempt_span, interrupted=False)
-            return delivered
+        if self.metrics is not None:
+            self.metrics.inc("pop.statements")
+        if sc.guard is not None:
+            sc.guard.begin_statement(sc.injector, self.catalog)
 
-    def _run_fallback(
-        self,
-        query: Query,
-        params,
-        meter: WorkMeter,
-        compensation: Counter,
-        attempts: list,
-        stmt_span,
-        attempt: int,
-        reservation=None,
-        cancel=None,
-        snapshot=None,
-    ) -> list[tuple]:
-        """Run the conservative safe plan (guaranteed to complete).
+    def _close_statement(self, sc: StatementContext, wall: float) -> PopReport:
+        meter, guard, attempts = sc.meter, sc.guard, sc.attempts
+        report = PopReport(
+            attempts=attempts,
+            total_units=meter.snapshot(),
+            wall_seconds=wall,
+            pop_enabled=sc.config.enabled,
+            faults_injected=(
+                len(sc.injector.fired) if sc.injector is not None else 0
+            ),
+        )
+        if guard is not None:
+            report.retries = guard.retries
+            report.backoff_units = guard.backoff_units_charged
+            report.breaker_tripped = guard.breaker_tripped
+            report.fallback_used = guard.fallback_reason is not None
+            report.fallback_reason = guard.fallback_reason
+        if self.metrics is not None:
+            self.metrics.inc("pop.attempts", len(attempts))
+            for category, units in meter.by_category().items():
+                self.metrics.set_gauge("work.units", units, category=category)
+        if self.tracer is not None:
+            self.tracer.end_span(
+                sc.span,
+                attempts=len(attempts),
+                reoptimizations=report.reoptimizations,
+                total_units=report.total_units,
+                rows=len(sc.delivered),
+                retries=report.retries,
+                fallback=report.fallback_used,
+            )
+        return report
 
-        POP is disabled (no CHECKs can fire), the optimizer is restricted
-        to robust join flavors (hash and sort-merge — no nested loops whose
-        worst case is quadratic, no temp-MV reuse from the thrashing
-        attempts), and neither fault injection nor a deadline applies: the
-        guard disarmed the injector in :meth:`ExecutionGuard.request_fallback`.
-        The ``cancel`` token *does* still apply — a disconnected client has
-        no use for a safe plan's rows, so cancellation beats completion.
+    def _run_attempts(self, sc: StatementContext) -> None:
+        """Figure 3's loop: one attempt after another until one completes.
+
+        A CHECK firing, a guard retry and the safe-plan fallback all come
+        back through here; they differ only in what ``_plan`` produces.
         """
-        tracer = self.tracer
-        metrics = self.metrics
-        span = (
-            tracer.start_span(
-                "pop.attempt", parent=stmt_span, attempt=attempt, fallback=True
+        while True:
+            planned = self._plan(sc)
+            run = self._execute(sc, planned)
+            self._finish(sc, run)
+            if self._settle(sc, planned, run):
+                return
+
+    # ------------------------------------------------------------ phase: plan
+
+    def _plan(self, sc: StatementContext) -> PlannedAttempt:
+        """Choose this attempt's plan: the safe plan when the guard asked
+        for it, else a cached plan on a first-round hit, else a freshly
+        optimized one with CHECKs placed."""
+        span = None
+        if self.tracer is not None:
+            attrs = {"fallback": True} if sc.fallback else {}
+            span = self.tracer.start_span(
+                "pop.attempt", parent=sc.span, attempt=sc.attempt, **attrs
             )
+        units_before = sc.meter.snapshot()
+        cached = None
+        if sc.caching and sc.attempt == 0:
+            # Only the very first round probes: later rounds exist because
+            # runtime knowledge invalidated the plan in hand, which a
+            # cached plan cannot survive either.
+            cached = self._cache_lookup(sc, span)
+        if sc.fallback:
+            plan, checkpoints = self._plan_safe(sc), 0
+        elif cached is not None:
+            plan, checkpoints = cached.entry.plan, cached.entry.checkpoints
+        else:
+            plan, checkpoints = self._optimize_and_place(sc, span)
+        if sc.compensation:
+            # Cached plans are never reached here: compensation is empty
+            # on the first round, the only one that probes the cache.
+            plan = self._wrap_compensation(plan)
+        planned = PlannedAttempt(
+            span=span,
+            plan=plan,
+            checkpoints=checkpoints,
+            optimization_units=sc.meter.snapshot() - units_before,
+            cached=cached,
+        )
+        if sc.config.strict_analysis:
+            self._lint_attempt_plan(sc, planned)
+        return planned
+
+    def _optimize_and_place(self, sc: StatementContext, span) -> tuple[PlanOp, int]:
+        """Optimize under everything learned so far, then place CHECKs."""
+        tracer, metrics = self.tracer, self.metrics
+        cost_model = self.optimizer.cost_model
+        opt_span = (
+            tracer.start_span("optimizer.optimize", parent=span)
             if tracer is not None
             else None
         )
-        options = self.optimizer.options
-        saved_options = replace(options)
-        options.enable_index_nljn = False
-        options.enable_rescan_nljn = False
-        options.enable_hash_join = True
-        options.enable_merge_join = True
-        options.consider_mvs = False
-        options.mv_cost_zero = False
-        try:
-            units_before_opt = meter.snapshot()
-            opt = self.optimizer.optimize(query, None)
-            meter.charge(
-                self.optimizer.cost_model.reoptimization_cost(
-                    opt.plans_enumerated
-                ),
-                "optimize",
+        opt = self.optimizer.optimize(
+            sc.query,
+            sc.feedback if sc.config.use_feedback else None,
+            selectivity=sc.peek,
+            options=sc.options,
+            temp_mvs=sc.temp_mvs,
+        )
+        sc.meter.charge(
+            cost_model.reoptimization_cost(opt.plans_enumerated), "optimize"
+        )
+        if tracer is not None:
+            tracer.end_span(
+                opt_span,
+                plans_enumerated=opt.plans_enumerated,
+                newton_iterations=opt.newton_iterations,
+                est_cost=opt.plan.est_cost,
             )
-            opt_units = meter.snapshot() - units_before_opt
+        if metrics is not None:
+            metrics.inc("optimizer.invocations")
+            metrics.inc("optimizer.plans_enumerated", opt.plans_enumerated)
+            metrics.inc("optimizer.newton_iterations", opt.newton_iterations)
+
+        place_span = (
+            tracer.start_span("pop.place_checkpoints", parent=span)
+            if tracer is not None
+            else None
+        )
+        if sc.can_reopt:
             placement = place_checkpoints(
-                opt.plan, PopConfig(enabled=False), self.optimizer.cost_model
-            )
-            plan = placement.plan
-            if compensation:
-                plan = self._wrap_compensation(plan)
-            if self.config.strict_analysis:
-                self._lint_attempt_plan(plan, None, attempt)
-            ctx = ExecutionContext(
-                self.catalog,
-                params=params,
-                cost_params=self.optimizer.cost_model.params,
-                meter=meter,
+                opt.plan,
+                sc.config,
+                cost_model,
+                is_spj=not (sc.query.has_aggregates or sc.query.distinct),
+                lc_above_hash_build=self.lc_above_hash_build,
                 tracer=tracer,
                 metrics=metrics,
-                cancel=cancel,
-                memory=self.config.memory,
-                reservation=reservation,
-                profiler=ProfileCollector(meter) if self.profile else None,
-                progress=self.progress,
-                batch_size=self.config.batch_size,
-                snapshot=snapshot,
             )
-            ctx.compensation = compensation
-            renegs_before = (
-                reservation.renegotiations if reservation is not None else 0
-            )
-            if tracer is not None:
-                ctx.exec_span_id = tracer.start_span(
-                    "pop.execute", parent=span, checkpoints=0, fallback=True
-                )
-            sink: list[tuple] = []
-            units_before_exec = meter.snapshot()
-            report = AttemptReport(
-                plan=plan,
-                plan_text=explain_plan(plan),
-                join_order=join_order(plan),
-                checkpoints_placed=0,
-                optimization_units=opt_units,
-                execution_units=0.0,
-                fallback=True,
-            )
-            if self.progress is not None:
-                self.progress.begin_attempt(plan, meter.snapshot())
-            run_plan(plan, ctx, sink)
-            report.execution_units = meter.snapshot() - units_before_exec
-            report.checkpoint_events = ctx.checkpoint_events
-            report.actual_cards = _collect_actuals(ctx)
-            report.rows_emitted = ctx.rows_returned
-            self._harvest_memory(ctx, report, reservation, renegs_before)
-            attempts.append(report)
-            self._observe_attempt(ctx, report, span, interrupted=False)
-            return sink
-        finally:
-            self.optimizer.options = saved_options
+        else:
+            placement = place_checkpoints(opt.plan, NO_POP, cost_model)
+        if tracer is not None:
+            tracer.end_span(place_span, checkpoints=placement.count)
+        return placement.plan, placement.count
 
-    # ------------------------------------------------------------ plan cache
+    def _plan_safe(self, sc: StatementContext) -> PlanOp:
+        """The conservative safe plan (guaranteed to complete).
 
-    def _cache_lookup(
-        self,
-        plan_cache,
-        statement,
-        query: Query,
-        config: PopConfig,
-        feedback: Optional[CardinalityFeedback],
-        meter: WorkMeter,
-        cost_model,
-        attempt_span,
-    ):
+        No CHECKs are placed, so nothing can signal; the optimizer is
+        restricted to robust join flavors (hash and sort-merge — no nested
+        loops whose worst case is quadratic) and ignores both the feedback
+        and the temp MVs of the thrashing attempts.  The restriction is a
+        copy of the statement's options: the shared ones are not touched.
+        """
+        safe_options = replace(
+            sc.options,
+            enable_index_nljn=False,
+            enable_rescan_nljn=False,
+            enable_hash_join=True,
+            enable_merge_join=True,
+            consider_mvs=False,
+            mv_cost_zero=False,
+        )
+        cost_model = self.optimizer.cost_model
+        opt = self.optimizer.optimize(sc.query, None, options=safe_options)
+        sc.meter.charge(
+            cost_model.reoptimization_cost(opt.plans_enumerated), "optimize"
+        )
+        return place_checkpoints(opt.plan, NO_POP, cost_model).plan
+
+    def _cache_lookup(self, sc: StatementContext, span):
         """Probe the plan cache; returns the hit LookupResult or None.
 
         The admission test (a handful of per-edge estimates per variant) is
         charged to the meter under its own category — visibly cheaper than
         the plan enumeration it replaces.
         """
-        lookup = plan_cache.lookup(
-            statement.shape,
-            query,
-            statement.params,
+        lookup = sc.plan_cache.lookup(
+            sc.statement.shape,
+            sc.query,
+            sc.statement.params,
             self.catalog,
-            feedback=feedback if config.use_feedback else None,
+            feedback=sc.feedback if sc.config.use_feedback else None,
             base_selectivity=self.optimizer.selectivity,
         )
-        meter.charge(
-            cost_model.params.reopt_per_plan * max(lookup.examined, 1),
+        sc.meter.charge(
+            self.optimizer.cost_model.params.reopt_per_plan
+            * max(lookup.examined, 1),
             "plan_cache",
         )
         metrics = self.metrics
@@ -934,7 +707,7 @@ class PopDriver:
         if self.tracer is not None:
             self.tracer.event(
                 "plan_cache.hit" if lookup.hit else "plan_cache.miss",
-                span=attempt_span,
+                span=span,
                 examined=lookup.examined,
                 admission_rejects=lookup.admission_rejects,
                 fingerprint=(
@@ -946,84 +719,202 @@ class PopDriver:
             )
         return lookup if lookup.hit else None
 
-    def _cache_settle(
-        self,
-        plan_cache,
-        statement,
-        query: Query,
-        plan: PlanOp,
-        cached,
-        report: AttemptReport,
+    def _lint_attempt_plan(
+        self, sc: StatementContext, planned: PlannedAttempt
     ) -> None:
-        """After a successful attempt: install a fresh plan, or verify a
-        reused one came back byte-identical (cached plans are immutable).
+        """Strict mode: lint the plan this attempt is about to execute.
 
-        Plans referencing statement-scoped state are never installed: temp
-        MVs are dropped when the statement ends and compensating anti-joins
-        only make sense for this statement's already-delivered rows.
+        Raises :class:`repro.analysis.PlanLintError` on error-severity
+        findings; warn/info findings flow to tracing.  Re-optimized plans
+        (attempt > 0) are additionally checked for consistency with the
+        exact feedback harvested so far — except the safe plan, which was
+        optimized without it.
         """
-        metrics = self.metrics
-        if cached is not None:
-            if plan_fingerprint(plan) == cached.entry.fingerprint:
-                return
-            # Self-heal: something mutated the cached plan during
-            # execution; drop it rather than ever reusing it again.
-            plan_cache.discard(statement.shape, cached.entry.fingerprint)
-            if metrics is not None:
-                metrics.inc("plan_cache.invalidations", reason="mutated")
+        attempt = sc.attempt
+        use_feedback = (
+            attempt > 0 and sc.config.use_feedback and not sc.fallback
+        )
+        cached = planned.cached
+        context = LintContext(
+            catalog=self.catalog,
+            temp_mvs=sc.temp_mvs,
+            cost_model=self.optimizer.cost_model,
+            config=sc.config,
+            feedback=sc.feedback if use_feedback else None,
+            attempt=attempt,
+            cached_fingerprint=(
+                cached.entry.fingerprint if cached is not None else None
+            ),
+        )
+        findings = assert_plan_clean(
+            planned.plan, context, where=f"attempt {attempt} plan"
+        )
+        for finding in findings:
             if self.tracer is not None:
                 self.tracer.event(
-                    "plan_cache.invalidate",
-                    fingerprint=cached.entry.fingerprint,
-                    reason="mutated",
+                    "analysis.finding", attempt=attempt, **finding.to_dict()
                 )
-            return
-        if report.fallback or find_ops(plan, (AntiJoin, MVScan)):
-            return
-        entry, evicted = plan_cache.install(
-            statement.shape,
-            plan,
-            tables={t.table for t in query.tables},
-            params=statement.params,
-            checkpoints=report.checkpoints_placed,
+            if self.metrics is not None:
+                self.metrics.inc(
+                    "analysis.findings",
+                    rule=finding.rule,
+                    severity=finding.severity,
+                )
+
+    @staticmethod
+    def _wrap_compensation(plan: PlanOp) -> PlanOp:
+        """Insert the ECDC anti-join between RETURN and the rest of the plan."""
+        if not isinstance(plan, Return):
+            raise ExecutionError("plan root is not RETURN")
+        plan.children[0] = AntiJoin(plan.children[0], compensation_key="ecdc")
+        number_plan(plan)
+        return plan
+
+    # --------------------------------------------------------- phase: execute
+
+    def _execute(
+        self, sc: StatementContext, planned: PlannedAttempt
+    ) -> AttemptRun:
+        """Run the planned attempt; how it ended is data on the result."""
+        tracer, meter = self.tracer, sc.meter
+        plan, cached = planned.plan, planned.cached
+        ctx = self._execution_context(sc)
+        reservation = sc.reservation
+        renegotiations = (
+            reservation.renegotiations if reservation is not None else 0
         )
-        if metrics is not None:
-            if entry is not None:
-                metrics.inc("plan_cache.installs")
-            if evicted:
-                metrics.inc("plan_cache.evictions", evicted)
-        if self.tracer is not None and entry is not None:
-            self.tracer.event(
-                "plan_cache.install",
-                fingerprint=entry.fingerprint,
-                evicted=evicted,
-                checkpoints=entry.checkpoints,
+        if tracer is not None:
+            attrs = (
+                {"fallback": True}
+                if sc.fallback
+                else {"cached": cached is not None}
             )
+            ctx.exec_span_id = tracer.start_span(
+                "pop.execute",
+                parent=planned.span,
+                checkpoints=planned.checkpoints,
+                **attrs,
+            )
+        units_before = meter.snapshot()
+        report = AttemptReport(
+            plan=plan,
+            plan_text=explain_plan(plan),
+            join_order=join_order(plan),
+            checkpoints_placed=planned.checkpoints,
+            optimization_units=planned.optimization_units,
+            execution_units=0.0,
+            reused_mvs=[op.mv_name for op in find_ops(plan, MVScan)],
+            fallback=sc.fallback,
+            cache_hit=cached is not None,
+            cache_fingerprint=(
+                cached.entry.fingerprint if cached is not None else None
+            ),
+            cache_admission=(
+                [e.to_dict() for e in cached.admission.evaluations]
+                if cached is not None
+                else None
+            ),
+        )
+        run = AttemptRun(ctx, report, [], units_before, renegotiations)
+        if self.progress is not None:
+            self.progress.begin_attempt(plan, meter.snapshot())
+        try:
+            run_plan(plan, ctx, run.sink)
+        except ReoptimizationSignal as signal:
+            run.signal = signal
+        except ReproError as exc:
+            run.error = exc
+        return run
 
-    # -------------------------------------------------------------- internals
+    def _execution_context(self, sc: StatementContext) -> ExecutionContext:
+        """The attempt's executor context, wired to the statement's state.
 
-    def _harvest_memory(
-        self, ctx: ExecutionContext, report: AttemptReport, reservation,
-        renegotiations_before: int,
-    ) -> None:
-        """Fold one attempt's memory-governor and profiling accounting into
-        its report (this helper runs on every exit path: signal, failure,
-        success, and fallback).
+        The safe plan runs without deadlines — it must be guaranteed to
+        complete, and the guard has already disarmed the injector — but the
+        ``cancel`` token still applies: a disconnected client has no use
+        for a safe plan's rows, so cancellation beats completion.
+        """
+        config, meter = sc.config, sc.meter
+        deadlines = sc.guard if not sc.fallback else None
+        budget = None
+        if config.work_budget is not None and sc.can_reopt:
+            # Escalate per attempt so a statement cannot livelock on
+            # budget triggers: each round gets a larger deadline.
+            budget = config.work_budget * (sc.attempt + 1)
+        ctx = ExecutionContext(
+            self.catalog,
+            params=sc.params,
+            cost_params=self.optimizer.cost_model.params,
+            meter=meter,
+            dry_run_checks=config.dry_run,
+            force_trigger_op_ids=(
+                set(config.force_trigger_op_ids) if sc.attempt == 0 else set()
+            ),
+            work_budget=budget,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            fault_injector=sc.injector,
+            work_deadline=(
+                deadlines.deadline_for_attempt(meter)
+                if deadlines is not None
+                else None
+            ),
+            cancel=sc.cancel,
+            # Statement-scoped wall deadline: set once on the first
+            # attempt, shared by every retry/re-optimization round.
+            wall_deadline=(
+                deadlines.wall_deadline_for_statement()
+                if deadlines is not None
+                else None
+            ),
+            memory=config.memory,
+            reservation=sc.reservation,
+            # One collector per attempt so re-optimized rounds stay
+            # separately attributable (None keeps the executor's
+            # profiling sites at a single comparison).
+            profiler=ProfileCollector(meter) if self.profile else None,
+            progress=self.progress,
+            batch_size=config.batch_size,
+            snapshot=sc.snapshot,
+            temp_mvs=sc.temp_mvs,
+        )
+        ctx.compensation = sc.compensation
+        return ctx
+
+    # ---------------------------------------------------------- phase: finish
+
+    def _finish(self, sc: StatementContext, run: AttemptRun) -> None:
+        """Complete the attempt's report — the same accounting whether it
+        completed, signalled re-optimization, failed, or was the fallback.
 
         Spill statistics survive the spill manager's cleanup (files are
         already deleted by ``run_plan``'s ``finally`` when this runs), so
         degradation stays reportable without leaking disk.
         """
+        ctx, report, metrics = run.ctx, run.report, self.metrics
+        report.execution_units = sc.meter.snapshot() - run.units_before
+        report.checkpoint_events = ctx.checkpoint_events
+        report.actual_cards = _collect_actuals(ctx)
+        report.rows_emitted = ctx.rows_returned
+        if run.signal is not None:
+            signal = run.signal
+            report.signal_op_id = signal.check_op.op_id
+            report.signal_flavor = getattr(signal.check_op, "flavor", "?")
+            report.signal_observed = float(signal.observed)
+            report.signal_complete = signal.complete
+            report.signal_reason = signal.reason
+        elif run.error is not None:
+            report.failure = str(run.error)
+            report.failure_class = failure_class(run.error)
         if ctx.profiler is not None:
             ctx.profiler.finalize(ctx)
             report.profiles = ctx.profiler.profiles
             report.profile_self_units = ctx.profiler.total_self_units()
-            if self.metrics is not None:
+            if metrics is not None:
                 for prof in ctx.profiler.profiles:
                     if prof.self_units:
-                        self.metrics.observe(
-                            "profile.self_units", prof.self_units,
-                            op=prof.kind,
+                        metrics.observe(
+                            "profile.self_units", prof.self_units, op=prof.kind
                         )
         summary = ctx.spill_summary()
         if summary is not None and summary["files"]:
@@ -1039,68 +930,185 @@ class PopDriver:
                     if getattr(op, "spilled", False)
                 }
             )
-            if self.metrics is not None:
-                self.metrics.inc("governor.spilled_attempts")
-        if reservation is not None:
-            report.reservation_pages = reservation.pages
+            if metrics is not None:
+                metrics.inc("governor.spilled_attempts")
+        if sc.reservation is not None:
+            report.reservation_pages = sc.reservation.pages
             report.renegotiations = (
-                reservation.renegotiations - renegotiations_before
+                sc.reservation.renegotiations - run.renegotiations_before
+            )
+        sc.attempts.append(report)
+
+    # ---------------------------------------------------------- phase: settle
+
+    def _settle(
+        self, sc: StatementContext, planned: PlannedAttempt, run: AttemptRun
+    ) -> bool:
+        """Act on how the attempt ended; True when the statement is done.
+
+        Routes the attempt's rows, harvests what it learned, settles the
+        plan cache, and lets the guard decide what an interrupted attempt
+        is followed by: another round, the safe plan, or the error itself.
+        """
+        guard, config = sc.guard, sc.config
+        next_step = None
+        if run.signal is not None:
+            self._announce_reoptimization(sc, planned, run)
+        elif run.error is not None:
+            # A failing safe plan has nothing left to fall back to.
+            if guard is not None and not sc.fallback:
+                next_step = guard.on_failure(run.error)
+            else:
+                next_step = RAISE
+            if next_step == RAISE:
+                self._observe_attempt(planned, run)
+                raise run.error
+        self._route_rows(sc, run)
+        harvested = None
+        if run.signal is not None:
+            harvested = harvest_execution_state(
+                run.ctx, run.signal, sc.feedback, config
+            )
+        elif config.use_feedback and not sc.fallback:
+            # Exact cardinalities only, no MV promotion: what a retry
+            # re-plans with, and what cross-query learning absorbs (§7).
+            harvest_execution_state(
+                run.ctx, None, sc.feedback, _FEEDBACK_ONLY
+            )
+        if not run.interrupted and sc.caching:
+            self._cache_settle(sc, planned, run.report)
+        self._observe_attempt(planned, run, harvested)
+        if not run.interrupted:
+            return True
+        sc.attempt += 1
+        if run.signal is not None:
+            sc.reopt_round += 1
+            if guard is not None and guard.on_reoptimize(
+                run.report.join_order, sc.attempt
+            ):
+                guard.request_fallback("re-optimization breaker tripped")
+                next_step = FALLBACK
+        sc.fallback = next_step == FALLBACK
+        return False
+
+    def _route_rows(self, sc: StatementContext, run: AttemptRun) -> None:
+        """Hand the attempt's rows to the application exactly once.
+
+        Rows an interrupted attempt had already pipelined out — before a
+        late CHECK fired or before a failure — must not be re-delivered:
+        they join the ECDC compensation set the next plan anti-joins
+        against (paper §3.3).
+        """
+        if run.interrupted:
+            if not run.ctx.rows_returned:
+                return
+            # Only compensating flavors may fire after rows went out.
+            if run.signal is not None and run.report.signal_flavor != "ECDC":
+                raise ExecutionError(
+                    f"non-compensating checkpoint {run.report.signal_flavor} "
+                    "fired after rows were returned"
+                ) from run.signal
+            sc.compensation.update(run.sink)
+            if self.metrics is not None:
+                self.metrics.inc("pop.compensation_rows", len(run.sink))
+        sc.delivered.extend(run.sink)
+
+    def _announce_reoptimization(
+        self, sc: StatementContext, planned: PlannedAttempt, run: AttemptRun
+    ) -> None:
+        """Emit the re-optimization, and drop the cached variant it refutes."""
+        tracer, metrics, report = self.tracer, self.metrics, run.report
+        if tracer is not None:
+            tracer.event(
+                "pop.reoptimize",
+                span=run.ctx.exec_span_id,
+                op_id=report.signal_op_id,
+                flavor=report.signal_flavor,
+                observed=report.signal_observed,
+                complete=report.signal_complete,
+                reason=report.signal_reason,
+            )
+        if metrics is not None:
+            metrics.inc("pop.reoptimizations", reason=report.signal_reason)
+        if planned.cached is not None:
+            # Runtime proved the cached plan's ranges stale for this
+            # parameter regime — drop the variant (POP feedback
+            # invalidation) and re-optimize from scratch.
+            self._discard_cached(
+                sc, planned.cached, "reoptimized", run.ctx.exec_span_id
             )
 
-    def _lint_attempt_plan(
-        self,
-        plan: PlanOp,
-        feedback: Optional[CardinalityFeedback],
-        attempt: int,
-        cached_fingerprint: Optional[str] = None,
+    def _discard_cached(
+        self, sc: StatementContext, cached, reason: str, span=None
     ) -> None:
-        """Strict mode: lint the plan this attempt is about to execute.
-
-        Raises :class:`repro.analysis.PlanLintError` on error-severity
-        findings; warn/info findings flow to tracing.  Re-optimized plans
-        (attempt > 0) are additionally checked for consistency with the
-        exact feedback harvested so far.
-        """
-        context = LintContext(
-            catalog=self.catalog,
-            cost_model=self.optimizer.cost_model,
-            config=self.config,
-            feedback=(
-                feedback if attempt > 0 and self.config.use_feedback else None
-            ),
-            attempt=attempt,
-            cached_fingerprint=cached_fingerprint,
-        )
-        findings = assert_plan_clean(
-            plan, context, where=f"attempt {attempt} plan"
-        )
+        """Drop a reused variant from the plan cache, visibly."""
+        fingerprint = cached.entry.fingerprint
+        sc.plan_cache.discard(sc.statement.shape, fingerprint)
+        if self.metrics is not None:
+            self.metrics.inc("plan_cache.invalidations", reason=reason)
         if self.tracer is not None:
-            for finding in findings:
-                self.tracer.event(
-                    "analysis.finding", attempt=attempt, **finding.to_dict()
-                )
-        if self.metrics is not None and findings:
-            for finding in findings:
-                self.metrics.inc(
-                    "analysis.findings",
-                    rule=finding.rule,
-                    severity=finding.severity,
-                )
+            self.tracer.event(
+                "plan_cache.invalidate",
+                span=span,
+                fingerprint=fingerprint,
+                reason=reason,
+            )
+
+    def _cache_settle(
+        self,
+        sc: StatementContext,
+        planned: PlannedAttempt,
+        report: AttemptReport,
+    ) -> None:
+        """After a successful attempt: install a fresh plan, or verify a
+        reused one came back byte-identical (cached plans are immutable).
+
+        Plans referencing statement-scoped state are never installed: temp
+        MVs are dropped when the statement ends and compensating anti-joins
+        only make sense for this statement's already-delivered rows.
+        """
+        metrics, plan_cache = self.metrics, sc.plan_cache
+        plan, cached = planned.plan, planned.cached
+        if cached is not None:
+            if plan_fingerprint(plan) != cached.entry.fingerprint:
+                # Self-heal: something mutated the cached plan during
+                # execution; drop it rather than ever reusing it again.
+                self._discard_cached(sc, cached, "mutated")
+            return
+        if report.fallback or find_ops(plan, (AntiJoin, MVScan)):
+            return
+        entry, evicted = plan_cache.install(
+            sc.statement.shape,
+            plan,
+            tables={t.table for t in sc.query.tables},
+            params=sc.statement.params,
+            checkpoints=report.checkpoints_placed,
+        )
+        if metrics is not None:
+            if entry is not None:
+                metrics.inc("plan_cache.installs")
+            if evicted:
+                metrics.inc("plan_cache.evictions", evicted)
+        if self.tracer is not None and entry is not None:
+            self.tracer.event(
+                "plan_cache.install",
+                fingerprint=entry.fingerprint,
+                evicted=evicted,
+                checkpoints=entry.checkpoints,
+            )
 
     def _observe_attempt(
         self,
-        ctx: ExecutionContext,
-        report: AttemptReport,
-        attempt_span,
-        interrupted: bool,
+        planned: PlannedAttempt,
+        run: AttemptRun,
         harvested_mvs: Optional[list] = None,
     ) -> None:
         """Flush one attempt's observability state (no-op when unconfigured)."""
-        tracer = self.tracer
-        metrics = self.metrics
+        tracer, metrics = self.tracer, self.metrics
+        ctx, report = run.ctx, run.report
         if self.progress is not None:
             self.progress.end_attempt(
-                ctx.meter.snapshot(), completed=not interrupted
+                ctx.meter.snapshot(), completed=not run.interrupted
             )
         if metrics is not None:
             for op in ctx.operators:
@@ -1114,36 +1122,20 @@ class PopDriver:
             if harvested_mvs is not None:
                 tracer.event(
                     "pop.harvest",
-                    span=attempt_span,
+                    span=planned.span,
                     temp_mvs=len(harvested_mvs),
                     names=list(harvested_mvs),
                 )
             tracer.end_span(
                 ctx.exec_span_id,
                 rows=ctx.rows_returned,
-                interrupted=interrupted,
+                interrupted=run.interrupted,
             )
             tracer.end_span(
-                attempt_span,
+                planned.span,
                 join_order=report.join_order,
                 execution_units=report.execution_units,
                 optimization_units=report.optimization_units,
                 reused_mvs=list(report.reused_mvs),
-                interrupted=interrupted,
+                interrupted=run.interrupted,
             )
-
-    def _apply_reuse_policy(self) -> None:
-        options = self.optimizer.options
-        options.consider_mvs = self.config.reuse_policy != "never"
-        options.mv_cost_zero = self.config.reuse_policy == "always"
-
-    @staticmethod
-    def _wrap_compensation(plan: PlanOp) -> PlanOp:
-        """Insert the ECDC anti-join between RETURN and the rest of the plan."""
-        if not isinstance(plan, Return):
-            raise ExecutionError("plan root is not RETURN")
-        plan.children[0] = AntiJoin(plan.children[0], compensation_key="ecdc")
-        from repro.plan.physical import number_plan
-
-        number_plan(plan)
-        return plan

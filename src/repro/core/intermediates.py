@@ -6,7 +6,7 @@ Two things are collected from the interrupted operator tree:
    end-of-stream (or completed a materialization build), and lower bounds
    for operators interrupted mid-stream, keyed by edge signature.
 2. **Temp MVs** — every completed SORT/TEMP materialization is promoted to a
-   temporary materialized view with its exact cardinality as its catalog
+   temporary materialized view with its exact cardinality as its
    statistic, so re-optimization can *choose* to reuse it.
 """
 
@@ -26,7 +26,6 @@ from repro.plan.physical import (
     Return,
     Sort,
 )
-from repro.storage.catalog import Catalog
 
 #: Operators whose output cardinality does not equal their edge-signature
 #: cardinality (aggregation collapses rows; Return may be LIMIT-cut; ...).
@@ -47,13 +46,14 @@ def harvest_execution_state(
     ctx: ExecutionContext,
     signal: Optional[ReoptimizationSignal],
     feedback: CardinalityFeedback,
-    catalog: Catalog,
     config: PopConfig,
 ) -> list[str]:
-    """Record feedback and promote intermediates; returns new MV names."""
+    """Record feedback and promote intermediates into the statement's
+    registry (``ctx.temp_mvs``); returns new MV names."""
     registered: list[str] = []
+    temp_mvs = ctx.temp_mvs
     existing = {
-        (mv.tables, mv.predicate_ids): mv.cardinality for mv in catalog.temp_mvs()
+        (mv.tables, mv.predicate_ids): mv.cardinality for mv in temp_mvs
     }
     for op in ctx.operators:
         if not _feedback_eligible(op):
@@ -66,7 +66,7 @@ def harvest_execution_state(
                 key = (op.plan.properties.tables, op.plan.properties.predicates)
                 if existing.get(key, -1) < len(materialized):
                     order = op.plan.keys if isinstance(op.plan, Sort) else ()
-                    mv = catalog.register_temp_mv(
+                    mv = temp_mvs.register(
                         tables=op.plan.properties.tables,
                         predicate_ids=op.plan.properties.predicates,
                         columns=tuple(op.plan.layout.columns),

@@ -25,7 +25,7 @@ from repro.executor.meter import WorkMeter
 from repro.obs import wall_clock
 from repro.optimizer.costmodel import DEFAULT_COST_PARAMS, CostModel, CostParams
 from repro.plan.physical import PlanOp
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 
 
 @dataclass
@@ -94,8 +94,12 @@ class ExecutionContext:
         wall_deadline: Optional[float] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         snapshot=None,
+        temp_mvs: Optional[TempMVRegistry] = None,
     ):
         self.catalog = catalog
+        #: The statement's temp MVs, which MV scans read (paper §2.3); a
+        #: context built without one can run no MV scan.
+        self.temp_mvs = temp_mvs if temp_mvs is not None else TempMVRegistry()
         self.params = params if params is not None else {}
         self.cost_params = cost_params
         self.cost_model = CostModel(cost_params)

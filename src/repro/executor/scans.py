@@ -236,7 +236,7 @@ class MVScanExec(Operator):
 
     def __init__(self, plan: MVScan, ctx: ExecutionContext):
         super().__init__(plan, ctx)
-        self.mv = ctx.catalog.temp_mv(plan.mv_name)
+        self.mv = ctx.temp_mvs.get(plan.mv_name)
         self._iter: Optional[Iterator[tuple]] = None
         self._filter = None
 

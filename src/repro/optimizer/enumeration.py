@@ -52,7 +52,7 @@ from repro.plan.physical import (
     Temp,
 )
 from repro.plan.properties import PlanProperties
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 
 
 @dataclass
@@ -117,8 +117,11 @@ class PlanEnumerator:
         estimator: CardinalityEstimator,
         cost_model: CostModel,
         options: Optional[OptimizerOptions] = None,
+        temp_mvs: Optional[TempMVRegistry] = None,
     ):
         self.catalog = catalog
+        #: The calling statement's temp MVs (§2.3 reuse candidates).
+        self.temp_mvs = temp_mvs if temp_mvs is not None else ()
         self.query = query
         self.estimator = estimator
         self.cost_model = cost_model
@@ -223,7 +226,7 @@ class PlanEnumerator:
             return []
         required = predicate_set_id(self.estimator.predicates_for_subset(subset))
         candidates = []
-        for mv in self.catalog.temp_mvs():
+        for mv in self.temp_mvs:
             if mv.tables != subset or not (mv.predicate_ids <= required):
                 continue
             residual_ids = required - mv.predicate_ids

@@ -17,7 +17,7 @@ from repro.optimizer.enumeration import OptimizerOptions, PlanEnumerator
 from repro.plan.logical import Query
 from repro.plan.physical import PlanOp, number_plan
 from repro.stats.selectivity import SelectivityEstimator
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 
 
 @dataclass
@@ -39,9 +39,11 @@ class Optimizer:
     """Cost-based query optimizer with POP hooks.
 
     The ``feedback`` argument injects actual cardinalities observed during
-    previous partial executions of the same statement; temp MVs registered in
-    the catalog are considered automatically (both are the POP §2.1 feedback
-    loop).
+    previous partial executions of the same statement, and ``temp_mvs`` its
+    promoted intermediate results (both are the POP §2.1 feedback loop).
+    :attr:`options` is shared by every statement and never written after
+    construction: a statement that needs different switches passes its own
+    copy to :meth:`optimize`.
     """
 
     def __init__(
@@ -61,14 +63,21 @@ class Optimizer:
         query: Query,
         feedback: Optional[CardinalityFeedback] = None,
         selectivity: Optional[SelectivityEstimator] = None,
+        options: Optional[OptimizerOptions] = None,
+        temp_mvs: Optional[TempMVRegistry] = None,
     ) -> OptimizationResult:
         """Produce the cheapest plan for ``query`` under current knowledge.
 
         ``selectivity`` overrides the optimizer's configured selectivity
         model for this one call — the plan cache passes a bind-value peeking
         estimator here so parameterized statements are planned for their
-        actual first-execution values.
+        actual first-execution values.  ``options`` likewise replaces
+        :attr:`options` for this call (the driver's reuse policy and safe
+        plan), and ``temp_mvs`` is the calling statement's registry of
+        reusable intermediate results (none when omitted).
         """
+        if options is None:
+            options = self.options
         estimator = CardinalityEstimator(
             self.catalog,
             query,
@@ -76,18 +85,22 @@ class Optimizer:
             selectivity=selectivity if selectivity is not None else self.selectivity,
         )
         enumerator = PlanEnumerator(
-            self.catalog, query, estimator, self.cost_model, self.options
+            self.catalog, query, estimator, self.cost_model, options, temp_mvs
         )
         plan = enumerator.run()
         number_plan(plan)
-        if self.options.strict_analysis:
+        if options.strict_analysis:
             # Imported here: repro.analysis.rules itself imports optimizer
             # modules, so a module-level import would be cyclic.
             from repro.analysis.plan_lint import LintContext, assert_plan_clean
 
             assert_plan_clean(
                 plan,
-                LintContext(catalog=self.catalog, cost_model=self.cost_model),
+                LintContext(
+                    catalog=self.catalog,
+                    cost_model=self.cost_model,
+                    temp_mvs=temp_mvs,
+                ),
                 where="optimized plan",
             )
         return OptimizationResult(

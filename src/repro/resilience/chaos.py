@@ -28,8 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.chaosutil import canonical_rows, query_seed
-from repro.common.locking import active_witness
+from repro.common.chaosutil import audit_witness, canonical_rows, query_seed
 from repro.core.config import PopConfig, ResiliencePolicy
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
@@ -436,24 +435,7 @@ def run_memory_pressure(
         )
     if metrics.total("governor.spill_pages") <= 0.0:
         problems.append("spill work invisible in governor.* metrics")
-    witness = active_witness()
-    if witness is not None:
-        # Cross-check the runtime lock-order witness against the static
-        # analyzer: an edge observed here but absent from the static lock
-        # graph is a static-analysis false negative.
-        from repro.analysis.concurrency import static_lock_graph
-
-        unexpected = witness.edges() - static_lock_graph()
-        if unexpected:
-            problems.append(
-                "witness observed lock edge(s) missing from the static "
-                f"lock graph: {sorted(unexpected)}"
-            )
-        for violation in witness.wait_violations():
-            problems.append(
-                f"witness saw wait on {violation.waiting_on!r} while "
-                f"holding {violation.held}"
-            )
+    audit_witness(problems)
     outcome = QueryOutcome(
         workload="memory", query="dmv_concurrent", chaos_seed=chaos_seed,
         ok=not problems, problems=problems,

@@ -39,17 +39,22 @@ fixed seeds::
 
 from __future__ import annotations
 
-import argparse
-import os
 import random
 import sys
-import tempfile
 import threading
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.chaosutil import canonical_rows, query_seed
-from repro.common.locking import active_witness
+from repro.common.chaosutil import (
+    ScenarioOutcome,
+    audit_governor_drained,
+    audit_thread_leak,
+    audit_witness,
+    canonical_rows,
+    query_seed,
+    run_scenarios,
+    scenario_main,
+    spill_dirs,
+)
 from repro.core.config import MemoryPolicy, PopConfig
 from repro.server.client import ReproClient
 from repro.server.server import ReproServer, ServerConfig
@@ -91,27 +96,6 @@ LIGHT_QUERY = (
 ALL_QUERIES = HEAVY_QUERIES + [KILL_QUERY, LIGHT_QUERY]
 
 SCENARIOS = ("disconnect", "slowloris", "malformed", "overload", "killspill")
-
-
-@dataclass
-class ScenarioOutcome:
-    """One (scenario, seed) chaos run."""
-
-    scenario: str
-    chaos_seed: int
-    ok: bool
-    problems: list = field(default_factory=list)
-    detail: str = ""
-
-
-def _spill_dirs() -> set:
-    """Current ``repro-spill-*`` dirs in the system temp directory."""
-    tmp = tempfile.gettempdir()
-    try:
-        names = os.listdir(tmp)
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith("repro-spill-")}
 
 
 class _Harness:
@@ -156,7 +140,7 @@ class _Harness:
         self.budget_pages = policy.budget_pages
         self.governor = self.db.enable_memory_governor(policy=policy)
         # Baselines *before* the server spawns anything.
-        self.spill_baseline = _spill_dirs()
+        self.spill_baseline = spill_dirs()
         self.thread_baseline = threading.active_count()
         self.server = ReproServer(self.db, ServerConfig(**config_overrides))
         self.host, self.port = self.server.start()
@@ -180,54 +164,19 @@ class _Harness:
     def finish(self, problems: list) -> None:
         """Drain the server, then audit the shared invariants."""
         self.server.shutdown(drain=True)
-        # Threads unwind asynchronously after join-with-timeout; give
-        # stragglers a bounded settling window before calling it a leak.
-        pause = threading.Event()
-        for _ in range(100):
-            if threading.active_count() <= self.thread_baseline:
-                break
-            pause.wait(0.02)
-        if threading.active_count() > self.thread_baseline:
-            leftover = sorted(
-                t.name for t in threading.enumerate() if t.name != "MainThread"
-            )
-            problems.append(
-                f"thread leak: {threading.active_count()} alive vs baseline "
-                f"{self.thread_baseline}: {leftover}"
-            )
+        audit_thread_leak(problems, self.thread_baseline)
         snap = self.governor.snapshot()
-        if snap["used_pages"] != 0 or snap["reservations"]:
-            problems.append(
-                f"governor not drained: used={snap['used_pages']} "
-                f"reservations={snap['reservations']}"
-            )
+        audit_governor_drained(problems, snap)
         if snap["peak_pages"] > self.budget_pages + 1e-9:
             problems.append(
                 f"budget exceeded: peak {snap['peak_pages']:.1f} pages over "
                 f"budget {self.budget_pages:.1f}"
             )
         self.db.disable_memory_governor()
-        leaked = _spill_dirs() - self.spill_baseline
+        leaked = spill_dirs() - self.spill_baseline
         if leaked:
             problems.append(f"leaked spill dirs: {sorted(leaked)}")
-        witness = active_witness()
-        if witness is not None:
-            # Cross-check the runtime witness against the static analyzer:
-            # an edge observed live but absent from the static lock graph
-            # is a static-analysis false negative.
-            from repro.analysis.concurrency import static_lock_graph
-
-            unexpected = witness.edges() - static_lock_graph()
-            if unexpected:
-                problems.append(
-                    "witness observed lock edge(s) missing from the static "
-                    f"lock graph: {sorted(unexpected)}"
-                )
-            for violation in witness.wait_violations():
-                problems.append(
-                    f"witness saw wait on {violation.waiting_on!r} while "
-                    f"holding {violation.held}"
-                )
+        audit_witness(problems)
 
 
 # --------------------------------------------------------------- scenarios
@@ -589,43 +538,14 @@ _RUNNERS = {
 
 
 def run_all(seeds, scenarios=SCENARIOS, verbose: bool = True) -> list:
-    outcomes = []
-    for seed in seeds:
-        for scenario in scenarios:
-            outcome = _RUNNERS[scenario](seed)
-            outcomes.append(outcome)
-            if verbose:
-                status = "ok" if outcome.ok else "FAIL"
-                print(
-                    f"  [{status}] server/{scenario} seed={seed} "
-                    f"{outcome.detail}"
-                )
-                for problem in outcome.problems:
-                    print(f"         - {problem}")
-    return outcomes
+    return run_scenarios("server", _RUNNERS, seeds, scenarios, verbose)
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.server.chaos",
-        description="Connection-chaos harness for the server runtime.",
+    return scenario_main(
+        "server", _RUNNERS, [5, 6],
+        "Connection-chaos harness for the server runtime.", argv,
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
-    parser.add_argument(
-        "--scenario", choices=SCENARIOS, action="append", default=None,
-        help="run only these scenarios (repeatable; default: all)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    scenarios = tuple(args.scenario) if args.scenario else SCENARIOS
-    outcomes = run_all(args.seeds, scenarios, verbose=not args.quiet)
-    failed = [o for o in outcomes if not o.ok]
-    if not args.quiet:
-        print(
-            f"server chaos: {len(outcomes) - len(failed)}/{len(outcomes)} "
-            f"scenario runs ok"
-        )
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
-"""The catalog: tables, indexes, statistics, and temporary materialized views.
+"""The catalog (tables, indexes, statistics) and the temp-MV registry.
 
-The catalog is the single registry both the optimizer and the executor consult.
-Temporary materialized views (temp MVs) are how POP exposes intermediate
-results of a partially executed query to the re-optimization step (paper
-§2.3): a completed materialization point is *promoted* to a temp MV whose
-catalog statistics carry the exact observed cardinality; the optimizer then
-considers scanning it as a normal, cost-compared alternative.  Temp MVs are
-transient — :meth:`Catalog.clear_temp_mvs` removes them when the query
-finishes (the paper's "cleanup" step).
+The catalog is the single registry both the optimizer and the executor consult
+for everything that outlives a statement.  Temporary materialized views (temp
+MVs) are how POP exposes intermediate results of a partially executed query to
+the re-optimization step (paper §2.3): a completed materialization point is
+*promoted* to a temp MV whose statistics carry the exact observed cardinality;
+the optimizer then considers scanning it as a normal, cost-compared
+alternative.  Temp MVs belong to one statement, so they live in a
+:class:`TempMVRegistry` the POP driver creates per statement and hands to the
+enumerator, the harvest step and the MV-scan operator — never in the shared
+catalog.  The paper's "cleanup" step is the registry going out of scope.
 """
 
 from __future__ import annotations
@@ -47,8 +49,47 @@ class TempMV:
         self.cardinality = len(self.rows)
 
 
+class TempMVRegistry:
+    """The temp MVs of one statement, in registration order."""
+
+    def __init__(self) -> None:
+        self._mvs: dict[str, TempMV] = {}
+
+    def register(
+        self,
+        tables: frozenset,
+        predicate_ids: frozenset,
+        columns: tuple,
+        rows: list[tuple],
+        order: tuple = (),
+    ) -> TempMV:
+        """Promote an intermediate result to a temp MV (paper §2.3)."""
+        mv = TempMV(
+            name=f"__tempmv_{len(self._mvs) + 1}",
+            tables=tables,
+            predicate_ids=predicate_ids,
+            columns=columns,
+            rows=rows,
+            order=order,
+        )
+        self._mvs[mv.name] = mv
+        return mv
+
+    def __iter__(self):
+        return iter(self._mvs.values())
+
+    def __len__(self) -> int:
+        return len(self._mvs)
+
+    def get(self, name: str) -> TempMV:
+        try:
+            return self._mvs[name]
+        except KeyError as exc:
+            raise CatalogError(f"no temp MV named {name!r}") from exc
+
+
 class Catalog:
-    """Registry of tables, their indexes, statistics, and temp MVs."""
+    """Registry of tables, their indexes, and statistics."""
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
@@ -56,8 +97,6 @@ class Catalog:
         self._indexes_by_table: dict[str, list[Index]] = {}
         # table name -> TableStatistics (duck-typed; see repro.stats)
         self._stats: dict[str, Any] = {}
-        self._temp_mvs: dict[str, TempMV] = {}
-        self._mv_counter = 0
 
     # ------------------------------------------------------------------ tables
 
@@ -140,39 +179,3 @@ class Catalog:
     def statistics(self, table_name: str) -> Any:
         """Statistics for a table, or ``None`` when RUNSTATS never ran."""
         return self._stats.get(table_name.lower())
-
-    # ---------------------------------------------------------------- temp MVs
-
-    def register_temp_mv(
-        self,
-        tables: frozenset,
-        predicate_ids: frozenset,
-        columns: tuple,
-        rows: list[tuple],
-        order: tuple = (),
-    ) -> TempMV:
-        """Promote an intermediate result to a temp MV (paper §2.3)."""
-        self._mv_counter += 1
-        mv = TempMV(
-            name=f"__tempmv_{self._mv_counter}",
-            tables=tables,
-            predicate_ids=predicate_ids,
-            columns=columns,
-            rows=rows,
-            order=order,
-        )
-        self._temp_mvs[mv.name] = mv
-        return mv
-
-    def temp_mvs(self) -> list[TempMV]:
-        return list(self._temp_mvs.values())
-
-    def temp_mv(self, name: str) -> TempMV:
-        try:
-            return self._temp_mvs[name]
-        except KeyError as exc:
-            raise CatalogError(f"no temp MV named {name!r}") from exc
-
-    def clear_temp_mvs(self) -> None:
-        """The cleanup step: drop all temp MVs after query completion."""
-        self._temp_mvs.clear()

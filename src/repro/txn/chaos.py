@@ -42,19 +42,26 @@ static lock graph.  CI runs this blocking with two fixed seeds::
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import shutil
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.chaosutil import canonical_rows, query_seed
+from repro.common.chaosutil import (
+    ScenarioOutcome,
+    audit_governor_drained,
+    audit_thread_leak,
+    audit_witness,
+    canonical_rows,
+    query_seed,
+    run_scenarios,
+    scenario_main,
+    spill_dirs,
+)
 from repro.common.errors import TransactionConflict, WalError
-from repro.common.locking import active_witness
 from repro.core.config import MemoryPolicy, PopConfig
 from repro.core.database import Database
 from repro.txn.faults import (
@@ -81,46 +88,6 @@ CRASH_TABLES = (
 CRASH_TXNS = 12
 CHECKPOINT_INTERVAL = 3
 MAX_TRIGGER = 4
-
-
-@dataclass
-class ScenarioOutcome:
-    """One (scenario, seed) chaos run."""
-
-    scenario: str
-    chaos_seed: int
-    ok: bool
-    problems: list = field(default_factory=list)
-    detail: str = ""
-
-
-def _spill_dirs() -> set:
-    tmp = tempfile.gettempdir()
-    try:
-        names = os.listdir(tmp)
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith("repro-spill-")}
-
-
-def _audit_witness(problems: list) -> None:
-    """Witnessed lock edges must be a subset of the static lock graph."""
-    witness = active_witness()
-    if witness is None:
-        return
-    from repro.analysis.concurrency import static_lock_graph
-
-    unexpected = witness.edges() - static_lock_graph()
-    if unexpected:
-        problems.append(
-            "witness observed lock edge(s) missing from the static lock "
-            f"graph: {sorted(unexpected)}"
-        )
-    for violation in witness.wait_violations():
-        problems.append(
-            f"witness saw wait on {violation.waiting_on!r} while holding "
-            f"{violation.held}"
-        )
 
 
 # ------------------------------------------------------------------ crash
@@ -325,7 +292,7 @@ def _run_crash_case(seed: int, case: int, problems: list) -> bool:
 def run_crash(seed: int, cases: int = 30, min_fired: int = 25) -> ScenarioOutcome:
     """Seeded kill-points across WAL and checkpoint, recover-and-verify."""
     problems: list = []
-    spill_baseline = _spill_dirs()
+    spill_baseline = spill_dirs()
     fired = 0
     for case in range(cases):
         if _run_crash_case(seed, case, problems):
@@ -335,10 +302,10 @@ def run_crash(seed: int, cases: int = 30, min_fired: int = 25) -> ScenarioOutcom
             f"only {fired} of {cases} cases fired a kill "
             f"(need >= {min_fired}) — the schedule is not biting"
         )
-    leaked = _spill_dirs() - spill_baseline
+    leaked = spill_dirs() - spill_baseline
     if leaked:
         problems.append(f"leaked spill dirs: {sorted(leaked)}")
-    _audit_witness(problems)
+    audit_witness(problems)
     return ScenarioOutcome(
         "crash", seed, not problems, problems,
         detail=f"cases={cases} kill_points_fired={fired}",
@@ -380,7 +347,7 @@ def run_snapshot(
 
     problems: list = []
     lock = threading.Lock()
-    spill_baseline = _spill_dirs()
+    spill_baseline = spill_dirs()
     thread_baseline = threading.active_count()
 
     db = make_dmv_db(
@@ -569,29 +536,13 @@ def run_snapshot(
         )
 
     server.shutdown(drain=True)
-    for _ in range(100):
-        if threading.active_count() <= thread_baseline:
-            break
-        pause.wait(0.02)
-    if threading.active_count() > thread_baseline:
-        leftover = sorted(
-            t.name for t in threading.enumerate() if t.name != "MainThread"
-        )
-        problems.append(
-            f"thread leak: {threading.active_count()} alive vs baseline "
-            f"{thread_baseline}: {leftover}"
-        )
-    snap = db.memory_governor.snapshot()
-    if snap["used_pages"] != 0 or snap["reservations"]:
-        problems.append(
-            f"governor not drained: used={snap['used_pages']} "
-            f"reservations={snap['reservations']}"
-        )
+    audit_thread_leak(problems, thread_baseline)
+    audit_governor_drained(problems, db.memory_governor.snapshot())
     db.disable_memory_governor()
-    leaked = _spill_dirs() - spill_baseline
+    leaked = spill_dirs() - spill_baseline
     if leaked:
         problems.append(f"leaked spill dirs: {sorted(leaked)}")
-    _audit_witness(problems)
+    audit_witness(problems)
     stats = manager.snapshot_stats()
     return ScenarioOutcome(
         "snapshot", seed, not problems, problems,
@@ -608,40 +559,14 @@ _RUNNERS = {"crash": run_crash, "snapshot": run_snapshot}
 
 
 def run_all(seeds, scenarios=SCENARIOS, verbose: bool = True) -> list:
-    outcomes = []
-    for seed in seeds:
-        for scenario in scenarios:
-            outcome = _RUNNERS[scenario](seed)
-            outcomes.append(outcome)
-            if verbose:
-                status = "ok" if outcome.ok else "FAIL"
-                print(f"  [{status}] txn/{scenario} seed={seed} {outcome.detail}")
-                for problem in outcome.problems:
-                    print(f"         - {problem}")
-    return outcomes
+    return run_scenarios("txn", _RUNNERS, seeds, scenarios, verbose)
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.txn.chaos",
-        description="Kill-crash chaos for snapshot transactions + WAL recovery.",
+    return scenario_main(
+        "txn", _RUNNERS, [7, 8],
+        "Kill-crash chaos for snapshot transactions + WAL recovery.", argv,
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
-    parser.add_argument(
-        "--scenario", choices=SCENARIOS, action="append", default=None,
-        help="run only these scenarios (repeatable; default: all)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    scenarios = tuple(args.scenario) if args.scenario else SCENARIOS
-    outcomes = run_all(args.seeds, scenarios, verbose=not args.quiet)
-    failed = [o for o in outcomes if not o.ok]
-    if not args.quiet:
-        print(
-            f"txn chaos: {len(outcomes) - len(failed)}/{len(outcomes)} "
-            f"scenario runs ok"
-        )
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ def db() -> Database:
     return Database()
 
 
-@pytest.fixture
-def star_db() -> Database:
+def build_star_db() -> Database:
     """A small two-table star: customers and orders with skewed status.
 
     Sized so that join-method choices are non-trivial: the optimizer picks
@@ -55,6 +54,12 @@ def star_db() -> Database:
     database.create_index("ix_orders_cust", "orders", "o_custkey")
     database.runstats()
     return database
+
+
+@pytest.fixture
+def star_db() -> Database:
+    """:func:`build_star_db`, fresh per test."""
+    return build_star_db()
 
 
 def build_tpch_db() -> Database:

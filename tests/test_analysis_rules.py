@@ -59,7 +59,7 @@ from repro.plan.physical import (
     number_plan,
 )
 from repro.plan.properties import PlanProperties, ValidityRange
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
 
 # --------------------------------------------------------- plan builders
@@ -286,28 +286,32 @@ class TestReuseConsistencyRule:
 
     def test_unregistered_mv_warns(self):
         plan = MVScan("__tempmv_404", props("t"), RowLayout(["t.a"]), 3.0, 1.0)
-        ctx = LintContext(catalog=Catalog())
+        ctx = LintContext(temp_mvs=TempMVRegistry())
         findings = by_rule(lint(plan, ctx), "reuse-consistency")
         assert len(findings) == 1
         assert findings[0].severity == WARN
 
     def test_mv_table_set_mismatch(self):
-        catalog = Catalog()
-        mv = catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        mv = temp_mvs.register(
             frozenset({"x"}), frozenset(), ("x.a",), [(1,)]
         )
         plan = MVScan(mv.name, props("t"), RowLayout(["t.a"]), 1.0, 1.0)
-        findings = by_rule(lint(plan, LintContext(catalog=catalog)), "reuse-consistency")
+        findings = by_rule(
+            lint(plan, LintContext(temp_mvs=temp_mvs)), "reuse-consistency"
+        )
         assert len(findings) == 1
         assert findings[0].severity == ERROR
 
     def test_mv_cardinality_disagreement_warns(self):
-        catalog = Catalog()
-        mv = catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        mv = temp_mvs.register(
             frozenset({"t"}), frozenset(), ("t.a",), [(1,), (2,), (3,)]
         )
         plan = MVScan(mv.name, props("t"), RowLayout(["t.a"]), 100.0, 1.0)
-        findings = by_rule(lint(plan, LintContext(catalog=catalog)), "reuse-consistency")
+        findings = by_rule(
+            lint(plan, LintContext(temp_mvs=temp_mvs)), "reuse-consistency"
+        )
         assert len(findings) == 1
         assert findings[0].data["exact"] == 3
 
@@ -662,8 +666,8 @@ class TestStrictModes:
         db = _tiny_db()
         original = db.optimizer.optimize
 
-        def corrupting(query, feedback=None):
-            result = original(query, feedback=feedback)
+        def corrupting(query, feedback=None, **kwargs):
+            result = original(query, feedback=feedback, **kwargs)
             result.plan.est_card = float("nan")
             return result
 

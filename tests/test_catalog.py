@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CatalogError
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
 
 
@@ -99,37 +99,41 @@ class TestStatistics:
 
 
 class TestTempMVs:
+    """The statement-scoped registry (the catalog itself holds no MVs)."""
+
     def test_register_and_fetch(self):
-        catalog = fresh_catalog()
-        mv = catalog.register_temp_mv(
+        registry = TempMVRegistry()
+        mv = registry.register(
             tables=frozenset({"t"}),
             predicate_ids=frozenset({"p"}),
             columns=("t.a", "t.b"),
             rows=[(1, "x"), (2, "y")],
         )
         assert mv.cardinality == 2
-        assert catalog.temp_mv(mv.name) is mv
-        assert catalog.temp_mvs() == [mv]
+        assert registry.get(mv.name) is mv
+        assert list(registry) == [mv]
 
     def test_names_are_unique(self):
-        catalog = fresh_catalog()
-        a = catalog.register_temp_mv(frozenset(), frozenset(), (), [])
-        b = catalog.register_temp_mv(frozenset(), frozenset(), (), [])
+        registry = TempMVRegistry()
+        a = registry.register(frozenset(), frozenset(), (), [])
+        b = registry.register(frozenset(), frozenset(), (), [])
         assert a.name != b.name
 
-    def test_clear_removes_all(self):
-        catalog = fresh_catalog()
-        catalog.register_temp_mv(frozenset(), frozenset(), (), [])
-        catalog.clear_temp_mvs()
-        assert catalog.temp_mvs() == []
+    def test_registries_are_independent(self):
+        registry = TempMVRegistry()
+        registry.register(frozenset(), frozenset(), (), [])
+        assert len(registry) == 1
+        assert list(TempMVRegistry()) == []
+
+    def test_catalog_holds_no_temp_mvs(self):
+        assert not [name for name in dir(fresh_catalog()) if "mv" in name.lower()]
 
     def test_missing_mv_raises(self):
         with pytest.raises(CatalogError, match="no temp MV"):
-            fresh_catalog().temp_mv("ghost")
+            TempMVRegistry().get("ghost")
 
     def test_order_recorded(self):
-        catalog = fresh_catalog()
-        mv = catalog.register_temp_mv(
+        mv = TempMVRegistry().register(
             frozenset({"t"}), frozenset(), ("t.a",), [(1,)], order=("t.a",)
         )
         assert mv.order == ("t.a",)

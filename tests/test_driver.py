@@ -56,10 +56,6 @@ class TestReoptimizationLoop:
             "re-optimized plan should scan the materialized outer"
         )
 
-    def test_temp_mvs_cleaned_up(self, star_db):
-        star_db.execute(marker_query(), params={"p": "COMMON"})
-        assert star_db.catalog.temp_mvs() == []
-
     def test_max_reoptimizations_bounds_attempts(self, star_db):
         config = PopConfig(max_reoptimizations=1)
         result = star_db.execute(

@@ -1,0 +1,364 @@
+"""The POP driver's observable surface, frozen across the pipeline refactor.
+
+``tests/fixtures/driver_pipeline_golden.json`` was recorded at commit
+87b68ee — the last one whose driver was the 350-line ``_run_guarded`` plus
+the forked ``_run_fallback`` — by running this module's :func:`record` there
+(``PYTHONPATH=src python -c "from tests.test_driver_pipeline import record;
+record()"``).  For each scenario below it holds, per statement: the rows (a
+count and digest when there are many), every
+:class:`~repro.core.driver.AttemptReport` field (the plan as its
+fingerprint), the resilience fields of the :class:`PopReport`, the trace as
+a sequence of (type, name, parent span name, sorted attribute keys, work-unit
+stamps), the metrics counter snapshot and ``meter.by_category()``.  Wall
+times are left out; floats must agree to rel 1e-9, everything else exactly.
+The file is never regenerated: a mismatch is a driver regression.
+
+Each scenario builds its own database, so temp-MV names and learned state
+cannot depend on test order.
+
+The second half holds the regression tests for the two shared-state bugs the
+statement-scoped context removes: temp MVs leaking between interleaved
+statements, and statements writing the shared ``OptimizerOptions``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import Database, PopConfig
+from repro.core import driver as driver_module
+from repro.core.config import MemoryPolicy, ResiliencePolicy
+from repro.core.driver import AttemptReport
+from repro.core.flavors import ECDC
+from repro.executor.meter import WorkMeter
+from repro.obs import MetricsRegistry, Tracer
+from repro.optimizer.fingerprint import plan_fingerprint
+from repro.optimizer.optimizer import Optimizer
+from repro.plan.physical import Check, NLJoin, find_ops
+from repro.resilience import FaultPlan, FaultSpec
+
+from .conftest import build_dmv_db, build_star_db, canonical
+from .test_executor_batch_differential import rows_record
+from .test_obs import marker_query
+from .test_plan_cache import make_db as build_cache_db
+from .test_resilience import JOIN_SQL
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "driver_pipeline_golden.json"
+
+SORT_CARS_SQL = (
+    "SELECT c.c_id, c.c_make, c.c_weight FROM car c ORDER BY c.c_weight, c.c_id"
+)
+DMV_MODEL_TEMPLATE = (
+    "SELECT o.o_id, o.o_name FROM car c, owner o "
+    "WHERE c.c_owner_id = o.o_id AND c.c_make = 'MAKE00' AND c.c_model = '{m}'"
+)
+
+
+# ------------------------------------------------------------------ snapshot
+
+
+def _attempt_record(attempt: AttemptReport) -> dict:
+    record = {}
+    for f in dataclasses.fields(AttemptReport):
+        value = getattr(attempt, f.name)
+        if f.name == "plan":
+            value = plan_fingerprint(value)
+        elif f.name == "checkpoint_events":
+            value = [dataclasses.astuple(e) for e in value]
+        elif f.name == "actual_cards":
+            value = sorted([k, *v] for k, v in value.items())
+        elif f.name == "profiles" and value is not None:
+            value = [
+                {k: v for k, v in p.to_dict().items() if not k.endswith("_wall")}
+                for p in value
+            ]
+        record[f.name] = value
+    return record
+
+
+def _trace_records(tracer: Tracer) -> list:
+    names = {r["id"]: r["name"] for r in tracer.spans()}
+    out = []
+    for r in tracer.records:
+        if r["type"] == "span":
+            out.append(["span", r["name"], names.get(r["parent"]),
+                        sorted(r["attrs"]), r["u0"], r["u1"]])
+        else:
+            out.append(["event", r["name"], names.get(r["span"]),
+                        sorted(r["attrs"]), r["u"]])
+    return out
+
+
+def observed(db: Database, statement, **kwargs) -> dict:
+    """Run one statement fully instrumented; everything the driver shows."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    meter = WorkMeter(track_categories=True)
+    result = db.execute(
+        statement, tracer=tracer, metrics=metrics, meter=meter, **kwargs
+    )
+    report = result.report
+    snap = {
+        "rows": rows_record(canonical(result.rows)),
+        "attempts": [_attempt_record(a) for a in report.attempts],
+        "report": {
+            f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)
+            if f.name not in ("attempts", "wall_seconds")
+        },
+        "trace": _trace_records(tracer),
+        "counters": metrics.snapshot()["counters"],
+        "meter": meter.by_category(),
+    }
+    # Through JSON so a live snapshot and a loaded one have the same types.
+    return json.loads(json.dumps(snap))
+
+
+# ----------------------------------------------------------------- scenarios
+
+
+def single_attempt():
+    return [observed(build_star_db(), marker_query(), params={"p": "RARE"})]
+
+
+def reopt_mv_reuse():
+    return [observed(build_star_db(), marker_query(), params={"p": "COMMON"})]
+
+
+def ecdc_compensation():
+    config = PopConfig(flavors=frozenset({ECDC}), min_cost_for_checkpoints=0.0)
+    return [
+        observed(build_star_db(), marker_query(), params={"p": "COMMON"}, pop=config)
+    ]
+
+
+def cache_install_then_hit():
+    db = build_cache_db()
+    db.enable_plan_cache()
+    return [observed(db, f"SELECT t.v FROM t WHERE t.k = {k}") for k in (1, 2)]
+
+
+def cache_hit_check_fires():
+    db = build_dmv_db()
+    db.enable_plan_cache()
+    db.execute(DMV_MODEL_TEMPLATE.format(m="MODEL00_8"))
+    entry = db.plan_cache.entries()[0]
+    # Narrow the cached CHECK so the next bind's actual cardinality fires it
+    # (the set-up of test_plan_cache.test_reoptimization_discards_variant).
+    db.plan_cache.discard(entry.shape, entry.fingerprint)
+    find_ops(entry.plan, Check)[0].check_range.high = 50.0
+    db.plan_cache.install(
+        entry.shape, entry.plan, entry.tables,
+        params=entry.params, checkpoints=entry.checkpoints,
+    )
+    return [observed(db, DMV_MODEL_TEMPLATE.format(m="MODEL00_7"))]
+
+
+def transient_retry():
+    return [
+        observed(
+            build_star_db(), JOIN_SQL,
+            pop=PopConfig(resilience=ResiliencePolicy()),
+            faults=FaultPlan(specs=[FaultSpec("iterator", trigger_at=4)]),
+        )
+    ]
+
+
+def fault_after_rows():
+    """Re-optimizes, then faults with 1024 rows already delivered: the retry
+    must compensate for them (signal, failure and success in one statement)."""
+    return [
+        observed(
+            build_star_db(), marker_query(), params={"p": "COMMON"},
+            pop=PopConfig(resilience=ResiliencePolicy()),
+            faults=FaultPlan(specs=[FaultSpec("iterator", trigger_at=14)]),
+        )
+    ]
+
+
+def breaker_fallback():
+    db = build_star_db()
+    probe = db.execute(marker_query(), params={"p": "COMMON"})
+    fired = probe.report.attempts[0].signal_op_id
+    config = PopConfig(
+        force_trigger_op_ids=frozenset({fired}),
+        resilience=ResiliencePolicy(breaker_same_plan_limit=1),
+    )
+    return [
+        observed(db, marker_query(), params={"p": "COMMON"}, pop=config,
+                 faults=FaultPlan())
+    ]
+
+
+def deadline_fallback():
+    return [
+        observed(
+            build_star_db(), JOIN_SQL,
+            pop=PopConfig(resilience=ResiliencePolicy(deadline_units=1.0)),
+            faults=FaultPlan(),
+        )
+    ]
+
+
+def governed_spill():
+    db = build_dmv_db()
+    db.enable_memory_governor(
+        policy=MemoryPolicy(
+            budget_pages=4.0, min_reservation_pages=1.0, min_grant_pages=1.0
+        )
+    )
+    return [observed(db, SORT_CARS_SQL, pop=PopConfig(reuse_policy="never"))]
+
+
+def profile_on():
+    return [
+        observed(build_star_db(), marker_query(), params={"p": "COMMON"},
+                 profile=True)
+    ]
+
+
+SCENARIOS = {
+    fn.__name__: fn
+    for fn in (
+        single_attempt, reopt_mv_reuse, ecdc_compensation,
+        cache_install_then_hit, cache_hit_check_fires, transient_retry,
+        fault_after_rows, breaker_fallback, deadline_fallback, governed_spill, profile_on,
+    )
+}
+
+
+def record() -> None:
+    """Write the fixture (run once, at the parent commit)."""
+    golden = {name: fn() for name, fn in SCENARIOS.items()}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+def assert_same(got, want, path: str) -> None:
+    if isinstance(want, float) or isinstance(got, float):
+        assert got == pytest.approx(want, rel=1e-9), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_pipeline_reproduces_frozen_driver(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert_same(SCENARIOS[name](), golden[name], name)
+
+
+def test_golden_scenarios_cover_every_outcome():
+    """The fixture is only a freeze if each exit path is actually in it."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    def attempts(name):
+        return [a for stmt in golden[name] for a in stmt["attempts"]]
+
+    assert len(attempts("single_attempt")) == 1
+    assert attempts("reopt_mv_reuse")[1]["reused_mvs"]
+    first = attempts("ecdc_compensation")[0]
+    assert first["signal_flavor"] == "ECDC" and first["rows_emitted"] > 0
+    assert [a["cache_hit"] for a in attempts("cache_install_then_hit")] == [
+        False, True,
+    ]
+    fired = attempts("cache_hit_check_fires")
+    assert fired[0]["cache_hit"] and fired[0]["signal_op_id"] is not None
+    assert attempts("transient_retry")[0]["failure_class"] == "transient"
+    late = attempts("fault_after_rows")
+    assert [bool(a["signal_op_id"]) for a in late] == [True, False, False]
+    assert late[1]["failure_class"] == "transient" and late[1]["rows_emitted"]
+    assert golden["breaker_fallback"][0]["report"]["breaker_tripped"]
+    assert attempts("breaker_fallback")[-1]["fallback"]
+    assert attempts("deadline_fallback")[0]["failure_class"] == "timeout"
+    assert attempts("deadline_fallback")[-1]["fallback"]
+    assert attempts("governed_spill")[-1]["spilled"]
+    assert all(a["profiles"] for a in attempts("profile_on"))
+
+
+# ----------------------------------------- statement-scoped state regressions
+
+COMMON, RARE = {"p": "COMMON"}, {"p": "RARE"}
+
+
+def test_interleaved_statement_cannot_see_or_steal_temp_mvs(monkeypatch):
+    """B runs between A's harvest and A's next round, on the same database.
+
+    Temp MVs match on marker names, not bind values: with MVs in the shared
+    catalog B scanned A's ``:p='COMMON'`` intermediate for ``:p='RARE'``
+    (10,110 rows instead of 462) and B's cleanup dropped the MV A was about
+    to reuse.
+    """
+    db = build_star_db()
+    real_harvest = driver_module.harvest_execution_state
+    interleaved = []
+
+    def harvest_then_run_b(ctx, signal, *rest):
+        names = real_harvest(ctx, signal, *rest)
+        if names and not interleaved:
+            interleaved.append(None)
+            interleaved[0] = db.execute(marker_query(), params=RARE)
+        return names
+
+    monkeypatch.setattr(
+        driver_module, "harvest_execution_state", harvest_then_run_b
+    )
+    a = db.execute(marker_query(), params=COMMON)
+    (b,) = interleaved
+    assert all(not attempt.reused_mvs for attempt in b.report.attempts)
+    assert canonical(b.rows) == canonical(
+        db.execute_without_pop(marker_query(), params=RARE).rows
+    )
+    assert a.report.attempts[1].reused_mvs, "A lost its own temp MV"
+    assert canonical(a.rows) == canonical(
+        db.execute_without_pop(marker_query(), params=COMMON).rows
+    )
+
+
+@pytest.mark.parametrize("policy", ["never", "always"])
+def test_reuse_policy_leaves_shared_optimizer_options_alone(policy):
+    db = build_star_db()
+    shared = db.optimizer.options
+    before = dataclasses.replace(shared)
+    db.execute(marker_query(), params=COMMON, pop=PopConfig(reuse_policy=policy))
+    assert db.optimizer.options is shared
+    assert shared == before
+
+
+def test_fallback_never_writes_shared_optimizer_options(monkeypatch):
+    """The safe plan restricts join methods on its own copy: the object
+    every concurrent statement optimizes with keeps nested loops enabled
+    throughout, and is the same object afterwards."""
+    db = build_star_db()
+    shared = db.optimizer.options
+    before = dataclasses.replace(shared)
+    seen = []
+    real_optimize = Optimizer.optimize
+
+    def spy(self, *args, **kwargs):
+        seen.append((self.options is shared, self.options.enable_index_nljn))
+        return real_optimize(self, *args, **kwargs)
+
+    fired = db.execute(marker_query(), params=COMMON).report.attempts[0]
+    monkeypatch.setattr(Optimizer, "optimize", spy)
+    config = PopConfig(
+        force_trigger_op_ids=frozenset({fired.signal_op_id}),
+        resilience=ResiliencePolicy(breaker_same_plan_limit=1),
+    )
+    result = db.execute(
+        marker_query(), params=COMMON, pop=config, faults=FaultPlan()
+    )
+    assert result.report.fallback_used
+    assert not find_ops(result.report.final_plan, NLJoin)
+    assert len(seen) == 2 and all(s == (True, True) for s in seen)
+    assert db.optimizer.options is shared
+    assert shared == before

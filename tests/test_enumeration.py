@@ -2,6 +2,8 @@
 orders, MV reuse candidates, and validity-range narrowing during pruning."""
 
 
+from repro.executor.base import ExecutionContext
+from repro.executor.runtime import run_plan
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Comparison, JoinPredicate, predicate_set_id
 from repro.optimizer.enumeration import OptimizerOptions, order_satisfies
@@ -17,6 +19,7 @@ from repro.plan.physical import (
     TableScan,
     find_ops,
 )
+from repro.storage.catalog import TempMVRegistry
 
 
 def two_table_query(local=None):
@@ -161,19 +164,19 @@ class TestMVCandidates:
         # Manually promote the filtered customers as a temp MV.
         cust = star_db.catalog.table("cust")
         rows = [r for r in cust.rows if r[1] == "RARE"]
-        star_db.catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        temp_mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id(query.local_predicates),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=rows,
         )
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            mv_scans = find_ops(plan, MVScan)
-            assert mv_scans, "optimizer should pick the free intermediate result"
-            assert mv_scans[0].est_card == len(rows)
-        finally:
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(query, temp_mvs=temp_mvs).plan
+        mv_scans = find_ops(plan, MVScan)
+        assert mv_scans, "optimizer should pick the free intermediate result"
+        assert mv_scans[0].est_card == len(rows)
+        # Another statement's optimization never sees them.
+        assert not find_ops(star_db.optimizer.optimize(query).plan, MVScan)
 
     def test_mv_with_residual_predicates(self, star_db):
         seg = Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))
@@ -181,40 +184,38 @@ class TestMVCandidates:
         query = two_table_query(local=[seg, extra])
         cust = star_db.catalog.table("cust")
         rows = [r for r in cust.rows if r[1] == "RARE"]
-        star_db.catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        temp_mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id([seg]),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=rows,
         )
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            mv_scans = find_ops(plan, MVScan)
-            assert mv_scans and mv_scans[0].filters  # residual applied on scan
-            result = star_db.execute_without_pop(query)
-            expected = sum(1 for r in rows if r[2] == 3)
-            joined = sum(
-                1
-                for row in star_db.catalog.table("orders").rows
-                if any(r[0] == row[1] and r[2] == 3 for r in rows)
-            )
-        finally:
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(query, temp_mvs=temp_mvs).plan
+        mv_scans = find_ops(plan, MVScan)
+        assert mv_scans and mv_scans[0].filters  # residual applied on scan
+        result = run_plan(
+            plan, ExecutionContext(star_db.catalog, temp_mvs=temp_mvs)
+        )
+        joined = sum(
+            1
+            for row in star_db.catalog.table("orders").rows
+            if any(r[0] == row[1] and r[2] == 3 for r in rows)
+        )
+        assert len(result) == joined
 
     def test_mvs_ignored_when_disabled(self, star_db):
         query = two_table_query(
             local=[Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))]
         )
-        star_db.catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        temp_mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id(query.local_predicates),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=[],
         )
-        star_db.optimizer.options = OptimizerOptions(consider_mvs=False)
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            assert not find_ops(plan, MVScan)
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(
+            query, options=OptimizerOptions(consider_mvs=False), temp_mvs=temp_mvs
+        ).plan
+        assert not find_ops(plan, MVScan)

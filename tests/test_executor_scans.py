@@ -9,7 +9,7 @@ from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Between, Comparison
 from repro.plan.physical import IndexScan, MVScan, TableScan
 from repro.plan.properties import PlanProperties
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
 from tests.conftest import pull_all
 
@@ -131,7 +131,8 @@ class TestIndexScan:
 
 class TestMVScan:
     def test_scan_with_residual(self, catalog):
-        mv = catalog.register_temp_mv(
+        temp_mvs = TempMVRegistry()
+        mv = temp_mvs.register(
             tables=frozenset({"t"}),
             predicate_ids=frozenset(),
             columns=("t.k", "t.v"),
@@ -139,5 +140,6 @@ class TestMVScan:
         )
         pred = Comparison(ColumnRef("t", "v"), "=", Literal("a"))
         plan = MVScan(mv.name, props(), layout(), 2, 1, filters=[pred])
-        rows = drain(build_executor(plan, ExecutionContext(catalog)))
+        ctx = ExecutionContext(catalog, temp_mvs=temp_mvs)
+        rows = drain(build_executor(plan, ctx))
         assert rows == [(1, "a"), (3, "a")]

@@ -16,7 +16,6 @@ class TestTpchAllQueries:
         pop = tpch_db.execute(sql)
         static = tpch_db.execute_without_pop(sql)
         assert canonical(pop.rows) == canonical(static.rows), name
-        assert tpch_db.catalog.temp_mvs() == []
 
     @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
     def test_ecb_flavor_matches_static(self, tpch_db, name):

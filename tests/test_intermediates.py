@@ -47,9 +47,9 @@ class TestHarvest:
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        names = harvest_execution_state(ctx, signal, feedback, PopConfig())
         assert len(names) == 1
-        mv = cat.temp_mv(names[0])
+        mv = ctx.temp_mvs.get(names[0])
         assert mv.cardinality == 20
         assert mv.tables == frozenset({"t"})
 
@@ -60,15 +60,15 @@ class TestHarvest:
         plan = Check(sort, ValidityRange(0, 5), "LC")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
-        assert cat.temp_mv(names[0]).order == ("t.a",)
+        names = harvest_execution_state(ctx, signal, feedback, PopConfig())
+        assert ctx.temp_mvs.get(names[0]).order == ("t.a",)
 
     def test_exact_feedback_from_signal(self):
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, PopConfig())
         signature = plan.properties.signature
         entry = feedback.lookup(signature)
         assert entry is not None and entry.exact and entry.cardinality == 20
@@ -79,7 +79,7 @@ class TestHarvest:
         ctx, signal = run_to_signal(plan, cat)
         assert not signal.complete
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, PopConfig())
         entry = feedback.lookup(plan.properties.signature)
         assert entry is not None and not entry.exact
         assert entry.cardinality == 11
@@ -89,19 +89,19 @@ class TestHarvest:
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), cat, PopConfig(reuse_policy="never")
+            ctx, signal, CardinalityFeedback(), PopConfig(reuse_policy="never")
         )
         assert names == []
-        assert cat.temp_mvs() == []
+        assert list(ctx.temp_mvs) == []
 
     def test_duplicate_signatures_not_registered_twice(self):
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
-        harvest_execution_state(ctx, signal, CardinalityFeedback(), cat, PopConfig())
+        harvest_execution_state(ctx, signal, CardinalityFeedback(), PopConfig())
         # Harvest again (as a second reopt round would).
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), cat, PopConfig()
+            ctx, signal, CardinalityFeedback(), PopConfig()
         )
         assert names == []
-        assert len(cat.temp_mvs()) == 1
+        assert len(ctx.temp_mvs) == 1

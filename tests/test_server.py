@@ -9,6 +9,8 @@ are deterministic rather than workload-sized.
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from io import StringIO
@@ -175,6 +177,54 @@ class TestSessionLifecycle:
                 # a's repeated statement hit only a's cache
                 assert caches[a.session_id].stats.hits >= 1
                 assert caches[b.session_id].stats.hits == 0
+
+    def test_concurrent_sessions_share_no_statement_state(self, star_db):
+        """Two sessions loop the same marker statement with different binds
+        on two workers.  Each execution re-optimizes and promotes temp MVs
+        that match on marker names, not values — so every response being
+        oracle-identical means no session ever scanned (or dropped) the
+        other's intermediate results or optimized under its options."""
+        sql = (
+            "SELECT c.c_nation, COUNT(*) FROM cust c, orders o "
+            "WHERE o.o_custkey = c.c_id AND c.c_segment = ? "
+            "GROUP BY c.c_nation"
+        )
+        binds = ("COMMON", "RARE")
+        oracle = {
+            v: sorted(star_db.execute_without_pop(sql, params={"p1": v}).rows)
+            for v in binds
+        }
+        problems = []
+
+        def session(value, host, port):
+            try:
+                with ReproClient(host, port) as cli:
+                    for i in range(20):
+                        resp = cli.execute(sql, params={"p1": value})
+                        rows = sorted(tuple(r) for r in resp.get("rows", []))
+                        if not resp["ok"] or rows != oracle[value]:
+                            problems.append((value, i, len(rows), resp.get("error")))
+            except Exception as exc:  # surfaced by the assert below
+                problems.append((value, repr(exc)))
+
+        # Switch threads far more often than the default 5 ms, so the two
+        # workers really interleave inside each other's re-optimization.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve(star_db, workers=2) as (_server, host, port):
+                threads = [
+                    threading.Thread(target=session, args=(v, host, port))
+                    for v in binds
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert problems == []
 
     def test_session_limit_sheds_classified(self, dmv_db):
         with serve(dmv_db, max_sessions=1) as (_server, host, port):
