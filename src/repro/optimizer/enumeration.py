@@ -7,19 +7,23 @@ enabled join methods, plus MV-scan candidates when a temporary materialized
 view from a previous partial execution matches the subset (paper §2.3: reuse
 is a cost-based *choice*, never forced).
 
-Validity-range narrowing (paper §2.2) is woven into pruning: whenever two
-*structurally equivalent* candidates — same pair of input-edge row sets,
-commutations included — are compared, the cheaper one's per-edge validity
-ranges are narrowed with the Fig. 5 sensitivity probe against the loser's
-cost function.  Join-order changes never narrow ranges, exactly as the paper
-prescribes (the conservatism that avoids guessing unobservable
-correlations).
+Validity-range narrowing (paper §2.2) is recorded at pruning and evaluated
+for the chosen plan: whenever a kept candidate is compared with a not-cheaper
+*structurally equivalent* one — same pair of input-edge row sets,
+commutations included — pruning notes the loser's cost function on the
+winner, and once the DP has picked the final plan the Fig. 5 sensitivity
+probe narrows the per-edge validity ranges of exactly the join operators in
+it.  Narrowing depends only on the winner, its alternatives and the subset
+estimates, so the ranges are the ones narrowing inside the prune loop would
+give; the probes for sub-plans nobody returns are never run.  Join-order
+changes never narrow ranges, exactly as the paper prescribes (the
+conservatism that avoids guessing unobservable correlations).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.common.errors import OptimizerError
@@ -92,7 +96,9 @@ class OptimizerOptions:
 class Candidate:
     """One physical alternative for a table subset during DP."""
 
-    plan: PlanOp
+    #: The operator tree.  A join candidate's is made by ``build`` when
+    #: pruning keeps it; candidates pruning drops never have one.
+    plan: Optional[PlanOp]
     cost: float
     order: tuple
     #: Identity of the two input edges as (outer tables, inner tables);
@@ -100,6 +106,23 @@ class Candidate:
     edge_subsets: Optional[tuple] = None
     #: Total cost as a function of (outer_card, inner_card); None for leaves.
     cost_fn: Optional[Callable[[float, float], float]] = None
+    #: The kept candidates this join reads (outer first); empty for leaves.
+    inputs: tuple = ()
+    build: Optional[Callable[[], PlanOp]] = None
+    #: Filled by pruning when this candidate is kept: ``(cost_fn, commuted)``
+    #: of every not-cheaper structurally equivalent candidate, ``commuted``
+    #: when that one takes the two edges in the opposite argument order.
+    alternatives: list = field(default_factory=list)
+
+
+def _along_edge(
+    cost_fn: Callable[[float, float], float], position: int, other_card: float
+) -> Callable[[float], float]:
+    """``cost_fn`` as a function of the cardinality in argument ``position``
+    alone, the other edge held at ``other_card``."""
+    if position == 0:
+        return lambda c: cost_fn(c, other_card)
+    return lambda c: cost_fn(other_card, c)
 
 
 def order_satisfies(provided: tuple, required: tuple) -> bool:
@@ -265,13 +288,22 @@ class PlanEnumerator:
 
     # ================================================================= joins
 
-    def _join_properties(self, subset: frozenset) -> PlanProperties:
-        return PlanProperties(
+    def _join_shape(
+        self, left: Candidate, inner_layout: RowLayout, subset: frozenset
+    ) -> tuple[PlanProperties, RowLayout]:
+        """Output properties and row layout of a join over ``subset``.
+
+        Hash/nested-loop joins stream the outer (build/materialize the
+        inner), so they deliver rows in the outer's order.
+        """
+        props = PlanProperties(
             tables=subset,
             predicates=predicate_set_id(
                 self.estimator.predicates_for_subset(subset)
             ),
+            order=left.plan.properties.order,
         )
+        return props, left.plan.layout.concat(inner_layout)
 
     def _join_candidates(
         self,
@@ -281,7 +313,11 @@ class PlanEnumerator:
         right_tables: frozenset,
         subset: frozenset,
     ) -> list[Candidate]:
-        """All join methods for ``left JOIN right`` (left is the outer)."""
+        """All join methods for ``left JOIN right`` (left is the outer).
+
+        A candidate carries its cost and a ``build`` recipe; the operator
+        tree is only made for the candidates pruning keeps.
+        """
         cm = self.cost_model
         preds = self.graph.predicates_between(left_tables, right_tables)
         card_l = left.plan.est_card
@@ -290,24 +326,22 @@ class PlanEnumerator:
         # Effective join selectivity: keeps out(cl, cr) consistent with the
         # subset estimate at the current operating point.
         sel_eff = card_out / max(1e-9, card_l * card_r)
-        # Hash/nested-loop joins stream the outer (build/materialize the
-        # inner), so they deliver rows in the outer's order.
-        props = self._join_properties(subset).with_order(
-            left.plan.properties.order
-        )
-        layout = left.plan.layout.concat(right.plan.layout)
         edge_subsets = (left_tables, right_tables)
+        inputs = (left, right)
         base_cost = left.cost + right.cost
         out: list[Candidate] = []
 
         # ---------------------------------------------------------- hash join
         if self.options.enable_hash_join and preds:
             penalty = self._hash_penalty
-            local = cm.hash_join_cost(card_l, card_r, card_out) * penalty
-            plan = HashJoin(
-                left.plan, right.plan, preds, props, layout,
-                est_card=card_out, est_cost=base_cost + local,
-            )
+            total = base_cost + cm.hash_join_cost(card_l, card_r, card_out) * penalty
+
+            def build_hsjn(_total=total) -> PlanOp:
+                props, layout = self._join_shape(left, right.plan.layout, subset)
+                return HashJoin(
+                    left.plan, right.plan, preds, props, layout,
+                    est_card=card_out, est_cost=_total,
+                )
 
             def hsjn_cost(
                 cl: float, cr: float, _base=base_cost, _sel=sel_eff, _pen=penalty
@@ -315,7 +349,9 @@ class PlanEnumerator:
                 return _base + cm.hash_join_cost(cl, cr, cl * cr * _sel) * _pen
 
             out.append(
-                Candidate(plan, base_cost + local, left.order, edge_subsets, hsjn_cost)
+                Candidate(
+                    None, total, left.order, edge_subsets, hsjn_cost, inputs, build_hsjn
+                )
             )
             self.plans_enumerated += 1
 
@@ -327,23 +363,28 @@ class PlanEnumerator:
                           for p in preds)
             sort_l = not order_satisfies(left.order, key_l)
             sort_r = not order_satisfies(right.order, key_r)
-            local = cm.merge_join_cost(card_l, card_r, card_out, sort_l, sort_r)
-            outer_plan = left.plan
-            inner_plan = right.plan
-            if sort_l:
-                outer_plan = Sort(
-                    left.plan, key_l, left.plan.properties.with_order(key_l),
-                    est_cost=left.cost + cm.sort_cost(card_l),
-                )
-            if sort_r:
-                inner_plan = Sort(
-                    right.plan, key_r, right.plan.properties.with_order(key_r),
-                    est_cost=right.cost + cm.sort_cost(card_r),
-                )
-            plan = MergeJoin(
-                outer_plan, inner_plan, preds, props.with_order(key_l), layout,
-                est_card=card_out, est_cost=base_cost + local,
+            total = base_cost + cm.merge_join_cost(
+                card_l, card_r, card_out, sort_l, sort_r
             )
+
+            def build_msjn(_total=total) -> PlanOp:
+                outer_plan = left.plan
+                inner_plan = right.plan
+                if sort_l:
+                    outer_plan = Sort(
+                        left.plan, key_l, left.plan.properties.with_order(key_l),
+                        est_cost=left.cost + cm.sort_cost(card_l),
+                    )
+                if sort_r:
+                    inner_plan = Sort(
+                        right.plan, key_r, right.plan.properties.with_order(key_r),
+                        est_cost=right.cost + cm.sort_cost(card_r),
+                    )
+                props, layout = self._join_shape(left, right.plan.layout, subset)
+                return MergeJoin(
+                    outer_plan, inner_plan, preds, props.with_order(key_l), layout,
+                    est_card=card_out, est_cost=_total,
+                )
 
             def msjn_cost(
                 cl: float, cr: float,
@@ -352,33 +393,37 @@ class PlanEnumerator:
                 return _base + cm.merge_join_cost(cl, cr, cl * cr * _sel, _sl, _sr)
 
             out.append(
-                Candidate(plan, base_cost + local, key_l, edge_subsets, msjn_cost)
+                Candidate(
+                    None, total, key_l, edge_subsets, msjn_cost, inputs, build_msjn
+                )
             )
             self.plans_enumerated += 1
 
         # -------------------------------------------------- rescan nested loop
-        if self.options.enable_rescan_nljn:
-            all_preds = preds  # applied as join filters; empty = cross product
-            if all_preds or self._allow_cross:
-                local = cm.nljn_rescan_cost(card_l, card_r, card_out)
+        # ``preds`` are applied as join filters; empty = cross product.
+        if self.options.enable_rescan_nljn and (preds or self._allow_cross):
+            total = base_cost + cm.nljn_rescan_cost(card_l, card_r, card_out)
+
+            def build_rescan(_total=total) -> PlanOp:
                 temp = Temp(right.plan, est_cost=right.cost + cm.temp_cost(card_r))
-                plan = NLJoin(
-                    left.plan, temp, all_preds, props, layout,
-                    est_card=card_out, est_cost=base_cost + local,
-                    method="rescan",
+                props, layout = self._join_shape(left, right.plan.layout, subset)
+                return NLJoin(
+                    left.plan, temp, preds, props, layout,
+                    est_card=card_out, est_cost=_total, method="rescan",
                 )
 
-                def rescan_cost(
-                    cl: float, cr: float, _base=base_cost, _sel=sel_eff
-                ) -> float:
-                    return _base + cm.nljn_rescan_cost(cl, cr, cl * cr * _sel)
+            def rescan_cost(
+                cl: float, cr: float, _base=base_cost, _sel=sel_eff
+            ) -> float:
+                return _base + cm.nljn_rescan_cost(cl, cr, cl * cr * _sel)
 
-                out.append(
-                    Candidate(
-                        plan, base_cost + local, left.order, edge_subsets, rescan_cost
-                    )
+            out.append(
+                Candidate(
+                    None, total, left.order, edge_subsets, rescan_cost, inputs,
+                    build_rescan,
                 )
-                self.plans_enumerated += 1
+            )
+            self.plans_enumerated += 1
 
         return out
 
@@ -418,28 +463,29 @@ class PlanEnumerator:
                 continue
             ndv = stats.ndv(inner_col.column) if stats is not None else None
             fetched_per_probe = base_rows / float(ndv) if ndv else 1.0
-            residual_joins = [p for p in preds if p is not pred]
             probe_cost = cm.index_probe_cost(fetched_per_probe, inner_pages)
             inner_total_cost = card_l * probe_cost
-            props = self._join_properties(subset).with_order(
-                left.plan.properties.order
-            )
-            layout = left.plan.layout.concat(self._table_layout(inner_alias))
-            inner_props = self._leaf_properties(inner_alias)
-            inner_plan = IndexScan(
-                inner_alias, inner_table_name, index.name,
-                sarg=None, filters=list(local_preds),
-                properties=inner_props,
-                layout=self._table_layout(inner_alias),
-                est_card=card_out, est_cost=inner_total_cost,
-                correlation=pred.other_side(inner_alias),
-            )
             emit_cost = card_out * cm.params.cpu_emit
             total = left.cost + inner_total_cost + emit_cost
-            plan = NLJoin(
-                left.plan, inner_plan, [pred] + residual_joins, props, layout,
-                est_card=card_out, est_cost=total, method="index",
-            )
+
+            def build_nljn(
+                _pred=pred, _index=index, _inner_cost=inner_total_cost, _total=total
+            ) -> PlanOp:
+                inner_layout = self._table_layout(inner_alias)
+                inner_plan = IndexScan(
+                    inner_alias, inner_table_name, _index.name,
+                    sarg=None, filters=list(local_preds),
+                    properties=self._leaf_properties(inner_alias),
+                    layout=inner_layout,
+                    est_card=card_out, est_cost=_inner_cost,
+                    correlation=_pred.other_side(inner_alias),
+                )
+                props, layout = self._join_shape(left, inner_layout, subset)
+                return NLJoin(
+                    left.plan, inner_plan,
+                    [_pred] + [p for p in preds if p is not _pred], props, layout,
+                    est_card=card_out, est_cost=_total, method="index",
+                )
 
             def nljn_cost(
                 cl: float, cr: float,
@@ -453,8 +499,8 @@ class PlanEnumerator:
 
             out.append(
                 Candidate(
-                    plan, total, left.order, (left_tables, frozenset({inner_alias})),
-                    nljn_cost,
+                    None, total, left.order, (left_tables, frozenset({inner_alias})),
+                    nljn_cost, (left,), build_nljn,
                 )
             )
             self.plans_enumerated += 1
@@ -463,12 +509,15 @@ class PlanEnumerator:
     # =============================================================== pruning
 
     def _keep_best(self, candidates: list[Candidate], subset: frozenset) -> list[Candidate]:
-        """Dominance-prune a subset's candidates and narrow validity ranges.
+        """Dominance-prune a subset's candidates and record what narrowing
+        the kept ones' validity ranges will need.
 
         A candidate is kept when no cheaper candidate provides (a prefix of)
-        its output order.  For every kept *join* candidate, its per-edge
-        validity ranges are narrowed against each more expensive structurally
-        equivalent alternative (same pair of input-edge subsets).
+        its output order.  Every kept *join* candidate remembers the cost
+        function of each more expensive structurally equivalent alternative
+        (same pair of input-edge subsets) — not the alternative's plan tree,
+        which is dropped here; :meth:`_narrow_against` reads them if the
+        candidate ends up in the returned plan.
         """
         if not candidates:
             return []
@@ -483,53 +532,47 @@ class PlanEnumerator:
             kept.append(cand)
             if len(kept) >= self.options.max_plans_per_subset:
                 break
+        for cand in kept:
+            if cand.plan is None:
+                cand.plan = cand.build()  # type: ignore[misc]
 
         if self.options.compute_validity_ranges:
             for winner in kept:
                 if winner.cost_fn is None or winner.edge_subsets is None:
                     continue
+                edges = winner.edge_subsets
+                # Same pair of input edges, either way round: structurally
+                # equivalent.  Any other pair is a join-order change.
+                equivalent = (edges, edges[::-1])
                 for alt in candidates:
-                    if alt is winner or alt.cost_fn is None:
+                    if alt is winner or alt.cost_fn is None or alt.cost < winner.cost:
                         continue
-                    if alt.cost < winner.cost:
-                        continue
-                    self._narrow_against(winner, alt)
+                    if alt.edge_subsets in equivalent:
+                        winner.alternatives.append(
+                            (alt.cost_fn, alt.edge_subsets != edges)
+                        )
         return kept
 
-    def _narrow_against(self, winner: Candidate, alt: Candidate) -> None:
-        """Narrow ``winner``'s edge validity ranges using pruned ``alt``."""
-        w_edges = winner.edge_subsets
-        a_edges = alt.edge_subsets
-        if w_edges is None or a_edges is None:
+    def _narrow_against(self, winner: Candidate) -> None:
+        """Narrow ``winner``'s edge validity ranges with the Fig. 5 probe
+        against each alternative pruning recorded for it."""
+        if not winner.alternatives:
             return
-        if set(w_edges) != set(a_edges):
-            return  # different input edges: not structurally equivalent
-        est = tuple(self.estimator.subset_cardinality(e) for e in w_edges)
-        for i, edge in enumerate(w_edges):
-            # Map this edge onto the alternative's argument position.
-            a_pos = a_edges.index(edge)
-
-            def cost_opt(c: float, _i=i) -> float:
-                cards = list(est)
-                cards[_i] = c
-                return winner.cost_fn(*cards)  # type: ignore[misc]
-
-            def cost_alt(c: float, _i=i, _a=a_pos) -> float:
-                cards = list(est)
-                cards[_i] = c
-                a_cards = [0.0, 0.0]
-                a_cards[_a] = cards[_i]
-                a_cards[1 - _a] = cards[1 - _i]
-                return alt.cost_fn(*a_cards)  # type: ignore[misc]
-
-            self.newton_iterations += narrow_validity_range(
-                winner.plan.validity_ranges[i],
-                est[i],
-                cost_opt,
-                cost_alt,
-                max_iterations=self.options.validity_iterations,
-                commit_without_inversion=self.options.commit_without_inversion,
-            )
+        est_l, est_r = (
+            self.estimator.subset_cardinality(e) for e in winner.edge_subsets
+        )
+        for i, (est, other) in enumerate(((est_l, est_r), (est_r, est_l))):
+            cost_opt = _along_edge(winner.cost_fn, i, other)
+            for alt_fn, commuted in winner.alternatives:
+                self.newton_iterations += narrow_validity_range(
+                    winner.plan.validity_ranges[i],
+                    est,
+                    cost_opt,
+                    # A commuted alternative takes this edge in the other slot.
+                    _along_edge(alt_fn, 1 - i if commuted else i, other),
+                    max_iterations=self.options.validity_iterations,
+                    commit_without_inversion=self.options.commit_without_inversion,
+                )
 
     # ============================================================== main DP
 
@@ -604,6 +647,13 @@ class PlanEnumerator:
 
         full = frozenset(aliases)
         best = min(table[full], key=lambda c: c.cost)
+        # Sensitivity analysis only for the plan that survives: the joins
+        # reachable from ``best`` are exactly the joins of the returned plan.
+        chosen = [best]
+        while chosen:
+            cand = chosen.pop()
+            self._narrow_against(cand)
+            chosen.extend(cand.inputs)
         return self._finalize(best)
 
     # ============================================================ finalization

@@ -72,19 +72,24 @@ def _probe(
     iterations = 0
     converging = False
 
-    # Loop invariant entering each iteration: cost_opt(card) < cost_alt(card).
-    if cost_opt(card) >= cost_alt(card):
+    # Each cost function is evaluated once per probe point: ``opt``/``alt``
+    # always hold the two costs at ``card``.
+    # Loop invariant entering each iteration: opt < alt.
+    opt, alt = cost_opt(card), cost_alt(card)
+    if opt >= alt:
         # The "optimal" plan is not cheaper at the estimate itself; the caller
         # only prunes when it is, so nothing to do (guards degenerate ties).
         return SensitivityResult(None, False, 0)
 
     while iterations < max_iterations:
         iterations += 1
-        curr_diff = cost_alt(card) - cost_opt(card)  # (a) — positive
+        curr_diff = alt - opt  # (a) — positive
         card *= step  # (b) need another point for the gradient
         if card <= 0 or not math.isfinite(card):
             break
-        new_diff = cost_alt(card) - cost_opt(card)  # (c)
+        stepped = card
+        opt, alt = cost_opt(card), cost_alt(card)
+        new_diff = alt - opt  # (c)
         if new_diff < 0:
             # (d) cost inversion: the alternative is now cheaper — a genuine
             # crossover lies at or before this probe point.
@@ -108,7 +113,9 @@ def _probe(
             break
         # (g) remember the most advanced probe point as the candidate bound.
         bound = card
-        if cost_opt(card) >= cost_alt(card):
+        if card != stepped:
+            opt, alt = cost_opt(card), cost_alt(card)
+        if opt >= alt:
             # Inversion (or tie) discovered after the extrapolation step.
             return SensitivityResult(bound, True, iterations, converging=True)
 

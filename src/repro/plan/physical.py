@@ -3,7 +3,7 @@
 The optimizer produces a tree of :class:`PlanOp` nodes annotated with
 estimated cardinalities, estimated (cumulative) costs, output layouts, and —
 on join operators — per-input-edge :class:`ValidityRange` objects computed
-during pruning.  The executor (:mod:`repro.executor`) interprets the tree;
+from the alternatives pruning discarded.  The executor (:mod:`repro.executor`) interprets the tree;
 POP's placement pass (:mod:`repro.core.placement`) rewrites it by inserting
 CHECK operators.
 
@@ -45,7 +45,8 @@ class PlanOp:
         self.layout = layout
         self.est_card = float(est_card)
         self.est_cost = float(est_cost)
-        #: One validity range per input edge, narrowed during pruning.
+        #: One validity range per input edge, narrowed by the optimizer once
+        #: the operator is part of the chosen plan.
         self.validity_ranges = [ValidityRange() for _ in self.children]
         #: Stable preorder number, assigned by :func:`number_plan`.
         self.op_id: Optional[int] = None

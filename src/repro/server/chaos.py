@@ -58,6 +58,7 @@ from repro.common.chaosutil import (
 from repro.core.config import MemoryPolicy, PopConfig
 from repro.server.client import ReproClient
 from repro.server.server import ReproServer, ServerConfig
+from repro.storage.spill import SpillManager
 
 #: Full-table sorts and joins whose working sets cannot fit a squeezed
 #: grant — every scenario that needs pressure runs at least one of these.
@@ -76,8 +77,9 @@ HEAVY_QUERIES = [
      "ORDER BY i.i_premium, i.i_id"),
 ]
 
-#: Three-way join + sort: long enough on any machine that a kill sent a
-#: few hundredths of a second after submission lands mid-execution.
+#: Three-way join + sort that must spill under the killspill budget.  How
+#: long it runs does not matter: :func:`run_killspill` holds it at its first
+#: spill file until the kill has been acknowledged.
 KILL_QUERY = (
     "kill_join3",
     "SELECT o.o_name, c.c_model, g.g_id "
@@ -484,15 +486,33 @@ def run_killspill(seed: int) -> ScenarioOutcome:
         idle_timeout_seconds=120.0,
     )
     problems: list = []
+    # The kill lands mid-spill by construction, not by timing: the victim is
+    # held where it creates its first spill file until the kill is
+    # acknowledged, then let go to run into its next cancellation poll.
+    spilling, kill_acked = threading.Event(), threading.Event()
+    hold_seconds = 60.0  # bounds each wait, so a broken scenario cannot hang
+    create = SpillManager.create
+
+    def held_create(manager, category, label=None):
+        if not spilling.is_set():
+            spilling.set()
+            kill_acked.wait(hold_seconds)
+        return create(manager, category, label)
+
+    SpillManager.create = held_create
     victim = h.client()
     killer = h.client()
     name, sql = KILL_QUERY
     try:
         victim.send_frame({"op": "execute", "sql": sql, "id": "victim"})
-        threading.Event().wait(0.05)  # let the spilling build phase start
+        if not spilling.wait(hold_seconds):
+            problems.append(
+                f"victim statement {name} never spilled — scenario did not bite"
+            )
         resp = killer.kill(victim.session_id)
-        if resp is None or not resp.get("ok"):
-            problems.append(f"kill op failed: {resp}")
+        if resp is None or not resp.get("ok") or not resp.get("was_running"):
+            problems.append(f"kill op failed or found nothing in flight: {resp}")
+        kill_acked.set()
         answer = victim.recv()
         if answer is None:
             problems.append(
@@ -500,8 +520,8 @@ def run_killspill(seed: int) -> ScenarioOutcome:
             )
         elif answer.get("ok"):
             problems.append(
-                f"victim statement {name} completed before the kill landed "
-                "— scenario did not bite"
+                f"victim statement {name} completed although it was killed "
+                "mid-spill — cancellation was not observed"
             )
         elif answer.get("error_class") != "cancelled":
             problems.append(
@@ -519,6 +539,9 @@ def run_killspill(seed: int) -> ScenarioOutcome:
         killer.close()
     except OSError as exc:
         problems.append(f"socket error during killspill: {exc}")
+    finally:
+        kill_acked.set()
+        SpillManager.create = create
     kills = h.server.metrics.total("server.kills")
     if kills < 1:
         problems.append("kill op not counted in server.kills")

@@ -13,6 +13,15 @@ stamps), the metrics counter snapshot and ``meter.by_category()``.  Wall
 times are left out; floats must agree to rel 1e-9, everything else exactly.
 The file is never regenerated: a mismatch is a driver regression.
 
+One key is compared as a bound and not exactly:
+``counters["optimizer.newton_iterations"]``.  Since validity-range narrowing
+moved out of the DP prune loop, the Fig. 5 probe runs only for the joins of
+the returned plan, so the optimizer spends fewer iterations for the same
+plans and the same ranges (e.g. ``single_attempt`` 145 → 77); the frozen
+count is the eager optimizer's and is an upper bound now: ``0 < got ≤
+frozen``, and 0 where it was 0.  Plans, ranges, CHECK decisions, work units
+and every other counter are still exact.
+
 Each scenario builds its own database, so temp-MV names and learned state
 cannot depend on test order.
 
@@ -237,7 +246,9 @@ def record() -> None:
 
 
 def assert_same(got, want, path: str) -> None:
-    if isinstance(want, float) or isinstance(got, float):
+    if path.endswith(".counters.optimizer.newton_iterations"):
+        assert (got == want == 0) or 0 < got <= want, path
+    elif isinstance(want, float) or isinstance(got, float):
         assert got == pytest.approx(want, rel=1e-9), path
     elif isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), path

@@ -107,7 +107,7 @@ class TestEndToEndGuarantee:
         *different* set of input edges (a join-order change) must not narrow
         validity ranges — only structurally equivalent plans (same edges,
         commutations included) may."""
-        from repro.optimizer.enumeration import Candidate, PlanEnumerator
+        from repro.optimizer.enumeration import Candidate
 
         winner = Candidate(
             plan=_dummy_join(),
@@ -124,12 +124,13 @@ class TestEndToEndGuarantee:
             edge_subsets=(frozenset({"a", "b"}), frozenset({"c"})),
             cost_fn=lambda cl, cr: 0.0,  # would narrow instantly if compared
         )
-        PlanEnumerator._narrow_against(_FakeEnumerator(), winner, alt)
+        _prune_then_narrow(winner, alt)
+        assert winner.alternatives == []
         assert all(r.is_trivial for r in winner.plan.validity_ranges)
 
     def test_commuted_edge_sets_do_narrow(self):
         """Commutations share the edge set and therefore do narrow."""
-        from repro.optimizer.enumeration import Candidate, PlanEnumerator
+        from repro.optimizer.enumeration import Candidate
 
         winner = Candidate(
             plan=_dummy_join(),
@@ -145,12 +146,23 @@ class TestEndToEndGuarantee:
             edge_subsets=(frozenset({"b"}), frozenset({"a"})),  # commuted
             cost_fn=lambda cl, cr: 100.0 + cr * 0.1,
         )
-        PlanEnumerator._narrow_against(_FakeEnumerator(), winner, alt)
+        _prune_then_narrow(winner, alt)
         assert any(not r.is_trivial for r in winner.plan.validity_ranges)
 
 
+def _prune_then_narrow(winner, alt):
+    """Pruning records the structurally equivalent alternatives on the
+    winner; narrowing — run for the chosen plan only — reads them."""
+    from repro.optimizer.enumeration import PlanEnumerator
+
+    fake = _FakeEnumerator()
+    kept = PlanEnumerator._keep_best(fake, [winner, alt], frozenset({"a", "b"}))
+    assert kept == [winner]
+    PlanEnumerator._narrow_against(fake, winner)
+
+
 class _FakeEnumerator:
-    """Just enough of PlanEnumerator for _narrow_against."""
+    """Just enough of PlanEnumerator for _keep_best and _narrow_against."""
 
     newton_iterations = 0
 
@@ -164,6 +176,8 @@ class _FakeEnumerator:
     class _Options:
         validity_iterations = 3
         commit_without_inversion = True
+        compute_validity_ranges = True
+        max_plans_per_subset = 4
 
     options = _Options()
 

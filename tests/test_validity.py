@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -152,3 +153,74 @@ class TestConservativenessProperty:
         result = _probe(est, cost_opt, cost_alt, True, 6)
         if result.inversion_found:
             assert cost_alt(result.bound) <= cost_opt(result.bound) + 1e-6
+
+
+# ------------------------------------------------- frozen results, call counts
+
+
+def _step_alt(c: float) -> float:
+    return 10000.0 if c < 5000 else 0.2 * c
+
+
+def _bumpy(c: float) -> float:
+    return 500.0 + 40.0 * ((c // 7) % 3) - 0.05 * c
+
+
+#: name -> (est, cost_opt, cost_alt, upward, max_iterations)
+PROBE_CASES = {
+    "crossover_up": (10.0, linear(10, 1.0), linear(100, 0.1), True, 10),
+    "crossover_extrapolated_up": (10.0, linear(10, 1.0), linear(1e5, 0.5), True, 3),
+    "crossover_down": (1000.0, linear(100, 0.1), linear(10, 1.0), False, 10),
+    "divergence_up": (10.0, linear(0, 0.1), linear(5, 1.0), True, 3),
+    "near_flat_down": (100.0, linear(0, 0.5), linear(50, 0.5), False, 3),
+    "near_flat_up": (100.0, linear(0, 0.5), linear(50, 0.5), True, 6),
+    "flat_exact_up": (64.0, linear(0, 1.0), linear(32, 1.0), True, 3),
+    "step_up": (100.0, linear(0, 1.0), _step_alt, True, 6),
+    "non_monotone_up": (20.0, linear(0, 1.0), _bumpy, True, 6),
+    "non_monotone_down": (300.0, linear(0, 1.0), _bumpy, False, 6),
+    "capped_converging_up": (10.0, linear(0, 1.0), lambda c: 1e6 / c, True, 3),
+    "capped_converging_down": (1e5, lambda c: 1e6 / c, linear(0, 1.0), False, 3),
+    "not_cheaper": (10.0, linear(100, 1.0), linear(0, 0.1), True, 3),
+}
+
+#: (bound, inversion_found, iterations, converging) of the probe that
+#: re-evaluated both costs at every use of a point (commit b7b3e37).
+PROBE_FROZEN = {
+    "crossover_up": (109.99999999999937, True, 2, True),
+    "crossover_extrapolated_up": (199980.0, True, 1, True),
+    "crossover_down": (91.14844750185415, True, 6, True),
+    "divergence_up": (13310.000000000004, False, 3, False),
+    "near_flat_down": (1.1744508029092546e-13, False, 3, False),
+    "near_flat_up": (1.1332956618556986e+17, False, 6, False),
+    "flat_exact_up": (85.18400000000003, False, 3, False),
+    "step_up": (10000.000000000002, True, 1, True),
+    "non_monotone_up": (565.7142857142854, True, 4, True),
+    "non_monotone_down": (0.0001693421790161332, False, 6, False),
+    "capped_converging_up": (92.35758068957585, False, 3, True),
+    "capped_converging_down": (10827.481540049326, False, 3, True),
+    "not_cheaper": (None, False, 0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_probe_costs_each_function_once_per_point(name):
+    """Fig. 5 needs the estimate point plus two points per iteration (the
+    geometric step and the extrapolation): at most ``2·iterations + 1``
+    evaluations of each cost function per direction, same result as ever."""
+    est, cost_opt, cost_alt, upward, max_iterations = PROBE_CASES[name]
+    calls = {"opt": 0, "alt": 0}
+
+    def counted(which, fn):
+        def call(c):
+            calls[which] += 1
+            return fn(c)
+        return call
+
+    result = _probe(
+        est, counted("opt", cost_opt), counted("alt", cost_alt), upward, max_iterations
+    )
+    assert (
+        result.bound, result.inversion_found, result.iterations, result.converging
+    ) == PROBE_FROZEN[name]
+    assert result.iterations <= max_iterations
+    assert calls["opt"] == calls["alt"] <= 2 * result.iterations + 1
