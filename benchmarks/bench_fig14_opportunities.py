@@ -38,14 +38,12 @@ def classify(plan, event):
 
 
 def measure(tpch, flavors, lc_above_hash_build):
+    config = PopConfig(
+        flavors=flavors, dry_run=True, lc_above_hash_build=lc_above_hash_build
+    )
     rows = []
     for name in QUERIES:
-        outcome = run_once(
-            tpch,
-            TPCH_QUERIES[name],
-            pop=PopConfig(flavors=flavors, dry_run=True),
-            lc_above_hash_build=lc_above_hash_build,
-        )
+        outcome = run_once(tpch, TPCH_QUERIES[name], pop=config)
         total = outcome.units
         attempt = outcome.report.attempts[0]
         for event in attempt.checkpoint_events:

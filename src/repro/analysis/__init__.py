@@ -17,8 +17,8 @@ Two faces:
   :mod:`repro.common.locking` (``python -m repro.analysis --concurrency``).
 
 ``python -m repro.analysis`` runs both and exits non-zero on
-error-severity findings; the CLI's ``\\lint`` and the strict modes of the
-optimizer and :class:`~repro.core.driver.PopDriver` reuse the same rules.
+error-severity findings; the CLI's ``\\lint`` and the strict mode of
+:class:`~repro.core.driver.PopDriver` reuse the same rules.
 """
 
 from repro.analysis.findings import (

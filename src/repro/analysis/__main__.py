@@ -30,55 +30,21 @@ from repro.analysis.findings import (
 from repro.analysis.plan_lint import PLAN_RULES, LintContext, lint_plan
 
 
-def _workload_databases(which: str):
-    """(label, database, [(name, sql)]) triples for the requested workloads.
-
-    Uses the same tiny deterministic scales as the test suite, so the gate
-    stays fast enough for CI while exercising every query shape.
-    """
-    out = []
-    if which in ("tpch", "all"):
-        from repro.workloads.tpch.generator import make_tpch_db
-        from repro.workloads.tpch.queries import TPCH_QUERIES
-
-        out.append(
-            ("tpch", make_tpch_db(scale_factor=0.002, seed=42),
-             list(TPCH_QUERIES.items()))
-        )
-    if which in ("dmv", "all"):
-        from repro.workloads.dmv.generator import DmvScale, make_dmv_db
-        from repro.workloads.dmv.queries import dmv_queries
-
-        scale = DmvScale(
-            owners=1500, cars=2000, accidents=500, violations=700,
-            insurance=2000, dealers=120, inspections=1300, registrations=2000,
-        )
-        out.append(("dmv", make_dmv_db(scale=scale, seed=7), dmv_queries(7)))
-    return out
-
-
 def lint_workload_plans(which: str) -> list[Finding]:
-    """Optimize + place checkpoints for every workload query; lint each."""
+    """Plan every workload query as ``Database.execute`` would; lint each."""
     from repro.core.config import PopConfig
-    from repro.core.placement import place_checkpoints
+    from repro.workloads import small_workload_databases
 
     findings: list[Finding] = []
     config = PopConfig()
-    for label, db, queries in _workload_databases(which):
+    for label, db, queries in small_workload_databases(which):
         context = LintContext(
             catalog=db.catalog,
             cost_model=db.optimizer.cost_model,
             config=config,
         )
         for name, sql in queries:
-            query = db._to_query(sql)
-            opt = db.optimizer.optimize(query)
-            placement = place_checkpoints(
-                opt.plan,
-                config,
-                db.optimizer.cost_model,
-                is_spj=not (query.has_aggregates or query.distinct),
-            )
+            _opt, placement = db.plan(sql, pop=config)
             for finding in lint_plan(placement.plan, context):
                 finding.data.setdefault("query", f"{label}/{name}")
                 findings.append(finding)

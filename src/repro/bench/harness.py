@@ -2,26 +2,13 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.config import NO_POP, PopConfig
 from repro.core.database import Database
-from repro.core.driver import PopDriver, PopReport
+from repro.core.driver import PopReport
 from repro.plan.explain import join_order
-
-
-def _strict_analysis_requested() -> bool:
-    """True when ``REPRO_STRICT_ANALYSIS`` asks benchmarks to lint plans.
-
-    CI sets this on the benchmark smoke job so every plan a figure run
-    produces — initial and re-optimized — passes the plan-semantics linter
-    (:mod:`repro.analysis`) or fails the job.
-    """
-    return os.environ.get("REPRO_STRICT_ANALYSIS", "").lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 @dataclass
@@ -33,11 +20,6 @@ class RunOutcome:
     rows: int
     final_join_order: str
     report: PopReport
-    #: Metric snapshot taken right after the run (``None`` unless a
-    #: registry was passed to :func:`run_once`); gives benchmark tables
-    #: overhead/robustness columns (q-error histogram, work by category,
-    #: check evaluations) without bespoke plumbing.
-    metrics_snapshot: Optional[dict] = None
 
 
 def run_once(
@@ -45,42 +27,20 @@ def run_once(
     statement,
     params: Optional[dict[str, Any]] = None,
     pop: Optional[PopConfig] = None,
-    lc_above_hash_build: bool = False,
-    metrics=None,
-    tracer=None,
     profile: bool = False,
     progress=None,
 ) -> RunOutcome:
-    """Execute a statement and summarize the outcome.
-
-    ``metrics`` / ``tracer`` (see :mod:`repro.obs`) are optional; when a
-    registry is given, its post-run snapshot is attached to the outcome.
-    ``profile=True`` attaches the live per-operator profiler (results land
-    on the report's attempts); ``progress`` is a
-    :class:`repro.obs.ProgressEstimator`.  All default to off, leaving
-    measured work units untouched.
-    """
-    query = db._to_query(statement)
-    config = pop if pop is not None else PopConfig()
-    if _strict_analysis_requested() and not config.strict_analysis:
-        config = replace(config, strict_analysis=True)
-    driver = PopDriver(
-        db.optimizer,
-        config,
-        lc_above_hash_build=lc_above_hash_build,
-        tracer=tracer,
-        metrics=metrics,
-        profile=profile,
-        progress=progress,
+    """:meth:`Database.execute` (same keyword arguments) plus a summary."""
+    result = db.execute(
+        statement, params=params, pop=pop, profile=profile, progress=progress
     )
-    rows, report = driver.run(query, params=params)
+    report = result.report
     return RunOutcome(
         units=report.total_units,
         reoptimizations=report.reoptimizations,
-        rows=len(rows),
+        rows=len(result.rows),
         final_join_order=join_order(report.final_plan),
         report=report,
-        metrics_snapshot=metrics.snapshot() if metrics is not None else None,
     )
 
 

@@ -293,18 +293,9 @@ class Shell:
             for rule_id, doc in CONCURRENCY_RULES.items():
                 self.write(f"  {rule_id:25s} {doc}")
             return
-        from repro.core.placement import place_checkpoints
-
         sql = " ".join(args).rstrip(";")
         config = self._config()
-        query = self.db._to_query(sql)
-        opt = self.db.optimizer.optimize(query)
-        placement = place_checkpoints(
-            opt.plan,
-            config,
-            self.db.optimizer.cost_model,
-            is_spj=not (query.has_aggregates or query.distinct),
-        )
+        _opt, placement = self.db.plan(sql, pop=config)
         context = LintContext(
             catalog=self.db.catalog,
             cost_model=self.db.optimizer.cost_model,

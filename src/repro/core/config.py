@@ -43,6 +43,15 @@ def _default_batch_size() -> int:
     return check_batch_size(value, "REPRO_BATCH_SIZE")
 
 
+def _default_strict_analysis() -> bool:
+    """Strict analysis from the ``REPRO_STRICT_ANALYSIS`` environment
+    variable: on for exactly ``1``, ``true``, ``yes`` or ``on`` (any case),
+    off for everything else, unset included.  An env route for the same
+    reason ``REPRO_BATCH_SIZE`` is one."""
+    raw = os.environ.get("REPRO_STRICT_ANALYSIS", "").strip().lower()
+    return raw in ("1", "true", "yes", "on")
+
+
 @dataclass
 class ResiliencePolicy:
     """Knobs of the execution guard (:mod:`repro.resilience`).
@@ -124,9 +133,6 @@ class MemoryPolicy:
     max_queue_depth: int = 8
     #: Wall-clock cap on one statement's admission wait.
     queue_timeout_seconds: float = 30.0
-    #: Master switch for operator spilling; disabling it restores the
-    #: legacy raise-on-squeeze behavior while keeping admission control.
-    spill_enabled: bool = True
     #: Minimum per-operator working grant: a squeezed operator always
     #: keeps this many pages in memory and spills the rest.
     min_grant_pages: float = 8.0
@@ -171,8 +177,9 @@ class PopConfig:
     #: Only place a CHECK when its validity range was actually narrowed,
     #: i.e. an alternative plan exists above the checkpoint (§4).
     require_alternatives: bool = True
-    #: Cap on ECB's valve buffer.
-    ecb_buffer_cap: int = 100_000
+    #: Also place an LC on the build edge of hash joins (Figure 14 counts
+    #: these as their own category of re-optimization opportunity).
+    lc_above_hash_build: bool = False
     #: Intermediate-result reuse policy: "cost" (paper: optimizer decides),
     #: "never", or "always" (ablation modes).
     reuse_policy: str = "cost"
@@ -185,8 +192,6 @@ class PopConfig:
     #: Checkpoint op_ids that trigger even inside their range (Fig. 12's
     #: "dummy re-optimization"), applied to the first execution attempt.
     force_trigger_op_ids: frozenset = frozenset()
-    #: Propagate cardinality feedback between attempts (ablation switch).
-    use_feedback: bool = True
     #: Allow the validity-range-aware plan cache (:mod:`repro.cache`) to
     #: serve this statement, when the database has one enabled.  Ablation
     #: modes that change plan semantics disable caching regardless (see
@@ -202,8 +207,9 @@ class PopConfig:
     #: Strict analysis: run the plan-semantics linter (:mod:`repro.analysis`)
     #: on every plan the driver is about to execute — including re-optimized
     #: plans, where feedback consistency is also audited — and fail the
-    #: statement on error-severity findings.
-    strict_analysis: bool = False
+    #: statement on error-severity findings.  Defaults from the
+    #: ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
+    strict_analysis: bool = field(default_factory=_default_strict_analysis)
     #: Execution-guard policy (:mod:`repro.resilience`): retry/backoff for
     #: transient failures, work-unit deadline, circuit breaker, safe-plan
     #: fallback.  ``None`` disables the guard entirely (the default — no

@@ -29,6 +29,7 @@ from repro.core.config import NO_POP, MemoryPolicy, PopConfig
 from repro.core.driver import PopDriver, PopReport
 from repro.sql.parameterize import parameterize_sql
 from repro.core.learning import LearnedCardinalities
+from repro.core.placement import optimize_and_place
 from repro.executor.meter import WorkMeter
 from repro.optimizer.costmodel import DEFAULT_COST_PARAMS, CostParams
 from repro.optimizer.enumeration import OptimizerOptions
@@ -470,6 +471,24 @@ class Database:
         """The paper's baseline: static optimization, no checkpoints."""
         return self.execute(statement, params=params, pop=NO_POP, meter=meter)
 
+    def plan(
+        self,
+        statement: str | Query,
+        params: Optional[dict[str, Any]] = None,
+        pop: Optional[PopConfig] = None,
+    ):
+        """Plan ``statement`` as the first attempt of :meth:`execute` would,
+        without running it: ``(OptimizationResult, PlacementResult)``.
+
+        ``params`` is accepted for symmetry with :meth:`execute`; markers
+        are planned at default selectivities, as they are there.
+        """
+        query = self._to_query(statement)
+        config = pop if pop is not None else PopConfig()
+        if config.reopt_limit_for(query) < 1:
+            config = NO_POP  # execute's only round is then its last: no CHECKs
+        return optimize_and_place(self.optimizer, query, config)
+
     def explain(
         self,
         statement: str | Query,
@@ -477,15 +496,4 @@ class Database:
         pop: Optional[PopConfig] = None,
     ) -> str:
         """The plan (with checkpoints) the statement would run with."""
-        from repro.core.placement import place_checkpoints
-
-        query = self._to_query(statement)
-        config = pop if pop is not None else PopConfig()
-        opt = self.optimizer.optimize(query)
-        placement = place_checkpoints(
-            opt.plan,
-            config,
-            self.optimizer.cost_model,
-            is_spj=not (query.has_aggregates or query.distinct),
-        )
-        return explain_plan(placement.plan)
+        return explain_plan(self.plan(statement, params, pop)[1].plan)

@@ -33,7 +33,7 @@ from repro.common.errors import ExecutionError, ReproError, failure_class
 from repro.core.config import NO_POP, PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.core.intermediates import harvest_execution_state
-from repro.core.placement import place_checkpoints
+from repro.core.placement import optimize_and_place
 from repro.executor.base import (
     CheckpointEvent,
     ExecutionContext,
@@ -372,7 +372,6 @@ class PopDriver:
         self,
         optimizer: Optimizer,
         config: Optional[PopConfig] = None,
-        lc_above_hash_build: bool = False,
         tracer=None,
         metrics=None,
         profile: bool = False,
@@ -381,7 +380,6 @@ class PopDriver:
         self.optimizer = optimizer
         self.catalog = optimizer.catalog
         self.config = config if config is not None else PopConfig()
-        self.lc_above_hash_build = lc_above_hash_build
         #: Optional :class:`repro.obs.Tracer` — one span per statement,
         #: attempt, optimizer call, placement pass, and execution; events
         #: for CHECK evaluations, re-optimization signals, and harvests.
@@ -596,54 +594,19 @@ class PopDriver:
 
     def _optimize_and_place(self, sc: StatementContext, span) -> tuple[PlanOp, int]:
         """Optimize under everything learned so far, then place CHECKs."""
-        tracer, metrics = self.tracer, self.metrics
-        cost_model = self.optimizer.cost_model
-        opt_span = (
-            tracer.start_span("optimizer.optimize", parent=span)
-            if tracer is not None
-            else None
-        )
-        opt = self.optimizer.optimize(
+        _opt, placement = optimize_and_place(
+            self.optimizer,
             sc.query,
-            sc.feedback if sc.config.use_feedback else None,
+            sc.config if sc.can_reopt else NO_POP,
+            feedback=sc.feedback,
             selectivity=sc.peek,
             options=sc.options,
             temp_mvs=sc.temp_mvs,
+            meter=sc.meter,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            span=span,
         )
-        sc.meter.charge(
-            cost_model.reoptimization_cost(opt.plans_enumerated), "optimize"
-        )
-        if tracer is not None:
-            tracer.end_span(
-                opt_span,
-                plans_enumerated=opt.plans_enumerated,
-                newton_iterations=opt.newton_iterations,
-                est_cost=opt.plan.est_cost,
-            )
-        if metrics is not None:
-            metrics.inc("optimizer.invocations")
-            metrics.inc("optimizer.plans_enumerated", opt.plans_enumerated)
-            metrics.inc("optimizer.newton_iterations", opt.newton_iterations)
-
-        place_span = (
-            tracer.start_span("pop.place_checkpoints", parent=span)
-            if tracer is not None
-            else None
-        )
-        if sc.can_reopt:
-            placement = place_checkpoints(
-                opt.plan,
-                sc.config,
-                cost_model,
-                is_spj=not (sc.query.has_aggregates or sc.query.distinct),
-                lc_above_hash_build=self.lc_above_hash_build,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        else:
-            placement = place_checkpoints(opt.plan, NO_POP, cost_model)
-        if tracer is not None:
-            tracer.end_span(place_span, checkpoints=placement.count)
         return placement.plan, placement.count
 
     def _plan_safe(self, sc: StatementContext) -> PlanOp:
@@ -654,6 +617,8 @@ class PopDriver:
         loops whose worst case is quadratic) and ignores both the feedback
         and the temp MVs of the thrashing attempts.  The restriction is a
         copy of the statement's options: the shared ones are not touched.
+        No tracer or metrics are passed: the fallback's optimizer call is
+        not part of the ``optimizer.*`` spans and counters.
         """
         safe_options = replace(
             sc.options,
@@ -664,12 +629,11 @@ class PopDriver:
             consider_mvs=False,
             mv_cost_zero=False,
         )
-        cost_model = self.optimizer.cost_model
-        opt = self.optimizer.optimize(sc.query, None, options=safe_options)
-        sc.meter.charge(
-            cost_model.reoptimization_cost(opt.plans_enumerated), "optimize"
+        _opt, placement = optimize_and_place(
+            self.optimizer, sc.query, NO_POP,
+            options=safe_options, meter=sc.meter,
         )
-        return place_checkpoints(opt.plan, NO_POP, cost_model).plan
+        return placement.plan
 
     def _cache_lookup(self, sc: StatementContext, span):
         """Probe the plan cache; returns the hit LookupResult or None.
@@ -683,7 +647,7 @@ class PopDriver:
             sc.query,
             sc.statement.params,
             self.catalog,
-            feedback=sc.feedback if sc.config.use_feedback else None,
+            feedback=sc.feedback,
             base_selectivity=self.optimizer.selectivity,
         )
         sc.meter.charge(
@@ -731,16 +695,14 @@ class PopDriver:
         optimized without it.
         """
         attempt = sc.attempt
-        use_feedback = (
-            attempt > 0 and sc.config.use_feedback and not sc.fallback
-        )
+        reoptimized = attempt > 0 and not sc.fallback
         cached = planned.cached
         context = LintContext(
             catalog=self.catalog,
             temp_mvs=sc.temp_mvs,
             cost_model=self.optimizer.cost_model,
             config=sc.config,
-            feedback=sc.feedback if use_feedback else None,
+            feedback=sc.feedback if reoptimized else None,
             attempt=attempt,
             cached_fingerprint=(
                 cached.entry.fingerprint if cached is not None else None
@@ -969,7 +931,7 @@ class PopDriver:
             harvested = harvest_execution_state(
                 run.ctx, run.signal, sc.feedback, config
             )
-        elif config.use_feedback and not sc.fallback:
+        elif not sc.fallback:
             # Exact cardinalities only, no MV promotion: what a retry
             # re-plans with, and what cross-query learning absorbs (§7).
             harvest_execution_state(

@@ -3,8 +3,9 @@
 The placement post-pass runs over the optimizer's chosen plan and inserts
 CHECK operators according to the enabled flavors:
 
-* **LC** above every materialization point (SORT, TEMP; optionally the build
-  edge of hash joins, which Figure 14 tracks as its own category);
+* **LC** above every materialization point (SORT, TEMP; with
+  ``PopConfig.lc_above_hash_build`` also the build edge of hash joins, which
+  Figure 14 tracks as its own category);
 * **LCEM** — a TEMP/CHECK pair on the outer of every nested-loop join that
   has no materialized outer yet (the paper's heuristic: if the optimizer
   picked NLJN, it believes the outer is small, so materializing it is cheap
@@ -19,6 +20,10 @@ Guards from the paper: no checkpoints on cheap queries; a CHECK is placed
 only where an alternative plan exists above it — operationally, where the
 consumer's validity range for the edge was actually narrowed during pruning
 (``require_alternatives``); no CHECK above an exact-cardinality MV scan.
+
+:func:`optimize_and_place` is the one place a statement is planned —
+optimizer call, then this pass — for the driver's attempts and, through
+:meth:`repro.core.database.Database.plan`, for everything else.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ from repro.plan.physical import (
     number_plan,
 )
 from repro.plan.properties import ValidityRange
+
+#: Cap on an ECB valve's buffer, in rows.
+ECB_BUFFER_CAP = 100_000
 
 
 @dataclass
@@ -86,14 +94,12 @@ class CheckpointPlacer:
         config: PopConfig,
         cost_model: CostModel,
         is_spj: bool,
-        lc_above_hash_build: bool = False,
         tracer=None,
         metrics=None,
     ):
         self.config = config
         self.cost_model = cost_model
         self.is_spj = is_spj
-        self.lc_above_hash_build = lc_above_hash_build
         self.tracer = tracer
         self.metrics = metrics
         self.checkpoints: list[PlanOp] = []
@@ -161,7 +167,7 @@ class CheckpointPlacer:
 
         # --- hash-join build edge as an LC point (Fig. 14 category) ---------
         if (
-            self.lc_above_hash_build
+            config.lc_above_hash_build
             and LC in flavors
             and isinstance(consumer, HashJoin)
             and i == 1
@@ -176,9 +182,9 @@ class CheckpointPlacer:
             if rng is not None:
                 if ECB in flavors:
                     if rng.high != float("inf"):
-                        buf = int(min(config.ecb_buffer_cap, rng.high + 1))
+                        buf = int(min(ECB_BUFFER_CAP, rng.high + 1))
                     else:
-                        buf = int(min(config.ecb_buffer_cap, max(1.0, rng.low)))
+                        buf = int(min(ECB_BUFFER_CAP, max(1.0, rng.low)))
                     return self._add(BufCheck(child, rng, max(1, buf)))
                 if LCEM in flavors:
                     temp = Temp(
@@ -207,13 +213,75 @@ def place_checkpoints(
     config: PopConfig,
     cost_model: CostModel,
     is_spj: bool = True,
-    lc_above_hash_build: bool = False,
     tracer=None,
     metrics=None,
 ) -> PlacementResult:
     """Convenience wrapper around :class:`CheckpointPlacer`."""
     placer = CheckpointPlacer(
-        config, cost_model, is_spj, lc_above_hash_build,
-        tracer=tracer, metrics=metrics,
+        config, cost_model, is_spj, tracer=tracer, metrics=metrics
     )
     return placer.place(root)
+
+
+def optimize_and_place(
+    optimizer,
+    query,
+    config: PopConfig,
+    *,
+    meter=None,
+    tracer=None,
+    metrics=None,
+    span=None,
+    **optimize_args,
+):
+    """Plan ``query``: the optimizer's cheapest plan, then CHECK placement.
+
+    Returns ``(OptimizationResult, PlacementResult)``.  ``optimize_args``
+    (``feedback``, ``selectivity``, ``options``, ``temp_mvs``) go to
+    :meth:`repro.optimizer.optimizer.Optimizer.optimize` unchanged; a
+    disabled ``config`` (``NO_POP``) places nothing.
+
+    The rest is the driver's accounting, all off by default: ``meter`` is
+    charged the enumeration's re-optimization cost; ``tracer`` gets an
+    ``optimizer.optimize`` and a ``pop.place_checkpoints`` span under
+    ``span``; ``metrics`` the ``optimizer.*`` counters.
+    """
+    cost_model = optimizer.cost_model
+    opt_span = (
+        tracer.start_span("optimizer.optimize", parent=span)
+        if tracer is not None
+        else None
+    )
+    opt = optimizer.optimize(query, **optimize_args)
+    if meter is not None:
+        meter.charge(
+            cost_model.reoptimization_cost(opt.plans_enumerated), "optimize"
+        )
+    if tracer is not None:
+        tracer.end_span(
+            opt_span,
+            plans_enumerated=opt.plans_enumerated,
+            newton_iterations=opt.newton_iterations,
+            est_cost=opt.plan.est_cost,
+        )
+    if metrics is not None:
+        metrics.inc("optimizer.invocations")
+        metrics.inc("optimizer.plans_enumerated", opt.plans_enumerated)
+        metrics.inc("optimizer.newton_iterations", opt.newton_iterations)
+
+    place_span = (
+        tracer.start_span("pop.place_checkpoints", parent=span)
+        if tracer is not None
+        else None
+    )
+    placement = place_checkpoints(
+        opt.plan,
+        config,
+        cost_model,
+        is_spj=not (query.has_aggregates or query.distinct),
+        tracer=tracer,
+        metrics=metrics,
+    )
+    if tracer is not None:
+        tracer.end_span(place_span, checkpoints=placement.count)
+    return opt, placement

@@ -195,9 +195,8 @@ class ExecutionContext:
     @property
     def spill_enabled(self) -> bool:
         """Whether squeezed operators may degrade to disk instead of
-        raising (requires an attached :class:`MemoryPolicy` with
-        ``spill_enabled``)."""
-        return self.memory is not None and self.memory.spill_enabled
+        raising: whenever a :class:`MemoryPolicy` is attached."""
+        return self.memory is not None
 
     @property
     def spill(self):
@@ -258,10 +257,9 @@ class ExecutionContext:
         memory-pressure factor.  A squeezed grant degrades or dies
         depending on policy:
 
-        * spilling enabled — the grant is floored at the policy's
-          ``min_grant_pages`` and the operator spills the excess;
-        * spilling disabled (or no :class:`MemoryPolicy`) — a grant below
-          one page cannot make progress and raises
+        * with a :class:`MemoryPolicy` — the grant is floored at the
+          policy's ``min_grant_pages`` and the operator spills the excess;
+        * without one — a grant below one page cannot make progress and raises
           :class:`~repro.common.errors.ResourceExhausted` (transient,
           retryable) carrying the category, requested pages, and effective
           grant.

@@ -58,6 +58,12 @@ from repro.plan.physical import (
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog, TempMVRegistry
 
+#: ``join_enumeration="auto"`` enumerates bushy trees up to this many tables,
+#: left-deep ones beyond.
+AUTO_BUSHY_LIMIT = 8
+#: Interesting-order plans kept per table subset.
+MAX_PLANS_PER_SUBSET = 4
+
 
 @dataclass
 class OptimizerOptions:
@@ -82,14 +88,8 @@ class OptimizerOptions:
     #: fraction, steering the plan toward sort-merge — whose naturally
     #: materialized inputs give POP more lazy re-optimization opportunities.
     uncertainty_penalty: float = 0.0
-    #: "bushy", "leftdeep", or "auto" (bushy up to auto_bushy_limit tables).
+    #: "bushy", "leftdeep", or "auto" (bushy up to AUTO_BUSHY_LIMIT tables).
     join_enumeration: str = "auto"
-    auto_bushy_limit: int = 8
-    #: Keep at most this many interesting-order plans per subset.
-    max_plans_per_subset: int = 4
-    #: Strict analysis: lint every optimized plan (:mod:`repro.analysis`)
-    #: before returning it and raise on error-severity findings.
-    strict_analysis: bool = False
 
 
 @dataclass
@@ -530,7 +530,7 @@ class PlanEnumerator:
             ):
                 continue
             kept.append(cand)
-            if len(kept) >= self.options.max_plans_per_subset:
+            if len(kept) >= MAX_PLANS_PER_SUBSET:
                 break
         for cand in kept:
             if cand.plan is None:
@@ -581,7 +581,7 @@ class PlanEnumerator:
         n = len(self.query.tables)
         mode = self.options.join_enumeration
         if mode == "auto":
-            mode = "bushy" if n <= self.options.auto_bushy_limit else "leftdeep"
+            mode = "bushy" if n <= AUTO_BUSHY_LIMIT else "leftdeep"
         subset_set = frozenset(subset)
         parts: list[tuple[frozenset, frozenset]] = []
         if mode == "leftdeep":

@@ -89,20 +89,6 @@ class Optimizer:
         )
         plan = enumerator.run()
         number_plan(plan)
-        if options.strict_analysis:
-            # Imported here: repro.analysis.rules itself imports optimizer
-            # modules, so a module-level import would be cyclic.
-            from repro.analysis.plan_lint import LintContext, assert_plan_clean
-
-            assert_plan_clean(
-                plan,
-                LintContext(
-                    catalog=self.catalog,
-                    cost_model=self.cost_model,
-                    temp_mvs=temp_mvs,
-                ),
-                where="optimized plan",
-            )
         return OptimizationResult(
             plan=plan,
             plans_enumerated=enumerator.plans_enumerated,

@@ -22,7 +22,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,10 +32,9 @@ from repro.core.config import PopConfig, ResiliencePolicy
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.faults import ALL_KINDS, EXEC_KINDS, STATS, FaultPlan
+from repro.workloads import small_workload_databases
 
-__all__ = [  # canonical_rows / query_seed re-exported for compatibility
-    "canonical_rows",
-    "query_seed",
+__all__ = [
     "run_query_under_chaos",
     "QueryOutcome",
     "main",
@@ -67,29 +65,6 @@ class QueryOutcome:
     reoptimizations: int = 0
 
 
-def _workload_databases(which: str):
-    """(label, database, [(name, sql)]) triples, tiny deterministic scales."""
-    out = []
-    if which in ("tpch", "all"):
-        from repro.workloads.tpch.generator import make_tpch_db
-        from repro.workloads.tpch.queries import TPCH_QUERIES
-
-        out.append(
-            ("tpch", make_tpch_db(scale_factor=0.002, seed=42),
-             list(TPCH_QUERIES.items()))
-        )
-    if which in ("dmv", "all"):
-        from repro.workloads.dmv.generator import DmvScale, make_dmv_db
-        from repro.workloads.dmv.queries import dmv_queries
-
-        scale = DmvScale(
-            owners=1500, cars=2000, accidents=500, violations=700,
-            insurance=2000, dealers=120, inspections=1300, registrations=2000,
-        )
-        out.append(("dmv", make_dmv_db(scale=scale, seed=7), dmv_queries(7)))
-    return out
-
-
 def run_query_under_chaos(
     db,
     workload: str,
@@ -111,10 +86,7 @@ def run_query_under_chaos(
     tracer = Tracer()
     metrics = MetricsRegistry()
     meter = WorkMeter(track_categories=True)
-    config = PopConfig(
-        resilience=policy,
-        strict_analysis=_strict_analysis_requested(),
-    )
+    config = PopConfig(resilience=policy)
     problems: list[str] = []
     outcome = QueryOutcome(
         workload=workload, query=name, chaos_seed=chaos_seed,
@@ -165,10 +137,6 @@ def run_query_under_chaos(
         problems.append("retries occurred but no backoff units were charged")
     outcome.ok = not problems
     return outcome
-
-
-def _strict_analysis_requested() -> bool:
-    return os.environ.get("REPRO_STRICT_ANALYSIS", "").strip() not in ("", "0")
 
 
 def run_cache_stampede(
@@ -354,10 +322,7 @@ def run_memory_pressure(
         else queries[rng.randrange(len(queries))]
         for slot in range(threads * statements_per_thread)
     ]
-    config = PopConfig(
-        reuse_policy="never",
-        strict_analysis=_strict_analysis_requested(),
-    )
+    config = PopConfig(reuse_policy="never")
 
     # Single-query oracles and per-plan memory estimates, ungoverned.
     oracle: dict[str, list] = {}
@@ -475,7 +440,7 @@ def run_chaos(
                 run_memory_pressure(chaos_seed=chaos_seed, verbose=verbose)
             )
         return outcomes
-    for label, db, queries in _workload_databases(workload):
+    for label, db, queries in small_workload_databases(workload):
         if limit is not None:
             queries = queries[:limit]
         oracles = {}

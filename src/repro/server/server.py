@@ -47,6 +47,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cache import PlanCache, PlanCacheConfig
 from repro.common.errors import (
     CANCELLED,
     ExecutionCancelled,
@@ -80,6 +81,13 @@ def _close_socket(sock) -> None:
         pass
 
 
+#: Statement shapes held by each session's own validity-range-aware plan
+#: cache.
+SESSION_PLAN_CACHE_CAPACITY = 16
+#: ``listen()`` backlog of the accepting socket.
+ACCEPT_BACKLOG = 16
+
+
 @dataclass
 class ServerConfig:
     """Knobs of the server runtime."""
@@ -105,10 +113,6 @@ class ServerConfig:
     #: How long :meth:`ReproServer.shutdown` waits for in-flight
     #: statements before cancelling them.
     drain_timeout_seconds: float = 5.0
-    #: Give each session its own validity-range-aware plan cache.
-    session_plan_cache: bool = True
-    plan_cache_capacity: int = 16
-    accept_backlog: int = 16
 
 
 class ReproServer:
@@ -142,7 +146,7 @@ class ReproServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
-        listener.listen(self.config.accept_backlog)
+        listener.listen(ACCEPT_BACKLOG)
         self._listener = listener
         self.address = listener.getsockname()[:2]
         self._spawn("repro-accept", self._accept_loop)
@@ -203,13 +207,9 @@ class ReproServer:
         if self._draining.is_set():
             self._refuse(sock, ServerOverloaded("server is draining"))
             return
-        plan_cache = None
-        if self.config.session_plan_cache:
-            from repro.cache import PlanCache, PlanCacheConfig
-
-            plan_cache = PlanCache(
-                PlanCacheConfig(capacity=self.config.plan_cache_capacity)
-            )
+        plan_cache = PlanCache(
+            PlanCacheConfig(capacity=SESSION_PLAN_CACHE_CAPACITY)
+        )
         try:
             session = self.registry.register(
                 sock,
@@ -221,7 +221,7 @@ class ReproServer:
             self.metrics.inc("server.shed", kind="session")
             self._refuse(sock, exc)
             return
-        if plan_cache is not None and self.db.txn_manager is not None:
+        if self.db.txn_manager is not None:
             # Commit-coalesced invalidation for the per-session cache;
             # deregistered by the teardown funnel.
             self.db.txn_manager.add_invalidation_callback(
@@ -295,10 +295,9 @@ class ReproServer:
         manager = self.db.txn_manager
         if manager is None:
             return
-        if session.plan_cache is not None:
-            manager.remove_invalidation_callback(
-                session.plan_cache.invalidate_tables
-            )
+        manager.remove_invalidation_callback(
+            session.plan_cache.invalidate_tables
+        )
         txn = session.take_txn()
         if txn is None:
             return

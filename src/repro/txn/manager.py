@@ -12,10 +12,10 @@ visible to others only when the commit installs it and bumps the epoch.
 
 Commit protocol (first-committer-wins):
 
-1. encode the WAL record and admit its buffer against the memory
-   governor (*before* the epoch lock — admission may block on the
-   governor condition, and waiting while holding a policy lock is a
-   ``cc-wait-holding`` violation);
+1. with a memory governor enabled, encode the WAL record and admit its
+   buffer against the budget (*before* the epoch lock — admission may
+   block on the governor condition, and waiting while holding a policy
+   lock is a ``cc-wait-holding`` violation);
 2. under ``_epoch_lock``: validate (any write-set table committed past
    this transaction's begin epoch -> retryable
    :class:`~repro.common.errors.TransactionConflict`), append + fsync
@@ -326,14 +326,16 @@ class TransactionManager:
                 self.metrics.inc("txn.commits", **{"mode": "readonly"})
             return txn.begin_epoch
         writes = {name: list(rows) for name, rows in txn.write_set.items()}
-        # Size the WAL buffer off-epoch (the real record differs only in
-        # its epoch digits) and admit it before taking the epoch lock.
-        provisional = WalRecord(txn.txn_id, 0, writes).encode()
         reservation = None
         governor = (
             self._governor_source() if self._governor_source is not None else None
         )
         if governor is not None:
+            # Size the WAL buffer off-epoch (the real record differs only
+            # in its epoch digits) and admit it before taking the epoch
+            # lock.  Without a governor nobody asks for the size, and the
+            # record is encoded once, by ``append_commit``.
+            provisional = WalRecord(txn.txn_id, 0, writes).encode()
             pages = max(1.0, len(provisional) / PAGE_SIZE)
             reservation = governor.admit(pages, label=f"txn.wal #{txn.txn_id}")
         wal_bytes = 0

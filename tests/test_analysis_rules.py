@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro import Database, OptimizerOptions, PopConfig
+from repro import Database, PopConfig
 from repro.analysis import (
     ERROR,
     INFO,
@@ -39,7 +39,6 @@ from repro.analysis.plan_lint import ancestors, parent_map
 from repro.cli import Shell
 from repro.core.feedback import CardinalityFeedback
 from repro.core.flavors import ECB, ECDC, LC, LCEM
-from repro.core.placement import place_checkpoints
 from repro.expr.evaluate import RowLayout
 from repro.expr.expressions import ColumnRef
 from repro.expr.predicates import JoinPredicate
@@ -646,14 +645,11 @@ def _tiny_db():
 
 
 class TestStrictModes:
-    def test_optimizer_strict_mode_passes_on_sound_plans(self):
-        db = Database(
-            optimizer_options=OptimizerOptions(strict_analysis=True)
+    def test_driver_strict_mode_passes_on_sound_plans(self):
+        result = _tiny_db().execute(
+            "SELECT t.a FROM t WHERE t.s = 'x'",
+            pop=PopConfig(strict_analysis=True),
         )
-        db.create_table("t", [("a", "int"), ("s", "str")])
-        db.insert("t", [(1, "x"), (2, "y"), (3, "x")])
-        db.runstats()
-        result = db.execute("SELECT t.a FROM t WHERE t.s = 'x'")
         assert len(result) == 2
 
     def test_driver_strict_mode_matches_default_results(self):
@@ -675,17 +671,8 @@ class TestStrictModes:
         with pytest.raises(PlanLintError):
             db.execute("SELECT t.a FROM t", pop=PopConfig(strict_analysis=True))
         # Without strict mode the same corrupt estimate goes unnoticed.
-        assert len(db.execute("SELECT t.a FROM t")) == 3
-
-    def test_bench_env_toggle(self, monkeypatch):
-        from repro.bench.harness import _strict_analysis_requested
-
-        monkeypatch.delenv("REPRO_STRICT_ANALYSIS", raising=False)
-        assert not _strict_analysis_requested()
-        monkeypatch.setenv("REPRO_STRICT_ANALYSIS", "1")
-        assert _strict_analysis_requested()
-        monkeypatch.setenv("REPRO_STRICT_ANALYSIS", "0")
-        assert not _strict_analysis_requested()
+        lax = PopConfig(strict_analysis=False)
+        assert len(db.execute("SELECT t.a FROM t", pop=lax)) == 3
 
 
 class TestCliLint:
@@ -727,14 +714,7 @@ def _lint_workload(db, queries):
     )
     errors = []
     for name, sql in queries:
-        query = db._to_query(sql)
-        opt = db.optimizer.optimize(query)
-        placement = place_checkpoints(
-            opt.plan,
-            config,
-            db.optimizer.cost_model,
-            is_spj=not (query.has_aggregates or query.distinct),
-        )
+        _opt, placement = db.plan(sql, pop=config)
         errors.extend(
             (name, f)
             for f in lint_plan(placement.plan, context)

@@ -218,36 +218,55 @@ class TestEndToEnd:
     def test_workloads_complete_at_quarter_memory(
         self, tpch_db, dmv_db, governed
     ):
-        """Acceptance: at 25% of estimated memory, every workload query
-        still returns oracle-identical rows by spilling — zero
-        ResourceExhausted escapes."""
+        """Acceptance: at 100%, 50% and 25% of estimated memory, every
+        workload query still returns oracle-identical rows by spilling —
+        zero ResourceExhausted escapes — and the squeeze costs bounded
+        extra I/O, never a cliff: 25% costs at least what 100% does and at
+        most 5x, and spill volume only grows as the budget shrinks.
+
+        ``QUERY_POOL``'s sorts and join read whole tables, so their memory
+        estimates are exact: at 100% the governor must be free for them
+        (no spill pages).  A workload query whose cardinalities were
+        underestimated may spill even at 100% of its *estimate*."""
         from repro.workloads.dmv.queries import dmv_queries
         from repro.workloads.tpch.queries import TPCH_QUERIES
 
         config = PopConfig(reuse_policy="never")
         suites = [
-            (tpch_db, list(TPCH_QUERIES.items())),
-            (dmv_db, dmv_queries(7)),
+            (tpch_db, list(TPCH_QUERIES.items()), False),
+            (dmv_db, dmv_queries(7), False),
+            (dmv_db, QUERY_POOL, True),
         ]
-        spilled_somewhere = False
-        for db, queries in suites:
+        spilled_at_quarter = False
+        for db, queries, exact_estimates in suites:
             for name, sql in queries:
                 oracle = canonical(db.execute(sql, pop=config).rows)
                 estimate = _estimate(db, sql)
-                db.enable_memory_governor(
-                    policy=MemoryPolicy(
-                        budget_pages=max(2.0, 0.25 * estimate),
-                        min_reservation_pages=1.0,
-                        min_grant_pages=1.0,
+                reports = {}
+                for fraction in (1.0, 0.5, 0.25):
+                    db.enable_memory_governor(
+                        policy=MemoryPolicy(
+                            budget_pages=max(2.0, fraction * estimate),
+                            min_reservation_pages=1.0,
+                            min_grant_pages=1.0,
+                        )
                     )
-                )
-                try:
-                    result = db.execute(sql, pop=config)
-                finally:
-                    db.disable_memory_governor()
-                assert canonical(result.rows) == oracle, name
-                spilled_somewhere = spilled_somewhere or result.report.spilled
-        assert spilled_somewhere
+                    try:
+                        result = db.execute(sql, pop=config)
+                    finally:
+                        db.disable_memory_governor()
+                    assert canonical(result.rows) == oracle, (name, fraction)
+                    reports[fraction] = result.report
+                full, half, quarter = (reports[f] for f in (1.0, 0.5, 0.25))
+                if exact_estimates:
+                    assert full.spill_pages == 0.0, name
+                assert full.total_units <= quarter.total_units, name
+                assert quarter.total_units <= 5.0 * full.total_units, name
+                assert (
+                    full.spill_pages <= half.spill_pages <= quarter.spill_pages
+                ), name
+                spilled_at_quarter = spilled_at_quarter or quarter.spilled
+        assert spilled_at_quarter
 
     def test_report_carries_spill_and_reservation_facts(self, dmv_db, governed):
         governed(

@@ -26,6 +26,7 @@ import pytest
 from repro import Database, PopConfig
 from repro.analysis.contract import check_module
 from repro.cli import Shell
+from repro.common.chaosutil import canonical_rows, query_seed
 from repro.common.errors import (
     FATAL,
     RESOURCE,
@@ -56,7 +57,7 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
 )
-from repro.resilience.chaos import canonical_rows, query_seed, run_query_under_chaos
+from repro.resilience.chaos import run_query_under_chaos
 from tests.conftest import canonical
 from tests.reference import evaluate_reference
 

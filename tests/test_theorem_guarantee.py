@@ -177,7 +177,6 @@ class _FakeEnumerator:
         validity_iterations = 3
         commit_without_inversion = True
         compute_validity_ranges = True
-        max_plans_per_subset = 4
 
     options = _Options()
 

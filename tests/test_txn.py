@@ -284,6 +284,63 @@ class TestDatabaseTransactions:
         db2.close()
 
 
+class TestCommitEncoding:
+    """The write-set is JSON-encoded for the WAL append, and a second time
+    only to size a governor reservation somebody will actually take."""
+
+    ROWS = [(i, "x" * 40) for i in range(400)]  # ~20 KB encoded: > 1 page
+
+    @pytest.fixture
+    def durable_db(self, tmp_path):
+        db = Database()
+        db.create_table("t", [("a", "int"), ("s", "str")])
+        db.enable_transactions(path=str(tmp_path / "txdb"))
+        yield db
+        db.close()
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        from repro.storage.wal import WalRecord
+
+        calls = []
+        real = WalRecord.encode
+
+        def counting(record):
+            encoded = real(record)
+            calls.append((record.epoch, len(encoded)))
+            return encoded
+
+        monkeypatch.setattr(WalRecord, "encode", counting)
+        return calls
+
+    def test_without_governor_the_record_is_encoded_once(
+        self, durable_db, encodes
+    ):
+        durable_db.insert("t", self.ROWS)
+        assert [epoch for epoch, _ in encodes] == [1]
+
+    def test_with_governor_the_reservation_size_is_unchanged(
+        self, durable_db, encodes, monkeypatch
+    ):
+        from repro.storage.table import PAGE_SIZE
+
+        governor = durable_db.enable_memory_governor()
+        asked = []
+        real_admit = governor.admit
+
+        def admit(pages, **kwargs):
+            asked.append(pages)
+            return real_admit(pages, **kwargs)
+
+        monkeypatch.setattr(governor, "admit", admit)
+        durable_db.insert("t", self.ROWS)
+        # Off-epoch sizing record, then the real one inside the lock.
+        assert [epoch for epoch, _ in encodes] == [0, 1]
+        assert asked == [encodes[0][1] / PAGE_SIZE]
+        assert asked[0] > 1.0
+        assert governor.snapshot()["used_pages"] == 0
+
+
 # ------------------------------------------------- invalidation coalescing
 
 
