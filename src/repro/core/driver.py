@@ -24,6 +24,7 @@ learned feedback, metrics) is shared on purpose and guards itself.
 
 from __future__ import annotations
 
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -364,6 +365,23 @@ class AttemptRun:
     def interrupted(self) -> bool:
         return self.signal is not None or self.error is not None
 
+    def release(self) -> None:
+        """Let go of the operator tree, so the attempt's buffers (sorted
+        rows, hash tables, group tables, TEMP rows) are freed by reference
+        count when the attempt is settled, not by a later cycle collection.
+
+        Two cycles would otherwise keep them: ``ctx.operators`` against
+        ``Operator.ctx``, and a caught signal or error, whose traceback
+        pins every frame it unwound — the operators and their half-built
+        buffers among the locals, and this object in ``_execute``'s.  The
+        traceback keeps its file and line entries; only the finished
+        frames' locals go.
+        """
+        self.ctx.operators.clear()
+        for exc in (self.signal, self.error):
+            if exc is not None:
+                traceback.clear_frames(exc.__traceback__)
+
 
 class PopDriver:
     """Runs statements with progressive optimization."""
@@ -548,9 +566,14 @@ class PopDriver:
         while True:
             planned = self._plan(sc)
             run = self._execute(sc, planned)
-            self._finish(sc, run)
-            if self._settle(sc, planned, run):
-                return
+            try:
+                self._finish(sc, run)
+                if self._settle(sc, planned, run):
+                    return
+            finally:
+                # Everything that reads the operators — harvesting,
+                # profiles, the spill summary, row counters — has run.
+                run.release()
 
     # ------------------------------------------------------------ phase: plan
 

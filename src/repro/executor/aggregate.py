@@ -2,47 +2,117 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Optional
 
 from repro.executor.base import ExecutionContext, Operator
+from repro.expr.evaluate import kernel_code
 from repro.plan.physical import Distinct, GroupBy
 
 
-class _AggState:
-    """Accumulator for one group's aggregates."""
+def _count_star_kernel(key_slots: list[int]):
+    """Aggregation with no aggregate but ``count(*)``: the group table maps
+    a key straight to its row count, one dict increment per row."""
+    if not key_slots:
 
-    __slots__ = ("counts", "sums", "mins", "maxs")
+        def fold(batch: list[tuple], groups: dict) -> None:
+            groups[()] = groups.get((), 0) + len(batch)
 
-    def __init__(self, n: int):
-        self.counts = [0] * n
-        self.sums: list[Any] = [0] * n
-        self.mins: list[Any] = [None] * n
-        self.maxs: list[Any] = [None] * n
+    else:
+        key_of = itemgetter(*key_slots)
 
-    def update(self, i: int, value: Any) -> None:
-        if value is None:
-            return
-        self.counts[i] += 1
-        self.sums[i] += value if not isinstance(value, str) else 0
-        if self.mins[i] is None or value < self.mins[i]:
-            self.mins[i] = value
-        if self.maxs[i] is None or value > self.maxs[i]:
-            self.maxs[i] = value
+        def fold(batch: list[tuple], groups: dict) -> None:
+            get = groups.get
+            for key in map(key_of, batch):
+                groups[key] = get(key, 0) + 1
 
-    def result(self, i: int, func: str) -> Any:
-        if func == "count":
-            return self.counts[i]
-        if self.counts[i] == 0:
-            return None
-        if func == "sum":
-            return self.sums[i]
-        if func == "avg":
-            return self.sums[i] / self.counts[i]
-        if func == "min":
-            return self.mins[i]
-        if func == "max":
-            return self.maxs[i]
-        raise ValueError(f"unknown aggregate {func!r}")
+    return fold, 0
+
+
+def _aggregation_kernel(key_slots: list[int], aggregates: list[tuple[str, Optional[int]]]):
+    """Compile the aggregation loop for one GROUP BY node.
+
+    ``aggregates`` lists ``(func, argument slot)``, ``None`` standing for
+    ``*``.  Returns ``(fold, initial, values)``: ``fold(batch,
+    groups)`` folds a batch into the group table (insertion order is
+    first-seen order), a new group's state is a copy of ``initial``, and
+    ``values(state)`` is the tuple of aggregate results.  A group's state is
+    one flat list holding only what some aggregate asks for: the row count
+    for ``count(*)``, per argument column the non-NULL count and, for
+    ``sum``/``avg``, the running sum, and a ``min``/``max`` cell only where
+    that function appears.  NULL arguments are skipped, and every aggregate
+    but ``count`` is NULL over a group with no non-NULL argument.
+    """
+    if all(slot is None for _, slot in aggregates):
+        fold, initial = _count_star_kernel(key_slots)
+        return fold, initial, lambda n: (n,) * len(aggregates)
+
+    initial: list = []
+    cells: dict[tuple[str, Optional[int]], str] = {}
+    updates: dict[int, list[str]] = {}
+
+    def cell(kind: str, slot: Optional[int], start, update: str = "") -> str:
+        """The state cell for ``(kind, slot)``, added — with the line that
+        maintains it per non-NULL value ``v`` — on first use."""
+        if (kind, slot) not in cells:
+            cells[kind, slot] = name = f"st[{len(initial)}]"
+            initial.append(start)
+            if update:
+                updates.setdefault(slot, []).append(update.format(c=name))
+        return cells[kind, slot]
+
+    values: list[str] = []
+    for func, slot in aggregates:
+        if slot is None:
+            values.append(cell("rows", None, 0))
+        elif func in ("min", "max"):
+            test = "<" if func == "min" else ">"
+            values.append(
+                cell(func, slot, None, f"if {{c}} is None or v {test} {{c}}: {{c}} = v")
+            )
+        elif func in ("count", "sum", "avg"):
+            count = cell("count", slot, 0, "{c} += 1")
+            if func == "count":
+                values.append(count)
+                continue
+            # Strings count but add nothing (a text column sums to 0).
+            total = cell("sum", slot, 0, "if v.__class__ is not str: {c} += v")
+            quotient = total if func == "sum" else f"{total} / {count}"
+            values.append(f"({quotient} if {count} else None)")
+        else:
+            raise ValueError(f"unknown aggregate {func!r}")
+
+    body = [f"{cells['rows', None]} += 1"] if ("rows", None) in cells else []
+    for slot, lines in updates.items():
+        body += [f"v = row[{slot}]", "if v is not None:"]
+        body += ["    " + line for line in lines]
+    if key_slots:
+        head = [
+            "def fold(batch, groups):",
+            "    get = groups.get",
+            "    for key, row in zip(map(key_of, batch), batch):",
+            "        st = get(key)",
+            "        if st is None:",
+            "            st = groups[key] = initial.copy()",
+        ]
+    else:
+        head = [
+            "def fold(batch, groups):",
+            "    st = groups.get(())",
+            "    if st is None:",
+            "        st = groups[()] = initial.copy()",
+            "    for row in batch:",
+        ]
+    source = "\n".join(head + ["        " + line for line in body])
+    source += "\ndef values(st):\n    return (" + ", ".join(values) + ",)\n"
+    namespace = {
+        "initial": initial,
+        "key_of": itemgetter(*key_slots) if key_slots else None,
+    }
+    exec(kernel_code(source, "exec"), namespace)
+    # Popped, so the namespace (the functions' globals) does not hold them
+    # back: no reference cycle is left for the collector.
+    return namespace.pop("fold"), initial, namespace.pop("values")
 
 
 class GroupByExec(Operator):
@@ -65,30 +135,16 @@ class GroupByExec(Operator):
         p = self.ctx.cost_params
         child_layout = plan.children[0].layout
         key_slots = [child_layout.slot(k) for k in plan.group_keys]
-        agg_slots = [
-            None if a.argument is None else child_layout.slot(a.argument)
-            for a in plan.aggregates
-        ]
-        groups: dict[tuple, tuple[_AggState, int]] = {}
-        counts_star: dict[tuple, int] = {}
-        n_aggs = len(plan.aggregates)
+        fold, initial, values = _aggregation_kernel(
+            key_slots,
+            [
+                (a.func, None if a.argument is None else child_layout.slot(a.argument))
+                for a in plan.aggregates
+            ],
+        )
+        groups: dict = {}
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
-
-        def consume(row: tuple) -> None:
-            key = tuple(row[s] for s in key_slots)
-            state_entry = groups.get(key)
-            if state_entry is None:
-                state = _AggState(n_aggs)
-                groups[key] = (state, 0)
-            else:
-                state = state_entry[0]
-            counts_star[key] = counts_star.get(key, 0) + 1
-            for i, slot in enumerate(agg_slots):
-                if slot is None:
-                    continue
-                state.update(i, row[slot])
-
         while True:
             batch = self.child.next_batch(batch_size)
             if batch is None:
@@ -97,21 +153,15 @@ class GroupByExec(Operator):
             if interruptible:
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_agg)
-            for row in batch:
-                consume(row)
-        if not groups and not plan.group_keys:
-            groups[()] = (_AggState(n_aggs), 0)
-            counts_star[()] = 0
+            fold(batch, groups)
+        if not groups and not key_slots:
+            groups[()] = initial
+        # ``itemgetter`` over one slot yields the bare value, not a 1-tuple.
+        scalar_key = len(key_slots) == 1
         results = []
-        for key, (state, _) in groups.items():
-            values = []
-            for i, agg in enumerate(plan.aggregates):
-                if agg.func == "count" and agg.argument is None:
-                    values.append(counts_star[key])
-                else:
-                    values.append(state.result(i, agg.func))
+        for key, state in groups.items():
             self.ctx.meter.charge(p.cpu_emit)
-            results.append(key + tuple(values))
+            results.append(((key,) if scalar_key else key) + values(state))
         self._results = results
         self._pos = 0
 

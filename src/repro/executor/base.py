@@ -356,6 +356,9 @@ class Operator:
         self.eof_seen = False
         self._open = False
         self._span_id: Optional[int] = None
+        #: What a compiled loop calls between windows of work: the
+        #: context's interrupt poll, or ``None`` when no source is armed.
+        self._poll = ctx.check_interrupt if ctx.interruptible else None
         ctx.register(self)
 
     # -- protocol ---------------------------------------------------------

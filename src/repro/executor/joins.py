@@ -12,24 +12,60 @@ from __future__ import annotations
 
 import zlib
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from repro.common.errors import ExecutionError
 from repro.executor.base import ExecutionContext, Operator
 from repro.executor.scans import IndexScanExec
-from repro.expr.evaluate import compile_conjunction
+from repro.expr.evaluate import compile_filter
 from repro.plan.physical import HashJoin, MergeJoin, NLJoin
 
 
-def _partition_of(key: tuple, depth: int, fanout: int) -> int:
+def _partition_of(key, depth: int, fanout: int) -> int:
     """Deterministic partition assignment for a join key.
 
     Uses ``crc32`` over the key's repr with a per-depth salt — Python's
     builtin ``hash`` is randomized per process for strings, which would
     make partition contents (and thus spill volume and row order)
-    irreproducible across runs.
+    irreproducible across runs.  A single-column key arrives as the bare
+    value (see :func:`_key_kernels`) and is hashed as the 1-tuple, so the
+    assignment does not depend on that representation.
     """
+    if key.__class__ is not tuple:
+        key = (key,)
     return zlib.crc32(f"{depth}:{key!r}".encode()) % fanout
+
+
+def _key_kernels(plan) -> tuple[list[int], list[int], itemgetter, itemgetter]:
+    """An equi-join's key columns: ``(outer slots, inner slots, outer
+    key_of, inner key_of)``.
+
+    ``key_of(row)`` is one C-level ``itemgetter`` call; over a single slot
+    it yields the bare value, over several a tuple — both sides of a join
+    have the same arity, so their keys stay comparable and hash alike.
+    """
+    outer_tables = plan.outer.properties.tables
+    outer_slots: list[int] = []
+    inner_slots: list[int] = []
+    for pred in plan.join_predicates:
+        if pred.left.table in outer_tables:
+            outer_col, inner_col = pred.left, pred.right
+        else:
+            outer_col, inner_col = pred.right, pred.left
+        outer_slots.append(plan.outer.layout.slot(outer_col))
+        inner_slots.append(plan.inner.layout.slot(inner_col))
+    return outer_slots, inner_slots, itemgetter(*outer_slots), itemgetter(*inner_slots)
+
+
+def _drop_null_keys(rows: list[tuple], slots: list[int]) -> list[tuple]:
+    """``rows`` without those holding a NULL in a key slot (NULL joins
+    nothing).  A batch without NULL keys — the common case — costs one
+    C-level scan per key column and no copy."""
+    for slot in slots:
+        if None in map(itemgetter(slot), rows):
+            rows = [row for row in rows if row[slot] is not None]
+    return rows
 
 
 class NLJoinExec(Operator):
@@ -70,7 +106,7 @@ class NLJoinExec(Operator):
             residual = plan.join_predicates[1:]
         else:
             residual = plan.join_predicates
-        self._residual = compile_conjunction(residual, plan.layout, self.ctx.params)
+        self._residual = compile_filter(residual, plan.layout, self.ctx.params)
         self._outer_row = None
         self._outer_eof = False
 
@@ -113,10 +149,7 @@ class NLJoinExec(Operator):
                 self._outer_row = None
                 continue
             orow = self._outer_row
-            for inner_row in inner_batch:
-                joined = orow + inner_row
-                if residual(joined):
-                    out.append(joined)
+            out += residual([orow + inner_row for inner_row in inner_batch])
         if out:
             self.ctx.meter.charge(len(out) * self.ctx.cost_params.cpu_emit)
             return self.emit_batch(out)
@@ -147,26 +180,17 @@ class HashJoinExec(Operator):
         self._pending_pos = 0
         #: Latched on outer EOF (see NLJoinExec._outer_eof).
         self._outer_eof = False
-        self._outer_slots: list[int] = []
-        self._inner_slots: list[int] = []
+        (
+            self._outer_slots,
+            self._inner_slots,
+            self._outer_key,
+            self._inner_key,
+        ) = _key_kernels(plan)
         self.spilled = False
         self._result_iter = None
 
-    def _key_slots(self) -> None:
-        outer_tables = self.plan.outer.properties.tables
-        self._outer_slots = []
-        self._inner_slots = []
-        for pred in self.plan.join_predicates:
-            if pred.left.table in outer_tables:
-                outer_col, inner_col = pred.left, pred.right
-            else:
-                outer_col, inner_col = pred.right, pred.left
-            self._outer_slots.append(self.plan.outer.layout.slot(outer_col))
-            self._inner_slots.append(self.plan.inner.layout.slot(inner_col))
-
     def open(self) -> None:
         super().open()
-        self._key_slots()
         p = self.ctx.cost_params
         if self.ctx.spill_enabled:
             self._open_grace()
@@ -175,7 +199,9 @@ class HashJoinExec(Operator):
         # sorts, though not one the prototype reuses — matching the paper's
         # "current implementation does not reuse hash join builds").
         self.inner.open()
-        self._table = {}
+        table = self._table = {}
+        get = table.get
+        key_of = self._inner_key
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
         while True:
@@ -186,12 +212,14 @@ class HashJoinExec(Operator):
             if interruptible:
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
-            for row in batch:
-                key = tuple(row[s] for s in self._inner_slots)
-                if any(k is None for k in key):
-                    continue
-                self._table.setdefault(key, []).append(row)
-                self._build_rows += 1
+            batch = _drop_null_keys(batch, self._inner_slots)
+            self._build_rows += len(batch)
+            for key, row in zip(map(key_of, batch), batch):
+                bucket = get(key)
+                if bucket is None:
+                    table[key] = [row]
+                else:
+                    bucket.append(row)
         self._build_complete = True
         self._charge_spill(self._build_rows)
         self.outer.open()
@@ -243,9 +271,6 @@ class HashJoinExec(Operator):
     def _capacity_rows(self, grant: float) -> int:
         return max(1, int(grant * self.ctx.cost_params.rows_per_page))
 
-    def _build_key(self, row: tuple) -> tuple:
-        return tuple(row[s] for s in self._inner_slots)
-
     def _open_grace(self) -> None:
         """Governed build: in-memory while it fits, Grace partitions when
         it does not — and re-checked once the build side is complete, so a
@@ -270,10 +295,8 @@ class HashJoinExec(Operator):
             if interruptible:
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
-            for row in batch:
-                key = self._build_key(row)
-                if any(k is None for k in key):
-                    continue
+            batch = _drop_null_keys(batch, self._inner_slots)
+            for key, row in zip(map(self._inner_key, batch), batch):
                 self._build_rows += 1
                 if build_parts is None:
                     self._table.setdefault(key, []).append(row)
@@ -324,10 +347,8 @@ class HashJoinExec(Operator):
             if interruptible:
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_hash_probe)
-            for row in batch:
-                key = tuple(row[s] for s in self._outer_slots)
-                if any(k is None for k in key):
-                    continue
+            batch = _drop_null_keys(batch, self._outer_slots)
+            for key, row in zip(map(self._outer_key, batch), batch):
                 probe_parts[_partition_of(key, 0, fanout)].append(row)
         for part in probe_parts:
             part.close()
@@ -341,7 +362,7 @@ class HashJoinExec(Operator):
             probe.delete()
             return
         if build.row_count <= capacity:
-            yield from self._hash_partition(build, probe)
+            yield from self._hash_rows(build.rows(), probe)
         elif depth <= self.ctx.memory.max_recursion_depth:
             # Re-partition both sides with a depth-salted hash and recurse.
             sub_build = [
@@ -351,11 +372,9 @@ class HashJoinExec(Operator):
                 self.ctx.spill.create("hash", f"{probe.label}.{i}") for i in range(fanout)
             ]
             for row in build.rows():
-                key = self._build_key(row)
-                sub_build[_partition_of(key, depth, fanout)].append(row)
+                sub_build[_partition_of(self._inner_key(row), depth, fanout)].append(row)
             for row in probe.rows():
-                key = tuple(row[s] for s in self._outer_slots)
-                sub_probe[_partition_of(key, depth, fanout)].append(row)
+                sub_probe[_partition_of(self._outer_key(row), depth, fanout)].append(row)
             build.delete()
             probe.delete()
             for b, pr in zip(sub_build, sub_probe):
@@ -372,33 +391,26 @@ class HashJoinExec(Operator):
         build.delete()
         probe.delete()
 
-    def _hash_partition(self, build, probe):
-        """Classic in-memory hash join of one partition pair."""
-        table: dict = {}
-        for row in build.rows():
-            table.setdefault(self._build_key(row), []).append(row)
-        slots = self._outer_slots
-        for prow in probe.rows():
-            for brow in table.get(tuple(prow[s] for s in slots), ()):
-                yield prow + brow
-
     def _block_join(self, build, probe, capacity: int):
         chunk: list[tuple] = []
         for row in build.rows():
             chunk.append(row)
             if len(chunk) >= capacity:
-                yield from self._probe_chunk(chunk, probe)
+                yield from self._hash_rows(chunk, probe)
                 chunk = []
         if chunk:
-            yield from self._probe_chunk(chunk, probe)
+            yield from self._hash_rows(chunk, probe)
 
-    def _probe_chunk(self, chunk: list[tuple], probe):
+    def _hash_rows(self, build_rows, probe):
+        """Classic in-memory hash join of ``build_rows`` (a whole build
+        partition, or one grant-sized chunk of it) with a probe file."""
         table: dict = {}
-        for row in chunk:
-            table.setdefault(self._build_key(row), []).append(row)
-        slots = self._outer_slots
+        inner_key = self._inner_key
+        for row in build_rows:
+            table.setdefault(inner_key(row), []).append(row)
+        get, key_of = table.get, self._outer_key
         for prow in probe.rows():
-            for brow in table.get(tuple(prow[s] for s in slots), ()):
+            for brow in get(key_of(prow), ()):
                 yield prow + brow
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
@@ -412,27 +424,40 @@ class HashJoinExec(Operator):
             self.ctx.meter.charge(len(out) * p.cpu_emit)
             return self.emit_batch(out)
         out: list[tuple] = []
-        table = self._table
-        slots = self._outer_slots
+        get = self._table.get
+        key_of = self._outer_key
         probe_charge = p.cpu_hash_probe + self._probe_spill_per_row
         while len(out) < max_rows:
             if self._match_pos < len(self._matches):
+                # One key's matches overflowed an earlier request: serve
+                # the carry before probing on.
                 orow = self._outer_row
-                assert orow is not None
                 mp = self._match_pos
                 take = min(max_rows - len(out), len(self._matches) - mp)
-                out.extend(orow + m for m in self._matches[mp:mp + take])
+                out += [orow + m for m in self._matches[mp:mp + take]]
                 self._match_pos = mp + take
                 continue
-            if self._pending_pos < len(self._outer_pending):
-                row = self._outer_pending[self._pending_pos]
-                self._pending_pos += 1
-                key = tuple(row[s] for s in slots)
-                if any(k is None for k in key):
-                    continue
-                self._outer_row = row
-                self._matches = table.get(key, [])
-                self._match_pos = 0
+            pending = self._outer_pending[self._pending_pos:]
+            if pending:
+                # NULL keys need no test here: the build skipped them, so
+                # they miss like any other absent key.
+                room = max_rows - len(out)
+                probed = 0
+                for key, orow in zip(map(key_of, pending), pending):
+                    probed += 1
+                    matches = get(key)
+                    if matches is None:
+                        continue
+                    if len(matches) > room:
+                        self._outer_row = orow
+                        self._matches = matches
+                        self._match_pos = 0
+                        break
+                    out += [orow + m for m in matches]
+                    room -= len(matches)
+                    if not room:
+                        break
+                self._pending_pos += probed
                 continue
             if self._outer_eof:
                 break
@@ -470,22 +495,14 @@ class MergeJoinExec(Operator):
         super().__init__(plan, ctx)
         self.outer = outer
         self.inner = inner
-        self._outer_slots: list[int] = []
-        self._inner_slots: list[int] = []
+        (
+            self._outer_slots,
+            self._inner_slots,
+            self._outer_key,
+            self._inner_key,
+        ) = _key_kernels(plan)
         self._output: list[tuple] = []
         self._pos = 0
-
-    def _key_slots(self) -> None:
-        outer_tables = self.plan.outer.properties.tables
-        self._outer_slots = []
-        self._inner_slots = []
-        for pred in self.plan.join_predicates:
-            if pred.left.table in outer_tables:
-                outer_col, inner_col = pred.left, pred.right
-            else:
-                outer_col, inner_col = pred.right, pred.left
-            self._outer_slots.append(self.plan.outer.layout.slot(outer_col))
-            self._inner_slots.append(self.plan.inner.layout.slot(inner_col))
 
     def _drain(self, child: Operator) -> list[tuple]:
         interruptible = self.ctx.interruptible
@@ -502,41 +519,39 @@ class MergeJoinExec(Operator):
 
     def open(self) -> None:
         super().open()
-        self._key_slots()
         p = self.ctx.cost_params
         self.outer.open()
         self.inner.open()
         left = self._drain(self.outer)
         right = self._drain(self.inner)
         self.ctx.meter.charge((len(left) + len(right)) * p.cpu_row)
+        # NULL keys join nothing; without them the merge compares keys only.
+        left = _drop_null_keys(left, self._outer_slots)
+        right = _drop_null_keys(right, self._inner_slots)
+        lkeys = list(map(self._outer_key, left))
+        rkeys = list(map(self._inner_key, right))
         # Merge the two sorted inputs group by group.
-        self._output = []
+        output: list[tuple] = []
         i = j = 0
-        lslots, rslots = self._outer_slots, self._inner_slots
-        while i < len(left) and j < len(right):
-            lkey = tuple(left[i][s] for s in lslots)
-            rkey = tuple(right[j][s] for s in rslots)
-            if any(k is None for k in lkey):
-                i += 1
-                continue
-            if any(k is None for k in rkey):
-                j += 1
-                continue
+        n_left, n_right = len(left), len(right)
+        while i < n_left and j < n_right:
+            lkey, rkey = lkeys[i], rkeys[j]
             if lkey < rkey:
                 i += 1
             elif lkey > rkey:
                 j += 1
             else:
-                i_end = i
-                while i_end < len(left) and tuple(left[i_end][s] for s in lslots) == lkey:
+                i_end = i + 1
+                while i_end < n_left and lkeys[i_end] == lkey:
                     i_end += 1
-                j_end = j
-                while j_end < len(right) and tuple(right[j_end][s] for s in rslots) == rkey:
+                j_end = j + 1
+                while j_end < n_right and rkeys[j_end] == rkey:
                     j_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        self._output.append(left[li] + right[rj])
+                group = right[j:j_end]
+                for lrow in left[i:i_end]:
+                    output += [lrow + rrow for rrow in group]
                 i, j = i_end, j_end
+        self._output = output
         self._pos = 0
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:

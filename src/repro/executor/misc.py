@@ -7,6 +7,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.executor.base import ExecutionContext, Operator
+from repro.expr.evaluate import compile_slot_filter
 from repro.plan.physical import AntiJoin, Project, Return
 
 
@@ -36,8 +37,7 @@ class ProjectExec(Operator):
         if batch is None:
             self.finish()
             return None
-        proj = self._proj
-        out = [proj(row) for row in batch]
+        out = list(map(self._proj, batch))
         self.ctx.meter.charge(len(out) * self.ctx.cost_params.cpu_emit)
         return self.emit_batch(out)
 
@@ -45,46 +45,28 @@ class ProjectExec(Operator):
 class HavingFilterExec(Operator):
     """Evaluates HAVING conjuncts over aggregation output rows."""
 
-    _OPS = {
-        "=": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-
     def __init__(self, plan, ctx: ExecutionContext, child: Operator):
         super().__init__(plan, ctx)
         self.child = child
         layout = plan.children[0].layout
-        self._checks = [
-            (layout.slot(p.column), self._OPS[p.op], p.value)
-            for p in plan.predicates
-        ]
+        self._keep = compile_slot_filter(
+            [(layout.slot(p.column), p.op, p.value) for p in plan.predicates]
+        )
 
     def open(self) -> None:
         super().open()
         self.child.open()
 
-    def _passes(self, row: tuple) -> bool:
-        for slot, cmp, value in self._checks:
-            cell = row[slot]
-            if cell is None or not cmp(cell, value):
-                return False
-        return True
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         p = self.ctx.cost_params
-        passes = self._passes
         while True:
             batch = self.child.next_batch(max_rows)
             if batch is None:
                 self.finish()
                 return None
             self.ctx.meter.charge(len(batch) * p.cpu_row)
-            out = [row for row in batch if passes(row)]
+            out = self._keep(batch)
             if out:
                 return self.emit_batch(out)
 

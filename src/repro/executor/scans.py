@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Iterator, Optional
 
 from repro.common.errors import ExecutionError
 from repro.executor.base import ExecutionContext, Operator
-from repro.expr.evaluate import compile_conjunction
+from repro.expr.evaluate import compile_scan
 from repro.expr.expressions import operand_value
 from repro.expr.predicates import Between, Comparison
 from repro.plan.physical import IndexScan, MVScan, TableScan
@@ -24,8 +23,9 @@ class TableScanExec(Operator):
     def __init__(self, plan: TableScan, ctx: ExecutionContext):
         super().__init__(plan, ctx)
         self.table = ctx.catalog.table(plan.table)
-        self._iter: Optional[Iterator[tuple]] = None
-        self._filter = None
+        self._pos = 0
+        self._visible: Optional[int] = None
+        self._scan = None
         p = ctx.cost_params
         rows = max(1, self.table.row_count)
         self._charge_per_row = (
@@ -34,49 +34,31 @@ class TableScanExec(Operator):
 
     def open(self) -> None:
         super().open()
-        self._filter = compile_conjunction(
+        self._scan = compile_scan(
             self.plan.filters, self.plan.layout, self.ctx.params
         )
         # Snapshot isolation: rows are append-only and rids positional, so
         # capping the scan at the pinned watermark yields exactly the rows
         # visible at the snapshot's epoch — concurrent commits append past
         # the cap without being observed.
-        visible = (
+        self._visible = (
             self.ctx.snapshot.visible_rows(self.table.name)
             if self.ctx.snapshot is not None
             else None
         )
-        if visible is None:
-            self._iter = iter(self.table.rows)
-        else:
-            self._iter = islice(iter(self.table.rows), visible)
+        self._pos = 0
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
-        """One filter lookup per row inside a tight local loop, one bulk
-        meter charge per batch (``scanned × per-row``)."""
+        """One call of the compiled scan loop, one bulk meter charge
+        (``scanned × per-row``)."""
         self.require_open()
-        assert self._iter is not None and self._filter is not None
-        match = self._filter
-        out: list[tuple] = []
-        append = out.append
-        interruptible = self.ctx.interruptible
-        scanned = 0
-        rejected = 0
-        for row in self._iter:
-            scanned += 1
-            if match(row):
-                append(row)
-                if len(out) >= max_rows:
-                    break
-            else:
-                # Selective filters can reject long stretches without
-                # filling a batch; poll on a stride so cancel latency
-                # stays bounded.
-                rejected += 1
-                if interruptible and rejected % 256 == 0:
-                    self.ctx.check_interrupt()
-        if scanned:
-            self.ctx.meter.charge(scanned * self._charge_per_row)
+        assert self._scan is not None
+        rows = self.table.rows
+        end = len(rows) if self._visible is None else min(self._visible, len(rows))
+        start = self._pos
+        out, self._pos = self._scan(rows, start, end, max_rows, self._poll)
+        if self._pos > start:
+            self.ctx.meter.charge((self._pos - start) * self._charge_per_row)
         if not out:
             self.finish()
             return None
@@ -113,7 +95,7 @@ class IndexScanExec(Operator):
             raise ExecutionError(f"index {plan.index_name!r} not found")
         self._rids: list[int] = []
         self._pos = 0
-        self._filter = None
+        self._scan = None
         self.probes = 0  #: index probes issued (1 sarg, or 1 per rebind)
         self._fetch_charge = ctx.cost_model.fetch_cost_per_row(
             float(self.table.page_count)
@@ -135,8 +117,11 @@ class IndexScanExec(Operator):
 
     def open(self) -> None:
         super().open()
-        self._filter = compile_conjunction(
-            self.plan.filters, self.plan.layout, self.ctx.params
+        self._scan = compile_scan(
+            self.plan.filters,
+            self.plan.layout,
+            self.ctx.params,
+            fetch=self.table.rows.__getitem__,
         )
         if self.plan.correlation is None:
             self._rids = self._visible_rids(self._rids_for_sarg())
@@ -155,6 +140,8 @@ class IndexScanExec(Operator):
         params = self.ctx.params
         if isinstance(sarg, Comparison):
             value = operand_value(sarg.operand, params)
+            if value is None:
+                return  # a comparison with NULL holds for no row
             if sarg.op == "=":
                 yield from self.index.lookup(value)
                 return
@@ -176,7 +163,10 @@ class IndexScanExec(Operator):
                 raise ExecutionError("BETWEEN sarg over a non-sorted index")
             low = operand_value(sarg.low, params)
             high = operand_value(sarg.high, params)
-            yield from self.index.range_scan(low=low, high=high)
+            # ``range_scan`` reads a ``None`` bound as "open-ended"; in SQL
+            # a NULL bound makes the predicate false for every row.
+            if low is not None and high is not None:
+                yield from self.index.range_scan(low=low, high=high)
             return
         raise ExecutionError(f"unsupported sarg {sarg!r}")
 
@@ -193,30 +183,13 @@ class IndexScanExec(Operator):
         """Rid-list drain (both modes; correlated rebinds keep working
         because position state lives in ``_rids``/``_pos``)."""
         self.require_open()
-        assert self._filter is not None
-        match = self._filter
+        assert self._scan is not None
         rids = self._rids
         pos = self._pos
-        n = len(rids)
-        fetch = self.table.fetch
-        out: list[tuple] = []
-        interruptible = self.ctx.interruptible
-        scanned = 0
-        rejected = 0
-        while pos < n and len(out) < max_rows:
-            rid = rids[pos]
-            pos += 1
-            scanned += 1
-            row = fetch(rid)
-            if match(row):
-                out.append(row)
-            else:
-                rejected += 1
-                if interruptible and rejected % 256 == 0:
-                    self.ctx.check_interrupt()
-        self._pos = pos
-        if scanned:
-            self.ctx.meter.charge(scanned * self._fetch_charge)
+        # Position state lives in ``_rids``/``_pos``; a rebind replaces both.
+        out, self._pos = self._scan(rids, pos, len(rids), max_rows, self._poll)
+        if self._pos > pos:
+            self.ctx.meter.charge((self._pos - pos) * self._fetch_charge)
         if not out:
             if self.plan.correlation is None:
                 self.finish()
@@ -237,37 +210,26 @@ class MVScanExec(Operator):
     def __init__(self, plan: MVScan, ctx: ExecutionContext):
         super().__init__(plan, ctx)
         self.mv = ctx.temp_mvs.get(plan.mv_name)
-        self._iter: Optional[Iterator[tuple]] = None
-        self._filter = None
+        self._pos = 0
+        self._scan = None
 
     def open(self) -> None:
         super().open()
-        self._filter = compile_conjunction(
+        self._scan = compile_scan(
             self.plan.filters, self.plan.layout, self.ctx.params
         )
-        self._iter = iter(self.mv.rows)
+        self._pos = 0
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
-        assert self._iter is not None and self._filter is not None
-        match = self._filter
-        out: list[tuple] = []
-        append = out.append
-        interruptible = self.ctx.interruptible
-        scanned = 0
-        rejected = 0
-        for row in self._iter:
-            scanned += 1
-            if match(row):
-                append(row)
-                if len(out) >= max_rows:
-                    break
-            else:
-                rejected += 1
-                if interruptible and rejected % 256 == 0:
-                    self.ctx.check_interrupt()
-        if scanned:
-            self.ctx.meter.charge(scanned * self.ctx.cost_params.cpu_temp_scan)
+        assert self._scan is not None
+        rows = self.mv.rows
+        start = self._pos
+        out, self._pos = self._scan(rows, start, len(rows), max_rows, self._poll)
+        if self._pos > start:
+            self.ctx.meter.charge(
+                (self._pos - start) * self.ctx.cost_params.cpu_temp_scan
+            )
         if not out:
             self.finish()
             return None

@@ -18,15 +18,12 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from repro.executor.base import ExecutionContext, Operator
+from repro.expr.evaluate import kernel_code
 from repro.plan.physical import Sort
-
-
-def _sort_key(value):
-    """Sort wrapper placing NULLs first and keeping values comparable."""
-    return (value is None, value)
 
 
 class _Reversed:
@@ -43,6 +40,32 @@ class _Reversed:
 
     def __eq__(self, other):
         return other.value == self.value
+
+
+def _composite_key(slots: list[int], ascending: list[bool]):
+    """One ``row -> key`` function ordering rows by every sort column at
+    once: per column a ``(is NULL, value)`` pair (NULL after every value,
+    and values never compared with ``None``), wrapped in :class:`_Reversed`
+    where the column sorts descending.  Generated as one tuple expression."""
+    parts = []
+    for slot, asc in zip(slots, ascending):
+        pair = f"(row[{slot}] is None, row[{slot}])"
+        parts.append(pair if asc else f"_Reversed({pair})")
+    source = "lambda row: (" + ", ".join(parts) + ",)"
+    return eval(kernel_code(source, "eval"), {"_Reversed": _Reversed})
+
+
+def _sort_in_place(rows: list[tuple], slots: list[int], ascending: list[bool]) -> None:
+    """Stable multi-key sort honoring per-key direction: one pass per key,
+    least significant first.  A column holding no NULL sorts on the bare
+    C-level ``itemgetter``; one that does sorts through the ``(is NULL,
+    value)`` pair, NULL after every value."""
+    for slot, asc in reversed(list(zip(slots, ascending))):
+        column = itemgetter(slot)
+        if None in map(column, rows):
+            rows.sort(key=lambda r, s=slot: (r[s] is None, r[s]), reverse=not asc)
+        else:
+            rows.sort(key=column, reverse=not asc)
 
 
 class SortExec(Operator):
@@ -62,18 +85,6 @@ class SortExec(Operator):
         self.build_complete = False
         self.spilled = False
         self._merge = None
-
-    def _composite_key(self):
-        slots = [self.plan.layout.slot(k) for k in self.plan.keys]
-        pairs = list(zip(slots, self.plan.ascending))
-
-        def key(row):
-            return tuple(
-                _sort_key(row[slot]) if asc else _Reversed(_sort_key(row[slot]))
-                for slot, asc in pairs
-            )
-
-        return key
 
     def open(self) -> None:
         super().open()
@@ -95,10 +106,7 @@ class SortExec(Operator):
             if interruptible:
                 self.ctx.check_interrupt()
         slots = [self.plan.layout.slot(k) for k in self.plan.keys]
-        # Stable multi-key sort honoring per-key direction: sort by each key
-        # from least to most significant.
-        for slot, ascending in reversed(list(zip(slots, self.plan.ascending))):
-            rows.sort(key=lambda r, s=slot: _sort_key(r[s]), reverse=not ascending)
+        _sort_in_place(rows, slots, self.plan.ascending)
         n = len(rows)
         if n:
             self.ctx.meter.charge(n * max(1.0, math.log2(n + 1)) * p.cpu_sort, "sort")
@@ -116,7 +124,9 @@ class SortExec(Operator):
         p = self.ctx.cost_params
         grant = self.ctx.grant_pages(p.sort_mem_pages, "sort")
         capacity = max(1, int(grant * p.rows_per_page))
-        key = self._composite_key()
+        key = _composite_key(
+            [self.plan.layout.slot(k) for k in self.plan.keys], self.plan.ascending
+        )
         interruptible = self.ctx.interruptible
         runs = []
         buf: list[tuple] = []

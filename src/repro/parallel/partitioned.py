@@ -162,21 +162,12 @@ class PartitionedExecutor:
 
     def _finalize(self, query: Query, rows: list) -> list:
         if query.having:
-            from repro.executor.misc import HavingFilterExec
+            from repro.expr.evaluate import compile_slot_filter
 
             names = query.output_names
-            checks = [
-                (names.index(p.column), HavingFilterExec._OPS[p.op], p.value)
-                for p in query.having
-            ]
-            rows = [
-                row
-                for row in rows
-                if all(
-                    row[slot] is not None and cmp(row[slot], value)
-                    for slot, cmp, value in checks
-                )
-            ]
+            rows = compile_slot_filter(
+                [(names.index(p.column), p.op, p.value) for p in query.having]
+            )(rows)
         if query.distinct:
             seen = set()
             deduped = []

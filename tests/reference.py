@@ -5,26 +5,184 @@ full cross product of the FROM tables (filtered early per table for
 tractability), applying all predicates, then grouping/ordering/limiting.
 Deliberately simple and obviously correct — every integration and property
 test compares the engine's output against this.
+
+It shares no evaluation code with the engine: predicates are closures applied
+one row at a time (:func:`row_test`), and the ``naive_*`` functions are the
+per-row references the executor's compiled kernels are compared against
+(``tests/test_executor_kernels.py``).
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import product
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.expr.evaluate import RowLayout, compile_conjunction
+from repro.expr.evaluate import RowLayout
+from repro.expr.expressions import operand_value
+from repro.expr.predicates import (
+    Between,
+    Comparison,
+    InList,
+    IsNull,
+    JoinPredicate,
+    Like,
+    Or,
+    Predicate,
+)
 from repro.plan.logical import Aggregate, Query
 from repro.storage.catalog import Catalog
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def like(pattern: str, text: str) -> bool:
+    """SQL LIKE by recursion on the pattern: ``%`` any run, ``_`` one
+    character, anything else itself."""
+    if not pattern:
+        return not text
+    head, rest = pattern[0], pattern[1:]
+    if head == "%":
+        return any(like(rest, text[i:]) for i in range(len(text) + 1))
+    return bool(text) and (head == "_" or head == text[0]) and like(rest, text[1:])
+
+
+def row_test(pred: Predicate, layout: RowLayout, params: dict):
+    """``pred`` as a ``row -> bool`` closure, slots and operands resolved
+    once; a comparison with NULL — cell or operand — is false."""
+    if isinstance(pred, Comparison):
+        slot = layout.slot(pred.column)
+        value = operand_value(pred.operand, params)
+        compare = _COMPARE[pred.op]
+        if value is None:
+            return lambda row: False
+        return lambda row: row[slot] is not None and compare(row[slot], value)
+    if isinstance(pred, Between):
+        slot = layout.slot(pred.column)
+        low = operand_value(pred.low, params)
+        high = operand_value(pred.high, params)
+        if low is None or high is None:
+            return lambda row: False
+        return lambda row: row[slot] is not None and low <= row[slot] <= high
+    if isinstance(pred, InList):
+        slot = layout.slot(pred.column)
+        values = [v for v in pred.values if v is not None]
+        return lambda row: row[slot] is not None and any(row[slot] == v for v in values)
+    if isinstance(pred, Like):
+        slot = layout.slot(pred.column)
+        pattern = pred.pattern
+        return lambda row: isinstance(row[slot], str) and like(pattern, row[slot])
+    if isinstance(pred, IsNull):
+        slot = layout.slot(pred.column)
+        negated = pred.negated
+        return lambda row: (row[slot] is None) != negated
+    if isinstance(pred, Or):
+        tests = [row_test(child, layout, params) for child in pred.children]
+        return lambda row: any(test(row) for test in tests)
+    if isinstance(pred, JoinPredicate):
+        left, right = layout.slot(pred.left), layout.slot(pred.right)
+        return lambda row: row[left] is not None and row[left] == row[right]
+    raise AssertionError(pred)
+
+
+def holds(pred: Predicate, row: tuple, layout: RowLayout, params: dict) -> bool:
+    return row_test(pred, layout, params)(row)
+
+
+def naive_filter(
+    preds: Sequence[Predicate], rows, layout: RowLayout, params: dict
+) -> list[tuple]:
+    """The rows satisfying every predicate, tested one row at a time."""
+    tests = [row_test(pred, layout, params) for pred in preds]
+    if len(tests) == 1:  # the cross-product join test: 10^7 rows in the suites
+        (only,) = tests
+        return [row for row in rows if only(row)]
+    return [row for row in rows if all(test(row) for test in tests)]
+
+
+def naive_aggregate(
+    rows: Sequence[tuple],
+    key_slots: Sequence[int],
+    aggregates: Sequence[tuple[str, Optional[int]]],
+) -> list[tuple]:
+    """GROUP BY over ``(func, argument slot | None for *)`` aggregates:
+    groups in first-seen order, one output row per group; a scalar
+    aggregation (no keys) yields one row even over no input."""
+    groups: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[s] for s in key_slots), []).append(row)
+    if not groups and not key_slots:
+        groups[()] = []
+    out = []
+    for key, members in groups.items():
+        values: list[Any] = []
+        for func, slot in aggregates:
+            if slot is None:
+                values.append(len(members))
+                continue
+            data = [r[slot] for r in members if r[slot] is not None]
+            if func == "count":
+                values.append(len(data))
+            elif not data:
+                values.append(None)
+            elif func in ("sum", "avg"):
+                total = 0
+                for value in data:  # the engine's order of additions
+                    total += 0 if isinstance(value, str) else value
+                values.append(total if func == "sum" else total / len(data))
+            else:
+                values.append(min(data) if func == "min" else max(data))
+        out.append(key + tuple(values))
+    return out
+
+
+def naive_sort(
+    rows: Sequence[tuple], slots: Sequence[int], ascending: Sequence[bool]
+) -> list[tuple]:
+    """Stable multi-key sort; NULL sorts after every value (so first
+    within a descending key)."""
+    rows = list(rows)
+    for slot, asc in reversed(list(zip(slots, ascending))):
+        rows.sort(key=lambda r, s=slot: (r[s] is None, r[s]), reverse=not asc)
+    return rows
+
+
+def naive_equi_join(
+    outer: Sequence[tuple],
+    inner: Sequence[tuple],
+    outer_slots: Sequence[int],
+    inner_slots: Sequence[int],
+) -> list[tuple]:
+    """Nested loops in outer-major order; NULL keys join nothing."""
+    out = []
+    for orow in outer:
+        okey = [orow[s] for s in outer_slots]
+        if None in okey:
+            continue
+        for irow in inner:
+            if okey == [irow[s] for s in inner_slots]:
+                out.append(orow + irow)
+    return out
+
+
+def _concatenated(rows: tuple) -> tuple:
+    return sum(rows, ())
 
 
 def _table_rows(catalog: Catalog, query: Query, alias: str, params) -> list[tuple]:
     ref = query.table_for(alias)
     table = catalog.table(ref.table)
     layout = RowLayout([f"{alias}.{c}" for c in table.schema.names()])
-    pred = compile_conjunction(
-        query.local_predicates_for(alias), layout, params or {}
+    return naive_filter(
+        query.local_predicates_for(alias), table.rows, layout, params or {}
     )
-    return [row for row in table.rows if pred(row)]
 
 
 def evaluate_reference(
@@ -41,12 +199,12 @@ def evaluate_reference(
         filtered.append(_table_rows(catalog, query, alias, params))
 
     joined_layout = RowLayout([c for cols in layouts for c in cols])
-    join_pred = compile_conjunction(query.join_predicates, joined_layout, params)
-    joined = [
-        sum(combo, ())
-        for combo in product(*filtered)
-        if join_pred(sum(combo, ()))
-    ]
+    joined = naive_filter(
+        query.join_predicates,
+        map(_concatenated, product(*filtered)),
+        joined_layout,
+        params,
+    )
 
     if query.has_aggregates:
         rows = _aggregate(query, joined_layout, joined)

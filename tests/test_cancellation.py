@@ -136,6 +136,57 @@ class TestExecuteCancel:
         assert sorted(again) == sorted(oracle)
 
 
+class TestRejectingScanCancel:
+    """A scan whose filter rejects every row never reaches ``emit_batch``;
+    its chunk loop polls instead, so a cancel still unwinds within one
+    batch width of scanned rows."""
+
+    N_ROWS = 10_000
+    TRIP_AT = 3_000
+
+    @pytest.mark.parametrize("width", [64, 1024])
+    def test_unwinds_within_one_batch_width(self, width):
+        from repro.executor.base import ExecutionContext
+        from repro.executor.runtime import run_plan
+        from repro.expr.evaluate import RowLayout
+        from repro.expr.expressions import ColumnRef, Literal
+        from repro.expr.predicates import Comparison
+        from repro.plan.physical import Return, TableScan, number_plan
+        from repro.plan.properties import PlanProperties
+        from repro.storage.catalog import Catalog
+        from repro.storage.table import Schema
+
+        token = CancelToken()
+        scanned = []
+
+        class Tripwire(int):
+            """A cell that records that the filter read it and cancels the
+            statement at row ``TRIP_AT``: the cancel lands at a known
+            scanned row, with no timing."""
+
+            def __lt__(self, other):
+                scanned.append(self)
+                if len(scanned) == TestRejectingScanCancel.TRIP_AT:
+                    token.cancel("tripwire row scanned")
+                return False
+
+        cat = Catalog()
+        table = cat.create_table("t", Schema.of(("a", "int"), ("b", "int")))
+        table.load_raw([(i, Tripwire(5)) for i in range(self.N_ROWS)])
+        plan = Return(
+            TableScan(
+                "t", "t", [Comparison(ColumnRef("t", "b"), "<", Literal(0))],
+                PlanProperties(frozenset({"t"}), frozenset()),
+                RowLayout(["t.a", "t.b"]), est_card=1.0, est_cost=1.0,
+            )
+        )
+        number_plan(plan)
+        ctx = ExecutionContext(cat, cancel=token, batch_size=width)
+        with pytest.raises(ExecutionCancelled, match="tripwire"):
+            run_plan(plan, ctx)
+        assert self.TRIP_AT <= len(scanned) < self.TRIP_AT + width
+
+
 class TestSpillReleaseIdempotent:
     def test_close_all_twice_releases_once(self, star_db):
         from repro.executor.meter import WorkMeter
