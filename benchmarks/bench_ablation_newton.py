@@ -22,26 +22,23 @@ QUERIES = ["Q3", "Q5", "Q9", "Q18"]
 def measure(tpch):
     rows = []
     for cap in (1, 2, 3, 4, 6):
-        tpch.optimizer.options = OptimizerOptions(validity_iterations=cap)
+        options = OptimizerOptions(validity_iterations=cap)
         finite_bounds = 0
         total_edges = 0
         tightness = []
         started = time.perf_counter()
-        try:
-            for name in QUERIES + ["Q10_MARKER"]:
-                sql = TPCH_QUERIES.get(name, Q10_MARKER)
-                plan = tpch.optimizer.optimize(tpch._to_query(sql)).plan
-                for op in plan.walk():
-                    if not isinstance(op, JoinOp):
-                        continue
-                    for rng in op.validity_ranges:
-                        total_edges += 1
-                        if not rng.is_trivial:
-                            finite_bounds += 1
-                        if rng.high < math.inf and rng.high > 0:
-                            tightness.append(rng.high)
-        finally:
-            tpch.optimizer.options = OptimizerOptions()
+        for name in QUERIES + ["Q10_MARKER"]:
+            sql = TPCH_QUERIES.get(name, Q10_MARKER)
+            plan = tpch.optimizer.optimize(tpch._to_query(sql), options=options).plan
+            for op in plan.walk():
+                if not isinstance(op, JoinOp):
+                    continue
+                for rng in op.validity_ranges:
+                    total_edges += 1
+                    if not rng.is_trivial:
+                        finite_bounds += 1
+                    if rng.high < math.inf and rng.high > 0:
+                        tightness.append(rng.high)
         elapsed = time.perf_counter() - started
         rows.append(
             {

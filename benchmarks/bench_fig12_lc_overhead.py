@@ -15,58 +15,51 @@ from repro.bench.harness import run_once
 from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 from repro.core.flavors import LC, LCEM
-from repro.optimizer.enumeration import OptimizerOptions
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
 QUERIES = ["Q3", "Q4", "Q5", "Q7", "Q9"]
 #: Force at most this many distinct checkpoints per query (the paper's a/b).
 MAX_TRIGGERS = 2
 
-NO_HASH = OptimizerOptions(enable_hash_join=False)
-
 
 def measure(tpch):
     rows = []
-    tpch.optimizer.options = NO_HASH
-    try:
-        for name in QUERIES:
-            sql = TPCH_QUERIES[name]
-            baseline = run_once(tpch, sql, pop=PopConfig(dry_run=True))
-            events = [
-                e for a in baseline.report.attempts for e in a.checkpoint_events
-            ]
-            checkpoint_ids = sorted({e.op_id for e in events})
-            for label, op_id in zip("ab", checkpoint_ids[:MAX_TRIGGERS]):
-                forced = run_once(
-                    tpch,
-                    sql,
-                    pop=PopConfig(
-                        force_trigger_op_ids=frozenset({op_id}),
-                        max_reoptimizations=1,
-                    ),
-                )
-                attempts = forced.report.attempts
-                before = attempts[0].execution_units + attempts[0].optimization_units
-                opt = attempts[1].optimization_units if len(attempts) > 1 else 0.0
-                after = attempts[1].execution_units if len(attempts) > 1 else 0.0
-                rows.append(
-                    {
-                        "query": name,
-                        "run": label,
-                        "baseline": baseline.units,
-                        "before": before / baseline.units,
-                        "opt": opt / baseline.units,
-                        "after": after / baseline.units,
-                        "total": forced.units / baseline.units,
-                    }
-                )
-    finally:
-        tpch.optimizer.options = OptimizerOptions()
+    for name in QUERIES:
+        sql = TPCH_QUERIES[name]
+        baseline = run_once(tpch, sql, pop=PopConfig(dry_run=True))
+        events = [
+            e for a in baseline.report.attempts for e in a.checkpoint_events
+        ]
+        checkpoint_ids = sorted({e.op_id for e in events})
+        for label, op_id in zip("ab", checkpoint_ids[:MAX_TRIGGERS]):
+            forced = run_once(
+                tpch,
+                sql,
+                pop=PopConfig(
+                    force_trigger_op_ids=frozenset({op_id}),
+                    max_reoptimizations=1,
+                ),
+            )
+            attempts = forced.report.attempts
+            before = attempts[0].execution_units + attempts[0].optimization_units
+            opt = attempts[1].optimization_units if len(attempts) > 1 else 0.0
+            after = attempts[1].execution_units if len(attempts) > 1 else 0.0
+            rows.append(
+                {
+                    "query": name,
+                    "run": label,
+                    "baseline": baseline.units,
+                    "before": before / baseline.units,
+                    "opt": opt / baseline.units,
+                    "after": after / baseline.units,
+                    "total": forced.units / baseline.units,
+                }
+            )
     return rows
 
 
-def test_fig12_lc_overhead(tpch, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch), rounds=1, iterations=1)
+def test_fig12_lc_overhead(tpch_no_hash, benchmark):
+    rows = benchmark.pedantic(lambda: measure(tpch_no_hash), rounds=1, iterations=1)
     table = format_table(
         ["query", "run", "before/base", "opt/base", "after/base", "normalized total"],
         [

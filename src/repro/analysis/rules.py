@@ -245,12 +245,20 @@ def rule_check_placement(
 # -------------------------------------------------------- cost monotonicity
 
 
+def _sort_enforced(child: PlanOp) -> bool:
+    """Does a merge join read ``child`` through a sort enforcer (possibly
+    under the CHECK placed above it)?"""
+    while isinstance(child, (Check, BufCheck)):
+        child = child.children[0]
+    return isinstance(child, Sort)
+
+
 def _local_cost_fns(op: PlanOp, ctx: LintContext) -> list:
     """(edge label, cost-of-scaled-input-cardinality) probes for one op.
 
-    Output cardinality is held at the optimizer's estimate: the probe
-    isolates how the operator's own cost responds to its *input* edges —
-    the quantity validity-range analysis differentiates.
+    The probe isolates how the operator's own cost responds to its *input*
+    edges — the quantity validity-range analysis differentiates.  A unary
+    operator's output cardinality is held at the optimizer's estimate.
     """
     cm = ctx.cost_model
     out_card = op.est_card
@@ -268,32 +276,30 @@ def _local_cost_fns(op: PlanOp, ctx: LintContext) -> list:
         return [("input", lambda c: cm.group_by_cost(c, min(c, out_card)))]
     if isinstance(op, Distinct):
         return [("input", lambda c: cm.distinct_cost(c, min(c, out_card)))]
-    if isinstance(op, HashJoin):
+    if isinstance(op, JoinOp):
+        # The optimizer's own edge kernels (what the Fig. 5 probe runs), at
+        # the effective selectivity of the estimate.
         outer, inner = op.outer.est_card, op.inner.est_card
+        sel = out_card / max(1e-9, outer * inner)
+        if isinstance(op, HashJoin):
+            description = ("hash", 0.0, sel, 1.0)
+        elif isinstance(op, MergeJoin):
+            description = (
+                "merge", 0.0, sel, _sort_enforced(op.outer), _sort_enforced(op.inner)
+            )
+        elif op.method == "rescan":
+            description = ("rescan", 0.0, sel)
+        else:
+            pages = cm.pages_for(inner)
+            if ctx.catalog is not None:
+                table_name = getattr(op.inner, "table", None)
+                if table_name is not None and ctx.catalog.has_table(table_name):
+                    pages = ctx.catalog.table(table_name).page_count
+            description = ("index", 0.0, cm.index_probe_cost(inner, pages), sel)
+            return [("outer", cm.edge_kernel(description, 0, inner))]
         return [
-            ("outer", lambda c: cm.hash_join_cost(c, inner, out_card)),
-            ("inner", lambda c: cm.hash_join_cost(outer, c, out_card)),
-        ]
-    if isinstance(op, MergeJoin):
-        outer, inner = op.outer.est_card, op.inner.est_card
-        return [
-            ("outer", lambda c: cm.merge_join_cost(c, inner, out_card, False, False)),
-            ("inner", lambda c: cm.merge_join_cost(outer, c, out_card, False, False)),
-        ]
-    if isinstance(op, NLJoin):
-        outer, inner = op.outer.est_card, op.inner.est_card
-        if op.method == "rescan":
-            return [
-                ("outer", lambda c: cm.nljn_rescan_cost(c, inner, out_card)),
-                ("inner", lambda c: cm.nljn_rescan_cost(outer, c, out_card)),
-            ]
-        pages = cm.pages_for(inner)
-        if ctx.catalog is not None:
-            table_name = getattr(op.inner, "table", None)
-            if table_name is not None and ctx.catalog.has_table(table_name):
-                pages = ctx.catalog.table(table_name).page_count
-        return [
-            ("outer", lambda c: cm.nljn_index_cost(c, inner, out_card, pages)),
+            ("outer", cm.edge_kernel(description, 0, inner)),
+            ("inner", cm.edge_kernel(description, 1, outer)),
         ]
     return []
 

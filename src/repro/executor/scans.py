@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.common.errors import ExecutionError
 from repro.executor.base import ExecutionContext, Operator
@@ -109,7 +109,7 @@ class IndexScanExec(Operator):
             else None
         )
 
-    def _visible_rids(self, rids: Iterator[int]) -> list[int]:
+    def _visible_rids(self, rids: list[int]) -> list[int]:
         visible = self._visible
         if visible is None:
             return list(rids)
@@ -133,7 +133,7 @@ class IndexScanExec(Operator):
                 * self.ctx.cost_params.io_page
             )
 
-    def _rids_for_sarg(self) -> Iterator[int]:
+    def _rids_for_sarg(self) -> list[int]:
         sarg = self.plan.sarg
         if sarg is None:
             raise ExecutionError("sarg-mode index scan without a sarg")
@@ -141,23 +141,20 @@ class IndexScanExec(Operator):
         if isinstance(sarg, Comparison):
             value = operand_value(sarg.operand, params)
             if value is None:
-                return  # a comparison with NULL holds for no row
+                return []  # a comparison with NULL holds for no row
             if sarg.op == "=":
-                yield from self.index.lookup(value)
-                return
+                return self.index.lookup(value)
             if not isinstance(self.index, SortedIndex):
                 raise ExecutionError("range sarg over a non-sorted index")
             if sarg.op == "<":
-                yield from self.index.range_scan(high=value, high_inclusive=False)
-            elif sarg.op == "<=":
-                yield from self.index.range_scan(high=value)
-            elif sarg.op == ">":
-                yield from self.index.range_scan(low=value, low_inclusive=False)
-            elif sarg.op == ">=":
-                yield from self.index.range_scan(low=value)
-            else:
-                raise ExecutionError(f"non-sargable comparison {sarg.op!r}")
-            return
+                return self.index.range_scan(high=value, high_inclusive=False)
+            if sarg.op == "<=":
+                return self.index.range_scan(high=value)
+            if sarg.op == ">":
+                return self.index.range_scan(low=value, low_inclusive=False)
+            if sarg.op == ">=":
+                return self.index.range_scan(low=value)
+            raise ExecutionError(f"non-sargable comparison {sarg.op!r}")
         if isinstance(sarg, Between):
             if not isinstance(self.index, SortedIndex):
                 raise ExecutionError("BETWEEN sarg over a non-sorted index")
@@ -165,9 +162,9 @@ class IndexScanExec(Operator):
             high = operand_value(sarg.high, params)
             # ``range_scan`` reads a ``None`` bound as "open-ended"; in SQL
             # a NULL bound makes the predicate false for every row.
-            if low is not None and high is not None:
-                yield from self.index.range_scan(low=low, high=high)
-            return
+            if low is None or high is None:
+                return []
+            return self.index.range_scan(low=low, high=high)
         raise ExecutionError(f"unsupported sarg {sarg!r}")
 
     def rebind(self, key: Any) -> None:
@@ -175,7 +172,7 @@ class IndexScanExec(Operator):
         p = self.ctx.cost_params
         self.probes += 1
         self.ctx.meter.charge(p.index_probe_io * p.random_io * p.io_page)
-        self._rids = self._visible_rids(iter(self.index.lookup(key)))
+        self._rids = self._visible_rids(self.index.lookup(key))
         self._pos = 0
         self.eof_seen = False
 

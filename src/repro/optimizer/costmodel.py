@@ -266,6 +266,130 @@ class CostModel:
             cost += self.sort_cost(inner_card)
         return cost
 
+    # ----------------------------------------------------------- edge kernels
+
+    def edge_kernel(self, description: tuple, position: int, other_card: float):
+        """The total cost of a join as a function of the cardinality of input
+        edge ``position`` (0 outer, 1 inner) alone, the other edge held at
+        ``other_card`` — what the validity-range probe (§2.2, Fig. 5)
+        evaluates.  ``description`` is what the enumerator keeps of a
+        candidate's cost function:
+
+        * ``("hash", base, sel, penalty)`` — ``base + hash_join_cost * penalty``
+        * ``("merge", base, sel, sort_outer, sort_inner)``
+        * ``("rescan", base, sel)`` — rescan nested loop over a TEMP
+        * ``("index", outer_cost, probe_cost, sel)`` — index nested loop
+
+        with ``base`` the two inputs' cost and ``sel`` the effective join
+        selectivity (output cardinality ``outer * inner * sel``).  A kernel
+        computes every term of the fixed side once and otherwise performs
+        the floating-point operations of the two-variable formula in the
+        same order (``x if x > 0.0 else 0.0`` is ``max(0.0, x)``), so its
+        values are bit-identical to ``base + <method>_cost(cl, cr, cl * cr *
+        sel)``; tests/test_cost_kernels.py holds them to ``==``.
+        """
+        kernel_for = getattr(self, f"_{description[0]}_kernel")
+        return kernel_for(*description[1:], position, other_card)
+
+    def _hash_kernel(self, base, sel, penalty, position, other):
+        p = self.params
+        build, probe, emit = p.cpu_hash_build, p.cpu_hash_probe, p.cpu_emit
+        rpp, mem, io = p.rows_per_page, p.hash_mem_pages, p.io_page
+        fixed = max(0.0, other)
+        fixed_pages = self.pages_for(fixed)
+        if not position:  # the probe side varies, the build is fixed
+            build_cpu = fixed * build
+            spill = None
+            if fixed_pages > mem:
+                stages = math.ceil(fixed_pages / mem)
+                spill = min(1.0, (stages - 1) / stages + 0.5)
+
+            def kernel(c: float) -> float:
+                outer = c if c > 0.0 else 0.0
+                out = c * other * sel
+                cost = build_cpu + outer * probe + (out if out > 0.0 else 0.0) * emit
+                if spill is not None:
+                    pages = outer / rpp
+                    cost += 2.0 * (fixed_pages + (pages if pages > 1.0 else 1.0)) * spill * io
+                return base + cost * penalty
+
+            return kernel
+        probe_cpu = fixed * probe
+
+        def kernel(c: float) -> float:
+            inner = c if c > 0.0 else 0.0
+            out = other * c * sel
+            cost = inner * build + probe_cpu + (out if out > 0.0 else 0.0) * emit
+            pages = inner / rpp
+            pages = pages if pages > 1.0 else 1.0
+            if pages > mem:
+                stages = math.ceil(pages / mem)
+                spill = min(1.0, (stages - 1) / stages + 0.5)
+                cost += 2.0 * (pages + fixed_pages) * spill * io
+            return base + cost * penalty
+
+        return kernel
+
+    def _merge_kernel(self, base, sel, sort_outer, sort_inner, position, other):
+        p = self.params
+        cpu_row, emit = p.cpu_row, p.cpu_emit
+        fixed = max(0.0, other)
+        sorts = (sort_outer, sort_inner)
+        sort_varying = self.sort_cost if sorts[position] else None
+        fixed_sort = self.sort_cost(fixed) if sorts[1 - position] else None
+        # The formula adds the outer's enforcer before the inner's.
+        fixed_first = bool(position)
+
+        def kernel(c: float) -> float:
+            varying = c if c > 0.0 else 0.0
+            out = c * other * sel
+            cost = (varying + fixed) * cpu_row + (out if out > 0.0 else 0.0) * emit
+            if fixed_first and fixed_sort is not None:
+                cost += fixed_sort
+            if sort_varying is not None:
+                cost += sort_varying(varying)
+            if not fixed_first and fixed_sort is not None:
+                cost += fixed_sort
+            return base + cost
+
+        return kernel
+
+    def _rescan_kernel(self, base, sel, position, other):
+        cpu_row, emit = self.params.cpu_row, self.params.cpu_emit
+        temp_cost, temp_rescan_cost = self.temp_cost, self.temp_rescan_cost
+        fixed = max(0.0, other)
+        if not position:  # the outer varies, the TEMP'd inner is fixed
+            temp = temp_cost(fixed)
+            rescan = temp_rescan_cost(fixed)
+
+            def kernel(c: float) -> float:
+                outer = c if c > 0.0 else 0.0
+                out = c * other * sel
+                return base + (
+                    temp + outer * rescan + outer * cpu_row
+                    + (out if out > 0.0 else 0.0) * emit
+                )
+
+            return kernel
+        outer_cpu = fixed * cpu_row
+
+        def kernel(c: float) -> float:
+            inner = c if c > 0.0 else 0.0
+            out = other * c * sel
+            return base + (
+                temp_cost(inner) + fixed * temp_rescan_cost(inner) + outer_cpu
+                + (out if out > 0.0 else 0.0) * emit
+            )
+
+        return kernel
+
+    def _index_kernel(self, outer_cost, probe_cost, sel, position, other):
+        emit = self.params.cpu_emit
+        if not position:
+            return lambda c: outer_cost + c * probe_cost + c * other * sel * emit
+        probes = outer_cost + other * probe_cost
+        return lambda c: probes + other * c * sel * emit
+
     # ------------------------------------------------------------- aggregates
 
     def group_by_cost(self, input_card: float, output_card: float) -> float:

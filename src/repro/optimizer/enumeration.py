@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.common.errors import OptimizerError
 from repro.expr.evaluate import RowLayout
@@ -92,7 +92,7 @@ class OptimizerOptions:
     join_enumeration: str = "auto"
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One physical alternative for a table subset during DP."""
 
@@ -104,25 +104,47 @@ class Candidate:
     #: Identity of the two input edges as (outer tables, inner tables);
     #: ``None`` for leaf candidates (scans, MV scans).
     edge_subsets: Optional[tuple] = None
-    #: Total cost as a function of (outer_card, inner_card); None for leaves.
-    cost_fn: Optional[Callable[[float, float], float]] = None
+    #: Total cost as a function of (outer_card, inner_card), as a
+    #: ``(kind, *constants)`` description that ``CostModel.edge_kernel``
+    #: restricts to one edge; None for leaves.
+    cost_desc: Optional[tuple] = None
     #: The kept candidates this join reads (outer first); empty for leaves.
     inputs: tuple = ()
     build: Optional[Callable[[], PlanOp]] = None
-    #: Filled by pruning when this candidate is kept: ``(cost_fn, commuted)``
+    #: Set by pruning when this candidate is kept: ``(cost_desc, commuted)``
     #: of every not-cheaper structurally equivalent candidate, ``commuted``
     #: when that one takes the two edges in the opposite argument order.
-    alternatives: list = field(default_factory=list)
+    alternatives: Sequence[tuple] = ()
 
 
-def _along_edge(
-    cost_fn: Callable[[float, float], float], position: int, other_card: float
-) -> Callable[[float], float]:
-    """``cost_fn`` as a function of the cardinality in argument ``position``
-    alone, the other edge held at ``other_card``."""
-    if position == 0:
-        return lambda c: cost_fn(c, other_card)
-    return lambda c: cost_fn(other_card, c)
+@dataclass(slots=True)
+class _Partition:
+    """What the joins of one (outer tables, inner tables) split of a subset
+    share whichever pair of kept input plans they read, computed once."""
+
+    edge_subsets: tuple
+    subset: frozenset
+    #: Join predicates between the two sides; empty for a cross product.
+    preds: list
+    card_out: float
+    #: Ids of every predicate applied once ``subset`` is joined.
+    applied: frozenset
+    #: Merge-join sort keys (outer, inner), one column per join predicate.
+    merge_keys: tuple
+    #: ``(alias, filtered cardinality, [(predicate, index, cost of one
+    #: probe)])`` when the inner is one base table with an index on a join
+    #: column, else None.
+    index_inner: Optional[tuple]
+    _costs: dict = field(default_factory=dict)
+
+    def method_cost(self, method: Callable[..., float], *args) -> float:
+        """``method(*args)``, evaluated once per argument tuple: the kept
+        plans of an input subset mostly share their cardinality."""
+        key = (method.__name__, args)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = method(*args)
+        return cost
 
 
 def order_satisfies(provided: tuple, required: tuple) -> bool:
@@ -289,29 +311,22 @@ class PlanEnumerator:
     # ================================================================= joins
 
     def _join_shape(
-        self, left: Candidate, inner_layout: RowLayout, subset: frozenset
+        self, left: Candidate, inner_layout: RowLayout, part: _Partition
     ) -> tuple[PlanProperties, RowLayout]:
-        """Output properties and row layout of a join over ``subset``.
+        """Output properties and row layout of a join of ``part``.
 
         Hash/nested-loop joins stream the outer (build/materialize the
         inner), so they deliver rows in the outer's order.
         """
         props = PlanProperties(
-            tables=subset,
-            predicates=predicate_set_id(
-                self.estimator.predicates_for_subset(subset)
-            ),
+            tables=part.subset,
+            predicates=part.applied,
             order=left.plan.properties.order,
         )
         return props, left.plan.layout.concat(inner_layout)
 
     def _join_candidates(
-        self,
-        left: Candidate,
-        right: Candidate,
-        left_tables: frozenset,
-        right_tables: frozenset,
-        subset: frozenset,
+        self, left: Candidate, right: Candidate, part: _Partition
     ) -> list[Candidate]:
         """All join methods for ``left JOIN right`` (left is the outer).
 
@@ -319,14 +334,14 @@ class PlanEnumerator:
         tree is only made for the candidates pruning keeps.
         """
         cm = self.cost_model
-        preds = self.graph.predicates_between(left_tables, right_tables)
+        preds = part.preds
         card_l = left.plan.est_card
         card_r = right.plan.est_card
-        card_out = self.estimator.subset_cardinality(subset)
+        card_out = part.card_out
         # Effective join selectivity: keeps out(cl, cr) consistent with the
         # subset estimate at the current operating point.
         sel_eff = card_out / max(1e-9, card_l * card_r)
-        edge_subsets = (left_tables, right_tables)
+        edge_subsets = part.edge_subsets
         inputs = (left, right)
         base_cost = left.cost + right.cost
         out: list[Candidate] = []
@@ -334,37 +349,31 @@ class PlanEnumerator:
         # ---------------------------------------------------------- hash join
         if self.options.enable_hash_join and preds:
             penalty = self._hash_penalty
-            total = base_cost + cm.hash_join_cost(card_l, card_r, card_out) * penalty
+            total = base_cost + part.method_cost(
+                cm.hash_join_cost, card_l, card_r, card_out
+            ) * penalty
 
             def build_hsjn(_total=total) -> PlanOp:
-                props, layout = self._join_shape(left, right.plan.layout, subset)
+                props, layout = self._join_shape(left, right.plan.layout, part)
                 return HashJoin(
                     left.plan, right.plan, preds, props, layout,
                     est_card=card_out, est_cost=_total,
                 )
 
-            def hsjn_cost(
-                cl: float, cr: float, _base=base_cost, _sel=sel_eff, _pen=penalty
-            ) -> float:
-                return _base + cm.hash_join_cost(cl, cr, cl * cr * _sel) * _pen
-
             out.append(
                 Candidate(
-                    None, total, left.order, edge_subsets, hsjn_cost, inputs, build_hsjn
+                    None, total, left.order, edge_subsets,
+                    ("hash", base_cost, sel_eff, penalty), inputs, build_hsjn,
                 )
             )
-            self.plans_enumerated += 1
 
         # --------------------------------------------------------- merge join
         if self.options.enable_merge_join and preds:
-            key_l = tuple(p.side_for(next(iter(p.tables() & left_tables))).qualified
-                          for p in preds)
-            key_r = tuple(p.other_side(next(iter(p.tables() & left_tables))).qualified
-                          for p in preds)
+            key_l, key_r = part.merge_keys
             sort_l = not order_satisfies(left.order, key_l)
             sort_r = not order_satisfies(right.order, key_r)
-            total = base_cost + cm.merge_join_cost(
-                card_l, card_r, card_out, sort_l, sort_r
+            total = base_cost + part.method_cost(
+                cm.merge_join_cost, card_l, card_r, card_out, sort_l, sort_r
             )
 
             def build_msjn(_total=total) -> PlanOp:
@@ -380,82 +389,58 @@ class PlanEnumerator:
                         right.plan, key_r, right.plan.properties.with_order(key_r),
                         est_cost=right.cost + cm.sort_cost(card_r),
                     )
-                props, layout = self._join_shape(left, right.plan.layout, subset)
+                props, layout = self._join_shape(left, right.plan.layout, part)
                 return MergeJoin(
                     outer_plan, inner_plan, preds, props.with_order(key_l), layout,
                     est_card=card_out, est_cost=_total,
                 )
 
-            def msjn_cost(
-                cl: float, cr: float,
-                _base=base_cost, _sel=sel_eff, _sl=sort_l, _sr=sort_r,
-            ) -> float:
-                return _base + cm.merge_join_cost(cl, cr, cl * cr * _sel, _sl, _sr)
-
             out.append(
                 Candidate(
-                    None, total, key_l, edge_subsets, msjn_cost, inputs, build_msjn
+                    None, total, key_l, edge_subsets,
+                    ("merge", base_cost, sel_eff, sort_l, sort_r), inputs, build_msjn,
                 )
             )
-            self.plans_enumerated += 1
 
         # -------------------------------------------------- rescan nested loop
         # ``preds`` are applied as join filters; empty = cross product.
         if self.options.enable_rescan_nljn and (preds or self._allow_cross):
-            total = base_cost + cm.nljn_rescan_cost(card_l, card_r, card_out)
+            total = base_cost + part.method_cost(
+                cm.nljn_rescan_cost, card_l, card_r, card_out
+            )
 
             def build_rescan(_total=total) -> PlanOp:
                 temp = Temp(right.plan, est_cost=right.cost + cm.temp_cost(card_r))
-                props, layout = self._join_shape(left, right.plan.layout, subset)
+                props, layout = self._join_shape(left, right.plan.layout, part)
                 return NLJoin(
                     left.plan, temp, preds, props, layout,
                     est_card=card_out, est_cost=_total, method="rescan",
                 )
 
-            def rescan_cost(
-                cl: float, cr: float, _base=base_cost, _sel=sel_eff
-            ) -> float:
-                return _base + cm.nljn_rescan_cost(cl, cr, cl * cr * _sel)
-
             out.append(
                 Candidate(
-                    None, total, left.order, edge_subsets, rescan_cost, inputs,
-                    build_rescan,
+                    None, total, left.order, edge_subsets,
+                    ("rescan", base_cost, sel_eff), inputs, build_rescan,
                 )
             )
-            self.plans_enumerated += 1
 
+        self.plans_enumerated += len(out)
         return out
 
-    def _index_nljn_candidates(
-        self,
-        left: Candidate,
-        left_tables: frozenset,
-        inner_alias: str,
-        subset: frozenset,
-    ) -> list[Candidate]:
-        """Index nested-loop joins: probe an inner index once per outer row."""
+    def _index_inner(self, inner_alias: str, preds: list) -> Optional[tuple]:
+        """``_Partition.index_inner`` for a partition whose inner is the
+        base table ``inner_alias``."""
         if not self.options.enable_index_nljn:
-            return []
-        cm = self.cost_model
-        preds = self.graph.predicates_between(left_tables, {inner_alias})
-        if not preds:
-            return []
+            return None
         inner_table_name = self.query.table_for(inner_alias).table
-        out: list[Candidate] = []
-        card_l = left.plan.est_card
-        card_out = self.estimator.subset_cardinality(subset)
-        card_r = self.estimator.filtered_cardinality(inner_alias)
-        sel_eff = card_out / max(1e-9, card_l * card_r)
         base_rows = self.estimator.base_cardinality(inner_alias)
-        local_preds = self.query.local_predicates_for(inner_alias)
         stats = self.catalog.statistics(inner_table_name)
         inner_pages = float(
             stats.page_count
             if stats is not None
             else self.catalog.table(inner_table_name).page_count
         )
-
+        probes = []
         for pred in preds:
             inner_col = pred.side_for(inner_alias)
             index = self.catalog.index_on_column(inner_table_name, inner_col.column)
@@ -463,9 +448,24 @@ class PlanEnumerator:
                 continue
             ndv = stats.ndv(inner_col.column) if stats is not None else None
             fetched_per_probe = base_rows / float(ndv) if ndv else 1.0
-            probe_cost = cm.index_probe_cost(fetched_per_probe, inner_pages)
+            probe_cost = self.cost_model.index_probe_cost(fetched_per_probe, inner_pages)
+            probes.append((pred, index, probe_cost))
+        if not probes:
+            return None
+        return inner_alias, self.estimator.filtered_cardinality(inner_alias), probes
+
+    def _index_nljn_candidates(self, left: Candidate, part: _Partition) -> list[Candidate]:
+        """Index nested-loop joins: probe an inner index once per outer row."""
+        inner_alias, card_r, probes = part.index_inner
+        preds = part.preds
+        out: list[Candidate] = []
+        card_l = left.plan.est_card
+        card_out = part.card_out
+        sel_eff = card_out / max(1e-9, card_l * card_r)
+        emit_cost = card_out * self.cost_model.params.cpu_emit
+
+        for pred, index, probe_cost in probes:
             inner_total_cost = card_l * probe_cost
-            emit_cost = card_out * cm.params.cpu_emit
             total = left.cost + inner_total_cost + emit_cost
 
             def build_nljn(
@@ -473,37 +473,27 @@ class PlanEnumerator:
             ) -> PlanOp:
                 inner_layout = self._table_layout(inner_alias)
                 inner_plan = IndexScan(
-                    inner_alias, inner_table_name, _index.name,
-                    sarg=None, filters=list(local_preds),
+                    inner_alias, self.query.table_for(inner_alias).table, _index.name,
+                    sarg=None, filters=list(self.query.local_predicates_for(inner_alias)),
                     properties=self._leaf_properties(inner_alias),
                     layout=inner_layout,
                     est_card=card_out, est_cost=_inner_cost,
                     correlation=_pred.other_side(inner_alias),
                 )
-                props, layout = self._join_shape(left, inner_layout, subset)
+                props, layout = self._join_shape(left, inner_layout, part)
                 return NLJoin(
                     left.plan, inner_plan,
                     [_pred] + [p for p in preds if p is not _pred], props, layout,
                     est_card=card_out, est_cost=_total, method="index",
                 )
 
-            def nljn_cost(
-                cl: float, cr: float,
-                _lc=left.cost, _probe=probe_cost, _sel=sel_eff,
-            ) -> float:
-                return (
-                    _lc
-                    + cl * _probe
-                    + cl * cr * _sel * cm.params.cpu_emit
-                )
-
             out.append(
                 Candidate(
-                    None, total, left.order, (left_tables, frozenset({inner_alias})),
-                    nljn_cost, (left,), build_nljn,
+                    None, total, left.order, part.edge_subsets,
+                    ("index", left.cost, probe_cost, sel_eff), (left,), build_nljn,
                 )
             )
-            self.plans_enumerated += 1
+        self.plans_enumerated += len(out)
         return out
 
     # =============================================================== pruning
@@ -538,19 +528,20 @@ class PlanEnumerator:
 
         if self.options.compute_validity_ranges:
             for winner in kept:
-                if winner.cost_fn is None or winner.edge_subsets is None:
+                if winner.cost_desc is None or winner.edge_subsets is None:
                     continue
                 edges = winner.edge_subsets
                 # Same pair of input edges, either way round: structurally
                 # equivalent.  Any other pair is a join-order change.
                 equivalent = (edges, edges[::-1])
-                for alt in candidates:
-                    if alt is winner or alt.cost_fn is None or alt.cost < winner.cost:
-                        continue
-                    if alt.edge_subsets in equivalent:
-                        winner.alternatives.append(
-                            (alt.cost_fn, alt.edge_subsets != edges)
-                        )
+                winner.alternatives = [
+                    (alt.cost_desc, alt.edge_subsets != edges)
+                    for alt in candidates
+                    if alt.cost >= winner.cost
+                    and alt.edge_subsets in equivalent
+                    and alt is not winner
+                    and alt.cost_desc is not None
+                ]
         return kept
 
     def _narrow_against(self, winner: Candidate) -> None:
@@ -558,26 +549,28 @@ class PlanEnumerator:
         against each alternative pruning recorded for it."""
         if not winner.alternatives:
             return
+        kernel = self.cost_model.edge_kernel
         est_l, est_r = (
             self.estimator.subset_cardinality(e) for e in winner.edge_subsets
         )
         for i, (est, other) in enumerate(((est_l, est_r), (est_r, est_l))):
-            cost_opt = _along_edge(winner.cost_fn, i, other)
-            for alt_fn, commuted in winner.alternatives:
+            cost_opt = kernel(winner.cost_desc, i, other)
+            for alt_desc, commuted in winner.alternatives:
                 self.newton_iterations += narrow_validity_range(
                     winner.plan.validity_ranges[i],
                     est,
                     cost_opt,
                     # A commuted alternative takes this edge in the other slot.
-                    _along_edge(alt_fn, 1 - i if commuted else i, other),
+                    kernel(alt_desc, 1 - i if commuted else i, other),
                     max_iterations=self.options.validity_iterations,
                     commit_without_inversion=self.options.commit_without_inversion,
                 )
 
     # ============================================================== main DP
 
-    def _partitions(self, subset: tuple) -> list[tuple[frozenset, frozenset]]:
-        """(outer, inner) partitions to consider for ``subset``."""
+    def _partitions(self, subset: tuple) -> list[tuple[frozenset, frozenset, list]]:
+        """(outer, inner, join predicates between them) for every partition
+        of ``subset`` to consider."""
         n = len(self.query.tables)
         mode = self.options.join_enumeration
         if mode == "auto":
@@ -596,11 +589,30 @@ class PlanEnumerator:
                 for combo in itertools.combinations(elements, r):
                     left = frozenset(combo)
                     parts.append((left, subset_set - left))
+        between = self.graph.predicates_between
         return [
-            (l, r)
-            for l, r in parts
-            if self.graph.connected(l, r) or self._allow_cross
+            (l, r, preds)
+            for l, r, preds in ((l, r, between(l, r)) for l, r in parts)
+            if preds or self._allow_cross
         ]
+
+    def _partition(
+        self, left_tables, right_tables, subset, preds, card_out, applied
+    ) -> _Partition:
+        """The shared state of ``left_tables JOIN right_tables``."""
+        outer_alias = [next(iter(p.tables() & left_tables)) for p in preds]
+        return _Partition(
+            (left_tables, right_tables), subset, preds, card_out, applied,
+            merge_keys=(
+                tuple(p.side_for(a).qualified for p, a in zip(preds, outer_alias)),
+                tuple(p.other_side(a).qualified for p, a in zip(preds, outer_alias)),
+            ),
+            index_inner=(
+                self._index_inner(next(iter(right_tables)), preds)
+                if len(right_tables) == 1
+                else None
+            ),
+        )
 
     def run(self) -> PlanOp:
         """Execute the DP and return the full physical plan (Return at root)."""
@@ -619,24 +631,21 @@ class PlanEnumerator:
                 if not self._allow_cross and not self.graph.is_connected_subset(combo):
                     continue
                 candidates: list[Candidate] = []
-                for left_tables, right_tables in self._partitions(combo):
+                card_out = self.estimator.subset_cardinality(subset)
+                applied = predicate_set_id(self.estimator.predicates_for_subset(subset))
+                for left_tables, right_tables, preds in self._partitions(combo):
                     left_plans = table.get(left_tables)
                     right_plans = table.get(right_tables)
                     if not left_plans or not right_plans:
                         continue
+                    part = self._partition(
+                        left_tables, right_tables, subset, preds, card_out, applied
+                    )
                     for pl in left_plans:
                         for pr in right_plans:
-                            candidates.extend(
-                                self._join_candidates(
-                                    pl, pr, left_tables, right_tables, subset
-                                )
-                            )
-                        if len(right_tables) == 1:
-                            candidates.extend(
-                                self._index_nljn_candidates(
-                                    pl, left_tables, next(iter(right_tables)), subset
-                                )
-                            )
+                            candidates.extend(self._join_candidates(pl, pr, part))
+                        if part.index_inner is not None:
+                            candidates.extend(self._index_nljn_candidates(pl, part))
                 candidates.extend(self._mv_candidates(subset))
                 if not candidates:
                     raise OptimizerError(

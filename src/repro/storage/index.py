@@ -23,7 +23,7 @@ drops).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator
+from typing import Any
 
 from repro.storage.table import Table
 
@@ -126,9 +126,9 @@ class SortedIndex(Index):
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[int]:
-        """Yield rids with keys in the given (possibly open-ended) range,
-        in key order."""
+    ) -> list[int]:
+        """Rids with keys in the given (possibly open-ended) range, in key
+        order."""
         keys, rids = self._entries
         lo = 0
         hi = len(keys)
@@ -136,8 +136,7 @@ class SortedIndex(Index):
             lo = bisect_left(keys, low) if low_inclusive else bisect_right(keys, low)
         if high is not None:
             hi = bisect_right(keys, high) if high_inclusive else bisect_left(keys, high)
-        for i in range(lo, hi):
-            yield rids[i]
+        return rids[lo:hi]
 
     def min_key(self) -> Any:
         return self._keys[0] if self._keys else None

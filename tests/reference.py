@@ -172,6 +172,37 @@ def naive_equi_join(
     return out
 
 
+def two_variable_cost(cm, description: tuple):
+    """A join's total cost as ``(outer_card, inner_card) -> cost`` through
+    ``CostModel``'s two-variable methods — the closures the enumerator used
+    to carry, and the reference for ``CostModel.edge_kernel``."""
+    kind, *consts = description
+    if kind == "hash":
+        base, sel, penalty = consts
+        return lambda cl, cr: base + cm.hash_join_cost(cl, cr, cl * cr * sel) * penalty
+    if kind == "merge":
+        base, sel, sort_outer, sort_inner = consts
+        return lambda cl, cr: base + cm.merge_join_cost(
+            cl, cr, cl * cr * sel, sort_outer, sort_inner
+        )
+    if kind == "rescan":
+        base, sel = consts
+        return lambda cl, cr: base + cm.nljn_rescan_cost(cl, cr, cl * cr * sel)
+    assert kind == "index", kind
+    outer_cost, probe_cost, sel = consts
+    return lambda cl, cr: (
+        outer_cost + cl * probe_cost + cl * cr * sel * cm.params.cpu_emit
+    )
+
+
+def reference_edge_kernel(cm, description: tuple, position: int, other_card: float):
+    """``two_variable_cost`` along one edge, the other held at ``other_card``."""
+    cost_fn = two_variable_cost(cm, description)
+    if position == 0:
+        return lambda c: cost_fn(c, other_card)
+    return lambda c: cost_fn(other_card, c)
+
+
 def _concatenated(rows: tuple) -> tuple:
     return sum(rows, ())
 

@@ -239,6 +239,34 @@ class TestCostMonotoneRule:
         assert len(findings) == 1
         assert "finite" in findings[0].message
 
+    def test_merge_join_probe_includes_its_sort_enforcers(self):
+        """A merge join is probed through the optimizer's own edge kernel
+        with the plan's real sort flags, so a non-monotone enforcer shows on
+        the join — through the CHECK placed above the Sort too — and only on
+        the edges that have one."""
+        from dataclasses import replace
+
+        def sort(child):
+            return Sort(
+                child, (f"{child.alias}.a",),
+                child.properties.with_order((f"{child.alias}.a",)), 20.0,
+            )
+
+        msjn = join(MergeJoin, check(sort(scan("t")), 50.0, 200.0), scan("s"))
+        # A sort that spills beyond 64 rows and is paid for spilling: its
+        # cost drops at the step, inside the probed neighbourhood (×0.25 …
+        # ×10 around 100 rows).
+        refunding = CostModel(
+            replace(DEFAULT_COST_PARAMS, sort_mem_pages=1, io_page=-0.5)
+        )
+        findings = [
+            f for f in by_rule(lint(msjn, LintContext(cost_model=refunding)), "cost-monotone")
+            if f.op_id == msjn.op_id
+        ]
+        assert [f.data["edge"] for f in findings] == ["outer"]
+        assert findings[0].severity == ERROR
+        assert "decreases" in findings[0].message
+
     def test_real_cost_model_is_monotone_everywhere(self):
         plan = Return(
             Sort(

@@ -114,7 +114,7 @@ class TestEndToEndGuarantee:
             cost=10.0,
             order=(),
             edge_subsets=(frozenset({"a"}), frozenset({"b"})),
-            cost_fn=lambda cl, cr: cl + cr,
+            cost_desc=("merge", 0.0, 0.0, False, False),  # (cl + cr) · cpu_row
         )
         # Alternative joins a different pair of subsets: join-order change.
         alt = Candidate(
@@ -122,7 +122,8 @@ class TestEndToEndGuarantee:
             cost=100.0,
             order=(),
             edge_subsets=(frozenset({"a", "b"}), frozenset({"c"})),
-            cost_fn=lambda cl, cr: 0.0,  # would narrow instantly if compared
+            # 0.0 everywhere: would narrow instantly if compared
+            cost_desc=("index", 0.0, 0.0, 0.0),
         )
         _prune_then_narrow(winner, alt)
         assert winner.alternatives == []
@@ -137,14 +138,15 @@ class TestEndToEndGuarantee:
             cost=10.0,
             order=(),
             edge_subsets=(frozenset({"a"}), frozenset({"b"})),
-            cost_fn=lambda cl, cr: cl * 1.0 + cr * 0.0,
+            cost_desc=("index", 0.0, 1.0, 0.0),  # cl · 1.0
         )
         alt = Candidate(
             plan=_dummy_join(),
             cost=100.0,
             order=(),
             edge_subsets=(frozenset({"b"}), frozenset({"a"})),  # commuted
-            cost_fn=lambda cl, cr: 100.0 + cr * 0.1,
+            # 100 + cl · cr · 2.5 · cpu_emit = 100 + cr · 0.1 at cl = 10
+            cost_desc=("index", 100.0, 0.0, 2.5),
         )
         _prune_then_narrow(winner, alt)
         assert any(not r.is_trivial for r in winner.plan.validity_ranges)
@@ -165,6 +167,7 @@ class _FakeEnumerator:
     """Just enough of PlanEnumerator for _keep_best and _narrow_against."""
 
     newton_iterations = 0
+    cost_model = CM
 
     class _Estimator:
         @staticmethod
