@@ -1,17 +1,15 @@
 """The engine contract checker: ``ast``-based lint of the repro source.
 
-Four codebase invariants, chosen because violating any of them silently
+Nine codebase invariants, chosen because violating any of them silently
 breaks the reproduction rather than crashing it:
 
 * **iterator-contract** — every executor operator (subclass of
   :class:`repro.executor.base.Operator`) implements ``next_batch`` and,
   when it overrides ``open``/``close``, delegates to ``super()`` so span
   tracking and operator registration keep working.
-* **determinism** — ``random.*`` / ``time.*`` calls are confined to
-  ``repro/common/rng.py`` and ``repro/obs/`` (seeded
-  ``random.Random(seed)`` construction is allowed anywhere); anything else
-  would make runs non-reproducible, which the experiment harness depends
-  on.
+* **batch-contract** — every ``next_batch`` returns ``self.emit_batch(...)``
+  or the ``None`` EOF sentinel, so rows reach ``rows_out`` accounting and
+  the cancellation poll.
 * **float-eq** — no ``==`` / ``!=`` on numbers inside
   ``optimizer/costmodel.py`` or ``repro/cache/``: validity-range analysis
   evaluates the cost functions at perturbed, non-integral cardinalities,
@@ -28,29 +26,35 @@ breaks the reproduction rather than crashing it:
   ``close`` must be safe on a half-opened operator and when called twice.
   An attribute first assigned in ``open()`` would raise AttributeError on
   exactly the error paths ``close`` exists to clean up.
-* **fault-isolation** — fault injection stays inside
-  ``repro.resilience``: no module outside it may import
-  ``repro.resilience.faults`` directly or reference a ``fault_injector``
-  attribute, except the three sanctioned plumbing sites (the context
-  declaration in ``executor/base.py``, the arm site in
+* **spill-lifecycle** — every spill file is closed and deleted on success
+  and abort paths alike: ``run_plan`` must call ``release_spill`` in a
+  ``finally`` block — the single cleanup point every exit (completion,
+  re-optimization signal, injected fault, timeout) funnels through — and
+  :class:`repro.storage.spill.SpillFile` is confined (below).
+
+The other three, and spill-lifecycle's second half, are one shape — a name
+used outside its allow-list — and share one table, :data:`CONFINEMENTS`,
+and one walker, :func:`check_confinement`:
+
+* **determinism** — ``random.*`` / ``time.*`` calls and from-imports are
+  confined to ``repro/common/rng.py`` and ``repro/obs/`` (seeded
+  ``random.Random(seed)`` construction is allowed anywhere); anything else
+  would make runs non-reproducible, which the experiment harness depends
+  on.
+* **fault-isolation** — fault injection stays inside ``repro.resilience``:
+  no module outside it may import a ``repro.resilience`` submodule or
+  reference a ``fault_injector`` attribute, except the three plumbing sites
+  (the context declaration in ``executor/base.py``, the arm site in
   ``executor/runtime.py``, and the driver).  Package-level imports
   (``from repro.resilience import FaultPlan``) stay legal everywhere.
-* **spill-lifecycle** — every spill file is closed and deleted on success
-  and abort paths alike: :class:`repro.storage.spill.SpillFile` may only
-  be constructed inside ``storage/spill.py`` (operators go through
-  ``SpillManager.create``, whose bookkeeping ``close_all`` relies on),
-  and ``run_plan`` must call ``release_spill`` in a ``finally`` block —
-  the single cleanup point every exit (completion, re-optimization
-  signal, injected fault, timeout) funnels through.
-* **profile-exclusive-time** — wall-clock sampling goes through the
-  profiler: ``wall_clock()`` may only be called (or imported) inside the
-  sanctioned timing sites (``repro/obs/``, the POP driver, the memory
-  governor, the execution guard's statement deadline, the execution
-  context's interrupt probe, and the server runtime's timeout/reaper
-  machinery).  An operator or optimizer module timing itself would be
-  invisible to the profiler's exclusive-time accounting, so its
-  per-operator self-time totals would no longer reconcile with the
-  driver's wall measurements.
+* **profile-exclusive-time** — ``wall_clock()`` may only be called (or
+  imported) at the sanctioned timing sites.  An operator or optimizer
+  module timing itself would be invisible to the profiler's exclusive-time
+  accounting, so its per-operator self-time totals would no longer
+  reconcile with the driver's wall measurements.
+* **spill-lifecycle** — ``SpillFile(...)`` is constructed only inside
+  ``storage/spill.py``: operators go through ``SpillManager.create``, whose
+  bookkeeping ``close_all`` relies on.
 
 Pure stdlib (``ast``); no third-party linter is needed at runtime.
 """
@@ -59,36 +63,86 @@ from __future__ import annotations
 
 import ast
 import os
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.analysis.findings import ERROR, WARN, Finding
+from repro.analysis.findings import ERROR, Finding
 
-#: Module paths (posix, relative to the scan root) where direct
-#: ``random``/``time`` usage is legitimate.
-DETERMINISM_ALLOWED = ("common/rng.py", "obs/")
 
-#: Where ``fault_injector`` references are sanctioned: the resilience
-#: package itself plus the three plumbing sites (declaration, arm, driver).
-FAULT_ISOLATION_ALLOWED = (
-    "resilience/",
-    "executor/base.py",
-    "executor/runtime.py",
-    "core/driver.py",
-)
+@dataclass(frozen=True)
+class Confinement:
+    """One row of the confinement table: uses of some names are sanctioned
+    only in the modules matching ``allowed`` (posix path prefixes or
+    suffixes relative to the package root)."""
 
-#: Where direct ``wall_clock()`` sampling is sanctioned: the observability
-#: package that defines it, the POP driver (per-attempt wall time), the
-#: memory governor (admission-queue wait time), the execution guard
-#: (statement wall deadlines), the execution context (deadline probes in
-#: ``check_interrupt``), and the server runtime (statement timeouts, idle
-#: reaping, drain budgets).
-PROFILE_CLOCK_ALLOWED = (
-    "obs/",
-    "core/driver.py",
-    "governor/__init__.py",
-    "resilience/guard.py",
-    "executor/base.py",
-    "server/",
+    rule: str
+    allowed: tuple
+    #: Why a use elsewhere is a bug; ends every finding message.
+    why: str
+    #: Confined calls, ``f(...)`` or ``x.f(...)``.
+    calls: tuple = ()
+    #: Confined from-imports, ``from m import f``.
+    names: tuple = ()
+    #: Modules whose calls ``m.f(...)`` and from-imports are confined.
+    modules: tuple = ()
+    #: Package prefixes whose submodule imports are confined.
+    packages: tuple = ()
+    #: Confined attribute references, ``x.attr``.
+    attributes: tuple = ()
+    #: ``m.f`` exempt from ``modules`` when called with a seed argument.
+    seeded: tuple = ()
+
+
+CONFINEMENTS = (
+    Confinement(
+        "determinism",
+        allowed=("common/rng.py", "obs/"),
+        why="breaks reproducible runs",
+        modules=("random", "time"),
+        seeded=("random.Random",),
+    ),
+    Confinement(
+        "fault-isolation",
+        # The resilience package plus the three plumbing sites
+        # (declaration, arm, driver).
+        allowed=(
+            "resilience/",
+            "executor/base.py",
+            "executor/runtime.py",
+            "core/driver.py",
+        ),
+        why="fault injection must not leak into operator logic; use the "
+        "package surface (from repro.resilience import ...)",
+        packages=("repro.resilience.",),
+        attributes=("fault_injector",),
+    ),
+    Confinement(
+        "profile-exclusive-time",
+        # The observability package that defines the clock, the POP driver
+        # (per-attempt wall time), the memory governor (admission-queue
+        # wait), the execution guard (statement deadlines), the execution
+        # context (deadline probes in ``check_interrupt``), and the server
+        # runtime (statement timeouts, idle reaping, drain budgets).
+        allowed=(
+            "obs/",
+            "core/driver.py",
+            "governor/__init__.py",
+            "resilience/guard.py",
+            "executor/base.py",
+            "server/",
+        ),
+        why="time measured here is invisible to the profiler's "
+        "exclusive-time accounting",
+        calls=("wall_clock",),
+        names=("wall_clock",),
+    ),
+    Confinement(
+        "spill-lifecycle",
+        allowed=("storage/spill.py",),
+        why="go through SpillManager.create so the file is registered for "
+        "close_all() cleanup on abort paths",
+        calls=("SpillFile",),
+    ),
 )
 
 #: The executor protocol methods and the delegation each override owes.
@@ -132,19 +186,7 @@ def check_source_tree(root: str) -> list[Finding]:
                     line=exc.lineno,
                 )
             )
-    for rel, tree in trees.items():
-        findings.extend(check_determinism(tree, rel))
-        findings.extend(check_bare_except(tree, rel))
-        findings.extend(check_fault_isolation(tree, rel))
-        findings.extend(check_spill_lifecycle(tree, rel))
-        findings.extend(check_profile_exclusive_time(tree, rel))
-        if rel.endswith("optimizer/costmodel.py") or "cache/" in rel:
-            # Cost arithmetic and the plan cache's admission test both
-            # compare derived floats; == on them is always a bug.
-            findings.extend(check_float_eq(tree, rel, source=sources.get(rel)))
-    findings.extend(check_iterator_contract(trees))
-    findings.extend(check_close_guarded(trees))
-    findings.extend(check_batch_contract(trees))
+    findings.extend(_check_trees(trees, sources))
     return findings
 
 
@@ -152,73 +194,101 @@ def check_module(source: str, filename: str = "<snippet>") -> list[Finding]:
     """Contract-check one source string (test hook; applies every
     per-module rule, float-eq included)."""
     tree = ast.parse(source, filename=filename)
-    findings = list(check_determinism(tree, filename))
-    findings.extend(check_bare_except(tree, filename))
-    findings.extend(check_fault_isolation(tree, filename))
-    findings.extend(check_spill_lifecycle(tree, filename))
-    findings.extend(check_profile_exclusive_time(tree, filename))
-    findings.extend(check_float_eq(tree, filename, source=source))
-    findings.extend(check_iterator_contract({filename: tree}))
-    findings.extend(check_close_guarded({filename: tree}))
-    findings.extend(check_batch_contract({filename: tree}))
+    return _check_trees({filename: tree}, {filename: source}, float_eq_everywhere=True)
+
+
+def _check_trees(
+    trees: dict[str, ast.Module],
+    sources: dict[str, str],
+    float_eq_everywhere: bool = False,
+) -> list[Finding]:
+    """The one rule list: per-module rules, then whole-package ones."""
+    findings: list[Finding] = []
+    for rel, tree in trees.items():
+        findings.extend(check_confinement(tree, rel))
+        findings.extend(check_bare_except(tree, rel))
+        findings.extend(check_spill_lifecycle(tree, rel))
+        # Cost arithmetic and the plan cache's admission test both compare
+        # derived floats; == on them is always a bug.
+        if (
+            float_eq_everywhere
+            or rel.endswith("optimizer/costmodel.py")
+            or "cache/" in rel
+        ):
+            findings.extend(check_float_eq(tree, rel, source=sources[rel]))
+    findings.extend(check_iterator_contract(trees))
+    findings.extend(check_close_guarded(trees))
+    findings.extend(check_batch_contract(trees))
     return findings
 
 
-# ------------------------------------------------------------- determinism
+# ------------------------------------------------------------- confinement
 
 
-def _determinism_allowed(rel: str) -> bool:
-    return any(rel.startswith(p) or rel.endswith(p) for p in DETERMINISM_ALLOWED)
-
-
-def check_determinism(tree: ast.Module, rel: str) -> Iterator[Finding]:
-    """No ``random.*`` / ``time.*`` calls outside the allowlisted modules."""
-    if _determinism_allowed(rel):
+def check_confinement(tree: ast.Module, rel: str) -> Iterator[Finding]:
+    """One walk for every confinement rule whose allow-list misses ``rel``:
+    each confined use becomes a finding of that rule."""
+    normalized = rel.replace(os.sep, "/")
+    active = [
+        c for c in CONFINEMENTS
+        if not any(
+            normalized.startswith(p) or normalized.endswith(p)
+            for p in c.allowed
+        )
+    ]
+    if not active:
         return
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("random", "time")
-            ):
-                if (
-                    func.value.id == "random"
-                    and func.attr == "Random"
-                    and node.args
-                ):
-                    continue  # seeded generator construction is the idiom
+        for confinement in active:
+            use = _confined_use(node, confinement)
+            if use is not None:
                 yield Finding(
-                    rule="determinism",
+                    rule=confinement.rule,
                     severity=ERROR,
                     message=(
-                        f"{func.value.id}.{func.attr}() outside "
-                        "repro.common.rng / repro.obs breaks reproducible "
-                        "runs"
-                        + (
-                            " (seed it: random.Random(seed))"
-                            if func.attr == "Random"
-                            else ""
-                        )
+                        f"{use} outside {', '.join(confinement.allowed)}: "
+                        f"{confinement.why}"
                     ),
                     file=rel,
                     line=node.lineno,
                 )
-        elif isinstance(node, ast.ImportFrom) and node.module in ("random", "time"):
-            names = [a.name for a in node.names if a.name != "Random"]
-            if names:
-                yield Finding(
-                    rule="determinism",
-                    severity=ERROR,
-                    message=(
-                        f"from {node.module} import {', '.join(names)} "
-                        "outside repro.common.rng / repro.obs breaks "
-                        "reproducible runs"
-                    ),
-                    file=rel,
-                    line=node.lineno,
-                )
+
+
+def _confined_use(node: ast.AST, c: Confinement) -> Optional[str]:
+    """How ``node`` uses a name ``c`` confines, or ``None``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee in c.calls:
+            return f"{callee}() called"
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in c.modules
+        ):
+            qualified = f"{func.value.id}.{func.attr}"
+            if qualified not in c.seeded:
+                return f"{qualified}() called"
+            if not node.args:
+                return f"{qualified}() called unseeded (seed it: {qualified}(seed))"
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module.startswith(c.packages):
+            return f"import of {module}"
+        names = [
+            alias.name for alias in node.names
+            if alias.name in c.names
+            or (module in c.modules and f"{module}.{alias.name}" not in c.seeded)
+        ]
+        if names:
+            return f"from {module} import {', '.join(names)}"
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name.startswith(c.packages)]
+        if names:
+            return f"import of {', '.join(names)}"
+    elif isinstance(node, ast.Attribute) and node.attr in c.attributes:
+        return f"{node.attr} referenced"
+    return None
 
 
 # ------------------------------------------------------------- bare except
@@ -596,207 +666,33 @@ def _finally_calls(tree: ast.AST, method: str) -> bool:
 
 
 def check_spill_lifecycle(tree: ast.Module, rel: str) -> Iterator[Finding]:
-    """Spill files are managed: constructed only through the manager, and
-    released in ``run_plan``'s ``finally`` block.
+    """``run_plan`` releases spill files in a ``finally`` block.
 
-    Direct ``SpillFile(...)`` construction bypasses the
-    :class:`~repro.storage.spill.SpillManager` registry, so ``close_all``
-    (the executor's ``finally``-block cleanup) would never see the file —
-    it would leak its disk footprint past the statement on every abort
-    path.  And the release call itself must sit in a ``finally`` block:
-    anywhere else, a re-optimization signal or injected fault skips it.
+    The release call must sit in a ``finally`` block: anywhere else, a
+    re-optimization signal or injected fault skips it and every spill file
+    of the statement outlives it.  (The other half of the rule, confining
+    ``SpillFile(...)`` construction to ``storage/spill.py``, is a row of
+    :data:`CONFINEMENTS`.)
     """
-    if not rel.endswith("storage/spill.py"):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name == "SpillFile":
-                yield Finding(
-                    rule="spill-lifecycle",
-                    severity=ERROR,
-                    message=(
-                        "SpillFile constructed outside storage/spill.py: "
-                        "go through SpillManager.create so the file is "
-                        "registered for close_all() cleanup on abort paths"
-                    ),
-                    file=rel,
-                    line=node.lineno,
-                )
-    if rel.endswith("executor/runtime.py"):
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == "run_plan"
-            ):
-                if not _finally_calls(node, "release_spill"):
-                    yield Finding(
-                        rule="spill-lifecycle",
-                        severity=ERROR,
-                        message=(
-                            "run_plan does not call release_spill() in a "
-                            "finally block: spill files would leak on "
-                            "re-optimization signals, faults, and timeouts"
-                        ),
-                        file=rel,
-                        line=node.lineno,
-                    )
-
-
-# ------------------------------------------------- profile exclusive time
-
-
-def _profile_clock_allowed(rel: str) -> bool:
-    normalized = rel.replace(os.sep, "/")
-    return any(
-        normalized.startswith(p) or normalized.endswith(p)
-        for p in PROFILE_CLOCK_ALLOWED
-    )
-
-
-def check_profile_exclusive_time(tree: ast.Module, rel: str) -> Iterator[Finding]:
-    """``wall_clock()`` stays confined to the sanctioned timing sites.
-
-    The profiler attributes *exclusive* wall time by sampling
-    ``repro.obs.wall_clock`` around operator method frames; any module
-    outside ``repro/obs/``, the POP driver, or the memory governor that
-    samples the clock itself is timing work the profiler cannot see, which
-    breaks the reconciliation between per-operator self-time and the
-    driver's attempt wall time.
-    """
-    if _profile_clock_allowed(rel):
+    if not rel.endswith("executor/runtime.py"):
         return
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name == "wall_clock":
-                yield Finding(
-                    rule="profile-exclusive-time",
-                    severity=ERROR,
-                    message=(
-                        "wall_clock() called outside the sanctioned timing "
-                        "sites (repro/obs/, core/driver.py, "
-                        "governor/__init__.py): time measured here is "
-                        "invisible to the profiler's exclusive-time "
-                        "accounting"
-                    ),
-                    file=rel,
-                    line=node.lineno,
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if any(alias.name == "wall_clock" for alias in node.names):
-                yield Finding(
-                    rule="profile-exclusive-time",
-                    severity=ERROR,
-                    message=(
-                        "wall_clock imported outside the sanctioned timing "
-                        "sites: route timing through the profiler or the "
-                        "driver so self-time totals stay reconcilable"
-                    ),
-                    file=rel,
-                    line=node.lineno,
-                )
-
-
-# -------------------------------------------------------- fault isolation
-
-
-def _fault_isolation_allowed(rel: str) -> bool:
-    normalized = rel.replace(os.sep, "/")
-    return any(
-        normalized.startswith(p) or normalized.endswith(p)
-        for p in FAULT_ISOLATION_ALLOWED
-    )
-
-
-def check_fault_isolation(tree: ast.Module, rel: str) -> Iterator[Finding]:
-    """Fault-injection hooks stay confined to ``repro.resilience``.
-
-    Outside the allowlisted plumbing sites, neither the
-    ``repro.resilience.faults`` machinery module nor a ``fault_injector``
-    attribute may be referenced.  The public package surface
-    (``from repro.resilience import FaultPlan``) is exempt — that is the
-    supported way to *request* fault injection.
-    """
-    if _fault_isolation_allowed(rel):
-        return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module is not None and node.module.startswith(
-                "repro.resilience."
-            ):
-                yield Finding(
-                    rule="fault-isolation",
-                    severity=ERROR,
-                    message=(
-                        f"import of {node.module} outside repro.resilience: "
-                        "use the package surface (from repro.resilience "
-                        "import ...) so injection machinery stays confined"
-                    ),
-                    file=rel,
-                    line=node.lineno,
-                )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("repro.resilience."):
-                    yield Finding(
-                        rule="fault-isolation",
-                        severity=ERROR,
-                        message=(
-                            f"import of {alias.name} outside "
-                            "repro.resilience: use the package surface"
-                        ),
-                        file=rel,
-                        line=node.lineno,
-                    )
-        elif isinstance(node, ast.Attribute) and node.attr == "fault_injector":
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "run_plan"
+            and not _finally_calls(node, "release_spill")
+        ):
             yield Finding(
-                rule="fault-isolation",
+                rule="spill-lifecycle",
                 severity=ERROR,
                 message=(
-                    "fault_injector referenced outside the sanctioned "
-                    "hook sites (repro.resilience, executor/base.py, "
-                    "executor/runtime.py, core/driver.py): fault "
-                    "injection must not leak into operator logic"
+                    "run_plan does not call release_spill() in a "
+                    "finally block: spill files would leak on "
+                    "re-optimization signals, faults, and timeouts"
                 ),
                 file=rel,
                 line=node.lineno,
             )
-
-
-# ------------------------------------------------------------ style sweep
-
-
-def check_style(root: str) -> list[Finding]:
-    """A minimal local approximation of the CI ruff gate (F401/F841-ish
-    signals would be noisy to reimplement; this catches the high-confidence
-    subset): reports modules that fail to compile and tab indentation."""
-    findings: list[Finding] = []
-    for path in iter_source_files(root):
-        rel = _relpath(path, root)
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if line.startswith("\t"):
-                    findings.append(
-                        Finding(
-                            rule="style",
-                            severity=WARN,
-                            message="tab indentation (spaces everywhere else)",
-                            file=rel,
-                            line=lineno,
-                        )
-                    )
-    return findings
 
 
 def default_source_root() -> str:
@@ -807,8 +703,5 @@ def default_source_root() -> str:
 
 
 def run_contract_checks(root: Optional[str] = None) -> list[Finding]:
-    """Contract + style findings for ``root`` (default: the live package)."""
-    base = root if root is not None else default_source_root()
-    findings = check_source_tree(base)
-    findings.extend(check_style(base))
-    return findings
+    """Contract findings for ``root`` (default: the live package)."""
+    return check_source_tree(root if root is not None else default_source_root())

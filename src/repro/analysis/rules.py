@@ -1,9 +1,9 @@
 """The built-in plan-semantics rule catalog.
 
 Each rule audits one invariant POP's correctness rests on.  Structural
-well-formedness is delegated to :func:`repro.plan.validate.validate_plan`
-(collect mode); everything else here is semantic: validity ranges must
-bracket the estimates they guard (§2.2), CHECK operators may only sit where
+well-formedness is delegated to :func:`repro.plan.validate.validate_plan`;
+everything else here is semantic: validity ranges must bracket the
+estimates they guard (§2.2), CHECK operators may only sit where
 re-optimization is side-effect safe (§3/§4, Table 1), operator costs must
 respond sanely to the cardinality perturbations the Newton–Raphson probe
 explores (§2.2/Fig. 5), ordering claims must match Sort/MSJN requirements,
@@ -73,7 +73,7 @@ def _bad_number(value: float) -> bool:
 @plan_rule("structure", paper_ref="well-formed QEP")
 def rule_structure(root: PlanOp, parents: dict, ctx: LintContext) -> Iterator[Finding]:
     """Structural invariants (layouts, properties, keys) via validate_plan."""
-    for violation in validate_plan(root, collect=True):
+    for violation in validate_plan(root):
         yield Finding(rule="structure", severity=ERROR, message=violation)
 
 

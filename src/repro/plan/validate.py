@@ -2,23 +2,16 @@
 
 ``validate_plan`` walks a plan tree and checks the invariants every
 well-formed QEP must satisfy — layout propagation, property composition,
-join-key resolvability, checkpoint sanity.  The test suite runs it over
-every plan the optimizer and the placement pass produce for both workloads;
-it is also a useful debugging aid for anyone extending the enumerator.
-
-Two modes exist:
-
-* ``validate_plan(root)`` raises :class:`PlanInvariantError` on the first
-  violation and returns the node count — the fail-fast contract used by
-  tests and assertions;
-* ``validate_plan(root, collect=True)`` returns the list of *all* violation
-  messages instead of raising, which is what the plan-semantics linter
-  (:mod:`repro.analysis`) builds its ``structure`` rule on.
+join-key resolvability, checkpoint sanity — and returns the message of
+every violation (empty for a well-formed plan).  The plan-semantics linter
+(:mod:`repro.analysis`) builds its ``structure`` rule on it; the test suite
+runs it over every plan the optimizer and the placement pass produce for
+both workloads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
 from repro.plan.physical import (
     AntiJoin,
@@ -39,41 +32,18 @@ from repro.plan.physical import (
 )
 
 
-class PlanInvariantError(AssertionError):
-    """A structural invariant of the plan tree is violated."""
-
-
-#: Receives one violation description; raises (fail-fast) or records it.
+#: Records one violation of ``op``.
 FailFn = Callable[[PlanOp, str], None]
 
 
-def _message(op: PlanOp, message: str) -> str:
-    return f"{op.describe()} (op_id={op.op_id}): {message}"
+def validate_plan(root: PlanOp) -> list[str]:
+    """Every structural violation in the subtree rooted at ``root``."""
+    violations: list[str] = []
 
+    def fail(op: PlanOp, message: str) -> None:
+        violations.append(f"{op.describe()} (op_id={op.op_id}): {message}")
 
-def _raise(op: PlanOp, message: str) -> None:
-    raise PlanInvariantError(_message(op, message))
-
-
-def validate_plan(root: PlanOp, collect: bool = False) -> Union[int, list[str]]:
-    """Validate the subtree rooted at ``root``.
-
-    With ``collect=False`` (the default) raises :class:`PlanInvariantError`
-    on the first violation and returns the node count.  With
-    ``collect=True`` never raises; returns the list of all violation
-    messages (empty for a well-formed plan).
-    """
-    if collect:
-        violations: list[str] = []
-        _walk(root, lambda op, msg: violations.append(_message(op, msg)))
-        return violations
-    return _walk(root, _raise)
-
-
-def _walk(root: PlanOp, fail: FailFn) -> int:
-    count = 0
     for op in root.walk():
-        count += 1
         _check_common(op, fail)
         if isinstance(op, JoinOp):
             _check_join(op, fail)
@@ -86,7 +56,7 @@ def _walk(root: PlanOp, fail: FailFn) -> int:
         elif isinstance(op, Return):
             if len(op.children) != 1:
                 fail(op, "RETURN must have exactly one child")
-    return count
+    return violations
 
 
 def _check_common(op: PlanOp, fail: FailFn) -> None:

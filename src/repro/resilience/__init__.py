@@ -7,10 +7,12 @@ POP loop live under those perturbations — retry with backoff, a work-unit
 deadline, a re-optimization circuit breaker, and a conservative safe-plan
 fallback (:class:`ExecutionGuard`, configured by :class:`ResiliencePolicy`).
 
-Run the chaos harness with ``python -m repro.resilience.chaos``.
+Its chaos scenarios (``faults``, ``stampede``, ``memory``) are exported here
+for the one chaos command, ``python -m repro.chaos``.
 """
 
 from repro.core.config import ResiliencePolicy
+from repro.resilience.chaos import fault_campaign, run_memory, run_stampede
 from repro.resilience.faults import (
     ALL_KINDS,
     EXEC_KINDS,
@@ -41,4 +43,7 @@ __all__ = [
     "RETRY",
     "FALLBACK",
     "RAISE",
+    "fault_campaign",
+    "run_stampede",
+    "run_memory",
 ]

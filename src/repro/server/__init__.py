@@ -7,8 +7,8 @@ per-connection sessions (:mod:`repro.server.session`), cooperative
 cancellation threaded into the executor, per-statement wall-clock
 deadlines, idle-session reaping, bounded-queue overload shedding, and
 graceful drain.  See ``docs/server.md`` for the protocol and semantics,
-and :mod:`repro.server.chaos` for the connection-chaos harness that
-audits all of it (``python -m repro.server.chaos``).
+and :mod:`repro.server.chaos` for the connection-chaos scenarios that
+audit all of it (run by ``python -m repro.chaos``).
 """
 
 from repro.server.client import ReproClient

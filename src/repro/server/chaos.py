@@ -31,51 +31,29 @@ directories, the process thread count back to its baseline, and (when
 ``REPRO_LOCK_WITNESS=1``) every witnessed lock edge present in the
 static lock graph with no wait-while-holding violations.
 
-Exit status is non-zero if any scenario fails — CI runs this with two
-fixed seeds::
-
-    python -m repro.server.chaos --seeds 5 6
+All five run through ``python -m repro.chaos`` (see :mod:`repro.chaos`);
+CI runs them with two fixed seeds and killspill over ten more.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import threading
+from functools import partial
 from typing import Optional
 
 from repro.common.chaosutil import (
+    HEAVY_QUERIES,
+    Baseline,
     ScenarioOutcome,
-    audit_governor_drained,
-    audit_thread_leak,
-    audit_witness,
     canonical_rows,
+    governed_dmv,
     query_seed,
-    run_scenarios,
-    scenario_main,
-    spill_dirs,
+    run_together,
 )
-from repro.core.config import MemoryPolicy, PopConfig
 from repro.server.client import ReproClient
 from repro.server.server import ReproServer, ServerConfig
 from repro.storage.spill import SpillManager
-
-#: Full-table sorts and joins whose working sets cannot fit a squeezed
-#: grant — every scenario that needs pressure runs at least one of these.
-HEAVY_QUERIES = [
-    ("heavy_sort_cars",
-     "SELECT c.c_id, c.c_make, c.c_weight FROM car c "
-     "ORDER BY c.c_weight, c.c_id"),
-    ("heavy_sort_owners",
-     "SELECT o.o_id, o.o_name, o.o_zip FROM owner o "
-     "ORDER BY o.o_zip, o.o_name, o.o_id"),
-    ("heavy_join_car_owner",
-     "SELECT o.o_name, c.c_model FROM car c, owner o "
-     "WHERE c.c_owner_id = o.o_id ORDER BY o.o_name, c.c_model"),
-    ("heavy_sort_insurance",
-     "SELECT i.i_id, i.i_premium FROM insurance i "
-     "ORDER BY i.i_premium, i.i_id"),
-]
 
 #: Three-way join + sort that must spill under the killspill budget.  How
 #: long it runs does not matter: :func:`run_killspill` holds it at its first
@@ -97,53 +75,17 @@ LIGHT_QUERY = (
 
 ALL_QUERIES = HEAVY_QUERIES + [KILL_QUERY, LIGHT_QUERY]
 
-SCENARIOS = ("disconnect", "slowloris", "malformed", "overload", "killspill")
-
 
 class _Harness:
     """One governed DMV database + live server + shared audits."""
 
     def __init__(self, budget_fraction: float = 0.35, **config_overrides):
-        from repro.governor import estimate_plan_memory
-        from repro.sql.binder import bind_sql
-        from repro.workloads.dmv.generator import DmvScale, make_dmv_db
-
-        self.db = make_dmv_db(
-            scale=DmvScale(
-                owners=1200, cars=1600, accidents=400, violations=600,
-                insurance=1600, dealers=80, inspections=900,
-                registrations=1600,
-            ),
-            seed=7,
-        )
-        # Ungoverned single-query oracles and per-plan memory estimates.
-        config = PopConfig(reuse_policy="never")
-        self.oracle: dict = {}
-        estimates = []
-        for _name, sql in ALL_QUERIES:
-            self.oracle[sql] = canonical_rows(
-                self.db.execute(sql, pop=config).rows
-            )
-            estimates.append(
-                estimate_plan_memory(
-                    self.db.optimizer.optimize(
-                        bind_sql(sql, self.db.catalog)
-                    ).plan,
-                    self.db.cost_params,
-                )
-            )
-        policy = MemoryPolicy(
-            budget_pages=max(8.0, budget_fraction * max(estimates)),
-            min_reservation_pages=4.0,
-            min_grant_pages=2.0,
+        self.db, self.oracle = governed_dmv(
+            [sql for _name, sql in ALL_QUERIES], budget_fraction,
             max_queue_depth=64,
-            queue_timeout_seconds=120.0,
         )
-        self.budget_pages = policy.budget_pages
-        self.governor = self.db.enable_memory_governor(policy=policy)
         # Baselines *before* the server spawns anything.
-        self.spill_baseline = spill_dirs()
-        self.thread_baseline = threading.active_count()
+        self.baseline = Baseline()
         self.server = ReproServer(self.db, ServerConfig(**config_overrides))
         self.host, self.port = self.server.start()
 
@@ -166,19 +108,7 @@ class _Harness:
     def finish(self, problems: list) -> None:
         """Drain the server, then audit the shared invariants."""
         self.server.shutdown(drain=True)
-        audit_thread_leak(problems, self.thread_baseline)
-        snap = self.governor.snapshot()
-        audit_governor_drained(problems, snap)
-        if snap["peak_pages"] > self.budget_pages + 1e-9:
-            problems.append(
-                f"budget exceeded: peak {snap['peak_pages']:.1f} pages over "
-                f"budget {self.budget_pages:.1f}"
-            )
-        self.db.disable_memory_governor()
-        leaked = spill_dirs() - self.spill_baseline
-        if leaked:
-            problems.append(f"leaked spill dirs: {sorted(leaked)}")
-        audit_witness(problems)
+        self.baseline.audit(problems, self.db)
 
 
 # --------------------------------------------------------------- scenarios
@@ -203,10 +133,8 @@ def run_disconnect(seed: int, clients: int = 6) -> ScenarioOutcome:
     ]
     problems: list = []
     lock = threading.Lock()
-    barrier = threading.Barrier(clients)
 
     def worker(tid: int, name: str, sql: str, quitter: bool) -> None:
-        barrier.wait()
         try:
             cli = h.client()
         except OSError as exc:
@@ -227,14 +155,7 @@ def run_disconnect(seed: int, clients: int = 6) -> ScenarioOutcome:
             with lock:
                 problems.append(f"client {tid}: socket error: {exc}")
 
-    pool = [
-        threading.Thread(target=worker, args=plan, name=f"chaos-disc-{plan[0]}")
-        for plan in plans
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    run_together("disc", [partial(worker, *plan) for plan in plans])
     # Give the server a moment to observe EOFs and cancel the orphans.
     pause = threading.Event()
     for _ in range(200):
@@ -403,10 +324,8 @@ def run_overload(seed: int, clients: int = 10) -> ScenarioOutcome:
     counts = {"ok": 0, "shed": 0}
     problems: list = []
     lock = threading.Lock()
-    barrier = threading.Barrier(clients)
 
     def worker(tid: int, name: str, sql: str) -> None:
-        barrier.wait()
         try:
             cli = h.client()
         except OSError as exc:
@@ -455,16 +374,9 @@ def run_overload(seed: int, clients: int = 10) -> ScenarioOutcome:
         finally:
             cli.drop()
 
-    pool = [
-        threading.Thread(
-            target=worker, args=(tid, *picks[tid]), name=f"chaos-storm-{tid}"
-        )
-        for tid in range(clients)
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    run_together(
+        "storm", [partial(worker, tid, *picks[tid]) for tid in range(clients)]
+    )
     if counts["ok"] == 0:
         problems.append("storm produced zero successful statements")
     if counts["shed"] == 0:
@@ -549,27 +461,3 @@ def run_killspill(seed: int) -> ScenarioOutcome:
     return ScenarioOutcome(
         "killspill", seed, not problems, problems, detail=f"kills={int(kills)}"
     )
-
-
-_RUNNERS = {
-    "disconnect": run_disconnect,
-    "slowloris": run_slowloris,
-    "malformed": run_malformed,
-    "overload": run_overload,
-    "killspill": run_killspill,
-}
-
-
-def run_all(seeds, scenarios=SCENARIOS, verbose: bool = True) -> list:
-    return run_scenarios("server", _RUNNERS, seeds, scenarios, verbose)
-
-
-def main(argv: Optional[list] = None) -> int:
-    return scenario_main(
-        "server", _RUNNERS, [5, 6],
-        "Connection-chaos harness for the server runtime.", argv,
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,7 @@ Public surface:
 * :class:`~repro.txn.manager.Transaction` /
   :class:`~repro.txn.manager.Snapshot` — the handles callers hold;
 * :mod:`repro.txn.faults` — seeded crash injection for the durability
-  layer (the ``python -m repro.txn.chaos`` harness plugs into it).
+  layer (the ``crash`` scenario of ``python -m repro.chaos`` plugs into it).
 
 See ``docs/transactions.md`` for the design.
 """

@@ -35,9 +35,8 @@ After each scenario the shared invariants are audited: the governor
 drained with zero reservations, zero leaked spill directories or
 ``.tmp`` durability files, active-transaction count zero, and (when
 ``REPRO_LOCK_WITNESS=1``) every witnessed lock edge present in the
-static lock graph.  CI runs this blocking with two fixed seeds::
-
-    python -m repro.txn.chaos --seeds 7 8
+static lock graph.  Both run through ``python -m repro.chaos`` (see
+:mod:`repro.chaos`); CI runs them blocking with two fixed seeds.
 """
 
 from __future__ import annotations
@@ -45,35 +44,28 @@ from __future__ import annotations
 import os
 import random
 import shutil
-import sys
 import tempfile
 import threading
+from functools import partial
 from typing import Optional
 
 from repro.common.chaosutil import (
+    Baseline,
     ScenarioOutcome,
-    audit_governor_drained,
-    audit_thread_leak,
-    audit_witness,
     canonical_rows,
     query_seed,
-    run_scenarios,
-    scenario_main,
-    spill_dirs,
+    run_together,
 )
 from repro.common.errors import TransactionConflict, WalError
 from repro.core.config import MemoryPolicy, PopConfig
 from repro.core.database import Database
 from repro.txn.faults import (
-    CRASH,
     FSYNC_FAIL,
     TORN,
     CrashInjector,
     CrashPlan,
     SimulatedCrash,
 )
-
-SCENARIOS = ("crash", "snapshot")
 
 #: Tables of the crash workload (created before the durable open, so the
 #: checkpoint-at-open captures their schemas).
@@ -292,7 +284,7 @@ def _run_crash_case(seed: int, case: int, problems: list) -> bool:
 def run_crash(seed: int, cases: int = 30, min_fired: int = 25) -> ScenarioOutcome:
     """Seeded kill-points across WAL and checkpoint, recover-and-verify."""
     problems: list = []
-    spill_baseline = spill_dirs()
+    baseline = Baseline()
     fired = 0
     for case in range(cases):
         if _run_crash_case(seed, case, problems):
@@ -302,10 +294,7 @@ def run_crash(seed: int, cases: int = 30, min_fired: int = 25) -> ScenarioOutcom
             f"only {fired} of {cases} cases fired a kill "
             f"(need >= {min_fired}) — the schedule is not biting"
         )
-    leaked = spill_dirs() - spill_baseline
-    if leaked:
-        problems.append(f"leaked spill dirs: {sorted(leaked)}")
-    audit_witness(problems)
+    baseline.audit(problems)
     return ScenarioOutcome(
         "crash", seed, not problems, problems,
         detail=f"cases={cases} kill_points_fired={fired}",
@@ -347,8 +336,7 @@ def run_snapshot(
 
     problems: list = []
     lock = threading.Lock()
-    spill_baseline = spill_dirs()
-    thread_baseline = threading.active_count()
+    baseline = Baseline()
 
     db = make_dmv_db(
         scale=DmvScale(
@@ -375,11 +363,9 @@ def run_snapshot(
         ),
     )
     host, port = server.start()
-    barrier = threading.Barrier(2 * writers)
 
     def writer(w: int) -> None:
         rng = random.Random(query_seed(seed, "txn-writer", str(w)))
-        barrier.wait()
         seq = 0
         pause = threading.Event()
         for _ in range(txns_per_writer):
@@ -401,7 +387,6 @@ def run_snapshot(
             pause.wait(rng.uniform(0.0, 0.01))
 
     def reader(r: int) -> None:
-        barrier.wait()
         pause = threading.Event()
         try:
             cli = ReproClient(host, port)
@@ -473,17 +458,11 @@ def run_snapshot(
             with lock:
                 problems.append(f"reader {r}: socket error: {exc}")
 
-    pool = [
-        threading.Thread(target=writer, args=(w,), name=f"chaos-writer-{w}")
-        for w in range(writers)
-    ] + [
-        threading.Thread(target=reader, args=(r,), name=f"chaos-reader-{r}")
-        for r in range(writers)
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    run_together(
+        "snapshot",
+        [partial(writer, w) for w in range(writers)]
+        + [partial(reader, r) for r in range(writers)],
+    )
 
     total = writers * txns_per_writer * rows_per_txn
     expected = canonical_rows(
@@ -536,13 +515,7 @@ def run_snapshot(
         )
 
     server.shutdown(drain=True)
-    audit_thread_leak(problems, thread_baseline)
-    audit_governor_drained(problems, db.memory_governor.snapshot())
-    db.disable_memory_governor()
-    leaked = spill_dirs() - spill_baseline
-    if leaked:
-        problems.append(f"leaked spill dirs: {sorted(leaked)}")
-    audit_witness(problems)
+    baseline.audit(problems, db)
     stats = manager.snapshot_stats()
     return ScenarioOutcome(
         "snapshot", seed, not problems, problems,
@@ -551,23 +524,3 @@ def run_snapshot(
             f"conflicts={stats['conflicts']} aborted={int(aborted)}"
         ),
     )
-
-
-# ------------------------------------------------------------------- main
-
-_RUNNERS = {"crash": run_crash, "snapshot": run_snapshot}
-
-
-def run_all(seeds, scenarios=SCENARIOS, verbose: bool = True) -> list:
-    return run_scenarios("txn", _RUNNERS, seeds, scenarios, verbose)
-
-
-def main(argv: Optional[list] = None) -> int:
-    return scenario_main(
-        "txn", _RUNNERS, [7, 8],
-        "Kill-crash chaos for snapshot transactions + WAL recovery.", argv,
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

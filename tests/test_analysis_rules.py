@@ -533,12 +533,12 @@ class TestContractChecker:
         assert check_module("from random import Random\n") == []
 
     def test_allowlisted_modules_may_use_random(self):
-        from repro.analysis.contract import check_determinism
+        from repro.analysis.contract import check_confinement
         import ast
 
         tree = ast.parse("import random\nx = random.random()\n")
-        assert list(check_determinism(tree, "common/rng.py")) == []
-        assert list(check_determinism(tree, "obs/trace.py")) == []
+        assert list(check_confinement(tree, "common/rng.py")) == []
+        assert list(check_confinement(tree, "obs/trace.py")) == []
 
     def test_bare_except_flagged(self):
         findings = check_module("try:\n    pass\nexcept:\n    pass\n")
@@ -615,11 +615,11 @@ class TestContractChecker:
     def test_sanctioned_timing_sites_may_sample_wall_clock(self):
         import ast
 
-        from repro.analysis.contract import check_profile_exclusive_time
+        from repro.analysis.contract import check_confinement
 
         tree = ast.parse("t0 = wall_clock()\n")
         for rel in ("obs/trace.py", "core/driver.py", "governor/__init__.py"):
-            assert list(check_profile_exclusive_time(tree, rel)) == []
+            assert list(check_confinement(tree, rel)) == []
 
     def test_live_package_has_no_contract_errors(self):
         findings = run_contract_checks()
@@ -646,10 +646,13 @@ class TestAnalysisMain:
         assert analysis_main(["--root", str(tmp_path)]) == 1
         assert "bare-except" in capsys.readouterr().out
 
-    def test_fail_on_warn_threshold(self, tmp_path, capsys):
-        (tmp_path / "tabs.py").write_text("def f():\n\tpass\n")
-        assert analysis_main(["--root", str(tmp_path)]) == 0
-        assert analysis_main(["--root", str(tmp_path), "--fail-on", "warn"]) == 1
+    def test_fail_on_warn_threshold(self, monkeypatch, capsys):
+        from repro.analysis import __main__ as gate
+
+        warning = Finding(rule="x", severity=WARN, message="plausible")
+        monkeypatch.setattr(gate, "run_contract_checks", lambda root: [warning])
+        assert analysis_main([]) == 0
+        assert analysis_main(["--fail-on", "warn"]) == 1
         capsys.readouterr()
 
     def test_jsonl_output(self, tmp_path, capsys):

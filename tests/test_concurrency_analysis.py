@@ -404,14 +404,12 @@ def test_witness_env_arming(monkeypatch):
 
 
 def test_chaos_memory_pressure_cross_checks_witness():
-    from repro.resilience.chaos import run_memory_pressure
+    from repro.resilience import run_memory
 
     disable_witness()
     witness = enable_witness()
     try:
-        outcome = run_memory_pressure(
-            chaos_seed=5, threads=3, statements_per_thread=1, verbose=False
-        )
+        outcome = run_memory(5, threads=3, statements_per_thread=1)
         assert outcome.ok, outcome.problems
         edges = witness.edges()
         assert edges, "witnessed no lock edges under memory pressure"

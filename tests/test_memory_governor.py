@@ -400,9 +400,9 @@ class TestConcurrentDeterminism:
         assert metrics.get("governor.peak_pages") <= budget + 1e-9
 
     def test_chaos_memory_scenario_passes(self):
-        from repro.resilience.chaos import run_memory_pressure
+        from repro.resilience import run_memory
 
-        outcome = run_memory_pressure(chaos_seed=1, threads=4, verbose=False)
+        outcome = run_memory(1, threads=4)
         assert outcome.ok, outcome.problems
 
 

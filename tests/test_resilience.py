@@ -56,8 +56,9 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    fault_campaign,
 )
-from repro.resilience.chaos import run_query_under_chaos
+from repro.resilience.chaos import FaultTally, run_query_under_chaos
 from tests.conftest import canonical
 from tests.reference import evaluate_reference
 
@@ -454,25 +455,32 @@ class TestChaosHarness:
         assert canonical_rows([(1, 1.0)]) != canonical_rows([(1, 2.0)])
 
     def test_one_query_under_chaos(self, star_db):
-        oracle = canonical_rows(star_db.execute(JOIN_SQL).rows)
-        outcome = run_query_under_chaos(
-            star_db, "unit", "join", JOIN_SQL, chaos_seed=5, oracle=oracle
-        )
+        outcome = fault_campaign([("unit", star_db, [("join", JOIN_SQL)])])(5)
         assert outcome.ok, outcome.problems
-        assert outcome.faults_injected >= 1
+        assert sum(outcome.tally.fired.values()) >= 1
 
     def test_silent_injector_fails_the_campaign(self, monkeypatch, capsys):
-        """A campaign that planned execution faults and fired none did not
-        test anything: the harness must say so and exit non-zero."""
-        from repro.resilience import chaos
+        """A seed that planned execution faults and fired none did not test
+        anything: that seed fails on its own, whatever the others fired."""
+        from repro.common.chaosutil import scenario_main
+        from repro.workloads import small_workload_databases
 
+        workloads = [
+            (label, db, queries[:2])
+            for label, db, queries in small_workload_databases("tpch")
+        ]
+        run_faults = fault_campaign(workloads)
+        assert run_faults(1).ok
         monkeypatch.setattr(FaultInjector, "_wrap", lambda self, op, ctx: None)
-        args = ["--workload", "tpch", "--limit", "2", "--seeds", "1", "--quiet"]
-        assert chaos.main(args) == 1
+        silent = run_faults(2)
+        assert not silent.ok
+        assert silent.problems[-1].endswith("execution faults planned, none fired")
+        runners = {"faults": run_faults}
+        assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 1
         out = capsys.readouterr().out
-        assert "0/" in out and "execution faults planned, none fired" in out
+        assert "[FAIL] faults seed=1 0/" in out and "none fired" in out
         monkeypatch.undo()
-        assert chaos.main(args) == 0
+        assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 0
         assert "none fired" not in capsys.readouterr().out
 
     def test_seeded_campaign_reaches_the_operators(self, capsys):
@@ -480,23 +488,37 @@ class TestChaosHarness:
         pull sequence is what places the faults: the tallies of this seeded
         campaign are those recorded at c96f967, before the operators' inner
         loops were compiled — no pull was fused away or added."""
-        from repro.resilience import chaos
+        from repro.chaos import main
 
-        args = ["--workload", "all", "--seeds", "1", "2", "--quiet"]
-        assert chaos.main(args) == 0
+        args = ["--scenario", "faults", "stampede", "memory",
+                "--seeds", "1", "2", "--quiet"]
+        assert main(args) == 0
         assert (
-            "chaos: 106 runs, 139/223 execution faults fired "
+            "chaos: 6/6 scenario runs ok, 139/223 execution faults fired "
             "(iterator 40/64, stall 50/80, mem_shrink 49/79), "
-            "83/83 stats faults fired"
+            "83/83 stats faults fired, 40 retries, 0 fallbacks"
         ) in capsys.readouterr().out
 
     def test_chaos_detects_divergence(self, star_db):
-        outcome = run_query_under_chaos(
-            star_db, "unit", "join", JOIN_SQL, chaos_seed=5,
-            oracle=[("wrong",)],
-        )
-        assert not outcome.ok
-        assert any("diverge" in p for p in outcome.problems)
+        assert run_query_under_chaos(
+            star_db, "unit", "join", JOIN_SQL, 5, [("wrong",)], FaultTally()
+        )[0].startswith("rows diverge")
+
+    def test_failing_query_is_named(self, star_db, capsys):
+        from repro.common.chaosutil import scenario_main
+
+        runners = {
+            "faults": fault_campaign([("unit", star_db, [("join", JOIN_SQL)])])
+        }
+        assert scenario_main(runners, ["--seeds", "5", "--quiet"]) == 0
+        # The oracle was taken on the first seed; new data makes the next
+        # seed's rows diverge from it.
+        mid = star_db.execute(
+            "SELECT c.c_id FROM cust c WHERE c.c_segment = 'MID'"
+        ).rows[0][0]
+        star_db.insert("orders", [(99999, mid, 1.0)])
+        assert scenario_main(runners, ["--seeds", "5", "--quiet"]) == 1
+        assert "unit/join seed=5: rows diverge" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- CLI

@@ -419,20 +419,23 @@ class TestOverloadAndDrain:
 
 
 class TestChaosHarness:
-    def test_full_scenario_sweep_single_seed(self):
-        from repro.server.chaos import SCENARIOS, run_all
+    SCENARIOS = ["disconnect", "slowloris", "malformed", "overload", "killspill"]
 
-        outcomes = run_all([11], verbose=False)
-        assert [o.scenario for o in outcomes] == list(SCENARIOS)
+    def test_full_scenario_sweep_single_seed(self):
+        from repro.chaos import scenarios
+        from repro.common.chaosutil import run_scenarios
+
+        outcomes = run_scenarios(scenarios(), [11], self.SCENARIOS, verbose=False)
+        assert [o.scenario for o in outcomes] == self.SCENARIOS
         failed = [o for o in outcomes if not o.ok]
         assert not failed, [(o.scenario, o.problems) for o in failed]
 
     def test_main_reports_and_exits_zero(self, capsys):
-        from repro.server.chaos import main
+        from repro.chaos import main
 
         assert main(["--seeds", "12", "--scenario", "malformed"]) == 0
         out = capsys.readouterr().out
-        assert "[ok] server/malformed seed=12" in out
+        assert "[ok] malformed seed=12" in out
         assert "1/1 scenario runs ok" in out
 
 

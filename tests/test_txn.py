@@ -577,18 +577,21 @@ class TestCliTxn:
 
 
 class TestChaosHarness:
-    def test_full_scenario_sweep_single_seed(self):
-        from repro.txn.chaos import SCENARIOS, run_all
+    SCENARIOS = ["crash", "snapshot"]
 
-        outcomes = run_all([11], verbose=False)
-        assert [o.scenario for o in outcomes] == list(SCENARIOS)
+    def test_full_scenario_sweep_single_seed(self):
+        from repro.chaos import scenarios
+        from repro.common.chaosutil import run_scenarios
+
+        outcomes = run_scenarios(scenarios(), [11], self.SCENARIOS, verbose=False)
+        assert [o.scenario for o in outcomes] == self.SCENARIOS
         failed = [o for o in outcomes if not o.ok]
         assert not failed, [(o.scenario, o.problems) for o in failed]
 
     def test_main_reports_and_exits_zero(self, capsys):
-        from repro.txn.chaos import main
+        from repro.chaos import main
 
         assert main(["--seeds", "12", "--scenario", "crash"]) == 0
         out = capsys.readouterr().out
-        assert "[ok] txn/crash seed=12" in out
+        assert "[ok] crash seed=12" in out
         assert "1/1 scenario runs ok" in out
