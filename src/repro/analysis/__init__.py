@@ -1,12 +1,12 @@
 """Static analysis for the POP engine (see ``docs/static_analysis.md``).
 
-Two faces:
+Three faces:
 
-* the **plan-semantics linter** (:mod:`repro.analysis.plan_lint`,
-  :mod:`repro.analysis.rules`) — pluggable rules over physical plan trees
-  auditing the invariants progressive optimization rests on: validity-range
-  well-formedness, CHECK placement safety, cost monotonicity, ordering
-  claims, reuse consistency, feedback consistency;
+* the **plan-semantics linter** (:mod:`repro.analysis.plan_lint`) — one
+  list of rules over physical plan trees auditing the invariants
+  progressive optimization rests on: validity-range well-formedness, CHECK
+  placement safety, cost monotonicity, ordering claims, reuse consistency,
+  feedback consistency;
 * the **engine contract checker** (:mod:`repro.analysis.contract`) — an
   ``ast``-based lint of the ``repro`` source tree enforcing the iterator
   contract, determinism (no stray ``random``/``time``), no float ``==`` in
@@ -16,8 +16,11 @@ Two faces:
   callback-under-lock verification against the policy declared in
   :mod:`repro.common.locking` (``python -m repro.analysis --concurrency``).
 
-``python -m repro.analysis`` runs both and exits non-zero on
-error-severity findings; the CLI's ``\\lint`` and the strict mode of
+The two source-tree faces read and parse the tree through one pass
+(:func:`repro.analysis.contract.read_source_tree`).  ``python -m
+repro.analysis`` runs the contract checker (plus, on request, the plan
+linter over every workload plan) and exits non-zero on error-severity
+findings; the CLI's ``\\lint`` and the strict mode of
 :class:`~repro.core.driver.PopDriver` reuse the same rules.
 """
 
@@ -37,7 +40,6 @@ from repro.analysis.concurrency import (
     CONCURRENCY_RULES,
     ConcurrencyPolicy,
     check_concurrency_module,
-    check_concurrency_tree,
     run_concurrency_checks,
     static_lock_graph,
 )
@@ -45,10 +47,9 @@ from repro.analysis.plan_lint import (
     PLAN_RULES,
     LintContext,
     PlanLintError,
-    PlanRule,
     assert_plan_clean,
     lint_plan,
-    plan_rule,
+    lint_statement,
 )
 
 __all__ = [
@@ -64,15 +65,13 @@ __all__ = [
     "sort_findings",
     "LintContext",
     "PlanLintError",
-    "PlanRule",
     "PLAN_RULES",
-    "plan_rule",
     "lint_plan",
+    "lint_statement",
     "assert_plan_clean",
     "CONCURRENCY_RULES",
     "ConcurrencyPolicy",
     "check_concurrency_module",
-    "check_concurrency_tree",
     "run_concurrency_checks",
     "static_lock_graph",
 ]

@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` — the non-interactive analysis gate.
 
-Runs the engine contract checker over the ``repro`` source tree (always)
-and, on request, the plan-semantics linter over every plan the optimizer
+Runs the engine contract checker over the ``repro`` source tree and, on
+request, the plan-semantics linter over every plan the optimizer
 and checkpoint placer produce for the TPC-H and/or DMV workloads.
 
 Exit status: 0 when no finding reaches the ``--fail-on`` severity
@@ -27,7 +27,7 @@ from repro.analysis.findings import (
     severity_rank,
     sort_findings,
 )
-from repro.analysis.plan_lint import PLAN_RULES, LintContext, lint_plan
+from repro.analysis.plan_lint import lint_statement, rule_listing
 
 
 def lint_workload_plans(which: str) -> list[Finding]:
@@ -38,14 +38,8 @@ def lint_workload_plans(which: str) -> list[Finding]:
     findings: list[Finding] = []
     config = PopConfig()
     for label, db, queries in small_workload_databases(which):
-        context = LintContext(
-            catalog=db.catalog,
-            cost_model=db.optimizer.cost_model,
-            config=config,
-        )
         for name, sql in queries:
-            _opt, placement = db.plan(sql, pop=config)
-            for finding in lint_plan(placement.plan, context):
+            for finding in lint_statement(db, sql, config):
                 finding.data.setdefault("query", f"{label}/{name}")
                 findings.append(finding)
     return findings
@@ -55,11 +49,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis gate: engine contracts + plan linting.",
-    )
-    parser.add_argument(
-        "--no-code",
-        action="store_true",
-        help="skip the engine contract checker over the source tree",
     )
     parser.add_argument(
         "--root",
@@ -98,14 +87,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.analysis import rules as _builtin  # noqa: F401
-        from repro.analysis.concurrency import CONCURRENCY_RULES
-
-        for rule in PLAN_RULES.values():
-            ref = f" [{rule.paper_ref}]" if rule.paper_ref else ""
-            print(f"{rule.rule_id:25s}{ref:25s} {rule.doc}")
-        for rule_id, doc in CONCURRENCY_RULES.items():
-            print(f"{rule_id:25s}{'':25s} {doc}")
+        print("\n".join(rule_listing()))
         return 0
 
     findings: list[Finding] = []
@@ -114,8 +96,7 @@ def main(argv=None) -> int:
 
         findings = run_concurrency_checks(args.root)
     else:
-        if not args.no_code:
-            findings.extend(run_contract_checks(args.root))
+        findings.extend(run_contract_checks(args.root))
         if args.plans != "none":
             findings.extend(lint_workload_plans(args.plans))
 

@@ -47,11 +47,11 @@ A finding can be waived on its line with ``# concurrency-ok: <reason>``.
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.analysis.contract import SourceTree, parse_sources, read_source_tree
 from repro.analysis.findings import ERROR, Finding
 from repro.common.locking import (
     CALLBACK_ATTR_PATTERN,
@@ -65,7 +65,6 @@ __all__ = [
     "CONCURRENCY_RULES",
     "ConcurrencyPolicy",
     "default_policy",
-    "check_concurrency_tree",
     "check_concurrency_module",
     "run_concurrency_checks",
     "static_lock_graph",
@@ -203,7 +202,6 @@ class _TreeAnalyzer:
 
     def __init__(self, policy: Optional[ConcurrencyPolicy] = None):
         self.policy = policy if policy is not None else default_policy()
-        self.modules: list = []  # (rel, tree, source_lines)
         self.classes: dict = {}  # class name -> _ClassInfo
         self.module_funcs: dict = {}  # rel -> set of top-level func names
         self.waived: dict = {}  # rel -> set of waived line numbers
@@ -214,36 +212,19 @@ class _TreeAnalyzer:
         self.edges: dict = {}
         self._emitted: set = set()
 
-    # ------------------------------------------------------------- loading
-
-    def add_module(self, rel: str, source: str) -> None:
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError as exc:
-            self.findings.append(
-                Finding(
-                    rule="parse",
-                    severity=ERROR,
-                    message=f"syntax error: {exc.msg}",
-                    file=rel,
-                    line=exc.lineno,
-                )
-            )
-            return
-        lines = source.splitlines()
-        self.modules.append((rel, tree, lines))
-        self.waived[rel] = {
-            i + 1
-            for i, text in enumerate(lines)
-            if self.policy.waiver_token in text
-        }
-
     # ---------------------------------------------------------------- run
 
-    def run(self) -> list:
-        for rel, tree, lines in self.modules:
+    def run(self, source_tree: SourceTree) -> list:
+        self.findings.extend(source_tree.findings)
+        for rel, tree in source_tree.trees.items():
+            lines = source_tree.sources[rel].splitlines()
+            self.waived[rel] = {
+                i + 1
+                for i, text in enumerate(lines)
+                if self.policy.waiver_token in text
+            }
             self._index_module(rel, tree, lines)
-        for rel, tree, _lines in self.modules:
+        for rel, tree in source_tree.trees.items():
             self._summarize_module(rel, tree)
         self._propagate()
         return self.findings
@@ -650,52 +631,16 @@ class _SummaryBuilder:
 # ------------------------------------------------------------- public API
 
 
-def _iter_sources(root: str) -> list:
-    """(relpath, source) for every ``.py`` under ``root``, sorted."""
-    out = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root).replace(os.sep, "/")
-            with open(path, "r", encoding="utf-8") as handle:
-                out.append((rel, handle.read()))
-    return out
-
-
-def _analyze_tree(root: str,
-                  policy: Optional[ConcurrencyPolicy] = None) -> _TreeAnalyzer:
-    analyzer = _TreeAnalyzer(policy)
-    for rel, source in _iter_sources(root):
-        analyzer.add_module(rel, source)
-    analyzer.run()
-    return analyzer
-
-
-def check_concurrency_tree(root: str,
-                           policy: Optional[ConcurrencyPolicy] = None) -> list:
-    """All concurrency findings for the package rooted at ``root``."""
-    return _analyze_tree(root, policy).findings
-
-
 def check_concurrency_module(source: str, filename: str = "<snippet>",
                              policy: Optional[ConcurrencyPolicy] = None) -> list:
     """Analyze one source string (test hook for seeded-violation fixtures)."""
-    analyzer = _TreeAnalyzer(policy)
-    analyzer.add_module(filename, source)
-    analyzer.run()
-    return analyzer.findings
+    return _TreeAnalyzer(policy).run(parse_sources({filename: source}))
 
 
 def run_concurrency_checks(root: Optional[str] = None,
                            policy: Optional[ConcurrencyPolicy] = None) -> list:
     """Concurrency findings for ``root`` (default: the live ``repro`` package)."""
-    from repro.analysis.contract import default_source_root
-
-    base = root if root is not None else default_source_root()
-    return check_concurrency_tree(base, policy)
+    return _TreeAnalyzer(policy).run(read_source_tree(root))
 
 
 def static_lock_graph(root: Optional[str] = None,
@@ -707,7 +652,6 @@ def static_lock_graph(root: Optional[str] = None,
     static analysis shows up as a failing cross-check instead of staying
     invisible.
     """
-    from repro.analysis.contract import default_source_root
-
-    base = root if root is not None else default_source_root()
-    return set(_analyze_tree(base, policy).edges)
+    analyzer = _TreeAnalyzer(policy)
+    analyzer.run(read_source_tree(root))
+    return set(analyzer.edges)

@@ -56,7 +56,10 @@ and one walker, :func:`check_confinement`:
   ``storage/spill.py``: operators go through ``SpillManager.create``, whose
   bookkeeping ``close_all`` relies on.
 
-Pure stdlib (``ast``); no third-party linter is needed at runtime.
+The tree is read and parsed once (:func:`read_source_tree`); the
+concurrency analyzer runs over the same :class:`SourceTree`, and the three
+executor-protocol rules share one class graph.  Pure stdlib (``ast``); no
+third-party linter is needed at runtime.
 """
 
 from __future__ import annotations
@@ -149,31 +152,24 @@ CONFINEMENTS = (
 _PROTOCOL_SUPER = {"open": "open", "close": "close"}
 
 
-def _relpath(path: str, root: str) -> str:
-    return os.path.relpath(path, root).replace(os.sep, "/")
+@dataclass
+class SourceTree:
+    """Every module of one package, read and parsed once; the contract
+    checker and the concurrency analyzer both run over it."""
+
+    #: Relative posix path -> source text, for every module.
+    sources: dict
+    #: Relative posix path -> parsed module, for every module that parses.
+    trees: dict
+    #: One ``parse`` finding per module that does not.
+    findings: list
 
 
-def iter_source_files(root: str) -> list[str]:
-    """All ``.py`` files under ``root``, sorted for stable output."""
-    found: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                found.append(os.path.join(dirpath, name))
-    return found
-
-
-def check_source_tree(root: str) -> list[Finding]:
-    """Run every contract rule over the package rooted at ``root``."""
-    findings: list[Finding] = []
+def parse_sources(sources: dict[str, str]) -> SourceTree:
+    """Parse ``{relpath: source}`` into a :class:`SourceTree`."""
     trees: dict[str, ast.Module] = {}
-    sources: dict[str, str] = {}
-    for path in iter_source_files(root):
-        rel = _relpath(path, root)
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        sources[rel] = source
+    findings: list[Finding] = []
+    for rel, source in sources.items():
         try:
             trees[rel] = ast.parse(source, filename=rel)
         except SyntaxError as exc:
@@ -186,25 +182,40 @@ def check_source_tree(root: str) -> list[Finding]:
                     line=exc.lineno,
                 )
             )
-    findings.extend(_check_trees(trees, sources))
-    return findings
+    return SourceTree(sources=sources, trees=trees, findings=findings)
+
+
+def read_source_tree(root: Optional[str] = None) -> SourceTree:
+    """Read and parse every ``.py`` under ``root`` (default: the live
+    ``repro`` package), in sorted order for stable output."""
+    if root is None:
+        import repro
+
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+    sources: dict[str, str] = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                with open(path, "r", encoding="utf-8") as handle:
+                    sources[rel] = handle.read()
+    return parse_sources(sources)
 
 
 def check_module(source: str, filename: str = "<snippet>") -> list[Finding]:
     """Contract-check one source string (test hook; applies every
     per-module rule, float-eq included)."""
-    tree = ast.parse(source, filename=filename)
-    return _check_trees({filename: tree}, {filename: source}, float_eq_everywhere=True)
+    return _check_trees(parse_sources({filename: source}), float_eq_everywhere=True)
 
 
 def _check_trees(
-    trees: dict[str, ast.Module],
-    sources: dict[str, str],
-    float_eq_everywhere: bool = False,
+    source_tree: SourceTree, float_eq_everywhere: bool = False
 ) -> list[Finding]:
     """The one rule list: per-module rules, then whole-package ones."""
-    findings: list[Finding] = []
-    for rel, tree in trees.items():
+    findings: list[Finding] = list(source_tree.findings)
+    for rel, tree in source_tree.trees.items():
         findings.extend(check_confinement(tree, rel))
         findings.extend(check_bare_except(tree, rel))
         findings.extend(check_spill_lifecycle(tree, rel))
@@ -215,10 +226,13 @@ def _check_trees(
             or rel.endswith("optimizer/costmodel.py")
             or "cache/" in rel
         ):
-            findings.extend(check_float_eq(tree, rel, source=sources[rel]))
-    findings.extend(check_iterator_contract(trees))
-    findings.extend(check_close_guarded(trees))
-    findings.extend(check_batch_contract(trees))
+            findings.extend(
+                check_float_eq(tree, rel, source=source_tree.sources[rel])
+            )
+    graph = _OperatorGraph(source_tree.trees)
+    findings.extend(check_iterator_contract(graph))
+    findings.extend(check_close_guarded(graph))
+    findings.extend(check_batch_contract(graph))
     return findings
 
 
@@ -394,33 +408,59 @@ def _calls_super(method: ast.FunctionDef, name: str) -> bool:
     return False
 
 
-def check_iterator_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
+class _OperatorGraph:
+    """The package's class graph, built once per contract run and shared by
+    the three executor-protocol rules."""
+
+    def __init__(self, trees: dict[str, ast.Module]):
+        #: Class name -> (relpath, node); the first definition wins.
+        self.classes: dict[str, tuple[str, ast.ClassDef]] = {}
+        for rel, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.classes.setdefault(node.name, (rel, node))
+        #: Every class transitively derived (by name) from ``Operator``,
+        #: sorted; ``Operator`` itself need not be among the scanned sources.
+        self.operators = sorted(
+            name for name in self.classes
+            if name != "Operator" and self._derives(name, frozenset())
+        )
+
+    def bases(self, name: str) -> list[str]:
+        return _base_names(self.classes[name][1])
+
+    def _derives(self, name: str, seen: frozenset) -> bool:
+        if name == "Operator":
+            return True
+        if name in seen or name not in self.classes:
+            return False
+        return any(self._derives(base, seen | {name}) for base in self.bases(name))
+
+    def lineage(self, name: str, seen: frozenset = frozenset()) -> Optional[list[str]]:
+        """The class plus all ancestors up to Operator; None if the chain
+        leaves the scanned sources before reaching Operator."""
+        if name not in self.classes or name in seen:
+            return None
+        if name == "Operator":
+            return ["Operator"]
+        for base in self.bases(name):
+            resolved = self.lineage(base, seen | {name})
+            if resolved is not None:
+                return [name] + resolved
+        return None
+
+
+def check_iterator_contract(graph: _OperatorGraph) -> Iterator[Finding]:
     """Executor operators implement the open/next_batch/close protocol
     correctly.
 
-    Works on the whole-package class graph: collects every class
-    transitively derived (by name) from ``Operator``, then checks that each
-    concrete operator resolves a real ``next_batch`` (the base raises
-    NotImplementedError; a row-at-a-time ``next`` is not a substitute —
-    nothing calls it) and that ``open``/``close`` overrides delegate to
-    ``super()``.
+    Works on the whole-package class graph: for every class transitively
+    derived (by name) from ``Operator``, checks that each concrete operator
+    resolves a real ``next_batch`` (the base raises NotImplementedError; a
+    row-at-a-time ``next`` is not a substitute — nothing calls it) and that
+    ``open``/``close`` overrides delegate to ``super()``.
     """
-    classes: dict[str, tuple[str, ast.ClassDef]] = {}
-    for rel, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, (rel, node))
-
-    def derives_from_operator(name: str, seen: frozenset = frozenset()) -> bool:
-        if name == "Operator":
-            return True
-        if name in seen or name not in classes:
-            return False
-        _, node = classes[name]
-        return any(
-            derives_from_operator(base, seen | {name})
-            for base in _base_names(node)
-        )
+    classes = graph.classes
 
     def resolves_next_batch(name: str) -> Optional[bool]:
         """True when a real ``next_batch`` is inherited; None when the chain
@@ -429,27 +469,17 @@ def check_iterator_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
             return False  # the base's only raises NotImplementedError
         if name not in classes:
             return None
-        _, node = classes[name]
-        if "next_batch" in _methods(node):
+        if "next_batch" in _methods(classes[name][1]):
             return True
-        results = [resolves_next_batch(base) for base in _base_names(node)]
+        results = [resolves_next_batch(base) for base in graph.bases(name)]
         if any(r is True for r in results):
             return True
         if any(r is None for r in results):
             return None
         return False
 
-    subclass_names = {
-        name
-        for name in classes
-        if name != "Operator" and derives_from_operator(name)
-    }
-    has_subclasses = {
-        base
-        for name in subclass_names
-        for base in _base_names(classes[name][1])
-    }
-    for name in sorted(subclass_names):
+    has_subclasses = {base for name in graph.operators for base in graph.bases(name)}
+    for name in graph.operators:
         rel, node = classes[name]
         methods = _methods(node)
         concrete = name not in has_subclasses and not name.startswith("_")
@@ -506,7 +536,7 @@ def _init_assigned_attrs(node: ast.ClassDef) -> set[str]:
     return assigned
 
 
-def check_close_guarded(trees: dict[str, ast.Module]) -> Iterator[Finding]:
+def check_close_guarded(graph: _OperatorGraph) -> Iterator[Finding]:
     """Operator ``close()`` reads only ``__init__``-assigned attributes.
 
     The runtime closes every registered operator in a ``finally`` block —
@@ -518,34 +548,11 @@ def check_close_guarded(trees: dict[str, ast.Module]) -> Iterator[Finding]:
     scanned ancestors.  Classes whose base chain leaves the scanned
     sources are skipped — their contract cannot be resolved.
     """
-    classes: dict[str, tuple[str, ast.ClassDef]] = {}
-    for rel, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, (rel, node))
-
-    def chain(name: str, seen: frozenset = frozenset()) -> Optional[list[str]]:
-        """The class plus all ancestors up to Operator; None if the chain
-        leaves the scanned sources before reaching Operator."""
-        if name not in classes or name in seen:
-            return None
-        if name == "Operator":
-            return ["Operator"]
-        _, node = classes[name]
-        for base in _base_names(node):
-            if base == "object":
-                continue
-            resolved = chain(base, seen | {name})
-            if resolved is not None:
-                return [name] + resolved
-        return None
-
-    for name in sorted(classes):
-        if name == "Operator":
-            continue
-        lineage = chain(name)
+    classes = graph.classes
+    for name in graph.operators:
+        lineage = graph.lineage(name)
         if lineage is None:
-            continue  # not an Operator (or unresolvable chain)
+            continue  # unresolvable chain
         rel, node = classes[name]
         close = _methods(node).get("close")
         if close is None:
@@ -597,7 +604,7 @@ def _batch_return_ok(value: Optional[ast.expr]) -> bool:
     )
 
 
-def check_batch_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
+def check_batch_contract(graph: _OperatorGraph) -> Iterator[Finding]:
     """``next_batch`` implementations preserve row accounting.
 
     POP's cardinality feedback is exact only if every operator returns
@@ -605,27 +612,8 @@ def check_batch_contract(trees: dict[str, ast.Module]) -> Iterator[Finding]:
     ``rows_out`` and the cancellation token is polled — or the ``None``
     EOF sentinel.
     """
-    classes: dict[str, tuple[str, ast.ClassDef]] = {}
-    for rel, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, (rel, node))
-
-    def derives_from_operator(name: str, seen: frozenset = frozenset()) -> bool:
-        if name == "Operator":
-            return True
-        if name in seen or name not in classes:
-            return False
-        _, node = classes[name]
-        return any(
-            derives_from_operator(base, seen | {name})
-            for base in _base_names(node)
-        )
-
-    for name in sorted(classes):
-        if name == "Operator" or not derives_from_operator(name):
-            continue
-        rel, node = classes[name]
+    for name in graph.operators:
+        rel, node = graph.classes[name]
         method = _methods(node).get("next_batch")
         if method is None:
             continue
@@ -695,13 +683,6 @@ def check_spill_lifecycle(tree: ast.Module, rel: str) -> Iterator[Finding]:
             )
 
 
-def default_source_root() -> str:
-    """The installed ``repro`` package directory (what ``-m`` scans)."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
 def run_contract_checks(root: Optional[str] = None) -> list[Finding]:
     """Contract findings for ``root`` (default: the live package)."""
-    return check_source_tree(root if root is not None else default_source_root())
+    return _check_trees(read_source_tree(root))

@@ -264,7 +264,7 @@ class Shell:
         )
 
     def _meta_lint(self, args) -> None:
-        from repro.analysis import LintContext, lint_plan, render_text
+        from repro.analysis import lint_statement, render_text
 
         if not args:
             self.write(
@@ -283,25 +283,12 @@ class Shell:
             self.write(render_text(run_concurrency_checks()))
             return
         if args[0].lower() == "rules" and len(args) == 1:
-            from repro.analysis import rules as _builtin  # noqa: F401
-            from repro.analysis.concurrency import CONCURRENCY_RULES
-            from repro.analysis.plan_lint import PLAN_RULES
+            from repro.analysis.plan_lint import rule_listing
 
-            for rule in PLAN_RULES.values():
-                ref = f" [{rule.paper_ref}]" if rule.paper_ref else ""
-                self.write(f"  {rule.rule_id:25s}{ref} {rule.doc}")
-            for rule_id, doc in CONCURRENCY_RULES.items():
-                self.write(f"  {rule_id:25s} {doc}")
+            self.write("\n".join(rule_listing()))
             return
         sql = " ".join(args).rstrip(";")
-        config = self._config()
-        _opt, placement = self.db.plan(sql, pop=config)
-        context = LintContext(
-            catalog=self.db.catalog,
-            cost_model=self.db.optimizer.cost_model,
-            config=config,
-        )
-        self.write(render_text(lint_plan(placement.plan, context)))
+        self.write(render_text(lint_statement(self.db, sql, self._config())))
 
     def _meta_pop(self, args) -> None:
         if not args:

@@ -43,6 +43,7 @@ from repro.executor.base import (
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
 from repro.obs import ProfileCollector, wall_clock
+from repro.obs.profile import QERROR_EXCLUDED, qerror
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
@@ -63,11 +64,6 @@ from repro.storage.catalog import TempMVRegistry
 #: Harvest configuration for completed runs: feedback only, no temp MVs.
 _FEEDBACK_ONLY = PopConfig(reuse_policy="never")
 
-#: Operators whose output cardinality is not an estimate of a relational
-#: edge (checkpoints count, RETURN may be LIMIT-cut, ...) — excluded from
-#: the q-error histogram.
-_QERROR_EXCLUDED = frozenset({"CHECK", "BUFCHECK", "RETURN", "ANTIJOIN"})
-
 
 def record_qerrors(metrics, plan: PlanOp, actual_cards: dict) -> None:
     """Feed per-operator |estimated/actual| into ``estimate.error.qerror``.
@@ -76,14 +72,12 @@ def record_qerrors(metrics, plan: PlanOp, actual_cards: dict) -> None:
     exact cardinalities, the same eligibility rule the feedback store uses).
     """
     for op in find_ops(plan, PlanOp):
-        if op.KIND in _QERROR_EXCLUDED or op.op_id is None:
+        if op.KIND in QERROR_EXCLUDED or op.op_id is None:
             continue
         actual = actual_cards.get(op.op_id)
         if actual is None or not actual[1]:
             continue
-        est = max(float(op.est_card), 1.0)
-        act = max(float(actual[0]), 1.0)
-        metrics.observe("estimate.error.qerror", max(est / act, act / est))
+        metrics.observe("estimate.error.qerror", qerror(op.est_card, actual[0]))
 
 
 def _collect_actuals(ctx: ExecutionContext) -> dict:
@@ -719,17 +713,12 @@ class PopDriver:
         """
         attempt = sc.attempt
         reoptimized = attempt > 0 and not sc.fallback
-        cached = planned.cached
         context = LintContext(
             catalog=self.catalog,
             temp_mvs=sc.temp_mvs,
             cost_model=self.optimizer.cost_model,
             config=sc.config,
             feedback=sc.feedback if reoptimized else None,
-            attempt=attempt,
-            cached_fingerprint=(
-                cached.entry.fingerprint if cached is not None else None
-            ),
         )
         findings = assert_plan_clean(
             planned.plan, context, where=f"attempt {attempt} plan"

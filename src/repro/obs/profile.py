@@ -37,9 +37,18 @@ from typing import Callable, Optional
 from repro.obs.trace import wall_clock
 
 #: Operator kinds whose emitted row count is not an estimable edge
-#: cardinality (mirrors the driver's q-error exclusions): CHECK/BUFCHECK
-#: are transparent, RETURN may be LIMIT-truncated, ANTIJOIN compensates.
+#: cardinality, excluded from ``OpProfile.qerror`` and the driver's
+#: ``estimate.error.qerror`` histogram: CHECK/BUFCHECK are transparent,
+#: RETURN may be LIMIT-truncated, ANTIJOIN compensates.
 QERROR_EXCLUDED = frozenset({"CHECK", "BUFCHECK", "RETURN", "ANTIJOIN"})
+
+
+def qerror(estimated: float, actual: float) -> float:
+    """``max(est/act, act/est)`` with both sides clamped to at least one row."""
+    est = max(float(estimated), 1.0)
+    act = max(float(actual), 1.0)
+    return max(est / act, act / est)
+
 
 #: Instance methods wrapped for frame accounting.  ``close`` is excluded on
 #: purpose: the runtime closes operators in a flat ``finally`` loop where
@@ -232,9 +241,7 @@ class ProfileCollector:
                 if child.op_id in by_op_id
             )
             if prof.eof and prof.kind not in QERROR_EXCLUDED:
-                est = max(float(prof.est_card), 1.0)
-                act = max(float(prof.rows_out), 1.0)
-                prof.qerror = max(est / act, act / est)
+                prof.qerror = qerror(prof.est_card, prof.rows_out)
         summary = ctx.spill_summary()
         if summary:
             for category, pages in summary.get("categories", {}).items():

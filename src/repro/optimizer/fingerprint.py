@@ -8,9 +8,9 @@ tree structure.  Two uses:
 * the plan cache deduplicates plan variants per statement shape by
   fingerprint, and
 * cached plans must never be mutated in place (they are re-executed
-  verbatim); the cache re-fingerprints every candidate before reuse and the
-  ``cache-plan-immutable`` lint rule audits the same invariant in strict
-  mode.
+  verbatim); the cache re-fingerprints every candidate before reuse and
+  the driver's ``_cache_settle`` re-fingerprints a reused plan after it
+  ran.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ the same per-operator statistic the metrics layer aggregates into the
 
 from __future__ import annotations
 
+from repro.obs.profile import qerror
 from repro.plan.physical import PlanOp
 
 
@@ -37,9 +38,7 @@ def explain_analyze_plan(
             rows, complete = actual
             actual_text = f"{rows}" if complete else f"{rows}+"
             if complete:
-                est = max(float(op.est_card), 1.0)
-                act = max(float(rows), 1.0)
-                qerror_text = f" q={max(est / act, act / est):.1f}"
+                qerror_text = f" q={qerror(op.est_card, rows):.1f}"
         profile_text = ""
         prof = None
         if profiles is not None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,14 +30,13 @@ from repro.analysis import (
     PlanLintError,
     assert_plan_clean,
     lint_plan,
-    plan_rule,
+    lint_statement,
     render_jsonl,
     render_text,
     sort_findings,
 )
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.contract import check_module, run_contract_checks
-from repro.analysis.plan_lint import ancestors, parent_map
 from repro.cli import Shell
 from repro.core.feedback import CardinalityFeedback
 from repro.core.flavors import ECB, ECDC, LC, LCEM
@@ -155,6 +156,16 @@ class TestValidityRangeRule:
         findings = by_rule(lint(plan), "validity-range")
         assert len(findings) == 1
         assert findings[0].severity == ERROR
+
+    def test_inverted_ranges(self):
+        """Validity-range alone reports an inverted range (structure no
+        longer does)."""
+        plan = join(HashJoin, scan("t"), check(temp(scan("s")), 300.0, 200.0))
+        plan.validity_ranges[0] = ValidityRange(300.0, 200.0)
+        findings = [f for f in lint(plan) if "inverted" in f.message]
+        assert [(f.rule, f.severity) for f in findings] == [
+            ("validity-range", ERROR), ("validity-range", ERROR)
+        ]
 
     def test_bufcheck_valve_size(self):
         plan = BufCheck(scan("t"), ValidityRange(50.0, 200.0), buffer_size=0)
@@ -350,6 +361,14 @@ class TestEstimatePlausibilityRule:
         assert len(findings) == 1
         assert findings[0].severity == ERROR
 
+    def test_negative_estimate_and_cost(self):
+        """Estimate-plausibility alone reports negative numbers (structure
+        no longer does)."""
+        plan = scan("t", card=-1.0, cost=-10.0)
+        findings = lint(plan)
+        assert {f.rule for f in findings} == {"estimate-plausibility"}
+        assert [f.severity for f in findings] == [ERROR, ERROR]
+
     def test_join_above_cross_product_bound(self):
         plan = join(HashJoin, scan("t", card=10.0), scan("s", card=10.0), card=1e6)
         findings = by_rule(lint(plan), "estimate-plausibility")
@@ -429,51 +448,67 @@ class TestNumberingRule:
         assert findings[0].severity == WARN
 
 
-class TestFeedbackConsistencyRule:
-    def _feedback(self, cardinality, exact=True):
-        feedback = CardinalityFeedback()
-        feedback.record((frozenset({"t"}), frozenset()), cardinality, exact)
-        return feedback
+def _feedback(cardinality, exact=True):
+    feedback = CardinalityFeedback()
+    feedback.record((frozenset({"t"}), frozenset()), cardinality, exact)
+    return feedback
 
+
+class TestFeedbackConsistencyRule:
     def test_estimate_ignoring_exact_feedback(self):
-        ctx = LintContext(feedback=self._feedback(500.0))
+        ctx = LintContext(feedback=_feedback(500.0))
         findings = by_rule(lint(Return(scan("t", card=100.0)), ctx), "feedback-consistency")
         assert len(findings) == 1
         assert findings[0].severity == WARN
         assert findings[0].data["feedback"] == 500.0
 
     def test_lower_bound_feedback_does_not_fire(self):
-        ctx = LintContext(feedback=self._feedback(500.0, exact=False))
+        ctx = LintContext(feedback=_feedback(500.0, exact=False))
         assert by_rule(lint(Return(scan("t", card=100.0)), ctx), "feedback-consistency") == []
 
     def test_small_qerror_tolerated(self):
-        ctx = LintContext(feedback=self._feedback(101.0))
+        ctx = LintContext(feedback=_feedback(101.0))
         assert by_rule(lint(Return(scan("t", card=100.0)), ctx), "feedback-consistency") == []
 
 
 # ----------------------------------------------------------- linter plumbing
 
 
+#: One crafted violation per plan rule: rule id -> (plan, context).
+RULE_FIXTURES = {
+    "structure": lambda: (
+        Sort(scan("t"), ("t.zzz",), props("t", order=("t.zzz",)), 20.0), None
+    ),
+    "validity-range": lambda: (check(temp(scan("t")), -5.0, 200.0), None),
+    "range-brackets-estimate": lambda: (
+        check(temp(scan("t", card=100.0)), 200.0, 400.0), None
+    ),
+    "check-placement": lambda: (Return(check(scan("t"), 50.0, 200.0, LC)), None),
+    "cost-monotone": lambda: (
+        temp(scan("t")), LintContext(cost_model=NanTempModel(DEFAULT_COST_PARAMS))
+    ),
+    "ordering": lambda: (
+        Sort(scan("t"), ("t.a",), props("t", order=("t.b",)), 20.0), None
+    ),
+    "reuse-consistency": lambda: (
+        join(NLJoin, scan("t"), scan("s"), method="rescan"), None
+    ),
+    "estimate-plausibility": lambda: (scan("t", card=float("nan")), None),
+    "flavor": lambda: (check(scan("t"), 50.0, 200.0, "NOPE"), None),
+    "numbering": lambda: (Return(scan("t")), None),
+    "feedback-consistency": lambda: (
+        Return(scan("t", card=100.0)), LintContext(feedback=_feedback(500.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("rule_id", [rule_id for rule_id, _ref, _fn in PLAN_RULES])
+def test_every_rule_fires_on_its_fixture(rule_id):
+    plan, ctx = RULE_FIXTURES[rule_id]()
+    assert by_rule(lint(plan, ctx, number=rule_id != "numbering"), rule_id)
+
+
 class TestLinterPlumbing:
-    def test_catalog_has_at_least_ten_rules(self):
-        lint(Return(scan("t")))  # force registration of the built-ins
-        assert len(PLAN_RULES) >= 10
-
-    def test_rule_subset_selection(self):
-        plan = check(scan("t"), 50.0, 200.0, "NOPE")  # flavor + placement
-        number_plan(plan)
-        findings = lint_plan(plan, rules=["flavor"])
-        assert {f.rule for f in findings} == {"flavor"}
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(KeyError):
-            lint_plan(Return(scan("t")), rules=["no-such-rule"])
-
-    def test_duplicate_rule_registration_rejected(self):
-        lint(Return(scan("t")))
-        with pytest.raises(ValueError):
-            plan_rule("structure")(lambda root, parents, ctx: [])
-
     def test_assert_plan_clean_raises_with_rule_ids(self):
         plan = Return(check(scan("t"), 50.0, 200.0, LC))
         number_plan(plan)
@@ -482,14 +517,6 @@ class TestLinterPlumbing:
         assert "unit test plan" in str(err.value)
         assert "[check-placement]" in str(err.value)
         assert any(f.rule == "check-placement" for f in err.value.findings)
-
-    def test_parent_map_and_ancestors(self):
-        leaf = scan("t")
-        mid = temp(leaf)
-        root = Return(mid)
-        parents = parent_map(root)
-        assert parents[id(root)] is None
-        assert [a.KIND for a in ancestors(leaf, parents)] == ["TEMP", "RETURN"]
 
     def test_findings_render_and_sort(self):
         plan = check(scan("t"), 50.0, 200.0, LC)
@@ -639,6 +666,17 @@ class TestAnalysisMain:
         out = capsys.readouterr().out
         assert "check-placement" in out and "feedback-consistency" in out
 
+    def test_docs_tables_list_exactly_the_printed_rules(self, capsys):
+        """docs/static_analysis.md's plan-rule table and cc-* code table
+        name exactly the rule ids ``--list-rules`` prints."""
+        assert analysis_main(["--list-rules"]) == 0
+        printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        doc = (Path(__file__).parents[1] / "docs" / "static_analysis.md").read_text()
+        plan_table = doc.split("## Plan-rule catalog")[1].split("\n## ")[0]
+        documented = re.findall(r"^\| `([a-z-]+)` \|", plan_table, re.M)
+        documented += re.findall(r"^\| `(cc-[a-z-]+)` \|", doc, re.M)
+        assert documented == printed
+
     def test_error_findings_exit_nonzero(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
             "try:\n    pass\nexcept:\n    pass\n"
@@ -738,20 +776,12 @@ class TestCliLint:
 
 def _lint_workload(db, queries):
     config = PopConfig()
-    context = LintContext(
-        catalog=db.catalog,
-        cost_model=db.optimizer.cost_model,
-        config=config,
-    )
-    errors = []
-    for name, sql in queries:
-        _opt, placement = db.plan(sql, pop=config)
-        errors.extend(
-            (name, f)
-            for f in lint_plan(placement.plan, context)
-            if f.severity == ERROR
-        )
-    return errors
+    return [
+        (name, f)
+        for name, sql in queries
+        for f in lint_statement(db, sql, config)
+        if f.severity == ERROR
+    ]
 
 
 def test_every_tpch_plan_lints_clean(tpch_db):

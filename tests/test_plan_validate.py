@@ -1,27 +1,40 @@
-"""Runs the structural plan validator over every plan the optimizer and the
-placement pass produce for both workloads and all checkpoint flavors."""
+"""Plan well-formedness: the linter's ``structure`` rule (plus the two rules
+that own the numeric checks) over every plan the optimizer and the placement
+pass produce for both workloads and all checkpoint flavors, and over
+sabotaged plans."""
 
 import pytest
 
 from repro import PopConfig
+from repro.analysis import ERROR, PLAN_RULES, LintContext, lint_plan
 from repro.core.flavors import ECB, ECDC, ECWC, LC, LCEM
 from repro.core.placement import place_checkpoints
-from repro.plan.validate import validate_plan
 from repro.workloads.dmv.queries import dmv_queries
 from repro.workloads.tpch.queries import Q10_MARKER, TPCH_QUERIES
+
+RULES = {rule_id: rule for rule_id, _ref, rule in PLAN_RULES}
+
+
+def errors(plan):
+    """Every error-severity finding of the full rule list."""
+    return [f for f in lint_plan(plan) if f.severity == ERROR]
+
+
+def messages(findings, rule):
+    return [f.message for f in findings if f.rule == rule]
 
 
 class TestWorkloadPlans:
     @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
     def test_tpch_optimizer_plans_valid(self, tpch_db, name):
         plan = tpch_db.optimizer.optimize(tpch_db._to_query(TPCH_QUERIES[name])).plan
-        assert validate_plan(plan) == []
+        assert errors(plan) == []
 
     @pytest.mark.parametrize("idx", range(0, 39, 3))
     def test_dmv_optimizer_plans_valid(self, dmv_db, idx):
         name, sql = dmv_queries()[idx]
         plan = dmv_db.optimizer.optimize(dmv_db._to_query(sql)).plan
-        assert validate_plan(plan) == [], name
+        assert errors(plan) == [], name
 
     @pytest.mark.parametrize(
         "flavors",
@@ -41,11 +54,11 @@ class TestWorkloadPlans:
                 tpch_db.optimizer.cost_model,
                 is_spj=False,
             )
-            assert validate_plan(placement.plan) == [], name
+            assert errors(placement.plan) == [], name
 
     def test_marker_plan_valid(self, tpch_db):
         plan = tpch_db.optimizer.optimize(tpch_db._to_query(Q10_MARKER)).plan
-        assert validate_plan(plan) == []
+        assert errors(plan) == []
 
 
 class TestViolationsDetected:
@@ -61,16 +74,19 @@ class TestViolationsDetected:
 
         join = find_ops(plan, JoinOp)[0]
         join.layout = join.outer.layout
-        # Depending on the plan shape this trips either the join-layout rule
-        # or a parent's column-resolution rule — both are violations.
-        assert validate_plan(plan) != []
+        findings = errors(plan)
+        assert "join layout must be outer ++ inner" in messages(findings, "structure")
+        located = [f for f in findings if f.message.startswith("join layout")]
+        assert (located[0].op_id, located[0].op_kind) == (join.op_id, join.KIND)
 
     def test_negative_cardinality_detected(self, star_db):
         plan = star_db.optimizer.optimize(
             star_db._to_query("SELECT c.c_id FROM cust c")
         ).plan
         plan.est_card = -1.0
-        assert any("negative cardinality" in v for v in validate_plan(plan))
+        assert messages(errors(plan), "estimate-plausibility") == [
+            "cardinality estimate -1.0 is not a finite non-negative number"
+        ]
 
     def test_inverted_check_range_detected(self, star_db):
         from repro.plan.physical import Check
@@ -82,17 +98,19 @@ class TestViolationsDetected:
         child = plan.children[0]
         bad = Check(child, ValidityRange(10, 5), "LC")
         plan.children[0] = bad
-        assert any("inverted check range" in v for v in validate_plan(plan))
+        assert messages(errors(plan), "validity-range") == [
+            f"check range {bad.check_range} is inverted"
+        ]
 
 
 class TestCollectsEveryViolation:
-    """validate_plan returns every violation: the linter's structural backend."""
+    """Rules report every violation, each at its operator."""
 
     def test_clean_plan_collects_nothing(self, star_db):
         plan = star_db.optimizer.optimize(
             star_db._to_query("SELECT c.c_id FROM cust c")
         ).plan
-        assert validate_plan(plan) == []
+        assert errors(plan) == []
 
     def test_collect_gathers_every_violation_without_raising(self, star_db):
         plan = star_db.optimizer.optimize(
@@ -100,10 +118,10 @@ class TestCollectsEveryViolation:
         ).plan
         plan.est_card = -1.0
         plan.est_cost = -10.0
-        violations = validate_plan(plan)
+        violations = messages(errors(plan), "estimate-plausibility")
         assert len(violations) == 2
-        assert any("negative cardinality" in v for v in violations)
-        assert any("negative cost" in v for v in violations)
+        assert any("cardinality estimate -1.0" in v for v in violations)
+        assert any("cost estimate -10.0" in v for v in violations)
 
     def test_collect_survives_malformed_join_arity(self, star_db):
         plan = star_db.optimizer.optimize(
@@ -117,5 +135,7 @@ class TestCollectsEveryViolation:
         join = find_ops(plan, JoinOp)[0]
         del join.children[1]
         join.validity_ranges.pop()
-        violations = validate_plan(plan)
-        assert any("exactly two children" in v for v in violations)
+        # Rules that read a join's two inputs cannot run on a one-input
+        # join; the structure rule reports it.
+        findings = list(RULES["structure"](plan, LintContext()))
+        assert "joins take exactly two children" in messages(findings, "structure")
