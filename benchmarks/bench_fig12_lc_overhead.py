@@ -1,8 +1,8 @@
 """Figure 12 — Overhead of lazy checking (LC) with a dummy re-optimization.
 
-As in the paper: hash join is disabled so the plans contain many SORT
-materialization points; each query is then run once per checkpoint with
-that checkpoint *forced* to trigger a re-optimization even though its range
+As in the paper: hash join is disabled (per call, through
+``optimizer_options``) so the plans contain many SORT materialization
+points; each query is then run once per checkpoint with that checkpoint *forced* to trigger a re-optimization even though its range
 is satisfied ("a dummy re-optimization that does not change the QEP").  The
 figure reports execution time normalized by the no-reoptimization run,
 split into before-reopt / optimizer / after-reopt components.  The paper
@@ -15,18 +15,22 @@ from repro.bench.harness import run_once
 from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 from repro.core.flavors import LC, LCEM
+from repro.optimizer.enumeration import OptimizerOptions
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
 QUERIES = ["Q3", "Q4", "Q5", "Q7", "Q9"]
 #: Force at most this many distinct checkpoints per query (the paper's a/b).
 MAX_TRIGGERS = 2
+NO_HASH = OptimizerOptions(enable_hash_join=False)
 
 
 def measure(tpch):
     rows = []
     for name in QUERIES:
         sql = TPCH_QUERIES[name]
-        baseline = run_once(tpch, sql, pop=PopConfig(dry_run=True))
+        baseline = run_once(
+            tpch, sql, pop=PopConfig(dry_run=True), optimizer_options=NO_HASH
+        )
         events = [
             e for a in baseline.report.attempts for e in a.checkpoint_events
         ]
@@ -39,6 +43,7 @@ def measure(tpch):
                     force_trigger_op_ids=frozenset({op_id}),
                     max_reoptimizations=1,
                 ),
+                optimizer_options=NO_HASH,
             )
             attempts = forced.report.attempts
             before = attempts[0].execution_units + attempts[0].optimization_units
@@ -58,8 +63,8 @@ def measure(tpch):
     return rows
 
 
-def test_fig12_lc_overhead(tpch_no_hash, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch_no_hash), rounds=1, iterations=1)
+def test_fig12_lc_overhead(tpch, benchmark):
+    rows = benchmark.pedantic(lambda: measure(tpch), rounds=1, iterations=1)
     table = format_table(
         ["query", "run", "before/base", "opt/base", "after/base", "normalized total"],
         [

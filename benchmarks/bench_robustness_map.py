@@ -37,7 +37,8 @@ def _measure(db, name, sql):
     assert report.profiled, f"{name}: profiler attached but no profiles"
     attempts = []
     for i, attempt in enumerate(report.attempts):
-        self_units = sum(p.self_units for p in (attempt.profiles or []))
+        records = list(attempt.record.walk()) if attempt.profiled else []
+        self_units = sum(r.profile.self_units for r in records)
         metered = attempt.execution_units
         drift = (
             abs(self_units - metered) / metered if metered > 0 else 0.0
@@ -45,7 +46,7 @@ def _measure(db, name, sql):
         attempts.append(
             {
                 "attempt": i,
-                "operators": len(attempt.profiles or []),
+                "operators": len(records),
                 "self_units": self_units,
                 "metered_units": metered,
                 "drift": drift,

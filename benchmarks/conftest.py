@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-from repro.optimizer.enumeration import OptimizerOptions
 from repro.workloads.dmv.generator import make_dmv_db
 from repro.workloads.tpch.generator import make_tpch_db
 
@@ -20,16 +19,6 @@ TPCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
 @pytest.fixture(scope="session")
 def tpch():
     return make_tpch_db(scale_factor=TPCH_SCALE, seed=42)
-
-
-@pytest.fixture(scope="session")
-def tpch_no_hash():
-    """The same data with hash join disabled at construction (Fig. 12: the
-    plans then have many SORT materialization points)."""
-    return make_tpch_db(
-        scale_factor=TPCH_SCALE, seed=42,
-        optimizer_options=OptimizerOptions(enable_hash_join=False),
-    )
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ Public API highlights:
 * :class:`Query` and the expression classes — programmatic query building.
 * :class:`ResiliencePolicy` and :class:`FaultPlan` — execution guard knobs
   and seeded fault injection (see :mod:`repro.resilience`).
+* :func:`explain_analyze` and :class:`OpRecord` — each attempt's
+  per-operator record (``report.attempts[i].record``) and its rendering.
 """
 
 from repro.analysis import Finding, LintContext, PlanLintError, lint_plan
@@ -34,7 +36,7 @@ from repro.expr.predicates import (
     Like,
     Or,
 )
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, OpRecord, Tracer
 from repro.optimizer.costmodel import DEFAULT_COST_PARAMS, CostParams
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.plan.analyze import explain_analyze
@@ -77,6 +79,7 @@ __all__ = [
     "LearnedCardinalities",
     "Tracer",
     "MetricsRegistry",
+    "OpRecord",
     "explain_analyze",
     "DEFAULT_FLAVORS",
     "TABLE1",

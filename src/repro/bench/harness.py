@@ -22,18 +22,10 @@ class RunOutcome:
     report: PopReport
 
 
-def run_once(
-    db: Database,
-    statement,
-    params: Optional[dict[str, Any]] = None,
-    pop: Optional[PopConfig] = None,
-    profile: bool = False,
-    progress=None,
-) -> RunOutcome:
-    """:meth:`Database.execute` (same keyword arguments) plus a summary."""
-    result = db.execute(
-        statement, params=params, pop=pop, profile=profile, progress=progress
-    )
+def run_once(db: Database, statement, **execute_args) -> RunOutcome:
+    """:meth:`Database.execute` (same keyword arguments, e.g. ``params``,
+    ``pop``, ``profile``, ``optimizer_options``) plus a summary."""
+    result = db.execute(statement, **execute_args)
     report = result.report
     return RunOutcome(
         units=report.total_units,

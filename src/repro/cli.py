@@ -76,7 +76,7 @@ meta commands:
   \\profile on|off|last      per-operator live profiler: exclusive time,
                             est vs actual with q-error, spill pages;
                             \\profile last re-prints the previous
-                            statement's profile table
+                            statement's profiled EXPLAIN ANALYZE
   \\progress                 show the last statement's progress history
                             (work-unit budget, CHECK-point refinements)
   \\metrics [reset]          show (or reset) collected engine metrics
@@ -232,30 +232,13 @@ class Shell:
         if not args:
             self.write("usage: \\analyze SELECT ...")
             return
-        from repro.obs import ProgressEstimator
         from repro.plan.analyze import explain_analyze
 
-        sql = " ".join(args).rstrip(";")
         # \analyze always profiles so the per-attempt plans carry exclusive
         # time and spill annotations, whatever the \profile toggle says.
-        self.last_progress = ProgressEstimator(metrics=self.metrics)
-        try:
-            result = self.db.execute(
-                sql,
-                params=self.params,
-                pop=self._config(),
-                tracer=self.tracer,
-                metrics=self.metrics,
-                profile=True,
-                progress=self.last_progress,
-            )
-        except ReproError as exc:
-            self.write(self._format_error(exc))
+        result = self._run(" ".join(args).rstrip(";"), profile=True)
+        if result is None:
             return
-        finally:
-            self._flush_trace()
-        self.last_report = result.report
-        self._flush_profiles()
         self.write(explain_analyze(result.report))
         self.write(
             f"{len(result.rows)} row(s), "
@@ -666,7 +649,7 @@ class Shell:
             self.profile = False
             self.write("profiling off")
         elif args[0] == "last":
-            from repro.obs import render_profile_table
+            from repro.plan.analyze import explain_analyze
 
             report = self.last_report
             if report is None or not report.profiled:
@@ -674,14 +657,11 @@ class Shell:
                     "(no profiled statement yet — \\profile on, then run one)"
                 )
                 return
-            for i, attempt in enumerate(report.attempts):
-                if not attempt.profiles:
-                    continue
-                self.write(f"--- attempt {i} ---")
-                self.write(render_profile_table(attempt.profiles))
-            self.write(
-                f"total self time: {report.profile_self_units:,.1f} work units"
+            self.write(explain_analyze(report))
+            self_units = sum(
+                r.profile.self_units for r in report.profiled_records()
             )
+            self.write(f"total self time: {self_units:,.1f} work units")
         else:
             self.write("usage: \\profile on|off|last")
 
@@ -744,37 +724,28 @@ class Shell:
                 self.tracer = None
                 self.trace_path = None
 
-    def _profile_export_path(self) -> Optional[str]:
-        """The JSONL profile export path derived from the trace path."""
+    def _flush_profiles(self, report) -> None:
+        """Export the statement's profiled attempt records next to the
+        trace (``FILE.jsonl`` -> ``FILE.profile.jsonl``)."""
         if self.trace_path is None:
-            return None
-        if self.trace_path.endswith(".jsonl"):
-            return self.trace_path[: -len(".jsonl")] + ".profile.jsonl"
-        return self.trace_path + ".profile.jsonl"
-
-    def _flush_profiles(self) -> None:
-        """Export the last report's operator profiles next to the trace."""
-        path = self._profile_export_path()
-        if (
-            path is None
-            or self.last_report is None
-            or not self.last_report.profiled
-        ):
             return
         from repro.obs import write_profiles_jsonl
 
+        path = self.trace_path.removesuffix(".jsonl") + ".profile.jsonl"
         try:
-            write_profiles_jsonl(path, self.last_report.attempts)
+            write_profiles_jsonl(path, report.attempts)
         except OSError as exc:
             self.write(f"error: cannot write profiles to {path}: {exc}")
 
-    def execute_sql(self, sql: str) -> None:
+    def _run(self, sql: str, profile: bool, faults=None):
+        """Execute one statement with the session's settings, keeping its
+        report (and progress, when profiled) for the ``last`` verbs;
+        ``None`` after printing a classified error."""
         progress = None
-        if self.profile:
+        if profile:
             from repro.obs import ProgressEstimator
 
-            progress = ProgressEstimator(metrics=self.metrics)
-            self.last_progress = progress
+            progress = self.last_progress = ProgressEstimator(metrics=self.metrics)
         try:
             result = self.db.execute(
                 sql,
@@ -782,17 +753,23 @@ class Shell:
                 pop=self._config(),
                 tracer=self.tracer,
                 metrics=self.metrics,
-                faults=self._faults(),
-                profile=self.profile,
+                faults=faults,
+                profile=profile,
                 progress=progress,
             )
         except ReproError as exc:
             self.write(self._format_error(exc))
-            return
+            return None
         finally:
             self._flush_trace()
         self.last_report = result.report
-        self._flush_profiles()
+        self._flush_profiles(result.report)
+        return result
+
+    def execute_sql(self, sql: str) -> None:
+        result = self._run(sql, self.profile, faults=self._faults())
+        if result is None:
+            return
         widths = [max(len(c), 10) for c in result.columns]
         self.write("  ".join(c.ljust(w) for c, w in zip(result.columns, widths)))
         self.write("  ".join("-" * w for w in widths))

@@ -63,16 +63,12 @@ class Database:
     def __init__(
         self,
         cost_params: CostParams = DEFAULT_COST_PARAMS,
-        optimizer_options: Optional[OptimizerOptions] = None,
         selectivity: Optional[SelectivityEstimator] = None,
     ):
         self.catalog = Catalog()
         self.cost_params = cost_params
         self.optimizer = Optimizer(
-            self.catalog,
-            cost_params=cost_params,
-            options=optimizer_options,
-            selectivity=selectivity,
+            self.catalog, cost_params=cost_params, selectivity=selectivity
         )
         #: §7 "Learning for the Future": when enabled, exact cardinalities
         #: observed at runtime correct the estimates of *future* statements.
@@ -356,6 +352,7 @@ class Database:
         cancel=None,
         plan_cache=None,
         snapshot=None,
+        optimizer_options: Optional[OptimizerOptions] = None,
     ) -> Result:
         """Run a statement; POP is enabled by default.
 
@@ -386,6 +383,11 @@ class Database:
         snapshot, or a fresh per-statement pin — either way every retry,
         spill, and re-optimization round of the statement sees one
         immutable row-set.
+
+        ``optimizer_options`` replaces the shared ``Optimizer.options`` for
+        this statement only (e.g. hash joins off for Fig. 12); such a
+        statement neither probes nor installs plan-cache entries, since
+        cached plans were chosen under the shared options.
         """
         config = pop if pop is not None else PopConfig()
         effective_cache = plan_cache if plan_cache is not None else self.plan_cache
@@ -393,6 +395,7 @@ class Database:
         run_params = params
         if (
             effective_cache is not None
+            and optimizer_options is None
             and isinstance(statement, str)
             and cache_usable(config)
         ):
@@ -421,7 +424,7 @@ class Database:
             # the admission decision, not the statement's work.
             from repro.governor import estimate_plan_memory
 
-            sizing = self.optimizer.optimize(query)
+            sizing = self.optimizer.optimize(query, options=optimizer_options)
             requested = estimate_plan_memory(sizing.plan, self.cost_params)
             label = statement if isinstance(statement, str) else "query"
             reservation = governor.admit(
@@ -446,6 +449,7 @@ class Database:
                 reservation=reservation,
                 cancel=cancel,
                 snapshot=snapshot,
+                options=optimizer_options,
             )
         finally:
             if reservation is not None:
@@ -476,18 +480,22 @@ class Database:
         statement: str | Query,
         params: Optional[dict[str, Any]] = None,
         pop: Optional[PopConfig] = None,
+        optimizer_options: Optional[OptimizerOptions] = None,
     ):
         """Plan ``statement`` as the first attempt of :meth:`execute` would,
         without running it: ``(OptimizationResult, PlacementResult)``.
 
         ``params`` is accepted for symmetry with :meth:`execute`; markers
         are planned at default selectivities, as they are there.
+        ``optimizer_options`` replaces the shared ones for this call.
         """
         query = self._to_query(statement)
         config = pop if pop is not None else PopConfig()
         if config.reopt_limit_for(query) < 1:
             config = NO_POP  # execute's only round is then its last: no CHECKs
-        return optimize_and_place(self.optimizer, query, config)
+        return optimize_and_place(
+            self.optimizer, query, config, options=optimizer_options
+        )
 
     def explain(
         self,

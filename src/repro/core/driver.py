@@ -42,8 +42,7 @@ from repro.executor.base import (
 )
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
-from repro.obs import ProfileCollector, wall_clock
-from repro.obs.profile import QERROR_EXCLUDED, qerror
+from repro.obs import OpRecord, ProfileCollector, record_attempt, wall_clock
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
@@ -65,30 +64,6 @@ from repro.storage.catalog import TempMVRegistry
 _FEEDBACK_ONLY = PopConfig(reuse_policy="never")
 
 
-def record_qerrors(metrics, plan: PlanOp, actual_cards: dict) -> None:
-    """Feed per-operator |estimated/actual| into ``estimate.error.qerror``.
-
-    Only operators that reached end-of-stream contribute (their counts are
-    exact cardinalities, the same eligibility rule the feedback store uses).
-    """
-    for op in find_ops(plan, PlanOp):
-        if op.KIND in QERROR_EXCLUDED or op.op_id is None:
-            continue
-        actual = actual_cards.get(op.op_id)
-        if actual is None or not actual[1]:
-            continue
-        metrics.observe("estimate.error.qerror", qerror(op.est_card, actual[0]))
-
-
-def _collect_actuals(ctx: ExecutionContext) -> dict:
-    """Snapshot per-operator runtime counters for EXPLAIN ANALYZE."""
-    actuals = {}
-    for op in ctx.operators:
-        if op.plan.op_id is not None:
-            actuals[op.plan.op_id] = (op.rows_out, op.eof_seen)
-    return actuals
-
-
 @dataclass
 class AttemptReport:
     """What happened during one optimize+execute round."""
@@ -108,9 +83,10 @@ class AttemptReport:
     signal_complete: Optional[bool] = None
     signal_reason: Optional[str] = None
     rows_emitted: int = 0
-    #: op_id -> (rows emitted, reached end-of-stream) observed at runtime;
-    #: feeds EXPLAIN ANALYZE (estimated vs actual per operator).
-    actual_cards: dict = field(default_factory=dict)
+    #: The attempt's per-operator record, a tree in the plan's shape:
+    #: estimated vs actual rows, EOF, q-error and spill share always, the
+    #: profiler's measurements when it was armed (set by ``_finish``).
+    record: Optional[OpRecord] = None
     #: Set when this attempt ended in a classified failure (guard path).
     failure: Optional[str] = None
     failure_class: Optional[str] = None
@@ -130,21 +106,19 @@ class AttemptReport:
     spill_files: int = 0
     spill_bytes: int = 0
     spill_categories: dict = field(default_factory=dict)
-    spilled_operators: list = field(default_factory=list)
     #: Times the governor renegotiated this statement's reservation down
     #: during the attempt, and the reservation size when it ended.
     renegotiations: int = 0
     reservation_pages: Optional[float] = None
-    #: Per-operator :class:`repro.obs.OpProfile` list when the statement
-    #: ran with profiling enabled (``None`` otherwise — zero cost off).
-    profiles: Optional[list] = None
-    #: Sum of exclusive profile units; reconciles with ``execution_units``
-    #: (the profile-smoke CI gate holds them within 1%).
-    profile_self_units: float = 0.0
 
     @property
     def reoptimized(self) -> bool:
         return self.signal_op_id is not None
+
+    @property
+    def profiled(self) -> bool:
+        """True when this attempt ran under the live profiler."""
+        return self.record is not None and self.record.profile is not None
 
 
 @dataclass
@@ -196,21 +170,13 @@ class PopReport:
     @property
     def profiled(self) -> bool:
         """True when any attempt carried the live profiler."""
-        return any(a.profiles is not None for a in self.attempts)
+        return any(a.profiled for a in self.attempts)
 
-    @property
-    def profile_self_units(self) -> float:
-        """Exclusive profile units summed across attempts."""
-        return sum(a.profile_self_units for a in self.attempts)
-
-    @property
-    def op_profiles(self) -> list:
-        """Every attempt's operator profiles, flattened in attempt order."""
-        profiles: list = []
-        for attempt in self.attempts:
-            if attempt.profiles:
-                profiles.extend(attempt.profiles)
-        return profiles
+    def profiled_records(self) -> list:
+        """The operator records of every profiled attempt, in attempt
+        order; their ``profile.self_units`` reconcile with the attempts'
+        execution units (the profile-smoke CI gate: within 1%)."""
+        return [r for a in self.attempts if a.profiled for r in a.record.walk()]
 
     @property
     def final_plan(self) -> PlanOp:
@@ -253,9 +219,11 @@ class PopReport:
                 f"{self.renegotiations} renegotiation(s)"
             )
         if self.profiled:
+            records = self.profiled_records()
+            self_units = sum(r.profile.self_units for r in records)
             lines.append(
-                f"  profile: {len(self.op_profiles)} operator(s), "
-                f"{self.profile_self_units:.1f}u self time attributed"
+                f"  profile: {len(records)} operator(s), "
+                f"{self_units:.1f}u self time attributed"
             )
         if self.retries or self.breaker_tripped or self.fallback_used:
             detail = f"  resilience: {self.retries} retry(ies)"
@@ -282,8 +250,8 @@ class StatementContext:
     config: PopConfig
     meter: WorkMeter
     feedback: CardinalityFeedback
-    #: This statement's optimizer switches: the shared
-    #: ``Optimizer.options`` with the reuse policy applied.
+    #: This statement's optimizer switches: the per-call options, else the
+    #: shared ``Optimizer.options``, with the reuse policy applied.
     options: OptimizerOptions
     reopt_limit: int
     guard: Optional[ExecutionGuard] = None
@@ -400,7 +368,7 @@ class PopDriver:
         self.metrics = metrics
         #: When True, every attempt runs with a fresh
         #: :class:`repro.obs.ProfileCollector` and its per-operator
-        #: profiles land on the :class:`AttemptReport`.
+        #: profiles land on the attempt's record.
         self.profile = profile
         #: Optional :class:`repro.obs.ProgressEstimator`, fed the chosen
         #: plan's work budget per attempt and every CHECK evaluation.
@@ -420,6 +388,7 @@ class PopDriver:
         reservation=None,
         cancel=None,
         snapshot=None,
+        options: Optional[OptimizerOptions] = None,
     ) -> tuple[list[tuple], PopReport]:
         """Execute ``query`` and return (rows, report).
 
@@ -455,6 +424,9 @@ class PopDriver:
         attempt (including retries, re-optimization rounds, and the safe
         fallback) scans at the same pinned commit epoch, so concurrent
         commits never shift row-sets mid-statement.
+
+        ``options`` replaces the shared ``Optimizer.options`` as the
+        starting point of this statement's optimizer switches.
         """
         config = self.config
         if meter is None:
@@ -480,7 +452,7 @@ class PopDriver:
             meter=meter,
             feedback=feedback if feedback is not None else CardinalityFeedback(),
             options=replace(
-                self.optimizer.options,
+                options if options is not None else self.optimizer.options,
                 consider_mvs=config.reuse_policy != "never",
                 mv_cost_zero=config.reuse_policy == "always",
             ),
@@ -565,8 +537,8 @@ class PopDriver:
                 if self._settle(sc, planned, run):
                     return
             finally:
-                # Everything that reads the operators — harvesting,
-                # profiles, the spill summary, row counters — has run.
+                # Everything that reads the operators — harvesting and
+                # the attempt's record — has run.
                 run.release()
 
     # ------------------------------------------------------------ phase: plan
@@ -868,7 +840,7 @@ class PopDriver:
         ctx, report, metrics = run.ctx, run.report, self.metrics
         report.execution_units = sc.meter.snapshot() - run.units_before
         report.checkpoint_events = ctx.checkpoint_events
-        report.actual_cards = _collect_actuals(ctx)
+        report.record = record_attempt(report.plan, ctx)
         report.rows_emitted = ctx.rows_returned
         if run.signal is not None:
             signal = run.signal
@@ -880,16 +852,6 @@ class PopDriver:
         elif run.error is not None:
             report.failure = str(run.error)
             report.failure_class = failure_class(run.error)
-        if ctx.profiler is not None:
-            ctx.profiler.finalize(ctx)
-            report.profiles = ctx.profiler.profiles
-            report.profile_self_units = ctx.profiler.total_self_units()
-            if metrics is not None:
-                for prof in ctx.profiler.profiles:
-                    if prof.self_units:
-                        metrics.observe(
-                            "profile.self_units", prof.self_units, op=prof.kind
-                        )
         summary = ctx.spill_summary()
         if summary is not None and summary["files"]:
             report.spilled = True
@@ -897,13 +859,6 @@ class PopDriver:
             report.spill_files = summary["files"]
             report.spill_bytes = summary["bytes"]
             report.spill_categories = summary["categories"]
-            report.spilled_operators = sorted(
-                {
-                    op.plan.KIND
-                    for op in ctx.operators
-                    if getattr(op, "spilled", False)
-                }
-            )
             if metrics is not None:
                 metrics.inc("governor.spilled_attempts")
         if sc.reservation is not None:
@@ -1085,12 +1040,16 @@ class PopDriver:
                 ctx.meter.snapshot(), completed=not run.interrupted
             )
         if metrics is not None:
-            for op in ctx.operators:
-                if op.rows_out:
-                    metrics.inc("executor.rows", op.rows_out, op=op.plan.KIND)
+            for record in report.record.walk():
+                if record.rows_out:
+                    metrics.inc("executor.rows", record.rows_out, op=record.kind)
+                if record.qerror is not None:
+                    metrics.observe("estimate.error.qerror", record.qerror)
+                prof = record.profile
+                if prof is not None and prof.self_units:
+                    metrics.observe("profile.self_units", prof.self_units, op=record.kind)
             if report.reused_mvs:
                 metrics.inc("pop.mv_reuses", len(report.reused_mvs))
-            record_qerrors(metrics, report.plan, report.actual_cards)
         if tracer is not None:
             ctx.finalize_operator_spans()
             if harvested_mvs is not None:

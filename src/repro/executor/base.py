@@ -461,8 +461,8 @@ class Operator:
     def profile_extras(self) -> dict:
         """Operator-kind detail counters for the profiler.
 
-        Called once per attempt at profile finalization (never on the hot
-        path); overrides report whatever makes this operator's behavior
+        Called once per attempt, at the operator's first close and only
+        when profiling (never on the hot path); overrides report whatever makes this operator's behavior
         explainable — probe counts, build sizes, spill state.  Must be
         safe on a half-opened operator (read only ``__init__``-assigned
         attributes), like ``close``.

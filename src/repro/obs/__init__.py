@@ -15,9 +15,13 @@ of ad hoc.  Two zero-dependency primitives:
 
 On top of these, the live profiling layer:
 
+* :class:`OpRecord` — one attempt's record, a tree in its plan's shape:
+  estimated vs actual rows, EOF, q-error and spill share per operator,
+  built by :func:`record_attempt` for every attempt;
 * :class:`ProfileCollector` / :class:`OpProfile` — per-operator exclusive
-  (self) time in work units and wall seconds, rows in/out, q-error, and
-  spill attribution, collected by wrapping operator methods at arm time;
+  (self) time in work units and wall seconds, opens, calls and extras,
+  collected by wrapping operator methods at arm time and attached to the
+  record;
 * :class:`ProgressEstimator` — work-unit-weighted progress with CHECK-point
   refinement, exposed as gauges and an optional callback;
 * :class:`RobustnessMap` — cost surfaces over a cardinality grid around a
@@ -34,8 +38,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     OpProfile,
+    OpRecord,
     ProfileCollector,
-    render_profile_table,
+    record_attempt,
     write_profiles_jsonl,
 )
 from repro.obs.progress import ProgressEstimator
@@ -50,9 +55,10 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "QERROR_BUCKETS",
     "OpProfile",
+    "OpRecord",
     "ProfileCollector",
     "ProgressEstimator",
     "RobustnessMap",
-    "render_profile_table",
+    "record_attempt",
     "write_profiles_jsonl",
 ]

@@ -1,9 +1,17 @@
-"""Live per-operator profiling with exclusive (self) time attribution.
+"""Per-operator records of execution attempts, and the live profiler.
 
-Every execution attempt can carry a :class:`ProfileCollector`; the runtime
-arms it over the freshly built operator tree — the same opt-in shape as
-tracing, metrics, and fault injection: ``ctx.profiler is None`` keeps the
+Every attempt ends with one record, a tree of :class:`OpRecord` in its
+plan's shape built by :func:`record_attempt`: estimated vs actual rows,
+EOF, q-error and spill share for every operator, profiled or not.  EXPLAIN
+ANALYZE, the driver's per-operator metrics and the JSONL export all read
+it.
+
+An attempt can also carry a :class:`ProfileCollector`; the runtime arms it
+over the freshly built operator tree — the same opt-in shape as tracing,
+metrics, and fault injection: ``ctx.profiler is None`` keeps the
 executor's hot path at one comparison per open/close and zero allocations.
+What it measures (an :class:`OpProfile` per operator) hangs off the
+record.
 
 Attribution works by *frame accounting* rather than interval subtraction.
 Operator intervals overlap arbitrarily (a parent's ``open`` spans its whole
@@ -31,15 +39,15 @@ profiles reflect the host.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.obs.trace import wall_clock
 
 #: Operator kinds whose emitted row count is not an estimable edge
-#: cardinality, excluded from ``OpProfile.qerror`` and the driver's
-#: ``estimate.error.qerror`` histogram: CHECK/BUFCHECK are transparent,
-#: RETURN may be LIMIT-truncated, ANTIJOIN compensates.
+#: cardinality, never given an ``OpRecord.qerror`` (so never in the
+#: driver's ``estimate.error.qerror`` histogram): CHECK/BUFCHECK are
+#: transparent, RETURN may be LIMIT-truncated, ANTIJOIN compensates.
 QERROR_EXCLUDED = frozenset({"CHECK", "BUFCHECK", "RETURN", "ANTIJOIN"})
 
 
@@ -62,15 +70,8 @@ _SPILL_KINDS = {"sort": "SORT", "hash": "HSJOIN", "temp": "TEMP"}
 
 @dataclass
 class OpProfile:
-    """Accounting for one operator instance of one execution attempt."""
+    """What only the armed profiler measures for one operator instance."""
 
-    op_id: int
-    kind: str
-    label: str  #: ``plan.describe()`` at arm time
-    est_card: float
-    rows_in: int = 0  #: sum of direct children's rows_out
-    rows_out: int = 0
-    eof: bool = False  #: reached end-of-stream (rows_out is then exact)
     opens: int = 0  #: ``open`` invocations (NLJN inners re-open per row)
     #: wrapped method invocations (open+next_batch+rebind+reset)
     calls: int = 0
@@ -78,15 +79,51 @@ class OpProfile:
     total_units: float = 0.0  #: inclusive work units (subtree)
     self_wall: float = 0.0  #: exclusive wall seconds
     total_wall: float = 0.0  #: inclusive wall seconds
-    spill_pages: float = 0.0  #: this operator's share of spilled pages
-    qerror: Optional[float] = None  #: max(est/act, act/est), EOF only
-    extras: dict = field(default_factory=dict)  #: per-kind detail counters
+    extras: Optional[dict] = None  #: ``profile_extras()`` at first close
     _active: int = 0  #: frames of this operator currently on the stack
-    _extras_done: bool = False  #: extras captured (first close wins)
 
     def to_dict(self) -> dict:
-        """JSON-ready record (one line of the profile JSONL export)."""
-        return {
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+
+@dataclass
+class OpRecord:
+    """One operator of one execution attempt; an attempt's record is the
+    tree of these in its plan's shape (see :func:`record_attempt`).
+
+    ``rows_out`` is ``None`` for a plan node that never got an operator
+    (the attempt failed while building its tree).  ``profile`` is set only
+    when the attempt ran under the live profiler.
+    """
+
+    plan: Any  #: the plan node; read only to render ``label``
+    op_id: Optional[int]
+    kind: str
+    est_card: float
+    rows_in: int  #: sum of direct children's rows_out
+    children: list
+    rows_out: Optional[int] = None
+    eof: bool = False  #: reached end-of-stream (rows_out is then exact)
+    #: ``max(est/act, act/est)`` of an exact count: EOF only (the feedback
+    #: store's eligibility rule), never for QERROR_EXCLUDED kinds
+    qerror: Optional[float] = None
+    spill_pages: float = 0.0  #: this operator's share of the attempt's spill
+    profile: Optional[OpProfile] = None
+
+    @property
+    def label(self) -> str:
+        """``plan.describe()``, computed only when rendered or exported."""
+        return self.plan.describe()
+
+    def walk(self):
+        """Preorder traversal of the subtree rooted here."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    def to_dict(self) -> dict:
+        """JSON-ready form of this subtree, children nested."""
+        out = {
             "op_id": self.op_id,
             "kind": self.kind,
             "label": self.label,
@@ -94,16 +131,66 @@ class OpProfile:
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
             "eof": self.eof,
-            "opens": self.opens,
-            "calls": self.calls,
-            "self_units": self.self_units,
-            "total_units": self.total_units,
-            "self_wall": self.self_wall,
-            "total_wall": self.total_wall,
-            "spill_pages": self.spill_pages,
             "qerror": self.qerror,
-            "extras": dict(self.extras),
+            "spill_pages": self.spill_pages,
         }
+        if self.profile is not None:
+            out.update(self.profile.to_dict())
+        out["children"] = [child.to_dict() for child in self.children]
+        return out
+
+
+def record_attempt(plan, ctx) -> OpRecord:
+    """The record of the attempt that ran ``plan`` in ``ctx``.
+
+    Built once, after the attempt ended however it ended, from the plan and
+    the operators still registered in ``ctx``: rows in/out and EOF, the
+    q-error, the spill attribution (each spill category's pages split
+    evenly among the operators of its kind that spilled — statistics
+    survive spill cleanup) and, when ``ctx.profiler`` was armed, each
+    operator's :class:`OpProfile`.
+    """
+    spill_share: dict[int, float] = {}  # id(operator) -> pages
+    summary = ctx.spill_summary()
+    if summary:
+        for category, pages in summary["categories"].items():
+            kind = _SPILL_KINDS.get(category)
+            spillers = [
+                op
+                for op in ctx.operators
+                if op.plan.KIND == kind and getattr(op, "spilled", False)
+            ]
+            for op in spillers:
+                spill_share[id(op)] = pages / len(spillers)
+    operators = {id(op.plan): op for op in ctx.operators}
+    return _record(plan, operators, spill_share, ctx.profiler)
+
+
+def _record(node, operators: dict, spill_share: dict, profiler) -> OpRecord:
+    # A module-level recursion, not a closure: a self-referencing closure
+    # is a cycle that would keep the operators alive past the attempt.
+    children = [
+        _record(child, operators, spill_share, profiler)
+        for child in node.children
+    ]
+    record = OpRecord(
+        plan=node,
+        op_id=node.op_id,
+        kind=node.KIND,
+        est_card=float(node.est_card),
+        rows_in=sum(child.rows_out or 0 for child in children),
+        children=children,
+    )
+    op = operators.get(id(node))
+    if op is None:
+        return record
+    record.rows_out, record.eof = op.rows_out, op.eof_seen
+    if record.eof and record.kind not in QERROR_EXCLUDED:
+        record.qerror = qerror(record.est_card, record.rows_out)
+    record.spill_pages = spill_share.get(id(op), 0.0)
+    if profiler is not None:
+        record.profile = profiler.profile_of(op)
+    return record
 
 
 class ProfileCollector:
@@ -114,45 +201,33 @@ class ProfileCollector:
     ``arm`` is idempotent per operator, mirroring the fault injector.
     """
 
-    def __init__(self, meter, clock: Callable[[], float] = wall_clock):
+    def __init__(self, meter):
         self.meter = meter
-        self.clock = clock
-        self.profiles: list[OpProfile] = []
         self._by_op: dict[int, OpProfile] = {}  # id(operator) -> profile
         #: Frame stack shared by every wrapped method:
         #: ``[profile, units_enter, wall_enter, child_units, child_wall]``.
         self._stack: list[list] = []
-        self.armed_units: Optional[float] = None
-        #: on_open/on_close invocations — lets tests assert the obs-off
-        #: fast path never reaches the hooks.
-        self.hook_calls = 0
-        self.finalized = False
 
     # ---------------------------------------------------------------- arming
 
     def arm(self, ctx) -> None:
         """Wrap every operator registered in ``ctx`` (idempotent per op)."""
-        if self.armed_units is None:
-            self.armed_units = self.meter.units
         for op in ctx.operators:
             if id(op) in self._by_op:
                 continue
-            prof = OpProfile(
-                op_id=op.plan.op_id or -1,
-                kind=op.plan.KIND,
-                label=op.plan.describe(),
-                est_card=float(op.plan.est_card),
-            )
-            self._by_op[id(op)] = prof
-            self.profiles.append(prof)
+            prof = self._by_op[id(op)] = OpProfile()
             for name in _WRAPPED_METHODS:
                 if hasattr(op, name):
                     self._wrap(op, name, prof)
 
+    def profile_of(self, op) -> Optional[OpProfile]:
+        """The profile of an armed operator (``None`` if never armed)."""
+        return self._by_op.get(id(op))
+
     def _wrap(self, op, name: str, prof: OpProfile) -> None:
         inner = getattr(op, name)
         meter = self.meter
-        clock = self.clock
+        clock = wall_clock
         stack = self._stack
 
         def profiled(*args):
@@ -186,7 +261,6 @@ class ProfileCollector:
 
     def on_open(self, op) -> None:
         """Lifecycle hook from :meth:`repro.executor.base.Operator.open`."""
-        self.hook_calls += 1
         prof = self._by_op.get(id(op))
         if prof is not None:
             prof.opens += 1
@@ -196,138 +270,29 @@ class ProfileCollector:
 
         Extras are captured on the *first* close: the base ``close`` runs
         before subclass cleanup clears build tables and buffers, so the
-        detail counters still reflect the execution.
+        detail counters still reflect the execution.  ``run_plan`` closes
+        every registered operator, so every armed one gets here.
         """
-        self.hook_calls += 1
         prof = self._by_op.get(id(op))
-        if prof is not None:
-            prof.rows_out = op.rows_out
-            prof.eof = op.eof_seen
-            if not prof._extras_done:
-                prof._extras_done = True
-                prof.extras = op.profile_extras()
-
-    # -------------------------------------------------------------- finalize
-
-    def finalize(self, ctx) -> None:
-        """Fold post-run state into the profiles (idempotent).
-
-        Fills rows in/out, EOF flags, q-error for operators that reached
-        end-of-stream, per-operator ``profile_extras`` detail, and the
-        spill attribution (pages split evenly among the spilled operators
-        of each spill category — statistics survive spill cleanup).
-        """
-        if self.finalized:
-            return
-        self.finalized = True
-        by_op_id: dict[int, OpProfile] = {}
-        for op in ctx.operators:
-            prof = self._by_op.get(id(op))
-            if prof is None:
-                continue
-            prof.rows_out = op.rows_out
-            prof.eof = op.eof_seen
-            if not prof._extras_done:
-                prof._extras_done = True
-                prof.extras = op.profile_extras()
-            by_op_id[prof.op_id] = prof
-        for op in ctx.operators:
-            prof = self._by_op.get(id(op))
-            if prof is None:
-                continue
-            prof.rows_in = sum(
-                by_op_id[child.op_id].rows_out
-                for child in op.plan.children
-                if child.op_id in by_op_id
-            )
-            if prof.eof and prof.kind not in QERROR_EXCLUDED:
-                prof.qerror = qerror(prof.est_card, prof.rows_out)
-        summary = ctx.spill_summary()
-        if summary:
-            for category, pages in summary.get("categories", {}).items():
-                kind = _SPILL_KINDS.get(category)
-                spillers = [
-                    self._by_op[id(op)]
-                    for op in ctx.operators
-                    if id(op) in self._by_op
-                    and op.plan.KIND == kind
-                    and getattr(op, "spilled", False)
-                ]
-                if not spillers:
-                    continue
-                share = pages / len(spillers)
-                for prof in spillers:
-                    prof.spill_pages += share
-
-    # ------------------------------------------------------------- reporting
-
-    def total_self_units(self) -> float:
-        """Sum of exclusive units — must reconcile with execution units."""
-        return sum(p.self_units for p in self.profiles)
-
-    def total_self_wall(self) -> float:
-        return sum(p.self_wall for p in self.profiles)
-
-    def by_op_id(self) -> dict[int, OpProfile]:
-        return {p.op_id: p for p in self.profiles}
-
-    def records(self) -> list[dict]:
-        return [p.to_dict() for p in self.profiles]
-
-    def to_jsonl(self) -> str:
-        """One JSON object per operator, driver-attempt order."""
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records())
+        if prof is not None and prof.extras is None:
+            prof.extras = op.profile_extras()
 
 
 def write_profiles_jsonl(path: str, attempts: list) -> int:
-    """Write every profiled attempt of a report to ``path`` (JSONL).
+    """Write the record of every profiled attempt to ``path`` (JSONL).
 
-    Each line carries its attempt index so multi-round POP executions stay
-    attributable.  Returns the number of lines written; writes nothing and
-    returns 0 when no attempt was profiled (no empty artifact files).
+    One line per profiled attempt: its record's nested ``to_dict()`` plus
+    the attempt index, so multi-round POP executions stay attributable.
+    Returns the number of lines written; writes nothing and returns 0 when
+    no attempt was profiled (no empty artifact files).
     """
-    lines: list[str] = []
-    for i, attempt in enumerate(attempts):
-        for prof in attempt.profiles or ():
-            record = prof.to_dict()
-            record["attempt"] = i
-            lines.append(json.dumps(record, sort_keys=True))
+    lines = [
+        json.dumps({"attempt": i, **attempt.record.to_dict()}, sort_keys=True)
+        for i, attempt in enumerate(attempts)
+        if attempt.profiled
+    ]
     if not lines:
         return 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(lines)
-
-
-def render_profile_table(profiles) -> str:
-    """Fixed-width per-operator profile table (CLI ``\\profile last``)."""
-    headers = (
-        "op", "kind", "est", "out", "q", "self_u", "total_u",
-        "self_ms", "spill_p",
-    )
-    rows = []
-    for p in profiles:
-        rows.append(
-            (
-                str(p.op_id),
-                p.kind,
-                f"{p.est_card:.0f}",
-                f"{p.rows_out}" if p.eof else f"{p.rows_out}+",
-                f"{p.qerror:.1f}" if p.qerror is not None else "-",
-                f"{p.self_units:.2f}",
-                f"{p.total_units:.2f}",
-                f"{p.self_wall * 1e3:.2f}",
-                f"{p.spill_pages:.1f}" if p.spill_pages else "-",
-            )
-        )
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

@@ -1,68 +1,62 @@
-"""EXPLAIN ANALYZE: plans annotated with estimated vs actual cardinalities.
+"""EXPLAIN ANALYZE: each attempt's record rendered as its plan.
 
 POP's entire premise is the gap between estimate and reality; this renderer
-makes that gap visible per operator after execution.  ``actual`` shows the
+makes that gap visible per operator after execution, reading nothing but
+the attempt's record (:class:`repro.obs.OpRecord`).  ``actual`` shows the
 row count the operator emitted, suffixed ``+`` when the operator was
 interrupted before end-of-stream (the count is then a lower bound — exactly
-the distinction POP's feedback store makes).  Operators that reached
-end-of-stream additionally show their q-error ``q=max(est/act, act/est)``,
-the same per-operator statistic the metrics layer aggregates into the
-``estimate.error.qerror`` histogram (see :mod:`repro.obs`).
+the distinction POP's feedback store makes).  ``q=max(est/act, act/est)``
+appears exactly where the record has a q-error, the same values the
+metrics layer aggregates into the ``estimate.error.qerror`` histogram (see
+:mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
-from repro.obs.profile import qerror
-from repro.plan.physical import PlanOp
+from repro.obs.profile import OpRecord
 
 
-def explain_analyze_plan(
-    root: PlanOp, actual_cards: dict, profiles: dict | None = None
-) -> str:
-    """Render a plan with per-operator estimated vs actual cardinalities.
+def _misestimate_flag(record: OpRecord) -> str:
+    """``<-- Nx of estimate`` for an actual at least 2x off its estimate.
 
-    ``profiles`` (op_id -> :class:`repro.obs.OpProfile`, optional) extends
-    each operator line with its *exclusive* runtime — self work units and
-    self wall milliseconds, children's time subtracted — plus its spill
-    page share when it degraded to disk.
+    A lower bound (``+``) proves only an over-run, so it is flagged only
+    when it is already at least twice the estimate.
+    """
+    if not record.rows_out or record.est_card <= 0:
+        return ""
+    ratio = record.rows_out / record.est_card
+    if ratio >= 2.0 or (record.eof and ratio <= 0.5):
+        return f"  <-- {ratio:.1f}x of estimate"
+    return ""
+
+
+def explain_analyze_plan(root: OpRecord) -> str:
+    """Render one attempt's record, estimated vs actual per operator.
+
+    A profiled record extends each operator line with its *exclusive*
+    runtime — self work units and self wall milliseconds, children's time
+    subtracted — plus its spill page share when it degraded to disk.
     """
     lines: list[str] = []
 
-    def visit(op: PlanOp, depth: int) -> None:
-        indent = "  " * depth
-        actual = actual_cards.get(op.op_id)
-        qerror_text = ""
-        if actual is None:
-            actual_text = "not executed"
+    def visit(record: OpRecord, depth: int) -> None:
+        if record.rows_out is None:
+            text = "not executed"
         else:
-            rows, complete = actual
-            actual_text = f"{rows}" if complete else f"{rows}+"
-            if complete:
-                qerror_text = f" q={qerror(op.est_card, rows):.1f}"
-        profile_text = ""
-        prof = None
-        if profiles is not None:
-            # Profiles follow the checkpoint-event convention of storing
-            # operators without an assigned op_id (the RETURN root) as -1.
-            prof = profiles.get(op.op_id if op.op_id is not None else -1)
+            text = f"{record.rows_out}" if record.eof else f"{record.rows_out}+"
+        if record.qerror is not None:
+            text += f" q={record.qerror:.1f}"
+        prof = record.profile
         if prof is not None:
-            profile_text = (
-                f" self={prof.self_units:.2f}u"
-                f" wall={prof.self_wall * 1e3:.2f}ms"
-            )
-            if prof.spill_pages:
-                profile_text += f" spill={prof.spill_pages:.1f}p"
-        err = ""
-        if actual is not None and op.est_card > 0 and actual[0] > 0:
-            ratio = actual[0] / op.est_card
-            if ratio >= 2.0 or ratio <= 0.5:
-                err = f"  <-- {ratio:.1f}x of estimate"
+            text += f" self={prof.self_units:.2f}u wall={prof.self_wall * 1e3:.2f}ms"
+            if record.spill_pages:
+                text += f" spill={record.spill_pages:.1f}p"
         lines.append(
-            f"{indent}{op.describe()}  "
-            f"{{est={op.est_card:.1f} actual={actual_text}{qerror_text}"
-            f"{profile_text}}}{err}"
+            f"{'  ' * depth}{record.label}  "
+            f"{{est={record.est_card:.1f} actual={text}}}"
+            f"{_misestimate_flag(record)}"
         )
-        for child in op.children:
+        for child in record.children:
             visit(child, depth + 1)
 
     visit(root, 0)
@@ -72,10 +66,8 @@ def explain_analyze_plan(
 def explain_analyze(report) -> str:
     """Render every attempt of a :class:`~repro.core.driver.PopReport`.
 
-    Each optimize+execute round shows its plan with actual row counts, plus
-    the checkpoint that ended it (if any).  Attempts that ran under the
-    live profiler additionally show per-operator exclusive time and spill
-    pages (see :func:`explain_analyze_plan`).
+    Each optimize+execute round shows its record, plus the checkpoint that
+    ended it (if any).
     """
     sections: list[str] = []
     for i, attempt in enumerate(report.attempts):
@@ -90,10 +82,5 @@ def explain_analyze(report) -> str:
         else:
             header += " (completed)"
         sections.append(header + " ---")
-        profiles = None
-        if getattr(attempt, "profiles", None):
-            profiles = {p.op_id: p for p in attempt.profiles}
-        sections.append(
-            explain_analyze_plan(attempt.plan, attempt.actual_cards, profiles)
-        )
+        sections.append(explain_analyze_plan(attempt.record))
     return "\n".join(sections)

@@ -22,6 +22,11 @@ count is the eager optimizer's and is an upper bound now: ``0 < got ≤
 frozen``, and 0 where it was 0.  Plans, ranges, CHECK decisions, work units
 and every other counter are still exact.
 
+The fixture predates the per-attempt record (``AttemptReport.record``): the
+four fields it replaced — ``actual_cards``, ``profiles``,
+``profile_self_units`` and ``spilled_operators`` — are rebuilt from the
+record in their old shapes, so the fixture is compared unchanged.
+
 Each scenario builds its own database, so temp-MV names and learned state
 cannot depend on test order.
 
@@ -45,9 +50,10 @@ from repro.core.driver import AttemptReport
 from repro.core.flavors import ECDC
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
+from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.physical import Check, NLJoin, find_ops
+from repro.plan.physical import Check, HashJoin, NLJoin, find_ops
 from repro.resilience import FaultPlan, FaultSpec
 
 from .conftest import build_dmv_db, build_star_db, canonical
@@ -70,6 +76,41 @@ DMV_MODEL_TEMPLATE = (
 # ------------------------------------------------------------------ snapshot
 
 
+def _postorder(node):
+    for child in node.children:
+        yield from _postorder(child)
+    yield node
+
+
+def _frozen_record_keys(root) -> dict:
+    """The four fields the attempt record replaced, rebuilt from it in the
+    fixture's shapes: ``profiles`` in operator-registration (post-)order,
+    wall fields dropped, the root filed under -1 as the old collector did."""
+    profiles = None
+    if root.profile is not None:
+        profiles = []
+        for node in _postorder(root):
+            entry = {
+                k: v
+                for k, v in node.to_dict().items()
+                if k != "children" and not k.endswith("_wall")
+            }
+            entry["op_id"] = node.op_id or -1
+            profiles.append(entry)
+    return {
+        "actual_cards": sorted(
+            [r.op_id, r.rows_out, r.eof] for r in root.walk()
+        ),
+        "profiles": profiles,
+        "profile_self_units": sum(
+            (r.profile.self_units for r in _postorder(root) if r.profile), 0.0
+        ),
+        "spilled_operators": sorted(
+            {r.kind for r in root.walk() if r.spill_pages}
+        ),
+    }
+
+
 def _attempt_record(attempt: AttemptReport) -> dict:
     record = {}
     for f in dataclasses.fields(AttemptReport):
@@ -78,13 +119,9 @@ def _attempt_record(attempt: AttemptReport) -> dict:
             value = plan_fingerprint(value)
         elif f.name == "checkpoint_events":
             value = [dataclasses.astuple(e) for e in value]
-        elif f.name == "actual_cards":
-            value = sorted([k, *v] for k, v in value.items())
-        elif f.name == "profiles" and value is not None:
-            value = [
-                {k: v for k, v in p.to_dict().items() if not k.endswith("_wall")}
-                for p in value
-            ]
+        elif f.name == "record":
+            record.update(_frozen_record_keys(value))
+            continue
         record[f.name] = value
     return record
 
@@ -340,9 +377,49 @@ def test_reuse_policy_leaves_shared_optimizer_options_alone(policy):
     db = build_star_db()
     shared = db.optimizer.options
     before = dataclasses.replace(shared)
-    db.execute(marker_query(), params=COMMON, pop=PopConfig(reuse_policy=policy))
+    config = PopConfig(reuse_policy=policy)
+    db.execute(marker_query(), params=COMMON, pop=config)
+    db.execute(
+        marker_query(), params=COMMON, pop=config,
+        optimizer_options=OptimizerOptions(enable_index_nljn=False),
+    )
+    db.plan(marker_query(), optimizer_options=OptimizerOptions(enable_hash_join=False))
     assert db.optimizer.options is shared
     assert shared == before
+
+
+NO_HASH = OptimizerOptions(enable_hash_join=False)
+HASH_JOIN_SQL = (
+    "SELECT c.c_id, o.o_id FROM cust c, orders o WHERE c.c_id = o.o_custkey"
+)
+
+
+def test_per_call_optimizer_options_apply_to_that_call_only():
+    db = build_star_db()
+    db.enable_memory_governor()  # the admission sizing optimizes too
+    assert not find_ops(
+        db.plan(HASH_JOIN_SQL, optimizer_options=NO_HASH)[1].plan, HashJoin
+    )
+    no_hash = db.execute(HASH_JOIN_SQL, optimizer_options=NO_HASH)
+    default = db.execute(HASH_JOIN_SQL)
+    assert not any(find_ops(a.plan, HashJoin) for a in no_hash.report.attempts)
+    assert find_ops(default.report.final_plan, HashJoin)
+    assert canonical(no_hash.rows) == canonical(default.rows)
+
+
+def test_per_call_optimizer_options_bypass_the_plan_cache():
+    db = build_star_db()
+    cache = db.enable_plan_cache()
+    metrics = MetricsRegistry()
+    db.execute(HASH_JOIN_SQL, optimizer_options=NO_HASH, metrics=metrics)
+    assert not cache.entries()
+    db.execute(HASH_JOIN_SQL)  # installs the default plan
+    (entry,) = cache.entries()
+    result = db.execute(HASH_JOIN_SQL, optimizer_options=NO_HASH, metrics=metrics)
+    assert not result.report.cache_hit
+    assert cache.entries() == [entry]
+    counters = metrics.snapshot()["counters"]
+    assert not any(k.startswith("plan_cache.") for k in counters)
 
 
 def test_fallback_never_writes_shared_optimizer_options(monkeypatch):

@@ -616,9 +616,10 @@ def test_profiles_still_partition_the_meter(width):
     db = build_star_db()
     result = db.execute(KERNEL_SQL, pop=PopConfig(batch_size=width), profile=True)
     for attempt in result.report.attempts:
-        assert {p.kind for p in attempt.profiles} >= {"GRPBY", "SORT", "TBSCAN"}
-        assert all(p.calls > 0 for p in attempt.profiles)
-        total = sum(p.self_units for p in attempt.profiles)
+        records = list(attempt.record.walk())
+        assert {r.kind for r in records} >= {"GRPBY", "SORT", "TBSCAN"}
+        assert all(r.profile.calls > 0 for r in records)
+        total = sum(r.profile.self_units for r in records)
         assert total == pytest.approx(attempt.execution_units, rel=1e-9)
 
 

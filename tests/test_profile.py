@@ -3,8 +3,8 @@
 Covers the tentpole observability surfaces:
 
 * :class:`repro.obs.ProfileCollector` — the frame-accounting invariant
-  (exclusive units partition the attempt's metered execution work), rows
-  in/out, q-error propagation through nested joins, spill attribution,
+  (exclusive units partition the attempt's metered execution work) read
+  off each attempt's record, rows in/out and q-error through nested joins,
   extras capture, and the multi-attempt (re-optimization) shape;
 * the obs-off fast path — disabled profiling constructs no collector,
   reaches no hook, and leaves metered work units bit-identical;
@@ -29,10 +29,8 @@ from repro.core import driver as driver_module
 from repro.executor.meter import WorkMeter
 from repro.obs import (
     MetricsRegistry,
-    OpProfile,
     ProgressEstimator,
     RobustnessMap,
-    render_profile_table,
     write_profiles_jsonl,
 )
 from repro.plan.analyze import explain_analyze
@@ -57,17 +55,23 @@ def run_profiled(db, sql, params=None, pop=None, progress=None):
     return result.report
 
 
+def profiled_records(attempt) -> list:
+    assert attempt.profiled
+    return list(attempt.record.walk())
+
+
 class TestExclusiveTimeAccounting:
     def test_self_units_partition_execution_units(self, tpch_db):
         report = run_profiled(tpch_db, THREE_JOIN_SQL)
         assert report.profiled
         for attempt in report.attempts:
-            assert attempt.profiles
-            total = sum(p.self_units for p in attempt.profiles)
+            total = sum(r.profile.self_units for r in profiled_records(attempt))
             assert total == pytest.approx(
                 attempt.execution_units, rel=RECONCILE_TOLERANCE
             )
-        assert report.profile_self_units == pytest.approx(
+        assert sum(
+            r.profile.self_units for r in report.profiled_records()
+        ) == pytest.approx(
             sum(a.execution_units for a in report.attempts),
             rel=RECONCILE_TOLERANCE,
         )
@@ -75,31 +79,19 @@ class TestExclusiveTimeAccounting:
     def test_inclusive_bounds_and_rows_flow(self, tpch_db):
         report = run_profiled(tpch_db, THREE_JOIN_SQL)
         (attempt,) = report.attempts
-        by_id = {p.op_id: p for p in attempt.profiles}
-        for prof in attempt.profiles:
+        for record in profiled_records(attempt):
+            prof = record.profile
             assert prof.self_units >= 0.0
             assert prof.total_units >= prof.self_units - 1e-9
             assert prof.calls > 0
-        # rows_in of every operator is the sum of its children's rows_out.
-        def check(op):
-            prof = by_id.get(op.op_id if op.op_id is not None else -1)
-            if prof is not None and op.children:
-                expected = sum(
-                    by_id[c.op_id].rows_out
-                    for c in op.children
-                    if c.op_id in by_id
-                )
-                assert prof.rows_in == expected
-            for child in op.children:
-                check(child)
-
-        check(attempt.plan)
+            # rows_in of every operator is the sum of its children's rows_out.
+            assert record.rows_in == sum(c.rows_out for c in record.children)
 
     def test_qerror_propagates_through_nested_joins(self, tpch_db):
         report = run_profiled(tpch_db, THREE_JOIN_SQL)
         (attempt,) = report.attempts
         joins = [
-            p for p in attempt.profiles
+            p for p in profiled_records(attempt)
             if p.kind in ("HSJOIN", "NLJOIN", "MSJOIN")
         ]
         assert len(joins) >= 2, "three-way join must profile >= 2 join ops"
@@ -111,7 +103,7 @@ class TestExclusiveTimeAccounting:
             assert prof.qerror == pytest.approx(max(est / act, act / est))
             assert prof.qerror >= 1.0
         # Transparent operators never get a q-error, even at EOF.
-        for prof in attempt.profiles:
+        for prof in profiled_records(attempt):
             if prof.kind in ("CHECK", "BUFCHECK", "RETURN", "ANTIJOIN"):
                 assert prof.qerror is None
 
@@ -119,8 +111,8 @@ class TestExclusiveTimeAccounting:
         report = run_profiled(tpch_db, THREE_JOIN_SQL)
         (attempt,) = report.attempts
         by_kind = {}
-        for p in attempt.profiles:
-            by_kind.setdefault(p.kind, p)
+        for r in profiled_records(attempt):
+            by_kind.setdefault(r.kind, r.profile)
         scan = by_kind.get("TBSCAN")
         assert scan is not None and "table" in scan.extras
         if "HSJOIN" in by_kind:
@@ -143,8 +135,7 @@ class TestExclusiveTimeAccounting:
         assert report.reoptimizations >= 1
         assert len(report.attempts) >= 2
         for attempt in report.attempts:
-            assert attempt.profiles
-            total = sum(p.self_units for p in attempt.profiles)
+            total = sum(r.profile.self_units for r in profiled_records(attempt))
             assert total == pytest.approx(
                 attempt.execution_units, rel=RECONCILE_TOLERANCE
             )
@@ -168,32 +159,49 @@ class TestObsOffFastPath:
         )
         assert calls == []
         assert not result.report.profiled
-        assert all(a.profiles is None for a in result.report.attempts)
+        for attempt in result.report.attempts:
+            assert all(r.profile is None for r in attempt.record.walk())
 
     def test_enabled_profiling_reaches_hooks(self, star_db):
-        from repro.core.driver import PopDriver
+        result = star_db.execute(
+            "SELECT cust.c_id FROM cust WHERE cust.c_segment = 'RARE'",
+            profile=True,
+        )
+        for record in result.report.attempts[0].record.walk():
+            assert record.profile.opens > 0  # on_open
+            assert record.profile.extras is not None  # on_close
 
-        captured = []
-        original = driver_module.ProfileCollector
+    def test_records_compute_no_label_unless_rendered(
+        self, star_db, monkeypatch
+    ):
+        from repro.plan.physical import PlanOp
 
-        class Spy(original):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                captured.append(self)
+        calls = []
 
-        driver_module.ProfileCollector = Spy
-        try:
-            driver = PopDriver(
-                star_db.optimizer, PopConfig(), profile=True
-            )
-            driver.run(
-                star_db._to_query(
-                    "SELECT cust.c_id FROM cust WHERE cust.c_segment = 'RARE'"
-                )
-            )
-        finally:
-            driver_module.ProfileCollector = original
-        assert captured and captured[0].hook_calls > 0
+        def counting(describe):
+            def wrapper(self):
+                calls.append(self.KIND)
+                return describe(self)
+
+            return wrapper
+
+        pending = [PlanOp]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if "describe" in vars(cls):
+                monkeypatch.setattr(cls, "describe", counting(cls.describe))
+        sql = "SELECT cust.c_id FROM cust WHERE cust.c_segment = 'RARE'"
+        counts = []
+        for profile in (False, True):
+            del calls[:]
+            result = star_db.execute(sql, profile=profile)
+            counts.append(len(calls))
+        # Every describe() call comes from the plan text, none from records.
+        assert counts[0] == counts[1]
+        del calls[:]
+        explain_analyze(result.report)
+        assert len(calls) == len(list(result.report.attempts[0].record.walk()))
 
     def test_profiling_never_perturbs_work_units(self, star_db):
         sql = (
@@ -344,10 +352,17 @@ class TestExportsAndRendering:
         path = tmp_path / "profiles.jsonl"
         count = write_profiles_jsonl(str(path), report.attempts)
         lines = path.read_text().splitlines()
-        assert count == len(lines) == len(report.attempts[0].profiles)
-        records = [json.loads(line) for line in lines]
-        assert all(r["attempt"] == 0 for r in records)
-        assert {r["kind"] for r in records} >= {"TBSCAN", "RETURN"}
+        assert count == len(lines) == len(report.attempts) == 1
+        (tree,) = [json.loads(line) for line in lines]
+        assert tree["attempt"] == 0
+        assert tree == {"attempt": 0, **report.attempts[0].record.to_dict()}
+
+        def kinds(node):
+            yield node["kind"]
+            for child in node["children"]:
+                yield from kinds(child)
+
+        assert set(kinds(tree)) >= {"TBSCAN", "RETURN"}
 
     def test_jsonl_export_skips_unprofiled_reports(self, star_db, tmp_path):
         result = star_db.execute(
@@ -363,23 +378,6 @@ class TestExportsAndRendering:
         assert "self=" in text and "wall=" in text and "q=" in text
         plain = tpch_db.execute(THREE_JOIN_SQL)
         assert "self=" not in explain_analyze(plain.report)
-
-    def test_profile_table_renders_every_operator(self):
-        profiles = [
-            OpProfile(
-                op_id=1, kind="HSJOIN", label="HSJOIN(a=b)", est_card=10.0,
-                rows_out=20, eof=True, self_units=1.5, qerror=2.0,
-                spill_pages=3.0,
-            ),
-            OpProfile(
-                op_id=2, kind="TBSCAN", label="TBSCAN(t)", est_card=5.0,
-                rows_out=4, eof=False,
-            ),
-        ]
-        table = render_profile_table(profiles)
-        assert "HSJOIN" in table and "TBSCAN" in table
-        assert "4+" in table  # interrupted scan shows a lower bound
-        assert "2.0" in table  # q-error column
 
     def test_report_summary_mentions_profile(self, tpch_db):
         report = run_profiled(tpch_db, THREE_JOIN_SQL)
@@ -405,7 +403,8 @@ class TestShellVerbs:
         )
         text = out.getvalue()
         assert "profiling on" in text
-        assert "self_u" in text  # profile table header
+        assert "--- attempt 0 (completed) ---" in text
+        assert "self=" in text  # the EXPLAIN ANALYZE renderer
         assert "total self time:" in text
         assert "100.0%" in text  # progress bar of the completed statement
 
@@ -433,6 +432,7 @@ class TestShellVerbs:
             json.loads(line) for line in export.read_text().splitlines()
         ]
         assert records and all("self_units" in r for r in records)
+        assert all("self_units" in c for r in records for c in r["children"])
 
 
 class TestPromLabelEscaping:
