@@ -1,6 +1,6 @@
 """The engine contract checker: ``ast``-based lint of the repro source.
 
-Nine codebase invariants, chosen because violating any of them silently
+Ten codebase invariants, chosen because violating any of them silently
 breaks the reproduction rather than crashing it:
 
 * **iterator-contract** — every executor operator (subclass of
@@ -32,7 +32,7 @@ breaks the reproduction rather than crashing it:
   re-optimization signal, injected fault, timeout) funnels through — and
   :class:`repro.storage.spill.SpillFile` is confined (below).
 
-The other three, and spill-lifecycle's second half, are one shape — a name
+The other four, and spill-lifecycle's second half, are one shape — a name
 used outside its allow-list — and share one table, :data:`CONFINEMENTS`,
 and one walker, :func:`check_confinement`:
 
@@ -55,6 +55,9 @@ and one walker, :func:`check_confinement`:
 * **spill-lifecycle** — ``SpillFile(...)`` is constructed only inside
   ``storage/spill.py``: operators go through ``SpillManager.create``, whose
   bookkeeping ``close_all`` relies on.
+* **catalog-statistics** — only the catalog and RUNSTATS call
+  ``set_statistics``: every statement plans from those statistics, so one
+  that needs others (a ``stats`` fault) carries per-statement overrides.
 
 The tree is read and parsed once (:func:`read_source_tree`); the
 concurrency analyzer runs over the same :class:`SourceTree`, and the three
@@ -145,6 +148,14 @@ CONFINEMENTS = (
         why="go through SpillManager.create so the file is registered for "
         "close_all() cleanup on abort paths",
         calls=("SpillFile",),
+    ),
+    Confinement(
+        "catalog-statistics",
+        # The catalog that holds them and RUNSTATS that collects them.
+        allowed=("storage/catalog.py", "stats/collect.py"),
+        why="every statement plans from the catalog's statistics; plan one "
+        "statement with others through the optimizer's stats_overrides",
+        calls=("set_statistics",),
     ),
 )
 

@@ -26,7 +26,8 @@ from typing import Any, Optional, Sequence
 
 from repro.cache import cache_usable
 from repro.core.config import NO_POP, MemoryPolicy, PopConfig
-from repro.core.driver import PopDriver, PopReport
+from repro.core.driver import PopDriver, PopReport, StatementContext
+from repro.core.feedback import CardinalityFeedback
 from repro.sql.parameterize import parameterize_sql
 from repro.core.learning import LearnedCardinalities
 from repro.core.placement import optimize_and_place
@@ -385,17 +386,17 @@ class Database:
         immutable row-set.
 
         ``optimizer_options`` replaces the shared ``Optimizer.options`` for
-        this statement only (e.g. hash joins off for Fig. 12); such a
-        statement neither probes nor installs plan-cache entries, since
-        cached plans were chosen under the shared options.
+        this statement only (e.g. hash joins off for Fig. 12).  Such a
+        statement, and one with ``stats`` faults, skips the plan cache:
+        cached plans were chosen under the shared options and statistics.
         """
         config = pop if pop is not None else PopConfig()
         effective_cache = plan_cache if plan_cache is not None else self.plan_cache
         stmt = None
-        run_params = params
         if (
             effective_cache is not None
             and optimizer_options is None
+            and (faults is None or not faults.stats_specs)
             and isinstance(statement, str)
             and cache_usable(config)
         ):
@@ -405,8 +406,7 @@ class Database:
             # (namespaces are disjoint: ``__litN`` vs user markers).
             stmt = parameterize_sql(statement, self.catalog)
             query = stmt.query
-            run_params = dict(params or {})
-            run_params.update(stmt.params)
+            params = {**(params or {}), **stmt.params}
         else:
             query = self._to_query(statement)
         if snapshot is None and self.txn_manager is not None:
@@ -432,25 +432,26 @@ class Database:
             )
             if config.memory is None:
                 config = replace(config, memory=governor.policy)
-        driver = PopDriver(
-            self.optimizer, config, tracer=tracer, metrics=metrics,
-            profile=profile, progress=progress,
+        sc = StatementContext(
+            query,
+            config,
+            optimizer_options if optimizer_options is not None else self.optimizer.options,
+            params=params,
+            meter=meter,
+            feedback=self.learning.seed() if self.learning is not None else CardinalityFeedback(),
+            faults=faults,
+            plan_cache=effective_cache,
+            statement=stmt,
+            reservation=reservation,
+            cancel=cancel,
+            snapshot=snapshot,
+            tracer=tracer,
+            metrics=metrics,
+            profile=profile,
+            progress=progress,
         )
-        feedback = self.learning.seed() if self.learning is not None else None
         try:
-            rows, report = driver.run(
-                query,
-                params=run_params,
-                meter=meter,
-                feedback=feedback,
-                faults=faults,
-                plan_cache=effective_cache if stmt is not None else None,
-                statement=stmt,
-                reservation=reservation,
-                cancel=cancel,
-                snapshot=snapshot,
-                options=optimizer_options,
-            )
+            rows, report = PopDriver(self.optimizer).run(sc)
         finally:
             if reservation is not None:
                 governor.release(reservation)
@@ -462,8 +463,8 @@ class Database:
                     "pages": report.spill_pages,
                 }
             )
-        if self.learning is not None and feedback is not None:
-            self.learning.absorb(feedback)
+        if self.learning is not None:
+            self.learning.absorb(sc.feedback)
         return Result(columns=query.output_names, rows=rows, report=report)
 
     def execute_without_pop(

@@ -14,19 +14,21 @@ observes duplicates (paper §3.3).
 Every attempt — first plan, cache hit, re-optimized round, guard retry,
 safe-plan fallback — goes through the same four phases, ``_plan`` →
 ``_execute`` → ``_finish`` → ``_settle``, over one
-:class:`StatementContext`.  That context owns everything scoped to the
-statement (meter, feedback, compensation set, guard, temp-MV registry, the
-statement's own ``OptimizerOptions``).  The rule it enforces: nothing
-reachable from two statements — the catalog, ``Optimizer.options`` — is
-written while a statement runs; what statements do share (plan cache,
-learned feedback, metrics) is shared on purpose and guards itself.
+:class:`StatementContext`, which ``Database.execute`` builds.  That context
+owns everything scoped to the statement (meter, feedback, compensation set,
+guard, temp-MV registry, the statement's own ``OptimizerOptions`` and
+statistics overrides, its observers).  The rule it enforces: nothing
+reachable from two statements — the catalog and its statistics,
+``Optimizer.options`` — is written while a statement runs; what statements
+do share (plan cache, learned feedback, metrics) is shared on purpose and
+guards itself.
 """
 
 from __future__ import annotations
 
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Optional
 
 from repro.analysis.plan_lint import LintContext, assert_plan_clean
@@ -57,7 +59,7 @@ from repro.plan.physical import (
     find_ops,
     number_plan,
 )
-from repro.resilience import FALLBACK, RAISE, ExecutionGuard, FaultInjector
+from repro.resilience import RAISE, ExecutionGuard, FaultInjector, FaultPlan
 from repro.storage.catalog import TempMVRegistry
 
 #: Harvest configuration for completed runs: feedback only, no temp MVs.
@@ -239,49 +241,91 @@ class PopReport:
 
 @dataclass
 class StatementContext:
-    """Everything scoped to one :meth:`PopDriver.run` call.
+    """Everything scoped to one statement.
 
-    Created by ``run`` and confined to its thread; the attempt phases read
-    and advance it instead of passing a dozen arguments around.
+    Built once, by ``Database.execute`` (the only caller of
+    :meth:`PopDriver.run`), and confined to the statement's thread; the
+    attempt phases read and advance it instead of passing a dozen
+    arguments around.  The inputs are ``Database.execute``'s and are
+    documented there; the fields after ``progress`` are the driver's.
     """
 
     query: Query
-    params: Optional[dict]
     config: PopConfig
-    meter: WorkMeter
-    feedback: CardinalityFeedback
     #: This statement's optimizer switches: the per-call options, else the
-    #: shared ``Optimizer.options``, with the reuse policy applied.
+    #: shared ``Optimizer.options``; ``__post_init__`` applies the reuse
+    #: policy to a copy.
     options: OptimizerOptions
-    reopt_limit: int
-    guard: Optional[ExecutionGuard] = None
-    injector: Optional[FaultInjector] = None
+    params: Optional[dict] = None
+    meter: Optional[WorkMeter] = None
+    #: May be pre-seeded (cross-query learning, §7); everything observed
+    #: during the statement is added to it.
+    feedback: CardinalityFeedback = field(default_factory=CardinalityFeedback)
+    #: Becomes ``injector`` and, like ``config.resilience``, puts every
+    #: attempt under the ``guard``.
+    faults: InitVar[Optional[FaultPlan]] = None
+    #: Engaged only together with ``statement``, the parameterized form
+    #: whose bound query is ``query``.
     plan_cache: Any = None
     statement: Any = None
-    #: Bind-value peeking: cached-path statements are optimized at their
-    #: actual parameter values, so plans and validity ranges are tailored
-    #: to them (and the admission test has teeth).
-    peek: Optional[PeekingSelectivity] = None
     reservation: Any = None
     cancel: Any = None
     snapshot: Any = None
+    tracer: Any = None
+    metrics: Any = None
+    profile: bool = False
+    progress: Any = None
+    reopt_limit: int = field(init=False, default=0)
+    injector: Optional[FaultInjector] = field(init=False, default=None)
+    guard: Optional[ExecutionGuard] = field(init=False, default=None)
+    #: Bind-value peeking: cached-path statements are optimized at their
+    #: actual parameter values, so plans and validity ranges are tailored
+    #: to them (and the admission test has teeth).
+    peek: Optional[PeekingSelectivity] = field(init=False, default=None)
+    #: Table name -> the statistics this statement plans with instead of
+    #: the catalog's (``stats`` faults); the catalog is never written.
+    stats_overrides: dict = field(init=False, default_factory=dict)
     #: The ``pop.statement`` span every attempt span hangs under.
-    span: Optional[int] = None
+    span: Optional[int] = field(init=False, default=None)
     #: Intermediate results promoted by this statement's interrupted
     #: attempts (paper §2.3); dropped with the context.
-    temp_mvs: TempMVRegistry = field(default_factory=TempMVRegistry)
+    temp_mvs: TempMVRegistry = field(init=False, default_factory=TempMVRegistry)
     #: Rows already handed to the application by interrupted attempts; the
     #: next plan anti-joins against them (paper §3.3).
-    compensation: Counter = field(default_factory=Counter)
-    delivered: list = field(default_factory=list)
-    attempts: list = field(default_factory=list)
+    compensation: Counter = field(init=False, default_factory=Counter)
+    delivered: list = field(init=False, default_factory=list)
+    attempts: list = field(init=False, default_factory=list)
     #: ``attempt`` indexes reports; ``reopt_round`` consumes the
     #: re-optimization budget.  Guard retries advance only the former, so
     #: a transient crash never eats a CHECK's re-planning round.
-    attempt: int = 0
-    reopt_round: int = 0
-    #: Set by the guard's decision: the next attempt runs the safe plan.
-    fallback: bool = False
+    attempt: int = field(init=False, default=0)
+    reopt_round: int = field(init=False, default=0)
+
+    def __post_init__(self, faults: Optional[FaultPlan]) -> None:
+        if self.meter is None:
+            self.meter = WorkMeter(track_categories=self.metrics is not None)
+        self.options = replace(
+            self.options,
+            consider_mvs=self.config.reuse_policy != "never",
+            mv_cost_zero=self.config.reuse_policy == "always",
+        )
+        self.reopt_limit = self.config.reopt_limit_for(self.query)
+        if faults is not None:
+            self.injector = FaultInjector(faults)
+        if self.config.resilience is not None or faults is not None:
+            self.guard = ExecutionGuard(
+                self.config.resilience,
+                meter=self.meter,
+                tracer=self.tracer,
+                metrics=self.metrics,
+                injector=self.injector,
+            )
+
+    @property
+    def fallback(self) -> bool:
+        """True once the guard asked for the safe plan: every attempt from
+        then on runs it."""
+        return self.guard is not None and self.guard.fallback_reason is not None
 
     @property
     def caching(self) -> bool:
@@ -348,147 +392,39 @@ class AttemptRun:
 class PopDriver:
     """Runs statements with progressive optimization."""
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        config: Optional[PopConfig] = None,
-        tracer=None,
-        metrics=None,
-        profile: bool = False,
-        progress=None,
-    ):
+    def __init__(self, optimizer: Optimizer):
         self.optimizer = optimizer
-        self.catalog = optimizer.catalog
-        self.config = config if config is not None else PopConfig()
-        #: Optional :class:`repro.obs.Tracer` — one span per statement,
-        #: attempt, optimizer call, placement pass, and execution; events
-        #: for CHECK evaluations, re-optimization signals, and harvests.
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.MetricsRegistry`.
-        self.metrics = metrics
-        #: When True, every attempt runs with a fresh
-        #: :class:`repro.obs.ProfileCollector` and its per-operator
-        #: profiles land on the attempt's record.
-        self.profile = profile
-        #: Optional :class:`repro.obs.ProgressEstimator`, fed the chosen
-        #: plan's work budget per attempt and every CHECK evaluation.
-        self.progress = progress
 
     # ------------------------------------------------------------------- run
 
-    def run(
-        self,
-        query: Query,
-        params: Optional[dict[str, Any]] = None,
-        meter: Optional[WorkMeter] = None,
-        feedback: Optional[CardinalityFeedback] = None,
-        faults=None,
-        plan_cache=None,
-        statement=None,
-        reservation=None,
-        cancel=None,
-        snapshot=None,
-        options: Optional[OptimizerOptions] = None,
-    ) -> tuple[list[tuple], PopReport]:
-        """Execute ``query`` and return (rows, report).
-
-        ``feedback`` may be pre-seeded (cross-query learning, §7); the
-        driver mutates it with everything observed during this statement.
-        ``faults`` is an optional :class:`repro.resilience.FaultPlan`; when
-        given (or when ``config.resilience`` is set) attempts run under the
-        execution guard: classified failures retry with backoff, and
-        exhausted retries / blown deadlines / a tripped re-optimization
-        breaker divert to the safe-plan fallback.
-
-        ``plan_cache`` / ``statement`` engage the validity-range-aware plan
-        cache (:mod:`repro.cache`): ``statement`` is the
-        :class:`~repro.sql.parameterize.ParameterizedStatement` whose bound
-        query is ``query``.  The first round probes the cache (admission =
-        cached validity ranges evaluated at fresh estimates for
-        ``statement.params``); on a hit the optimizer is skipped and the
-        cached plan re-executed verbatim; on a miss the statement is
-        optimized with bind-value peeking and the successful plan installed.
-
-        ``reservation`` is this statement's admitted slice of the memory
-        governor's budget (:class:`repro.governor.Reservation`, acquired
-        and released by ``Database.execute``); with ``config.memory`` set
-        it caps every operator grant and enables spill-based degradation.
-
-        ``cancel`` is an optional :class:`~repro.common.cancel.CancelToken`
-        polled at every CHECK point, emit site, and blocking-phase loop;
-        once set, the statement unwinds with
-        :class:`~repro.common.errors.ExecutionCancelled` and every spill
-        file and reservation is released on the way out.
-
-        ``snapshot`` is an optional :class:`repro.txn.Snapshot`: every
-        attempt (including retries, re-optimization rounds, and the safe
-        fallback) scans at the same pinned commit epoch, so concurrent
-        commits never shift row-sets mid-statement.
-
-        ``options`` replaces the shared ``Optimizer.options`` as the
-        starting point of this statement's optimizer switches.
-        """
-        config = self.config
-        if meter is None:
-            meter = WorkMeter(track_categories=self.metrics is not None)
-        injector = FaultInjector(faults) if faults is not None else None
-        guard = None
-        if config.resilience is not None or injector is not None:
-            guard = ExecutionGuard(
-                config.resilience,
-                meter=meter,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-        peek = None
-        if statement is not None and statement.params:
-            peek = PeekingSelectivity(
-                statement.params, base=self.optimizer.selectivity
-            )
-        sc = StatementContext(
-            query=query,
-            params=params,
-            config=config,
-            meter=meter,
-            feedback=feedback if feedback is not None else CardinalityFeedback(),
-            options=replace(
-                options if options is not None else self.optimizer.options,
-                consider_mvs=config.reuse_policy != "never",
-                mv_cost_zero=config.reuse_policy == "always",
-            ),
-            reopt_limit=config.reopt_limit_for(query),
-            guard=guard,
-            injector=injector,
-            plan_cache=plan_cache,
-            statement=statement,
-            peek=peek,
-            reservation=reservation,
-            cancel=cancel,
-            snapshot=snapshot,
-        )
+    def run(self, sc: StatementContext) -> tuple[list[tuple], PopReport]:
+        """Execute the statement ``sc`` describes; returns (rows, report)."""
         started = wall_clock()
         self._open_statement(sc)
-        try:
-            self._run_attempts(sc)
-        finally:
-            if guard is not None:
-                guard.end_statement()
+        self._run_attempts(sc)
         return sc.delivered, self._close_statement(sc, wall_clock() - started)
 
     def _open_statement(self, sc: StatementContext) -> None:
-        if self.tracer is not None:
-            self.tracer.bind_meter(sc.meter)
-            sc.span = self.tracer.start_span(
+        tracer, metrics = sc.tracer, sc.metrics
+        if tracer is not None:
+            tracer.bind_meter(sc.meter)
+            sc.span = tracer.start_span(
                 "pop.statement",
                 pop=sc.config.enabled,
                 tables=len(sc.query.tables),
                 reopt_limit=sc.reopt_limit,
                 guarded=sc.guard is not None,
             )
-        if self.metrics is not None:
-            self.metrics.inc("pop.statements")
-        if sc.guard is not None:
-            sc.guard.begin_statement(sc.injector, self.catalog)
+        if metrics is not None:
+            metrics.inc("pop.statements")
+        if sc.statement is not None and sc.statement.params:
+            sc.peek = PeekingSelectivity(
+                sc.statement.params, base=self.optimizer.selectivity
+            )
+        if sc.injector is not None:
+            sc.stats_overrides = sc.injector.stats_overrides(
+                self.optimizer.catalog, tracer, metrics
+            )
 
     def _close_statement(self, sc: StatementContext, wall: float) -> PopReport:
         meter, guard, attempts = sc.meter, sc.guard, sc.attempts
@@ -507,12 +443,12 @@ class PopDriver:
             report.breaker_tripped = guard.breaker_tripped
             report.fallback_used = guard.fallback_reason is not None
             report.fallback_reason = guard.fallback_reason
-        if self.metrics is not None:
-            self.metrics.inc("pop.attempts", len(attempts))
+        if sc.metrics is not None:
+            sc.metrics.inc("pop.attempts", len(attempts))
             for category, units in meter.by_category().items():
-                self.metrics.set_gauge("work.units", units, category=category)
-        if self.tracer is not None:
-            self.tracer.end_span(
+                sc.metrics.set_gauge("work.units", units, category=category)
+        if sc.tracer is not None:
+            sc.tracer.end_span(
                 sc.span,
                 attempts=len(attempts),
                 reoptimizations=report.reoptimizations,
@@ -548,9 +484,9 @@ class PopDriver:
         for it, else a cached plan on a first-round hit, else a freshly
         optimized one with CHECKs placed."""
         span = None
-        if self.tracer is not None:
+        if sc.tracer is not None:
             attrs = {"fallback": True} if sc.fallback else {}
-            span = self.tracer.start_span(
+            span = sc.tracer.start_span(
                 "pop.attempt", parent=sc.span, attempt=sc.attempt, **attrs
             )
         units_before = sc.meter.snapshot()
@@ -591,9 +527,10 @@ class PopDriver:
             selectivity=sc.peek,
             options=sc.options,
             temp_mvs=sc.temp_mvs,
+            stats_overrides=sc.stats_overrides,
             meter=sc.meter,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            tracer=sc.tracer,
+            metrics=sc.metrics,
             span=span,
         )
         return placement.plan, placement.count
@@ -604,8 +541,10 @@ class PopDriver:
         No CHECKs are placed, so nothing can signal; the optimizer is
         restricted to robust join flavors (hash and sort-merge — no nested
         loops whose worst case is quadratic) and ignores both the feedback
-        and the temp MVs of the thrashing attempts.  The restriction is a
-        copy of the statement's options: the shared ones are not touched.
+        and the temp MVs of the thrashing attempts, but plans with the
+        statement's statistics overrides like every attempt.  The
+        restriction is a copy of the statement's options: the shared ones
+        are not touched.
         No tracer or metrics are passed: the fallback's optimizer call is
         not part of the ``optimizer.*`` spans and counters.
         """
@@ -620,7 +559,8 @@ class PopDriver:
         )
         _opt, placement = optimize_and_place(
             self.optimizer, sc.query, NO_POP,
-            options=safe_options, meter=sc.meter,
+            options=safe_options, stats_overrides=sc.stats_overrides,
+            meter=sc.meter,
         )
         return placement.plan
 
@@ -635,7 +575,7 @@ class PopDriver:
             sc.statement.shape,
             sc.query,
             sc.statement.params,
-            self.catalog,
+            self.optimizer.catalog,
             feedback=sc.feedback,
             base_selectivity=self.optimizer.selectivity,
         )
@@ -644,7 +584,7 @@ class PopDriver:
             * max(lookup.examined, 1),
             "plan_cache",
         )
-        metrics = self.metrics
+        metrics = sc.metrics
         if metrics is not None:
             metrics.inc("plan_cache.hits" if lookup.hit else "plan_cache.misses")
             if lookup.admission_rejects:
@@ -657,8 +597,8 @@ class PopDriver:
                     lookup.mutation_discards,
                     reason="mutated",
                 )
-        if self.tracer is not None:
-            self.tracer.event(
+        if sc.tracer is not None:
+            sc.tracer.event(
                 "plan_cache.hit" if lookup.hit else "plan_cache.miss",
                 span=span,
                 examined=lookup.examined,
@@ -686,7 +626,7 @@ class PopDriver:
         attempt = sc.attempt
         reoptimized = attempt > 0 and not sc.fallback
         context = LintContext(
-            catalog=self.catalog,
+            catalog=self.optimizer.catalog,
             temp_mvs=sc.temp_mvs,
             cost_model=self.optimizer.cost_model,
             config=sc.config,
@@ -696,12 +636,12 @@ class PopDriver:
             planned.plan, context, where=f"attempt {attempt} plan"
         )
         for finding in findings:
-            if self.tracer is not None:
-                self.tracer.event(
+            if sc.tracer is not None:
+                sc.tracer.event(
                     "analysis.finding", attempt=attempt, **finding.to_dict()
                 )
-            if self.metrics is not None:
-                self.metrics.inc(
+            if sc.metrics is not None:
+                sc.metrics.inc(
                     "analysis.findings",
                     rule=finding.rule,
                     severity=finding.severity,
@@ -722,7 +662,7 @@ class PopDriver:
         self, sc: StatementContext, planned: PlannedAttempt
     ) -> AttemptRun:
         """Run the planned attempt; how it ended is data on the result."""
-        tracer, meter = self.tracer, sc.meter
+        tracer, meter = sc.tracer, sc.meter
         plan, cached = planned.plan, planned.cached
         ctx = self._execution_context(sc)
         reservation = sc.reservation
@@ -762,8 +702,8 @@ class PopDriver:
             ),
         )
         run = AttemptRun(ctx, report, [], units_before, renegotiations)
-        if self.progress is not None:
-            self.progress.begin_attempt(plan, meter.snapshot())
+        if sc.progress is not None:
+            sc.progress.begin_attempt(plan, meter.snapshot())
         try:
             run_plan(plan, ctx, run.sink)
         except ReoptimizationSignal as signal:
@@ -776,19 +716,19 @@ class PopDriver:
         """The attempt's executor context, wired to the statement's state.
 
         The safe plan runs without deadlines — it must be guaranteed to
-        complete, and the guard has already disarmed the injector — but the
-        ``cancel`` token still applies: a disconnected client has no use
-        for a safe plan's rows, so cancellation beats completion.
+        complete, so the guard hands out none once it asked for it (and has
+        disarmed the injector) — but the ``cancel`` token still applies: a
+        disconnected client has no use for a safe plan's rows, so
+        cancellation beats completion.
         """
-        config, meter = sc.config, sc.meter
-        deadlines = sc.guard if not sc.fallback else None
+        config, meter, guard = sc.config, sc.meter, sc.guard
         budget = None
         if config.work_budget is not None and sc.can_reopt:
             # Escalate per attempt so a statement cannot livelock on
             # budget triggers: each round gets a larger deadline.
             budget = config.work_budget * (sc.attempt + 1)
         ctx = ExecutionContext(
-            self.catalog,
+            self.optimizer.catalog,
             params=sc.params,
             cost_params=self.optimizer.cost_model.params,
             meter=meter,
@@ -797,20 +737,18 @@ class PopDriver:
                 set(config.force_trigger_op_ids) if sc.attempt == 0 else set()
             ),
             work_budget=budget,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            tracer=sc.tracer,
+            metrics=sc.metrics,
             fault_injector=sc.injector,
             work_deadline=(
-                deadlines.deadline_for_attempt(meter)
-                if deadlines is not None
-                else None
+                guard.deadline_for_attempt(meter) if guard is not None else None
             ),
             cancel=sc.cancel,
             # Statement-scoped wall deadline: set once on the first
             # attempt, shared by every retry/re-optimization round.
             wall_deadline=(
-                deadlines.wall_deadline_for_statement()
-                if deadlines is not None
+                guard.wall_deadline_for_statement()
+                if guard is not None
                 else None
             ),
             memory=config.memory,
@@ -818,8 +756,8 @@ class PopDriver:
             # One collector per attempt so re-optimized rounds stay
             # separately attributable (None keeps the executor's
             # profiling sites at a single comparison).
-            profiler=ProfileCollector(meter) if self.profile else None,
-            progress=self.progress,
+            profiler=ProfileCollector(meter) if sc.profile else None,
+            progress=sc.progress,
             batch_size=config.batch_size,
             snapshot=sc.snapshot,
             temp_mvs=sc.temp_mvs,
@@ -837,7 +775,7 @@ class PopDriver:
         already deleted by ``run_plan``'s ``finally`` when this runs), so
         degradation stays reportable without leaking disk.
         """
-        ctx, report, metrics = run.ctx, run.report, self.metrics
+        ctx, report, metrics = run.ctx, run.report, sc.metrics
         report.execution_units = sc.meter.snapshot() - run.units_before
         report.checkpoint_events = ctx.checkpoint_events
         report.record = record_attempt(report.plan, ctx)
@@ -880,17 +818,12 @@ class PopDriver:
         is followed by: another round, the safe plan, or the error itself.
         """
         guard, config = sc.guard, sc.config
-        next_step = None
         if run.signal is not None:
             self._announce_reoptimization(sc, planned, run)
         elif run.error is not None:
-            # A failing safe plan has nothing left to fall back to.
-            if guard is not None and not sc.fallback:
-                next_step = guard.on_failure(run.error)
-            else:
-                next_step = RAISE
-            if next_step == RAISE:
-                self._observe_attempt(planned, run)
+            decision = guard.on_failure(run.error) if guard is not None else RAISE
+            if decision == RAISE:
+                self._observe_attempt(sc, planned, run)
                 raise run.error
         self._route_rows(sc, run)
         harvested = None
@@ -898,7 +831,7 @@ class PopDriver:
             harvested = harvest_execution_state(
                 run.ctx, run.signal, sc.feedback, config
             )
-        elif not sc.fallback:
+        elif not run.report.fallback:
             # Exact cardinalities only, no MV promotion: what a retry
             # re-plans with, and what cross-query learning absorbs (§7).
             harvest_execution_state(
@@ -906,18 +839,14 @@ class PopDriver:
             )
         if not run.interrupted and sc.caching:
             self._cache_settle(sc, planned, run.report)
-        self._observe_attempt(planned, run, harvested)
+        self._observe_attempt(sc, planned, run, harvested)
         if not run.interrupted:
             return True
         sc.attempt += 1
         if run.signal is not None:
             sc.reopt_round += 1
-            if guard is not None and guard.on_reoptimize(
-                run.report.join_order, sc.attempt
-            ):
-                guard.request_fallback("re-optimization breaker tripped")
-                next_step = FALLBACK
-        sc.fallback = next_step == FALLBACK
+            if guard is not None:
+                guard.on_reoptimize(run.report.join_order, sc.attempt)
         return False
 
     def _route_rows(self, sc: StatementContext, run: AttemptRun) -> None:
@@ -938,15 +867,15 @@ class PopDriver:
                     "fired after rows were returned"
                 ) from run.signal
             sc.compensation.update(run.sink)
-            if self.metrics is not None:
-                self.metrics.inc("pop.compensation_rows", len(run.sink))
+            if sc.metrics is not None:
+                sc.metrics.inc("pop.compensation_rows", len(run.sink))
         sc.delivered.extend(run.sink)
 
     def _announce_reoptimization(
         self, sc: StatementContext, planned: PlannedAttempt, run: AttemptRun
     ) -> None:
         """Emit the re-optimization, and drop the cached variant it refutes."""
-        tracer, metrics, report = self.tracer, self.metrics, run.report
+        tracer, metrics, report = sc.tracer, sc.metrics, run.report
         if tracer is not None:
             tracer.event(
                 "pop.reoptimize",
@@ -973,10 +902,10 @@ class PopDriver:
         """Drop a reused variant from the plan cache, visibly."""
         fingerprint = cached.entry.fingerprint
         sc.plan_cache.discard(sc.statement.shape, fingerprint)
-        if self.metrics is not None:
-            self.metrics.inc("plan_cache.invalidations", reason=reason)
-        if self.tracer is not None:
-            self.tracer.event(
+        if sc.metrics is not None:
+            sc.metrics.inc("plan_cache.invalidations", reason=reason)
+        if sc.tracer is not None:
+            sc.tracer.event(
                 "plan_cache.invalidate",
                 span=span,
                 fingerprint=fingerprint,
@@ -996,7 +925,7 @@ class PopDriver:
         MVs are dropped when the statement ends and compensating anti-joins
         only make sense for this statement's already-delivered rows.
         """
-        metrics, plan_cache = self.metrics, sc.plan_cache
+        metrics, plan_cache = sc.metrics, sc.plan_cache
         plan, cached = planned.plan, planned.cached
         if cached is not None:
             if plan_fingerprint(plan) != cached.entry.fingerprint:
@@ -1018,8 +947,8 @@ class PopDriver:
                 metrics.inc("plan_cache.installs")
             if evicted:
                 metrics.inc("plan_cache.evictions", evicted)
-        if self.tracer is not None and entry is not None:
-            self.tracer.event(
+        if sc.tracer is not None and entry is not None:
+            sc.tracer.event(
                 "plan_cache.install",
                 fingerprint=entry.fingerprint,
                 evicted=evicted,
@@ -1028,15 +957,16 @@ class PopDriver:
 
     def _observe_attempt(
         self,
+        sc: StatementContext,
         planned: PlannedAttempt,
         run: AttemptRun,
         harvested_mvs: Optional[list] = None,
     ) -> None:
         """Flush one attempt's observability state (no-op when unconfigured)."""
-        tracer, metrics = self.tracer, self.metrics
+        tracer, metrics = sc.tracer, sc.metrics
         ctx, report = run.ctx, run.report
-        if self.progress is not None:
-            self.progress.end_attempt(
+        if sc.progress is not None:
+            sc.progress.end_attempt(
                 ctx.meter.snapshot(), completed=not run.interrupted
             )
         if metrics is not None:

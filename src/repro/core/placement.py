@@ -237,7 +237,8 @@ def optimize_and_place(
     """Plan ``query``: the optimizer's cheapest plan, then CHECK placement.
 
     Returns ``(OptimizationResult, PlacementResult)``.  ``optimize_args``
-    (``feedback``, ``selectivity``, ``options``, ``temp_mvs``) go to
+    (``feedback``, ``selectivity``, ``options``, ``temp_mvs``,
+    ``stats_overrides``) go to
     :meth:`repro.optimizer.optimizer.Optimizer.optimize` unchanged; a
     disabled ``config`` (``NO_POP``) places nothing.
 

@@ -80,7 +80,6 @@ class ExecutionContext:
         meter: Optional[WorkMeter] = None,
         dry_run_checks: bool = False,
         force_trigger_op_ids: Optional[set[int]] = None,
-        disabled_check_op_ids: Optional[set[int]] = None,
         work_budget: Optional[float] = None,
         tracer=None,
         metrics=None,
@@ -125,8 +124,6 @@ class ExecutionContext:
         #: CHECKs whose op_id is listed fire even inside their range
         #: (the "dummy re-optimization" of Fig. 12).
         self.force_trigger_op_ids = force_trigger_op_ids or set()
-        #: CHECKs to skip entirely (risk experiments).
-        self.disabled_check_op_ids = disabled_check_op_ids or set()
         #: When set, any CHECK also triggers once cumulative work exceeds
         #: this many units (§7: re-optimizing on resource overruns).
         self.work_budget = work_budget

@@ -38,7 +38,6 @@ class CheckExec(Operator):
         self.child = child
         self.count = 0
         self._evaluated_once = False
-        self._disabled = False
         self._forced = False
 
     def open(self) -> None:
@@ -46,13 +45,11 @@ class CheckExec(Operator):
         self.child.open()
         self.count = 0
         self._evaluated_once = False
-        op_id = self.plan.op_id
-        self._disabled = op_id in self.ctx.disabled_check_op_ids
-        self._forced = op_id in self.ctx.force_trigger_op_ids
+        self._forced = self.plan.op_id in self.ctx.force_trigger_op_ids
         # Materialization-point optimization: the child already knows its
         # exact cardinality — evaluate the check once, right now.
         mat = self.child.materialized_rows
-        if mat is not None and not self._disabled:
+        if mat is not None:
             self.count = len(mat)
             self._evaluate(complete=True)
             self._evaluated_once = True
@@ -106,7 +103,7 @@ class CheckExec(Operator):
         if self.ctx.interruptible:
             self.ctx.check_interrupt()
         want = max_rows
-        armed = not self._disabled and not self._evaluated_once
+        armed = not self._evaluated_once
         rng = self.plan.check_range
         if armed and rng.high != math.inf:
             # Rows until the count first exceeds ``high`` (>= 1 here, since
@@ -130,7 +127,6 @@ class CheckExec(Operator):
         budget = self.ctx.work_budget
         if (
             budget is not None
-            and not self._disabled
             and not self.ctx.dry_run_checks
             and self.ctx.meter.units > budget
             # Without compensation, a trigger is only safe before any row
@@ -168,7 +164,6 @@ class BufCheckExec(Operator):
         self.child.open()
         p = self.ctx.cost_params
         rng = self.plan.check_range
-        disabled = self.plan.op_id in self.ctx.disabled_check_op_ids
         forced = self.plan.op_id in self.ctx.force_trigger_op_ids
         self._buffer = []
         self._pos = 0
@@ -199,7 +194,7 @@ class BufCheckExec(Operator):
                 break
             self._buffer.append(one[0])
             count += 1
-        if forced and not disabled:
+        if forced:
             triggered = True
         self.ctx.log_checkpoint(
             CheckpointEvent(
@@ -210,10 +205,10 @@ class BufCheckExec(Operator):
                 high=rng.high,
                 complete=complete,
                 units_at_event=self.ctx.meter.snapshot(),
-                triggered=triggered and not disabled,
+                triggered=triggered,
             )
         )
-        if triggered and not disabled and not self.ctx.dry_run_checks:
+        if triggered and not self.ctx.dry_run_checks:
             raise ReoptimizationSignal(self.plan, count, complete)
         self._decided = True
 

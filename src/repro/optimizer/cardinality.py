@@ -3,6 +3,9 @@
 The estimator combines base-table statistics, the selectivity model of
 :mod:`repro.stats.selectivity` (with its deliberate independence and
 default-selectivity assumptions), and POP's runtime cardinality feedback.
+It is the only reader of table statistics during planning, so a
+statement's statistics overrides (``stats_overrides``) reach every
+estimate and cost the optimizer derives.
 
 Cardinalities are computed per *edge signature* (tables joined, predicates
 applied), which makes estimates independent of join order — the standard
@@ -30,6 +33,7 @@ class CardinalityEstimator:
         query: Query,
         feedback: Optional[CardinalityFeedback] = None,
         selectivity: Optional[SelectivityEstimator] = None,
+        stats_overrides: Optional[dict] = None,
     ):
         self.catalog = catalog
         self.query = query
@@ -40,16 +44,25 @@ class CardinalityEstimator:
         self._locals = {
             ref.alias: query.local_predicates_for(ref.alias) for ref in query.tables
         }
-        self._table_of = {ref.alias: ref.table for ref in query.tables}
+        self._table_of = {ref.alias: ref.table.lower() for ref in query.tables}
+        #: Table name -> the statistics the statement plans with instead of
+        #: the catalog's (``None`` = dropped).
+        self.stats_overrides = stats_overrides or {}
 
     # ------------------------------------------------------------ base tables
 
-    def _stats_for(self, alias: str):
-        return self.catalog.statistics(self._table_of[alias])
+    def statistics(self, alias: str):
+        """The statistics of the table under ``alias``: the statement's
+        override when it has one, else the catalog's (``None`` when
+        RUNSTATS never ran)."""
+        table = self._table_of[alias]
+        if table in self.stats_overrides:
+            return self.stats_overrides[table]
+        return self.catalog.statistics(table)
 
     def base_cardinality(self, alias: str) -> float:
         """Row count of the base table under ``alias`` (stats, else actual)."""
-        stats = self._stats_for(alias)
+        stats = self.statistics(alias)
         if stats is not None:
             return float(stats.row_count)
         return float(self.catalog.table(self._table_of[alias]).row_count)
@@ -58,10 +71,10 @@ class CardinalityEstimator:
         """Combined selectivity of all local predicates on ``alias``
         (independence assumption)."""
         preds = self._locals[alias]
-        return self.selectivity.conjunction_selectivity(preds, self._stats_for(alias))
+        return self.selectivity.conjunction_selectivity(preds, self.statistics(alias))
 
     def single_predicate_selectivity(self, alias: str, pred: Predicate) -> float:
-        return self.selectivity.local_selectivity(pred, self._stats_for(alias))
+        return self.selectivity.local_selectivity(pred, self.statistics(alias))
 
     def filtered_cardinality(self, alias: str) -> float:
         """Cardinality of ``alias`` after its local predicates, with feedback."""
@@ -90,8 +103,8 @@ class CardinalityEstimator:
         return (frozenset(subset), predicate_set_id(self.predicates_for_subset(subset)))
 
     def join_predicate_selectivity(self, pred: JoinPredicate) -> float:
-        left_stats = self._stats_for(pred.left.table)
-        right_stats = self._stats_for(pred.right.table)
+        left_stats = self.statistics(pred.left.table)
+        right_stats = self.statistics(pred.right.table)
         return self.selectivity.join_selectivity(pred, left_stats, right_stats)
 
     def subset_cardinality(self, subset: frozenset) -> float:
@@ -137,7 +150,7 @@ class CardinalityEstimator:
             return 1.0 if input_card > 0 else 0.0
         ndv_product = 1.0
         for key in group_keys:
-            stats = self._stats_for(key.table)
+            stats = self.statistics(key.table)
             ndv = None
             if stats is not None:
                 ndv = stats.ndv(key.column)
@@ -146,6 +159,3 @@ class CardinalityEstimator:
 
     def distinct_cardinality(self, input_card: float) -> float:
         return max(1.0, input_card * 0.9)
-
-    def invalidate_cache(self) -> None:
-        self._cache.clear()

@@ -211,7 +211,7 @@ class PlanEnumerator:
         """Scan alternatives for one base table."""
         table_name = self.query.table_for(alias).table
         table = self.catalog.table(table_name)
-        stats = self.catalog.statistics(table_name)
+        stats = self.estimator.statistics(alias)
         pages = float(stats.page_count) if stats is not None else float(table.page_count)
         base_rows = self.estimator.base_cardinality(alias)
         preds = self.query.local_predicates_for(alias)
@@ -434,7 +434,7 @@ class PlanEnumerator:
             return None
         inner_table_name = self.query.table_for(inner_alias).table
         base_rows = self.estimator.base_cardinality(inner_alias)
-        stats = self.catalog.statistics(inner_table_name)
+        stats = self.estimator.statistics(inner_alias)
         inner_pages = float(
             stats.page_count
             if stats is not None

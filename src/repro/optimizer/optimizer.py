@@ -65,6 +65,7 @@ class Optimizer:
         selectivity: Optional[SelectivityEstimator] = None,
         options: Optional[OptimizerOptions] = None,
         temp_mvs: Optional[TempMVRegistry] = None,
+        stats_overrides: Optional[dict] = None,
     ) -> OptimizationResult:
         """Produce the cheapest plan for ``query`` under current knowledge.
 
@@ -73,8 +74,11 @@ class Optimizer:
         estimator here so parameterized statements are planned for their
         actual first-execution values.  ``options`` likewise replaces
         :attr:`options` for this call (the driver's reuse policy and safe
-        plan), and ``temp_mvs`` is the calling statement's registry of
-        reusable intermediate results (none when omitted).
+        plan), ``temp_mvs`` is the calling statement's registry of
+        reusable intermediate results (none when omitted), and
+        ``stats_overrides`` maps table names to the statistics this call
+        plans with instead of the catalog's (a statement's ``stats``
+        faults).
         """
         if options is None:
             options = self.options
@@ -83,6 +87,7 @@ class Optimizer:
             query,
             feedback=feedback,
             selectivity=selectivity if selectivity is not None else self.selectivity,
+            stats_overrides=stats_overrides,
         )
         enumerator = PlanEnumerator(
             self.catalog, query, estimator, self.cost_model, options, temp_mvs

@@ -9,9 +9,10 @@ partial QEP".
 This module simulates that design on the single-node engine:
 
 * one table of the query is horizontally partitioned into N fragments;
-* the same statement runs once per fragment, each with its *own* POP driver
-  — so a fragment whose local data violates a check range re-optimizes
-  *locally*, without touching the other fragments' plans;
+* the same statement runs once per fragment, each as its own statement
+  through ``Database.execute`` — so a fragment whose local data violates a
+  check range re-optimizes *locally*, without touching the other
+  fragments' plans;
 * fragment results are merged at the global synchronization point
   (concatenation for SPJ, partial re-aggregation for COUNT/SUM/MIN/MAX).
 
@@ -22,14 +23,13 @@ a different plan, which is the paper's point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.common.errors import ExecutionError
 from repro.core.config import PopConfig
 from repro.core.database import Database
-from repro.core.driver import PopDriver, PopReport
-from repro.executor.meter import WorkMeter
+from repro.core.driver import PopReport
 from repro.plan.logical import Aggregate, Query, TableRef
 
 
@@ -214,14 +214,9 @@ class PartitionedExecutor:
         try:
             for fragment in fragments:
                 local_query = self._rewrite(query, alias, fragment)
-                driver = PopDriver(
-                    self.db.optimizer, pop if pop is not None else PopConfig()
-                )
-                rows, report = driver.run(
-                    local_query, params=params, meter=WorkMeter()
-                )
-                reports.append(report)
-                fragment_rows.append(rows)
+                result = self.db.execute(local_query, params=params, pop=pop)
+                reports.append(result.report)
+                fragment_rows.append(result.rows)
         finally:
             self._drop_fragments(fragments)
         if query.has_aggregates:

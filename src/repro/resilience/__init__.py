@@ -1,7 +1,7 @@
 """Fault injection, execution guards, and safe-plan fallback for POP.
 
 Deterministic chaos engineering for the prototype: seeded fault schedules
-(:class:`FaultPlan`), an injector that perturbs executor runtime and catalog
+(:class:`FaultPlan`), an injector that perturbs executor runtime and planning
 statistics (:class:`FaultInjector`), and the execution guard that keeps the
 POP loop live under those perturbations — retry with backoff, a work-unit
 deadline, a re-optimization circuit breaker, and a conservative safe-plan

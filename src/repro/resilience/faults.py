@@ -15,8 +15,9 @@ plan through a statement execution:
   operators spill; without one, every subsequent sort/hash/temp grant is
   shrunk by the factor (grants below one page raise
   :class:`~repro.common.errors.ResourceExhausted`);
-* **stats** — corrupt (scale the row count of) or drop a table's catalog
-  statistics before optimization, restored when the statement finishes.
+* **stats** — corrupt (scale the row count of) or drop a table's
+  statistics for one statement: the statement plans with overrides, the
+  catalog is never written.
 
 Execution faults trigger on a *global* pull counter that spans all
 operators and all attempts of one statement, so a fault schedule is a pure
@@ -35,7 +36,7 @@ other module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.common.errors import TransientError
@@ -45,7 +46,8 @@ from repro.common.rng import make_rng
 ITERATOR = "iterator"
 STALL = "stall"
 MEM_SHRINK = "mem_shrink"
-#: Statement-level fault kind (applied to the catalog before optimization).
+#: Statement-level fault kind (overrides the statistics a statement plans
+#: with).
 STATS = "stats"
 
 EXEC_KINDS = (ITERATOR, STALL, MEM_SHRINK)
@@ -176,13 +178,8 @@ class FaultInjector:
             ([spec, spec.times] for spec in plan.exec_specs),
             key=lambda entry: entry[0].trigger_at,
         )
-        self._saved_stats: Optional[list[tuple[str, object]]] = None
 
     # ------------------------------------------------------------ lifecycle
-
-    @property
-    def active(self) -> bool:
-        return self._active
 
     def disarm(self) -> None:
         """Stop firing (already-armed wrappers become pass-through)."""
@@ -267,51 +264,34 @@ class FaultInjector:
 
     # ------------------------------------------------------- stats faults
 
-    def corrupt_statistics(self, catalog, tracer=None, metrics=None) -> int:
-        """Apply the plan's ``stats`` faults to ``catalog``; returns count.
-
-        Originals are saved for :meth:`restore_statistics` — the guard
-        restores them when the statement finishes, so corruption never
-        outlives the statement that injected it.
+    def stats_overrides(self, catalog, tracer=None, metrics=None) -> dict:
+        """The plan's ``stats`` faults as per-statement overrides of
+        ``catalog``'s statistics: ``{table name: statistics}``, where
+        ``None`` means dropped.  The caller's estimator reads them instead
+        of the catalog, which is only read here, so the corruption never
+        reaches another statement.  Faults on one table compound in plan
+        order.
         """
-        applied = 0
-        if not self._active:
-            return applied
-        saved = self._saved_stats if self._saved_stats is not None else []
+        overrides: dict = {}
         for spec in self.plan.stats_specs:
-            name = spec.target_table
+            name = spec.target_table.lower()
             if not catalog.has_table(name):
                 continue
-            original = catalog.statistics(name)
-            saved.append((name, original))
+            original = overrides.get(name, catalog.statistics(name))
             if spec.payload <= 0.0 or original is None:
-                corrupted = None
+                overrides[name] = None
             else:
-                from dataclasses import replace
-
-                corrupted = replace(
+                overrides[name] = replace(
                     original,
                     row_count=max(1, int(original.row_count * spec.payload)),
                 )
-            catalog.set_statistics(name, corrupted)
             record = FiredFault(
                 kind=STATS,
                 at_call=0,
                 op_kind="catalog",
                 payload=spec.payload,
-                target_table=name,
+                target_table=spec.target_table,
             )
             self.fired.append(record)
             self._observe(record, tracer, metrics)
-            applied += 1
-        self._saved_stats = saved
-        return applied
-
-    def restore_statistics(self, catalog) -> None:
-        """Undo :meth:`corrupt_statistics` (idempotent)."""
-        if not self._saved_stats:
-            return
-        for name, original in reversed(self._saved_stats):
-            if catalog.has_table(name):
-                catalog.set_statistics(name, original)
-        self._saved_stats = None
+        return overrides

@@ -55,6 +55,7 @@ class ExecutionGuard:
         meter=None,
         tracer=None,
         metrics=None,
+        injector=None,
     ):
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.meter = meter
@@ -65,29 +66,17 @@ class ExecutionGuard:
         self.breaker_tripped = False
         self.fallback_reason: Optional[str] = None
         self._join_order_counts: dict[str, int] = {}
-        self._injector = None
-        self._catalog = None
-        self._wall_deadline: Optional[float] = None
-
-    # -------------------------------------------------------- statement scope
-
-    def begin_statement(self, injector, catalog) -> None:
-        """Apply statement-level (stats) faults; remember how to undo them."""
+        #: The statement's :class:`~repro.resilience.faults.FaultInjector`,
+        #: disarmed when the statement falls back.
         self._injector = injector
-        self._catalog = catalog
-        if injector is not None and catalog is not None:
-            injector.corrupt_statistics(catalog, self.tracer, self.metrics)
-
-    def end_statement(self) -> None:
-        """Restore any corrupted statistics (safe to call twice)."""
-        if self._injector is not None and self._catalog is not None:
-            self._injector.restore_statistics(self._catalog)
+        self._wall_deadline: Optional[float] = None
 
     # ------------------------------------------------------------- deadlines
 
     def deadline_for_attempt(self, meter) -> Optional[float]:
-        """Absolute work-unit deadline for the next attempt, or None."""
-        if self.policy.deadline_units is None:
+        """Absolute work-unit deadline for the next attempt, or None — and
+        None for the safe plan, which must be guaranteed to complete."""
+        if self.policy.deadline_units is None or self.fallback_reason is not None:
             return None
         return meter.snapshot() + self.policy.deadline_units
 
@@ -98,10 +87,10 @@ class ExecutionGuard:
         every retry: the wall deadline bounds the statement's *total*
         latency (the quantity a server client experiences), so backoff
         and re-optimization rounds spend it rather than reset it.  The
-        safe-plan fallback deliberately does not consult it — fallback
-        must be guaranteed to complete (see :meth:`request_fallback`).
+        safe-plan fallback gets None — fallback must be guaranteed to
+        complete (see :meth:`request_fallback`).
         """
-        if self.policy.deadline_seconds is None:
+        if self.policy.deadline_seconds is None or self.fallback_reason is not None:
             return None
         if self._wall_deadline is None:
             self._wall_deadline = wall_clock() + self.policy.deadline_seconds
@@ -110,7 +99,8 @@ class ExecutionGuard:
     # ---------------------------------------------------------------- breaker
 
     def on_reoptimize(self, join_order: str, attempt: int) -> bool:
-        """Record one re-optimization; returns True if the breaker trips.
+        """Record one re-optimization; returns True if the breaker trips,
+        which requests the safe-plan fallback.
 
         Thrash shows up as the optimizer re-choosing the same join order
         over and over, or as an unbounded attempt count; both indicate the
@@ -132,6 +122,7 @@ class ExecutionGuard:
             self.tracer.event("guard.breaker_trip", reason=why)
         if self.metrics is not None:
             self.metrics.inc("resilience.breaker_trips")
+        self.request_fallback("re-optimization breaker tripped")
 
     # ---------------------------------------------------------------- failure
 
@@ -140,8 +131,12 @@ class ExecutionGuard:
 
         A RETRY decision has already charged its backoff to the meter by
         the time this returns, so retry cost is visible in the work-unit
-        accounting (category ``"backoff"``).
+        accounting (category ``"backoff"``).  Once the fallback was
+        requested the answer is RAISE, and nothing is counted: a failing
+        safe plan has nothing left to fall back to.
         """
+        if self.fallback_reason is not None:
+            return RAISE
         cls = failure_class(exc)
         if cls == TIMEOUT:
             if self.metrics is not None:

@@ -648,6 +648,19 @@ class TestContractChecker:
         for rel in ("obs/trace.py", "core/driver.py", "governor/__init__.py"):
             assert list(check_confinement(tree, rel)) == []
 
+    def test_statistics_written_only_by_the_catalog_and_runstats(self):
+        import ast
+
+        from repro.analysis.contract import check_confinement
+
+        source = "catalog.set_statistics('t', None)\n"
+        findings = check_module(source, filename="resilience/faults.py")
+        assert [f.rule for f in findings] == ["catalog-statistics"]
+        assert "stats_overrides" in findings[0].message
+        tree = ast.parse(source)
+        for rel in ("storage/catalog.py", "stats/collect.py"):
+            assert list(check_confinement(tree, rel)) == []
+
     def test_live_package_has_no_contract_errors(self):
         findings = run_contract_checks()
         assert [f for f in findings if f.severity == ERROR] == []

@@ -93,15 +93,6 @@ class TestCheck:
         with pytest.raises(ReoptimizationSignal):
             pull_all(op)
 
-    def test_disabled_check_is_transparent(self):
-        cat = make_catalog(100)
-        plan = Check(scan_plan(), ValidityRange(0, 10), "LC")
-        number_plan(plan)
-        ctx = ExecutionContext(cat, disabled_check_op_ids={plan.op_id})
-        op = build_executor(plan, ctx)
-        op.open()
-        assert len(pull_all(op)) == 100
-
     def test_event_logged_on_success_too(self):
         cat = make_catalog(10)
         plan = Check(scan_plan(), ValidityRange(0, 100), "LC")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PopConfig
+from repro import Database, PopConfig
 from repro.common.errors import ExecutionError
 from repro.parallel import PartitionedExecutor
 from tests.conftest import canonical
@@ -150,6 +150,24 @@ class TestLocalChecking:
             params={"p1": "COMMON"},
         )
         assert canonical(result.rows) == canonical(reference.rows)
+
+    def test_each_fragment_is_one_database_execute(self, db, monkeypatch):
+        """Fragments enter through the front door like any statement."""
+        entered = []
+        real_execute = Database.execute
+
+        def spy(self, statement, *args, **kwargs):
+            entered.append(statement)
+            return real_execute(self, statement, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "execute", spy)
+        result = PartitionedExecutor(db, partitions=3).run(
+            "SELECT o.o_id FROM orders o WHERE o.o_total > 100.0", "orders"
+        )
+        assert len(entered) == result.partitions == 3
+        assert [q.tables[0].table for q in entered] == [
+            f"__frag{i}_orders" for i in range(3)
+        ]
 
     def test_distinct_final_plans_counted(self, db):
         executor = PartitionedExecutor(db, partitions=2)

@@ -10,7 +10,7 @@ Covers:
 * the circuit breaker (unit-level and through the driver) and the
   safe-plan fallback's correctness;
 * deadline timeouts, memory-grant exhaustion, and statistics corruption
-  (applied for the statement, restored afterwards);
+  (a per-statement override: the catalog is never written);
 * exception safety: every operator is closed (and closable twice) on
   error paths;
 * the CLI's classified one-line errors and ``\\chaos`` mode;
@@ -210,6 +210,26 @@ class TestExecutionGuard:
         assert guard.on_reoptimize("a-b-c", 3)
         assert guard.breaker_tripped
 
+    def test_requested_fallback_gets_no_deadline_and_no_second_chance(self):
+        """The safe plan must complete: once the guard asked for it, it
+        hands out no deadline, and a failure of it is raised uncounted."""
+        metrics = MetricsRegistry()
+        guard = ExecutionGuard(
+            ResiliencePolicy(deadline_units=10.0, deadline_seconds=60.0),
+            meter=WorkMeter(),
+            metrics=metrics,
+        )
+        assert guard.deadline_for_attempt(WorkMeter()) == 10.0
+        assert guard.wall_deadline_for_statement() is not None
+        assert guard.on_failure(ExecutionTimeout("late")) == FALLBACK
+        counters = metrics.snapshot()["counters"]
+        assert guard.deadline_for_attempt(WorkMeter()) is None
+        assert guard.wall_deadline_for_statement() is None
+        assert guard.on_failure(TransientError("again")) == RAISE
+        assert guard.on_failure(ExecutionTimeout("again")) == RAISE
+        assert guard.retries == 0
+        assert metrics.snapshot()["counters"] == counters
+
     def test_breaker_attempt_limit(self):
         guard = ExecutionGuard(ResiliencePolicy(breaker_attempt_limit=4))
         assert not guard.on_reoptimize("a", 1)
@@ -379,26 +399,88 @@ class TestFallback:
 # -------------------------------------------------------------- stats faults
 
 
-class TestStatsFaults:
-    def test_stats_corrupted_for_statement_then_restored(self, star_db):
-        before = star_db.catalog.statistics("orders").row_count
-        plan = FaultPlan(
-            specs=[FaultSpec("stats", payload=100.0, target_table="orders")]
-        )
-        result = star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
-        assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
-        assert result.report.faults_injected == 1
-        assert star_db.catalog.statistics("orders").row_count == before
+ORDERS_SQL = "SELECT o.o_id FROM orders o WHERE o.o_total > 400.0"
 
-    def test_stats_drop_restored_even_on_user_error(self, star_db):
-        plan = FaultPlan(
-            specs=[FaultSpec("stats", payload=0.0, target_table="orders")]
+
+def stats_fault(payload: float) -> FaultPlan:
+    return FaultPlan(
+        specs=[FaultSpec("stats", payload=payload, target_table="orders")]
+    )
+
+
+class InsideTheStatement:
+    """A ``progress`` observer that, as each attempt starts, records what
+    another caller of the same database sees: the catalog's statistics
+    object for ``orders`` and ``db.plan``'s estimate for ORDERS_SQL."""
+
+    def __init__(self, db: Database):
+        self.db = db
+        self.seen: list = []
+
+    def begin_attempt(self, plan, units) -> None:
+        self.seen.append(
+            (
+                self.db.catalog.statistics("orders"),
+                self.db.plan(ORDERS_SQL)[0].plan.est_card,
+            )
         )
+
+    def on_checkpoint(self, event) -> None:
+        pass
+
+    def end_attempt(self, units, completed) -> None:
+        pass
+
+
+class TestStatsFaults:
+    """A ``stats`` fault is an override the faulted statement plans with;
+    the catalog every other statement reads is never written."""
+
+    def test_stats_fault_corrupts_only_its_own_statement(self, star_db):
+        before = star_db.catalog.statistics("orders")
+        clean = star_db.plan(ORDERS_SQL)[0].plan.est_card
+        inside = InsideTheStatement(star_db)
+        result = star_db.execute(
+            ORDERS_SQL, pop=guarded(), faults=stats_fault(100.0),
+            progress=inside,
+        )
+        assert canonical(result.rows) == oracle_rows(star_db, ORDERS_SQL)
+        assert result.report.faults_injected == 1
+        # The statement itself planned with 100x the rows...
+        assert result.report.attempts[0].plan.est_card == pytest.approx(100 * clean)
+        # ...while everyone else saw the catalog as it was, throughout.
+        assert inside.seen
+        assert all(stats is before for stats, _ in inside.seen)
+        assert all(est == clean for _, est in inside.seen)
+        assert star_db.catalog.statistics("orders") is before
+
+    def test_dropped_statistics_are_never_dropped_from_the_catalog(
+        self, star_db
+    ):
+        before = star_db.catalog.statistics("orders")
+        inside = InsideTheStatement(star_db)
+        result = star_db.execute(
+            JOIN_SQL, pop=guarded(), faults=stats_fault(0.0), progress=inside
+        )
+        assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
+        assert inside.seen and all(stats is before for stats, _ in inside.seen)
         with pytest.raises(ReproError):
             star_db.execute(
-                "SELECT c.nope FROM cust c", pop=guarded(), faults=plan
+                "SELECT c.nope FROM cust c", pop=guarded(),
+                faults=stats_fault(0.0),
             )
-        assert star_db.catalog.statistics("orders") is not None
+        assert star_db.catalog.statistics("orders") is before
+
+    def test_stats_faulted_statement_skips_the_plan_cache(self, star_db):
+        cache = star_db.enable_plan_cache()
+        result = star_db.execute(
+            JOIN_SQL, pop=guarded(), faults=stats_fault(100.0)
+        )
+        assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
+        assert result.report.faults_injected == 1
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.installs) == (0, 0, 0)
+        assert not cache.entries()
 
 
 # --------------------------------------------------------- exception safety
