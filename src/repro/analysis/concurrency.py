@@ -140,7 +140,7 @@ class ConcurrencyPolicy:
 
     def is_callback_name(self, attr: str) -> bool:
         # search, not match: the *_callbacks / *_hooks alternatives are
-        # suffix patterns ("_shrink_callbacks" must qualify).
+        # suffix patterns ("_invalidation_callbacks" must qualify).
         return bool(self._callback_re.search(attr))
 
 

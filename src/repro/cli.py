@@ -50,8 +50,12 @@ meta commands:
                             rollback discards; \\txn status shows the
                             epoch, WAL, and checkpoint counters
                             (\\txn on [DIR] enables, durable with DIR)
-  \\save DIR                 persist the database to a directory
-  \\open DIR                 load a database saved with \\save
+  \\save DIR                 write the database (tables, rows, indexes) to
+                            DIR as one atomic checkpoint; refuses a DIR
+                            whose write-ahead log is non-empty
+  \\open DIR                 open a DIR written by \\save or by a durable
+                            \\txn on DIR (checkpoint plus WAL suffix),
+                            then RUNSTATS
   \\set NAME VALUE           bind a parameter for ? / :name markers
   \\params                   show current parameter bindings
   \\timing on|off            print work units and wall time per statement

@@ -182,10 +182,6 @@ class UnboundParameterError(ExecutionError):
     """A parameter marker had no value bound at execution time."""
 
 
-class StatisticsError(ReproError):
-    """Statistics are missing or inconsistent for an estimation request."""
-
-
 #: Failure classes returned by :func:`failure_class`.
 TRANSIENT = "transient"
 RESOURCE = "resource"

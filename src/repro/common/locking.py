@@ -60,7 +60,7 @@ Three further disciplines ride on the same declaration:
 * **no callbacks under locks** — user/operator callbacks (``on_*``
   attributes, ``*_callbacks`` / ``*_hooks`` registries) are never
   invoked with a policy lock held; collect them under the lock,
-  dispatch after release (see ``MemoryGovernor._dispatch_shrinks``).
+  dispatch after release (see ``TransactionManager._notify_invalidation``).
 
 A finding can be waived on its line with ``# concurrency-ok: <reason>``;
 the reason is mandatory and CI reviewers treat waivers as diffs to argue

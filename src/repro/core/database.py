@@ -85,7 +85,7 @@ class Database:
         #: and reads see latest data — the pre-transactional behavior.
         self.txn_manager = None
         #: Per-thread implicit transaction (:meth:`begin` / :meth:`commit` /
-        #: :meth:`rollback`); explicit handles via :meth:`begin_txn`.
+        #: :meth:`rollback`).
         self._txn_local = threading.local()
 
     def enable_learning(self) -> "LearnedCardinalities":
@@ -251,17 +251,6 @@ class Database:
         self._txn_local.txn = None
         manager.rollback(txn)
 
-    # Explicit handles (the server holds one per session, across threads).
-
-    def begin_txn(self):
-        return self._require_txn_manager().begin()
-
-    def commit_txn(self, txn) -> int:
-        return self._require_txn_manager().commit(txn)
-
-    def rollback_txn(self, txn) -> None:
-        self._require_txn_manager().rollback(txn)
-
     def _invalidate_cached_plans(self, tables=None) -> None:
         """Drop cached plans affected by a data/statistics/DDL change."""
         if self.plan_cache is None:
@@ -277,11 +266,14 @@ class Database:
         """Create a table from ``(column, type)`` pairs."""
         table = self.catalog.create_table(name, Schema.of(*columns))
         if self.txn_manager is not None:
-            self.txn_manager.on_create_table(table)
+            self.txn_manager.on_ddl(table)
         return table
 
     def create_index(self, name: str, table: str, column: str, kind: str = "sorted"):
+        """Create a ``"sorted"`` or ``"hash"`` index on ``table.column``."""
         index = self.catalog.create_index(name, table, column, kind)
+        if self.txn_manager is not None:
+            self.txn_manager.on_ddl(index.table)
         self._invalidate_cached_plans([table])
         return index
 

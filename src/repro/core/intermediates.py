@@ -18,22 +18,13 @@ from repro.core.config import PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.executor.base import ExecutionContext, Operator, ReoptimizationSignal
 from repro.executor.scans import IndexScanExec
-from repro.plan.physical import (
-    AntiJoin,
-    Distinct,
-    GroupBy,
-    Project,
-    Return,
-    Sort,
-)
-
-#: Operators whose output cardinality does not equal their edge-signature
-#: cardinality (aggregation collapses rows; Return may be LIMIT-cut; ...).
-_EXCLUDED_FROM_FEEDBACK = (GroupBy, Distinct, Project, Return, AntiJoin)
+from repro.plan.physical import Sort, relational_edge
 
 
 def _feedback_eligible(op: Operator) -> bool:
-    if isinstance(op.plan, _EXCLUDED_FROM_FEEDBACK):
+    if not relational_edge(op.plan):
+        # Above an aggregate the signature is the join's but the rows
+        # are not: neither feedback nor a temp MV for that edge.
         return False
     if isinstance(op, IndexScanExec) and op.plan.correlation is not None:
         # A correlated inner's total match count is not the cardinality of

@@ -23,10 +23,9 @@ Life of a statement under the governor:
    current reservation, and squeezed operators spill instead of dying.
 3. **Renegotiation** — the governor may shrink a *running* statement's
    reservation down to the ``min_reservation_pages`` floor to admit new
-   work (or when a chaos fault applies memory pressure).  Shrinks are
-   delivered through :meth:`Reservation.on_shrink` callbacks — the
-   structured replacement for PR 3's blunt ``mem_shrink`` fault — and the
-   affected operators see the smaller limit on their next grant.
+   work (or when a chaos fault applies memory pressure).  A shrink lowers
+   :attr:`Reservation.pages`, and the affected operators see the smaller
+   limit on their next grant.
 4. **Release** — :meth:`Reservation.release` returns the pages and wakes
    the admission queue.  ``Database.execute`` pairs admit/release in a
    ``try``/``finally``.
@@ -34,15 +33,13 @@ Life of a statement under the governor:
 Thread-safe: one lock/condition guards all budget state, because the
 whole point is many concurrent statements contending for one budget.
 The ``governor`` condition ranks first in the repo-wide lock order (see
-:mod:`repro.common.locking`), and ``on_shrink`` callbacks are *never*
-invoked while it is held — renegotiation collects them under the lock
-and dispatches after release (:meth:`MemoryGovernor._dispatch_shrinks`).
+:mod:`repro.common.locking`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.common.errors import AdmissionRejected, ExecutionCancelled
 from repro.common.locking import maybe_witness
@@ -91,8 +88,8 @@ class Reservation:
 
     ``pages`` is the *current* reservation — the governor may shrink it
     while the statement runs (never below the policy floor).  Operators
-    cap their grants at ``pages``; :meth:`on_shrink` callbacks let the
-    execution context react to mid-query renegotiation.
+    cap their grants at ``pages``, so they see a mid-query renegotiation
+    on their next grant.
     """
 
     def __init__(self, governor: "MemoryGovernor", res_id: int, pages: float, label: str):
@@ -104,13 +101,6 @@ class Reservation:
         self.released = False  # guarded-by: governor._cond
         #: Times the governor shrank this reservation mid-query.
         self.renegotiations = 0  # guarded-by: governor._cond
-        # guarded-by: governor._cond
-        self._shrink_callbacks: list[Callable[["Reservation", float], None]] = []
-
-    def on_shrink(self, callback: Callable[["Reservation", float], None]) -> None:
-        """Register ``callback(reservation, new_pages)`` for renegotiations."""
-        with self.governor._cond:
-            self._shrink_callbacks.append(callback)
 
     def shrink_to(self, new_pages: float) -> float:
         """Voluntarily renegotiate down (e.g. a fault applying pressure).
@@ -124,14 +114,10 @@ class Reservation:
         """Return the pages to the budget (idempotent)."""
         self.governor.release(self)
 
-    def _collect_shrink_locked(self, new_pages: float) -> list:
-        """Governor-internal (``_cond`` held): record the shrink, return
-        the ``(callback, reservation, new_pages)`` invocations the caller
-        must dispatch *after* releasing the lock — callbacks never run
-        under a policy lock (see :mod:`repro.common.locking`)."""
+    def _shrink_locked(self, new_pages: float) -> None:
+        """Governor-internal (``_cond`` held): record the shrink."""
         self.pages = new_pages
         self.renegotiations += 1
-        return [(cb, self, new_pages) for cb in self._shrink_callbacks]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Reservation {self.label} pages={self.pages:.1f}>"
@@ -192,12 +178,9 @@ class MemoryGovernor:
                     f"statement cancelled while awaiting admission: "
                     f"{cancel.reason or 'cancelled'}"
                 )
-            # Renegotiation callbacks collected while holding the condition;
-            # dispatched after release (no callbacks under policy locks).
-            pending: list = []
             shed_exc: Optional[AdmissionRejected] = None
             with self._cond:
-                reservation = self._try_admit_locked(ask, label, pending)
+                reservation = self._try_admit_locked(ask, label)
                 if reservation is None:
                     remaining = deadline - wall_clock()
                     if self._queue_depth >= p.max_queue_depth or remaining <= 0:
@@ -242,7 +225,6 @@ class MemoryGovernor:
                             self._cond.wait(timeout=wait_for)
                         finally:
                             self._queue_depth -= 1
-            self._dispatch_shrinks(pending)
             if reservation is not None:
                 if waited and self.metrics is not None:
                     self.metrics.inc("governor.queue_exits")
@@ -250,14 +232,11 @@ class MemoryGovernor:
             if shed_exc is not None:
                 raise shed_exc
 
-    def _try_admit_locked(
-        self, ask: float, label: str, pending: list
-    ) -> Optional[Reservation]:
-        """Fit ``ask`` pages, reclaiming from running statements if needed.
-        Shrink callbacks land in ``pending`` for post-release dispatch."""
+    def _try_admit_locked(self, ask: float, label: str) -> Optional[Reservation]:
+        """Fit ``ask`` pages, reclaiming from running statements if needed."""
         available = self.policy.budget_pages - self._used_locked()
         if available < ask:
-            self._reclaim_locked(ask - available, pending)
+            self._reclaim_locked(ask - available)
             available = self.policy.budget_pages - self._used_locked()
         if available < ask:
             return None
@@ -279,11 +258,9 @@ class MemoryGovernor:
 
     # ---------------------------------------------------------- renegotiation
 
-    def _reclaim_locked(self, needed: float, pending: list) -> float:
+    def _reclaim_locked(self, needed: float) -> float:
         """Shrink running reservations toward the floor to free ``needed``
-        pages (mid-query renegotiation).  Returns the pages freed; the
-        affected statements' shrink callbacks are appended to ``pending``
-        and must be dispatched by the caller after releasing ``_cond``."""
+        pages (mid-query renegotiation).  Returns the pages freed."""
         floor = self.policy.min_reservation_pages
         freed = 0.0
         # Largest reservations first: fewest statements disturbed.
@@ -293,9 +270,7 @@ class MemoryGovernor:
             give = min(reservation.pages - floor, needed - freed)
             if give <= 0:
                 continue
-            pending.extend(
-                reservation._collect_shrink_locked(reservation.pages - give)
-            )
+            reservation._shrink_locked(reservation.pages - give)
             freed += give
             self.renegotiation_total += 1
             if self.metrics is not None:
@@ -316,20 +291,13 @@ class MemoryGovernor:
             freed = reservation.pages - target
             if freed <= 0:
                 return 0.0
-            pending = reservation._collect_shrink_locked(target)
+            reservation._shrink_locked(target)
             self.renegotiation_total += 1
             if self.metrics is not None:
                 self.metrics.inc("governor.renegotiations")
             self._publish_gauges_locked()
             self._cond.notify_all()
-        self._dispatch_shrinks(pending)
         return freed
-
-    @staticmethod
-    def _dispatch_shrinks(pending: list) -> None:
-        """Invoke collected ``on_shrink`` callbacks with no lock held."""
-        for callback, reservation, new_pages in pending:
-            callback(reservation, new_pages)
 
     # ---------------------------------------------------------------- release
 

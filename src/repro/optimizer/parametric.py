@@ -29,16 +29,7 @@ from typing import Any, Optional
 from repro.expr.expressions import Literal, ParameterMarker
 from repro.expr.predicates import Between, Comparison, Or, Predicate
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.plan.physical import (
-    AntiJoin,
-    Distinct,
-    GroupBy,
-    HavingFilter,
-    MVScan,
-    PlanOp,
-    Project,
-    Return,
-)
+from repro.plan.physical import PlanOp, relational_edge
 from repro.stats.selectivity import SelectivityEstimator
 
 
@@ -93,25 +84,13 @@ class PeekingSelectivity(SelectivityEstimator):
         return operand
 
 
-#: Operators that change the row multiplicity of their output relative to
-#: the SPJ edge signature (aggregation collapses, RETURN may be LIMIT-cut,
-#: ...).  An edge fed by one of these is not re-estimable from the subset
-#: cardinality model, so its range is skipped by the admission test.
-_NON_SPJ = (GroupBy, Distinct, HavingFilter, Project, Return, AntiJoin, MVScan)
-
-
-def estimable_edge(child: PlanOp) -> bool:
-    """True when ``child``'s output cardinality is the cardinality of a
-    relational edge the subset model can re-estimate."""
-    return not any(isinstance(op, _NON_SPJ) for op in child.walk())
-
-
 def fresh_edge_estimate(
     child: PlanOp, estimator: CardinalityEstimator
 ) -> Optional[float]:
     """Re-estimate the cardinality of the edge ``child`` produces, or None
-    when the edge is not re-estimable (non-SPJ content below it)."""
-    if not estimable_edge(child):
+    when the edge is not re-estimable (see
+    :func:`~repro.plan.physical.relational_edge`)."""
+    if not relational_edge(child):
         return None
     tables = child.properties.tables
     if not tables:

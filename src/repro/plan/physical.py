@@ -471,6 +471,20 @@ def find_ops(root: PlanOp, kind: type) -> list[PlanOp]:
     return [op for op in root.walk() if isinstance(op, kind)]
 
 
-def plan_signature(op: PlanOp) -> tuple:
-    """Edge signature of the rows an operator outputs (feedback/MV key)."""
-    return op.properties.signature
+#: Operators whose output is not the row set of their edge signature:
+#: aggregation and DISTINCT collapse rows, HAVING filters groups, RETURN
+#: may be LIMIT-cut, ANTIJOIN emits compensation rows.  Every operator
+#: above one inherits the signature of the join below it (``_finalize``
+#: passes the join's properties upward), so the test covers the subtree.
+_NON_RELATIONAL = (GroupBy, Distinct, HavingFilter, Return, AntiJoin)
+
+
+def relational_edge(op: PlanOp) -> bool:
+    """True when ``op`` outputs exactly the rows of its edge signature.
+
+    The one rule for which operators may stand for their signature's
+    edge: runtime feedback, temp-MV promotion and the plan cache's range
+    re-estimation all use it.  An MV scan below keeps the edge relational
+    (its rows are that edge's rows).
+    """
+    return not any(isinstance(node, _NON_RELATIONAL) for node in op.walk())

@@ -1,157 +1,72 @@
-"""Saving and loading databases.
+"""Saving and loading whole databases.
 
-A database directory contains ``schema.json`` (tables, column types, index
-definitions) and one JSON-lines file per table under ``data/``.  All value
-types round-trip exactly: INT/FLOAT/STR natively, DATE as its day number,
-NULL as JSON ``null``.  Statistics are re-collected on load (they derive
-from the data).
+A saved database is the transaction layer's checkpoint
+(:mod:`repro.storage.wal`): one CRC-checked JSON file carrying every
+table's columns, rows and index definitions, installed atomically (temp
+file + fsync + ``os.replace``), so a crash mid-save leaves the previous
+save intact.  All value types round-trip exactly: INT/FLOAT/STR natively,
+DATE as its day number, NULL as JSON ``null``.  Statistics are
+re-collected on load (they derive from the data).
 
-Writes are crash-safe, independent of the WAL layer (:mod:`repro.storage.wal`
-protects *transactions*; this module protects *whole-database exports*):
-
-* every file is written to a ``.tmp`` sibling, flushed, fsynced, and
-  atomically installed with ``os.replace`` — a crash mid-save leaves the
-  previous export intact, never a torn hybrid;
-* the data files land first and ``schema.json`` last, so the manifest is
-  the commit point: a directory with a fresh manifest always has all the
-  data files the manifest names;
-* format version 2 adds a CRC32 checksum per data file to the manifest;
-  the loader verifies them, so silent corruption fails loudly as a
-  :class:`PersistenceError` instead of loading wrong rows.  Version-1
-  directories (no checksums) still load.
+There is one format, so either entry point reads the other's directory:
+:func:`load_database` opens a durable database's directory (checkpoint
+plus committed WAL suffix) exactly as recovery does, and
+``Database.enable_transactions(path=...)`` on a saved directory recovers
+its tables and indexes.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
-from typing import Optional
 
 from repro.common.errors import ReproError
 from repro.core.database import Database
-
-_SCHEMA_FILE = "schema.json"
-_DATA_DIR = "data"
-#: Current writer version.  ``2`` = atomic install + per-file checksums.
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+from repro.storage.wal import (
+    CHECKPOINT_FILE,
+    WAL_FILE,
+    apply_state,
+    capture_state,
+    recover,
+    write_checkpoint,
+)
 
 
 class PersistenceError(ReproError):
-    """The on-disk database is missing or malformed."""
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """temp file + flush + fsync + ``os.replace``: all-or-nothing install."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort directory-entry fsync (not available on all platforms)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+    """The on-disk database is missing, or the target directory is unsafe."""
 
 
 def save_database(db: Database, path: str) -> None:
-    """Write ``db``'s schema, indexes, and data under directory ``path``.
+    """Write ``db``'s tables, rows and indexes under directory ``path``.
 
-    Atomic per file, with the manifest written last as the commit point;
-    re-saving over an existing export can never leave it torn.
+    Refuses a directory whose write-ahead log holds records: those belong
+    to a durable database, and a checkpoint written beside them would be
+    out of step with the log it is meant to fold.
     """
-    data_dir = os.path.join(path, _DATA_DIR)
-    os.makedirs(data_dir, exist_ok=True)
-    checksums: dict[str, int] = {}
-    for table in db.catalog.tables():
-        payload = b"".join(
-            json.dumps(list(row)).encode("utf-8") + b"\n" for row in table.rows
-        )
-        checksums[table.name] = zlib.crc32(payload)
-        _atomic_write(os.path.join(data_dir, f"{table.name}.jsonl"), payload)
-    _fsync_directory(data_dir)
-    schema = {
-        "version": _FORMAT_VERSION,
-        "tables": {
-            table.name: [[c.name, c.dtype.value] for c in table.schema]
-            for table in db.catalog.tables()
-        },
-        "checksums": checksums,
-        "indexes": [
-            {
-                "name": index.name,
-                "table": index.table.name,
-                "column": index.column,
-                "kind": "sorted" if index.supports_range else "hash",
-            }
-            for table in db.catalog.tables()
-            for index in db.catalog.indexes_on(table.name)
-        ],
-    }
-    _atomic_write(
-        os.path.join(path, _SCHEMA_FILE),
-        json.dumps(schema, indent=2, sort_keys=True).encode("utf-8"),
-    )
-    _fsync_directory(path)
-
-
-def load_database(
-    path: str,
-    runstats: bool = True,
-    db: Optional[Database] = None,
-    **db_kwargs,
-) -> Database:
-    """Load a database previously written by :func:`save_database`.
-
-    Accepts format versions 1 (legacy, no checksums) and 2; a version-2
-    data file whose checksum mismatches the manifest raises
-    :class:`PersistenceError` rather than loading silently corrupt rows.
-    """
-    schema_path = os.path.join(path, _SCHEMA_FILE)
-    if not os.path.exists(schema_path):
-        raise PersistenceError(f"no database found at {path!r}")
-    with open(schema_path) as f:
-        schema = json.load(f)
-    version = schema.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    wal_path = os.path.join(path, WAL_FILE)
+    if os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:
         raise PersistenceError(
-            f"unsupported database format version {version!r}"
+            f"{path!r} holds a non-empty write-ahead log; "
+            "save to another directory"
         )
-    checksums = schema.get("checksums", {})
-    database = db if db is not None else Database(**db_kwargs)
-    for table_name, columns in schema["tables"].items():
-        database.create_table(table_name, [tuple(c) for c in columns])
-        file_path = os.path.join(path, _DATA_DIR, f"{table_name}.jsonl")
-        if not os.path.exists(file_path):
-            raise PersistenceError(f"missing data file for table {table_name!r}")
-        with open(file_path, "rb") as f:
-            payload = f.read()
-        if version >= 2 and table_name in checksums:
-            if zlib.crc32(payload) != checksums[table_name]:
-                raise PersistenceError(
-                    f"checksum mismatch in data file for table {table_name!r}"
-                )
-        rows = []
-        for line in payload.decode("utf-8").splitlines():
-            if line.strip():
-                rows.append(tuple(json.loads(line)))
-        database.catalog.table(table_name).load_raw(rows)
-    for index in schema.get("indexes", []):
-        database.create_index(
-            index["name"], index["table"], index["column"], index["kind"]
+    os.makedirs(path, exist_ok=True)
+    epoch = db.txn_manager.epoch if db.txn_manager is not None else 0
+    write_checkpoint(path, capture_state(db.catalog, epoch))
+
+
+def load_database(path: str, runstats: bool = True) -> Database:
+    """Open the database under ``path`` as recovery does, then RUNSTATS.
+
+    Reads a :func:`save_database` directory or a durable database's
+    directory (its committed WAL suffix included).  A directory without a
+    checkpoint raises :class:`PersistenceError`; a corrupt checkpoint
+    raises :class:`~repro.common.errors.WalError`.
+    """
+    if not os.path.exists(os.path.join(path, CHECKPOINT_FILE)):
+        raise PersistenceError(
+            f"no database found at {path!r} (no {CHECKPOINT_FILE})"
         )
+    database = Database()
+    apply_state(database.catalog, recover(path))
     if runstats:
         database.runstats()
     return database

@@ -16,12 +16,16 @@ the file back to the last good record (re-running recovery is therefore
 idempotent — the second pass sees only whole records).
 
 Checkpoints bound replay time.  A checkpoint is one JSON file carrying
-the full table state plus the epoch it captured, written to a ``.tmp``
-sibling, fsynced, and atomically installed with ``os.replace`` — a crash
-at any point leaves either the old checkpoint or the new one, never a
-torn hybrid (leftover ``.tmp`` files are swept by :func:`recover`).  The
-body rides under its own CRC32 so silent corruption is detected rather
-than loaded.
+the full catalog state (:func:`capture_state`: tables, rows, index
+definitions) plus the epoch it captured, written to a ``.tmp`` sibling,
+fsynced, and atomically installed with ``os.replace`` — a crash at any
+point leaves either the old checkpoint or the new one, never a torn
+hybrid (leftover ``.tmp`` files are swept by :func:`recover`).  The body
+rides under its own CRC32 so silent corruption is detected rather than
+loaded.  It is the database's only on-disk format: a durable database
+(:mod:`repro.txn`) and a saved one (:mod:`repro.storage.persistence`)
+both write it, and both open through :func:`recover` +
+:func:`apply_state`.
 
 Crash injection rides a single optional hook so the storage layer never
 imports the fault machinery: ``crash_hook(point, size, write_partial)``
@@ -43,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.common.errors import WalError
+from repro.storage.table import Schema
 
 __all__ = [
     "WAL_FILE",
@@ -54,6 +59,8 @@ __all__ = [
     "read_checkpoint",
     "recover",
     "RecoveredState",
+    "capture_state",
+    "apply_state",
 ]
 
 WAL_FILE = "wal.log"
@@ -250,7 +257,7 @@ def write_checkpoint(
 ) -> int:
     """Atomically install ``state`` as the checkpoint; returns bytes written.
 
-    ``state`` must be JSON-serializable (the transaction manager passes
+    ``state`` must be JSON-serializable (a :func:`capture_state` body,
     ``{"epoch": E, "tables": {...}}``).  Temp file + fsync +
     ``os.replace``: a crash at any point leaves the previous checkpoint
     intact or the new one fully installed.
@@ -355,3 +362,65 @@ def recover(directory: str) -> RecoveredState:
         truncated_bytes=truncated,
         removed_temp_files=removed,
     )
+
+
+# ------------------------------------------------------------ catalog state
+
+
+def capture_state(catalog, epoch: int) -> dict:
+    """The checkpoint body of ``catalog`` at ``epoch``.
+
+    Per table: ``[name, type]`` column pairs, the rows, and the index
+    definitions as ``[name, column, kind]`` — the indexes are part of the
+    state because the optimizer's plans and validity ranges are computed
+    over them.
+    """
+    return {
+        "epoch": epoch,
+        "tables": {
+            table.name: {
+                "columns": [[c.name, c.dtype.value] for c in table.schema],
+                "rows": [list(r) for r in table.rows],
+                "indexes": [
+                    [ix.name, ix.column, "sorted" if ix.supports_range else "hash"]
+                    for ix in catalog.indexes_on(table.name)
+                ],
+            }
+            for table in catalog.tables()
+        },
+    }
+
+
+def apply_state(catalog, recovered: RecoveredState) -> tuple[int, dict]:
+    """Install ``recovered`` into ``catalog``; returns ``(epoch, last_commit)``.
+
+    Creates the tables and indexes the catalog lacks, installs the
+    checkpoint's rows (replacing any the catalog held), appends the
+    committed WAL suffix, and rebuilds each touched table's indexes once.
+    ``last_commit`` maps every touched table to the epoch of its last
+    write — the transaction manager's first-committer-wins watermark.
+    """
+    checkpoint = recovered.checkpoint
+    epoch = 0
+    last_commit: dict = {}
+    if checkpoint is not None:
+        epoch = checkpoint["epoch"]
+        for name, spec in checkpoint["tables"].items():
+            if not catalog.has_table(name):
+                catalog.create_table(
+                    name, Schema.of(*[tuple(c) for c in spec["columns"]])
+                )
+            existing = {ix.name for ix in catalog.indexes_on(name)}
+            for index_name, column, kind in spec.get("indexes", ()):
+                if index_name not in existing:
+                    catalog.create_index(index_name, name, column, kind)
+            catalog.table(name).rows[:] = [tuple(r) for r in spec["rows"]]
+            last_commit[name] = epoch
+    for record in recovered.records:
+        for name, rows in record.writes.items():
+            catalog.table(name).load_raw([tuple(r) for r in rows])
+            last_commit[name] = record.epoch
+        epoch = max(epoch, record.epoch)
+    for name in last_commit:
+        catalog.rebuild_indexes(name)
+    return epoch, last_commit

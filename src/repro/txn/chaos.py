@@ -16,8 +16,10 @@ contracts end to end:
     where ``k`` is pinned by where the kill landed relative to the
     fsync: before the record was flushed -> the prior commit; after ->
     the in-flight one.  Never a torn row, never an uncommitted
-    write-set.  Recovery is then exercised a second time (idempotence)
-    and the recovered database must accept new commits.
+    write-set, and never a lost index: the workload's index, created
+    before the durable open, must survive both recoveries.  Recovery is
+    then exercised a second time (idempotence) and the recovered
+    database must accept new commits.
 
 ``snapshot``
     K writer threads append to a shared table in R-row transactions
@@ -67,12 +69,13 @@ from repro.txn.faults import (
     SimulatedCrash,
 )
 
-#: Tables of the crash workload (created before the durable open, so the
-#: checkpoint-at-open captures their schemas).
+#: Tables and index of the crash workload (created before the durable
+#: open, so the checkpoint-at-open captures them).
 CRASH_TABLES = (
     ("events", (("e_id", "int"), ("e_val", "float"), ("e_note", "str"))),
     ("audit", (("a_id", "int"), ("a_tag", "str"))),
 )
+CRASH_INDEX = ("ix_events_id", "events", "e_id")
 #: Committed transactions per crash case / checkpoint cadence.  Twelve
 #: commits at interval three fold the log four times, so every
 #: checkpoint point occurs at least ``MAX_TRIGGER`` times and every
@@ -132,6 +135,9 @@ def _db_state(db: Database, problems: list, label: str) -> Optional[dict]:
         except CatalogError:
             problems.append(f"{label}: table {name!r} missing after recovery")
             return None
+    index, table, _column = CRASH_INDEX
+    if index not in {ix.name for ix in db.catalog.indexes_on(table)}:
+        problems.append(f"{label}: index {index!r} missing after recovery")
     return state
 
 
@@ -157,6 +163,7 @@ def _run_crash_case(seed: int, case: int, problems: list) -> bool:
         db = Database()
         for name, columns in CRASH_TABLES:
             db.create_table(name, list(columns))
+        db.create_index(*CRASH_INDEX)
         governor = db.enable_memory_governor(
             policy=MemoryPolicy(
                 budget_pages=4096.0,

@@ -34,8 +34,9 @@ the snapshot filter drops.
 
 Durability is optional: with a ``directory`` the manager opens the
 crash-safe WAL + checkpoint layer (:mod:`repro.storage.wal`) and
-recovery-on-open replays the committed suffix and discards torn tails;
-without one, transactions are isolation-only (in-memory).
+recovery-on-open installs the checkpoint (tables, rows, indexes),
+replays the committed suffix and discards torn tails; without one,
+transactions are isolation-only (in-memory).
 """
 
 from __future__ import annotations
@@ -45,17 +46,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.common.errors import (
-    CatalogError,
     SchemaError,
     TransactionConflict,
     TransactionError,
 )
 from repro.common.locking import maybe_witness
 from repro.common.values import coerce
-from repro.storage.table import PAGE_SIZE, Schema
+from repro.storage.table import PAGE_SIZE
 from repro.storage.wal import (
     WalRecord,
     WriteAheadLog,
+    apply_state,
+    capture_state,
     recover,
     write_checkpoint,
 )
@@ -153,14 +155,19 @@ class TransactionManager:
         self._wal: Optional[WriteAheadLog] = None
         with self._epoch_lock:
             if directory is not None:
-                self._recover_locked(directory)
+                recovered = recover(directory)
+                self.recovered_records = len(recovered.records)
+                self.recovered_truncated_bytes = recovered.truncated_bytes
+                self._epoch, self._last_commit = apply_state(
+                    self.catalog, recovered
+                )
             self._sync_visible_locked()
         if directory is not None:
             self._wal = WriteAheadLog(directory, crash_hook=self.crash_hook)
-            # Checkpoint-at-open closes the DDL gap (table creation is not
-            # WAL-logged): every table known at open — pre-loaded or
-            # recovered — is captured, so later WAL records always land on
-            # known tables.
+            # Checkpoint-at-open closes the DDL gap (DDL is not WAL-logged):
+            # every table and index known at open — pre-loaded or recovered
+            # — is captured, so later WAL records always land on known
+            # tables.
             self.checkpoint()
 
     # ------------------------------------------------------------- durability
@@ -176,36 +183,6 @@ class TransactionManager:
         self.crash_hook = crash_hook
         if self._wal is not None:
             self._wal.crash_hook = crash_hook
-
-    def _recover_locked(self, directory: str) -> None:
-        """Recovery-on-open: checkpoint + committed WAL suffix -> catalog."""
-        state = recover(directory)
-        self.recovered_truncated_bytes = state.truncated_bytes
-        if state.checkpoint is not None:
-            self._apply_checkpoint_locked(state.checkpoint)
-            self._epoch = state.checkpoint["epoch"]
-        touched = set()
-        for record in state.records:
-            for name, rows in record.writes.items():
-                self.catalog.table(name).load_raw([tuple(r) for r in rows])
-                self._last_commit[name] = record.epoch
-                touched.add(name)
-            self._epoch = max(self._epoch, record.epoch)
-            self.recovered_records += 1
-        for name in touched:
-            self.catalog.rebuild_indexes(name)
-
-    def _apply_checkpoint_locked(self, checkpoint: dict) -> None:
-        for name, spec in checkpoint["tables"].items():
-            try:
-                table = self.catalog.table(name)
-            except CatalogError:
-                table = self.catalog.create_table(
-                    name, Schema.of(*[tuple(c) for c in spec["columns"]])
-                )
-            table.rows[:] = [tuple(r) for r in spec["rows"]]
-            self.catalog.rebuild_indexes(name)
-            self._last_commit[name] = checkpoint["epoch"]
 
     def _sync_visible_locked(self) -> None:
         """Watermark every catalog table at its current row count."""
@@ -262,8 +239,9 @@ class TransactionManager:
         with self._epoch_lock:
             return Snapshot(self._epoch, dict(self._visible))
 
-    def on_create_table(self, table) -> None:
-        """DDL hook: watermark the new table and persist the schema."""
+    def on_ddl(self, table) -> None:
+        """DDL hook (a new table or index): watermark the table and
+        persist the catalog."""
         with self._epoch_lock:
             self._visible[table.name] = len(table.rows)
         if self._wal is not None:
@@ -469,7 +447,7 @@ class TransactionManager:
             if not _resume and self._checkpointing:
                 return None
             self._checkpointing = True
-            state = self._capture_state_locked()
+            state = capture_state(self.catalog, self._epoch)
         governor = (
             self._governor_source() if self._governor_source is not None else None
         )
@@ -500,20 +478,6 @@ class TransactionManager:
         if self.tracer is not None:
             self.tracer.event("txn.checkpoint", epoch=state["epoch"])
         return state["epoch"]
-
-    def _capture_state_locked(self) -> dict:
-        return {
-            "epoch": self._epoch,
-            "tables": {
-                table.name: {
-                    "columns": [
-                        [c.name, c.dtype.value] for c in table.schema
-                    ],
-                    "rows": [list(r) for r in table.rows],
-                }
-                for table in self.catalog.tables()
-            },
-        }
 
     # ------------------------------------------------------------------ close
 

@@ -16,8 +16,15 @@ from dataclasses import dataclass
 from repro.common.rng import WeightedChooser, zipf_weights
 from repro.common.values import date_to_days
 from repro.core.database import Database
-from repro.workloads.datagen import date_string
 from repro.workloads.tpch import schema as s
+
+
+def date_string(rng: random.Random, start_year: int, end_year: int) -> str:
+    """A uniform ISO date between Jan 1 of start_year and Dec 28 of end_year."""
+    year = rng.randint(start_year, end_year)
+    month = rng.randint(1, 12)
+    day = rng.randint(1, 28)
+    return f"{year:04d}-{month:02d}-{day:02d}"
 
 
 @dataclass(frozen=True)

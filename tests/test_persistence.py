@@ -1,12 +1,22 @@
-"""Tests for database save/load round-tripping."""
+"""Tests for database save/load round-tripping.
+
+A saved database and a durable one share one on-disk format, the
+transaction checkpoint, so each entry point also reads the other's
+directory, and recovery restores indexes along with the rows.
+"""
 
 import json
 import os
+from functools import partial
 
 import pytest
 
 from repro import Database
+from repro.common.errors import FATAL, ReproError, WalError, failure_class
+from repro.storage import persistence
 from repro.storage.persistence import PersistenceError, load_database, save_database
+from repro.storage.wal import CHECKPOINT_FILE, write_checkpoint
+from repro.txn.faults import CrashInjector, CrashPlan, CrashSpec, SimulatedCrash
 
 
 def make_db():
@@ -87,37 +97,31 @@ class TestFailureModes:
         with pytest.raises(PersistenceError, match="no database found"):
             load_database(str(tmp_path / "ghost"))
 
-    def test_bad_version(self, tmp_path):
+    def test_old_format_directory_is_refused(self, tmp_path):
         path = tmp_path / "db"
-        save_database(make_db(), str(path))
-        schema_file = path / "schema.json"
-        content = json.loads(schema_file.read_text())
-        content["version"] = 999
-        schema_file.write_text(json.dumps(content))
-        with pytest.raises(PersistenceError, match="version"):
+        (path / "data").mkdir(parents=True)
+        (path / "schema.json").write_text(
+            json.dumps({"version": 2, "tables": {"t": [["i", "int"]]}})
+        )
+        (path / "data" / "t.jsonl").write_text("[1]\n")
+        with pytest.raises(PersistenceError, match="no database found"):
             load_database(str(path))
 
-    def test_missing_data_file(self, tmp_path):
-        path = tmp_path / "db"
-        save_database(make_db(), str(path))
-        os.remove(path / "data" / "t.jsonl")
-        with pytest.raises(PersistenceError, match="missing data file"):
-            load_database(str(path))
+    def test_save_refuses_a_non_empty_write_ahead_log(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = make_db()
+        db.enable_transactions(path=path, checkpoint_interval=100)
+        db.insert("t", [(4, 4.0, "wal", "2002-02-02")])
+        with pytest.raises(PersistenceError, match="write-ahead log") as info:
+            save_database(db, path)
+        assert failure_class(info.value) == FATAL
+        db.close()
+        # The refused save left the durable directory as it was.
+        assert load_database(path).catalog.table("t").row_count == 4
 
 
 class TestCrashSafeFormat:
-    """Format v2: atomic installs, per-file checksums, v1 compatibility."""
-
-    def test_writes_version_2_with_checksums(self, tmp_path):
-        path = tmp_path / "db"
-        save_database(make_db(), str(path))
-        schema = json.loads((path / "schema.json").read_text())
-        assert schema["version"] == 2
-        assert "t" in schema["checksums"]
-        import zlib
-
-        payload = (path / "data" / "t.jsonl").read_bytes()
-        assert schema["checksums"]["t"] == zlib.crc32(payload)
+    """Atomic install, checksum, and the `.tmp` sweep of the checkpoint."""
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "db"
@@ -131,40 +135,104 @@ class TestCrashSafeFormat:
         ]
         assert leftovers == []
 
-    def test_corrupt_data_file_is_loud(self, tmp_path):
+    def test_corrupt_checkpoint_is_loud_through_both_entry_points(self, tmp_path):
         path = tmp_path / "db"
         save_database(make_db(), str(path))
-        data_file = path / "data" / "t.jsonl"
-        payload = bytearray(data_file.read_bytes())
-        payload[0] ^= 0xFF
-        data_file.write_bytes(bytes(payload))
-        with pytest.raises(PersistenceError, match="checksum mismatch"):
+        checkpoint = path / CHECKPOINT_FILE
+        content = json.loads(checkpoint.read_text())
+        content["state"]["tables"]["t"]["rows"].pop()  # drop the last row
+        checkpoint.write_text(json.dumps(content))
+        with pytest.raises(WalError, match="checksum mismatch") as loaded:
             load_database(str(path))
+        with pytest.raises(WalError, match="checksum mismatch") as opened:
+            Database().enable_transactions(path=str(path))
+        for info in (loaded, opened):
+            assert isinstance(info.value, ReproError)
+            assert failure_class(info.value) == FATAL
 
-    def test_version_1_without_checksums_still_loads(self, tmp_path):
-        path = tmp_path / "db"
-        save_database(make_db(), str(path))
-        schema_file = path / "schema.json"
-        content = json.loads(schema_file.read_text())
-        content["version"] = 1
-        del content["checksums"]
-        schema_file.write_text(json.dumps(content))
-        restored = load_database(str(path))
-        assert restored.catalog.table("t").row_count == 3
+    @pytest.mark.parametrize(
+        "point, kind, survives",
+        [
+            ("checkpoint.write", "torn", "old"),
+            ("checkpoint.fsync", "crash", "old"),
+            ("checkpoint.rename", "crash", "old"),
+            ("checkpoint.done", "crash", "new"),
+        ],
+    )
+    def test_crash_during_save_leaves_old_or_new(
+        self, tmp_path, monkeypatch, point, kind, survives
+    ):
+        path = str(tmp_path / "db")
+        old = make_db()
+        save_database(old, path)
+        new = make_db()
+        new.insert("t", [(7, 7.5, "new", "2010-10-10")])
+        plan = CrashPlan(specs=[CrashSpec(point, kind, tear_fraction=0.5)])
+        monkeypatch.setattr(
+            persistence,
+            "write_checkpoint",
+            partial(write_checkpoint, crash_hook=CrashInjector(plan).hook),
+        )
+        with pytest.raises(SimulatedCrash):
+            save_database(new, path)
+        expected = (old if survives == "old" else new).catalog.table("t").rows
+        assert load_database(path).catalog.table("t").rows == expected
+        assert not any(".tmp" in name for name in os.listdir(path))
 
-    def test_corrupt_v1_loads_silently_v2_does_not(self, tmp_path):
-        # The checksum is exactly what v2 adds: the same corruption that
-        # v1 cannot see, v2 refuses to load.
-        path = tmp_path / "db"
-        save_database(make_db(), str(path))
-        data_file = path / "data" / "t.jsonl"
-        rows = data_file.read_bytes().splitlines(keepends=True)
-        data_file.write_bytes(b"".join(rows[:-1]))  # drop the last row
-        with pytest.raises(PersistenceError, match="checksum mismatch"):
-            load_database(str(path))
-        schema_file = path / "schema.json"
-        content = json.loads(schema_file.read_text())
-        content["version"] = 1
-        del content["checksums"]
-        schema_file.write_text(json.dumps(content))
-        assert load_database(str(path)).catalog.table("t").row_count == 2
+
+def durable_db(path: str) -> Database:
+    """A durable ``t`` with a hash index made before the open and a sorted
+    one after it, rows in the checkpoint and in the WAL suffix."""
+    db = Database()
+    db.create_table("t", [("i", "int"), ("s", "str")])
+    db.create_index("ix_t_s", "t", "s", kind="hash")
+    db.enable_transactions(path=path, checkpoint_interval=100)
+    db.insert("t", [(i, f"s{i % 5}") for i in range(200)])
+    db.create_index("ix_t_i", "t", "i", kind="sorted")
+    db.insert("t", [(i, f"s{i % 5}") for i in range(200, 300)])
+    return db
+
+
+def assert_indexed(db: Database) -> None:
+    assert {ix.name for ix in db.catalog.indexes_on("t")} == {"ix_t_i", "ix_t_s"}
+    assert db.catalog.index_on_column("t", "i").lookup(250) == [250]
+    assert len(db.catalog.index_on_column("t", "s").lookup("s2")) == 60
+    db.runstats()
+    assert "IXSCAN" in db.explain("SELECT t.s FROM t WHERE t.i = 2")
+
+
+class TestOneFormat:
+    def test_recovery_restores_indexes(self, tmp_path):
+        path = str(tmp_path / "db")
+        durable_db(path).close()
+        db = Database()
+        db.enable_transactions(path=path)
+        assert db.txn_manager.snapshot_stats()["recovered_records"] == 1
+        assert db.catalog.table("t").row_count == 300
+        assert_indexed(db)
+        db.close()
+
+    def test_load_reads_a_durable_directory_with_its_wal_suffix(self, tmp_path):
+        path = str(tmp_path / "db")
+        durable_db(path).close()
+        db = load_database(path)
+        assert db.catalog.table("t").rows == [
+            (i, f"s{i % 5}") for i in range(300)
+        ]
+        assert db.catalog.statistics("t") is not None
+        assert_indexed(db)
+
+    def test_enable_transactions_sees_a_saved_directory(self, tmp_path):
+        path = str(tmp_path / "db")
+        original = make_db()
+        save_database(original, path)
+        db = Database()
+        db.enable_transactions(path=path)
+        assert db.catalog.table("t").rows == original.catalog.table("t").rows
+        assert {ix.name for ix in db.catalog.indexes_on("t")} == {
+            "ix_t_i",
+            "ix_t_s",
+        }
+        db.insert("t", [(5, 5.0, "more", "2005-05-05")])
+        db.close()
+        assert load_database(path).catalog.table("t").row_count == 4
