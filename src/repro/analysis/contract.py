@@ -8,8 +8,9 @@ breaks the reproduction rather than crashing it:
   when it overrides ``open``/``close``, delegates to ``super()`` so span
   tracking and operator registration keep working.
 * **batch-contract** — every ``next_batch`` returns ``self.emit_batch(...)``
-  or the ``None`` EOF sentinel, so rows reach ``rows_out`` accounting and
-  the cancellation poll.
+  or the ``None`` EOF sentinel, and every ``probe`` (an index-NLJN inner's
+  batched lookup) calls ``self.emit_batch(...)`` once per call, so rows
+  reach ``rows_out`` accounting and the cancellation poll.
 * **float-eq** — no ``==`` / ``!=`` on numbers inside
   ``optimizer/costmodel.py`` or ``repro/cache/``: validity-range analysis
   evaluates the cost functions at perturbed, non-integral cardinalities,
@@ -598,34 +599,54 @@ def check_close_guarded(graph: _OperatorGraph) -> Iterator[Finding]:
 # ---------------------------------------------------------- batch-contract
 
 
+def _is_self_emit(node: Optional[ast.AST]) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "emit_batch"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    )
+
+
 def _batch_return_ok(value: Optional[ast.expr]) -> bool:
     """A ``next_batch`` return is legal when it is the ``None`` EOF
     sentinel (bare return included) or funnels through
     ``self.emit_batch(...)``."""
-    if value is None:
+    if value is None or (isinstance(value, ast.Constant) and value.value is None):
         return True
-    if isinstance(value, ast.Constant) and value.value is None:
-        return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr == "emit_batch"
-        and isinstance(value.func.value, ast.Name)
-        and value.func.value.id == "self"
-    )
+    return _is_self_emit(value)
+
+
+def _counts_once(method: ast.FunctionDef) -> bool:
+    """One ``self.emit_batch`` call, a top-level statement: once per call."""
+    emits = [sub for sub in ast.walk(method) if _is_self_emit(sub)]
+    return len(emits) == 1 and any(getattr(s, "value", None) is emits[0] for s in method.body)
 
 
 def check_batch_contract(graph: _OperatorGraph) -> Iterator[Finding]:
-    """``next_batch`` implementations preserve row accounting.
+    """``next_batch`` and ``probe`` implementations preserve row accounting.
 
     POP's cardinality feedback is exact only if every operator returns
     either ``self.emit_batch(...)`` — the single place rows enter
     ``rows_out`` and the cancellation token is polled — or the ``None``
-    EOF sentinel.
+    EOF sentinel.  A ``probe`` returns its rows grouped per key, so it
+    counts them with one ``self.emit_batch(...)`` call per invocation.
     """
     for name in graph.operators:
         rel, node = graph.classes[name]
-        method = _methods(node).get("next_batch")
+        methods = _methods(node)
+        probe = methods.get("probe")
+        if probe is not None and not _counts_once(probe):
+            yield Finding(
+                rule="batch-contract",
+                severity=ERROR,
+                message=f"{name}.probe() must count its rows with one "
+                "self.emit_batch(...) statement outside any loop or branch",
+                file=rel,
+                line=probe.lineno,
+            )
+        method = methods.get("next_batch")
         if method is None:
             continue
         for sub in ast.walk(method):

@@ -71,7 +71,8 @@ def harvest_execution_state(
         elif op.rows_out > 0:
             feedback.record(signature, op.rows_out, exact=False)
 
-    if signal is not None:
+    if signal is not None and relational_edge(signal.check_op):
+        # A CHECK above an aggregate counts groups, not the join's rows.
         feedback.record(
             signal.check_op.properties.signature,
             signal.observed,

@@ -19,7 +19,8 @@ CHECK operators according to the enabled flavors:
 Guards from the paper: no checkpoints on cheap queries; a CHECK is placed
 only where an alternative plan exists above it — operationally, where the
 consumer's validity range for the edge was actually narrowed during pruning
-(``require_alternatives``); no CHECK above an exact-cardinality MV scan.
+(``require_alternatives``); no CHECK above an exact-cardinality MV scan
+or on an edge whose rows are not its signature's (``relational_edge``).
 
 :func:`optimize_and_place` is the one place a statement is planned —
 optimizer call, then this pass — for the driver's attempts and, through
@@ -45,6 +46,7 @@ from repro.plan.physical import (
     Sort,
     Temp,
     number_plan,
+    relational_edge,
 )
 from repro.plan.properties import ValidityRange
 
@@ -150,6 +152,8 @@ class CheckpointPlacer:
         flavors = self.config.flavors
         config = self.config
         if isinstance(child, (Check, BufCheck)) or _is_exact_mv(child):
+            return child
+        if not relational_edge(child):  # above an aggregate it would count groups
             return child
 
         # --- LC above materialization points --------------------------------

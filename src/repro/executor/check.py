@@ -63,6 +63,12 @@ class CheckExec(Operator):
         self.child.reset()  # type: ignore[attr-defined]
         self._evaluated_once = True
 
+    @property
+    def can_still_evaluate(self) -> bool:
+        """Whether a pull through this CHECK may still log an event or raise:
+        it has not evaluated yet, or it tests a §7 work budget per batch."""
+        return not self._evaluated_once or self.ctx.work_budget is not None
+
     def _evaluate(self, complete: bool) -> None:
         rng = self.plan.check_range
         triggered = self.count > rng.high or (complete and self.count < rng.low)

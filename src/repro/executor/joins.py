@@ -17,9 +17,10 @@ from typing import Optional
 
 from repro.common.errors import ExecutionError
 from repro.executor.base import ExecutionContext, Operator
+from repro.executor.check import CheckExec
 from repro.executor.scans import IndexScanExec
 from repro.expr.evaluate import compile_filter
-from repro.plan.physical import HashJoin, MergeJoin, NLJoin
+from repro.plan.physical import Check, HashJoin, MergeJoin, NLJoin, find_ops
 
 
 def _partition_of(key, depth: int, fanout: int) -> int:
@@ -72,7 +73,10 @@ class NLJoinExec(Operator):
     """Nested-loop join.
 
     ``index`` method: the inner is a correlated :class:`IndexScanExec`
-    re-bound with the outer's join-key value for every outer row.
+    probed with the join keys of ``k = rows still wanted // fan`` outer rows
+    per pull (``fan``: the longest rid list its index can return), so every
+    pulled row's matches fit into the request.  ``k`` is 1 while a CHECK in
+    the outer ``can_still_evaluate`` (and stamp the meter).
     ``rescan`` method: the inner is a :class:`TempExec` reset and re-read per
     outer row.
     """
@@ -81,9 +85,11 @@ class NLJoinExec(Operator):
         super().__init__(plan, ctx)
         self.outer = outer
         self.inner = inner
+        #: The outer row whose inner matches are being drained (rescan, or last probe key).
         self._outer_row: Optional[tuple] = None
         self._residual = None
         self._outer_key_slot: Optional[int] = None
+        self._outer_checks: list[CheckExec] = []
         #: Latched on outer EOF so a follow-up ``next_batch`` call (after a
         #: partial batch was returned) never re-pulls an exhausted outer —
         #: a CHECK below would charge its EOF pull twice.
@@ -101,6 +107,10 @@ class NLJoinExec(Operator):
             if corr is None:
                 raise ExecutionError("index NLJN inner has no correlation column")
             self._outer_key_slot = self.outer.plan.layout.slot(corr)
+            checks = set(find_ops(plan.outer, Check))
+            self._outer_checks = [
+                op for op in self.ctx.operators if isinstance(op, CheckExec) and op.plan in checks
+            ]
             # All predicates beyond the indexed one are residuals on the
             # concatenated row.
             residual = plan.join_predicates[1:]
@@ -110,46 +120,47 @@ class NLJoinExec(Operator):
         self._outer_row = None
         self._outer_eof = False
 
-    def _bind_outer(self, row: tuple) -> None:
-        self._outer_row = row
-        if self.plan.method == "index":
-            assert self._outer_key_slot is not None
-            self.inner.rebind(row[self._outer_key_slot])  # type: ignore[attr-defined]
-        else:
-            self.inner.reset()  # type: ignore[attr-defined]
-
-    def _advance_outer(self) -> bool:
-        if self._outer_eof:
-            return False
-        # Single-row outer pulls: the outer must advance one row at a time
-        # (each row rebinds the inner), and ``next_batch(1)`` keeps the
-        # outer's emitted-row counter exactly demand-driven.
-        one = self.outer.next_batch(1)
-        if not one:
-            self._outer_row = None
-            self._outer_eof = True
-            return False
-        self._bind_outer(one[0])
-        return True
-
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
         assert self._residual is not None
         residual = self._residual
+        inner = self.inner
         out: list[tuple] = []
         while len(out) < max_rows:
-            if self._outer_row is None:
-                if not self._advance_outer():
-                    break
-            # Inner request capped at the rows still wanted so the output
-            # never overshoots ``max_rows``; the inner is drained to EOF
-            # per outer row across calls regardless of request size.
-            inner_batch = self.inner.next_batch(max_rows - len(out))
-            if inner_batch is None:
-                self._outer_row = None
+            room = max_rows - len(out)
+            if self._outer_row is not None:
+                # Inner request capped at the rows still wanted so the output
+                # never overshoots ``max_rows``; the inner is drained to EOF
+                # per outer row across calls regardless of request size.
+                inner_batch = inner.next_batch(room)
+                if inner_batch is None:
+                    self._outer_row = None
+                    continue
+                orow = self._outer_row
+                out += residual([orow + inner_row for inner_row in inner_batch])
                 continue
-            orow = self._outer_row
-            out += residual([orow + inner_row for inner_row in inner_batch])
+            if self._outer_eof:
+                break
+            if self.plan.method == "rescan" or any(
+                check.can_still_evaluate for check in self._outer_checks
+            ):
+                want = 1
+            else:
+                fan = inner.index.max_rids_per_key()  # type: ignore[attr-defined]
+                want = max(1, room // fan) if fan else room
+            batch = self.outer.next_batch(want)
+            if batch is None:
+                self._outer_eof = True
+                break
+            self._outer_row = batch[-1]
+            if self.plan.method == "rescan":
+                inner.reset()  # type: ignore[attr-defined]
+                continue
+            keys = [row[self._outer_key_slot] for row in batch]
+            groups = inner.probe(keys, room)  # type: ignore[attr-defined]
+            out += residual(
+                [orow + irow for orow, matches in zip(batch, groups) for irow in matches]
+            )
         if out:
             self.ctx.meter.charge(len(out) * self.ctx.cost_params.cpu_emit)
             return self.emit_batch(out)

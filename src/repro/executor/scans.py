@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.common.errors import ExecutionError
 from repro.executor.base import ExecutionContext, Operator
@@ -79,8 +79,8 @@ class IndexScanExec(Operator):
     one index range/equality probe at open time.
 
     *Correlated mode*: the operator is the inner of an index nested-loop
-    join; the NLJN calls :meth:`rebind` with each outer join-key value and
-    reads the matches.
+    join; the NLJN calls :meth:`probe` with the join-key values of a batch
+    of outer rows and reads the matches.
     """
 
     def __init__(self, plan: IndexScan, ctx: ExecutionContext):
@@ -96,7 +96,7 @@ class IndexScanExec(Operator):
         self._rids: list[int] = []
         self._pos = 0
         self._scan = None
-        self.probes = 0  #: index probes issued (1 sarg, or 1 per rebind)
+        self.probes = 0  #: index probes issued (1 sarg, or 1 per probe key)
         self._fetch_charge = ctx.cost_model.fetch_cost_per_row(
             float(self.table.page_count)
         )
@@ -109,12 +109,6 @@ class IndexScanExec(Operator):
             else None
         )
 
-    def _visible_rids(self, rids: list[int]) -> list[int]:
-        visible = self._visible
-        if visible is None:
-            return list(rids)
-        return [rid for rid in rids if rid < visible]
-
     def open(self) -> None:
         super().open()
         self._scan = compile_scan(
@@ -124,7 +118,9 @@ class IndexScanExec(Operator):
             fetch=self.table.rows.__getitem__,
         )
         if self.plan.correlation is None:
-            self._rids = self._visible_rids(self._rids_for_sarg())
+            rids, visible = self._rids_for_sarg(), self._visible
+            # A range's rids are in key order, not rid order: test each one.
+            self._rids = rids if visible is None else [rid for rid in rids if rid < visible]
             self._pos = 0
             self.probes += 1
             self.ctx.meter.charge(
@@ -167,23 +163,49 @@ class IndexScanExec(Operator):
             return self.index.range_scan(low=low, high=high)
         raise ExecutionError(f"unsupported sarg {sarg!r}")
 
-    def rebind(self, key: Any) -> None:
-        """Correlated mode: position on the matches for one probe key."""
+    def probe(self, keys: list, room: int) -> list[list[tuple]]:
+        """Correlated mode: each key's matching rows, one list per key.
+
+        Only the last key's scan stops at ``room``; its rid list stays
+        positioned for ``next_batch``.  Earlier keys are read whole, so keys
+        sized by a stale ``fan`` overshoot ``room`` rather than lose rows.
+        One bulk charge (``len(keys)`` probes, one fetch per scanned rid).
+        """
+        lookup = self.index.lookup
+        visible, scan, poll = self._visible, self._scan, self._poll
+        groups: list[list[tuple]] = []
+        found: list[tuple] = []
+        scanned = pos = 0
+        rids: list[int] = []
+        last = len(keys) - 1
+        for i, key in enumerate(keys):
+            rids = lookup(key)
+            # Rids are ascending per key: the last one decides.
+            if visible is not None and rids and rids[-1] >= visible:
+                rids = [rid for rid in rids if rid < visible]
+            limit = max(1, room - len(found)) if i == last else len(rids)
+            matches, pos = scan(rids, 0, len(rids), limit, poll)
+            scanned += pos
+            groups.append(matches)
+            found += matches
+        self._rids, self._pos = rids, pos
+        self.probes += len(keys)
         p = self.ctx.cost_params
-        self.probes += 1
-        self.ctx.meter.charge(p.index_probe_io * p.random_io * p.io_page)
-        self._rids = self._visible_rids(self.index.lookup(key))
-        self._pos = 0
-        self.eof_seen = False
+        self.ctx.meter.charge(
+            len(keys) * (p.index_probe_io * p.random_io * p.io_page)
+            + scanned * self._fetch_charge
+        )
+        self.emit_batch(found)
+        return groups
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
-        """Rid-list drain (both modes; correlated rebinds keep working
-        because position state lives in ``_rids``/``_pos``)."""
+        """Rid-list drain (both modes; in correlated mode, the rest of the
+        last probed key's matches)."""
         self.require_open()
         assert self._scan is not None
         rids = self._rids
         pos = self._pos
-        # Position state lives in ``_rids``/``_pos``; a rebind replaces both.
+        # Position state lives in ``_rids``/``_pos``; a probe replaces both.
         out, self._pos = self._scan(rids, pos, len(rids), max_rows, self._poll)
         if self._pos > pos:
             self.ctx.meter.charge((self._pos - pos) * self._fetch_charge)

@@ -18,7 +18,7 @@ Operator intervals overlap arbitrarily (a parent's ``open`` spans its whole
 subtree; an NLJN inner is re-opened per outer row), so subtracting child
 open→close windows from the parent's cannot yield exclusive time.  Instead
 the collector wraps each operator's
-``open``/``next_batch``/``rebind``/``reset`` instance methods; every call
+``open``/``next_batch``/``probe``/``reset`` instance methods; every call
 pushes a frame recording the work-meter and wall-clock readings on entry,
 and child frames report their inclusive duration up to the enclosing frame
 on exit:
@@ -62,7 +62,7 @@ def qerror(estimated: float, actual: float) -> float:
 #: purpose: the runtime closes operators in a flat ``finally`` loop where
 #: per-operator cleanup charges nothing, and wrapping it would complicate
 #: the idempotence the ``close-guarded`` contract rule demands.
-_WRAPPED_METHODS = ("open", "next_batch", "rebind", "reset")
+_WRAPPED_METHODS = ("open", "next_batch", "probe", "reset")
 
 #: Spill-manager category -> operator KIND that spills under it.
 _SPILL_KINDS = {"sort": "SORT", "hash": "HSJOIN", "temp": "TEMP"}
@@ -73,7 +73,7 @@ class OpProfile:
     """What only the armed profiler measures for one operator instance."""
 
     opens: int = 0  #: ``open`` invocations (NLJN inners re-open per row)
-    #: wrapped method invocations (open+next_batch+rebind+reset)
+    #: wrapped method invocations (open+next_batch+probe+reset)
     calls: int = 0
     self_units: float = 0.0  #: exclusive work units (children subtracted)
     total_units: float = 0.0  #: inclusive work units (subtree)

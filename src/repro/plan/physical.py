@@ -483,8 +483,8 @@ def relational_edge(op: PlanOp) -> bool:
     """True when ``op`` outputs exactly the rows of its edge signature.
 
     The one rule for which operators may stand for their signature's
-    edge: runtime feedback, temp-MV promotion and the plan cache's range
-    re-estimation all use it.  An MV scan below keeps the edge relational
-    (its rows are that edge's rows).
+    edge: CHECK placement, runtime feedback, temp-MV promotion and the plan
+    cache's range re-estimation all use it.  An MV scan below keeps the
+    edge relational (its rows are that edge's rows).
     """
     return not any(isinstance(node, _NON_RELATIONAL) for node in op.walk())

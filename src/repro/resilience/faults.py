@@ -22,11 +22,11 @@ plan through a statement execution:
 Execution faults trigger on a *global* pull counter that spans all
 operators and all attempts of one statement, so a fault schedule is a pure
 function of the seed, the batch width, and the (deterministic) execution it
-perturbs.  A pull is one ``next_batch`` call, whatever it returns: wide
-batches make a statement take fewer pulls, so a late ``trigger_at`` that a
-width-1 run reaches may lie past the end of a width-1024 run and never
-fire.  Each spec fires at most ``times`` times (default once —
-"transient").
+perturbs.  A pull is one ``next_batch`` call, whatever it returns, or one
+key of an index scan's ``probe`` (k keys, k pulls): wide batches make a
+statement take fewer pulls, so a late ``trigger_at`` that a width-1 run
+reaches may lie past the end of a width-1024 run and never fire.  Each
+spec fires at most ``times`` times (default once — "transient").
 
 The injector is mounted on :class:`~repro.executor.base.ExecutionContext`
 as ``fault_injector`` and armed by ``run_plan`` — the single sanctioned
@@ -160,8 +160,9 @@ class FaultInjector:
     """Carries one :class:`FaultPlan` through a statement execution.
 
     The injector is armed over a freshly built operator tree by
-    ``run_plan`` (it wraps each operator's ``next_batch`` with a counting
-    prologue), fires due faults, and records every firing in
+    ``run_plan`` (it wraps each operator's ``next_batch``, and a correlated
+    index scan's ``probe``, with a counting prologue), fires due faults,
+    and records every firing in
     :attr:`fired`.  ``disarm()`` makes all later arming a no-op — the
     guard disarms before running the safe-plan fallback so the fallback is
     guaranteed a clean run.
@@ -205,6 +206,14 @@ class FaultInjector:
             return inner(max_rows)
 
         op.next_batch = next_batch_with_faults
+        probe = getattr(op, "probe", None)
+        if probe is not None:
+            def probe_with_faults(keys, room):
+                for _ in keys:
+                    self._before_pull(op, ctx)
+                return probe(keys, room)
+
+            op.probe = probe_with_faults
 
     # -------------------------------------------------------------- firing
 

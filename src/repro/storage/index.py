@@ -18,12 +18,17 @@ atomic publication means a concurrent probe sees either the old structure or
 the new one, never a half-built hybrid (a stale probe can at worst return
 rids at or above the reader's snapshot watermark, which the snapshot filter
 drops).
+
+A published structure is **immutable** and each key's rids are ascending,
+so readers keep what ``lookup`` returns without copying.  Incremental
+maintenance must copy on write: build the new bucket, then publish it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any
+from collections import Counter
+from typing import Any, Optional
 
 from repro.storage.table import Table
 
@@ -39,6 +44,9 @@ class Index:
         self.table = table
         self.column = column
         self._col_pos = table.schema.index_of(column)
+        #: What ``rebuild`` last assigned; ``(it, its longest rid list)``.
+        self._published: Any = None
+        self._fan: Optional[tuple[Any, int]] = None
 
     def rebuild(self) -> None:
         raise NotImplementedError
@@ -46,6 +54,15 @@ class Index:
     def lookup(self, key: Any) -> list[int]:
         """Rids of rows whose indexed column equals ``key``."""
         raise NotImplementedError
+
+    def max_rids_per_key(self) -> int:
+        """The longest rid list ``lookup`` can return (0 when empty), computed
+        once per published structure by the first reader to ask — never in
+        ``rebuild``, so neither loading nor a commit pays for it."""
+        published, cached = self._published, self._fan
+        if cached is None or cached[0] is not published:
+            cached = self._fan = (published, self._longest_rid_list(published))
+        return cached[1]
 
     @property
     def leaf_pages(self) -> int:
@@ -59,7 +76,6 @@ class HashIndex(Index):
 
     def __init__(self, name: str, table: Table, column: str):
         super().__init__(name, table, column)
-        self._buckets: dict[Any, list[int]] = {}
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -71,15 +87,19 @@ class HashIndex(Index):
                 continue
             buckets.setdefault(key, []).append(rid)
         # Single assignment: concurrent probes see old or new, never partial.
-        self._buckets = buckets
+        self._published = buckets
+        self._fan = None
 
     def lookup(self, key: Any) -> list[int]:
         if key is None:
             return []
-        return self._buckets.get(key, [])
+        return self._published.get(key, [])
 
     def distinct_keys(self) -> int:
-        return len(self._buckets)
+        return len(self._published)
+
+    def _longest_rid_list(self, buckets: dict[Any, list[int]]) -> int:
+        return max(map(len, buckets.values()), default=0)
 
 
 class SortedIndex(Index):
@@ -89,16 +109,7 @@ class SortedIndex(Index):
 
     def __init__(self, name: str, table: Table, column: str):
         super().__init__(name, table, column)
-        self._entries: tuple[list[Any], list[int]] = ([], [])
         self.rebuild()
-
-    @property
-    def _keys(self) -> list[Any]:
-        return self._entries[0]
-
-    @property
-    def _rids(self) -> list[int]:
-        return self._entries[1]
 
     def rebuild(self) -> None:
         pos = self._col_pos
@@ -110,12 +121,13 @@ class SortedIndex(Index):
         # Keys and rids are published as one tuple in a single assignment so
         # a concurrent probe never pairs new keys with old rids (or reads a
         # torn keys/rids pair mid-rebuild).
-        self._entries = ([k for k, _ in pairs], [r for _, r in pairs])
+        self._published = ([k for k, _ in pairs], [r for _, r in pairs])
+        self._fan = None
 
     def lookup(self, key: Any) -> list[int]:
         if key is None:
             return []
-        keys, rids = self._entries
+        keys, rids = self._published
         lo = bisect_left(keys, key)
         hi = bisect_right(keys, key)
         return rids[lo:hi]
@@ -129,7 +141,7 @@ class SortedIndex(Index):
     ) -> list[int]:
         """Rids with keys in the given (possibly open-ended) range, in key
         order."""
-        keys, rids = self._entries
+        keys, rids = self._published
         lo = 0
         hi = len(keys)
         if low is not None:
@@ -139,7 +151,10 @@ class SortedIndex(Index):
         return rids[lo:hi]
 
     def min_key(self) -> Any:
-        return self._keys[0] if self._keys else None
+        return self._published[0][0] if self._published[0] else None
 
     def max_key(self) -> Any:
-        return self._keys[-1] if self._keys else None
+        return self._published[0][-1] if self._published[0] else None
+
+    def _longest_rid_list(self, entries: tuple[list[Any], list[int]]) -> int:
+        return max(Counter(entries[0]).values(), default=0)

@@ -884,6 +884,30 @@ class TestBatchContractRule:
         )
         assert check_module(source) == []
 
+    PROBE = (
+        "class Inner(Operator):\n"
+        "    def next_batch(self, max_rows):\n"
+        "        return None\n"
+        "    def probe(self, keys, room):\n"
+        "        groups = [self._lookup(key) for key in keys]\n"
+        "{count}"
+        "        return groups\n"
+    )
+
+    @pytest.mark.parametrize("count", [
+        "",  # never counted
+        "        for group in groups:\n            self.emit_batch(group)\n",
+        "        if groups:\n            self.emit_batch(groups[0])\n",
+    ])
+    def test_probe_counting_per_key_or_never_flagged(self, count):
+        findings = check_module(self.PROBE.format(count=count))
+        assert [f.rule for f in findings] == ["batch-contract"]
+        assert "probe()" in findings[0].message
+
+    def test_probe_counting_once_per_call_is_fine(self):
+        count = "        self.emit_batch([r for g in groups for r in g])\n"
+        assert check_module(self.PROBE.format(count=count)) == []
+
     def test_live_tree_is_clean(self):
         assert [
             f for f in run_contract_checks() if f.rule == "batch-contract"

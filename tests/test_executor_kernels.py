@@ -16,6 +16,9 @@ faster loop could silently lose:
   never regenerate);
 * **fan-out carry** — one probe key with more matches than a request can
   hold is served across calls, at every width;
+* **index-NLJN batches** — probing ``room // fan`` outer rows at once
+  moves no row, counter, meter total or CHECK stamp against one outer row
+  per probe, and an outer CHECK that can still fire gets one-row pulls;
 * **the harness still reaches the operators** — profiles partition the
   meter, whatever the kernels do inside an operator;
 * **buffers are freed by reference count** — after ``Database.execute``
@@ -25,12 +28,15 @@ faster loop could silently lose:
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import random
 import sqlite3
+import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +45,7 @@ from hypothesis import strategies as st
 from repro import Database
 from repro.common.errors import ExecutionCancelled
 from repro.executor.base import ExecutionContext, ReoptimizationSignal
+from repro.executor.check import CheckExec
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
 from repro.expr.evaluate import RowLayout, compile_conjunction, compile_filter
@@ -71,6 +78,7 @@ from repro.plan.physical import (
 )
 from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
+from repro.storage.index import Index
 from repro.storage.table import Schema
 from tests.conftest import build_star_db
 from tests.reference import (
@@ -478,6 +486,193 @@ class TestJoinKernels:
         got = run(plan, cat, width)
         assert len(got) == 2 * fan + 3
         assert got == naive_equi_join(left, right, [0], [0])
+
+
+# ------------------------------------------------------- index NLJN batches
+
+#: Skewed inner keys: key 0 is hot (its rid list can outgrow any request),
+#: NULL keys are never indexed.
+SKEWED_KEY = st.one_of(st.just(0), st.just(0), st.integers(1, 5), st.none())
+
+
+def keyed_rows(tag: str, max_size: int):
+    """Lists of every length up to ``max_size`` (not mostly short ones)."""
+    row = st.tuples(SKEWED_KEY, nullable(st.integers(0, 2), 2), st.just(tag),
+                    st.integers(-9, 9), st.none(), st.none())
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(row, min_size=n, max_size=n)
+    )
+
+
+RANGES = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(
+    lambda lh: ValidityRange(float(min(lh)), float(max(lh)))
+)
+
+
+def index_nljn(outer, *, residual=False, inner_filters=()):
+    """``l ⋈ r`` on ``k1`` through a correlated index scan of ``r``, plus
+    ``l.k2 = r.k2`` as a residual when asked."""
+    preds = [JoinPredicate(ColumnRef("l", "k1"), ColumnRef("r", "k1"))]
+    if residual:
+        preds.append(JoinPredicate(ColumnRef("l", "k2"), ColumnRef("r", "k2")))
+    inner = IndexScan(
+        "r", "r", "ix_r_k1", None, list(inner_filters), props("r"), layout_of("r"),
+        est_card=5.0, est_cost=1.0, correlation=ColumnRef("l", "k1"),
+    )
+    return NLJoin(
+        outer, inner, preds, props("l", "r"), layout_of("l").concat(layout_of("r")),
+        est_card=10.0, est_cost=5.0, method="index",
+    )
+
+
+def observe_nljn(make_plan, left, right, index_kind: str, width: int,
+                 one_outer_row: bool = False, **ctx_args) -> dict:
+    """Rows (or the signal's count) and every counter a batched probe
+    could move, for one run at ``width``; ``one_outer_row`` pins the NLJN
+    to one outer row per probe, the row-at-a-time loop it replaced."""
+    cat = catalog_of(l=left, r=right)
+    cat.create_index("ix_r_k1", "r", "k1", kind=index_kind)
+    plan = make_plan()
+    number_plan(plan)
+    ctx = ExecutionContext(cat, meter=WorkMeter(), batch_size=width, **ctx_args)
+    # A fan past any request makes every probe one key long.
+    pin = (
+        mock.patch.object(Index, "max_rids_per_key", return_value=sys.maxsize)
+        if one_outer_row else contextlib.nullcontext()
+    )
+    try:
+        with pin:
+            rows = run_plan(plan, ctx)
+    except ReoptimizationSignal as sig:
+        rows = f"signal@{sig.check_op.op_id}:{sig.observed}"
+    return {
+        "rows": rows,
+        "units": ctx.meter.units,
+        "ops": [
+            (op.plan.KIND, op.rows_out, op.eof_seen, getattr(op, "probes", None))
+            for op in ctx.operators
+        ],
+        "events": [
+            (e.op_id, e.observed, e.complete, e.triggered, e.units_at_event)
+            for e in ctx.checkpoint_events
+        ],
+    }
+
+
+def assert_same_run(got: dict, baseline: dict) -> None:
+    assert got["rows"] == baseline["rows"]
+    assert got["ops"] == baseline["ops"]
+    assert got["units"] == pytest.approx(baseline["units"], rel=1e-9)
+    assert [e[:4] for e in got["events"]] == [e[:4] for e in baseline["events"]]
+    assert [e[4] for e in got["events"]] == pytest.approx(
+        [e[4] for e in baseline["events"]], rel=1e-9
+    )
+
+
+class TestIndexNLJoinBatches:
+    """The index NLJN pulls ``rows still wanted // fan`` outer rows per
+    probe.  At every width nothing observable may differ from one outer row
+    per probe — rows, each operator's ``rows_out`` / EOF / probes, the
+    meter and every CHECK event, its meter stamp included — and against
+    width 1 the rows, the CHECK decisions and (for a run that completes)
+    every counter are the same.  Only the stamps of a CHECK *below* the
+    join may move with the width, as they always have: the join holds the
+    rows of a partial batch, not yet charged as emitted, when they are
+    taken."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=keyed_rows("y", 30), right=keyed_rows("x", 40), hot=st.integers(0, 150),
+        residual=st.booleans(), filtered=st.booleans(),
+        index_kind=st.sampled_from(["hash", "sorted"]),
+        outer_kind=st.sampled_from(["scan", "temp_check", "ecdc_check"]),
+        outer_range=RANGES,
+        top=st.one_of(st.none(), st.integers(0, 90), RANGES),
+    )
+    def test_batches_change_nothing_observable(
+        self, left, right, hot, residual, filtered, index_kind, outer_kind,
+        outer_range, top,
+    ):
+        right = right + [(0, i % 3, "x", i % 19 - 9, None, None) for i in range(hot)]
+        inner_filters = (
+            [Comparison(ColumnRef("r", "v"), ">", Literal(-5))] if filtered else []
+        )
+
+        def make_plan():
+            outer = scan("l", "l")
+            if outer_kind == "temp_check":
+                outer = Check(Temp(outer, est_cost=2.0), outer_range, "LCEM")
+            elif outer_kind == "ecdc_check":
+                outer = Check(outer, outer_range, "ECDC")
+            plan = index_nljn(outer, residual=residual, inner_filters=inner_filters)
+            if isinstance(top, int):
+                return Return(plan, limit=top)
+            if top is not None:
+                return Return(Check(plan, top, "ECWC"))
+            return Return(plan)
+
+        inner_rows = naive_filter(inner_filters, right, layout_of("r"), {})
+        slots = key_slots(("k1", "k2") if residual else ("k1",))
+        expected = naive_equi_join(left, inner_rows, slots, slots)
+        if isinstance(top, int):
+            expected = expected[:top]
+        narrow = None
+        for width in WIDTHS:
+            got = observe_nljn(make_plan, left, right, index_kind, width)
+            assert_same_run(got, observe_nljn(
+                make_plan, left, right, index_kind, width, one_outer_row=True
+            ))
+            if narrow is None:
+                narrow = got
+                if isinstance(got["rows"], list):
+                    assert got["rows"] == expected
+            assert got["rows"] == narrow["rows"]
+            assert [e[:4] for e in got["events"]] == [e[:4] for e in narrow["events"]]
+            if isinstance(got["rows"], list) and outer_kind != "ecdc_check":
+                assert_same_run(got, narrow)
+
+    def test_empty_index_and_null_outer_keys(self):
+        left = [(k, 0, "y", i, None, None) for i, k in enumerate([None, 1, None, 2])]
+        for width in WIDTHS:
+            run_ = observe_nljn(lambda: Return(index_nljn(scan("l", "l"))),
+                                left, [], "sorted", width)
+            assert run_["rows"] == []
+            assert ("IXSCAN", 0, False, 4) in run_["ops"]
+
+    @pytest.mark.parametrize("flavor, work_budget, batched", [
+        ("ECDC", None, False), ("LCEM", None, True), ("LCEM", 1e9, False),
+    ])
+    def test_outer_requests_are_one_row_while_a_check_can_fire(
+        self, flavor, work_budget, batched, monkeypatch
+    ):
+        """An ECDC CHECK on the outer still counts (and stamps the meter)
+        as rows stream by, so the outer is pulled one row at a time; a CHECK
+        above a TEMP evaluated once at open, so the outer is batched —
+        unless a §7 work budget is tested on every batch it passes."""
+        requests = []
+        pull = CheckExec.next_batch
+
+        def recording(self, max_rows):
+            requests.append(max_rows)
+            return pull(self, max_rows)
+
+        monkeypatch.setattr(CheckExec, "next_batch", recording)
+        left = [(i % 5, 0, "y", i, None, None) for i in range(200)]
+        right = [(k, 0, "x", k, None, None) for k in range(5)]
+        outer = scan("l", "l")
+        outer_check = Check(
+            Temp(outer, est_cost=2.0) if flavor == "LCEM" else outer,
+            ValidityRange(0.0, 1e6), flavor,
+        )
+        observed = observe_nljn(
+            lambda: Return(index_nljn(outer_check)), left, right, "hash", 1024,
+            work_budget=work_budget,
+        )
+        assert len(observed["rows"]) == 200
+        if batched:  # fan 1: all 200 rows in the first pull, EOF in the second
+            assert requests == [1024, 1024 - 200]
+        else:
+            assert requests == [1] * 201
 
 
 # -------------------------------------------------------------- sort kernel

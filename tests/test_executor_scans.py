@@ -11,6 +11,7 @@ from repro.plan.physical import IndexScan, MVScan, TableScan
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
+from repro.txn.manager import Snapshot
 from tests.conftest import pull_all
 
 
@@ -114,19 +115,60 @@ class TestIndexScan:
         rows = drain(build_executor(self._scan(catalog, sarg), ctx))
         assert rows == [(3, "v0")]
 
-    def test_correlated_rebind(self, catalog):
+    @staticmethod
+    def _correlated(catalog, index_name, snapshot=None):
         plan = IndexScan(
-            "t", "t", "ix_sorted", None, [], props(), layout(), 5, 5,
+            "t", "t", index_name, None, [], props(), layout(), 5, 5,
             correlation=ColumnRef("x", "k"),
         )
-        ctx = ExecutionContext(catalog)
-        op = build_executor(plan, ctx)
+        op = build_executor(plan, ExecutionContext(catalog, snapshot=snapshot))
         op.open()
-        op.rebind(9)
-        assert op.next_batch(1) == [(9, "v0")]
+        return op
+
+    def test_correlated_probe(self, catalog):
+        op = self._correlated(catalog, "ix_sorted")
+        assert op.probe([9, None, 3], 5) == [[(9, "v0")], [], [(3, "v0")]]
+        assert (op.probes, op.rows_out) == (3, 2)
         assert op.next_batch(1) is None
-        op.rebind(3)
-        assert op.next_batch(1) == [(3, "v0")]
+
+    def test_last_probe_key_resumes_in_next_batch(self, catalog):
+        """Only the last key may fill the room; ``next_batch`` serves the
+        rest of its matches, from the rid after the last one fetched."""
+        op = self._correlated(catalog, "ix_hash")
+        assert op.probe(["v2", "v0"], 20) == [
+            [(k, "v2") for k in range(2, 50, 3)],
+            [(0, "v0"), (3, "v0"), (6, "v0"), (9, "v0")],
+        ]
+        assert op.next_batch(100) == [(k, "v0") for k in range(12, 50, 3)]
+        assert op.next_batch(1) is None
+        assert op.rows_out == 16 + 17
+
+    def test_a_stale_fan_overshoots_instead_of_dropping(self, catalog):
+        """Keys sized by a fan that a rebuild has since outgrown: an earlier
+        key longer than ``room`` is still read whole, nothing is lost."""
+        op = self._correlated(catalog, "ix_hash")
+        v2, v0 = op.probe(["v2", "v0"], 5)
+        assert v2 == [(k, "v2") for k in range(2, 50, 3)]
+        assert v0 == [(0, "v0")]
+        assert op.next_batch(100) == [(k, "v0") for k in range(3, 50, 3)]
+
+    @pytest.mark.parametrize("index_name, key", [("ix_sorted", 7), ("ix_hash", "v1")])
+    def test_probe_at_a_pinned_snapshot(self, catalog, index_name, key):
+        """Rows appended (and indexed) after the pin are not returned: the
+        published rid lists are shared, not copied, so the cap must hold."""
+        snapshot = Snapshot(epoch=1, visible={"t": 50})
+        catalog.table("t").insert_many([(7, "v1"), (7, "v1")])
+        catalog.rebuild_indexes("t")
+        (pinned,) = self._correlated(catalog, index_name, snapshot).probe([key], 100)
+        (latest,) = self._correlated(catalog, index_name).probe([key], 100)
+        assert pinned and pinned == latest[:-2]
+        assert latest[-2:] == [(7, "v1"), (7, "v1")]
+
+    def test_uncapped_rid_list_is_not_copied(self, catalog):
+        (index,) = [ix for ix in catalog.indexes_on("t") if ix.name == "ix_hash"]
+        op = self._correlated(catalog, "ix_hash", Snapshot(epoch=1, visible={"t": 50}))
+        op.probe(["v2"], 100)
+        assert op._rids is index.lookup("v2")
 
 
 class TestMVScan:

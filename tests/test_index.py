@@ -1,5 +1,9 @@
 """Tests for repro.storage.index."""
 
+import sys
+import threading
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,9 +30,10 @@ class TestHashIndex:
         assert index.lookup(99) == []
 
     def test_null_keys_not_indexed(self):
-        index = HashIndex("ix", make_table([1, None, 2]), "k")
+        index = HashIndex("ix", make_table([1, None, None, 2]), "k")
         assert index.lookup(None) == []
         assert index.distinct_keys() == 2
+        assert index.max_rids_per_key() == 1
 
     def test_rebuild_after_append(self):
         table = make_table([1])
@@ -89,6 +94,19 @@ class TestSortedIndex:
         assert index.min_key() is None
         assert index.max_key() is None
 
+    def test_max_rids_per_key_follows_rebuild(self):
+        table = make_table([7, 3, 7, 9])
+        index = SortedIndex("ix", table, "k")
+        assert index.max_rids_per_key() == 2
+        table.rows.extend([(9, "new"), (9, "new")])
+        assert index.max_rids_per_key() == 2  # not republished yet
+        index.rebuild()
+        assert index.max_rids_per_key() == 3
+
+    def test_max_rids_per_key_of_empty_index(self):
+        assert SortedIndex("ix", make_table([]), "k").max_rids_per_key() == 0
+        assert HashIndex("ix", make_table([None]), "k").max_rids_per_key() == 0
+
     @given(st.lists(st.integers(-20, 20), max_size=60), st.integers(-20, 20), st.integers(-20, 20))
     def test_range_scan_matches_filter(self, values, a, b):
         low, high = min(a, b), max(a, b)
@@ -107,3 +125,71 @@ class TestSortedIndex:
         hash_ix = HashIndex("h", table, "k")
         for key in set(values) | {999}:
             assert sorted(sorted_ix.lookup(key)) == sorted(hash_ix.lookup(key))
+        longest = max(map(values.count, set(values)), default=0)
+        assert sorted_ix.max_rids_per_key() == hash_ix.max_rids_per_key() == longest
+
+
+@pytest.mark.parametrize("kind", [HashIndex, SortedIndex])
+def test_fan_is_computed_once_per_published_structure(kind, monkeypatch):
+    """Lazily, never in ``rebuild``; and a fan computed from a structure
+    that a rebuild replaced meanwhile is not served for the new one."""
+    table = make_table([0, 1])
+    index = kind("ix", table, "k")
+    computed = []
+    longest = index._longest_rid_list
+
+    def racing(published):
+        computed.append(published)
+        if len(computed) == 1:  # a writer publishes mid-computation
+            table.rows.append((0, "new"))
+            index.rebuild()
+        return longest(published)
+
+    monkeypatch.setattr(index, "_longest_rid_list", racing)
+    index.rebuild()
+    assert computed == []
+    assert index.max_rids_per_key() == 1  # of the structure it started from
+    assert index.max_rids_per_key() == 2
+    assert index.max_rids_per_key() == 2
+    assert len(computed) == 2
+
+
+@pytest.mark.parametrize("kind", [HashIndex, SortedIndex])
+def test_a_fan_read_before_a_pinned_lookup_bounds_it(kind):
+    """Readers race a writer that grows key 0's rid list, republishes, then
+    raises the committed watermark.  In the index NLJN's order — pin the
+    watermark, read the fan, look the key up — the rids below the pin
+    never outnumber the fan, whichever reader filled the cache for
+    whichever structure."""
+    table = make_table([0, 1])
+    index = kind("ix", table, "k")
+    committed = [len(table.rows)]
+    stop = threading.Event()
+    failures = []
+
+    def read():
+        while not stop.is_set():
+            visible = committed[0]
+            fan = index.max_rids_per_key()
+            seen = sum(rid < visible for rid in index.lookup(0))
+            if fan < seen:
+                failures.append((seen, fan))
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for _ in range(300):
+            table.rows.append((0, "new"))
+            index.rebuild()
+            committed[0] = len(table.rows)
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == []
+    assert index.max_rids_per_key() == 301
