@@ -155,6 +155,13 @@ class MemoryPolicy:
             raise ValueError("max_queue_depth must be non-negative")
         if self.max_recursion_depth < 0:
             raise ValueError("max_recursion_depth must be non-negative")
+        # Grace partitioning takes one base-``spill_partitions`` digit of a
+        # 32-bit key hash per depth (executor/joins.py::_route).
+        if self.spill_partitions ** (self.max_recursion_depth + 1) > 2**32:
+            raise ValueError(
+                "spill_partitions ** (max_recursion_depth + 1) must not "
+                "exceed 2**32"
+            )
 
 
 @dataclass

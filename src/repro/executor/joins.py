@@ -11,7 +11,7 @@ flavor of the degradation ladder) past the recursion depth cap.
 from __future__ import annotations
 
 import zlib
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Optional
 
@@ -23,19 +23,52 @@ from repro.expr.evaluate import compile_filter
 from repro.plan.physical import Check, HashJoin, MergeJoin, NLJoin, find_ops
 
 
-def _partition_of(key, depth: int, fanout: int) -> int:
-    """Deterministic partition assignment for a join key.
+def _key_hashes(keys: list):
+    """The 32-bit hash of each join key: ``crc32`` over its repr.
 
-    Uses ``crc32`` over the key's repr with a per-depth salt — Python's
-    builtin ``hash`` is randomized per process for strings, which would
-    make partition contents (and thus spill volume and row order)
+    Python's builtin ``hash`` is randomized per process for strings, which
+    would make partition contents (and thus spill volume and row order)
     irreproducible across runs.  A single-column key arrives as the bare
     value (see :func:`_key_kernels`) and is hashed as the 1-tuple, so the
-    assignment does not depend on that representation.
+    hash does not depend on that representation.
     """
-    if key.__class__ is not tuple:
-        key = (key,)
-    return zlib.crc32(f"{depth}:{key!r}".encode()) % fanout
+    if keys and keys[0].__class__ is not tuple:
+        keys = zip(keys)
+    return map(zlib.crc32, map(str.encode, map(repr, keys)))
+
+
+def _route(rows: list[tuple], keys: list, depth: int, parts: list) -> None:
+    """Append each row to the Grace partition its key falls in at ``depth``.
+
+    The partition is base-``len(parts)`` digit ``depth`` of the key's hash,
+    so each recursion depth reads bits no earlier depth read and a
+    partition that is still too big splits at the next one.  (A hash
+    salted with the depth cannot do that: CRC32 is affine, so for keys
+    whose reprs have one length the salted hash is the unsalted one XOR a
+    constant, and a partition split only by key length.)  The batch is
+    bucketed in one pass, then written with one ``append_batch`` per
+    non-empty bucket: each file gets its rows in arrival order and flushes
+    at the same row counts as a row-at-a-time writer.
+    """
+    fanout = len(parts)
+    scale = fanout**depth
+    buckets: list[list[tuple]] = [[] for _ in parts]
+    for digest, row in zip(_key_hashes(keys), rows):
+        buckets[digest // scale % fanout].append(row)
+    for part, bucket in zip(parts, buckets):
+        if bucket:
+            part.append_batch(bucket)
+
+
+def _insert(table: dict, keys, rows: list[tuple]) -> None:
+    """Add ``rows`` to the hash-join build ``table`` under their ``keys``."""
+    get = table.get
+    for key, row in zip(keys, rows):
+        bucket = get(key)
+        if bucket is None:
+            table[key] = [row]
+        else:
+            bucket.append(row)
 
 
 def _key_kernels(plan) -> tuple[list[int], list[int], itemgetter, itemgetter]:
@@ -198,6 +231,10 @@ class HashJoinExec(Operator):
             self._inner_key,
         ) = _key_kernels(plan)
         self.spilled = False
+        #: Deepest Grace recursion depth a non-empty partition pair was
+        #: joined at (1: split once), and block nested-loop chunks joined.
+        self.grace_depth = 0
+        self.block_chunks = 0
         self._result_iter = None
 
     def open(self) -> None:
@@ -211,7 +248,6 @@ class HashJoinExec(Operator):
         # "current implementation does not reuse hash join builds").
         self.inner.open()
         table = self._table = {}
-        get = table.get
         key_of = self._inner_key
         interruptible = self.ctx.interruptible
         batch_size = self.ctx.batch_size
@@ -225,12 +261,7 @@ class HashJoinExec(Operator):
             self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
             batch = _drop_null_keys(batch, self._inner_slots)
             self._build_rows += len(batch)
-            for key, row in zip(map(key_of, batch), batch):
-                bucket = get(key)
-                if bucket is None:
-                    table[key] = [row]
-                else:
-                    bucket.append(row)
+            _insert(table, map(key_of, batch), batch)
         self._build_complete = True
         self._charge_spill(self._build_rows)
         self.outer.open()
@@ -307,14 +338,19 @@ class HashJoinExec(Operator):
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_hash_build)
             batch = _drop_null_keys(batch, self._inner_slots)
-            for key, row in zip(map(self._inner_key, batch), batch):
-                self._build_rows += 1
-                if build_parts is None:
-                    self._table.setdefault(key, []).append(row)
-                    if self._build_rows > capacity:
-                        build_parts = self._spill_table(fanout)
-                else:
-                    build_parts[_partition_of(key, 0, fanout)].append(row)
+            keys = list(map(self._inner_key, batch))
+            if build_parts is None:
+                # In memory up to the first row past the capacity; that row
+                # spills the table, and the rest of the batch is routed.
+                take = min(len(batch), capacity + 1 - self._build_rows)
+                _insert(self._table, keys[:take], batch[:take])
+                self._build_rows += take
+                if self._build_rows <= capacity:
+                    continue
+                build_parts = self._spill_table(fanout)
+                batch, keys = batch[take:], keys[take:]
+            self._build_rows += len(batch)
+            _route(batch, keys, 0, build_parts)
         self._build_complete = True
         # Mid-build pressure re-check: the grant may have shrunk while the
         # build was draining; a table that no longer fits spills now.
@@ -329,22 +365,24 @@ class HashJoinExec(Operator):
             self.spilled = True
             for part in build_parts:
                 part.close()
-            self._result_iter = self._grace_probe(build_parts, fanout, capacity)
+            self._result_iter = chain.from_iterable(
+                self._grace_probe(build_parts, fanout, capacity)
+            )
 
     def _spill_table(self, fanout: int):
         """Move the in-memory build table into partition spill files."""
         parts = [
             self.ctx.spill.create("hash", f"hash-build-p{i}") for i in range(fanout)
         ]
-        for key, rows in self._table.items():
-            part = parts[_partition_of(key, 0, fanout)]
-            for row in rows:
-                part.append(row)
-        self._table = {}
+        table, self._table = self._table, {}
+        rows = [row for bucket in table.values() for row in bucket]
+        keys = [key for key, bucket in table.items() for _ in bucket]
+        _route(rows, keys, 0, parts)
         return parts
 
     def _grace_probe(self, build_parts, fanout: int, capacity: int):
-        """Partition the probe side, then join partition pairs."""
+        """Partition the probe side, then join partition pairs; yields one
+        list of joined rows per probe batch."""
         p = self.ctx.cost_params
         probe_parts = [
             self.ctx.spill.create("hash", f"hash-probe-p{i}") for i in range(fanout)
@@ -359,8 +397,7 @@ class HashJoinExec(Operator):
                 self.ctx.check_interrupt()
             self.ctx.meter.charge(len(batch) * p.cpu_hash_probe)
             batch = _drop_null_keys(batch, self._outer_slots)
-            for key, row in zip(map(self._outer_key, batch), batch):
-                probe_parts[_partition_of(key, 0, fanout)].append(row)
+            _route(batch, list(map(self._outer_key, batch)), 0, probe_parts)
         for part in probe_parts:
             part.close()
         for build, probe in zip(build_parts, probe_parts):
@@ -372,20 +409,21 @@ class HashJoinExec(Operator):
             build.delete()
             probe.delete()
             return
+        self.grace_depth = max(self.grace_depth, depth)
         if build.row_count <= capacity:
-            yield from self._hash_rows(build.rows(), probe)
+            yield from self._hash_rows(build.batches(), probe)
         elif depth <= self.ctx.memory.max_recursion_depth:
-            # Re-partition both sides with a depth-salted hash and recurse.
+            # Re-partition both sides on the next hash digit and recurse.
             sub_build = [
                 self.ctx.spill.create("hash", f"{build.label}.{i}") for i in range(fanout)
             ]
             sub_probe = [
                 self.ctx.spill.create("hash", f"{probe.label}.{i}") for i in range(fanout)
             ]
-            for row in build.rows():
-                sub_build[_partition_of(self._inner_key(row), depth, fanout)].append(row)
-            for row in probe.rows():
-                sub_probe[_partition_of(self._outer_key(row), depth, fanout)].append(row)
+            for batch in build.batches():
+                _route(batch, list(map(self._inner_key, batch)), depth, sub_build)
+            for batch in probe.batches():
+                _route(batch, list(map(self._outer_key, batch)), depth, sub_probe)
             build.delete()
             probe.delete()
             for b, pr in zip(sub_build, sub_probe):
@@ -404,25 +442,30 @@ class HashJoinExec(Operator):
 
     def _block_join(self, build, probe, capacity: int):
         chunk: list[tuple] = []
-        for row in build.rows():
-            chunk.append(row)
-            if len(chunk) >= capacity:
-                yield from self._hash_rows(chunk, probe)
-                chunk = []
+        for batch in build.batches():
+            chunk += batch
+            while len(chunk) >= capacity:
+                self.block_chunks += 1
+                yield from self._hash_rows([chunk[:capacity]], probe)
+                chunk = chunk[capacity:]
         if chunk:
-            yield from self._hash_rows(chunk, probe)
+            self.block_chunks += 1
+            yield from self._hash_rows([chunk], probe)
 
-    def _hash_rows(self, build_rows, probe):
-        """Classic in-memory hash join of ``build_rows`` (a whole build
-        partition, or one grant-sized chunk of it) with a probe file."""
+    def _hash_rows(self, build_batches, probe):
+        """Classic in-memory hash join of ``build_batches`` (a whole build
+        partition, or one grant-sized chunk of it) with a probe file;
+        yields one list of joined rows per probe batch."""
         table: dict = {}
-        inner_key = self._inner_key
-        for row in build_rows:
-            table.setdefault(inner_key(row), []).append(row)
+        for batch in build_batches:
+            _insert(table, map(self._inner_key, batch), batch)
         get, key_of = table.get, self._outer_key
-        for prow in probe.rows():
-            for brow in get(key_of(prow), ()):
-                yield prow + brow
+        for batch in probe.batches():
+            yield [
+                prow + brow
+                for key, prow in zip(map(key_of, batch), batch)
+                for brow in get(key, ())
+            ]
 
     def next_batch(self, max_rows: int) -> Optional[list[tuple]]:
         self.require_open()
@@ -488,12 +531,17 @@ class HashJoinExec(Operator):
         return None
 
     def profile_extras(self) -> dict:
-        return {
+        extras = {
             "build_rows": self._build_rows,
             "build_complete": self._build_complete,
             "probe_rows": self.outer.rows_out,
             "spilled": self.spilled,
         }
+        if self.spilled:
+            # How far the Grace join degraded.
+            extras["grace_depth"] = self.grace_depth
+            extras["block_chunks"] = self.block_chunks
+        return extras
 
 
 class MergeJoinExec(Operator):

@@ -15,11 +15,11 @@ Two execution modes:
 
 from __future__ import annotations
 
-import heapq
 import math
-from itertools import islice
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.executor.base import ExecutionContext, Operator
 from repro.expr.evaluate import kernel_code
@@ -28,7 +28,7 @@ from repro.plan.physical import Sort
 
 class _Reversed:
     """Inverts comparisons, so descending keys compose into one ascending
-    composite key (usable by both ``sorted`` and ``heapq.merge``)."""
+    composite key (usable by both ``sorted`` and ``bisect``)."""
 
     __slots__ = ("value",)
 
@@ -53,6 +53,54 @@ def _composite_key(slots: list[int], ascending: list[bool]):
         parts.append(pair if asc else f"_Reversed({pair})")
     source = "lambda row: (" + ", ".join(parts) + ",)"
     return eval(kernel_code(source, "eval"), {"_Reversed": _Reversed})
+
+
+def _merge_blocks(runs: list, key) -> Iterator[list[tuple]]:
+    """Stable k-way merge of sorted runs, a block at a time.
+
+    Each run is an iterable of lists (blocks), sorted by ``key`` across
+    the whole run.  Each round takes as its bound the smallest last key
+    of the runs' current blocks; the first run holding that key is the
+    bound run.  Every block is cut at the bound — rows ``<=`` it from the
+    bound run and the runs before it (``bisect_right``), rows ``<`` it
+    from the runs after it (``bisect_left``), whose equal keys may still
+    follow in the bound run's next block.  The cut rows, concatenated in
+    run order, go through one stable sort (on the keys computed when
+    their block was read) and are yielded.  Ties thus come out in run
+    order, then in order within a run, as from ``heapq.merge(*runs,
+    key=key)``.  Every round uses up the bound run's block, and a run's
+    next block is read only when the round that needs it starts.
+    """
+    # One [blocks, rows, keys, pos] entry per run still holding rows, in
+    # run order.
+    live = [[iter(blocks), [], [], 0] for blocks in runs]
+    while True:
+        for entry in live:
+            if entry[3] == len(entry[1]):
+                for rows in entry[0]:
+                    if rows:
+                        entry[1], entry[2], entry[3] = rows, list(map(key, rows)), 0
+                        break
+                else:
+                    entry[1] = None
+        live = [entry for entry in live if entry[1] is not None]
+        if not live:
+            return
+        bound_run, bound = 0, live[0][2][-1]
+        for i in range(1, len(live)):
+            last = live[i][2][-1]
+            if last < bound:
+                bound_run, bound = i, last
+        out: list[tuple] = []
+        out_keys: list = []
+        for i, entry in enumerate(live):
+            rows, keys, pos = entry[1], entry[2], entry[3]
+            cut = (bisect_right if i <= bound_run else bisect_left)(keys, bound, pos)
+            out += rows[pos:cut]
+            out_keys += keys[pos:cut]
+            entry[3] = cut
+        order = sorted(range(len(out)), key=out_keys.__getitem__)
+        yield list(map(out.__getitem__, order))
 
 
 def _sort_in_place(rows: list[tuple], slots: list[int], ascending: list[bool]) -> None:
@@ -141,12 +189,13 @@ class SortExec(Operator):
             # by run_plan's finally (close + release_spill) when it raises.
             if interruptible:
                 self.ctx.check_interrupt()
-            for row in batch:
-                # Flush-before-append, per row of the batch: run boundaries
-                # fall on the same input ordinals however the batch
-                # straddles the capacity, and a flush happens only when
-                # another row actually arrives — an input that exactly
-                # fills the grant stays in memory.
+            pos = 0
+            while pos < len(batch):
+                # Flush before filling: run boundaries fall on the same
+                # input ordinals however the batch straddles the capacity,
+                # and a flush happens only when another row actually
+                # arrives — an input that exactly fills the grant stays in
+                # memory.
                 if len(buf) >= capacity:
                     buf.sort(key=key)
                     runs.append(
@@ -155,19 +204,23 @@ class SortExec(Operator):
                         )
                     )
                     buf = []
-                buf.append(row)
+                take = capacity - len(buf)
+                buf += batch[pos:pos + take]
+                pos += take
             n += len(batch)
         if n:
             self.ctx.meter.charge(n * max(1.0, math.log2(n + 1)) * p.cpu_sort, "sort")
         if runs:
-            # heapq.merge is stable across inputs in arrival order, and each
-            # run was sorted with the same composite key, so the merged
-            # stream equals the in-memory stable sort row for row.
+            # The merge is stable across runs in arrival order, and each run
+            # was sorted with the same composite key, so the merged stream
+            # equals the in-memory stable sort row for row.
             if buf:
                 buf.sort(key=key)
                 runs.append(self.ctx.spill.spill_rows("sort", buf, "sort-run-final"))
             self.spilled = True
-            self._merge = heapq.merge(*(run.rows() for run in runs), key=key)
+            self._merge = chain.from_iterable(
+                _merge_blocks([run.batches() for run in runs], key)
+            )
         else:
             buf.sort(key=key)
             self._rows = buf

@@ -35,7 +35,9 @@ def explain_analyze_plan(root: OpRecord) -> str:
 
     A profiled record extends each operator line with its *exclusive*
     runtime — self work units and self wall milliseconds, children's time
-    subtracted — plus its spill page share when it degraded to disk.
+    subtracted — plus its spill page share when it degraded to disk, and
+    for a spilled hash join its Grace recursion depth and block nested-loop
+    chunks.
     """
     lines: list[str] = []
 
@@ -51,6 +53,12 @@ def explain_analyze_plan(root: OpRecord) -> str:
             text += f" self={prof.self_units:.2f}u wall={prof.self_wall * 1e3:.2f}ms"
             if record.spill_pages:
                 text += f" spill={record.spill_pages:.1f}p"
+            extras = prof.extras or {}
+            if "grace_depth" in extras:  # how far a Grace hash join degraded
+                text += (
+                    f" grace_depth={extras['grace_depth']}"
+                    f" block_chunks={extras['block_chunks']}"
+                )
         lines.append(
             f"{'  ' * depth}{record.label}  "
             f"{{est={record.est_card:.1f} actual={text}}}"

@@ -9,8 +9,8 @@ Two classes:
 
 * :class:`SpillFile` — one append-then-read file of row tuples (a sort
   run, a join partition, a TEMP overflow).  Rows are written in pickled
-  batches; reads stream batch by batch so memory stays bounded by the
-  batch size, not the file size.
+  batches; reads stream batch by batch (:meth:`SpillFile.batches`) so
+  memory stays bounded by the batch size, not the file size.
 * :class:`SpillManager` — the per-execution registry every spill file is
   created through.  It owns the temp directory, charges all spill I/O to
   the :class:`~repro.executor.meter.WorkMeter` category ``"spill"`` (so
@@ -33,6 +33,7 @@ import pickle
 import shutil
 import tempfile
 import threading
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from repro.common.errors import ExecutionError
@@ -69,15 +70,16 @@ class SpillFile:
     # ------------------------------------------------------------- writing
 
     def append(self, row: tuple) -> None:
-        """Append one row; rows are batched internally, so row-at-a-time
-        writers (TEMP overflow, partition routing) still amortize I/O."""
+        """Append one row; rows are batched internally, so a row-at-a-time
+        writer still amortizes I/O (:meth:`append_batch` is the same
+        writer for a list of rows)."""
         if self.closed:
             raise ExecutionError(f"spill file {self.label} written after close")
         self._pending.append(row)
         if len(self._pending) >= BATCH_ROWS:
             self._flush_pending()
 
-    def append_batch(self, rows: list[tuple]) -> None:
+    def append_batch(self, rows: Iterable[tuple]) -> None:
         """Append many rows at once (order-preserving).
 
         Equivalent to calling :meth:`append` row by row — including the
@@ -92,18 +94,17 @@ class SpillFile:
             raise ExecutionError(f"spill file {self.label} written after close")
         pending = self._pending
         pending.extend(rows)
-        while len(pending) >= BATCH_ROWS:
-            chunk = pending[:BATCH_ROWS]
-            del pending[:BATCH_ROWS]
-            self._write_chunk(chunk)
+        full = len(pending) - len(pending) % BATCH_ROWS
+        if full:
+            self._pending = pending[full:]
+            for start in range(0, full, BATCH_ROWS):
+                self._write_chunk(pending[start:start + BATCH_ROWS])
 
     def write_rows(self, rows: Iterable[tuple]) -> int:
         """Append ``rows`` (order-preserving); returns the count written."""
-        count = 0
-        for row in rows:
-            self.append(row)
-            count += 1
-        return count
+        before = self.row_count
+        self.append_batch(rows)
+        return self.row_count - before
 
     def _flush_pending(self) -> None:
         if not self._pending:
@@ -119,7 +120,7 @@ class SpillFile:
         self._writer.write(payload)
         self.rows_written += len(batch)
         self.bytes_written += len(payload) + 8
-        self._manager._note_write(self, len(batch))
+        self._manager._note_write(self, len(batch), len(payload) + 8)
 
     @property
     def row_count(self) -> int:
@@ -130,9 +131,10 @@ class SpillFile:
 
     # ------------------------------------------------------------- reading
 
-    def rows(self) -> Iterator[tuple]:
-        """Stream the rows back in write order (restartable: each call is
-        a fresh pass over the file, and each pass charges its read I/O)."""
+    def batches(self) -> Iterator[list[tuple]]:
+        """Stream the rows back in write order, one non-empty list per
+        written chunk (restartable: each call is a fresh pass over the
+        file, and each chunk read charges its I/O)."""
         if self.deleted:
             raise ExecutionError(f"spill file {self.label} read after delete")
         self._sync()
@@ -146,7 +148,11 @@ class SpillFile:
                 payload = reader.read(int.from_bytes(header, "big"))
                 batch = pickle.loads(payload)
                 self._manager._note_read(self, len(batch))
-                yield from batch
+                yield batch
+
+    def rows(self) -> Iterator[tuple]:
+        """:meth:`batches`, one row at a time."""
+        return chain.from_iterable(self.batches())
 
     def _sync(self) -> None:
         """Make buffered writes visible to readers without closing."""
@@ -243,12 +249,12 @@ class SpillManager:
     def _pages(self, row_count: int) -> float:
         return row_count / self.cost_params.rows_per_page
 
-    def _note_write(self, spill: SpillFile, row_count: int) -> None:
+    def _note_write(self, spill: SpillFile, row_count: int, byte_count: int) -> None:
         pages = self._pages(row_count)
         with self._lock:
             self.rows_spilled += row_count
             self.pages_spilled += pages
-            self.bytes_spilled = sum(f.bytes_written for f in self._files)
+            self.bytes_spilled += byte_count
             self.categories[spill.category] = (
                 self.categories.get(spill.category, 0.0) + pages
             )

@@ -8,23 +8,31 @@ partitioning with recursion and block nested-loop fallback).
 
 from __future__ import annotations
 
+import heapq
 import os
+from itertools import chain, count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.core.config import MemoryPolicy
 from repro.executor.base import ExecutionContext
+from repro.executor.joins import _key_hashes, _route
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import build_executor, run_plan
+from repro.executor.sort import _composite_key, _merge_blocks
 from repro.expr.evaluate import RowLayout
 from repro.expr.predicates import JoinPredicate
 from repro.expr.expressions import ColumnRef
+from repro.plan.analyze import explain_analyze
 from repro.plan.physical import HashJoin, Sort, TableScan, Temp
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog
-from repro.storage.spill import BATCH_ROWS, SpillManager
+from repro.storage.spill import BATCH_ROWS, SpillFile, SpillManager
 from repro.storage.table import Schema
+from repro.workloads.dmv.generator import make_dmv_db
 from tests.conftest import pull_all
 
 
@@ -153,9 +161,8 @@ class TestSpillFile:
         mgr.close_all()
 
     def test_append_batch_interleaves_with_append(self):
-        """Mixed per-row and batched writes preserve order and counts —
-        Grace partitioning appends row by row, TEMP overflow by batch
-        tail, into the same kind of file."""
+        """Mixed per-row and batched writes into one file preserve order
+        and counts."""
         mgr = self.manager()
         spill = mgr.create("temp")
         expect = []
@@ -265,6 +272,36 @@ class TestExternalSort:
         assert op.materialized_rows is not None
 
 
+#: Sort-column values: NULL, and few distinct values, so ties abound.
+_sort_values = st.one_of(st.none(), st.integers(0, 3))
+
+
+class TestBlockMerge:
+    """The external sort's block-wise k-way merge is ``heapq.merge``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.tuples(_sort_values, _sort_values), max_size=25),
+            max_size=6,
+        ),
+        ascending=st.lists(st.booleans(), min_size=1, max_size=2),
+        block=st.integers(1, 7),
+    )
+    def test_equals_heapq_merge_including_ties(self, runs, ascending, block):
+        key = _composite_key(list(range(len(ascending))), ascending)
+        # A tag outside the key makes the order of tied rows visible.
+        tags = count()
+        runs = [
+            sorted((row + (next(tags),) for row in run), key=key) for run in runs
+        ]
+        blocks = [
+            [run[i:i + block] for i in range(0, len(run), block)] for run in runs
+        ]
+        got = list(chain.from_iterable(_merge_blocks(blocks, key)))
+        assert got == list(heapq.merge(*runs, key=key))
+
+
 class TestSpillingTemp:
     def test_overflow_survives_rescans(self):
         rows = [(i, f"v{i}") for i in range(700)]
@@ -344,6 +381,86 @@ class TestGraceHashJoin:
         oracle = sorted(drain(build_executor(plan, ExecutionContext(cat))))
         assert sorted(drain(build_executor(plan, ctx))) == oracle
         assert not ctx.operators[-1].spilled
+
+    def test_bytes_spilled_is_the_sum_over_files(self):
+        ctx = squeezed_ctx(join_catalog(), 1 / 64.0)
+        run_plan(join_plan(), ctx)
+        files = ctx.spill._files
+        assert len(files) > 8  # partitioned, then re-partitioned
+        assert ctx.spill.bytes_spilled == sum(f.bytes_written for f in files) > 0
+        assert ctx.spill_summary()["bytes"] == ctx.spill.bytes_spilled
+
+    def test_mem_squeeze_join_splits_without_block_fallback(self):
+        """The DMV car/owner join under the ``mem_squeeze`` policy: each
+        depth's partitions split, so the join stops by depth 2 with no
+        block nested-loop chunk, and EXPLAIN ANALYZE says so."""
+        db = make_dmv_db()
+        db.enable_memory_governor(
+            policy=MemoryPolicy(
+                budget_pages=16, min_reservation_pages=1, min_grant_pages=1
+            )
+        )
+        result = db.execute(
+            "SELECT o.o_name, c.c_model FROM car c, owner o "
+            "WHERE c.c_owner_id = o.o_id ORDER BY o.o_name, c.c_model",
+            profile=True,
+        )
+        (join,) = [
+            r for r in result.report.attempts[-1].record.walk() if r.kind == "HSJOIN"
+        ]
+        extras = join.profile.extras
+        assert extras["spilled"]
+        assert 1 <= extras["grace_depth"] <= 2
+        assert extras["block_chunks"] == 0
+        assert f"grace_depth={extras['grace_depth']} block_chunks=0" in (
+            explain_analyze(result.report)
+        )
+
+    def test_policy_rejects_more_digits_than_the_hash_has(self):
+        MemoryPolicy(spill_partitions=16, max_recursion_depth=7)  # 16**8 == 2**32
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            MemoryPolicy(spill_partitions=16, max_recursion_depth=8)
+
+
+class _ListPart:
+    """A partition stub for :func:`_route`."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append_batch(self, rows):
+        self.rows.extend(rows)
+
+
+class TestGracePartitioning:
+    """Each recursion depth splits what the depths before it shared."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(kind=st.sampled_from(["int", "str"]), start=st.integers(0, 10**6))
+    def test_every_depth_splits_a_shared_partition(self, kind, start):
+        policy = MemoryPolicy()  # fan-out 8, depth cap 3, as under mem_squeeze
+        fanout = policy.spill_partitions
+        for depth in range(policy.max_recursion_depth + 1):
+            candidates = count(start) if kind == "int" else (
+                f"key-{i}" for i in count(start)
+            )
+            # At least 1,000 keys routed to one partition by every depth
+            # before this one: the digits below ``depth`` agree.
+            shared = fanout**depth
+            keys: list = []
+            target = None
+            while len(keys) < 1000:
+                chunk = [next(candidates) for _ in range(4096)]
+                for key, digest in zip(chunk, _key_hashes(chunk)):
+                    if target is None:
+                        target = digest % shared
+                    if digest % shared == target:
+                        keys.append(key)
+            parts = [_ListPart() for _ in range(fanout)]
+            _route(keys, keys, depth, parts)
+            sizes = [len(part.rows) for part in parts]
+            assert sum(sizes) == len(keys)
+            assert max(sizes) <= 2 * len(keys) / fanout, (depth, sizes)
 
 
 class TestSpillLifecycle:
@@ -454,3 +571,36 @@ class TestDegradedWidthInvariance:
             narrow_ctx.meter.by_category()["spill"]
         )
         assert wide_ctx.meter.units == pytest.approx(narrow_ctx.meter.units)
+
+    @pytest.mark.parametrize("batch_size", [1] + BATCH_SIZES)
+    def test_grace_hash_join_charges_match_per_row_appends(
+        self, batch_size, monkeypatch
+    ):
+        """Batch-at-a-time partition writes change no charge: rows, every
+        partition file's ``rows_written`` and ``bytes_written`` (one pickle
+        per flushed chunk) and the metered spill I/O equal those of the
+        same join writing each row with ``append``.  Its
+        depth-0 partitions outgrow ``BATCH_ROWS``, so writes straddle the
+        flush boundary."""
+        cat = join_catalog(n_build=6000, n_probe=3000)
+        plan = join_plan(6000, 3000)
+
+        def run():
+            ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
+            rows = run_plan(plan, ctx)
+            files = [
+                (f.label, f.rows_written, f.bytes_written) for f in ctx.spill._files
+            ]
+            return rows, files, ctx.meter.by_category()["spill"]
+
+        got = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SpillFile, "append_batch",
+                lambda self, rows: [self.append(row) for row in rows] and None,
+            )
+            expect = run()
+        assert got[0] == expect[0]
+        assert got[1] == expect[1]
+        assert any(label.count(".") for label, _, _ in got[1])  # it recursed
+        assert got[2] == expect[2]
