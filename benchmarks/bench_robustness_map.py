@@ -52,7 +52,19 @@ def _measure(db, name, sql):
                 "drift": drift,
             }
         )
-    rmap = RobustnessMap(report.final_plan, db.optimizer.cost_model)
+    plan, cost_model = report.final_plan, db.optimizer.cost_model
+    # The map's recost is the optimizer's arithmetic: at the estimates every
+    # node not above an LCEM CHECK (whose TEMP placement charges to the TEMP
+    # alone) recosts to its own est_cost, on bench-size plans too.
+    cost = cost_model.recost(plan)
+    for op in plan.walk():
+        lcem_below = any(
+            n.KIND == "CHECK" and n.flavor == "LCEM"
+            for child in op.children
+            for n in child.walk()
+        )
+        assert lcem_below or cost[op] == op.est_cost, (name, op.describe())
+    rmap = RobustnessMap(plan, cost_model)
     surface = rmap.compute()
     return {
         "query": name,

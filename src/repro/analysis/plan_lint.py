@@ -346,86 +346,26 @@ def rule_check_placement(root: PlanOp, ctx: LintContext) -> Iterator[Finding]:
 # -------------------------------------------------------- cost monotonicity
 
 
-def _sort_enforced(child: PlanOp) -> bool:
-    """Does a merge join read ``child`` through a sort enforcer (possibly
-    under the CHECK placed above it)?"""
-    while isinstance(child, (Check, BufCheck)):
-        child = child.children[0]
-    return isinstance(child, Sort)
-
-
-def _local_cost_fns(op: PlanOp, ctx: LintContext) -> list:
-    """(edge label, cost-of-scaled-input-cardinality) probes for one op.
-
-    The probe isolates how the operator's own cost responds to its *input*
-    edges — the quantity validity-range analysis differentiates.  A unary
-    operator's output cardinality is held at the optimizer's estimate.
-    """
-    cm = ctx.cost_model
-    out_card = op.est_card
-    if isinstance(op, Sort):
-        return [("input", cm.sort_cost)]
-    if isinstance(op, Temp):
-        return [("input", cm.temp_cost)]
-    if isinstance(op, (Check, BufCheck)):
-        return [("input", cm.check_cost)]
-    if isinstance(op, Project):
-        return [("input", cm.project_cost)]
-    if isinstance(op, MVScan):
-        return [("input", cm.mv_scan_cost)]
-    if isinstance(op, GroupBy):
-        return [("input", lambda c: cm.group_by_cost(c, min(c, out_card)))]
-    if isinstance(op, Distinct):
-        return [("input", lambda c: cm.distinct_cost(c, min(c, out_card)))]
-    if isinstance(op, JoinOp):
-        # The optimizer's own edge kernels (what the Fig. 5 probe runs), at
-        # the effective selectivity of the estimate.
-        outer, inner = op.outer.est_card, op.inner.est_card
-        sel = out_card / max(1e-9, outer * inner)
-        if isinstance(op, HashJoin):
-            description = ("hash", 0.0, sel, 1.0)
-        elif isinstance(op, MergeJoin):
-            description = (
-                "merge", 0.0, sel, _sort_enforced(op.outer), _sort_enforced(op.inner)
-            )
-        elif op.method == "rescan":
-            description = ("rescan", 0.0, sel)
-        else:
-            pages = cm.pages_for(inner)
-            if ctx.catalog is not None:
-                table_name = getattr(op.inner, "table", None)
-                if table_name is not None and ctx.catalog.has_table(table_name):
-                    pages = ctx.catalog.table(table_name).page_count
-            description = ("index", 0.0, cm.index_probe_cost(inner, pages), sel)
-            return [("outer", cm.edge_kernel(description, 0, inner))]
-        return [
-            ("outer", cm.edge_kernel(description, 0, inner)),
-            ("inner", cm.edge_kernel(description, 1, outer)),
-        ]
-    return []
-
-
 def rule_cost_monotone(root: PlanOp, ctx: LintContext) -> Iterator[Finding]:
     """Operator costs must stay finite, non-negative, and monotone in input
     cardinality across the neighbourhood Newton–Raphson explores.
 
     The validity-range probe re-costs plans at perturbed edge cardinalities;
     a cost function that turns negative, NaN, or *decreases* as an input
-    grows silently corrupts every bound derived from it.
+    grows silently corrupts every bound derived from it.  Each input edge
+    is probed through ``CostModel.recost``, the optimizer's own arithmetic.
     """
     if ctx.cost_model is None:
         return
+    recost = ctx.cost_model.recost
     for op in root.walk():
-        for edge, cost_fn in _local_cost_fns(op, ctx):
-            base = max(op.children[0].est_card if op.children else op.est_card, 1.0)
-            if isinstance(op, (HashJoin, MergeJoin, NLJoin)):
-                base = max(
-                    (op.outer if edge == "outer" else op.inner).est_card, 1.0
-                )
+        for i, child in enumerate(op.children):
+            edge = ("outer", "inner")[i] if isinstance(op, JoinOp) else "input"
+            base = max(child.est_card, 1.0)
             previous: Optional[float] = None
             for factor in _PROBE_FACTORS:
                 card = base * factor
-                cost = cost_fn(card)
+                cost = recost(op, {child.op_id: card})[op]
                 if math.isnan(cost) or math.isinf(cost) or cost < -1e-9:
                     yield _finding(
                         "cost-monotone", ERROR, op,

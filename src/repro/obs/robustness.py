@@ -11,13 +11,13 @@ its sort/hash spill discontinuities, which is where fragility lives — and
 emits the surface as JSON (benchmark/CI artifact) and as an ASCII heatmap
 (``explain``-style terminal rendering).
 
-The recost is the optimizer's own arithmetic re-applied: each perturbed
-edge scales every cardinality above it in the plan, and every operator's
-local cost is re-derived from its (scaled) input/output cardinalities via
-the same ``*_cost`` functions the optimizer used.  Operators without a
-cardinality-parameterized cost function fall back to scaling their original
-local cost linearly with input growth — conservative, and exact at the
-estimate point.
+Each grid point is one :meth:`repro.optimizer.costmodel.CostModel.recost`
+call — the optimizer's own arithmetic, driven by the cost descriptions the
+join nodes carry: the perturbed edges produce the grid's rows, every
+cardinality above them scales with them, and at the estimate the plan
+recosts to its ``est_cost`` exactly.  One gap: placement adds an LCEM TEMP's
+cost to the TEMP but not to the operators above it, so a plan with an LCEM
+CHECK recosts above its ``est_cost`` by that TEMP.
 """
 
 from __future__ import annotations
@@ -76,68 +76,6 @@ def _factor_grid(est_card: float, rng, points: int) -> list[float]:
     return factors
 
 
-def _local_cost(op, cm, in_cards: list[float], out_card: float) -> float:
-    """Re-derive one operator's local cost at perturbed cardinalities.
-
-    Uses the cost model's own functions wherever the operator kind has
-    one parameterized purely by cardinalities, so spill steps reappear at
-    the right grid points.
-    """
-    kind = op.KIND
-    if kind == "HSJOIN":
-        return cm.hash_join_cost(in_cards[0], in_cards[1], out_card)
-    if kind == "MSJOIN":
-        return cm.merge_join_cost(in_cards[0], in_cards[1], out_card, False, False)
-    if kind == "NLJOIN":
-        if getattr(op, "method", None) == "rescan":
-            return cm.nljn_rescan_cost(in_cards[0], in_cards[1], out_card)
-        # Index NLJN: per-probe cost depends on catalog detail not carried
-        # by the plan node; derive it from the plan's own local cost at the
-        # estimate and scale linearly with the outer (probe count).
-        base_outer = max(float(op.children[0].est_card), 1.0)
-        emit = float(op.est_card) * cm.params.cpu_emit
-        per_probe = max(float(op.local_cost) - emit, 0.0) / base_outer
-        return in_cards[0] * per_probe + out_card * cm.params.cpu_emit
-    if kind == "SORT":
-        return cm.sort_cost(in_cards[0])
-    if kind == "TEMP":
-        return cm.temp_cost(in_cards[0])
-    if kind == "GRPBY":
-        return cm.group_by_cost(in_cards[0], out_card)
-    if kind == "DISTINCT":
-        return cm.distinct_cost(in_cards[0], out_card)
-    if kind in ("CHECK", "BUFCHECK"):
-        return cm.check_cost(in_cards[0])
-    # Leaves and row-shufflers (scans, PROJECT, RETURN, HAVING, ANTIJOIN):
-    # scale the plan's local cost with input growth; exact at factor 1.
-    base_in = sum(float(c.est_card) for c in op.children)
-    now_in = sum(in_cards)
-    local = max(float(op.local_cost), 0.0)
-    if base_in <= 0 or not op.children:
-        return local
-    return local * (now_in / base_in)
-
-
-def _recost(plan, cm, scaling: dict[int, float]) -> float:
-    """Total plan cost with the edges in ``scaling`` (op_id -> factor)
-    perturbed; every ancestor's cardinalities scale multiplicatively."""
-
-    def visit(op):
-        total = 0.0
-        in_cards = []
-        mult = scaling.get(op.op_id, 1.0)
-        for child in op.children:
-            child_cost, child_mult = visit(child)
-            total += child_cost
-            in_cards.append(float(child.est_card) * child_mult)
-            mult *= child_mult
-        out_card = float(op.est_card) * mult
-        total += _local_cost(op, cm, in_cards, out_card)
-        return total, mult
-
-    return visit(plan)[0]
-
-
 class RobustnessMap:
     """Cost surface of one plan over a cardinality grid (1 or 2 edges)."""
 
@@ -166,7 +104,7 @@ class RobustnessMap:
         factor_axes = []
         card_axes = []
         for join, _idx, child, rng in picked:
-            est = max(float(child.est_card), 1.0)
+            est = child.est_card
             factors = _factor_grid(est, rng, self.points)
             factor_axes.append(factors)
             card_axes.append([est * f for f in factors])
@@ -185,32 +123,20 @@ class RobustnessMap:
                     ),
                 }
             )
-        base_cost = _recost(self.plan, self.cost_model, {})
-        cost: list = []
+
+        def cost_at(*rows) -> float:
+            named = {child.op_id: n for (_, _, child, _), n in zip(picked, rows)}
+            return self.cost_model.recost(self.plan, named)[self.plan]
+
+        base_cost = cost_at()
         if not picked:
             cost = [[base_cost]]
             factor_axes = [[1.0]]
-            card_axes = [[float(self.plan.est_card)]]
+            card_axes = [[self.plan.est_card]]
         elif len(picked) == 1:
-            (_, _, child, _) = picked[0]
-            cost = [
-                [
-                    _recost(self.plan, self.cost_model, {child.op_id: f})
-                    for f in factor_axes[0]
-                ]
-            ]
+            cost = [[cost_at(n0) for n0 in card_axes[0]]]
         else:
-            id0 = picked[0][2].op_id
-            id1 = picked[1][2].op_id
-            for f1 in factor_axes[1]:
-                cost.append(
-                    [
-                        _recost(
-                            self.plan, self.cost_model, {id0: f0, id1: f1}
-                        )
-                        for f0 in factor_axes[0]
-                    ]
-                )
+            cost = [[cost_at(n0, n1) for n0 in card_axes[0]] for n1 in card_axes[1]]
         flat = [c for row in cost for c in row]
         max_cost = max(flat)
         min_cost = min(flat)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -403,9 +404,87 @@ class CostModel:
     def project_cost(self, card: float) -> float:
         return max(0.0, card) * self.params.cpu_emit
 
-    def check_cost(self, card: float) -> float:
-        """The CHECK operator's counting overhead."""
-        return max(0.0, card) * self.params.cpu_check
+    # ----------------------------------------------------------------- recost
+
+    def recost(self, plan, cards: Optional[dict] = None) -> dict:
+        """Every node's cumulative cost, ``{node: cost}``, with the nodes
+        named in ``cards`` (``op_id -> rows``) producing those rows.
+
+        Every other node produces its ``est_card`` times the product of its
+        children's growth ratios.  Each node is priced as the enumerator
+        priced it, with the same floating-point operations, so at the
+        estimates every node recosts to its ``est_cost`` exactly:
+
+        * a join evaluates its ``cost_desc`` with ``base`` replaced by its
+          recosted inputs — a merge join's below their sort enforcers, a
+          rescan nested loop's inner below its TEMP (looking through
+          CHECKs), and an index nested loop charges its inner IXSCAN
+          ``outer rows × probe cost``;
+        * SORT, TEMP, GRPBY, DISTINCT and PROJECT add their ``*_cost``,
+          HAVING ``input rows × cpu_row``; CHECK, BUFCHECK, RETURN and
+          ANTIJOIN add nothing;
+        * a leaf keeps its ``est_cost``.
+        """
+        cards = cards or {}
+        cpu_row, cpu_emit = self.params.cpu_row, self.params.cpu_emit
+        local = {
+            "SORT": lambda rows_in, rows: self.sort_cost(rows_in),
+            "TEMP": lambda rows_in, rows: self.temp_cost(rows_in),
+            "GRPBY": self.group_by_cost,
+            "DISTINCT": self.distinct_cost,
+            "PROJECT": lambda rows_in, rows: self.project_cost(rows_in),
+            "HAVING": lambda rows_in, rows: rows_in * cpu_row,
+        }
+        cost: dict = {}
+        out: dict = {}
+
+        def under(op):
+            """The input of the SORT / TEMP at ``op``, CHECKs looked through."""
+            while op.KIND in ("CHECK", "BUFCHECK"):
+                op = op.children[0]
+            return op.children[0] if op.KIND in ("SORT", "TEMP") else op
+
+        def visit(op) -> float:
+            """Recost ``op``'s subtree; returns its growth ratio."""
+            ratio = 1.0
+            for child in op.children:
+                ratio *= visit(child)
+            if op.op_id in cards:
+                rows = cards[op.op_id]
+                ratio = rows / op.est_card if op.est_card > 0.0 else 1.0
+            else:
+                rows = op.est_card * ratio
+            out[op] = rows
+            if not op.children:
+                cost[op] = op.est_cost
+            elif len(op.children) > 1:
+                outer, inner = op.children
+                kind, _base, *consts = op.cost_desc
+                rows_o, rows_i = out[outer], out[inner]
+                if kind == "index":
+                    cost[inner] = rows_o * consts[0]
+                    cost[op] = cost[outer] + cost[inner] + rows * cpu_emit
+                elif kind == "hash":
+                    join = self.hash_join_cost(rows_o, rows_i, rows) * consts[1]
+                    cost[op] = cost[outer] + cost[inner] + join
+                elif kind == "merge":
+                    _sel, sort_o, sort_i = consts
+                    join = self.merge_join_cost(rows_o, rows_i, rows, sort_o, sort_i)
+                    cost[op] = (
+                        cost[under(outer) if sort_o else outer]
+                        + cost[under(inner) if sort_i else inner]
+                    ) + join
+                else:  # rescan
+                    join = self.nljn_rescan_cost(rows_o, rows_i, rows)
+                    cost[op] = cost[outer] + cost[under(inner)] + join
+            else:
+                (child,) = op.children
+                add = local.get(op.KIND)
+                cost[op] = cost[child] + add(out[child], rows) if add else cost[child]
+            return ratio
+
+        visit(plan)
+        return cost
 
     # ---------------------------------------------------------- optimization
 

@@ -106,7 +106,8 @@ class Candidate:
     edge_subsets: Optional[tuple] = None
     #: Total cost as a function of (outer_card, inner_card), as a
     #: ``(kind, *constants)`` description that ``CostModel.edge_kernel``
-    #: restricts to one edge; None for leaves.
+    #: restricts to one edge and the built node carries as
+    #: ``JoinOp.cost_desc``; None for leaves.
     cost_desc: Optional[tuple] = None
     #: The kept candidates this join reads (outer first); empty for leaves.
     inputs: tuple = ()
@@ -352,18 +353,19 @@ class PlanEnumerator:
             total = base_cost + part.method_cost(
                 cm.hash_join_cost, card_l, card_r, card_out
             ) * penalty
+            hash_desc = ("hash", base_cost, sel_eff, penalty)
 
             def build_hsjn(_total=total) -> PlanOp:
                 props, layout = self._join_shape(left, right.plan.layout, part)
                 return HashJoin(
                     left.plan, right.plan, preds, props, layout,
-                    est_card=card_out, est_cost=_total,
+                    est_card=card_out, est_cost=_total, cost_desc=hash_desc,
                 )
 
             out.append(
                 Candidate(
                     None, total, left.order, edge_subsets,
-                    ("hash", base_cost, sel_eff, penalty), inputs, build_hsjn,
+                    hash_desc, inputs, build_hsjn,
                 )
             )
 
@@ -375,6 +377,7 @@ class PlanEnumerator:
             total = base_cost + part.method_cost(
                 cm.merge_join_cost, card_l, card_r, card_out, sort_l, sort_r
             )
+            merge_desc = ("merge", base_cost, sel_eff, sort_l, sort_r)
 
             def build_msjn(_total=total) -> PlanOp:
                 outer_plan = left.plan
@@ -392,13 +395,12 @@ class PlanEnumerator:
                 props, layout = self._join_shape(left, right.plan.layout, part)
                 return MergeJoin(
                     outer_plan, inner_plan, preds, props.with_order(key_l), layout,
-                    est_card=card_out, est_cost=_total,
+                    est_card=card_out, est_cost=_total, cost_desc=merge_desc,
                 )
 
             out.append(
                 Candidate(
-                    None, total, key_l, edge_subsets,
-                    ("merge", base_cost, sel_eff, sort_l, sort_r), inputs, build_msjn,
+                    None, total, key_l, edge_subsets, merge_desc, inputs, build_msjn,
                 )
             )
 
@@ -408,6 +410,7 @@ class PlanEnumerator:
             total = base_cost + part.method_cost(
                 cm.nljn_rescan_cost, card_l, card_r, card_out
             )
+            rescan_desc = ("rescan", base_cost, sel_eff)
 
             def build_rescan(_total=total) -> PlanOp:
                 temp = Temp(right.plan, est_cost=right.cost + cm.temp_cost(card_r))
@@ -415,12 +418,13 @@ class PlanEnumerator:
                 return NLJoin(
                     left.plan, temp, preds, props, layout,
                     est_card=card_out, est_cost=_total, method="rescan",
+                    cost_desc=rescan_desc,
                 )
 
             out.append(
                 Candidate(
                     None, total, left.order, edge_subsets,
-                    ("rescan", base_cost, sel_eff), inputs, build_rescan,
+                    rescan_desc, inputs, build_rescan,
                 )
             )
 
@@ -467,9 +471,11 @@ class PlanEnumerator:
         for pred, index, probe_cost in probes:
             inner_total_cost = card_l * probe_cost
             total = left.cost + inner_total_cost + emit_cost
+            desc = ("index", left.cost, probe_cost, sel_eff)
 
             def build_nljn(
-                _pred=pred, _index=index, _inner_cost=inner_total_cost, _total=total
+                _pred=pred, _index=index, _inner_cost=inner_total_cost, _total=total,
+                _desc=desc,
             ) -> PlanOp:
                 inner_layout = self._table_layout(inner_alias)
                 inner_plan = IndexScan(
@@ -485,12 +491,12 @@ class PlanEnumerator:
                     left.plan, inner_plan,
                     [_pred] + [p for p in preds if p is not _pred], props, layout,
                     est_card=card_out, est_cost=_total, method="index",
+                    cost_desc=_desc,
                 )
 
             out.append(
                 Candidate(
-                    None, total, left.order, part.edge_subsets,
-                    ("index", left.cost, probe_cost, sel_eff), (left,), build_nljn,
+                    None, total, left.order, part.edge_subsets, desc, (left,), build_nljn,
                 )
             )
         self.plans_enumerated += len(out)

@@ -53,11 +53,6 @@ class PlanOp:
 
     # ------------------------------------------------------------------ info
 
-    @property
-    def local_cost(self) -> float:
-        """This operator's own cost (cumulative minus children)."""
-        return self.est_cost - sum(c.est_cost for c in self.children)
-
     def describe(self) -> str:
         """One-line operator description for EXPLAIN output."""
         return self.KIND
@@ -183,7 +178,12 @@ class MVScan(PlanOp):
 
 
 class JoinOp(PlanOp):
-    """Common base of the three join methods.  children = [outer, inner]."""
+    """Common base of the three join methods.  children = [outer, inner].
+
+    ``cost_desc`` is the enumerator's ``(kind, base, *constants)``
+    description of the join's cost function (``CostModel.edge_kernel``);
+    ``CostModel.recost`` re-prices the join with it.
+    """
 
     def __init__(
         self,
@@ -194,9 +194,12 @@ class JoinOp(PlanOp):
         layout: RowLayout,
         est_card: float,
         est_cost: float,
+        *,
+        cost_desc: tuple,
     ):
         super().__init__([outer, inner], properties, layout, est_card, est_cost)
         self.join_predicates = list(join_predicates)
+        self.cost_desc = cost_desc
 
     @property
     def outer(self) -> PlanOp:

@@ -85,14 +85,31 @@ def check(child, low=None, high=None, flavor=LC):
     return Check(child, rng, flavor)
 
 
+def sorted_input(op):
+    """Is ``op`` a sort enforcer, possibly under the CHECK placed above it?"""
+    while isinstance(op, (Check, BufCheck)):
+        op = op.children[0]
+    return isinstance(op, Sort)
+
+
 def join(cls, outer, inner, card=50.0, cost=100.0, **kwargs):
-    """A structurally valid join of two single-table subplans."""
+    """A structurally valid join of two single-table subplans; a merge
+    join's sort flags follow its Sort children."""
     t_outer = next(iter(outer.properties.tables))
     t_inner = next(iter(inner.properties.tables))
     pred = JoinPredicate(ColumnRef(t_outer, "a"), ColumnRef(t_inner, "a"))
     properties = outer.properties.merge(inner.properties, [pred.pred_id])
     layout = outer.layout.concat(inner.layout)
-    return cls(outer, inner, [pred], properties, layout, card, cost, **kwargs)
+    sel = card / (outer.est_card * inner.est_card)
+    cost_desc = {
+        HashJoin: ("hash", 0.0, sel, 1.0),
+        MergeJoin: ("merge", 0.0, sel, sorted_input(outer), sorted_input(inner)),
+        NLJoin: ("rescan", 0.0, sel),
+    }[cls]
+    return cls(
+        outer, inner, [pred], properties, layout, card, cost,
+        cost_desc=cost_desc, **kwargs,
+    )
 
 
 def lint(root, ctx=None, number=True):

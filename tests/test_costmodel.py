@@ -111,4 +111,4 @@ class TestParams:
 
     def test_check_cost_tiny(self):
         # The paper's claim: counting rows is negligible per row.
-        assert CM.check_cost(1) < 0.01 * P.io_page
+        assert P.cpu_check < 0.01 * P.io_page

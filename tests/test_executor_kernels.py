@@ -420,15 +420,18 @@ def join(kind, left_rows, right_rows, key_columns, **kwargs):
         JoinPredicate(ColumnRef("l", c), ColumnRef("r", c)) for c in key_columns
     ]
     layout = outer.layout.concat(inner.layout)
+    cost_desc = ("hash", 2.0, 0.1, 1.0)
     if kind is MergeJoin:
         keys = lambda alias: [f"{alias}.{c}" for c in key_columns]  # noqa: E731
         outer = Sort(outer, keys("l"), props("l"), est_cost=2.0)
         inner = Sort(inner, keys("r"), props("r"), est_cost=2.0)
+        cost_desc = ("merge", 2.0, 0.1, True, True)
     if kind is NLJoin:
         inner = Temp(inner, est_cost=2.0)
+        cost_desc = ("rescan", 2.0, 0.1)
     plan = kind(
         outer, inner, preds, props("l", "r"), layout,
-        est_card=10.0, est_cost=5.0, **kwargs,
+        est_card=10.0, est_cost=5.0, cost_desc=cost_desc, **kwargs,
     )
     return cat, plan
 
@@ -522,6 +525,7 @@ def index_nljn(outer, *, residual=False, inner_filters=()):
     return NLJoin(
         outer, inner, preds, props("l", "r"), layout_of("l").concat(layout_of("r")),
         est_card=10.0, est_cost=5.0, method="index",
+        cost_desc=("index", 1.0, 0.2, 0.1),
     )
 
 

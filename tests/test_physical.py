@@ -46,6 +46,7 @@ def join(left: PlanOp, right: PlanOp, cls=HashJoin, **kwargs) -> PlanOp:
         left.layout.concat(right.layout),
         est_card=50.0,
         est_cost=left.est_cost + right.est_cost + 5.0,
+        cost_desc=("hash", left.est_cost + right.est_cost, 0.005, 1.0),
         **kwargs,
     )
 
@@ -74,10 +75,6 @@ class TestTreeBasics:
         assert root.children == [replacement]
         with pytest.raises(ValueError):
             root.replace_child(inner, replacement)
-
-    def test_local_cost(self):
-        j = join(scan("t", cost=10.0), scan("u", cost=20.0))
-        assert j.local_cost == pytest.approx(j.est_cost - 30.0)
 
     def test_validity_ranges_per_child(self):
         j = join(scan("t"), scan("u"))

@@ -65,6 +65,7 @@ def merge_join_plan(db):
         c.properties.merge(o.properties, {pred.pred_id}),
         sort_c.layout.concat(sort_o.layout),
         est_card=12000, est_cost=2000,
+        cost_desc=("merge", c.est_cost + o.est_cost, 1 / 1200, True, True),
     )
     join.validity_ranges[0].narrow_high(5000)
     join.validity_ranges[1].narrow_high(60000)

@@ -346,7 +346,10 @@ def join_plan(n_build=1500, n_probe=300):
     )
     pred = JoinPredicate(ColumnRef("p", "pk"), ColumnRef("b", "bk"))
     props = PlanProperties(frozenset({"p", "b"}), frozenset())
-    return HashJoin(outer, inner, (pred,), props, 5, est_card=n_probe, est_cost=1)
+    return HashJoin(
+        outer, inner, (pred,), props, 5, est_card=n_probe, est_cost=1,
+        cost_desc=("hash", 2.0, 1 / n_build, 1.0),
+    )
 
 
 class TestGraceHashJoin:
