@@ -107,9 +107,8 @@ class ResiliencePolicy:
 class MemoryPolicy:
     """Memory-governor policy (:mod:`repro.governor`).
 
-    Attached to :class:`PopConfig` (``memory=...``) and activated by
-    :meth:`repro.core.database.Database.enable_memory_governor`.  When
-    absent (the default) the engine keeps its legacy behavior: every
+    Activated by :meth:`repro.core.database.Database.enable_memory_governor`.
+    When absent (the default) the engine keeps its legacy behavior: every
     operator gets its full modeled grant and a squeeze below the minimum
     raises :class:`~repro.common.errors.ResourceExhausted`.
 
@@ -222,11 +221,6 @@ class PopConfig:
     #: fallback.  ``None`` disables the guard entirely (the default — no
     #: behavior change and zero overhead).
     resilience: Optional[ResiliencePolicy] = None
-    #: Memory-governor policy (:mod:`repro.governor`): admission control
-    #: against a shared page budget, per-operator grant arbitration, and
-    #: spill-based degradation.  ``None`` disables the governor (the
-    #: default — legacy full grants, hard ``ResourceExhausted`` failures).
-    memory: Optional[MemoryPolicy] = None
     #: Rows per executor batch (>= 1; docs/vectorized.md).  Rows, CHECK
     #: decisions, re-opt counts, and meter totals do not depend on it —
     #: only how much work passes between two cancellation/deadline polls.

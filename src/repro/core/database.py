@@ -21,7 +21,7 @@ otherwise).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.cache import cache_usable
@@ -129,9 +129,9 @@ class Database:
     ):
         """Turn on the shared-budget memory governor (:mod:`repro.governor`).
 
-        Every subsequent :meth:`execute` is admitted against the budget
-        with a reservation sized from the plan's estimated memory (queuing,
-        then shedding with
+        Every subsequent :meth:`execute` is admitted against the budget,
+        once its first plan is chosen, with a reservation sized from that
+        plan's estimated memory (queuing, then shedding with
         :class:`~repro.common.errors.AdmissionRejected` when saturated),
         and memory-consuming operators degrade by spilling instead of
         raising ``ResourceExhausted`` when their grants are squeezed.
@@ -407,23 +407,6 @@ class Database:
                 txn.snapshot if txn is not None
                 else self.txn_manager.pin_snapshot()
             )
-        governor = self.memory_governor
-        reservation = None
-        if governor is not None:
-            # Size the reservation from a compile-time estimate of the
-            # plan's working memory (sort/hash/temp footprints).  The
-            # sizing pass is not charged to the statement's meter — it is
-            # the admission decision, not the statement's work.
-            from repro.governor import estimate_plan_memory
-
-            sizing = self.optimizer.optimize(query, options=optimizer_options)
-            requested = estimate_plan_memory(sizing.plan, self.cost_params)
-            label = statement if isinstance(statement, str) else "query"
-            reservation = governor.admit(
-                requested, label=str(label)[:60], cancel=cancel
-            )
-            if config.memory is None:
-                config = replace(config, memory=governor.policy)
         sc = StatementContext(
             query,
             config,
@@ -434,7 +417,8 @@ class Database:
             faults=faults,
             plan_cache=effective_cache,
             statement=stmt,
-            reservation=reservation,
+            sql=statement if isinstance(statement, str) else None,
+            governor=self.memory_governor,
             cancel=cancel,
             snapshot=snapshot,
             tracer=tracer,
@@ -442,19 +426,7 @@ class Database:
             profile=profile,
             progress=progress,
         )
-        try:
-            rows, report = PopDriver(self.optimizer).run(sc)
-        finally:
-            if reservation is not None:
-                governor.release(reservation)
-        if governor is not None and report.spilled:
-            governor.record_spill(
-                {
-                    "files": report.spill_files,
-                    "bytes": report.spill_bytes,
-                    "pages": report.spill_pages,
-                }
-            )
+        rows, report = PopDriver(self.optimizer).run(sc)
         if self.learning is not None:
             self.learning.absorb(sc.feedback)
         return Result(columns=query.output_names, rows=rows, report=report)

@@ -44,6 +44,7 @@ from repro.executor.base import (
 )
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
+from repro.governor import estimate_plan_memory
 from repro.obs import OpRecord, ProfileCollector, record_attempt, wall_clock
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
@@ -268,7 +269,10 @@ class StatementContext:
     #: whose bound query is ``query``.
     plan_cache: Any = None
     statement: Any = None
-    reservation: Any = None
+    #: The SQL text (it labels the reservation) and the database's memory
+    #: governor, which admits the statement once attempt 0 has its plan.
+    sql: Optional[str] = None
+    governor: Any = None
     cancel: Any = None
     snapshot: Any = None
     tracer: Any = None
@@ -276,6 +280,8 @@ class StatementContext:
     profile: bool = False
     progress: Any = None
     reopt_limit: int = field(init=False, default=0)
+    #: Sized from attempt 0's plan; every later attempt keeps it.
+    reservation: Any = field(init=False, default=None)
     injector: Optional[FaultInjector] = field(init=False, default=None)
     guard: Optional[ExecutionGuard] = field(init=False, default=None)
     #: Bind-value peeking: cached-path statements are optimized at their
@@ -401,8 +407,15 @@ class PopDriver:
         """Execute the statement ``sc`` describes; returns (rows, report)."""
         started = wall_clock()
         self._open_statement(sc)
-        self._run_attempts(sc)
-        return sc.delivered, self._close_statement(sc, wall_clock() - started)
+        try:
+            self._run_attempts(sc)
+        finally:
+            if sc.reservation is not None:
+                sc.governor.release(sc.reservation)
+        report = self._close_statement(sc, wall_clock() - started)
+        if sc.governor is not None and report.spilled:
+            sc.governor.record_spill(report)
+        return sc.delivered, report
 
     def _open_statement(self, sc: StatementContext) -> None:
         tracer, metrics = sc.tracer, sc.metrics
@@ -467,6 +480,15 @@ class PopDriver:
         """
         while True:
             planned = self._plan(sc)
+            if sc.governor is not None and sc.reservation is None:
+                # Admit on the plan that will run, before any execution
+                # context: the wall deadline starts after the wait.
+                cost_params = self.optimizer.cost_model.params
+                sc.reservation = sc.governor.admit(
+                    estimate_plan_memory(planned.plan, cost_params),
+                    label=(sc.sql or "query")[:60],
+                    cancel=sc.cancel,
+                )
             run = self._execute(sc, planned)
             try:
                 self._finish(sc, run)
@@ -751,7 +773,7 @@ class PopDriver:
                 if guard is not None
                 else None
             ),
-            memory=config.memory,
+            memory=sc.governor.policy if sc.governor is not None else None,
             reservation=sc.reservation,
             # One collector per attempt so re-optimized rounds stay
             # separately attributable (None keeps the executor's

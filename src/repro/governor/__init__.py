@@ -8,27 +8,29 @@ story; the *operator-level* half (spilling sort / Grace hash join /
 file-backed TEMP) lives in :mod:`repro.executor` and degrades against the
 grants arbitrated here.
 
-Life of a statement under the governor:
+Life of a statement under the governor, all of it in the POP driver
+(:mod:`repro.core.driver`), to which ``Database.execute`` hands it:
 
-1. **Admission** — :meth:`MemoryGovernor.admit` sizes a reservation from
-   the plan's estimated memory (:func:`estimate_plan_memory`), clamped to
+1. **Plan** — attempt 0 gets its plan (cached, or optimized and placed).
+2. **Admit** — :meth:`MemoryGovernor.admit` reserves
+   :func:`estimate_plan_memory` of that plan, clamped to
    ``[min_reservation_pages, budget_pages]``.  If it does not fit, the
    governor first tries to *reclaim* pages from running statements
    (renegotiation, below), then queues the request (bounded depth, bounded
    wait), and finally sheds it with a classified
-   :class:`~repro.common.errors.AdmissionRejected`.
-2. **Grant arbitration** — operators ask
+   :class:`~repro.common.errors.AdmissionRejected`.  Later attempts keep
+   the reservation.
+3. **Grants** — operators ask
    :meth:`~repro.executor.base.ExecutionContext.grant_pages` for their
    working memory; the context caps every grant at the statement's
    current reservation, and squeezed operators spill instead of dying.
-3. **Renegotiation** — the governor may shrink a *running* statement's
+4. **Renegotiate** — the governor may shrink a *running* statement's
    reservation down to the ``min_reservation_pages`` floor to admit new
    work (or when a chaos fault applies memory pressure).  A shrink lowers
    :attr:`Reservation.pages`, and the affected operators see the smaller
    limit on their next grant.
-4. **Release** — :meth:`Reservation.release` returns the pages and wakes
-   the admission queue.  ``Database.execute`` pairs admit/release in a
-   ``try``/``finally``.
+5. **Release** — ``run`` returns the pages in a ``finally`` (waking the
+   admission queue), then calls :meth:`MemoryGovernor.record_spill`.
 
 Thread-safe: one lock/condition guards all budget state, because the
 whole point is many concurrent statements contending for one budget.
@@ -55,18 +57,21 @@ __all__ = [
 
 
 def estimate_plan_memory(plan: PlanOp, cost_params) -> float:
-    """Estimated working-memory pages of ``plan``.
+    """Estimated working-memory pages of ``plan``, the plan that will run
+    as placed: an LCEM TEMP (a TEMP with a CHECK above it, on a nested-loop
+    join's outer) takes a ``temp`` grant at run time, so it counts.
 
     Sums, over the memory-consuming operators, the smaller of the modeled
-    input footprint and the operator's configured memory ceiling — the
-    same quantities the executor will later request via ``grant_pages``:
+    input footprint and the operator's configured memory ceiling:
 
     * ``SORT``: input pages, capped at ``sort_mem_pages``;
     * ``HSJOIN``: build-side (inner) pages, capped at ``hash_mem_pages``;
     * ``TEMP``: input pages, capped at ``temp_mem_pages``.
 
-    Streaming operators need no reservation.  Returns 0.0 for a fully
-    streaming plan; callers clamp to the policy's reservation floor.
+    The operators ask ``grant_pages`` for the full ceiling, capped at the
+    reservation; this sum only sizes the reservation.  Streaming operators
+    need none.  Returns 0.0 for a fully streaming plan; callers clamp to
+    the policy's reservation floor.
     """
 
     def pages(card: float) -> float:
@@ -316,13 +321,14 @@ class MemoryGovernor:
                 )
             self._cond.notify_all()
 
-    def record_spill(self, summary: dict) -> None:
-        """Fold one finished statement's spill accounting into the totals
-        surfaced by the ``\\memory`` CLI command."""
+    def record_spill(self, report) -> None:
+        """Fold one finished statement's spill accounting (its
+        :class:`~repro.core.driver.PopReport`) into the totals surfaced by
+        the ``\\memory`` CLI command."""
         with self._cond:
-            self.spill_files_total += summary.get("files", 0)
-            self.spill_bytes_total += summary.get("bytes", 0)
-            self.spill_pages_total += summary.get("pages", 0.0)
+            self.spill_files_total += report.spill_files
+            self.spill_bytes_total += report.spill_bytes
+            self.spill_pages_total += report.spill_pages
 
     # ------------------------------------------------------------- reporting
 

@@ -396,7 +396,7 @@ HASH_JOIN_SQL = (
 
 def test_per_call_optimizer_options_apply_to_that_call_only():
     db = build_star_db()
-    db.enable_memory_governor()  # the admission sizing optimizes too
+    db.enable_memory_governor()  # admission sizes from the per-call plan
     assert not find_ops(
         db.plan(HASH_JOIN_SQL, optimizer_options=NO_HASH)[1].plan, HashJoin
     )

@@ -13,19 +13,30 @@ import threading
 
 import pytest
 
+from repro.common.cancel import CancelToken
+from repro.common.chaosutil import spill_dirs
 from repro.common.errors import (
     ADMISSION,
+    CANCELLED,
     AdmissionRejected,
+    ExecutionCancelled,
     ResourceExhausted,
     TransientError,
     failure_class,
 )
 from repro.core.config import MemoryPolicy, PopConfig
 from repro.core.database import Database
+from repro.core.flavors import LCEM
 from repro.executor.base import ExecutionContext
 from repro.governor import MemoryGovernor, estimate_plan_memory
 from repro.obs import MetricsRegistry
-from tests.conftest import canonical
+from repro.optimizer.optimizer import Optimizer
+from repro.plan.explain import join_order
+from repro.plan.physical import Check, Temp, find_ops
+from repro.sql.binder import bind_sql
+from repro.sql.parameterize import parameterize_sql
+from tests.conftest import build_dmv_db, canonical
+from tests.test_plan_cache_differential import MAKE_VIOLATIONS
 
 
 def policy(**overrides):
@@ -179,8 +190,6 @@ class TestGrantPlumbing:
 
 
 def _estimate(db, sql):
-    from repro.sql.binder import bind_sql
-
     plan = db.optimizer.optimize(bind_sql(sql, db.catalog)).plan
     return estimate_plan_memory(plan, db.cost_params)
 
@@ -321,6 +330,136 @@ class TestEndToEnd:
             for r in report.attempts[-1].record.walk()
         )
         assert report.attempts[-1].reservation_pages < 512.0
+
+
+def roomy_policy():
+    """A budget that never squeezes, with a floor low enough that every
+    reservation is the plan's own estimate."""
+    return MemoryPolicy(budget_pages=1e6, min_reservation_pages=1.0)
+
+
+class TestPlanThenAdmit:
+    """The driver admits a statement once attempt 0 has its plan, and
+    sizes the reservation from that plan, as it runs."""
+
+    def test_reservation_sized_from_the_peeked_plan(self):
+        db = build_dmv_db()
+        db.enable_plan_cache()
+        db.enable_memory_governor(policy=roomy_policy())
+        sql = MAKE_VIOLATIONS.format(make="MAKE00")
+        # The cache lifts the literal to a marker and plans at its peeked
+        # value; planned at the marker's default selectivity instead, the
+        # statement gets another join order and a far smaller estimate.
+        unpeeked = db.optimizer.optimize(
+            parameterize_sql(sql, db.catalog).query
+        ).plan
+        first = db.execute(sql).report.attempts[0]
+        assert first.join_order != join_order(unpeeked)
+        estimate = estimate_plan_memory(first.plan, db.cost_params)
+        assert estimate > estimate_plan_memory(unpeeked, db.cost_params)
+        assert first.reservation_pages == estimate
+
+    def test_reservation_counts_the_lcem_temp(self):
+        db = build_dmv_db()
+        db.enable_memory_governor(policy=roomy_policy())
+        sql = MAKE_VIOLATIONS.format(make="MAKE02")
+        first = db.execute(sql).report.attempts[0]
+        lcem = [
+            op for op in find_ops(first.plan, Check) if op.flavor == LCEM
+        ]
+        assert lcem and isinstance(lcem[0].children[0], Temp)
+        unplaced = db.optimizer.optimize(bind_sql(sql, db.catalog)).plan
+        estimate = estimate_plan_memory(first.plan, db.cost_params)
+        assert estimate > estimate_plan_memory(unplaced, db.cost_params)
+        assert first.reservation_pages == estimate
+
+    def test_one_optimize_per_governed_attempt(self, monkeypatch):
+        calls = []
+        real = Optimizer.optimize
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Optimizer, "optimize", spy)
+
+        def optimizes(sql):
+            calls.clear()
+            report = db.execute(sql).report
+            return len(calls), report
+
+        db = build_dmv_db()
+        db.enable_plan_cache()
+        db.enable_memory_governor(policy=roomy_policy())
+        miss_sql = MAKE_VIOLATIONS.format(make="MAKE02")
+        governed_miss, report = optimizes(miss_sql)
+        assert not report.cache_hit and governed_miss >= 1
+        hit, report = optimizes(MAKE_VIOLATIONS.format(make="MAKE03"))
+        assert report.cache_hit and report.attempts[0].reservation_pages
+        assert hit == 0
+        db.disable_memory_governor()
+        db.plan_cache.clear()
+        ungoverned_miss, report = optimizes(miss_sql)
+        assert not report.cache_hit
+        assert governed_miss == ungoverned_miss
+
+
+class TestAdmissionFailures:
+    """A statement the governor cannot admit fails with the classified
+    error, holds no pages and leaves no spill directory."""
+
+    SQL = "SELECT c.c_id, c.c_weight FROM car c ORDER BY c.c_weight, c.c_id"
+
+    def saturated(self, dmv_db, governed, **overrides):
+        governor = governed(
+            dmv_db,
+            policy=policy(min_reservation_pages=100.0, **overrides),
+        )
+        return governor, governor.admit(100.0, label="hog"), spill_dirs()
+
+    def test_shed_statement(self, dmv_db, governed):
+        governor, hog, before = self.saturated(
+            dmv_db, governed, max_queue_depth=0
+        )
+        rejected = governor.rejected_total
+        with pytest.raises(AdmissionRejected) as err:
+            dmv_db.execute(self.SQL)
+        assert failure_class(err.value) == ADMISSION
+        assert governor.rejected_total == rejected + 1
+        assert governor.used_pages() == hog.pages
+        hog.release()
+        assert governor.used_pages() == 0
+        assert spill_dirs() == before
+
+    def test_statement_cancelled_while_queued(self, dmv_db, governed):
+        governor, hog, before = self.saturated(
+            dmv_db, governed, queue_timeout_seconds=60.0
+        )
+        token = CancelToken()
+        outcome: dict = {}
+
+        def queued() -> None:
+            try:
+                dmv_db.execute(self.SQL, cancel=token)
+            except ExecutionCancelled as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=queued)
+        thread.start()
+        for _ in range(500):
+            if governor.snapshot()["queue_depth"]:
+                break
+            thread.join(timeout=0.01)
+        assert governor.snapshot()["queue_depth"] == 1
+        token.cancel("client went away")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert failure_class(outcome["error"]) == CANCELLED
+        assert governor.used_pages() == hog.pages
+        hog.release()
+        assert governor.used_pages() == 0
+        assert governor.rejected_total == 0
+        assert spill_dirs() == before
 
 
 QUERY_POOL = [

@@ -16,6 +16,10 @@ hit carries an admission report whose every evaluated validity/CHECK range
 contains the fresh bind-value-peeked estimate (paper §3's admission test),
 and the stream as a whole actually exercises reuse (hit count > 0).
 
+The DMV stream also runs ``governed``: under a memory governor at 25 % of
+the stream's largest estimate, it must leave no pages reserved and never
+reserve more than the budget.
+
 Two fixed seeds run in CI; the seed list is the single knob to widen the
 sweep locally.  The oracle materializes per-table filtered rows and then a
 full cross product, so templates keep every joined table selectively
@@ -30,7 +34,8 @@ import random
 
 import pytest
 
-from repro import PopConfig
+from repro import MemoryPolicy, PopConfig
+from repro.governor import estimate_plan_memory
 from repro.obs import MetricsRegistry
 from repro.sql.binder import bind_sql
 from repro.workloads.dmv import schema as dmv_schema
@@ -88,6 +93,14 @@ DMV_TEMPLATES = [
 ]
 
 
+MAKE_VIOLATIONS = (
+    "SELECT v.v_type, count(*) AS n FROM car c, violation v "
+    "WHERE v.v_car_id = c.c_id AND c.c_make = '{make}' "
+    "GROUP BY v.v_type ORDER BY v.v_type"
+)
+GOVERNED_DMV_TEMPLATES = DMV_TEMPLATES + [("make_violations", MAKE_VIOLATIONS)]
+
+
 def tpch_params(rng: random.Random) -> dict:
     year = rng.randint(1993, 1996)
     month = rng.randint(1, 9)
@@ -137,14 +150,20 @@ def cached_dmv():
     return db
 
 
-def run_stream(db, templates, draw_params, seed, statements=12):
-    """Replay one seeded stream; return the number of cache hits."""
+def stream(templates, draw_params, seed, statements=12):
+    """One seeded stream of statement texts."""
     rng = random.Random(seed)
+    return [
+        templates[rng.randrange(len(templates))][1].format(**draw_params(rng))
+        for _ in range(statements)
+    ]
+
+
+def run_stream(db, statements):
+    """Replay a stream; return the number of cache hits."""
     metrics = MetricsRegistry()
     hits = 0
-    for _ in range(statements):
-        _, template = templates[rng.randrange(len(templates))]
-        sql = template.format(**draw_params(rng))
+    for sql in statements:
         cached = db.execute(sql, metrics=metrics)
         plain = db.execute(sql, pop=PopConfig(plan_cache=False))
         oracle = evaluate_reference(db.catalog, bind_sql(sql, db.catalog))
@@ -172,15 +191,47 @@ def run_stream(db, templates, draw_params, seed, statements=12):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tpch_stream_differential(cached_tpch, seed):
-    hits = run_stream(cached_tpch, TPCH_TEMPLATES, tpch_params, seed)
+    hits = run_stream(cached_tpch, stream(TPCH_TEMPLATES, tpch_params, seed))
     assert hits > 0, "stream never exercised reuse"
     assert len(cached_tpch.plan_cache) > 0
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dmv_stream_differential(cached_dmv, seed):
-    hits = run_stream(cached_dmv, DMV_TEMPLATES, dmv_params, seed)
+@pytest.mark.parametrize(
+    "seed, governed",
+    [pytest.param(seed, False, id=str(seed)) for seed in SEEDS]
+    + [pytest.param(seed, True, id=f"governed-{seed}") for seed in SEEDS],
+)
+def test_dmv_stream_differential(cached_dmv, seed, governed):
+    """Governed, the stream also draws the violation GROUP BY, whose hash
+    joins and LCEM TEMPs need memory (the other templates stream), and runs
+    under a governor at a quarter of the stream's largest estimate: the
+    plan cache and admission sized from the plan that runs, together."""
+    if not governed:
+        hits = run_stream(cached_dmv, stream(DMV_TEMPLATES, dmv_params, seed))
+        assert hits > 0, "stream never exercised reuse"
+        return
+    db = cached_dmv
+    statements = stream(GOVERNED_DMV_TEMPLATES, dmv_params, seed)
+    largest = max(
+        estimate_plan_memory(db.plan(sql)[1].plan, db.cost_params)
+        for sql in statements
+    )
+    budget = 0.25 * largest
+    governor = db.enable_memory_governor(
+        policy=MemoryPolicy(
+            budget_pages=budget,
+            min_reservation_pages=budget,
+            min_grant_pages=budget,
+        )
+    )
+    try:
+        hits = run_stream(db, statements)
+    finally:
+        db.disable_memory_governor()
     assert hits > 0, "stream never exercised reuse"
+    assert governor.used_pages() == 0
+    assert governor.peak_pages <= budget
+    assert governor.spill_files_total > 0, "the budget never bit"
 
 
 def test_mixed_stream_with_invalidation(cached_dmv):
@@ -228,11 +279,6 @@ ORDER_PRIORITY_OPEN = (
     "FROM orders o, lineitem l WHERE l.l_orderkey = o.o_orderkey "
     "AND o.o_orderdate >= '{date}' AND l.l_quantity < {qty} "
     "GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority"
-)
-MAKE_VIOLATIONS = (
-    "SELECT v.v_type, count(*) AS n FROM car c, violation v "
-    "WHERE v.v_car_id = c.c_id AND c.c_make = '{make}' "
-    "GROUP BY v.v_type ORDER BY v.v_type"
 )
 VOLUME_TEMPLATES = {
     "tpch": [
