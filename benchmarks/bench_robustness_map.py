@@ -20,7 +20,7 @@ import os
 
 from repro.bench.harness import run_once
 from repro.bench.reporting import format_table, publish, results_dir
-from repro.obs import ProgressEstimator, RobustnessMap
+from repro.obs import RobustnessMap, progress_history
 from repro.workloads.dmv.queries import dmv_queries
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
@@ -31,8 +31,7 @@ DMV_QUERY = "zip_inspection_rescan_0"
 
 
 def _measure(db, name, sql):
-    progress = ProgressEstimator()
-    outcome = run_once(db, sql, profile=True, progress=progress)
+    outcome = run_once(db, sql, profile=True)
     report = outcome.report
     assert report.profiled, f"{name}: profiler attached but no profiles"
     attempts = []
@@ -71,7 +70,7 @@ def _measure(db, name, sql):
         "rows": outcome.rows,
         "units": outcome.units,
         "attempts": attempts,
-        "progress_fraction": progress.fraction,
+        "progress_fraction": progress_history(report)[-1]["fraction"],
         "map": rmap,
         "fragility": surface["fragility"],
     }

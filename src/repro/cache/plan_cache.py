@@ -260,7 +260,7 @@ class PlanCache:
     # ---------------------------------------------------------- invalidation
 
     def discard(self, shape: str, fingerprint: str) -> bool:
-        """Drop one variant (a CHECK fired on it, or it was found mutated)."""
+        """Drop one variant (a CHECK fired on it)."""
         with self._lock:
             variants = self._shapes.get(shape)
             if variants is None or fingerprint not in variants:

@@ -18,7 +18,7 @@ from repro import NO_POP, Database, PopConfig
 from repro.common.errors import ReproError, failure_class
 from repro.core.config import ResiliencePolicy
 from repro.core.flavors import ALL_FLAVORS
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, render_progress
 
 HELP = """\
 meta commands:
@@ -78,11 +78,13 @@ meta commands:
                             profiled statements also export a
                             .profile.jsonl alongside)
   \\profile on|off|last      per-operator live profiler: exclusive time,
-                            est vs actual with q-error, spill pages;
+                            calls and extras (est vs actual rows, q-error
+                            and spill pages are recorded either way);
                             \\profile last re-prints the previous
                             statement's profiled EXPLAIN ANALYZE
-  \\progress                 show the last statement's progress history
-                            (work-unit budget, CHECK-point refinements)
+  \\progress                 replay the last statement's progress from its
+                            report (work-unit budget, CHECK-point
+                            refinements); needs no \\profile
   \\metrics [reset]          show (or reset) collected engine metrics
   \\q                        quit
 SQL statements end with ';'."""
@@ -118,12 +120,11 @@ class Shell:
         #: after every statement so one-shot runs still leave a trace.
         self.tracer: Optional[Tracer] = None
         self.trace_path: Optional[str] = None
-        #: ``\profile on`` attaches the live per-operator profiler (and a
-        #: progress estimator) to every statement; ``\profile last`` and
-        #: ``\progress`` re-print the most recent statement's results.
+        #: ``\profile on`` attaches the live per-operator profiler to every
+        #: statement; ``\profile last`` and ``\progress`` render the most
+        #: recent statement's report.
         self.profile = False
         self.last_report = None
-        self.last_progress = None
         #: ``\serve`` runs a background ReproServer over ``self.db``;
         #: drained on ``\serve stop`` and on quit.
         self.server = None
@@ -670,12 +671,10 @@ class Shell:
             self.write("usage: \\profile on|off|last")
 
     def _meta_progress(self, args) -> None:
-        if self.last_progress is None:
-            self.write(
-                "(no progress recorded — \\profile on, then run a statement)"
-            )
+        if self.last_report is None:
+            self.write("(no statement yet — run one first)")
             return
-        self.write(self.last_progress.render_text())
+        self.write(render_progress(self.last_report))
 
     def _meta_metrics(self, args) -> None:
         if args and args[0] == "reset":
@@ -743,13 +742,8 @@ class Shell:
 
     def _run(self, sql: str, profile: bool, faults=None):
         """Execute one statement with the session's settings, keeping its
-        report (and progress, when profiled) for the ``last`` verbs;
-        ``None`` after printing a classified error."""
-        progress = None
-        if profile:
-            from repro.obs import ProgressEstimator
-
-            progress = self.last_progress = ProgressEstimator(metrics=self.metrics)
+        report for the ``last`` verbs and ``\\progress``; ``None`` after
+        printing a classified error."""
         try:
             result = self.db.execute(
                 sql,
@@ -759,7 +753,6 @@ class Shell:
                 metrics=self.metrics,
                 faults=faults,
                 profile=profile,
-                progress=progress,
             )
         except ReproError as exc:
             self.write(self._format_error(exc))

@@ -341,7 +341,6 @@ class Database:
         metrics=None,
         faults=None,
         profile: bool = False,
-        progress=None,
         cancel=None,
         plan_cache=None,
         snapshot=None,
@@ -355,9 +354,8 @@ class Database:
         :class:`repro.resilience.FaultPlan`) runs the statement under
         fault injection with the execution guard engaged.  ``profile=True``
         attaches the live per-operator profiler (results land on the
-        report's attempts); ``progress`` (a
-        :class:`repro.obs.ProgressEstimator`) receives work-budget updates
-        and CHECK-point refinements while the statement runs.
+        report's attempts).  Progress is read off the returned report
+        (:func:`repro.obs.progress_history`).
 
         ``cancel`` (a :class:`~repro.common.cancel.CancelToken`) makes the
         statement cooperatively cancellable: admission waits, CHECK points,
@@ -424,7 +422,6 @@ class Database:
             tracer=tracer,
             metrics=metrics,
             profile=profile,
-            progress=progress,
         )
         rows, report = PopDriver(self.optimizer).run(sc)
         if self.learning is not None:

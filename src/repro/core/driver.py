@@ -47,7 +47,6 @@ from repro.executor.runtime import run_plan
 from repro.governor import estimate_plan_memory
 from repro.obs import OpRecord, ProfileCollector, record_attempt, wall_clock
 from repro.optimizer.enumeration import OptimizerOptions
-from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.parametric import PeekingSelectivity
 from repro.plan.explain import explain_plan, join_order
@@ -72,13 +71,13 @@ class AttemptReport:
     """What happened during one optimize+execute round."""
 
     plan: PlanOp
-    plan_text: str
-    join_order: str
     checkpoints_placed: int
     optimization_units: float
+    #: The meter reading when execution began (progress is replayed from
+    #: it, see :mod:`repro.obs.progress`).
+    units_at_start: float
     execution_units: float
     checkpoint_events: list = field(default_factory=list)
-    reused_mvs: list = field(default_factory=list)
     #: Set when this attempt ended in a re-optimization signal.
     signal_op_id: Optional[int] = None
     signal_flavor: Optional[str] = None
@@ -122,6 +121,21 @@ class AttemptReport:
     def profiled(self) -> bool:
         """True when this attempt ran under the live profiler."""
         return self.record is not None and self.record.profile is not None
+
+    # Renderings of ``plan``, computed when read.
+
+    @property
+    def plan_text(self) -> str:
+        return explain_plan(self.plan)
+
+    @property
+    def join_order(self) -> str:
+        return join_order(self.plan)
+
+    @property
+    def reused_mvs(self) -> list:
+        """Names of the temp MVs the plan scans (paper §2.3)."""
+        return [op.mv_name for op in find_ops(self.plan, MVScan)]
 
 
 @dataclass
@@ -248,7 +262,7 @@ class StatementContext:
     :meth:`PopDriver.run`), and confined to the statement's thread; the
     attempt phases read and advance it instead of passing a dozen
     arguments around.  The inputs are ``Database.execute``'s and are
-    documented there; the fields after ``progress`` are the driver's.
+    documented there; the fields after ``profile`` are the driver's.
     """
 
     query: Query
@@ -278,7 +292,6 @@ class StatementContext:
     tracer: Any = None
     metrics: Any = None
     profile: bool = False
-    progress: Any = None
     reopt_limit: int = field(init=False, default=0)
     #: Sized from attempt 0's plan; every later attempt keeps it.
     reservation: Any = field(init=False, default=None)
@@ -368,7 +381,6 @@ class AttemptRun:
     ctx: ExecutionContext
     report: AttemptReport
     sink: list
-    units_before: float
     renegotiations_before: int
     signal: Optional[ReoptimizationSignal] = None
     error: Optional[ReproError] = None
@@ -703,15 +715,12 @@ class PopDriver:
                 checkpoints=planned.checkpoints,
                 **attrs,
             )
-        units_before = meter.snapshot()
         report = AttemptReport(
             plan=plan,
-            plan_text=explain_plan(plan),
-            join_order=join_order(plan),
             checkpoints_placed=planned.checkpoints,
             optimization_units=planned.optimization_units,
+            units_at_start=meter.snapshot(),
             execution_units=0.0,
-            reused_mvs=[op.mv_name for op in find_ops(plan, MVScan)],
             fallback=sc.fallback,
             cache_hit=cached is not None,
             cache_fingerprint=(
@@ -723,9 +732,7 @@ class PopDriver:
                 else None
             ),
         )
-        run = AttemptRun(ctx, report, [], units_before, renegotiations)
-        if sc.progress is not None:
-            sc.progress.begin_attempt(plan, meter.snapshot())
+        run = AttemptRun(ctx, report, [], renegotiations)
         try:
             run_plan(plan, ctx, run.sink)
         except ReoptimizationSignal as signal:
@@ -779,7 +786,6 @@ class PopDriver:
             # separately attributable (None keeps the executor's
             # profiling sites at a single comparison).
             profiler=ProfileCollector(meter) if sc.profile else None,
-            progress=sc.progress,
             batch_size=config.batch_size,
             snapshot=sc.snapshot,
             temp_mvs=sc.temp_mvs,
@@ -798,7 +804,7 @@ class PopDriver:
         degradation stays reportable without leaking disk.
         """
         ctx, report, metrics = run.ctx, run.report, sc.metrics
-        report.execution_units = sc.meter.snapshot() - run.units_before
+        report.execution_units = sc.meter.snapshot() - report.units_at_start
         report.checkpoint_events = ctx.checkpoint_events
         report.record = record_attempt(report.plan, ctx)
         report.rows_emitted = ctx.rows_returned
@@ -859,8 +865,11 @@ class PopDriver:
             harvest_execution_state(
                 run.ctx, None, sc.feedback, _FEEDBACK_ONLY
             )
-        if not run.interrupted and sc.caching:
-            self._cache_settle(sc, planned, run.report)
+        if not run.interrupted and sc.caching and planned.cached is None:
+            # A reused plan needs no check here: ``PlanCache.lookup``
+            # re-fingerprints every candidate, so one mutated while it ran
+            # is dropped before it can run again.
+            self._cache_install(sc, run.report)
         self._observe_attempt(sc, planned, run, harvested)
         if not run.interrupted:
             return True
@@ -910,54 +919,34 @@ class PopDriver:
             )
         if metrics is not None:
             metrics.inc("pop.reoptimizations", reason=report.signal_reason)
-        if planned.cached is not None:
-            # Runtime proved the cached plan's ranges stale for this
-            # parameter regime — drop the variant (POP feedback
-            # invalidation) and re-optimize from scratch.
-            self._discard_cached(
-                sc, planned.cached, "reoptimized", run.ctx.exec_span_id
-            )
-
-    def _discard_cached(
-        self, sc: StatementContext, cached, reason: str, span=None
-    ) -> None:
-        """Drop a reused variant from the plan cache, visibly."""
-        fingerprint = cached.entry.fingerprint
+        if planned.cached is None:
+            return
+        # Runtime proved the cached plan's ranges stale for this parameter
+        # regime — drop the variant (POP feedback invalidation) and
+        # re-optimize from scratch.
+        fingerprint = planned.cached.entry.fingerprint
         sc.plan_cache.discard(sc.statement.shape, fingerprint)
-        if sc.metrics is not None:
-            sc.metrics.inc("plan_cache.invalidations", reason=reason)
-        if sc.tracer is not None:
-            sc.tracer.event(
+        if metrics is not None:
+            metrics.inc("plan_cache.invalidations", reason="reoptimized")
+        if tracer is not None:
+            tracer.event(
                 "plan_cache.invalidate",
-                span=span,
+                span=run.ctx.exec_span_id,
                 fingerprint=fingerprint,
-                reason=reason,
+                reason="reoptimized",
             )
 
-    def _cache_settle(
-        self,
-        sc: StatementContext,
-        planned: PlannedAttempt,
-        report: AttemptReport,
-    ) -> None:
-        """After a successful attempt: install a fresh plan, or verify a
-        reused one came back byte-identical (cached plans are immutable).
+    def _cache_install(self, sc: StatementContext, report: AttemptReport) -> None:
+        """After a successful attempt on a freshly optimized plan: cache it.
 
         Plans referencing statement-scoped state are never installed: temp
         MVs are dropped when the statement ends and compensating anti-joins
         only make sense for this statement's already-delivered rows.
         """
-        metrics, plan_cache = sc.metrics, sc.plan_cache
-        plan, cached = planned.plan, planned.cached
-        if cached is not None:
-            if plan_fingerprint(plan) != cached.entry.fingerprint:
-                # Self-heal: something mutated the cached plan during
-                # execution; drop it rather than ever reusing it again.
-                self._discard_cached(sc, cached, "mutated")
-            return
+        metrics, plan = sc.metrics, report.plan
         if report.fallback or find_ops(plan, (AntiJoin, MVScan)):
             return
-        entry, evicted = plan_cache.install(
+        entry, evicted = sc.plan_cache.install(
             sc.statement.shape,
             plan,
             tables={t.table for t in sc.query.tables},
@@ -987,10 +976,6 @@ class PopDriver:
         """Flush one attempt's observability state (no-op when unconfigured)."""
         tracer, metrics = sc.tracer, sc.metrics
         ctx, report = run.ctx, run.report
-        if sc.progress is not None:
-            sc.progress.end_attempt(
-                ctx.meter.snapshot(), completed=not run.interrupted
-            )
         if metrics is not None:
             for record in report.record.walk():
                 if record.rows_out:

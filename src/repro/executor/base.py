@@ -88,7 +88,6 @@ class ExecutionContext:
         memory=None,
         reservation=None,
         profiler=None,
-        progress=None,
         cancel=None,
         wall_deadline: Optional[float] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -113,9 +112,6 @@ class ExecutionContext:
         #: ``open``/``close`` behind single ``is None`` checks (same
         #: zero-overhead-off contract as the tracer).
         self.profiler = profiler
-        #: Optional :class:`repro.obs.ProgressEstimator`; fed every
-        #: checkpoint evaluation via :meth:`log_checkpoint`.
-        self.progress = progress
         #: Span id of the enclosing ``pop.execute`` span, set by the driver;
         #: operator spans and checkpoint events attach to it.
         self.exec_span_id: Optional[int] = None
@@ -172,14 +168,11 @@ class ExecutionContext:
         #: commit epoch.  Scan operators cap themselves at the snapshot's
         #: per-table visible-row watermark (rids are positional, so
         #: ``rid < visible`` is exact); ``None`` means "read latest", the
-        #: pre-transactional behavior.  Re-optimization rounds inside one
-        #: statement reuse the same context, so every attempt of a POP
-        #: statement sees one immutable snapshot.
+        #: pre-transactional behavior.  Each attempt of a POP statement
+        #: builds its own context, and all of them share the statement's
+        #: snapshot, so every attempt sees one immutable row-set.
         self.snapshot = snapshot
         self._spill = None
-        #: Grants that came back smaller than requested: ``(category,
-        #: requested, granted)`` triples, harvested into the attempt report.
-        self.squeezed_grants: list[tuple[str, float, float]] = []
         #: All operator instances, registered at construction time, so the
         #: POP driver can harvest counters and materializations afterwards.
         self.operators: list[Operator] = []
@@ -270,7 +263,6 @@ class ExecutionContext:
             return pages
         if self.spill_enabled:
             granted = min(pages, max(self.memory.min_grant_pages, effective))
-            self.squeezed_grants.append((category, pages, granted))
             if self.metrics is not None:
                 self.metrics.inc("governor.grants_squeezed", category=category)
             if self.tracer is not None:
@@ -307,8 +299,6 @@ class ExecutionContext:
 
     def log_checkpoint(self, event: CheckpointEvent) -> None:
         self.checkpoint_events.append(event)
-        if self.progress is not None:
-            self.progress.on_checkpoint(event)
         if self.metrics is not None:
             self.metrics.inc(
                 "check.evaluations",

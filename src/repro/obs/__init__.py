@@ -22,8 +22,9 @@ On top of these, the live profiling layer:
   (self) time in work units and wall seconds, opens, calls and extras,
   collected by wrapping operator methods at arm time and attached to the
   record;
-* :class:`ProgressEstimator` — work-unit-weighted progress with CHECK-point
-  refinement, exposed as gauges and an optional callback;
+* :func:`progress_history` / :func:`render_progress` — work-unit-weighted
+  progress with CHECK-point refinement, read off a finished statement's
+  report;
 * :class:`RobustnessMap` — cost surfaces over a cardinality grid around a
   plan's validity ranges (JSON + ASCII heatmap artifacts).
 
@@ -43,7 +44,7 @@ from repro.obs.profile import (
     record_attempt,
     write_profiles_jsonl,
 )
-from repro.obs.progress import ProgressEstimator
+from repro.obs.progress import progress_history, render_progress
 from repro.obs.robustness import RobustnessMap
 from repro.obs.trace import Tracer, read_jsonl, wall_clock
 
@@ -57,8 +58,9 @@ __all__ = [
     "OpProfile",
     "OpRecord",
     "ProfileCollector",
-    "ProgressEstimator",
     "RobustnessMap",
+    "progress_history",
     "record_attempt",
+    "render_progress",
     "write_profiles_jsonl",
 ]

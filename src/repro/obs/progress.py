@@ -5,26 +5,21 @@ The cost model prices a plan in the same work units the
 root estimated cost *is* a budget for the attempt: fraction done is simply
 units spent over units budgeted.  That budget is wrong exactly when the
 cardinality estimates are wrong — which is the one thing POP measures — so
-the estimator refines it at every CHECK-point evaluation: observing ``act``
-rows where the optimizer estimated ``est`` rescales the not-yet-spent
-remainder by ``act/est`` (the still-pending operators sit above the
-mismeasured edge and their budgets scale roughly linearly with its
-cardinality).  A completed attempt snaps the budget to the true spend.
+it is refined at every CHECK-point evaluation: observing ``act`` rows where
+the optimizer estimated ``est`` rescales the not-yet-spent remainder by
+``act/est`` (the still-pending operators sit above the mismeasured edge and
+their budgets scale roughly linearly with its cardinality).  A completed
+attempt snaps the budget to the true spend.
 
-Progress is surfaced three ways, all optional:
-
-* gauges ``progress.fraction`` / ``progress.eta_work_units`` on the
-  attached :class:`~repro.obs.metrics.MetricsRegistry`;
-* a ``callback(fraction, eta_work_units)`` for drivers and servers;
-* an in-memory ``history`` the CLI's ``\\progress`` verb renders.
-
-Like every observability surface here the estimator is opt-in: the
-executor consults ``ctx.progress`` behind a single ``is None`` check.
+Progress is a view of the :class:`~repro.core.driver.PopReport`, computed
+when it is read: each attempt's plan, its ``checkpoint_events`` and its
+``units_at_start`` (the meter reading when execution began) are all the
+replay needs.  Nothing is observed while the statement runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 #: Refinement ratios are clamped so one wildly mis-estimated (or empty)
 #: edge cannot swing the ETA by more than two orders of magnitude at once;
@@ -33,115 +28,87 @@ _MIN_RATIO = 1.0 / 64.0
 _MAX_RATIO = 64.0
 
 
-class ProgressEstimator:
-    """Work-unit progress for one statement (possibly several attempts).
+def _edge_estimate(plan, op_id: int) -> Optional[float]:
+    """The estimated cardinality of the edge CHECK ``op_id`` guards."""
+    for op in plan.walk():
+        if op.op_id == op_id:
+            if op.children:
+                return float(op.children[0].est_card)
+            return float(op.est_card)
+    return None
 
-    Each POP attempt calls :meth:`begin_attempt` with its chosen plan —
-    progress restarts against the new plan's budget (a re-optimized round
-    is a fresh promise about the remaining work, not a continuation of the
-    abandoned one).  ``fraction`` is monotone within an attempt but may
-    drop across re-optimization, which is honest: the system learned the
-    previous estimate was wrong.
+
+def _update(units: float, base: float, budget: float, event: str) -> dict:
+    """One history entry: the meter at ``units`` against ``budget`` units
+    counted from ``base``."""
+    spent = max(units - base, 0.0)
+    return {
+        "units": units,
+        "fraction": min(spent / budget, 1.0) if budget else 0.0,
+        "eta_work_units": max(budget - spent, 0.0),
+        "event": event,
+    }
+
+
+def _replay(report) -> Iterator[tuple[dict, bool]]:
+    """Every progress update of ``report`` with whether it refined the
+    budget.
+
+    Progress restarts against each attempt's plan (a re-optimized round is
+    a fresh promise about the remaining work, not a continuation of the
+    abandoned one), so ``fraction`` is monotone within an attempt but may
+    drop across re-optimization.  An interrupted attempt ends where the
+    next one began planning — after its harvest and any guard backoff; the
+    last, completed one ends at the statement's total.
     """
+    attempts = report.attempts
+    for i, attempt in enumerate(attempts):
+        base = attempt.units_at_start
+        budget = max(float(attempt.plan.est_cost), 1e-9)
+        yield _update(base, base, budget, "begin"), False
+        for event in attempt.checkpoint_events:
+            est = _edge_estimate(attempt.plan, event.op_id)
+            refined = est is not None and est > 0
+            if refined:
+                spent = max(event.units_at_event - base, 0.0)
+                ratio = max(float(event.observed), 1.0) / max(est, 1.0)
+                ratio = min(max(ratio, _MIN_RATIO), _MAX_RATIO)
+                remaining = max(budget - spent, 0.0)
+                budget = max(spent + remaining * ratio, spent, 1e-9)
+            yield _update(event.units_at_event, base, budget, "checkpoint"), refined
+        if i + 1 < len(attempts):
+            following = attempts[i + 1]
+            end = following.units_at_start - following.optimization_units
+            yield _update(end, base, budget, "interrupted"), False
+        else:
+            end = report.total_units
+            yield _update(end, base, max(end - base, 1e-9), "end"), False
 
-    def __init__(
-        self,
-        metrics=None,
-        callback: Optional[Callable[[float, float], None]] = None,
-    ):
-        self.metrics = metrics
-        self.callback = callback
-        self.fraction = 0.0
-        self.eta_work_units = 0.0
-        self.attempts = 0
-        self.refinements = 0
-        #: Every update as a dict — ``units`` (absolute meter reading),
-        #: ``fraction``, ``eta_work_units``, ``event`` kind.
-        self.history: list[dict] = []
-        self._plan = None
-        self._base = 0.0  #: meter reading when the current attempt started
-        self._budget = 0.0  #: estimated total units for the current attempt
 
-    # ------------------------------------------------------------- lifecycle
+def progress_history(report) -> list[dict]:
+    """Every progress update of the statement ``report`` describes, as a
+    dict — ``units`` (absolute meter reading), ``fraction``,
+    ``eta_work_units`` and the ``event`` kind (``begin``, ``checkpoint``,
+    ``interrupted`` or ``end``)."""
+    return [entry for entry, _ in _replay(report)]
 
-    def begin_attempt(self, plan, units_now: float) -> None:
-        """Reset the budget to ``plan``'s estimated cost (one POP round)."""
-        self._plan = plan
-        self._base = units_now
-        self._budget = max(float(plan.est_cost), 1e-9)
-        self.attempts += 1
-        self._update(units_now, "begin")
 
-    def on_checkpoint(self, event) -> None:
-        """Refine the budget with one CHECK-point observation.
-
-        ``event`` is a :class:`~repro.executor.base.CheckpointEvent`; the
-        estimated cardinality of the checked edge comes from the plan the
-        attempt is running.
-        """
-        spent = max(event.units_at_event - self._base, 0.0)
-        est = self._edge_estimate(event.op_id)
-        if est is not None and est > 0:
-            ratio = max(float(event.observed), 1.0) / max(float(est), 1.0)
-            ratio = min(max(ratio, _MIN_RATIO), _MAX_RATIO)
-            remaining = max(self._budget - spent, 0.0)
-            self._budget = max(spent + remaining * ratio, spent, 1e-9)
-            self.refinements += 1
-        self._update(event.units_at_event, "checkpoint")
-
-    def end_attempt(self, units_now: float, completed: bool) -> None:
-        """Close out one attempt; a completed one pins fraction to 1.0."""
-        if completed:
-            self._budget = max(units_now - self._base, 1e-9)
-        self._update(units_now, "end" if completed else "interrupted")
-
-    # -------------------------------------------------------------- internals
-
-    def _edge_estimate(self, op_id: int) -> Optional[float]:
-        if self._plan is None:
-            return None
-        for op in self._plan.walk():
-            if op.op_id == op_id:
-                if op.children:
-                    return float(op.children[0].est_card)
-                return float(op.est_card)
-        return None
-
-    def _update(self, units_now: float, event: str) -> None:
-        spent = max(units_now - self._base, 0.0)
-        self.fraction = min(spent / self._budget, 1.0) if self._budget else 0.0
-        self.eta_work_units = max(self._budget - spent, 0.0)
-        self.history.append(
-            {
-                "units": units_now,
-                "fraction": self.fraction,
-                "eta_work_units": self.eta_work_units,
-                "event": event,
-            }
+def render_progress(report, width: int = 40) -> str:
+    """ASCII progress bar plus the refinement history (CLI ``\\progress``)."""
+    replay = list(_replay(report))
+    last = replay[-1][0]
+    filled = int(round(last["fraction"] * width))
+    bar = "#" * filled + "." * (width - filled)
+    lines = [
+        f"[{bar}] {last['fraction'] * 100.0:.1f}%"
+        f"  eta={last['eta_work_units']:.1f} units"
+        f"  attempts={len(report.attempts)}"
+        f" refinements={sum(refined for _, refined in replay)}"
+    ]
+    for entry, _ in replay:
+        lines.append(
+            f"  {entry['event']:<11} units={entry['units']:<10.1f}"
+            f" fraction={entry['fraction']:.3f}"
+            f" eta={entry['eta_work_units']:.1f}"
         )
-        if self.metrics is not None:
-            self.metrics.set_gauge("progress.fraction", self.fraction)
-            self.metrics.set_gauge(
-                "progress.eta_work_units", self.eta_work_units
-            )
-        if self.callback is not None:
-            self.callback(self.fraction, self.eta_work_units)
-
-    # ------------------------------------------------------------- rendering
-
-    def render_text(self, width: int = 40) -> str:
-        """ASCII progress bar plus the refinement history (CLI verb)."""
-        filled = int(round(self.fraction * width))
-        bar = "#" * filled + "." * (width - filled)
-        lines = [
-            f"[{bar}] {self.fraction * 100.0:.1f}%"
-            f"  eta={self.eta_work_units:.1f} units"
-            f"  attempts={self.attempts} refinements={self.refinements}"
-        ]
-        for entry in self.history:
-            lines.append(
-                f"  {entry['event']:<11} units={entry['units']:<10.1f}"
-                f" fraction={entry['fraction']:.3f}"
-                f" eta={entry['eta_work_units']:.1f}"
-            )
-        return "\n".join(lines)
+    return "\n".join(lines)

@@ -8,9 +8,9 @@ tree structure.  Two uses:
 * the plan cache deduplicates plan variants per statement shape by
   fingerprint, and
 * cached plans must never be mutated in place (they are re-executed
-  verbatim); the cache re-fingerprints every candidate before reuse and
-  the driver's ``_cache_settle`` re-fingerprints a reused plan after it
-  ran.
+  verbatim); ``PlanCache.lookup`` re-fingerprints every candidate before
+  reuse, so a plan changed at any time — even during a reused run — is
+  dropped before it can run again.
 """
 
 from __future__ import annotations

@@ -25,7 +25,11 @@ and every other counter are still exact.
 The fixture predates the per-attempt record (``AttemptReport.record``): the
 four fields it replaced — ``actual_cards``, ``profiles``,
 ``profile_self_units`` and ``spilled_operators`` — are rebuilt from the
-record in their old shapes, so the fixture is compared unchanged.
+record in their old shapes, so the fixture is compared unchanged.  It also
+predates two later changes to the report: ``plan_text``, ``join_order`` and
+``reused_mvs`` are properties of the plan now, not fields, and are added
+back under their old keys; ``units_at_start`` is a field the old driver did
+not have, and is dropped.
 
 Each scenario builds its own database, so temp-MV names and learned state
 cannot depend on test order.
@@ -112,7 +116,11 @@ def _frozen_record_keys(root) -> dict:
 
 
 def _attempt_record(attempt: AttemptReport) -> dict:
-    record = {}
+    record = {
+        "plan_text": attempt.plan_text,
+        "join_order": attempt.join_order,
+        "reused_mvs": attempt.reused_mvs,
+    }
     for f in dataclasses.fields(AttemptReport):
         value = getattr(attempt, f.name)
         if f.name == "plan":
@@ -121,6 +129,8 @@ def _attempt_record(attempt: AttemptReport) -> dict:
             value = [dataclasses.astuple(e) for e in value]
         elif f.name == "record":
             record.update(_frozen_record_keys(value))
+            continue
+        elif f.name == "units_at_start":
             continue
         record[f.name] = value
     return record

@@ -176,13 +176,17 @@ class TestGrantPlumbing:
     def test_reservation_caps_grants_and_pressure_renegotiates(self):
         gov = MemoryGovernor(policy())
         res = gov.admit(50.0)
+        metrics = MetricsRegistry()
         ctx = ExecutionContext(
-            Database().catalog, memory=gov.policy, reservation=res
+            Database().catalog, memory=gov.policy, reservation=res,
+            metrics=metrics,
         )
         assert ctx.grant_pages(40.0, "sort") == 40.0  # fits: exact
         granted = ctx.grant_pages(128.0, "hash")
         assert granted == 50.0  # capped at the reservation
-        assert ctx.squeezed_grants == [("hash", 128.0, 50.0)]
+        assert metrics.snapshot()["counters"] == {
+            "governor.grants_squeezed{category=hash}": 1.0
+        }
         ctx.apply_memory_pressure(0.5)
         assert res.pages == 25.0  # structured shrink, not mem_shrink
         assert ctx.mem_shrink == 1.0

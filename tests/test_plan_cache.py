@@ -253,6 +253,43 @@ class TestInvalidation:
             plan_fingerprint(entries[0].plan) == entries[0].fingerprint
         )
 
+    def test_plan_mutated_during_its_reused_run_never_runs_again(
+        self, monkeypatch
+    ):
+        from repro.core import driver as driver_module
+
+        db = make_db()
+        db.enable_plan_cache()
+        db.execute("SELECT t.v FROM t WHERE t.k = 1")
+        (entry,) = db.plan_cache.entries()
+        real_run_plan = driver_module.run_plan
+        ran = []
+
+        def run_plan(plan, ctx, sink):
+            ran.append(plan)
+            result = real_run_plan(plan, ctx, sink)
+            if plan is entry.plan:
+                plan.est_card = plan.est_card + 123.0  # corrupt in place
+            return result
+
+        monkeypatch.setattr(driver_module, "run_plan", run_plan)
+        reused = db.execute("SELECT t.v FROM t WHERE t.k = 2")
+        assert reused.report.cache_hit and ran == [entry.plan]
+        # Nothing re-checks the plan after its run: the variant stays...
+        assert [e.plan for e in db.plan_cache.entries()] == [entry.plan]
+        again = db.execute("SELECT t.v FROM t WHERE t.k = 3")
+        # ...until the next lookup re-fingerprints and drops it unrun.
+        assert not again.report.cache_hit
+        assert db.plan_cache.stats.mutation_discards == 1
+        assert len(ran) == 2 and ran[1] is not entry.plan
+        assert all(e.plan is not entry.plan for e in db.plan_cache.entries())
+        assert canonical(again.rows) == canonical(
+            db.execute(
+                "SELECT t.v FROM t WHERE t.k = 3",
+                pop=PopConfig(plan_cache=False),
+            ).rows
+        )
+
     def test_cached_plans_never_mutated_by_reuse(self):
         db = make_db()
         db.enable_plan_cache()

@@ -8,8 +8,9 @@ Covers the tentpole observability surfaces:
   extras capture, and the multi-attempt (re-optimization) shape;
 * the obs-off fast path — disabled profiling constructs no collector,
   reaches no hook, and leaves metered work units bit-identical;
-* :class:`repro.obs.ProgressEstimator` — budget refinement at CHECK
-  points, completion snapping, gauges, callback, and rendering;
+* :func:`repro.obs.progress_history` — budget refinement at CHECK points,
+  completion snapping and rendering, replayed from the report, and parity
+  with the live estimator it replaced;
 * :class:`repro.obs.RobustnessMap` — surface structure, fragility, JSON
   and heatmap artifacts;
 * the JSONL export, ``explain analyze`` annotations, the CLI verbs, and
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,11 +32,14 @@ from repro.core import driver as driver_module
 from repro.executor.meter import WorkMeter
 from repro.obs import (
     MetricsRegistry,
-    ProgressEstimator,
     RobustnessMap,
+    progress_history,
+    render_progress,
     write_profiles_jsonl,
 )
 from repro.plan.analyze import explain_analyze
+
+from . import test_driver_pipeline as pipeline
 
 RECONCILE_TOLERANCE = 0.01
 
@@ -46,12 +52,9 @@ WHERE customer.c_custkey = orders.o_custkey
 """
 
 
-def run_profiled(db, sql, params=None, pop=None, progress=None):
+def run_profiled(db, sql, params=None, pop=None):
     meter = WorkMeter()
-    result = db.execute(
-        sql, params=params, pop=pop, meter=meter,
-        profile=True, progress=progress,
-    )
+    result = db.execute(sql, params=params, pop=pop, meter=meter, profile=True)
     return result.report
 
 
@@ -214,21 +217,41 @@ class TestObsOffFastPath:
         assert [r for r in on.rows] == [r for r in off.rows]
 
 
-class TestProgressEstimator:
+PROGRESS_GOLDEN = Path(__file__).parent / "fixtures" / "progress_history_golden.json"
+
+#: The driver outcomes the fixture covers, each a scenario of
+#: ``tests/test_driver_pipeline.py``.
+PROGRESS_OUTCOMES = (
+    "single_attempt", "reopt_mv_reuse", "ecdc_compensation",
+    "transient_retry", "fault_after_rows", "breaker_fallback",
+    "deadline_fallback",
+)
+
+
+def one_attempt(plan, events=(), total_units=0.0):
+    """A report as far as the progress replay reads one."""
+    attempt = SimpleNamespace(
+        plan=plan,
+        checkpoint_events=list(events),
+        units_at_start=0.0,
+        optimization_units=0.0,
+    )
+    return SimpleNamespace(attempts=[attempt], total_units=total_units)
+
+
+class TestProgressHistory:
     def test_integration_reaches_completion(self, tpch_db):
         metrics = MetricsRegistry()
-        seen = []
-        progress = ProgressEstimator(
-            metrics=metrics, callback=lambda f, eta: seen.append((f, eta))
-        )
-        run_profiled(tpch_db, THREE_JOIN_SQL, progress=progress)
-        assert progress.attempts == 1
-        assert progress.fraction == 1.0
-        assert progress.eta_work_units == 0.0
-        assert seen and seen[-1] == (1.0, 0.0)
-        assert metrics.get("progress.fraction") == 1.0
-        events = [h["event"] for h in progress.history]
+        report = tpch_db.execute(THREE_JOIN_SQL, metrics=metrics).report
+        history = progress_history(report)
+        events = [h["event"] for h in history]
         assert events[0] == "begin" and events[-1] == "end"
+        assert events.count("begin") == len(report.attempts)
+        assert history[-1]["fraction"] == 1.0
+        assert history[-1]["eta_work_units"] == 0.0
+        assert history[-1]["units"] == report.total_units
+        gauges = metrics.snapshot()["gauges"]
+        assert not any(name.startswith("progress.") for name in gauges)
 
     def test_checkpoint_refinement_rescales_budget(self):
         class Edge:
@@ -252,16 +275,14 @@ class TestProgressEstimator:
             observed = 400  # 4x the estimated edge cardinality
             units_at_event = 200.0
 
-        est = ProgressEstimator()
-        est.begin_attempt(Plan(), units_now=0.0)
-        assert est.eta_work_units == pytest.approx(1000.0)
-        est.on_checkpoint(Event())
+        report = one_attempt(Plan(), [Event()], total_units=3400.0)
+        begin, checkpoint, end = progress_history(report)
+        assert begin["eta_work_units"] == pytest.approx(1000.0)
         # spent 200, remaining 800 rescaled by 4x -> budget 3400.
-        assert est.refinements == 1
-        assert est.eta_work_units == pytest.approx(3200.0)
-        assert est.fraction == pytest.approx(200.0 / 3400.0)
-        est.end_attempt(units_now=3400.0, completed=True)
-        assert est.fraction == 1.0
+        assert checkpoint["eta_work_units"] == pytest.approx(3200.0)
+        assert checkpoint["fraction"] == pytest.approx(200.0 / 3400.0)
+        assert end["fraction"] == 1.0
+        assert "refinements=1" in render_progress(report)
 
     def test_refinement_ratio_is_clamped(self):
         class Plan:
@@ -292,24 +313,37 @@ class TestProgressEstimator:
             observed = 10_000_000  # 1e7x misestimate
             units_at_event = 0.0
 
-        est = ProgressEstimator()
-        est.begin_attempt(Plan(), units_now=0.0)
-        est.on_checkpoint(Event())
-        assert est.eta_work_units == pytest.approx(64_000.0)
+        checkpoint = progress_history(one_attempt(Plan(), [Event()]))[1]
+        assert checkpoint["eta_work_units"] == pytest.approx(64_000.0)
 
-    def test_render_text_shows_bar_and_history(self):
+    def test_render_shows_bar_and_history(self):
         class Plan:
             est_cost = 10.0
 
             def walk(self):
                 return []
 
-        est = ProgressEstimator()
-        est.begin_attempt(Plan(), units_now=0.0)
-        est.end_attempt(units_now=10.0, completed=True)
-        text = est.render_text(width=10)
+        text = render_progress(one_attempt(Plan(), total_units=10.0), width=10)
         assert "[##########] 100.0%" in text
+        assert "attempts=1 refinements=0" in text
         assert "begin" in text and "end" in text
+
+    @pytest.mark.parametrize("name", PROGRESS_OUTCOMES)
+    def test_replay_equals_the_live_estimator(self, name, monkeypatch):
+        """``tests/fixtures/progress_history_golden.json`` holds the history
+        of the live estimator the replay replaced, recorded at fe2286d (the
+        last commit that had one) by passing a ``ProgressEstimator`` to
+        each statement the scenario runs through ``observed``.  It is never
+        regenerated; the replay must reproduce it with ``==``."""
+        reports = []
+
+        def run(db, statement, **kwargs):
+            reports.append(db.execute(statement, **kwargs).report)
+
+        monkeypatch.setattr(pipeline, "observed", run)
+        pipeline.SCENARIOS[name]()
+        golden = json.loads(PROGRESS_GOLDEN.read_text())[name]
+        assert [progress_history(r) for r in reports] == golden
 
 
 class TestRobustnessMap:
@@ -407,6 +441,23 @@ class TestShellVerbs:
         assert "self=" in text  # the EXPLAIN ANALYZE renderer
         assert "total self time:" in text
         assert "100.0%" in text  # progress bar of the completed statement
+
+    def test_progress_needs_no_profile(self, star_db):
+        shell, out = self.shell(star_db)
+        shell.run(["\\progress"])
+        assert "no statement yet" in out.getvalue()
+        shell.run(
+            [
+                "\\set p1 COMMON",
+                "SELECT c.c_id, o.o_id FROM cust c, orders o "
+                "WHERE o.o_custkey = c.c_id AND c.c_segment = ?;",
+                "\\progress",
+            ]
+        )
+        report = shell.last_report
+        assert not report.profiled and report.reoptimizations == 1
+        assert render_progress(report) in out.getvalue()
+        assert "attempts=2 refinements=1" in out.getvalue()
 
     def test_analyze_always_profiles(self, star_db):
         shell, out = self.shell(star_db)

@@ -5,7 +5,11 @@ accounting must always be coherent."""
 import pytest
 
 from repro import PopConfig
+from repro.core import driver as driver_module
+from repro.plan.explain import explain_plan, join_order
 from repro.workloads.tpch.queries import Q10_MARKER, TPCH_QUERIES
+
+from .test_obs import marker_query
 
 
 def check_report_invariants(report):
@@ -71,3 +75,27 @@ def test_dry_run_reports_events_without_reopt(tpch_db):
     )
     assert result.report.reoptimizations == 0
     assert result.report.checkpoint_events
+
+
+def test_plan_renderings_are_computed_when_read(star_db, monkeypatch):
+    """A statement run without a tracer, metrics or guard renders no
+    attempt's plan; reading the report renders it, to the same text."""
+    calls = []
+
+    def spy(render):
+        def wrapper(plan):
+            calls.append(render.__name__)
+            return render(plan)
+
+        return wrapper
+
+    monkeypatch.setattr(driver_module, "explain_plan", spy(explain_plan))
+    monkeypatch.setattr(driver_module, "join_order", spy(join_order))
+    result = star_db.execute(marker_query(), params={"p": "COMMON"})
+    attempts = result.report.attempts
+    assert len(attempts) == 2 and attempts[1].reused_mvs
+    assert calls == []
+    for attempt in attempts:
+        assert attempt.plan_text == explain_plan(attempt.plan)
+        assert attempt.join_order == join_order(attempt.plan)
+    assert calls == ["explain_plan", "join_order"] * len(attempts)

@@ -43,6 +43,7 @@ from repro.common.errors import (
     is_retryable,
 )
 from repro.core.config import ResiliencePolicy
+from repro.core.driver import PopDriver
 from repro.executor.base import ExecutionContext
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
@@ -408,62 +409,59 @@ def stats_fault(payload: float) -> FaultPlan:
     )
 
 
-class InsideTheStatement:
-    """A ``progress`` observer that, as each attempt starts, records what
-    another caller of the same database sees: the catalog's statistics
+def inside_the_statement(db: Database, monkeypatch) -> list:
+    """Spy on the driver: as each attempt starts executing, record what
+    another caller of the same database sees — the catalog's statistics
     object for ``orders`` and ``db.plan``'s estimate for ORDERS_SQL."""
+    seen = []
+    real_execute = PopDriver._execute
 
-    def __init__(self, db: Database):
-        self.db = db
-        self.seen: list = []
-
-    def begin_attempt(self, plan, units) -> None:
-        self.seen.append(
+    def execute(self, sc, planned):
+        seen.append(
             (
-                self.db.catalog.statistics("orders"),
-                self.db.plan(ORDERS_SQL)[0].plan.est_card,
+                db.catalog.statistics("orders"),
+                db.plan(ORDERS_SQL)[0].plan.est_card,
             )
         )
+        return real_execute(self, sc, planned)
 
-    def on_checkpoint(self, event) -> None:
-        pass
-
-    def end_attempt(self, units, completed) -> None:
-        pass
+    monkeypatch.setattr(PopDriver, "_execute", execute)
+    return seen
 
 
 class TestStatsFaults:
     """A ``stats`` fault is an override the faulted statement plans with;
     the catalog every other statement reads is never written."""
 
-    def test_stats_fault_corrupts_only_its_own_statement(self, star_db):
+    def test_stats_fault_corrupts_only_its_own_statement(
+        self, star_db, monkeypatch
+    ):
         before = star_db.catalog.statistics("orders")
         clean = star_db.plan(ORDERS_SQL)[0].plan.est_card
-        inside = InsideTheStatement(star_db)
+        seen = inside_the_statement(star_db, monkeypatch)
         result = star_db.execute(
-            ORDERS_SQL, pop=guarded(), faults=stats_fault(100.0),
-            progress=inside,
+            ORDERS_SQL, pop=guarded(), faults=stats_fault(100.0)
         )
         assert canonical(result.rows) == oracle_rows(star_db, ORDERS_SQL)
         assert result.report.faults_injected == 1
         # The statement itself planned with 100x the rows...
         assert result.report.attempts[0].plan.est_card == pytest.approx(100 * clean)
         # ...while everyone else saw the catalog as it was, throughout.
-        assert inside.seen
-        assert all(stats is before for stats, _ in inside.seen)
-        assert all(est == clean for _, est in inside.seen)
+        assert seen
+        assert all(stats is before for stats, _ in seen)
+        assert all(est == clean for _, est in seen)
         assert star_db.catalog.statistics("orders") is before
 
     def test_dropped_statistics_are_never_dropped_from_the_catalog(
-        self, star_db
+        self, star_db, monkeypatch
     ):
         before = star_db.catalog.statistics("orders")
-        inside = InsideTheStatement(star_db)
+        seen = inside_the_statement(star_db, monkeypatch)
         result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=stats_fault(0.0), progress=inside
+            JOIN_SQL, pop=guarded(), faults=stats_fault(0.0)
         )
         assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
-        assert inside.seen and all(stats is before for stats, _ in inside.seen)
+        assert seen and all(stats is before for stats, _ in seen)
         with pytest.raises(ReproError):
             star_db.execute(
                 "SELECT c.nope FROM cust c", pop=guarded(),
