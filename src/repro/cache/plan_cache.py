@@ -54,8 +54,7 @@ def cache_usable(config) -> bool:
     """Whether a :class:`~repro.core.config.PopConfig` permits plan caching.
 
     Ablation and debugging modes change what a plan *means* (dry-run checks,
-    forced triggers, ad hoc check ranges) or make behavior depend on marker
-    counts (adaptive re-optimization limits), so caching is disabled there —
+    forced triggers, ad hoc check ranges), so caching is disabled there —
     the cache must never change statement semantics.
     """
     return (
@@ -63,7 +62,6 @@ def cache_usable(config) -> bool:
         and not config.dry_run
         and not config.force_trigger_op_ids
         and config.adhoc_threshold_factor is None
-        and not config.adaptive_reopt_limit
     )
 
 

@@ -203,13 +203,6 @@ class PopConfig:
     #: modes that change plan semantics disable caching regardless (see
     #: :func:`repro.cache.cache_usable`).
     plan_cache: bool = True
-    #: §7 extension — trigger re-optimization when cumulative work exceeds
-    #: this budget (in work units), not just on cardinality violations.
-    #: The budget escalates per attempt to guarantee progress.
-    work_budget: Optional[float] = None
-    #: §7 extension — derive the re-optimization limit from query complexity
-    #: (joins and parameter markers) instead of the fixed cap.
-    adaptive_reopt_limit: bool = False
     #: Strict analysis: run the plan-semantics linter (:mod:`repro.analysis`)
     #: on every plan the driver is about to execute — including re-optimized
     #: plans, where feedback consistency is also audited — and fail the
@@ -227,14 +220,6 @@ class PopConfig:
     #: Defaults from the ``REPRO_BATCH_SIZE`` environment variable, else
     #: :data:`DEFAULT_BATCH_SIZE`.
     batch_size: int = field(default_factory=_default_batch_size)
-
-    def reopt_limit_for(self, query) -> int:
-        """The effective re-optimization cap for ``query``."""
-        if not self.adaptive_reopt_limit:
-            return self.max_reoptimizations
-        joins = len(query.join_predicates)
-        markers = len(query.parameter_names())
-        return max(1, min(5, 1 + joins // 2 + markers))
 
     def __post_init__(self) -> None:
         if self.reuse_policy not in ("cost", "never", "always"):

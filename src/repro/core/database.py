@@ -453,7 +453,7 @@ class Database:
         """
         query = self._to_query(statement)
         config = pop if pop is not None else PopConfig()
-        if config.reopt_limit_for(query) < 1:
+        if config.max_reoptimizations < 1:
             config = NO_POP  # execute's only round is then its last: no CHECKs
         return optimize_and_place(
             self.optimizer, query, config, options=optimizer_options

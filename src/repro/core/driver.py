@@ -83,6 +83,7 @@ class AttemptReport:
     signal_flavor: Optional[str] = None
     signal_observed: Optional[float] = None
     signal_complete: Optional[bool] = None
+    #: Always ``"cardinality"``: a CHECK's one trigger is its validity range.
     signal_reason: Optional[str] = None
     rows_emitted: int = 0
     #: The attempt's per-operator record, a tree in the plan's shape:
@@ -292,7 +293,6 @@ class StatementContext:
     tracer: Any = None
     metrics: Any = None
     profile: bool = False
-    reopt_limit: int = field(init=False, default=0)
     #: Sized from attempt 0's plan; every later attempt keeps it.
     reservation: Any = field(init=False, default=None)
     injector: Optional[FaultInjector] = field(init=False, default=None)
@@ -328,7 +328,6 @@ class StatementContext:
             consider_mvs=self.config.reuse_policy != "never",
             mv_cost_zero=self.config.reuse_policy == "always",
         )
-        self.reopt_limit = self.config.reopt_limit_for(self.query)
         if faults is not None:
             self.injector = FaultInjector(faults)
         if self.config.resilience is not None or faults is not None:
@@ -358,7 +357,7 @@ class StatementContext:
         return (
             not self.fallback
             and self.config.enabled
-            and self.reopt_round < self.reopt_limit
+            and self.reopt_round < self.config.max_reoptimizations
         )
 
 
@@ -437,7 +436,7 @@ class PopDriver:
                 "pop.statement",
                 pop=sc.config.enabled,
                 tables=len(sc.query.tables),
-                reopt_limit=sc.reopt_limit,
+                reopt_limit=sc.config.max_reoptimizations,
                 guarded=sc.guard is not None,
             )
         if metrics is not None:
@@ -751,11 +750,6 @@ class PopDriver:
         cancellation beats completion.
         """
         config, meter, guard = sc.config, sc.meter, sc.guard
-        budget = None
-        if config.work_budget is not None and sc.can_reopt:
-            # Escalate per attempt so a statement cannot livelock on
-            # budget triggers: each round gets a larger deadline.
-            budget = config.work_budget * (sc.attempt + 1)
         ctx = ExecutionContext(
             self.optimizer.catalog,
             params=sc.params,
@@ -765,7 +759,6 @@ class PopDriver:
             force_trigger_op_ids=(
                 set(config.force_trigger_op_ids) if sc.attempt == 0 else set()
             ),
-            work_budget=budget,
             tracer=sc.tracer,
             metrics=sc.metrics,
             fault_injector=sc.injector,
@@ -814,7 +807,7 @@ class PopDriver:
             report.signal_flavor = getattr(signal.check_op, "flavor", "?")
             report.signal_observed = float(signal.observed)
             report.signal_complete = signal.complete
-            report.signal_reason = signal.reason
+            report.signal_reason = "cardinality"
         elif run.error is not None:
             report.failure = str(run.error)
             report.failure_class = failure_class(run.error)

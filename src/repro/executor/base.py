@@ -55,18 +55,14 @@ class ReoptimizationSignal(Exception):
         check_op: PlanOp,
         observed: float,
         complete: bool,
-        reason: str = "cardinality",
     ):
         super().__init__(
-            f"check {check_op.op_id} violated ({reason}): observed={observed} "
+            f"check {check_op.op_id} violated (cardinality): observed={observed} "
             f"range={getattr(check_op, 'check_range', None)} complete={complete}"
         )
         self.check_op = check_op
         self.observed = observed
         self.complete = complete
-        #: "cardinality" for range violations, "budget" for work-budget
-        #: overruns (the §7 resource-check extension).
-        self.reason = reason
 
 
 class ExecutionContext:
@@ -80,7 +76,6 @@ class ExecutionContext:
         meter: Optional[WorkMeter] = None,
         dry_run_checks: bool = False,
         force_trigger_op_ids: Optional[set[int]] = None,
-        work_budget: Optional[float] = None,
         tracer=None,
         metrics=None,
         fault_injector=None,
@@ -120,9 +115,6 @@ class ExecutionContext:
         #: CHECKs whose op_id is listed fire even inside their range
         #: (the "dummy re-optimization" of Fig. 12).
         self.force_trigger_op_ids = force_trigger_op_ids or set()
-        #: When set, any CHECK also triggers once cumulative work exceeds
-        #: this many units (§7: re-optimizing on resource overruns).
-        self.work_budget = work_budget
         #: The single sanctioned fault-injection mount point: a
         #: :class:`repro.resilience.FaultInjector` (or ``None``).  The
         #: runtime arms it after building the operator tree; no other

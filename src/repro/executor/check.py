@@ -66,8 +66,8 @@ class CheckExec(Operator):
     @property
     def can_still_evaluate(self) -> bool:
         """Whether a pull through this CHECK may still log an event or raise:
-        it has not evaluated yet, or it tests a §7 work budget per batch."""
-        return not self._evaluated_once or self.ctx.work_budget is not None
+        it has not evaluated yet."""
+        return not self._evaluated_once
 
     def _evaluate(self, complete: bool) -> None:
         rng = self.plan.check_range
@@ -100,7 +100,7 @@ class CheckExec(Operator):
         same edge's lower bound at harvest time), the child request is
         capped at the rows remaining until the range can first be
         violated: the child stops at exactly the crossing row.  Interrupt
-        polls and the §7 work-budget trigger happen once per batch.
+        polls happen once per batch.
         """
         self.require_open()
         # CHECK points are the plan's designated reactive sites (paper §3):
@@ -130,20 +130,6 @@ class CheckExec(Operator):
         if armed and self.count > rng.high:
             self._evaluate(complete=False)
             self._evaluated_once = True  # dry-run mode: log only once
-        budget = self.ctx.work_budget
-        if (
-            budget is not None
-            and not self.ctx.dry_run_checks
-            and self.ctx.meter.units > budget
-            # Without compensation, a trigger is only safe before any row
-            # has been pipelined to the application.
-            and (self.ctx.rows_returned == 0 or self.plan.flavor == "ECDC")
-        ):
-            # §7 extension: the statement blew its work budget — whatever
-            # knowledge and intermediates exist, try a better plan now.
-            raise ReoptimizationSignal(
-                self.plan, self.count, complete=False, reason="budget"
-            )
         return self.emit_batch(batch)
 
     def profile_extras(self) -> dict:

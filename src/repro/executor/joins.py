@@ -109,7 +109,8 @@ class NLJoinExec(Operator):
     probed with the join keys of ``k = rows still wanted // fan`` outer rows
     per pull (``fan``: the longest rid list its index can return), so every
     pulled row's matches fit into the request.  ``k`` is 1 while a CHECK in
-    the outer ``can_still_evaluate`` (and stamp the meter).
+    the outer has yet to evaluate, so its event stamps the meter at the
+    same row whatever the batch width.
     ``rescan`` method: the inner is a :class:`TempExec` reset and re-read per
     outer row.
     """

@@ -51,8 +51,3 @@ class WorkMeter:
         if other > 1e-9:
             out["other"] = other
         return out
-
-    def reset(self) -> None:
-        self.units = 0.0
-        if self._by_category is not None:
-            self._by_category = {}

@@ -15,7 +15,7 @@ alternative that produces the same edge.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.feedback import CardinalityFeedback
 from repro.expr.predicates import JoinPredicate, Predicate, predicate_set_id
@@ -134,15 +134,6 @@ class CardinalityEstimator:
         return result
 
     # -------------------------------------------------------------- operators
-
-    def matches_per_probe(self, outer_subset: frozenset, inner_alias: str,
-                          join_preds: Sequence[JoinPredicate]) -> float:
-        """Average inner rows matched per outer row in an index NLJN."""
-        outer_card = self.subset_cardinality(outer_subset)
-        joined = self.subset_cardinality(outer_subset | {inner_alias})
-        if outer_card <= 0:
-            return 0.0
-        return joined / outer_card
 
     def group_by_cardinality(self, input_card: float, group_keys) -> float:
         """Distinct-group estimate: product of key NDVs, capped by input."""

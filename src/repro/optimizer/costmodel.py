@@ -276,7 +276,7 @@ class CostModel:
         evaluates.  ``description`` is what the enumerator keeps of a
         candidate's cost function:
 
-        * ``("hash", base, sel, penalty)`` — ``base + hash_join_cost * penalty``
+        * ``("hash", base, sel)``
         * ``("merge", base, sel, sort_outer, sort_inner)``
         * ``("rescan", base, sel)`` — rescan nested loop over a TEMP
         * ``("index", outer_cost, probe_cost, sel)`` — index nested loop
@@ -292,7 +292,7 @@ class CostModel:
         kernel_for = getattr(self, f"_{description[0]}_kernel")
         return kernel_for(*description[1:], position, other_card)
 
-    def _hash_kernel(self, base, sel, penalty, position, other):
+    def _hash_kernel(self, base, sel, position, other):
         p = self.params
         build, probe, emit = p.cpu_hash_build, p.cpu_hash_probe, p.cpu_emit
         rpp, mem, io = p.rows_per_page, p.hash_mem_pages, p.io_page
@@ -312,7 +312,7 @@ class CostModel:
                 if spill is not None:
                     pages = outer / rpp
                     cost += 2.0 * (fixed_pages + (pages if pages > 1.0 else 1.0)) * spill * io
-                return base + cost * penalty
+                return base + cost
 
             return kernel
         probe_cpu = fixed * probe
@@ -327,7 +327,7 @@ class CostModel:
                 stages = math.ceil(pages / mem)
                 spill = min(1.0, (stages - 1) / stages + 0.5)
                 cost += 2.0 * (pages + fixed_pages) * spill * io
-            return base + cost * penalty
+            return base + cost
 
         return kernel
 
@@ -465,7 +465,7 @@ class CostModel:
                     cost[inner] = rows_o * consts[0]
                     cost[op] = cost[outer] + cost[inner] + rows * cpu_emit
                 elif kind == "hash":
-                    join = self.hash_join_cost(rows_o, rows_i, rows) * consts[1]
+                    join = self.hash_join_cost(rows_o, rows_i, rows)
                     cost[op] = cost[outer] + cost[inner] + join
                 elif kind == "merge":
                     _sel, sort_o, sort_i = consts

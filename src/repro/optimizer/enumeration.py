@@ -83,11 +83,6 @@ class OptimizerOptions:
     commit_without_inversion: bool = True
     #: Compute validity ranges at all (ablation switch).
     compute_validity_ranges: bool = True
-    #: §7 extension ("Checking Opportunities"): when a query's estimates are
-    #: unreliable (parameter markers present), penalize hash joins by this
-    #: fraction, steering the plan toward sort-merge — whose naturally
-    #: materialized inputs give POP more lazy re-optimization opportunities.
-    uncertainty_penalty: float = 0.0
     #: "bushy", "leftdeep", or "auto" (bushy up to AUTO_BUSHY_LIMIT tables).
     join_enumeration: str = "auto"
 
@@ -179,12 +174,6 @@ class PlanEnumerator:
         #: ranges (observability: the sensitivity analysis's share of work).
         self.newton_iterations = 0
         self._allow_cross = not self.graph.fully_connected
-        #: Hash-join cost multiplier under estimate uncertainty (§7).
-        self._hash_penalty = 1.0
-        if self.options.uncertainty_penalty > 0.0 and any(
-            p.has_marker for p in query.local_predicates
-        ):
-            self._hash_penalty = 1.0 + self.options.uncertainty_penalty
 
     # ================================================================ leaves
 
@@ -349,11 +338,10 @@ class PlanEnumerator:
 
         # ---------------------------------------------------------- hash join
         if self.options.enable_hash_join and preds:
-            penalty = self._hash_penalty
             total = base_cost + part.method_cost(
                 cm.hash_join_cost, card_l, card_r, card_out
-            ) * penalty
-            hash_desc = ("hash", base_cost, sel_eff, penalty)
+            )
+            hash_desc = ("hash", base_cost, sel_eff)
 
             def build_hsjn(_total=total) -> PlanOp:
                 props, layout = self._join_shape(left, right.plan.layout, part)

@@ -271,11 +271,6 @@ class SpillManager:
             self._pages(row_count) * self.cost_params.io_page, "spill"
         )
 
-    @property
-    def spilled(self) -> bool:
-        with self._lock:
-            return self.files_created > 0
-
     def open_files(self) -> list[SpillFile]:
         """Files not yet deleted (the leak-audit surface for tests)."""
         with self._lock:

@@ -190,10 +190,6 @@ class TransactionManager:
             self._visible[table.name] = len(table.rows)
 
     @property
-    def durable(self) -> bool:
-        return self._wal is not None
-
-    @property
     def epoch(self) -> int:
         with self._epoch_lock:
             return self._epoch

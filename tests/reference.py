@@ -178,8 +178,8 @@ def two_variable_cost(cm, description: tuple):
     to carry, and the reference for ``CostModel.edge_kernel``."""
     kind, *consts = description
     if kind == "hash":
-        base, sel, penalty = consts
-        return lambda cl, cr: base + cm.hash_join_cost(cl, cr, cl * cr * sel) * penalty
+        base, sel = consts
+        return lambda cl, cr: base + cm.hash_join_cost(cl, cr, cl * cr * sel)
     if kind == "merge":
         base, sel, sort_outer, sort_inner = consts
         return lambda cl, cr: base + cm.merge_join_cost(

@@ -102,7 +102,7 @@ def join(cls, outer, inner, card=50.0, cost=100.0, **kwargs):
     layout = outer.layout.concat(inner.layout)
     sel = card / (outer.est_card * inner.est_card)
     cost_desc = {
-        HashJoin: ("hash", 0.0, sel, 1.0),
+        HashJoin: ("hash", 0.0, sel),
         MergeJoin: ("merge", 0.0, sel, sorted_input(outer), sorted_input(inner)),
         NLJoin: ("rescan", 0.0, sel),
     }[cls]

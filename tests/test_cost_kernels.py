@@ -43,10 +43,9 @@ PARAM_SETS = (DEFAULT_COST_PARAMS, DEFAULT_COST_PARAMS.scaled_memory(0.01))
 
 
 def descriptions(base: float, sel: float, probe_cost: float) -> list[tuple]:
-    """Every kind × sort flags × hash penalty."""
+    """Every kind × sort flags."""
     return [
-        ("hash", base, sel, 1.0),
-        ("hash", base, sel, 1.5),
+        ("hash", base, sel),
         ("rescan", base, sel),
         ("index", base, probe_cost, sel),
         *(

@@ -420,7 +420,7 @@ def join(kind, left_rows, right_rows, key_columns, **kwargs):
         JoinPredicate(ColumnRef("l", c), ColumnRef("r", c)) for c in key_columns
     ]
     layout = outer.layout.concat(inner.layout)
-    cost_desc = ("hash", 2.0, 0.1, 1.0)
+    cost_desc = ("hash", 2.0, 0.1)
     if kind is MergeJoin:
         keys = lambda alias: [f"{alias}.{c}" for c in key_columns]  # noqa: E731
         outer = Sort(outer, keys("l"), props("l"), est_cost=2.0)
@@ -643,16 +643,13 @@ class TestIndexNLJoinBatches:
             assert run_["rows"] == []
             assert ("IXSCAN", 0, False, 4) in run_["ops"]
 
-    @pytest.mark.parametrize("flavor, work_budget, batched", [
-        ("ECDC", None, False), ("LCEM", None, True), ("LCEM", 1e9, False),
-    ])
+    @pytest.mark.parametrize("flavor, batched", [("ECDC", False), ("LCEM", True)])
     def test_outer_requests_are_one_row_while_a_check_can_fire(
-        self, flavor, work_budget, batched, monkeypatch
+        self, flavor, batched, monkeypatch
     ):
         """An ECDC CHECK on the outer still counts (and stamps the meter)
         as rows stream by, so the outer is pulled one row at a time; a CHECK
-        above a TEMP evaluated once at open, so the outer is batched —
-        unless a §7 work budget is tested on every batch it passes."""
+        above a TEMP evaluated once at open, so the outer is batched."""
         requests = []
         pull = CheckExec.next_batch
 
@@ -670,7 +667,6 @@ class TestIndexNLJoinBatches:
         )
         observed = observe_nljn(
             lambda: Return(index_nljn(outer_check)), left, right, "hash", 1024,
-            work_budget=work_budget,
         )
         assert len(observed["rows"]) == 200
         if batched:  # fan 1: all 200 rows in the first pull, EOF in the second

@@ -1,15 +1,24 @@
-"""Tests for the paper's §7 future-work extensions implemented here:
-cross-query learning, adaptive re-optimization limits, work-budget
-re-optimization, and the uncertainty-averse plan mode."""
+"""Tests for cross-query learning, the paper's §7 "Learning for the
+Future" extension."""
 
 
-from repro import PopConfig
 from repro.core.learning import LearnedCardinalities
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Comparison, JoinPredicate, predicate_set_id
-from repro.optimizer.enumeration import OptimizerOptions
 from repro.plan.logical import Query, TableRef
+from repro.workloads.dmv.generator import make_dmv_db
+from repro.workloads.dmv.queries import dmv_queries
 from tests.conftest import canonical
+
+#: The DMV statements that re-optimize at the default (1x) scale.
+DMV_REOPTIMIZING = (
+    "six_table_deep_0",
+    "zip_accident_rescan_0",
+    "zip_accident_rescan_1",
+    "zip_accident_rescan_2",
+    "zip_inspection_rescan_1",
+    "zip_inspection_rescan_2",
+)
 
 
 def marker_query():
@@ -105,82 +114,21 @@ class TestLearning:
         fb.record((frozenset({"t"}), frozenset()), 5, exact=False)
         assert learning.absorb(fb) == 0
 
-
-class TestAdaptiveReoptLimit:
-    def test_limit_grows_with_complexity(self):
-        config = PopConfig(adaptive_reopt_limit=True)
-        simple = literal_query()
-        assert 1 <= config.reopt_limit_for(simple) <= 5
-        # More markers -> more allowed rounds.
-        marked = marker_query()
-        assert config.reopt_limit_for(marked) >= config.reopt_limit_for(simple)
-
-    def test_fixed_limit_unchanged(self):
-        config = PopConfig(max_reoptimizations=2)
-        assert config.reopt_limit_for(literal_query()) == 2
-
-    def test_adaptive_run_end_to_end(self, star_db):
-        config = PopConfig(adaptive_reopt_limit=True)
-        result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
-        baseline = star_db.execute_without_pop(marker_query(), params={"p": "COMMON"})
-        assert canonical(result.rows) == canonical(baseline.rows)
-        assert result.report.reoptimizations <= 5
-
-
-class TestWorkBudget:
-    def test_budget_triggers_reoptimization(self, star_db):
-        # A budget far below the statement's real cost forces a budget
-        # signal at the first checkpoint tick past the limit.
-        config = PopConfig(work_budget=10.0)
-        result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
-        reasons = {a.signal_reason for a in result.report.attempts if a.reoptimized}
-        assert "budget" in reasons or "cardinality" in reasons
-        baseline = star_db.execute_without_pop(
-            marker_query(), params={"p": "COMMON"}
-        )
-        assert canonical(result.rows) == canonical(baseline.rows)
-
-    def test_generous_budget_never_fires(self, star_db):
-        config = PopConfig(work_budget=1e12)
-        result = star_db.execute(literal_query("RARE"), pop=config)
-        assert all(a.signal_reason != "budget" for a in result.report.attempts)
-
-    def test_budget_runs_terminate(self, star_db):
-        config = PopConfig(work_budget=1.0, max_reoptimizations=3)
-        result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
-        assert len(result.report.attempts) <= 4
-
-
-class TestUncertaintyPenalty:
-    def test_penalty_changes_plan_for_marker_queries(self, star_db):
-        from repro.plan.physical import HashJoin, find_ops
-
-        plain_plan = star_db.optimizer.optimize(marker_query()).plan
-        star_db.optimizer.options = OptimizerOptions(uncertainty_penalty=5.0)
-        try:
-            averse_plan = star_db.optimizer.optimize(marker_query()).plan
-            # With a strong penalty, hash joins disappear from the plan of
-            # an uncertain (marker-carrying) query.
-            assert not find_ops(averse_plan, HashJoin)
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-
-    def test_penalty_ignored_without_markers(self, star_db):
-        from repro.plan.explain import join_order
-
-        plain = join_order(star_db.optimizer.optimize(literal_query()).plan)
-        star_db.optimizer.options = OptimizerOptions(uncertainty_penalty=5.0)
-        try:
-            averse = join_order(star_db.optimizer.optimize(literal_query()).plan)
-            assert plain == averse
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-
-    def test_results_unchanged_under_penalty(self, star_db):
-        star_db.optimizer.options = OptimizerOptions(uncertainty_penalty=2.0)
-        try:
-            result = star_db.execute(marker_query(), params={"p": "MID"})
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-        baseline = star_db.execute_without_pop(marker_query(), params={"p": "MID"})
-        assert canonical(result.rows) == canonical(baseline.rows)
+    def test_second_run_needs_no_reoptimization(self):
+        """Learning's measured win on the DMV workload: a statement that
+        re-optimized once runs its second time with no CHECK firing, the
+        same rows and no more work."""
+        db = make_dmv_db()
+        sql = dict(dmv_queries())
+        learning = db.enable_learning()
+        for name in DMV_REOPTIMIZING:
+            learning.forget()
+            first = db.execute(sql[name])
+            second = db.execute(sql[name])
+            assert first.report.reoptimizations == 1, name
+            assert not [
+                e for a in second.report.attempts
+                for e in a.checkpoint_events if e.triggered
+            ], name
+            assert second.rows == first.rows, name
+            assert second.report.total_units <= first.report.total_units, name

@@ -46,7 +46,7 @@ def join(left: PlanOp, right: PlanOp, cls=HashJoin, **kwargs) -> PlanOp:
         left.layout.concat(right.layout),
         est_card=50.0,
         est_cost=left.est_cost + right.est_cost + 5.0,
-        cost_desc=("hash", left.est_cost + right.est_cost, 0.005, 1.0),
+        cost_desc=("hash", left.est_cost + right.est_cost, 0.005),
         **kwargs,
     )
 

@@ -127,7 +127,6 @@ class TestDriverIntegration:
         assert not cache_usable(PopConfig(dry_run=True))
         assert not cache_usable(PopConfig(adhoc_threshold_factor=4.0))
         assert not cache_usable(PopConfig(force_trigger_op_ids=frozenset({1})))
-        assert not cache_usable(PopConfig(adaptive_reopt_limit=True))
 
     def test_query_objects_bypass_cache(self):
         from repro.sql.binder import bind_sql

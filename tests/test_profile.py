@@ -29,6 +29,7 @@ import pytest
 from repro import PopConfig
 from repro.cli import Shell
 from repro.core import driver as driver_module
+from repro.core.flavors import ECB, ECDC
 from repro.executor.meter import WorkMeter
 from repro.obs import (
     MetricsRegistry,
@@ -37,7 +38,9 @@ from repro.obs import (
     render_progress,
     write_profiles_jsonl,
 )
+from repro.optimizer.enumeration import OptimizerOptions
 from repro.plan.analyze import explain_analyze
+from repro.workloads.tpch.queries import TPCH_QUERIES
 
 from . import test_driver_pipeline as pipeline
 
@@ -61,6 +64,13 @@ def run_profiled(db, sql, params=None, pop=None):
 def profiled_records(attempt) -> list:
     assert attempt.profiled
     return list(attempt.record.walk())
+
+
+def records_of(report, kind: str) -> list:
+    """The profiled records of ``kind`` across every attempt of ``report``."""
+    return [
+        r for a in report.attempts for r in profiled_records(a) if r.kind == kind
+    ]
 
 
 class TestExclusiveTimeAccounting:
@@ -142,6 +152,64 @@ class TestExclusiveTimeAccounting:
             assert total == pytest.approx(
                 attempt.execution_units, rel=RECONCILE_TOLERANCE
             )
+
+
+class TestExtrasAgreeWithRowCounts:
+    """Each kind's ``profile_extras`` against its record's row counts.
+    DISTINCT and MSJOIN release the buffers their extras read in ``close``,
+    so extras captured after the release would read 0."""
+
+    def test_distinct(self, tpch_db):
+        sql = (
+            "SELECT DISTINCT c.c_mktsegment FROM customer c, orders o "
+            "WHERE c.c_custkey = o.o_custkey"
+        )
+        (record,) = records_of(run_profiled(tpch_db, sql), "DISTINCT")
+        assert record.eof and 0 < record.rows_out < record.rows_in
+        assert record.profile.extras == {"distinct_keys": record.rows_out}
+
+    def test_ecb_bufcheck(self, tpch_db):
+        config = PopConfig(flavors=frozenset({ECB}), min_cost_for_checkpoints=0.0)
+        records = records_of(run_profiled(tpch_db, THREE_JOIN_SQL, pop=config), "BUFCHECK")
+        assert records
+        for record in records:
+            assert record.eof and record.rows_out == record.rows_in > 0
+            assert record.profile.extras == {
+                "flavor": "ECB",
+                "buffered_rows": min(record.rows_in, record.plan.buffer_size),
+                "decided": True,
+            }
+
+    def test_merge_join(self, tpch_db):
+        report = tpch_db.execute(
+            TPCH_QUERIES["Q10"],
+            optimizer_options=OptimizerOptions(enable_hash_join=False),
+            profile=True,
+        ).report
+        records = records_of(report, "MSJOIN")
+        assert records
+        for record in records:
+            outer, inner = record.children
+            assert record.eof and record.rows_out > 0
+            assert record.profile.extras == {
+                "merged_rows": record.rows_out,
+                "outer_rows": outer.rows_out,
+                "inner_rows": inner.rows_out,
+            }
+
+    def test_ecdc_anti_join(self):
+        """The ``ecdc_compensation`` statement of the driver pipeline: the
+        re-optimized attempt subtracts the rows attempt 0 returned."""
+        config = PopConfig(flavors=frozenset({ECDC}), min_cost_for_checkpoints=0.0)
+        report = run_profiled(
+            pipeline.build_star_db(), pipeline.marker_query(),
+            params={"p": "COMMON"}, pop=config,
+        )
+        (record,) = records_of(report, "ANTIJOIN")
+        compensated = record.rows_in - record.rows_out
+        assert record.eof
+        assert compensated == report.attempts[0].rows_emitted > 0
+        assert record.profile.extras == {"compensated_rows": compensated}
 
 
 class TestObsOffFastPath:

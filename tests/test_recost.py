@@ -35,9 +35,8 @@ from tests.reference import two_variable_cost
 
 #: Fig. 12's configuration: merge joins instead of hash joins.
 NO_HASH = OptimizerOptions(enable_hash_join=False)
-#: A parameter marker makes the §7 hash-join penalty apply; without index
-#: NLJNs the plan is all hash joins.
-PENALTY = OptimizerOptions(uncertainty_penalty=0.5, enable_index_nljn=False)
+#: Without index NLJNs the marker query's plan is all hash joins.
+NO_INDEX_NLJN = OptimizerOptions(enable_index_nljn=False)
 MARKER_SQL = (
     "SELECT c.c_custkey, o.o_orderkey, l.l_quantity "
     "FROM customer c, orders o, lineitem l "
@@ -63,14 +62,12 @@ def workload(tpch_db, dmv_db):
 
 def optimizer_plans(tpch_db, dmv_db):
     """(cost model, plan) of every statement under the default options and
-    Fig. 12's, plus the penalized marker query."""
-    plans = [
+    Fig. 12's."""
+    return [
         (db.optimizer.cost_model, db.optimizer.optimize(db._to_query(sql), options=opts).plan)
         for db, sql in workload(tpch_db, dmv_db)
         for opts in (None, NO_HASH)
     ]
-    marker = tpch_db.optimizer.optimize(tpch_db._to_query(MARKER_SQL), options=PENALTY)
-    return plans + [(tpch_db.optimizer.cost_model, marker.plan)]
 
 
 def mismatches(cm, plan, skip=lambda op: False):
@@ -106,23 +103,18 @@ def test_optimizer_plans_recost_to_est_cost(plans):
         "HSJOIN", "MSJOIN", "NLJOIN", "SORT", "TEMP", "GRPBY", "HAVING",
         "DISTINCT", "PROJECT", "IXSCAN", "TBSCAN",
     }
-    penalties = {
-        op.cost_desc[3] for _, plan in plans for op in plan.walk()
-        if isinstance(op, JoinOp) and op.cost_desc[0] == "hash"
-    }
-    assert penalties == {1.0, 1.5}
 
 
 def test_placed_plans_recost_to_est_cost_outside_lcem(tpch_db, dmv_db):
     """Each attempt's placed plan under the default flavors, and every
     statement placed with every flavor but LCEM (ECDC needs an SPJ query
-    with hash joins: the penalized marker query)."""
+    with hash joins: the marker query without index NLJNs)."""
     placed = []
     for db, sql in workload(tpch_db, dmv_db):
         cm = db.optimizer.cost_model
         placed += [(cm, a.plan) for a in db.execute(sql).report.attempts]
         placed.append((cm, db.plan(sql, pop=EAGER)[1].plan))
-    marker = tpch_db.plan(MARKER_SQL, pop=EAGER, optimizer_options=PENALTY)[1].plan
+    marker = tpch_db.plan(MARKER_SQL, pop=EAGER, optimizer_options=NO_INDEX_NLJN)[1].plan
     placed.append((tpch_db.optimizer.cost_model, marker))
     assert [m for cm, plan in placed for m in mismatches(cm, plan, lcem_below)] == []
     kinds = {(op.KIND, getattr(op, "flavor", None)) for _, p in placed for op in p.walk()}
@@ -235,7 +227,6 @@ def test_index_nljn_probes_scale_with_the_outer(tpch_db):
 
 def test_the_map_prices_each_plan_at_its_estimate(plans):
     """Every optimizer plan's map costs ``est_cost`` at the estimate; the
-    old map double-counted a rescan NLJN's TEMP and ignored the hash
-    penalty."""
+    old map double-counted a rescan NLJN's TEMP."""
     for cm, plan in plans:
         assert RobustnessMap(plan, cm).compute()["base_cost"] == plan.est_cost

@@ -204,5 +204,5 @@ def _dummy_join():
         left, right, [pred],
         left.properties.merge(right.properties, {pred.pred_id}),
         left.layout.concat(right.layout), 10.0, 12.0,
-        cost_desc=("hash", 2.0, 0.1, 1.0),
+        cost_desc=("hash", 2.0, 0.1),
     )
