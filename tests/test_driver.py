@@ -69,6 +69,27 @@ class TestReoptimizationLoop:
         result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
         assert result.report.reoptimizations == 0
 
+    def test_a_check_fires_only_on_cardinality(self, star_db):
+        """A CHECK has one trigger, its validity range: every attempt that
+        re-optimized names ``cardinality``, and the final one no reason."""
+        config = PopConfig(min_cost_for_checkpoints=0.0, max_reoptimizations=3)
+        result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
+        *reoptimized, final = result.report.attempts
+        assert reoptimized
+        assert {a.signal_reason for a in reoptimized} == {"cardinality"}
+        assert not final.reoptimized and final.signal_reason is None
+
+    def test_eager_checks_stop_at_the_cap(self, star_db):
+        """With checks on every edge and a cap of zero, the statement whose
+        CHECK would fire runs one attempt and returns the static plan's
+        rows."""
+        config = PopConfig(min_cost_for_checkpoints=0.0, max_reoptimizations=0)
+        result = star_db.execute(marker_query(), params={"p": "COMMON"}, pop=config)
+        baseline = star_db.execute_without_pop(marker_query(), params={"p": "COMMON"})
+        assert len(result.report.attempts) == 1
+        assert result.report.attempts[0].signal_reason is None
+        assert canonical(result.rows) == canonical(baseline.rows)
+
     def test_report_accounting(self, star_db):
         result = star_db.execute(marker_query(), params={"p": "COMMON"})
         report = result.report

@@ -1,6 +1,7 @@
 """Tests for cross-query learning, the paper's §7 "Learning for the
 Future" extension."""
 
+import pytest
 
 from repro.core.learning import LearnedCardinalities
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
@@ -19,6 +20,15 @@ DMV_REOPTIMIZING = (
     "zip_inspection_rescan_1",
     "zip_inspection_rescan_2",
 )
+
+
+@pytest.fixture(scope="module")
+def learning_dmv_db():
+    """A DMV database of its own with learning on, and its statements."""
+    db = make_dmv_db()
+    db.enable_learning()
+    yield db, dict(dmv_queries())
+    db.disable_learning()
 
 
 def marker_query():
@@ -114,21 +124,19 @@ class TestLearning:
         fb.record((frozenset({"t"}), frozenset()), 5, exact=False)
         assert learning.absorb(fb) == 0
 
-    def test_second_run_needs_no_reoptimization(self):
+    @pytest.mark.parametrize("name", DMV_REOPTIMIZING)
+    def test_second_run_needs_no_reoptimization(self, learning_dmv_db, name):
         """Learning's measured win on the DMV workload: a statement that
         re-optimized once runs its second time with no CHECK firing, the
         same rows and no more work."""
-        db = make_dmv_db()
-        sql = dict(dmv_queries())
-        learning = db.enable_learning()
-        for name in DMV_REOPTIMIZING:
-            learning.forget()
-            first = db.execute(sql[name])
-            second = db.execute(sql[name])
-            assert first.report.reoptimizations == 1, name
-            assert not [
-                e for a in second.report.attempts
-                for e in a.checkpoint_events if e.triggered
-            ], name
-            assert second.rows == first.rows, name
-            assert second.report.total_units <= first.report.total_units, name
+        db, sql = learning_dmv_db
+        db.learning.forget()
+        first = db.execute(sql[name])
+        second = db.execute(sql[name])
+        assert first.report.reoptimizations == 1
+        assert not [
+            e for a in second.report.attempts
+            for e in a.checkpoint_events if e.triggered
+        ]
+        assert second.rows == first.rows
+        assert second.report.total_units <= first.report.total_units
