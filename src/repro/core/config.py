@@ -57,21 +57,14 @@ class ResiliencePolicy:
     """Knobs of the execution guard (:mod:`repro.resilience`).
 
     Attached to :class:`PopConfig` (``resilience=...``), the guard wraps
-    every execution attempt: transient failures are retried with capped
-    exponential backoff (charged to the work meter, so retries are visible
-    in the same cost currency as everything else), a circuit breaker
-    detects re-optimization thrash and runaway attempt counts, and — once
-    tripped — the statement completes on a conservative POP-disabled
-    safe plan that cannot signal re-optimization.
+    every execution attempt: transient failures are retried a fixed number
+    of times with capped exponential backoff (charged to the work meter,
+    so retries are visible in the same cost currency as everything else;
+    see :mod:`repro.resilience.guard`), and once retries are exhausted or
+    a deadline blows, the statement completes on a conservative
+    POP-disabled safe plan that cannot signal re-optimization.
     """
 
-    #: Transient failures retried per statement before the breaker trips.
-    max_retries: int = 2
-    #: Backoff charged to the meter before retry ``k`` is
-    #: ``min(cap, base * factor**k)`` work units.
-    backoff_base_units: float = 50.0
-    backoff_factor: float = 2.0
-    backoff_cap_units: float = 800.0
     #: Per-attempt work-unit deadline; ``None`` disables the deadline.
     #: Exceeding it raises :class:`~repro.common.errors.ExecutionTimeout`,
     #: which goes straight to the safe-plan fallback (no retry).
@@ -85,22 +78,9 @@ class ResiliencePolicy:
     #: must be guaranteed to complete).  Exceeding it raises
     #: :class:`~repro.common.errors.ExecutionTimeout`.
     deadline_seconds: Optional[float] = None
-    #: Breaker: trip when the same join order ends in a re-optimization
-    #: signal this many times (thrash), ...
-    breaker_same_plan_limit: int = 3
-    #: ... or when one statement accumulates this many execution attempts
-    #: (optimize+execute rounds, retries included).
-    breaker_attempt_limit: int = 8
-    #: When the breaker trips (or retries are exhausted), fall back to the
+    #: When retries are exhausted or a deadline blows, fall back to the
     #: safe plan instead of raising.  Disable to surface the failure.
     fallback_enabled: bool = True
-
-    def backoff_units(self, retry_index: int) -> float:
-        """Backoff charge before retry number ``retry_index`` (0-based)."""
-        return min(
-            self.backoff_cap_units,
-            self.backoff_base_units * self.backoff_factor**retry_index,
-        )
 
 
 @dataclass
@@ -210,7 +190,7 @@ class PopConfig:
     #: ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
     strict_analysis: bool = field(default_factory=_default_strict_analysis)
     #: Execution-guard policy (:mod:`repro.resilience`): retry/backoff for
-    #: transient failures, work-unit deadline, circuit breaker, safe-plan
+    #: transient failures, work-unit and wall deadlines, safe-plan
     #: fallback.  ``None`` disables the guard entirely (the default — no
     #: behavior change and zero overhead).
     resilience: Optional[ResiliencePolicy] = None
@@ -226,6 +206,23 @@ class PopConfig:
             raise ValueError(f"unknown reuse policy {self.reuse_policy!r}")
         check_batch_size(self.batch_size)
         self.flavors = frozenset(self.flavors)
+
+    def checks_key(self) -> str:
+        """The part of the plan-cache key that decides CHECK placement.
+
+        A cached plan carries the CHECKs its statement placed, so a
+        statement may only reuse plans placed under the same rules:
+        ``none`` when it places no CHECKs at all (POP off, or a cap of
+        zero makes the first round the last), else the placement options.
+        """
+        if not self.enabled or self.max_reoptimizations < 1:
+            return "none"
+        return (
+            f"flavors={','.join(sorted(self.flavors))} "
+            f"min_cost={self.min_cost_for_checkpoints!r} "
+            f"alternatives={self.require_alternatives} "
+            f"hash_build={self.lc_above_hash_build}"
+        )
 
 
 #: A disabled-POP configuration (the paper's "without POP" baseline).

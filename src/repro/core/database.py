@@ -395,6 +395,9 @@ class Database:
             # lifted values join the caller's bind parameters at runtime
             # (namespaces are disjoint: ``__litN`` vs user markers).
             stmt = parameterize_sql(statement, self.catalog)
+            # Cached plans keep their CHECKs: a variant serves only
+            # statements that would have placed the same ones.
+            stmt.shape += " | checks=" + config.checks_key()
             query = stmt.query
             params = {**(params or {}), **stmt.params}
         else:
@@ -449,14 +452,17 @@ class Database:
 
         ``params`` is accepted for symmetry with :meth:`execute`; markers
         are planned at default selectivities, as they are there.
-        ``optimizer_options`` replaces the shared ones for this call.
+        ``optimizer_options`` replaces the shared ones for this call.  With
+        learning on, the plan uses what earlier statements learned, as
+        :meth:`execute`'s first round does.
         """
         query = self._to_query(statement)
         config = pop if pop is not None else PopConfig()
         if config.max_reoptimizations < 1:
             config = NO_POP  # execute's only round is then its last: no CHECKs
         return optimize_and_place(
-            self.optimizer, query, config, options=optimizer_options
+            self.optimizer, query, config, options=optimizer_options,
+            feedback=self.learning.seed() if self.learning is not None else None,
         )
 
     def explain(

@@ -62,9 +62,6 @@ from repro.plan.physical import (
 from repro.resilience import RAISE, ExecutionGuard, FaultInjector, FaultPlan
 from repro.storage.catalog import TempMVRegistry
 
-#: Harvest configuration for completed runs: feedback only, no temp MVs.
-_FEEDBACK_ONLY = PopConfig(reuse_policy="never")
-
 
 @dataclass
 class AttemptReport:
@@ -150,7 +147,6 @@ class PopReport:
     #: Resilience accounting (zeros when no guard/faults were configured).
     retries: int = 0
     backoff_units: float = 0.0
-    breaker_tripped: bool = False
     fallback_used: bool = False
     fallback_reason: Optional[str] = None
     faults_injected: int = 0
@@ -243,12 +239,10 @@ class PopReport:
                 f"  profile: {len(records)} operator(s), "
                 f"{self_units:.1f}u self time attributed"
             )
-        if self.retries or self.breaker_tripped or self.fallback_used:
+        if self.retries or self.fallback_used:
             detail = f"  resilience: {self.retries} retry(ies)"
             if self.backoff_units:
                 detail += f", {self.backoff_units:.1f}u backoff"
-            if self.breaker_tripped:
-                detail += ", breaker tripped"
             if self.fallback_used:
                 detail += f", safe-plan fallback ({self.fallback_reason})"
             lines.append(detail)
@@ -324,9 +318,7 @@ class StatementContext:
         if self.meter is None:
             self.meter = WorkMeter(track_categories=self.metrics is not None)
         self.options = replace(
-            self.options,
-            consider_mvs=self.config.reuse_policy != "never",
-            mv_cost_zero=self.config.reuse_policy == "always",
+            self.options, mv_cost_zero=self.config.reuse_policy == "always"
         )
         if faults is not None:
             self.injector = FaultInjector(faults)
@@ -464,7 +456,6 @@ class PopDriver:
         if guard is not None:
             report.retries = guard.retries
             report.backoff_units = guard.backoff_units_charged
-            report.breaker_tripped = guard.breaker_tripped
             report.fallback_used = guard.fallback_reason is not None
             report.fallback_reason = guard.fallback_reason
         if sc.metrics is not None:
@@ -587,7 +578,6 @@ class PopDriver:
             enable_rescan_nljn=False,
             enable_hash_join=True,
             enable_merge_join=True,
-            consider_mvs=False,
             mv_cost_zero=False,
         )
         _opt, placement = optimize_and_place(
@@ -850,14 +840,13 @@ class PopDriver:
         harvested = None
         if run.signal is not None:
             harvested = harvest_execution_state(
-                run.ctx, run.signal, sc.feedback, config
+                run.ctx, run.signal, sc.feedback,
+                promote=config.reuse_policy != "never",
             )
         elif not run.report.fallback:
             # Exact cardinalities only, no MV promotion: what a retry
             # re-plans with, and what cross-query learning absorbs (§7).
-            harvest_execution_state(
-                run.ctx, None, sc.feedback, _FEEDBACK_ONLY
-            )
+            harvest_execution_state(run.ctx, None, sc.feedback, promote=False)
         if not run.interrupted and sc.caching and planned.cached is None:
             # A reused plan needs no check here: ``PlanCache.lookup``
             # re-fingerprints every candidate, so one mutated while it ran
@@ -869,8 +858,6 @@ class PopDriver:
         sc.attempt += 1
         if run.signal is not None:
             sc.reopt_round += 1
-            if guard is not None:
-                guard.on_reoptimize(run.report.join_order, sc.attempt)
         return False
 
     def _route_rows(self, sc: StatementContext, run: AttemptRun) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.executor.base import ExecutionContext, Operator, ReoptimizationSignal
 from repro.executor.scans import IndexScanExec
@@ -37,10 +36,11 @@ def harvest_execution_state(
     ctx: ExecutionContext,
     signal: Optional[ReoptimizationSignal],
     feedback: CardinalityFeedback,
-    config: PopConfig,
+    *,
+    promote: bool,
 ) -> list[str]:
-    """Record feedback and promote intermediates into the statement's
-    registry (``ctx.temp_mvs``); returns new MV names."""
+    """Record feedback and, when ``promote``, promote intermediates into
+    the statement's registry (``ctx.temp_mvs``); returns new MV names."""
     registered: list[str] = []
     temp_mvs = ctx.temp_mvs
     existing = {
@@ -53,7 +53,7 @@ def harvest_execution_state(
         materialized = op.materialized_rows
         if materialized is not None:
             feedback.record(signature, len(materialized), exact=True)
-            if config.reuse_policy != "never":
+            if promote:
                 key = (op.plan.properties.tables, op.plan.properties.predicates)
                 if existing.get(key, -1) < len(materialized):
                     order = op.plan.keys if isinstance(op.plan, Sort) else ()

@@ -126,10 +126,13 @@ class CheckExec(Operator):
             return None
         n = len(batch)
         self.ctx.meter.charge(n * p.cpu_check, "check")
-        self.count += n
-        if armed and self.count > rng.high:
-            self._evaluate(complete=False)
-            self._evaluated_once = True  # dry-run mode: log only once
+        if armed:
+            # Once evaluated the count is final, what the event logged:
+            # rows streamed after an evaluation at ``open`` add nothing.
+            self.count += n
+            if self.count > rng.high:
+                self._evaluate(complete=False)
+                self._evaluated_once = True  # dry-run mode: log only once
         return self.emit_batch(batch)
 
     def profile_extras(self) -> dict:

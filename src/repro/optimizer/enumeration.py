@@ -73,8 +73,6 @@ class OptimizerOptions:
     enable_merge_join: bool = True
     enable_index_nljn: bool = True
     enable_rescan_nljn: bool = True
-    #: Consider temp MVs from previous partial executions (paper §2.3).
-    consider_mvs: bool = True
     #: Price MV scans at zero (forces reuse — the "always" ablation policy).
     mv_cost_zero: bool = False
     #: Newton–Raphson iteration cap of the validity probe (paper: 3).
@@ -257,7 +255,7 @@ class PlanEnumerator:
 
     def _mv_candidates(self, subset: frozenset) -> list[Candidate]:
         """MV-scan alternatives for ``subset`` from temp MVs (paper §2.3)."""
-        if not self.options.consider_mvs:
+        if not self.temp_mvs:
             return []
         required = predicate_set_id(self.estimator.predicates_for_subset(subset))
         candidates = []

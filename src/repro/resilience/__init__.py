@@ -3,9 +3,11 @@
 Deterministic chaos engineering for the prototype: seeded fault schedules
 (:class:`FaultPlan`), an injector that perturbs executor runtime and planning
 statistics (:class:`FaultInjector`), and the execution guard that keeps the
-POP loop live under those perturbations — retry with backoff, a work-unit
-deadline, a re-optimization circuit breaker, and a conservative safe-plan
+POP loop live under those perturbations — a fixed retry budget with
+backoff, work-unit and wall-clock deadlines, and a conservative safe-plan
 fallback (:class:`ExecutionGuard`, configured by :class:`ResiliencePolicy`).
+Re-optimization ends by the paper's §7 cap alone
+(``PopConfig.max_reoptimizations``).
 
 Its chaos scenarios (``faults``, ``stampede``, ``memory``) are exported here
 for the one chaos command, ``python -m repro.chaos``.

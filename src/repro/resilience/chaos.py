@@ -42,6 +42,7 @@ from repro.core.config import PopConfig, ResiliencePolicy
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.faults import ALL_KINDS, EXEC_KINDS, STATS, FaultPlan
+from repro.resilience.guard import MAX_RETRIES
 from repro.workloads import small_workload_databases
 
 __all__ = [
@@ -134,10 +135,8 @@ def run_query_under_chaos(
         problems.append(
             f"rows diverge from oracle ({len(result.rows)} vs {len(oracle)})"
         )
-    if report.retries > policy.max_retries:
-        problems.append(
-            f"retries {report.retries} exceed bound {policy.max_retries}"
-        )
+    if report.retries > MAX_RETRIES:
+        problems.append(f"retries {report.retries} exceed bound {MAX_RETRIES}")
     # Every injected fault must be observable: one trace event each, and a
     # matching counter total.
     events = tracer.events("fault.injected")

@@ -1,4 +1,4 @@
-"""Execution guard: retry/backoff, circuit breaker, and safe-plan fallback.
+"""Execution guard: retry/backoff, deadlines, and safe-plan fallback.
 
 The guard sits inside :meth:`repro.core.driver.PopDriver.run` and makes the
 POP loop survive the faults :mod:`repro.resilience.faults` (or a hostile
@@ -8,25 +8,29 @@ environment) throws at it:
   escaping an attempt is classified via
   :func:`~repro.common.errors.failure_class`;
 * **retry with backoff** — transient/resource failures are retried up to
-  ``ResiliencePolicy.max_retries`` times; each retry charges a capped
-  exponential backoff to the :class:`~repro.executor.meter.WorkMeter`
-  (category ``"backoff"``) so waiting costs work units, same as everything
-  else in the deterministic clock;
+  :data:`MAX_RETRIES` times; retry ``k`` first charges
+  :func:`backoff_units` ``(k)`` to the
+  :class:`~repro.executor.meter.WorkMeter` (category ``"backoff"``) so
+  waiting costs work units, same as everything else in the deterministic
+  clock;
 * **deadlines** — each attempt gets a work-unit deadline
   (``policy.deadline_units``), and the whole statement gets a wall-clock
   deadline (``policy.deadline_seconds``, shared across retries so backoff
   cannot extend it); blowing either raises
   :class:`~repro.common.errors.ExecutionTimeout`, which routes to fallback;
-* **circuit breaker** — re-optimization thrash (the optimizer re-choosing
-  the same join order ``breaker_same_plan_limit`` times, or the attempt
-  count exceeding ``breaker_attempt_limit``) trips the breaker;
-* **safe-plan fallback** — once retries are exhausted, the deadline blows,
-  or the breaker trips, the driver runs one conservative POP-disabled plan
-  (robust join flavors only, no CHECKs, no fault injection, no deadline)
-  that is guaranteed to complete.
+* **safe-plan fallback** — once retries are exhausted or a deadline
+  blows, the driver runs one conservative POP-disabled plan (robust join
+  flavors only, no CHECKs, no fault injection, no deadline) that is
+  guaranteed to complete.
+
+Re-optimization itself is not the guard's business: the paper's §7 cap
+(``PopConfig.max_reoptimizations``, the last round CHECK-free) is the one
+rule that ends it.  A guarded statement therefore runs at most
+``2 + max_reoptimizations + MAX_RETRIES`` attempts: the first plan, each
+re-optimized round, each retry and the safe plan.
 
 Every decision is emitted through :mod:`repro.obs` (events ``guard.retry``,
-``guard.breaker_trip``, ``guard.fallback``; counters ``resilience.*``).
+``guard.fallback``; counters ``resilience.*``).
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ RAISE = "raise"
 
 #: Failure classes the guard will retry.
 _RETRYABLE = (TRANSIENT, RESOURCE)
+
+#: Transient/resource failures retried per statement before the fallback.
+MAX_RETRIES = 2
+
+
+def backoff_units(retry_index: int) -> float:
+    """Backoff charged before retry number ``retry_index`` (0-based):
+    50 work units, doubling per retry, capped at 800."""
+    return min(800.0, 50.0 * 2.0**retry_index)
 
 
 class ExecutionGuard:
@@ -63,9 +76,7 @@ class ExecutionGuard:
         self.metrics = metrics
         self.retries = 0
         self.backoff_units_charged = 0.0
-        self.breaker_tripped = False
         self.fallback_reason: Optional[str] = None
-        self._join_order_counts: dict[str, int] = {}
         #: The statement's :class:`~repro.resilience.faults.FaultInjector`,
         #: disarmed when the statement falls back.
         self._injector = injector
@@ -96,34 +107,6 @@ class ExecutionGuard:
             self._wall_deadline = wall_clock() + self.policy.deadline_seconds
         return self._wall_deadline
 
-    # ---------------------------------------------------------------- breaker
-
-    def on_reoptimize(self, join_order: str, attempt: int) -> bool:
-        """Record one re-optimization; returns True if the breaker trips,
-        which requests the safe-plan fallback.
-
-        Thrash shows up as the optimizer re-choosing the same join order
-        over and over, or as an unbounded attempt count; both indicate the
-        feedback loop is not converging and POP should stand down.
-        """
-        count = self._join_order_counts.get(join_order, 0) + 1
-        self._join_order_counts[join_order] = count
-        if count >= self.policy.breaker_same_plan_limit:
-            self._trip(f"join order {join_order!r} re-chosen {count} times")
-            return True
-        if attempt + 1 >= self.policy.breaker_attempt_limit:
-            self._trip(f"attempt count reached {attempt + 1}")
-            return True
-        return False
-
-    def _trip(self, why: str) -> None:
-        self.breaker_tripped = True
-        if self.tracer is not None:
-            self.tracer.event("guard.breaker_trip", reason=why)
-        if self.metrics is not None:
-            self.metrics.inc("resilience.breaker_trips")
-        self.request_fallback("re-optimization breaker tripped")
-
     # ---------------------------------------------------------------- failure
 
     def on_failure(self, exc: BaseException) -> str:
@@ -143,8 +126,8 @@ class ExecutionGuard:
                 self.metrics.inc("resilience.timeouts")
             return self._fallback_or_raise(f"deadline exceeded: {exc}")
         if cls in _RETRYABLE:
-            if self.retries < self.policy.max_retries:
-                backoff = self.policy.backoff_units(self.retries)
+            if self.retries < MAX_RETRIES:
+                backoff = backoff_units(self.retries)
                 self.retries += 1
                 self.backoff_units_charged += backoff
                 if self.meter is not None:

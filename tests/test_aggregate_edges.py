@@ -112,7 +112,9 @@ def test_a_check_above_the_aggregate_records_no_join_feedback():
     assert check.properties.signature == join_signature
     feedback = CardinalityFeedback()
     signal = ReoptimizationSignal(check, observed=43, complete=True)
-    harvest_execution_state(ExecutionContext(db.catalog), signal, feedback, ADHOC)
+    harvest_execution_state(
+        ExecutionContext(db.catalog), signal, feedback, promote=True
+    )
     assert feedback.lookup(join_signature) is None
     learned = LearnedCardinalities()
     assert learned.absorb(feedback) == 0 and len(learned) == 0

@@ -29,7 +29,11 @@ record in their old shapes, so the fixture is compared unchanged.  It also
 predates two later changes to the report: ``plan_text``, ``join_order`` and
 ``reused_mvs`` are properties of the plan now, not fields, and are added
 back under their old keys; ``units_at_start`` is a field the old driver did
-not have, and is dropped.
+not have, and is dropped.  ``breaker_tripped`` is a report field the driver
+no longer has: the §7 cap is its only termination rule, and the scenario
+that tripped the deleted re-optimization circuit breaker left ``SCENARIOS``.
+Every kept scenario's frozen ``breaker_tripped`` is asserted ``false``, then
+dropped.
 
 Each scenario builds its own database, so temp-MV names and learned state
 cannot depend on test order.
@@ -235,20 +239,6 @@ def fault_after_rows():
     ]
 
 
-def breaker_fallback():
-    db = build_star_db()
-    probe = db.execute(marker_query(), params={"p": "COMMON"})
-    fired = probe.report.attempts[0].signal_op_id
-    config = PopConfig(
-        force_trigger_op_ids=frozenset({fired}),
-        resilience=ResiliencePolicy(breaker_same_plan_limit=1),
-    )
-    return [
-        observed(db, marker_query(), params={"p": "COMMON"}, pop=config,
-                 faults=FaultPlan())
-    ]
-
-
 def deadline_fallback():
     return [
         observed(
@@ -281,7 +271,7 @@ SCENARIOS = {
     for fn in (
         single_attempt, reopt_mv_reuse, ecdc_compensation,
         cache_install_then_hit, cache_hit_check_fires, transient_retry,
-        fault_after_rows, breaker_fallback, deadline_fallback, governed_spill, profile_on,
+        fault_after_rows, deadline_fallback, governed_spill, profile_on,
     )
 }
 
@@ -309,10 +299,18 @@ def assert_same(got, want, path: str) -> None:
         assert got == want, path
 
 
+def frozen(name: str) -> list:
+    """The fixture's statements for ``name``, less the deleted
+    ``breaker_tripped`` report key (false in every kept scenario)."""
+    statements = json.loads(GOLDEN_PATH.read_text())[name]
+    for statement in statements:
+        assert statement["report"].pop("breaker_tripped") is False, name
+    return statements
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_pipeline_reproduces_frozen_driver(name):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert_same(SCENARIOS[name](), golden[name], name)
+    assert_same(SCENARIOS[name](), frozen(name), name)
 
 
 def test_golden_scenarios_cover_every_outcome():
@@ -335,8 +333,6 @@ def test_golden_scenarios_cover_every_outcome():
     late = attempts("fault_after_rows")
     assert [bool(a["signal_op_id"]) for a in late] == [True, False, False]
     assert late[1]["failure_class"] == "transient" and late[1]["rows_emitted"]
-    assert golden["breaker_fallback"][0]["report"]["breaker_tripped"]
-    assert attempts("breaker_fallback")[-1]["fallback"]
     assert attempts("deadline_fallback")[0]["failure_class"] == "timeout"
     assert attempts("deadline_fallback")[-1]["fallback"]
     assert attempts("governed_spill")[-1]["spilled"]
@@ -360,8 +356,8 @@ def test_interleaved_statement_cannot_see_or_steal_temp_mvs(monkeypatch):
     real_harvest = driver_module.harvest_execution_state
     interleaved = []
 
-    def harvest_then_run_b(ctx, signal, *rest):
-        names = real_harvest(ctx, signal, *rest)
+    def harvest_then_run_b(ctx, signal, *rest, **kwargs):
+        names = real_harvest(ctx, signal, *rest, **kwargs)
         if names and not interleaved:
             interleaved.append(None)
             interleaved[0] = db.execute(marker_query(), params=RARE)
@@ -446,17 +442,16 @@ def test_fallback_never_writes_shared_optimizer_options(monkeypatch):
         seen.append((self.options is shared, self.options.enable_index_nljn))
         return real_optimize(self, *args, **kwargs)
 
-    fired = db.execute(marker_query(), params=COMMON).report.attempts[0]
     monkeypatch.setattr(Optimizer, "optimize", spy)
-    config = PopConfig(
-        force_trigger_op_ids=frozenset({fired.signal_op_id}),
-        resilience=ResiliencePolicy(breaker_same_plan_limit=1),
-    )
+    # The route ``deadline_fallback`` freezes: here the first plan's CHECK
+    # fires, the re-optimized plan blows its deadline, the safe plan runs.
+    config = PopConfig(resilience=ResiliencePolicy(deadline_units=1.0))
     result = db.execute(
         marker_query(), params=COMMON, pop=config, faults=FaultPlan()
     )
     assert result.report.fallback_used
+    assert find_ops(result.report.attempts[0].plan, NLJoin)
     assert not find_ops(result.report.final_plan, NLJoin)
-    assert len(seen) == 2 and all(s == (True, True) for s in seen)
+    assert len(seen) == 3 and all(s == (True, True) for s in seen)
     assert db.optimizer.options is shared
     assert shared == before

@@ -204,7 +204,8 @@ class TestMVCandidates:
         )
         assert len(result) == joined
 
-    def test_mvs_ignored_when_disabled(self, star_db):
+    def test_mvs_come_only_from_the_registry_passed(self, star_db):
+        """The safe plan ignores temp MVs by passing no registry."""
         query = two_table_query(
             local=[Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))]
         )
@@ -215,7 +216,6 @@ class TestMVCandidates:
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=[],
         )
-        plan = star_db.optimizer.optimize(
-            query, options=OptimizerOptions(consider_mvs=False), temp_mvs=temp_mvs
-        ).plan
-        assert not find_ops(plan, MVScan)
+        optimize = star_db.optimizer.optimize
+        assert find_ops(optimize(query, temp_mvs=temp_mvs).plan, MVScan)
+        assert not find_ops(optimize(query).plan, MVScan)

@@ -9,7 +9,8 @@ Three things are pinned here:
   harness, a bare ``Database.execute`` and the figure scripts' ``run_once`` —
   and costs nothing when unset (the linter is never called);
 * ``Database.plan`` is the first attempt of ``Database.execute`` without the
-  execution: same fingerprint, same CHECKs, same explain text;
+  execution: same fingerprint, same CHECKs, same explain text — with
+  cross-statement learning on too, where both plan with what was learned;
 * ``PopConfig(lc_above_hash_build=True)`` is what ``PopDriver``'s constructor
   argument of that name used to be (Figure 14's "LC above HJ" opportunities).
 """
@@ -32,6 +33,7 @@ from repro.workloads.dmv.queries import dmv_queries
 from repro.workloads.tpch.generator import make_tpch_db
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
+from .conftest import build_dmv_db
 from .test_obs import marker_query
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +165,23 @@ def test_plan_is_the_first_attempt_of_execute(tpch_db, dmv_db, config):
             assert db.explain(sql, pop=config) == first.plan_text, name
             statements += 1
     assert statements == 12 + 39
+
+
+def test_plan_is_the_first_attempt_of_execute_with_learning():
+    """Between a statement's first and second run, EXPLAIN shows the plan
+    the second run starts with: both use what the first run taught."""
+    db = build_dmv_db()
+    db.enable_learning()
+    queries = dmv_queries(7)
+    for name, sql in queries:
+        db.execute(sql)
+        _opt, placement = db.plan(sql)
+        second = db.execute(sql).report.attempts[0]
+        assert plan_fingerprint(placement.plan) == plan_fingerprint(
+            second.plan
+        ), name
+        assert placement.count == second.checkpoints_placed, name
+    assert len(db.learning) > 0 and len(queries) == 39
 
 
 # ---------------------------------------------------------------- Figure 14

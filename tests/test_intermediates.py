@@ -1,7 +1,6 @@
 """Tests for harvesting feedback and intermediate results after a CHECK."""
 
 
-from repro import PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.core.intermediates import harvest_execution_state
 from repro.executor.base import ExecutionContext, ReoptimizationSignal
@@ -47,7 +46,7 @@ class TestHarvest:
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, PopConfig())
+        names = harvest_execution_state(ctx, signal, feedback, promote=True)
         assert len(names) == 1
         mv = ctx.temp_mvs.get(names[0])
         assert mv.cardinality == 20
@@ -60,7 +59,7 @@ class TestHarvest:
         plan = Check(sort, ValidityRange(0, 5), "LC")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, PopConfig())
+        names = harvest_execution_state(ctx, signal, feedback, promote=True)
         assert ctx.temp_mvs.get(names[0]).order == ("t.a",)
 
     def test_exact_feedback_from_signal(self):
@@ -68,7 +67,7 @@ class TestHarvest:
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, promote=True)
         signature = plan.properties.signature
         entry = feedback.lookup(signature)
         assert entry is not None and entry.exact and entry.cardinality == 20
@@ -79,17 +78,17 @@ class TestHarvest:
         ctx, signal = run_to_signal(plan, cat)
         assert not signal.complete
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, promote=True)
         entry = feedback.lookup(plan.properties.signature)
         assert entry is not None and not entry.exact
         assert entry.cardinality == 11
 
-    def test_reuse_policy_never_skips_mv_registration(self):
+    def test_no_promotion_skips_mv_registration(self):
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), PopConfig(reuse_policy="never")
+            ctx, signal, CardinalityFeedback(), promote=False
         )
         assert names == []
         assert list(ctx.temp_mvs) == []
@@ -98,10 +97,10 @@ class TestHarvest:
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
-        harvest_execution_state(ctx, signal, CardinalityFeedback(), PopConfig())
+        harvest_execution_state(ctx, signal, CardinalityFeedback(), promote=True)
         # Harvest again (as a second reopt round would).
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), PopConfig()
+            ctx, signal, CardinalityFeedback(), promote=True
         )
         assert names == []
         assert len(ctx.temp_mvs) == 1

@@ -212,6 +212,22 @@ class TestExtrasAgreeWithRowCounts:
         assert record.profile.extras == {"compensated_rows": compensated}
 
 
+    def test_check_counts_only_until_it_evaluates(self):
+        """The LCEM CHECK above a TEMP evaluates once, at ``open``; the rows
+        it passes on afterwards leave its count as the event logged it."""
+        report = run_profiled(
+            pipeline.build_star_db(), pipeline.marker_query(),
+            params={"p": "RARE"},
+        )
+        (record,) = records_of(report, "CHECK")
+        (event,) = report.checkpoint_events
+        assert event.complete and not event.triggered
+        assert record.eof and record.rows_out == event.observed == 45
+        assert record.profile.extras == {
+            "flavor": "LCEM", "observed": event.observed, "evaluated": True,
+        }
+
+
 class TestObsOffFastPath:
     def test_disabled_profiling_constructs_no_collector(
         self, star_db, monkeypatch
@@ -288,11 +304,11 @@ class TestObsOffFastPath:
 PROGRESS_GOLDEN = Path(__file__).parent / "fixtures" / "progress_history_golden.json"
 
 #: The driver outcomes the fixture covers, each a scenario of
-#: ``tests/test_driver_pipeline.py``.
+#: ``tests/test_driver_pipeline.py``.  The fixture's ``breaker_fallback``
+#: history is not replayed: the circuit breaker it froze is deleted.
 PROGRESS_OUTCOMES = (
     "single_attempt", "reopt_mv_reuse", "ecdc_compensation",
-    "transient_retry", "fault_after_rows", "breaker_fallback",
-    "deadline_fallback",
+    "transient_retry", "fault_after_rows", "deadline_fallback",
 )
 
 

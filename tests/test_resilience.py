@@ -7,8 +7,8 @@ Covers:
   retry/fallback sequence, identical rows);
 * retry correctness against the reference oracle, with backoff charged to
   the work meter;
-* the circuit breaker (unit-level and through the driver) and the
-  safe-plan fallback's correctness;
+* the fixed retry budget and backoff schedule, and the safe-plan
+  fallback's correctness;
 * deadline timeouts, memory-grant exhaustion, and statistics corruption
   (a per-statement override: the catalog is never written);
 * exception safety: every operator is closed (and closable twice) on
@@ -60,6 +60,7 @@ from repro.resilience import (
     fault_campaign,
 )
 from repro.resilience.chaos import FaultTally, run_query_under_chaos
+from repro.resilience.guard import MAX_RETRIES, backoff_units
 from tests.conftest import canonical
 from tests.reference import evaluate_reference
 
@@ -169,16 +170,13 @@ class TestInjectorCountsBatchPulls:
 
 class TestExecutionGuard:
     def test_backoff_schedule_is_capped_exponential(self):
-        policy = ResiliencePolicy(
-            backoff_base_units=50.0, backoff_factor=2.0, backoff_cap_units=150.0
-        )
-        assert [policy.backoff_units(i) for i in range(4)] == [
-            50.0, 100.0, 150.0, 150.0,
+        assert [backoff_units(i) for i in range(6)] == [
+            50.0, 100.0, 200.0, 400.0, 800.0, 800.0,
         ]
 
     def test_retry_then_fallback_then_exhausted(self):
         meter = WorkMeter(track_categories=True)
-        guard = ExecutionGuard(ResiliencePolicy(max_retries=2), meter=meter)
+        guard = ExecutionGuard(ResiliencePolicy(), meter=meter)
         assert guard.on_failure(TransientError("a")) == RETRY
         assert guard.on_failure(ResourceExhausted("b")) == RETRY
         assert guard.on_failure(TransientError("c")) == FALLBACK
@@ -199,17 +197,10 @@ class TestExecutionGuard:
         assert "deadline" in guard.fallback_reason
 
     def test_fallback_disabled_raises_instead(self):
-        guard = ExecutionGuard(
-            ResiliencePolicy(max_retries=0, fallback_enabled=False)
-        )
+        guard = ExecutionGuard(ResiliencePolicy(fallback_enabled=False))
+        for _ in range(MAX_RETRIES):
+            assert guard.on_failure(TransientError("a")) == RETRY
         assert guard.on_failure(TransientError("a")) == RAISE
-
-    def test_breaker_same_plan(self):
-        guard = ExecutionGuard(ResiliencePolicy(breaker_same_plan_limit=3))
-        assert not guard.on_reoptimize("a-b-c", 1)
-        assert not guard.on_reoptimize("a-b-c", 2)
-        assert guard.on_reoptimize("a-b-c", 3)
-        assert guard.breaker_tripped
 
     def test_requested_fallback_gets_no_deadline_and_no_second_chance(self):
         """The safe plan must complete: once the guard asked for it, it
@@ -230,12 +221,6 @@ class TestExecutionGuard:
         assert guard.on_failure(ExecutionTimeout("again")) == RAISE
         assert guard.retries == 0
         assert metrics.snapshot()["counters"] == counters
-
-    def test_breaker_attempt_limit(self):
-        guard = ExecutionGuard(ResiliencePolicy(breaker_attempt_limit=4))
-        assert not guard.on_reoptimize("a", 1)
-        assert not guard.on_reoptimize("b", 2)
-        assert guard.on_reoptimize("c", 3)  # attempt+1 == limit
 
 
 # ----------------------------------------------------- retry through driver
@@ -258,18 +243,14 @@ class TestRetry:
         assert "injected transient" in failed.failure
 
     def test_backoff_charged_to_meter(self, star_db):
-        policy = ResiliencePolicy(backoff_base_units=123.0)
         meter = WorkMeter(track_categories=True)
         plan = FaultPlan(specs=[FaultSpec("iterator", trigger_at=4)])
         result = star_db.execute(
-            JOIN_SQL,
-            pop=PopConfig(resilience=policy),
-            meter=meter,
-            faults=plan,
+            JOIN_SQL, pop=guarded(), meter=meter, faults=plan
         )
         assert result.report.retries == 1
-        assert meter.by_category()["backoff"] == pytest.approx(123.0)
-        assert result.report.backoff_units == pytest.approx(123.0)
+        assert meter.by_category()["backoff"] == backoff_units(0)
+        assert result.report.backoff_units == backoff_units(0)
 
     def test_retries_do_not_consume_reopt_budget(self, star_db):
         # A retry re-optimizes but must not burn a CHECK's re-planning
@@ -328,10 +309,10 @@ class TestFallback:
             specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
         )
         result = star_db.execute(
-            JOIN_SQL, pop=guarded(max_retries=2), faults=plan
+            JOIN_SQL, pop=guarded(), faults=plan
         )
         assert canonical(result.rows) == oracle
-        assert result.report.retries == 2
+        assert result.report.retries == MAX_RETRIES
         assert result.report.fallback_used
         assert "retries exhausted" in result.report.fallback_reason
         final = result.report.attempts[-1]
@@ -346,7 +327,7 @@ class TestFallback:
         with pytest.raises(TransientError):
             star_db.execute(
                 JOIN_SQL,
-                pop=guarded(max_retries=1, fallback_enabled=False),
+                pop=guarded(fallback_enabled=False),
                 faults=plan,
             )
 
@@ -354,9 +335,7 @@ class TestFallback:
         plan = FaultPlan(
             specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
         )
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(max_retries=0), faults=plan
-        )
+        result = star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
         assert result.report.fallback_used
         assert "NLJOIN" not in result.report.attempts[-1].plan_text
 
@@ -365,7 +344,7 @@ class TestFallback:
         plan = FaultPlan(
             specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
         )
-        star_db.execute(JOIN_SQL, pop=guarded(max_retries=0), faults=plan)
+        star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
         assert star_db.optimizer.options.enable_index_nljn == before
 
     def test_deadline_timeout_falls_back(self, star_db):
@@ -377,24 +356,6 @@ class TestFallback:
         assert result.report.fallback_used
         assert "deadline" in result.report.fallback_reason
         assert result.report.attempts[0].failure_class == TIMEOUT
-
-    def test_breaker_trips_through_driver(self, star_db):
-        # Force a re-optimization on attempt 0, with a breaker that trips
-        # on the very first re-planning round.
-        probe = star_db.execute(JOIN_SQL, pop=PopConfig())
-        checks = [
-            e.op_id for a in probe.report.attempts for e in a.checkpoint_events
-        ]
-        if not checks:
-            pytest.skip("no checkpoints placed for this plan")
-        config = PopConfig(
-            force_trigger_op_ids=frozenset({checks[0]}),
-            resilience=ResiliencePolicy(breaker_same_plan_limit=1),
-        )
-        result = star_db.execute(JOIN_SQL, pop=config, faults=FaultPlan())
-        assert result.report.breaker_tripped
-        assert result.report.fallback_used
-        assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
 
 
 # -------------------------------------------------------------- stats faults
@@ -763,7 +724,7 @@ class TestObservability:
             specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
         )
         star_db.execute(
-            JOIN_SQL, pop=guarded(max_retries=1), faults=plan,
+            JOIN_SQL, pop=guarded(), faults=plan,
             tracer=tracer, metrics=metrics,
         )
         assert len(tracer.events("guard.fallback")) == 1
