@@ -7,24 +7,36 @@ enabled join methods, plus MV-scan candidates when a temporary materialized
 view from a previous partial execution matches the subset (paper §2.3: reuse
 is a cost-based *choice*, never forced).
 
+The DP names table subsets by alias bitmasks (``JoinGraph.bit``): a split is
+skipped before its join predicates are looked up when either side has no
+plan.  A split's join methods are priced once per pair of input
+cardinalities (merge once per sort-flag pair too), not once per pair of kept
+input plans, and a candidate is a cost, a cost description and its inputs;
+the operator tree is built (:meth:`PlanEnumerator._build_join`) only for the
+candidates pruning keeps.
+
 Validity-range narrowing (paper §2.2) is recorded at pruning and evaluated
-for the chosen plan: whenever a kept candidate is compared with a not-cheaper
-*structurally equivalent* one — same pair of input-edge row sets,
-commutations included — pruning notes the loser's cost function on the
-winner, and once the DP has picked the final plan the Fig. 5 sensitivity
-probe narrows the per-edge validity ranges of exactly the join operators in
-it.  Narrowing depends only on the winner, its alternatives and the subset
-estimates, so the ranges are the ones narrowing inside the prune loop would
-give; the probes for sub-plans nobody returns are never run.  Join-order
-changes never narrow ranges, exactly as the paper prescribes (the
-conservatism that avoids guessing unobservable correlations).
+for the chosen plan.  The candidates of a subset reach pruning grouped by
+their pair of input-edge row sets; a kept join notes, once per distinct cost
+function, every not-cheaper *structurally equivalent* candidate — its own
+group and the commuted one — and once the DP has picked the final plan the
+Fig. 5 sensitivity probe narrows the per-edge validity ranges of exactly the
+join operators in it, evaluating the winner's cost at each probe point once.
+Narrowing depends only on the winner, the distinct cost functions of its
+alternatives and the subset estimates (a bound is a min or a max, so a
+repeated cost function cannot move it), so the ranges are the ones narrowing
+inside the prune loop against every alternative would give; the probes for
+sub-plans nobody returns are never run.  Join-order changes never narrow
+ranges, exactly as the paper prescribes (the conservatism that avoids
+guessing unobservable correlations).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.common.errors import OptimizerError
 from repro.expr.evaluate import RowLayout
@@ -89,8 +101,9 @@ class OptimizerOptions:
 class Candidate:
     """One physical alternative for a table subset during DP."""
 
-    #: The operator tree.  A join candidate's is made by ``build`` when
-    #: pruning keeps it; candidates pruning drops never have one.
+    #: The operator tree.  A join candidate's is made by
+    #: :meth:`PlanEnumerator._build_join` when pruning keeps it; candidates
+    #: pruning drops never have one.
     plan: Optional[PlanOp]
     cost: float
     order: tuple
@@ -104,10 +117,15 @@ class Candidate:
     cost_desc: Optional[tuple] = None
     #: The kept candidates this join reads (outer first); empty for leaves.
     inputs: tuple = ()
-    build: Optional[Callable[[], PlanOp]] = None
+    #: The split this join was made for; None for leaves.
+    part: Optional["_Partition"] = None
+    #: ``(predicate, index, cost of one probe)`` of an index nested-loop
+    #: join (one of ``part.index_inner``'s probes); None otherwise.
+    probe: Optional[tuple] = None
     #: Set by pruning when this candidate is kept: ``(cost_desc, commuted)``
-    #: of every not-cheaper structurally equivalent candidate, ``commuted``
-    #: when that one takes the two edges in the opposite argument order.
+    #: of every not-cheaper structurally equivalent candidate, each distinct
+    #: pair once, ``commuted`` when that one takes the two edges in the
+    #: opposite argument order.
     alternatives: Sequence[tuple] = ()
 
 
@@ -129,16 +147,6 @@ class _Partition:
     #: probe)])`` when the inner is one base table with an index on a join
     #: column, else None.
     index_inner: Optional[tuple]
-    _costs: dict = field(default_factory=dict)
-
-    def method_cost(self, method: Callable[..., float], *args) -> float:
-        """``method(*args)``, evaluated once per argument tuple: the kept
-        plans of an input subset mostly share their cardinality."""
-        key = (method.__name__, args)
-        cost = self._costs.get(key)
-        if cost is None:
-            cost = self._costs[key] = method(*args)
-        return cost
 
 
 def order_satisfies(provided: tuple, required: tuple) -> bool:
@@ -172,6 +180,9 @@ class PlanEnumerator:
         #: ranges (observability: the sensitivity analysis's share of work).
         self.newton_iterations = 0
         self._allow_cross = not self.graph.fully_connected
+        #: ``_index_inner`` results by (inner alias, predicates); an
+        #: enumerator runs once, so they live for one :meth:`run`.
+        self._index_inners: dict = {}
 
     # ================================================================ leaves
 
@@ -298,130 +309,167 @@ class PlanEnumerator:
 
     # ================================================================= joins
 
-    def _join_shape(
-        self, left: Candidate, inner_layout: RowLayout, part: _Partition
-    ) -> tuple[PlanProperties, RowLayout]:
-        """Output properties and row layout of a join of ``part``.
+    def _join_candidates(
+        self, part: _Partition, left_plans: list, right_plans: list
+    ) -> list[Candidate]:
+        """Every join of ``part`` over each pair of kept input plans (the
+        left one is the outer).
+
+        The kept plans of one subset mostly share their cardinality, so each
+        method's two-variable cost is evaluated once per pair of input
+        cardinalities (merge once per sort-flag pair too).  A candidate is
+        its cost, its cost description and its inputs; the operator tree is
+        made by :meth:`_build_join` for the candidates pruning keeps.
+        """
+        cm = self.cost_model
+        options = self.options
+        preds = part.preds
+        card_out = part.card_out
+        edges = part.edge_subsets
+        hash_on = options.enable_hash_join and bool(preds)
+        merge_on = options.enable_merge_join and bool(preds)
+        # ``preds`` are applied as join filters; empty = cross product.
+        rescan_on = options.enable_rescan_nljn and (bool(preds) or self._allow_cross)
+        key_l, key_r = part.merge_keys
+        hash_costs: dict = {}
+        merge_costs: dict = {}
+        rescan_costs: dict = {}
+        if part.index_inner is not None:
+            _, card_idx, probes = part.index_inner
+            emit_cost = card_out * cm.params.cpu_emit
+        else:
+            probes = ()
+        out: list[Candidate] = []
+        for left in left_plans:
+            card_l = left.plan.est_card
+            sort_l = not order_satisfies(left.order, key_l)
+            for right in right_plans:
+                card_r = right.plan.est_card
+                cards = (card_l, card_r)
+                # Effective join selectivity: keeps out(cl, cr) consistent
+                # with the subset estimate at the current operating point.
+                sel_eff = card_out / max(1e-9, card_l * card_r)
+                base_cost = left.cost + right.cost
+                inputs = (left, right)
+                if hash_on:
+                    cost = hash_costs.get(cards)
+                    if cost is None:
+                        cost = hash_costs[cards] = cm.hash_join_cost(
+                            card_l, card_r, card_out
+                        )
+                    out.append(Candidate(
+                        None, base_cost + cost, left.order, edges,
+                        ("hash", base_cost, sel_eff), inputs, part,
+                    ))
+                if merge_on:
+                    sort_r = not order_satisfies(right.order, key_r)
+                    key = (card_l, card_r, sort_l, sort_r)
+                    cost = merge_costs.get(key)
+                    if cost is None:
+                        cost = merge_costs[key] = cm.merge_join_cost(
+                            card_l, card_r, card_out, sort_l, sort_r
+                        )
+                    out.append(Candidate(
+                        None, base_cost + cost, key_l, edges,
+                        ("merge", base_cost, sel_eff, sort_l, sort_r), inputs, part,
+                    ))
+                if rescan_on:
+                    cost = rescan_costs.get(cards)
+                    if cost is None:
+                        cost = rescan_costs[cards] = cm.nljn_rescan_cost(
+                            card_l, card_r, card_out
+                        )
+                    out.append(Candidate(
+                        None, base_cost + cost, left.order, edges,
+                        ("rescan", base_cost, sel_eff), inputs, part,
+                    ))
+            # Index nested loop: probe an inner index once per outer row.
+            if probes:
+                sel_eff = card_out / max(1e-9, card_l * card_idx)
+                for probe in probes:
+                    probe_cost = probe[2]
+                    out.append(Candidate(
+                        None, left.cost + card_l * probe_cost + emit_cost,
+                        left.order, edges,
+                        ("index", left.cost, probe_cost, sel_eff), (left,), part, probe,
+                    ))
+        self.plans_enumerated += len(out)
+        return out
+
+    def _build_join(self, cand: Candidate) -> PlanOp:
+        """The operator tree of a join candidate pruning kept.
 
         Hash/nested-loop joins stream the outer (build/materialize the
         inner), so they deliver rows in the outer's order.
         """
-        props = PlanProperties(
-            tables=part.subset,
-            predicates=part.applied,
-            order=left.plan.properties.order,
-        )
-        return props, left.plan.layout.concat(inner_layout)
-
-    def _join_candidates(
-        self, left: Candidate, right: Candidate, part: _Partition
-    ) -> list[Candidate]:
-        """All join methods for ``left JOIN right`` (left is the outer).
-
-        A candidate carries its cost and a ``build`` recipe; the operator
-        tree is only made for the candidates pruning keeps.
-        """
         cm = self.cost_model
-        preds = part.preds
-        card_l = left.plan.est_card
-        card_r = right.plan.est_card
-        card_out = part.card_out
-        # Effective join selectivity: keeps out(cl, cr) consistent with the
-        # subset estimate at the current operating point.
-        sel_eff = card_out / max(1e-9, card_l * card_r)
-        edge_subsets = part.edge_subsets
-        inputs = (left, right)
-        base_cost = left.cost + right.cost
-        out: list[Candidate] = []
-
-        # ---------------------------------------------------------- hash join
-        if self.options.enable_hash_join and preds:
-            total = base_cost + part.method_cost(
-                cm.hash_join_cost, card_l, card_r, card_out
+        part = cand.part
+        desc = cand.cost_desc
+        left_cand = cand.inputs[0]
+        left = left_cand.plan
+        props = PlanProperties(
+            tables=part.subset, predicates=part.applied, order=left.properties.order
+        )
+        if desc[0] == "index":
+            pred, index, probe_cost = cand.probe
+            inner_alias = part.index_inner[0]
+            inner_layout = self._table_layout(inner_alias)
+            inner = IndexScan(
+                inner_alias, self.query.table_for(inner_alias).table, index.name,
+                sarg=None, filters=list(self.query.local_predicates_for(inner_alias)),
+                properties=self._leaf_properties(inner_alias),
+                layout=inner_layout,
+                est_card=part.card_out, est_cost=left.est_card * probe_cost,
+                correlation=pred.other_side(inner_alias),
             )
-            hash_desc = ("hash", base_cost, sel_eff)
-
-            def build_hsjn(_total=total) -> PlanOp:
-                props, layout = self._join_shape(left, right.plan.layout, part)
-                return HashJoin(
-                    left.plan, right.plan, preds, props, layout,
-                    est_card=card_out, est_cost=_total, cost_desc=hash_desc,
-                )
-
-            out.append(
-                Candidate(
-                    None, total, left.order, edge_subsets,
-                    hash_desc, inputs, build_hsjn,
-                )
+            return NLJoin(
+                left, inner, [pred] + [p for p in part.preds if p is not pred],
+                props, left.layout.concat(inner_layout),
+                est_card=part.card_out, est_cost=cand.cost, method="index",
+                cost_desc=desc,
             )
-
-        # --------------------------------------------------------- merge join
-        if self.options.enable_merge_join and preds:
-            key_l, key_r = part.merge_keys
-            sort_l = not order_satisfies(left.order, key_l)
-            sort_r = not order_satisfies(right.order, key_r)
-            total = base_cost + part.method_cost(
-                cm.merge_join_cost, card_l, card_r, card_out, sort_l, sort_r
+        right_cand = cand.inputs[1]
+        right = right_cand.plan
+        layout = left.layout.concat(right.layout)
+        if desc[0] == "hash":
+            return HashJoin(
+                left, right, part.preds, props, layout,
+                est_card=part.card_out, est_cost=cand.cost, cost_desc=desc,
             )
-            merge_desc = ("merge", base_cost, sel_eff, sort_l, sort_r)
-
-            def build_msjn(_total=total) -> PlanOp:
-                outer_plan = left.plan
-                inner_plan = right.plan
-                if sort_l:
-                    outer_plan = Sort(
-                        left.plan, key_l, left.plan.properties.with_order(key_l),
-                        est_cost=left.cost + cm.sort_cost(card_l),
-                    )
-                if sort_r:
-                    inner_plan = Sort(
-                        right.plan, key_r, right.plan.properties.with_order(key_r),
-                        est_cost=right.cost + cm.sort_cost(card_r),
-                    )
-                props, layout = self._join_shape(left, right.plan.layout, part)
-                return MergeJoin(
-                    outer_plan, inner_plan, preds, props.with_order(key_l), layout,
-                    est_card=card_out, est_cost=_total, cost_desc=merge_desc,
-                )
-
-            out.append(
-                Candidate(
-                    None, total, key_l, edge_subsets, merge_desc, inputs, build_msjn,
-                )
+        if desc[0] == "rescan":
+            temp = Temp(right, est_cost=right_cand.cost + cm.temp_cost(right.est_card))
+            return NLJoin(
+                left, temp, part.preds, props, layout,
+                est_card=part.card_out, est_cost=cand.cost, method="rescan",
+                cost_desc=desc,
             )
-
-        # -------------------------------------------------- rescan nested loop
-        # ``preds`` are applied as join filters; empty = cross product.
-        if self.options.enable_rescan_nljn and (preds or self._allow_cross):
-            total = base_cost + part.method_cost(
-                cm.nljn_rescan_cost, card_l, card_r, card_out
+        sort_l, sort_r = desc[3:]
+        key_l, key_r = part.merge_keys
+        outer, inner = left, right
+        if sort_l:
+            outer = Sort(
+                left, key_l, left.properties.with_order(key_l),
+                est_cost=left_cand.cost + cm.sort_cost(left.est_card),
             )
-            rescan_desc = ("rescan", base_cost, sel_eff)
-
-            def build_rescan(_total=total) -> PlanOp:
-                temp = Temp(right.plan, est_cost=right.cost + cm.temp_cost(card_r))
-                props, layout = self._join_shape(left, right.plan.layout, part)
-                return NLJoin(
-                    left.plan, temp, preds, props, layout,
-                    est_card=card_out, est_cost=_total, method="rescan",
-                    cost_desc=rescan_desc,
-                )
-
-            out.append(
-                Candidate(
-                    None, total, left.order, edge_subsets,
-                    rescan_desc, inputs, build_rescan,
-                )
+        if sort_r:
+            inner = Sort(
+                right, key_r, right.properties.with_order(key_r),
+                est_cost=right_cand.cost + cm.sort_cost(right.est_card),
             )
-
-        self.plans_enumerated += len(out)
-        return out
+        return MergeJoin(
+            outer, inner, part.preds, props.with_order(key_l), layout,
+            est_card=part.card_out, est_cost=cand.cost, cost_desc=desc,
+        )
 
     def _index_inner(self, inner_alias: str, preds: list) -> Optional[tuple]:
         """``_Partition.index_inner`` for a partition whose inner is the
-        base table ``inner_alias``."""
+        base table ``inner_alias``, worked out once per (alias, predicates)
+        in a run."""
         if not self.options.enable_index_nljn:
             return None
+        key = (inner_alias, tuple(preds))
+        if key in self._index_inners:
+            return self._index_inners[key]
         inner_table_name = self.query.table_for(inner_alias).table
         base_rows = self.estimator.base_cardinality(inner_alias)
         stats = self.estimator.statistics(inner_alias)
@@ -440,70 +488,33 @@ class PlanEnumerator:
             fetched_per_probe = base_rows / float(ndv) if ndv else 1.0
             probe_cost = self.cost_model.index_probe_cost(fetched_per_probe, inner_pages)
             probes.append((pred, index, probe_cost))
-        if not probes:
-            return None
-        return inner_alias, self.estimator.filtered_cardinality(inner_alias), probes
-
-    def _index_nljn_candidates(self, left: Candidate, part: _Partition) -> list[Candidate]:
-        """Index nested-loop joins: probe an inner index once per outer row."""
-        inner_alias, card_r, probes = part.index_inner
-        preds = part.preds
-        out: list[Candidate] = []
-        card_l = left.plan.est_card
-        card_out = part.card_out
-        sel_eff = card_out / max(1e-9, card_l * card_r)
-        emit_cost = card_out * self.cost_model.params.cpu_emit
-
-        for pred, index, probe_cost in probes:
-            inner_total_cost = card_l * probe_cost
-            total = left.cost + inner_total_cost + emit_cost
-            desc = ("index", left.cost, probe_cost, sel_eff)
-
-            def build_nljn(
-                _pred=pred, _index=index, _inner_cost=inner_total_cost, _total=total,
-                _desc=desc,
-            ) -> PlanOp:
-                inner_layout = self._table_layout(inner_alias)
-                inner_plan = IndexScan(
-                    inner_alias, self.query.table_for(inner_alias).table, _index.name,
-                    sarg=None, filters=list(self.query.local_predicates_for(inner_alias)),
-                    properties=self._leaf_properties(inner_alias),
-                    layout=inner_layout,
-                    est_card=card_out, est_cost=_inner_cost,
-                    correlation=_pred.other_side(inner_alias),
-                )
-                props, layout = self._join_shape(left, inner_layout, part)
-                return NLJoin(
-                    left.plan, inner_plan,
-                    [_pred] + [p for p in preds if p is not _pred], props, layout,
-                    est_card=card_out, est_cost=_total, method="index",
-                    cost_desc=_desc,
-                )
-
-            out.append(
-                Candidate(
-                    None, total, left.order, part.edge_subsets, desc, (left,), build_nljn,
-                )
-            )
-        self.plans_enumerated += len(out)
-        return out
+        found = (
+            (inner_alias, self.estimator.filtered_cardinality(inner_alias), probes)
+            if probes
+            else None
+        )
+        self._index_inners[key] = found
+        return found
 
     # =============================================================== pruning
 
-    def _keep_best(self, candidates: list[Candidate], subset: frozenset) -> list[Candidate]:
+    def _keep_best(self, groups: dict) -> list[Candidate]:
         """Dominance-prune a subset's candidates and record what narrowing
         the kept ones' validity ranges will need.
 
-        A candidate is kept when no cheaper candidate provides (a prefix of)
-        its output order.  Every kept *join* candidate remembers the cost
-        function of each more expensive structurally equivalent alternative
-        (same pair of input-edge subsets) — not the alternative's plan tree,
+        ``groups`` maps each pair of input-edge subsets to the join
+        candidates made for it, in enumeration order (``None`` to the
+        leaves and MV scans).  A candidate is kept when no cheaper candidate
+        provides (a prefix of) its output order.  Every kept *join*
+        candidate remembers the cost function of each more expensive
+        structurally equivalent alternative (its own group or the commuted
+        one), each distinct one once — not the alternative's plan tree,
         which is dropped here; :meth:`_narrow_against` reads them if the
         candidate ends up in the returned plan.
         """
-        if not candidates:
-            return []
-        candidates.sort(key=lambda c: c.cost)
+        candidates = sorted(
+            itertools.chain.from_iterable(groups.values()), key=lambda c: c.cost
+        )
         kept: list[Candidate] = []
         for cand in candidates:
             if any(
@@ -516,29 +527,30 @@ class PlanEnumerator:
                 break
         for cand in kept:
             if cand.plan is None:
-                cand.plan = cand.build()  # type: ignore[misc]
+                cand.plan = self._build_join(cand)
 
         if self.options.compute_validity_ranges:
             for winner in kept:
-                if winner.cost_desc is None or winner.edge_subsets is None:
+                if winner.edge_subsets is None:
                     continue
                 edges = winner.edge_subsets
                 # Same pair of input edges, either way round: structurally
                 # equivalent.  Any other pair is a join-order change.
-                equivalent = (edges, edges[::-1])
-                winner.alternatives = [
-                    (alt.cost_desc, alt.edge_subsets != edges)
-                    for alt in candidates
-                    if alt.cost >= winner.cost
-                    and alt.edge_subsets in equivalent
-                    and alt is not winner
-                    and alt.cost_desc is not None
-                ]
+                recorded: dict = {}
+                for commuted, group in (
+                    (False, groups[edges]), (True, groups.get(edges[::-1], ())),
+                ):
+                    for alt in group:
+                        if alt.cost >= winner.cost and alt is not winner:
+                            recorded[(alt.cost_desc, commuted)] = None
+                winner.alternatives = list(recorded)
         return kept
 
     def _narrow_against(self, winner: Candidate) -> None:
         """Narrow ``winner``'s edge validity ranges with the Fig. 5 probe
-        against each alternative pruning recorded for it."""
+        against each alternative pruning recorded for it.  Every probe of an
+        edge starts at the same points, so the winner's cost at a point is
+        computed once for all of them."""
         if not winner.alternatives:
             return
         kernel = self.cost_model.edge_kernel
@@ -546,7 +558,7 @@ class PlanEnumerator:
             self.estimator.subset_cardinality(e) for e in winner.edge_subsets
         )
         for i, (est, other) in enumerate(((est_l, est_r), (est_r, est_l))):
-            cost_opt = kernel(winner.cost_desc, i, other)
+            cost_opt = functools.cache(kernel(winner.cost_desc, i, other))
             for alt_desc, commuted in winner.alternatives:
                 self.newton_iterations += narrow_validity_range(
                     winner.plan.validity_ranges[i],
@@ -560,45 +572,41 @@ class PlanEnumerator:
 
     # ============================================================== main DP
 
-    def _partitions(self, subset: tuple) -> list[tuple[frozenset, frozenset, list]]:
-        """(outer, inner, join predicates between them) for every partition
-        of ``subset`` to consider."""
+    def _partitions(self, subset: tuple) -> list[tuple[int, int]]:
+        """(outer, inner) alias masks of every partition of ``subset`` to
+        consider."""
         n = len(self.query.tables)
         mode = self.options.join_enumeration
         if mode == "auto":
             mode = "bushy" if n <= AUTO_BUSHY_LIMIT else "leftdeep"
-        subset_set = frozenset(subset)
-        parts: list[tuple[frozenset, frozenset]] = []
+        bits = [self.graph.bit[alias] for alias in subset]
+        full = sum(bits)
+        parts: list[tuple[int, int]] = []
         if mode == "leftdeep":
-            for alias in subset:
-                left = subset_set - {alias}
-                right = frozenset({alias})
-                parts.append((left, right))
-                parts.append((right, left))
+            for bit in bits:
+                parts.append((full ^ bit, bit))
+                parts.append((bit, full ^ bit))
         else:
-            elements = list(subset)
-            for r in range(1, len(elements)):
-                for combo in itertools.combinations(elements, r):
-                    left = frozenset(combo)
-                    parts.append((left, subset_set - left))
-        between = self.graph.predicates_between
-        return [
-            (l, r, preds)
-            for l, r, preds in ((l, r, between(l, r)) for l, r in parts)
-            if preds or self._allow_cross
-        ]
+            for r in range(1, len(bits)):
+                for combo in itertools.combinations(bits, r):
+                    left = sum(combo)
+                    parts.append((left, full ^ left))
+        return parts
 
     def _partition(
         self, left_tables, right_tables, subset, preds, card_out, applied
     ) -> _Partition:
         """The shared state of ``left_tables JOIN right_tables``."""
-        outer_alias = [next(iter(p.tables() & left_tables)) for p in preds]
+        keys_l, keys_r = [], []
+        for p in preds:
+            outer, inner = (
+                (p.left, p.right) if p.left.table in left_tables else (p.right, p.left)
+            )
+            keys_l.append(outer.qualified)
+            keys_r.append(inner.qualified)
         return _Partition(
             (left_tables, right_tables), subset, preds, card_out, applied,
-            merge_keys=(
-                tuple(p.side_for(a).qualified for p, a in zip(preds, outer_alias)),
-                tuple(p.other_side(a).qualified for p, a in zip(preds, outer_alias)),
-            ),
+            merge_keys=(tuple(keys_l), tuple(keys_r)),
             index_inner=(
                 self._index_inner(next(iter(right_tables)), preds)
                 if len(right_tables) == 1
@@ -611,43 +619,51 @@ class PlanEnumerator:
         aliases = self.query.aliases
         if not aliases:
             raise OptimizerError("query has no tables")
-        table: dict[frozenset, list[Candidate]] = {}
+        bit = self.graph.bit
+        between = self.graph.predicates_between
+        # The DP table and the table subset of each entry, by alias mask.
+        table: dict[int, list[Candidate]] = {}
+        subsets: dict[int, frozenset] = {}
         for alias in aliases:
-            table[frozenset({alias})] = self._keep_best(
-                self.access_paths(alias), frozenset({alias})
-            )
+            subsets[bit[alias]] = frozenset({alias})
+            table[bit[alias]] = self._keep_best({None: self.access_paths(alias)})
 
         for size in range(2, len(aliases) + 1):
             for combo in itertools.combinations(aliases, size):
-                subset = frozenset(combo)
                 if not self._allow_cross and not self.graph.is_connected_subset(combo):
                     continue
-                candidates: list[Candidate] = []
+                subset = frozenset(combo)
                 card_out = self.estimator.subset_cardinality(subset)
                 applied = predicate_set_id(self.estimator.predicates_for_subset(subset))
-                for left_tables, right_tables, preds in self._partitions(combo):
-                    left_plans = table.get(left_tables)
-                    right_plans = table.get(right_tables)
+                groups: dict = {}
+                for left_mask, right_mask in self._partitions(combo):
+                    left_plans = table.get(left_mask)
+                    right_plans = table.get(right_mask)
                     if not left_plans or not right_plans:
                         continue
+                    preds = between(left_mask, right_mask)
+                    if not preds and not self._allow_cross:
+                        continue
                     part = self._partition(
-                        left_tables, right_tables, subset, preds, card_out, applied
+                        subsets[left_mask], subsets[right_mask], subset, preds,
+                        card_out, applied,
                     )
-                    for pl in left_plans:
-                        for pr in right_plans:
-                            candidates.extend(self._join_candidates(pl, pr, part))
-                        if part.index_inner is not None:
-                            candidates.extend(self._index_nljn_candidates(pl, part))
-                candidates.extend(self._mv_candidates(subset))
-                if not candidates:
+                    groups.setdefault(part.edge_subsets, []).extend(
+                        self._join_candidates(part, left_plans, right_plans)
+                    )
+                mvs = self._mv_candidates(subset)
+                if mvs:
+                    groups[None] = mvs
+                if not any(groups.values()):
                     raise OptimizerError(
                         f"no plan for subset {sorted(subset)} "
                         "(disconnected join graph with cross products disabled?)"
                     )
-                table[subset] = self._keep_best(candidates, subset)
+                mask = self.graph.mask(combo)
+                subsets[mask] = subset
+                table[mask] = self._keep_best(groups)
 
-        full = frozenset(aliases)
-        best = min(table[full], key=lambda c: c.cost)
+        best = min(table[self.graph.mask(aliases)], key=lambda c: c.cost)
         # Sensitivity analysis only for the plan that survives: the joins
         # reachable from ``best`` are exactly the joins of the returned plan.
         chosen = [best]

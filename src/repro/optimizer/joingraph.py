@@ -9,35 +9,42 @@ from repro.plan.logical import Query
 
 
 class JoinGraph:
-    """Adjacency view of a query's equi-join predicates."""
+    """Adjacency view of a query's equi-join predicates.
+
+    Each alias owns one bit of a table-subset mask (its position in
+    ``aliases``), so the enumerator names a side of a split by an ``int``.
+    """
 
     def __init__(self, query: Query):
         self.aliases = list(query.aliases)
         self.predicates = list(query.join_predicates)
+        #: The alias's bit in a table-subset mask.
+        self.bit = {alias: 1 << i for i, alias in enumerate(self.aliases)}
         self._adjacent: dict[str, set[str]] = {a: set() for a in self.aliases}
+        #: ``(predicate, bit of one side, bit of the other)``, in
+        #: ``predicates`` order.
+        self._sides: list[tuple[JoinPredicate, int, int]] = []
         for jp in self.predicates:
-            a, b = tuple(jp.tables())
+            a, b = jp.left.table, jp.right.table
             self._adjacent[a].add(b)
             self._adjacent[b].add(a)
+            self._sides.append((jp, self.bit[a], self.bit[b]))
 
-    def neighbors(self, alias: str) -> set[str]:
-        return set(self._adjacent[alias])
+    def mask(self, aliases: Iterable[str]) -> int:
+        """The subset mask of ``aliases``."""
+        mask = 0
+        for alias in aliases:
+            mask |= self.bit[alias]
+        return mask
 
-    def predicates_between(
-        self, left: Iterable[str], right: Iterable[str]
-    ) -> list[JoinPredicate]:
-        """Join predicates with one side in ``left`` and the other in ``right``."""
-        left_set = set(left)
-        right_set = set(right)
-        found = []
-        for jp in self.predicates:
-            a, b = tuple(jp.tables())
-            if (a in left_set and b in right_set) or (a in right_set and b in left_set):
-                found.append(jp)
-        return found
-
-    def connected(self, left: Iterable[str], right: Iterable[str]) -> bool:
-        return bool(self.predicates_between(left, right))
+    def predicates_between(self, left: int, right: int) -> list[JoinPredicate]:
+        """Join predicates with one side in the subset mask ``left`` and the
+        other in ``right``, in ``predicates`` order."""
+        return [
+            jp
+            for jp, a, b in self._sides
+            if (a & left and b & right) or (a & right and b & left)
+        ]
 
     def is_connected_subset(self, subset: Sequence[str]) -> bool:
         """True when the induced subgraph on ``subset`` is connected."""

@@ -30,10 +30,6 @@ class OptimizationResult:
     #: Fig. 5 sensitivity-probe iterations spent on validity ranges.
     newton_iterations: int = 0
 
-    @property
-    def estimated_cost(self) -> float:
-        return self.plan.est_cost
-
 
 class Optimizer:
     """Cost-based query optimizer with POP hooks.

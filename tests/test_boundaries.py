@@ -122,7 +122,7 @@ class TestOptimizerFacade:
         result = star_db.optimizer.optimize(
             star_db._to_query("SELECT c.c_id FROM cust c")
         )
-        assert result.estimated_cost == result.plan.est_cost
+        assert result.plan.est_cost > 0
         assert result.plans_enumerated >= 1
         assert result.estimator is not None
 

@@ -15,7 +15,7 @@ from repro.workloads.tpch.queries import TPCH_QUERIES
 def measured_vs_estimated(db, sql):
     opt = db.optimizer.optimize(db._to_query(sql))
     result = db.execute_without_pop(sql)
-    return result.report.total_units, opt.estimated_cost
+    return result.report.total_units, opt.plan.est_cost
 
 
 class TestAccurateQueries:
@@ -84,7 +84,7 @@ class TestRelativeOrderings:
                 run = star_db.execute_without_pop(sql)
             finally:
                 star_db.optimizer.options = OptimizerOptions()
-            outcomes[name] = (opt.estimated_cost, run.report.total_units)
+            outcomes[name] = (opt.plan.est_cost, run.report.total_units)
         model_winner = min(outcomes, key=lambda k: outcomes[k][0])
         meter_winner = min(outcomes, key=lambda k: outcomes[k][1])
         assert model_winner == meter_winner == "index_nljn"

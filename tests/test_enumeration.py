@@ -1,12 +1,16 @@
 """Tests for the DP plan enumerator: access paths, join methods, interesting
 orders, MV reuse candidates, and validity-range narrowing during pruning."""
 
+from collections import Counter
+
+import pytest
 
 from repro.executor.base import ExecutionContext
 from repro.executor.runtime import run_plan
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Comparison, JoinPredicate, predicate_set_id
-from repro.optimizer.enumeration import OptimizerOptions, order_satisfies
+from repro.optimizer.costmodel import CostModel
+from repro.optimizer.enumeration import OptimizerOptions, PlanEnumerator, order_satisfies
 from repro.plan.explain import plan_operators
 from repro.plan.logical import Query, TableRef
 from repro.plan.physical import (
@@ -20,6 +24,8 @@ from repro.plan.physical import (
     find_ops,
 )
 from repro.storage.catalog import TempMVRegistry
+from repro.workloads.dmv.queries import dmv_queries
+from repro.workloads.tpch.queries import TPCH_QUERIES
 
 
 def two_table_query(local=None):
@@ -219,3 +225,81 @@ class TestMVCandidates:
         optimize = star_db.optimizer.optimize
         assert find_ops(optimize(query, temp_mvs=temp_mvs).plan, MVScan)
         assert not find_ops(optimize(query).plan, MVScan)
+
+
+PLAN_HEAVY = ("Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10")
+
+
+class TestAlternativeBookkeeping:
+    """Pruning sees a subset's candidates grouped by input edges.  Each kept
+    join records, once each, the cost functions that a scan of every
+    candidate of the subset finds — not cheaper, the same or the commuted
+    edge pair, not the winner — and the probe makes one edge kernel per edge
+    for the winner and for each of them."""
+
+    @pytest.fixture
+    def audit(self, monkeypatch):
+        tally = Counter()
+        kernels = Counter()
+        real_keep_best = PlanEnumerator._keep_best
+        real_narrow = PlanEnumerator._narrow_against
+        real_kernel = CostModel.edge_kernel
+
+        def keep_best(self, groups):
+            candidates = [c for group in groups.values() for c in group]
+            kept = real_keep_best(self, groups)
+            for winner in kept:
+                if winner.edge_subsets is None:
+                    continue
+                edges = winner.edge_subsets
+                scanned = [
+                    (alt.cost_desc, alt.edge_subsets != edges)
+                    for alt in candidates
+                    if alt.cost >= winner.cost
+                    and alt.edge_subsets in (edges, edges[::-1])
+                    and alt is not winner
+                    and alt.cost_desc is not None
+                ]
+                assert set(winner.alternatives) == set(scanned)
+                assert len(set(winner.alternatives)) == len(winner.alternatives)
+                tally["winners"] += 1
+                tally["scanned"] += len(scanned)
+                tally["recorded"] += len(winner.alternatives)
+            return kept
+
+        def edge_kernel(self, *args):
+            kernels["calls"] += 1
+            return real_kernel(self, *args)
+
+        def narrow_against(self, winner):
+            before = kernels["calls"]
+            real_narrow(self, winner)
+            made = kernels["calls"] - before
+            assert made <= 2 * (1 + len(set(winner.alternatives)))
+            tally["probed"] += bool(made)
+
+        monkeypatch.setattr(PlanEnumerator, "_keep_best", keep_best)
+        monkeypatch.setattr(PlanEnumerator, "_narrow_against", narrow_against)
+        monkeypatch.setattr(CostModel, "edge_kernel", edge_kernel)
+        return tally
+
+    @pytest.mark.parametrize("mode", ["auto", "leftdeep"])
+    def test_tpch_plan_heavy(self, tpch_db, audit, mode):
+        options = OptimizerOptions(join_enumeration=mode)
+        for name in PLAN_HEAVY:
+            tpch_db.optimizer.optimize(
+                tpch_db._to_query(TPCH_QUERIES[name]), options=options
+            )
+        assert audit["probed"] > 0
+        # The same cost function reaches a winner more than once; it is
+        # recorded once.
+        assert audit["winners"] > 0
+        assert audit["recorded"] < audit["scanned"]
+
+    def test_dmv_statements(self, dmv_db, audit):
+        """Every optimize of the 39 statements, re-optimization rounds (with
+        their feedback and temp MVs) included."""
+        for _, sql in dmv_queries():
+            dmv_db.execute(sql)
+        assert audit["probed"] > 0
+        assert audit["recorded"] < audit["scanned"]

@@ -26,22 +26,30 @@ def make_graph(query: Query):
 
 
 class TestConnectivity:
-    def test_neighbors(self):
+    def test_alias_bits(self):
         graph = make_graph(chain_query(3))
-        assert graph.neighbors("t1") == {"t0", "t2"}
-        assert graph.neighbors("t0") == {"t1"}
+        assert graph.bit == {"t0": 1, "t1": 2, "t2": 4}
+        assert graph.mask(["t0", "t2"]) == 5
+        assert graph.mask([]) == 0
 
     def test_connected_partitions(self):
         graph = make_graph(chain_query(3))
-        assert graph.connected({"t0"}, {"t1"})
-        assert graph.connected({"t0", "t1"}, {"t2"})
-        assert not graph.connected({"t0"}, {"t2"})
+        between, mask = graph.predicates_between, graph.mask
+        assert between(mask({"t0"}), mask({"t1"}))
+        assert between(mask({"t0", "t1"}), mask({"t2"}))
+        assert not between(mask({"t0"}), mask({"t2"}))
 
     def test_predicates_between(self):
         graph = make_graph(chain_query(3))
-        preds = graph.predicates_between({"t0", "t1"}, {"t2"})
+        preds = graph.predicates_between(graph.mask({"t0", "t1"}), graph.mask({"t2"}))
         assert len(preds) == 1
         assert preds[0].tables() == {"t1", "t2"}
+
+    def test_predicates_between_keeps_query_order(self):
+        graph = make_graph(chain_query(4))
+        # Either side order finds the same predicates, in the query's order.
+        for left, right in ((0b0101, 0b1010), (0b1010, 0b0101)):
+            assert graph.predicates_between(left, right) == graph.predicates
 
     def test_is_connected_subset(self):
         graph = make_graph(chain_query(4))
@@ -60,7 +68,7 @@ class TestConnectivity:
         )
         graph = make_graph(query)
         assert not graph.fully_connected
-        assert not graph.connected({"a"}, {"b"})
+        assert not graph.predicates_between(graph.mask({"a"}), graph.mask({"b"}))
 
     def test_multiple_predicates_between_pair(self):
         query = Query(
@@ -72,4 +80,4 @@ class TestConnectivity:
             ],
         )
         graph = make_graph(query)
-        assert len(graph.predicates_between({"a"}, {"b"})) == 2
+        assert len(graph.predicates_between(graph.mask({"a"}), graph.mask({"b"}))) == 2

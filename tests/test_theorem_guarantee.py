@@ -158,7 +158,11 @@ def _prune_then_narrow(winner, alt):
     from repro.optimizer.enumeration import PlanEnumerator
 
     fake = _FakeEnumerator()
-    kept = PlanEnumerator._keep_best(fake, [winner, alt], frozenset({"a", "b"}))
+    # The DP hands pruning a subset's candidates grouped by input edges.
+    groups: dict = {}
+    for cand in (winner, alt):
+        groups.setdefault(cand.edge_subsets, []).append(cand)
+    kept = PlanEnumerator._keep_best(fake, groups)
     assert kept == [winner]
     PlanEnumerator._narrow_against(fake, winner)
 

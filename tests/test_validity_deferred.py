@@ -217,8 +217,8 @@ def test_only_the_returned_plan_is_narrowed(bench_tpch_db, monkeypatch):
     kept: list = []
     real_keep_best = PlanEnumerator._keep_best
 
-    def collecting(self, candidates, subset):
-        survivors = real_keep_best(self, candidates, subset)
+    def collecting(self, groups):
+        survivors = real_keep_best(self, groups)
         kept.extend(survivors)
         return survivors
 
