@@ -203,7 +203,6 @@ class LockOrderWitness:
         # policy lock is acquired, so it is deliberately not in LOCK_ORDER.
         self._mutex = threading.Lock()
         self._edges: set[tuple[str, str]] = set()
-        self._acquisitions = 0
         self._waits: list[WaitViolation] = []
 
     # ------------------------------------------------------------- record
@@ -212,7 +211,6 @@ class LockOrderWitness:
         held = self._held.names
         new_edges = [(h, name) for h in held if h != name]
         with self._mutex:
-            self._acquisitions += 1
             self._edges.update(new_edges)
         held.append(name)
 
@@ -239,11 +237,6 @@ class LockOrderWitness:
     def wait_violations(self) -> list[WaitViolation]:
         with self._mutex:
             return list(self._waits)
-
-    @property
-    def acquisitions(self) -> int:
-        with self._mutex:
-            return self._acquisitions
 
     def wrap(self, lock, name: str):
         """A witnessing proxy around ``lock`` reporting under ``name``."""

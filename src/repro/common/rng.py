@@ -49,8 +49,3 @@ class WeightedChooser:
     def choose(self, rng: random.Random) -> T:
         point = rng.random() * self._total
         return self._items[bisect_right(self._cum, point)]
-
-
-def zipf_chooser(items: Sequence[T], skew: float) -> WeightedChooser:
-    """A chooser drawing ``items`` Zipf-distributed by position (rank 1 first)."""
-    return WeightedChooser(items, zipf_weights(len(items), skew))

@@ -4,7 +4,7 @@ The engine is deliberately small: columns are typed as one of
 ``INT``, ``FLOAT``, ``STR`` or ``DATE``.  Dates are stored internally as the
 number of days since 1970-01-01 (an ``int``), which keeps rows hashable and
 comparable without pulling ``datetime`` objects through the executor hot path.
-Helpers convert between ISO date strings and day numbers.
+:func:`date_to_days` converts ISO date strings to day numbers.
 """
 
 from __future__ import annotations
@@ -37,20 +37,11 @@ class DataType(enum.Enum):
         except ValueError as exc:
             raise SchemaError(f"unknown data type {name!r}") from exc
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (DataType.INT, DataType.FLOAT, DataType.DATE)
-
 
 def date_to_days(text: str) -> int:
     """Convert an ISO date string (``YYYY-MM-DD``) to days since epoch."""
     d = datetime.date.fromisoformat(text)
     return (d - _EPOCH).days
-
-
-def days_to_date(days: int) -> str:
-    """Convert days since epoch back to an ISO date string."""
-    return (_EPOCH + datetime.timedelta(days=int(days))).isoformat()
 
 
 def coerce(value: Any, dtype: DataType) -> Any:
@@ -76,12 +67,3 @@ def coerce(value: Any, dtype: DataType) -> Any:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"cannot coerce {value!r} to {dtype.value}") from exc
     raise SchemaError(f"unknown data type {dtype!r}")
-
-
-def default_for(dtype: DataType) -> Any:
-    """A neutral non-NULL value of the given type (used by tests and datagen)."""
-    if dtype is DataType.STR:
-        return ""
-    if dtype is DataType.FLOAT:
-        return 0.0
-    return 0

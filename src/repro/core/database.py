@@ -189,9 +189,7 @@ class Database:
                 checkpoint_interval=checkpoint_interval,
                 crash_hook=crash_hook,
             )
-            self.txn_manager.add_invalidation_callback(
-                self._invalidate_cached_plans
-            )
+            self.txn_manager.add_invalidation_callback(self._invalidate)
         return self.txn_manager
 
     def close(self) -> None:
@@ -251,8 +249,12 @@ class Database:
         self._txn_local.txn = None
         manager.rollback(txn)
 
-    def _invalidate_cached_plans(self, tables=None) -> None:
-        """Drop cached plans affected by a data/statistics/DDL change."""
+    def _invalidate(self, tables=None) -> None:
+        """Drop the cached plans and learned cardinalities that a data,
+        statistics or DDL change to ``tables`` (all tables when ``None``)
+        makes stale."""
+        if self.learning is not None:
+            self.learning.forget(tables)
         if self.plan_cache is None:
             return
         if tables is None:
@@ -274,7 +276,7 @@ class Database:
         index = self.catalog.create_index(name, table, column, kind)
         if self.txn_manager is not None:
             self.txn_manager.on_ddl(index.table)
-        self._invalidate_cached_plans([table])
+        self._invalidate([table])
         return index
 
     def insert(self, table: str, rows) -> None:
@@ -291,7 +293,7 @@ class Database:
             return
         self.catalog.table(table).insert_many(rows)
         self.catalog.rebuild_indexes(table)
-        self._invalidate_cached_plans([table])
+        self._invalidate([table])
 
     def load_raw(self, table: str, rows: list) -> None:
         """Bulk load pre-coerced tuples and rebuild indexes."""
@@ -300,7 +302,7 @@ class Database:
             return
         self.catalog.table(table).load_raw(rows)
         self.catalog.rebuild_indexes(table)
-        self._invalidate_cached_plans([table])
+        self._invalidate([table])
 
     def _stage_or_autocommit(self, table: str, rows, raw: bool) -> None:
         manager = self.txn_manager
@@ -320,7 +322,7 @@ class Database:
         collect_runstats(
             self.catalog, tables, num_buckets=num_buckets, num_mcvs=num_mcvs
         )
-        self._invalidate_cached_plans(tables)
+        self._invalidate(tables)
 
     # ---------------------------------------------------------------- queries
 
@@ -375,10 +377,11 @@ class Database:
         spill, and re-optimization round of the statement sees one
         immutable row-set.
 
-        ``optimizer_options`` replaces the shared ``Optimizer.options`` for
-        this statement only (e.g. hash joins off for Fig. 12).  Such a
-        statement, and one with ``stats`` faults, skips the plan cache:
-        cached plans were chosen under the shared options and statistics.
+        ``optimizer_options`` are this statement's optimizer switches (e.g.
+        hash joins off for Fig. 12; the defaults when omitted).  A statement
+        that passes them, and one with ``stats`` faults, skips the plan
+        cache: cached plans were chosen under the default options and the
+        catalog's statistics.
         """
         config = pop if pop is not None else PopConfig()
         effective_cache = plan_cache if plan_cache is not None else self.plan_cache
@@ -411,10 +414,13 @@ class Database:
         sc = StatementContext(
             query,
             config,
-            optimizer_options if optimizer_options is not None else self.optimizer.options,
+            optimizer_options if optimizer_options is not None else OptimizerOptions(),
             params=params,
             meter=meter,
-            feedback=self.learning.seed() if self.learning is not None else CardinalityFeedback(),
+            feedback=(
+                self.learning.seed(query) if self.learning is not None
+                else CardinalityFeedback()
+            ),
             faults=faults,
             plan_cache=effective_cache,
             statement=stmt,
@@ -428,7 +434,7 @@ class Database:
         )
         rows, report = PopDriver(self.optimizer).run(sc)
         if self.learning is not None:
-            self.learning.absorb(sc.feedback)
+            self.learning.absorb(query, sc.feedback)
         return Result(columns=query.output_names, rows=rows, report=report)
 
     def execute_without_pop(
@@ -452,7 +458,7 @@ class Database:
 
         ``params`` is accepted for symmetry with :meth:`execute`; markers
         are planned at default selectivities, as they are there.
-        ``optimizer_options`` replaces the shared ones for this call.  With
+        ``optimizer_options`` are this call's switches, as there.  With
         learning on, the plan uses what earlier statements learned, as
         :meth:`execute`'s first round does.
         """
@@ -462,7 +468,7 @@ class Database:
             config = NO_POP  # execute's only round is then its last: no CHECKs
         return optimize_and_place(
             self.optimizer, query, config, options=optimizer_options,
-            feedback=self.learning.seed() if self.learning is not None else None,
+            feedback=self.learning.seed(query) if self.learning is not None else None,
         )
 
     def explain(

@@ -18,10 +18,9 @@ safe-plan fallback — goes through the same four phases, ``_plan`` →
 owns everything scoped to the statement (meter, feedback, compensation set,
 guard, temp-MV registry, the statement's own ``OptimizerOptions`` and
 statistics overrides, its observers).  The rule it enforces: nothing
-reachable from two statements — the catalog and its statistics,
-``Optimizer.options`` — is written while a statement runs; what statements
-do share (plan cache, learned feedback, metrics) is shared on purpose and
-guards itself.
+reachable from two statements — the catalog and its statistics — is
+written while a statement runs; what statements do share (plan cache,
+learned feedback, metrics) is shared on purpose and guards itself.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from repro.obs import OpRecord, ProfileCollector, record_attempt, wall_clock
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.parametric import PeekingSelectivity
-from repro.plan.explain import explain_plan, join_order
+from repro.plan.explain import join_order
 from repro.plan.logical import Query
 from repro.plan.physical import (
     AntiJoin,
@@ -121,10 +120,6 @@ class AttemptReport:
         return self.record is not None and self.record.profile is not None
 
     # Renderings of ``plan``, computed when read.
-
-    @property
-    def plan_text(self) -> str:
-        return explain_plan(self.plan)
 
     @property
     def join_order(self) -> str:
@@ -262,9 +257,9 @@ class StatementContext:
 
     query: Query
     config: PopConfig
-    #: This statement's optimizer switches: the per-call options, else the
-    #: shared ``Optimizer.options``; ``__post_init__`` applies the reuse
-    #: policy to a copy.
+    #: This statement's optimizer switches (``Database.execute``'s
+    #: ``optimizer_options``, else the defaults); ``__post_init__`` applies
+    #: the reuse policy to a copy.
     options: OptimizerOptions
     params: Optional[dict] = None
     meter: Optional[WorkMeter] = None
@@ -567,8 +562,7 @@ class PopDriver:
         loops whose worst case is quadratic) and ignores both the feedback
         and the temp MVs of the thrashing attempts, but plans with the
         statement's statistics overrides like every attempt.  The
-        restriction is a copy of the statement's options: the shared ones
-        are not touched.
+        restriction is a copy of the statement's options.
         No tracer or metrics are passed: the fallback's optimizer call is
         not part of the ``optimizer.*`` spans and counters.
         """

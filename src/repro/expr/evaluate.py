@@ -3,9 +3,8 @@
 Operators in the executor work on flat tuples.  A :class:`RowLayout` maps
 qualified column names to tuple positions; a conjunction of predicates plus
 a layout plus the bind parameters becomes one generated Python expression,
-which is set into three templates: a ``row -> bool`` callable
-(:func:`compile_conjunction`), a ``rows -> matching rows`` callable
-(:func:`compile_filter`, one call per batch: join residuals, HAVING) and a
+which is set into one of two templates: a ``rows -> matching rows`` callable
+(:func:`compile_filter`, one call per batch: join residuals, HAVING) or a
 scan loop that stops on the row filling a request (:func:`compile_scan`).
 
 Only slot numbers and operator spellings are written into the generated
@@ -36,8 +35,6 @@ from repro.expr.predicates import (
     Or,
     Predicate,
 )
-
-RowPredicate = Callable[[tuple], bool]
 
 
 class RowLayout:
@@ -173,8 +170,6 @@ def kernel_code(source: str, mode: str):
     return compile(source, "<executor kernel>", mode)
 
 
-#: ``row -> bool``.
-_ROW_FORM = "lambda row: {cond}"
 #: ``rows -> matching rows``: one list comprehension per batch.
 _BATCH_FORM = "lambda rows: [row for row in rows if {cond}]"
 #: Requests for fewer rows than this (a LIMIT's last rows, an NLJN outer's
@@ -269,31 +264,16 @@ def _conjunction(
     return kernel
 
 
-def compile_predicate(
-    pred: Predicate, layout: RowLayout, params: dict[str, Any]
-) -> RowPredicate:
-    """Compile ``pred`` into a ``row -> bool`` callable."""
-    return compile_conjunction([pred], layout, params)
-
-
-def compile_conjunction(
+def compile_filter(
     preds: Sequence[Predicate], layout: RowLayout, params: dict[str, Any]
-) -> RowPredicate:
-    """Compile an AND of predicates into a ``row -> bool`` callable; an
-    empty list compiles to always-true.
+) -> Callable[[list], list]:
+    """Compile an AND of predicates into ``rows -> matching rows``: one
+    kernel call per batch, whatever the number of predicates.  With nothing
+    to test the batch comes back as it is, uncopied.
 
     Parameter markers are resolved against ``params`` once, at compile time,
     so the kernel does no dictionary lookups per row.
     """
-    return _conjunction(preds, layout, params).expression(_ROW_FORM)
-
-
-def compile_filter(
-    preds: Sequence[Predicate], layout: RowLayout, params: dict[str, Any]
-) -> Callable[[list], list]:
-    """The same conjunction as ``rows -> matching rows``: one kernel call
-    per batch, whatever the number of predicates.  With nothing to test the
-    batch comes back as it is, uncopied."""
     if not preds:
         return lambda rows: rows
     return _conjunction(preds, layout, params).expression(_BATCH_FORM)

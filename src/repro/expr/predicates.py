@@ -156,11 +156,6 @@ class Like(Predicate):
     def columns(self) -> Iterator[ColumnRef]:
         yield self.column
 
-    @property
-    def has_prefix(self) -> bool:
-        """True when the pattern starts with a literal prefix (sargable)."""
-        return not self.pattern.startswith(("%", "_"))
-
     def __str__(self) -> str:
         return f"{self.column} LIKE {self.pattern!r}"
 

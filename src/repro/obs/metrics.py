@@ -109,11 +109,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- histograms
 
-    def declare_histogram(self, name: str, buckets: tuple) -> None:
-        """Pin the bucket bounds ``observe(name, ...)`` will use."""
-        with self._lock:
-            self._declared_buckets[name] = tuple(sorted(buckets))
-
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = _key(name, labels)
         with self._lock:

@@ -70,8 +70,8 @@ from repro.plan.physical import (
 from repro.plan.properties import PlanProperties
 from repro.storage.catalog import Catalog, TempMVRegistry
 
-#: ``join_enumeration="auto"`` enumerates bushy trees up to this many tables,
-#: left-deep ones beyond.
+#: The DP enumerates bushy trees up to this many tables, left-deep ones
+#: beyond.
 AUTO_BUSHY_LIMIT = 8
 #: Interesting-order plans kept per table subset.
 MAX_PLANS_PER_SUBSET = 4
@@ -89,12 +89,6 @@ class OptimizerOptions:
     mv_cost_zero: bool = False
     #: Newton–Raphson iteration cap of the validity probe (paper: 3).
     validity_iterations: int = 3
-    #: Commit Fig. 5 step-(g) bounds when the probe converged but the cap hit.
-    commit_without_inversion: bool = True
-    #: Compute validity ranges at all (ablation switch).
-    compute_validity_ranges: bool = True
-    #: "bushy", "leftdeep", or "auto" (bushy up to AUTO_BUSHY_LIMIT tables).
-    join_enumeration: str = "auto"
 
 
 @dataclass(slots=True)
@@ -529,21 +523,20 @@ class PlanEnumerator:
             if cand.plan is None:
                 cand.plan = self._build_join(cand)
 
-        if self.options.compute_validity_ranges:
-            for winner in kept:
-                if winner.edge_subsets is None:
-                    continue
-                edges = winner.edge_subsets
-                # Same pair of input edges, either way round: structurally
-                # equivalent.  Any other pair is a join-order change.
-                recorded: dict = {}
-                for commuted, group in (
-                    (False, groups[edges]), (True, groups.get(edges[::-1], ())),
-                ):
-                    for alt in group:
-                        if alt.cost >= winner.cost and alt is not winner:
-                            recorded[(alt.cost_desc, commuted)] = None
-                winner.alternatives = list(recorded)
+        for winner in kept:
+            if winner.edge_subsets is None:
+                continue
+            edges = winner.edge_subsets
+            # Same pair of input edges, either way round: structurally
+            # equivalent.  Any other pair is a join-order change.
+            recorded: dict = {}
+            for commuted, group in (
+                (False, groups[edges]), (True, groups.get(edges[::-1], ())),
+            ):
+                for alt in group:
+                    if alt.cost >= winner.cost and alt is not winner:
+                        recorded[(alt.cost_desc, commuted)] = None
+            winner.alternatives = list(recorded)
         return kept
 
     def _narrow_against(self, winner: Candidate) -> None:
@@ -567,22 +560,18 @@ class PlanEnumerator:
                     # A commuted alternative takes this edge in the other slot.
                     kernel(alt_desc, 1 - i if commuted else i, other),
                     max_iterations=self.options.validity_iterations,
-                    commit_without_inversion=self.options.commit_without_inversion,
                 )
 
     # ============================================================== main DP
 
     def _partitions(self, subset: tuple) -> list[tuple[int, int]]:
         """(outer, inner) alias masks of every partition of ``subset`` to
-        consider."""
-        n = len(self.query.tables)
-        mode = self.options.join_enumeration
-        if mode == "auto":
-            mode = "bushy" if n <= AUTO_BUSHY_LIMIT else "leftdeep"
+        consider: all of them up to :data:`AUTO_BUSHY_LIMIT` tables, beyond
+        that only those that split off one table."""
         bits = [self.graph.bit[alias] for alias in subset]
         full = sum(bits)
         parts: list[tuple[int, int]] = []
-        if mode == "leftdeep":
+        if len(self.query.tables) > AUTO_BUSHY_LIMIT:
             for bit in bits:
                 parts.append((full ^ bit, bit))
                 parts.append((bit, full ^ bit))

@@ -37,21 +37,18 @@ class Optimizer:
     The ``feedback`` argument injects actual cardinalities observed during
     previous partial executions of the same statement, and ``temp_mvs`` its
     promoted intermediate results (both are the POP §2.1 feedback loop).
-    :attr:`options` is shared by every statement and never written after
-    construction: a statement that needs different switches passes its own
-    copy to :meth:`optimize`.
+    The optimizer holds no switches: each :meth:`optimize` call gets its
+    own ``options``.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         cost_params: CostParams = DEFAULT_COST_PARAMS,
-        options: Optional[OptimizerOptions] = None,
         selectivity: Optional[SelectivityEstimator] = None,
     ):
         self.catalog = catalog
         self.cost_model = CostModel(cost_params)
-        self.options = options if options is not None else OptimizerOptions()
         self.selectivity = selectivity
 
     def optimize(
@@ -68,16 +65,13 @@ class Optimizer:
         ``selectivity`` overrides the optimizer's configured selectivity
         model for this one call — the plan cache passes a bind-value peeking
         estimator here so parameterized statements are planned for their
-        actual first-execution values.  ``options`` likewise replaces
-        :attr:`options` for this call (the driver's reuse policy and safe
-        plan), ``temp_mvs`` is the calling statement's registry of
-        reusable intermediate results (none when omitted), and
-        ``stats_overrides`` maps table names to the statistics this call
-        plans with instead of the catalog's (a statement's ``stats``
-        faults).
+        actual first-execution values.  ``options`` are this call's
+        switches (the defaults when omitted), ``temp_mvs`` is the calling
+        statement's registry of reusable intermediate results (none when
+        omitted), and ``stats_overrides`` maps table names to the
+        statistics this call plans with instead of the catalog's (a
+        statement's ``stats`` faults).
         """
-        if options is None:
-            options = self.options
         estimator = CardinalityEstimator(
             self.catalog,
             query,

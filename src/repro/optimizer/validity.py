@@ -132,33 +132,25 @@ def narrow_validity_range(
     cost_opt: CostFn,
     cost_alt: CostFn,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    commit_without_inversion: bool = True,
 ) -> int:
     """Narrow ``validity`` for one edge, given the winning and pruned plans'
     costs as functions of that edge's cardinality.
 
-    Runs the Fig. 5 probe upward (upper bound) and downward (lower bound).
-    ``commit_without_inversion=False`` restricts narrowing to bounds where a
-    true cost inversion was observed — strictly conservative, used by the
-    ablation study; the default mirrors Fig. 5 step (g).
+    Runs the Fig. 5 probe upward (upper bound) and downward (lower bound)
+    and commits each bound the probe converged on (step (g); a probe that
+    found an inversion always converged).
 
     Returns the total Newton–Raphson iterations spent across both probes
     (observability: ``optimizer.newton_iterations``).
     """
     up = _probe(est_card, cost_opt, cost_alt, upward=True, max_iterations=max_iterations)
-    if up.bound is not None and (
-        up.inversion_found or (commit_without_inversion and up.converging)
-    ):
+    if up.bound is not None and up.converging:
         validity.narrow_high(up.bound)
     down = _probe(
         est_card, cost_opt, cost_alt, upward=False, max_iterations=max_iterations
     )
-    if (
-        down.bound is not None
-        # Lower bounds under one row could only ever trigger on an empty
-        # intermediate result; suppress them as noise.
-        and down.bound >= 1.0
-        and (down.inversion_found or (commit_without_inversion and down.converging))
-    ):
+    # Lower bounds under one row could only ever trigger on an empty
+    # intermediate result; suppress them as noise.
+    if down.bound is not None and down.bound >= 1.0 and down.converging:
         validity.narrow_low(down.bound)
     return up.iterations + down.iterations

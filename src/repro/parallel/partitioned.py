@@ -52,10 +52,6 @@ class PartitionedResult:
         return [report.reoptimizations for report in self.fragment_reports]
 
     @property
-    def fragment_units(self) -> list:
-        return [report.total_units for report in self.fragment_reports]
-
-    @property
     def distinct_final_plans(self) -> int:
         from repro.plan.explain import join_order
 

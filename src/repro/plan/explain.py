@@ -34,11 +34,6 @@ def explain_plan(root: PlanOp, show_cost: bool = True) -> str:
     return "\n".join(lines)
 
 
-def plan_operators(root: PlanOp) -> list[str]:
-    """The operator kinds of a plan in preorder (handy for tests)."""
-    return [op.KIND for op in root.walk()]
-
-
 def join_order(root: PlanOp) -> str:
     """Parenthesized join order, e.g. ``((a JOIN b) JOIN c)``."""
 

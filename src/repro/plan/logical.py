@@ -173,21 +173,3 @@ class Query:
                     raise BindError(
                         f"HAVING column {pred.column!r} is not in the select list"
                     )
-
-    # ------------------------------------------------------------- conveniences
-
-    def all_predicates(self) -> list[Predicate]:
-        return list(self.local_predicates) + list(self.join_predicates)
-
-    def parameter_names(self) -> list[str]:
-        """Names of all parameter markers appearing in the query."""
-        names: list[str] = []
-        seen = set()
-        for pred in self.local_predicates:
-            for attr in ("operand", "low", "high"):
-                operand = getattr(pred, attr, None)
-                if operand is not None and hasattr(operand, "name"):
-                    if operand.name not in seen:
-                        seen.add(operand.name)
-                        names.append(operand.name)
-        return names

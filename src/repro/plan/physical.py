@@ -71,13 +71,6 @@ class PlanOp:
         for child in self.children:
             yield from child.walk()
 
-    def replace_child(self, old: "PlanOp", new: "PlanOp") -> None:
-        for i, child in enumerate(self.children):
-            if child is old:
-                self.children[i] = new
-                return
-        raise ValueError("old child not found")
-
 
 # ------------------------------------------------------------------- scans
 

@@ -83,11 +83,6 @@ class ValidityRange:
         """True when the range was never narrowed (can't trigger)."""
         return self.low <= 0.0 and math.isinf(self.high)
 
-    def intersect(self, other: "ValidityRange") -> "ValidityRange":
-        return ValidityRange(
-            low=max(self.low, other.low), high=min(self.high, other.high)
-        )
-
     def copy(self) -> "ValidityRange":
         return ValidityRange(self.low, self.high)
 

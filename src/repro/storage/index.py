@@ -150,11 +150,5 @@ class SortedIndex(Index):
             hi = bisect_right(keys, high) if high_inclusive else bisect_left(keys, high)
         return rids[lo:hi]
 
-    def min_key(self) -> Any:
-        return self._published[0][0] if self._published[0] else None
-
-    def max_key(self) -> Any:
-        return self._published[0][-1] if self._published[0] else None
-
     def _longest_rid_list(self, entries: tuple[list[Any], list[int]]) -> int:
         return max(Counter(entries[0]).values(), default=0)

@@ -271,11 +271,6 @@ class SpillManager:
             self._pages(row_count) * self.cost_params.io_page, "spill"
         )
 
-    def open_files(self) -> list[SpillFile]:
-        """Files not yet deleted (the leak-audit surface for tests)."""
-        with self._lock:
-            return [f for f in self._files if not f.deleted]
-
     def summary(self) -> dict:
         """Plain-dict spill accounting for reports and traces."""
         with self._lock:

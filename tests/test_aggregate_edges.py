@@ -117,7 +117,8 @@ def test_a_check_above_the_aggregate_records_no_join_feedback():
     )
     assert feedback.lookup(join_signature) is None
     learned = LearnedCardinalities()
-    assert learned.absorb(feedback) == 0 and len(learned) == 0
+    assert learned.absorb(db._to_query(AGG_SQL), feedback) == 0
+    assert len(learned) == 0
 
 
 def test_no_check_is_placed_above_the_aggregate():
@@ -133,5 +134,7 @@ def test_no_check_is_placed_above_the_aggregate():
     result = db.execute(AGG_SQL, pop=ADHOC)
     (attempt,) = result.report.attempts
     (join,) = find_ops(attempt.plan, NLJoin)
-    learned = db.learning.seed().lookup(join.properties.signature)
+    learned = db.learning.seed(db._to_query(AGG_SQL)).lookup(
+        join.properties.signature
+    )
     assert (learned.cardinality, learned.exact) == (430.0, True)

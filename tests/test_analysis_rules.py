@@ -833,12 +833,22 @@ def test_tpch_plans_lint_clean_without_hash_joins(tpch_db):
     from repro.optimizer.enumeration import OptimizerOptions
     from repro.workloads.tpch.queries import TPCH_QUERIES
 
-    saved = tpch_db.optimizer.options
-    tpch_db.optimizer.options = OptimizerOptions(enable_hash_join=False)
-    try:
-        assert _lint_workload(tpch_db, list(TPCH_QUERIES.items())) == []
-    finally:
-        tpch_db.optimizer.options = saved
+    config = PopConfig()
+    context = LintContext(
+        catalog=tpch_db.catalog, cost_model=tpch_db.optimizer.cost_model,
+        config=config,
+    )
+    no_hash = OptimizerOptions(enable_hash_join=False)
+    findings = [
+        (name, f)
+        for name, sql in TPCH_QUERIES.items()
+        for f in lint_plan(
+            tpch_db.plan(sql, pop=config, optimizer_options=no_hash)[1].plan,
+            context,
+        )
+        if f.severity == ERROR
+    ]
+    assert findings == []
 
 
 def test_order_preserving_joins_claim_outer_order(tpch_db):

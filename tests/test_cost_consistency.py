@@ -9,6 +9,7 @@ track measured work within a modest factor.  If this drifts, every figure's
 
 import pytest
 
+from repro.core.config import NO_POP
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
 
@@ -78,12 +79,8 @@ class TestRelativeOrderings:
             ),
         }
         for name, options in methods.items():
-            star_db.optimizer.options = options
-            try:
-                opt = star_db.optimizer.optimize(star_db._to_query(sql))
-                run = star_db.execute_without_pop(sql)
-            finally:
-                star_db.optimizer.options = OptimizerOptions()
+            opt = star_db.optimizer.optimize(star_db._to_query(sql), options=options)
+            run = star_db.execute(sql, pop=NO_POP, optimizer_options=options)
             outcomes[name] = (opt.plan.est_cost, run.report.total_units)
         model_winner = min(outcomes, key=lambda k: outcomes[k][0])
         meter_winner = min(outcomes, key=lambda k: outcomes[k][1])

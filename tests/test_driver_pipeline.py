@@ -61,6 +61,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
+from repro.plan.explain import explain_plan
 from repro.plan.physical import Check, HashJoin, NLJoin, find_ops
 from repro.resilience import FaultPlan, FaultSpec
 
@@ -121,7 +122,7 @@ def _frozen_record_keys(root) -> dict:
 
 def _attempt_record(attempt: AttemptReport) -> dict:
     record = {
-        "plan_text": attempt.plan_text,
+        "plan_text": explain_plan(attempt.plan),
         "join_order": attempt.join_order,
         "reused_mvs": attempt.reused_mvs,
     }
@@ -378,26 +379,66 @@ def test_interleaved_statement_cannot_see_or_steal_temp_mvs(monkeypatch):
     )
 
 
+def spy_optimizer_options(monkeypatch) -> list:
+    """The ``options`` of every ``Optimizer.optimize`` call, in order."""
+    seen: list = []
+    real_optimize = Optimizer.optimize
+
+    def spy(self, query, **kwargs):
+        seen.append(kwargs.get("options"))
+        return real_optimize(self, query, **kwargs)
+
+    monkeypatch.setattr(Optimizer, "optimize", spy)
+    return seen
+
+
 @pytest.mark.parametrize("policy", ["never", "always"])
-def test_reuse_policy_leaves_shared_optimizer_options_alone(policy):
+def test_reuse_policy_applies_to_its_own_statement_only(policy, monkeypatch):
+    """A statement's reuse policy is applied to its own copy of its
+    options: the caller's object is not written, and the next statement
+    optimizes with the defaults."""
     db = build_star_db()
-    shared = db.optimizer.options
-    before = dataclasses.replace(shared)
-    config = PopConfig(reuse_policy=policy)
-    db.execute(marker_query(), params=COMMON, pop=config)
-    db.execute(
-        marker_query(), params=COMMON, pop=config,
-        optimizer_options=OptimizerOptions(enable_index_nljn=False),
+    seen = spy_optimizer_options(monkeypatch)
+    mine = OptimizerOptions(enable_index_nljn=False)
+    before = dataclasses.replace(mine)
+    first = db.execute(
+        marker_query(), params=COMMON, pop=PopConfig(reuse_policy=policy),
+        optimizer_options=mine,
     )
-    db.plan(marker_query(), optimizer_options=OptimizerOptions(enable_hash_join=False))
-    assert db.optimizer.options is shared
-    assert shared == before
+    rounds = len(first.report.attempts)
+    db.execute(marker_query(), params=COMMON)
+    assert mine == before
+    assert seen[:rounds] == [
+        dataclasses.replace(mine, mv_cost_zero=policy == "always")
+    ] * rounds
+    assert seen[rounds:] and all(o == OptimizerOptions() for o in seen[rounds:])
 
 
 NO_HASH = OptimizerOptions(enable_hash_join=False)
 HASH_JOIN_SQL = (
     "SELECT c.c_id, o.o_id FROM cust c, orders o WHERE c.c_id = o.o_custkey"
 )
+
+
+def test_omitted_optimizer_options_are_the_defaults():
+    """The optimizer keeps no switches of its own: an entry point called
+    without options plans as one called with ``OptimizerOptions()``."""
+    db = build_star_db()
+    query = marker_query()
+    default = OptimizerOptions()
+
+    def fingerprints(result) -> list:
+        return [plan_fingerprint(a.plan) for a in result.report.attempts]
+
+    assert plan_fingerprint(db.optimizer.optimize(query).plan) == plan_fingerprint(
+        db.optimizer.optimize(query, options=default).plan
+    )
+    assert plan_fingerprint(db.plan(query)[1].plan) == plan_fingerprint(
+        db.plan(query, optimizer_options=default)[1].plan
+    )
+    assert fingerprints(db.execute(query, params=COMMON)) == fingerprints(
+        db.execute(query, params=COMMON, optimizer_options=default)
+    )
 
 
 def test_per_call_optimizer_options_apply_to_that_call_only():
@@ -428,21 +469,12 @@ def test_per_call_optimizer_options_bypass_the_plan_cache():
     assert not any(k.startswith("plan_cache.") for k in counters)
 
 
-def test_fallback_never_writes_shared_optimizer_options(monkeypatch):
-    """The safe plan restricts join methods on its own copy: the object
-    every concurrent statement optimizes with keeps nested loops enabled
-    throughout, and is the same object afterwards."""
+def test_fallback_restricts_its_own_copy_of_the_options(monkeypatch):
+    """The safe plan restricts join methods on a copy of the statement's
+    options: the attempts before it optimized with nested loops enabled,
+    and so does the next statement."""
     db = build_star_db()
-    shared = db.optimizer.options
-    before = dataclasses.replace(shared)
-    seen = []
-    real_optimize = Optimizer.optimize
-
-    def spy(self, *args, **kwargs):
-        seen.append((self.options is shared, self.options.enable_index_nljn))
-        return real_optimize(self, *args, **kwargs)
-
-    monkeypatch.setattr(Optimizer, "optimize", spy)
+    seen = spy_optimizer_options(monkeypatch)
     # The route ``deadline_fallback`` freezes: here the first plan's CHECK
     # fires, the re-optimized plan blows its deadline, the safe plan runs.
     config = PopConfig(resilience=ResiliencePolicy(deadline_units=1.0))
@@ -452,6 +484,6 @@ def test_fallback_never_writes_shared_optimizer_options(monkeypatch):
     assert result.report.fallback_used
     assert find_ops(result.report.attempts[0].plan, NLJoin)
     assert not find_ops(result.report.final_plan, NLJoin)
-    assert len(seen) == 3 and all(s == (True, True) for s in seen)
-    assert db.optimizer.options is shared
-    assert shared == before
+    assert [o.enable_index_nljn for o in seen] == [True, True, False]
+    db.execute(marker_query(), params=COMMON)
+    assert seen[3].enable_index_nljn

@@ -9,9 +9,10 @@ from repro.executor.base import ExecutionContext
 from repro.executor.runtime import run_plan
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Comparison, JoinPredicate, predicate_set_id
+from repro.optimizer import enumeration
 from repro.optimizer.costmodel import CostModel
 from repro.optimizer.enumeration import OptimizerOptions, PlanEnumerator, order_satisfies
-from repro.plan.explain import plan_operators
+from repro.plan.explain import join_order
 from repro.plan.logical import Query, TableRef
 from repro.plan.physical import (
     HashJoin,
@@ -20,6 +21,7 @@ from repro.plan.physical import (
     MergeJoin,
     MVScan,
     NLJoin,
+    Sort,
     TableScan,
     find_ops,
 )
@@ -37,6 +39,11 @@ def two_table_query(local=None):
             JoinPredicate(ColumnRef("o", "o_custkey"), ColumnRef("c", "c_id"))
         ],
     )
+
+
+MERGE_ONLY = OptimizerOptions(
+    enable_hash_join=False, enable_index_nljn=False, enable_rescan_nljn=False
+)
 
 
 class TestOrderSatisfies:
@@ -89,27 +96,15 @@ class TestJoinMethods:
         assert find_ops(plan, HashJoin)
 
     def test_disabling_methods_respected(self, star_db):
-        star_db.optimizer.options = OptimizerOptions(
-            enable_hash_join=False, enable_index_nljn=False, enable_rescan_nljn=False
-        )
-        try:
-            plan = star_db.optimizer.optimize(two_table_query()).plan
-            joins = [op for op in plan.walk() if isinstance(op, JoinOp)]
-            assert all(isinstance(j, MergeJoin) for j in joins)
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
+        plan = star_db.optimizer.optimize(two_table_query(), options=MERGE_ONLY).plan
+        joins = [op for op in plan.walk() if isinstance(op, JoinOp)]
+        assert all(isinstance(j, MergeJoin) for j in joins)
 
     def test_merge_join_adds_sort_enforcers(self, star_db):
-        star_db.optimizer.options = OptimizerOptions(
-            enable_hash_join=False, enable_index_nljn=False, enable_rescan_nljn=False
-        )
-        try:
-            plan = star_db.optimizer.optimize(two_table_query()).plan
-            assert "SORT" in plan_operators(plan)
-            merge = find_ops(plan, MergeJoin)[0]
-            assert merge.properties.order  # output ordered on join keys
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
+        plan = star_db.optimizer.optimize(two_table_query(), options=MERGE_ONLY).plan
+        assert find_ops(plan, Sort)
+        merge = find_ops(plan, MergeJoin)[0]
+        assert merge.properties.order  # output ordered on join keys
 
     def test_validity_ranges_narrowed_on_final_join(self, star_db):
         query = two_table_query(
@@ -121,26 +116,15 @@ class TestJoinMethods:
             not r.is_trivial for j in joins for r in j.validity_ranges
         ), "pruning must narrow at least one validity range"
 
-    def test_validity_ranges_disabled_option(self, star_db):
-        star_db.optimizer.options = OptimizerOptions(compute_validity_ranges=False)
-        try:
-            plan = star_db.optimizer.optimize(two_table_query()).plan
-            joins = [op for op in plan.walk() if isinstance(op, JoinOp)]
-            assert all(r.is_trivial for j in joins for r in j.validity_ranges)
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-
 
 class TestEnumerationModes:
-    def test_leftdeep_and_bushy_same_results(self, tpch_db):
+    def test_leftdeep_and_bushy_same_results(self, tpch_db, monkeypatch):
         from repro.workloads.tpch.queries import Q5
 
         query = tpch_db._to_query(Q5)
-        tpch_db.optimizer.options = OptimizerOptions(join_enumeration="bushy")
         bushy = tpch_db.execute_without_pop(query)
-        tpch_db.optimizer.options = OptimizerOptions(join_enumeration="leftdeep")
+        monkeypatch.setattr(enumeration, "AUTO_BUSHY_LIMIT", 0)
         leftdeep = tpch_db.execute_without_pop(query)
-        tpch_db.optimizer.options = OptimizerOptions()
         from tests.conftest import canonical
 
         assert canonical(bushy.rows) == canonical(leftdeep.rows)
@@ -284,12 +268,11 @@ class TestAlternativeBookkeeping:
         return tally
 
     @pytest.mark.parametrize("mode", ["auto", "leftdeep"])
-    def test_tpch_plan_heavy(self, tpch_db, audit, mode):
-        options = OptimizerOptions(join_enumeration=mode)
+    def test_tpch_plan_heavy(self, tpch_db, audit, mode, monkeypatch):
+        if mode == "leftdeep":
+            monkeypatch.setattr(enumeration, "AUTO_BUSHY_LIMIT", 0)
         for name in PLAN_HEAVY:
-            tpch_db.optimizer.optimize(
-                tpch_db._to_query(TPCH_QUERIES[name]), options=options
-            )
+            tpch_db.optimizer.optimize(tpch_db._to_query(TPCH_QUERIES[name]))
         assert audit["probed"] > 0
         # The same cost function reaches a winner more than once; it is
         # recorded once.
@@ -303,3 +286,64 @@ class TestAlternativeBookkeeping:
             dmv_db.execute(sql)
         assert audit["probed"] > 0
         assert audit["recorded"] < audit["scanned"]
+
+
+#: Tables in the chain: wider than ``AUTO_BUSHY_LIMIT``, the only input
+#: that selects the left-deep path.
+CHAIN = 10
+
+
+@pytest.fixture(scope="module")
+def chain_db():
+    """``t0 … t9`` of 20, 35, … 155 rows, each ``(k, v)`` with ``k = v % 3``;
+    every third one indexed on ``k``."""
+    from repro import Database
+
+    db = Database()
+    for i in range(CHAIN):
+        db.create_table(f"t{i}", [("k", "int"), ("v", "int")])
+        db.insert(f"t{i}", [(j % 3, j) for j in range(20 + 15 * i)])
+        if i % 3 == 0:
+            db.create_index(f"ix_t{i}", f"t{i}", "k")
+    db.runstats()
+    return db
+
+
+CHAIN_SQL = (
+    "SELECT " + ", ".join(f"x{i}.v" for i in range(CHAIN))
+    + " FROM " + ", ".join(f"t{i} x{i}" for i in range(CHAIN))
+    + " WHERE " + " AND ".join(f"x{i}.k = x{i + 1}.k" for i in range(CHAIN - 1))
+    + " AND " + " AND ".join(f"x{i}.v < 3" for i in range(CHAIN))
+)
+
+
+class TestWideChain:
+    """A ten-table chain join is planned by the left-deep path: each join
+    adds one table, as its inner.  Its plan walks alias bitmasks only, so
+    it must not depend on string-hash order (CI runs this class under two
+    ``PYTHONHASHSEED`` values)."""
+
+    def test_every_inner_is_a_single_table_access(self, chain_db):
+        query = chain_db._to_query(CHAIN_SQL)
+        assert len(query.tables) > enumeration.AUTO_BUSHY_LIMIT
+        opt = chain_db.optimizer.optimize(query)
+        joins = find_ops(opt.plan, JoinOp)
+        assert len(joins) == CHAIN - 1
+        for join in joins:
+            assert len(join.inner.properties.tables) == 1, join
+        assert opt.plans_enumerated == 1876
+        assert join_order(opt.plan) == (
+            "(((((((((x3 NLJOIN x2) NLJOIN x1) NLJOIN x4) NLJOIN x5) NLJOIN x6)"
+            " NLJOIN x7) NLJOIN x8) NLJOIN x9) NLJOIN x0)"
+        )
+
+    def test_rows_match_the_static_plan_and_the_reference(self, chain_db):
+        from tests.conftest import canonical
+        from tests.reference import evaluate_reference
+
+        rows = canonical(chain_db.execute(CHAIN_SQL).rows)
+        assert rows == canonical(chain_db.execute_without_pop(CHAIN_SQL).rows)
+        assert rows == canonical(
+            evaluate_reference(chain_db.catalog, chain_db._to_query(CHAIN_SQL))
+        )
+        assert len(rows) == 3

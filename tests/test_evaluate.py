@@ -1,16 +1,14 @@
-"""Tests for predicate compilation (repro.expr.evaluate)."""
+"""Tests for predicate compilation (repro.expr.evaluate).
+
+Predicate semantics are checked through :func:`compile_filter`, the batch
+form the executor runs, one row per batch."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
-from repro.expr.evaluate import (
-    RowLayout,
-    compile_conjunction,
-    compile_predicate,
-    like_to_regex,
-)
+from repro.expr.evaluate import RowLayout, compile_filter, like_to_regex
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Between, Comparison, InList, JoinPredicate, Like, Or
 
@@ -19,6 +17,12 @@ LAYOUT = RowLayout(["t.a", "t.b", "u.c"])
 
 def col(table, name):
     return ColumnRef(table, name)
+
+
+def matcher(preds, params=None):
+    """``row -> bool`` through the batch kernel: does the row survive?"""
+    keep = compile_filter(preds, LAYOUT, params or {})
+    return lambda row: keep([row]) == [row]
 
 
 class TestRowLayout:
@@ -65,16 +69,16 @@ class TestComparisons:
     )
     def test_operators(self, op, value, row, expected):
         pred = Comparison(col("t", "a"), op, Literal(value))
-        assert compile_predicate(pred, LAYOUT, {})(row) is expected
+        assert matcher([pred])(row) is expected
 
     def test_null_never_matches(self):
         for op in ("=", "!=", "<", "<=", ">", ">="):
             pred = Comparison(col("t", "a"), op, Literal(5))
-            assert compile_predicate(pred, LAYOUT, {})((None, 0, 0)) is False
+            assert matcher([pred])((None, 0, 0)) is False
 
     def test_marker_resolved_from_params(self):
         pred = Comparison(col("t", "a"), "=", ParameterMarker("p"))
-        run = compile_predicate(pred, LAYOUT, {"p": 7})
+        run = matcher([pred], {"p": 7})
         assert run((7, 0, 0))
         assert not run((8, 0, 0))
 
@@ -82,20 +86,20 @@ class TestComparisons:
 class TestOtherPredicates:
     def test_between_inclusive(self):
         pred = Between(col("t", "a"), Literal(2), Literal(4))
-        run = compile_predicate(pred, LAYOUT, {})
+        run = matcher([pred])
         assert [run((v, 0, 0)) for v in (1, 2, 3, 4, 5, None)] == [
             False, True, True, True, False, False,
         ]
 
     def test_in_list(self):
         pred = InList(col("t", "a"), (1, 3))
-        run = compile_predicate(pred, LAYOUT, {})
+        run = matcher([pred])
         assert run((1, 0, 0)) and run((3, 0, 0))
         assert not run((2, 0, 0)) and not run((None, 0, 0))
 
     def test_like(self):
         pred = Like(col("t", "b"), "ab%c_")
-        run = compile_predicate(pred, LAYOUT, {})
+        run = matcher([pred])
         assert run((0, "abXXcZ", 0))
         assert not run((0, "abXXc", 0))
         assert not run((0, None, 0))
@@ -108,27 +112,28 @@ class TestOtherPredicates:
                 Comparison(col("t", "a"), "=", Literal(3)),
             )
         )
-        run = compile_predicate(pred, LAYOUT, {})
+        run = matcher([pred])
         assert run((1, 0, 0)) and run((3, 0, 0)) and not run((2, 0, 0))
 
     def test_join_predicate(self):
         pred = JoinPredicate(col("t", "a"), col("u", "c"))
-        run = compile_predicate(pred, LAYOUT, {})
+        run = matcher([pred])
         assert run((5, 0, 5))
         assert not run((5, 0, 6))
         assert not run((None, 0, None))  # NULL != NULL in SQL
 
 
 class TestConjunction:
-    def test_empty_is_true(self):
-        assert compile_conjunction([], LAYOUT, {})((1, 2, 3))
+    def test_empty_keeps_the_batch_uncopied(self):
+        batch = [(1, 2, 3), (None, None, None)]
+        assert compile_filter([], LAYOUT, {})(batch) is batch
 
     def test_all_must_hold(self):
         preds = [
             Comparison(col("t", "a"), ">", Literal(0)),
             Comparison(col("t", "b"), "=", Literal("x")),
         ]
-        run = compile_conjunction(preds, LAYOUT, {})
+        run = matcher(preds)
         assert run((1, "x", 0))
         assert not run((1, "y", 0))
         assert not run((0, "x", 0))

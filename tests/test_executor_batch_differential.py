@@ -39,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from repro import Database, PopConfig
+from repro.plan.explain import explain_plan
 from repro.sql.binder import bind_sql
 from repro.workloads.dmv.generator import DmvScale, make_dmv_db
 from repro.workloads.dmv.queries import dmv_queries
@@ -289,7 +290,7 @@ def test_reoptimized_plan_is_width_independent(skewed_star):
         )
         plans.add(
             tuple(
-                (norm(a.plan_text), norm(str(a.join_order)))
+                (norm(explain_plan(a.plan)), norm(str(a.join_order)))
                 for a in result.report.attempts
             )
         )

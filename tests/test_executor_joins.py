@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.core.config import NO_POP
 from repro.expr.expressions import ColumnRef
 from repro.expr.predicates import JoinPredicate
 from repro.optimizer.enumeration import OptimizerOptions
@@ -64,22 +65,25 @@ METHOD_OPTIONS = {
 }
 
 
+def run(db, query, options):
+    """Static optimization under ``options``, no checkpoints."""
+    return db.execute(query, pop=NO_POP, optimizer_options=options)
+
+
 @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
 class TestEachMethod:
     def test_simple_join(self, method):
         left = [1, 2, 3, 4, 5]
         right = [3, 4, 5, 6, 7]
         db = join_db(left, right)
-        db.optimizer.options = METHOD_OPTIONS[method]
-        result = db.execute_without_pop(join_query())
+        result = run(db, join_query(), METHOD_OPTIONS[method])
         assert canonical(result.rows) == oracle(left, right)
 
     def test_duplicate_keys_cross_within_group(self, method):
         left = [1, 1, 2]
         right = [1, 1, 1, 2]
         db = join_db(left, right)
-        db.optimizer.options = METHOD_OPTIONS[method]
-        result = db.execute_without_pop(join_query())
+        result = run(db, join_query(), METHOD_OPTIONS[method])
         assert len(result.rows) == 2 * 3 + 1
         assert canonical(result.rows) == oracle(left, right)
 
@@ -87,19 +91,16 @@ class TestEachMethod:
         left = [None, 1, None, 2]
         right = [None, 2, 3]
         db = join_db(left, right)
-        db.optimizer.options = METHOD_OPTIONS[method]
-        result = db.execute_without_pop(join_query())
+        result = run(db, join_query(), METHOD_OPTIONS[method])
         assert canonical(result.rows) == oracle(left, right)
 
     def test_empty_side(self, method):
         db = join_db([], [1, 2, 3])
-        db.optimizer.options = METHOD_OPTIONS[method]
-        assert db.execute_without_pop(join_query()).rows == []
+        assert run(db, join_query(), METHOD_OPTIONS[method]).rows == []
 
     def test_no_matches(self, method):
         db = join_db([1, 2], [3, 4])
-        db.optimizer.options = METHOD_OPTIONS[method]
-        assert db.execute_without_pop(join_query()).rows == []
+        assert run(db, join_query(), METHOD_OPTIONS[method]).rows == []
 
 
 class TestJoinEquivalenceProperty:
@@ -112,8 +113,7 @@ class TestJoinEquivalenceProperty:
         expected = oracle(left, right)
         for method, options in METHOD_OPTIONS.items():
             db = join_db(left, right)
-            db.optimizer.options = options
-            result = db.execute_without_pop(join_query())
+            result = run(db, join_query(), options)
             assert canonical(result.rows) == expected, method
 
 
@@ -146,7 +146,5 @@ class TestMultiPredicateJoin:
             if la == ra and lb == rb
         )
         for method, options in METHOD_OPTIONS.items():
-            db.optimizer.options = options
-            result = db.execute_without_pop(query)
+            result = run(db, query, options)
             assert canonical(result.rows) == expected, method
-        db.optimizer.options = OptimizerOptions()

@@ -96,14 +96,14 @@ class TestDegenerateData:
 class TestOptimizerFailures:
     def test_all_join_methods_disabled(self):
         db = two_tables([(1, "s")], [(1, 1)])
-        db.optimizer.options = OptimizerOptions(
+        options = OptimizerOptions(
             enable_hash_join=False,
             enable_merge_join=False,
             enable_index_nljn=False,
             enable_rescan_nljn=False,
         )
         with pytest.raises(OptimizerError, match="no plan"):
-            db.execute(join_query())
+            db.execute(join_query(), optimizer_options=options)
 
     def test_query_with_no_tables_rejected(self):
         db = Database()

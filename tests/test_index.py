@@ -84,16 +84,6 @@ class TestSortedIndex:
         assert list(index.range_scan()) == [1]
         assert index.lookup(None) == []
 
-    def test_min_max(self):
-        index = SortedIndex("ix", make_table([7, 3, 9]), "k")
-        assert index.min_key() == 3
-        assert index.max_key() == 9
-
-    def test_min_max_empty(self):
-        index = SortedIndex("ix", make_table([]), "k")
-        assert index.min_key() is None
-        assert index.max_key() is None
-
     def test_max_rids_per_key_follows_rebuild(self):
         table = make_table([7, 3, 7, 9])
         index = SortedIndex("ix", table, "k")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.expr.evaluate import RowLayout, compile_predicate
+from repro.expr.evaluate import RowLayout, compile_filter
 from repro.expr.expressions import ColumnRef
 from repro.expr.predicates import IsNull
 from repro.stats.collect import collect_table_statistics
@@ -30,12 +30,12 @@ class TestPredicate:
 
     def test_compiled_evaluation(self):
         layout = RowLayout(["t.a"])
-        is_null = compile_predicate(IsNull(ColumnRef("t", "a")), layout, {})
-        not_null = compile_predicate(
-            IsNull(ColumnRef("t", "a"), negated=True), layout, {}
+        is_null = compile_filter([IsNull(ColumnRef("t", "a"))], layout, {})
+        not_null = compile_filter(
+            [IsNull(ColumnRef("t", "a"), negated=True)], layout, {}
         )
-        assert is_null((None,)) and not is_null((1,))
-        assert not_null((1,)) and not not_null((None,))
+        assert is_null([(None,), (1,)]) == [(None,)]
+        assert not_null([(None,), (1,)]) == [(1,)]
 
 
 class TestSelectivity:

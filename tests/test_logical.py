@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.errors import BindError
-from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
-from repro.expr.predicates import Between, Comparison, JoinPredicate
+from repro.expr.expressions import ColumnRef, Literal
+from repro.expr.predicates import Comparison, JoinPredicate
 from repro.plan.logical import Aggregate, OrderItem, Query, TableRef
 
 
@@ -87,17 +87,3 @@ class TestInspection:
         assert query.table_for("b").table == "tb"
         with pytest.raises(BindError):
             query.table_for("zz")
-
-    def test_parameter_names_in_order(self):
-        preds = [
-            Comparison(ColumnRef("a", "x"), "=", ParameterMarker("p1")),
-            Between(ColumnRef("b", "y"), ParameterMarker("p2"), Literal(9)),
-            Comparison(ColumnRef("a", "x"), ">", ParameterMarker("p1")),
-        ]
-        query = base_query(local_predicates=preds)
-        assert query.parameter_names() == ["p1", "p2"]
-
-    def test_all_predicates(self):
-        p = Comparison(ColumnRef("a", "x"), "=", Literal(1))
-        query = base_query(local_predicates=[p])
-        assert len(query.all_predicates()) == 2

@@ -143,7 +143,9 @@ class TestLocalChecking:
         )
         assert len(result.local_reoptimizations) == 3
         assert sum(result.local_reoptimizations) >= 1
-        assert result.total_units == pytest.approx(sum(result.fragment_units))
+        assert result.total_units == pytest.approx(
+            sum(report.total_units for report in result.fragment_reports)
+        )
         reference = db.execute_without_pop(
             "SELECT c.c_id, o.o_id FROM cust c "
             "JOIN orders o ON c.c_id = o.o_custkey WHERE c.c_segment = ?",

@@ -5,7 +5,7 @@ import pytest
 from repro.expr.evaluate import RowLayout
 from repro.expr.expressions import ColumnRef
 from repro.expr.predicates import JoinPredicate
-from repro.plan.explain import explain_plan, join_order, plan_operators
+from repro.plan.explain import explain_plan, join_order
 from repro.plan.physical import (
     Check,
     HashJoin,
@@ -67,15 +67,6 @@ class TestTreeBasics:
         assert len(find_ops(tree, TableScan)) == 2
         assert len(find_ops(tree, Check)) == 0
 
-    def test_replace_child(self):
-        inner = scan("t")
-        root = Return(inner)
-        replacement = scan("u")
-        root.replace_child(inner, replacement)
-        assert root.children == [replacement]
-        with pytest.raises(ValueError):
-            root.replace_child(inner, replacement)
-
     def test_validity_ranges_per_child(self):
         j = join(scan("t"), scan("u"))
         assert len(j.validity_ranges) == 2
@@ -125,9 +116,11 @@ class TestExplain:
         assert "edge[0]" in text
         assert "123" in text
 
-    def test_plan_operators(self):
+    def test_walk_is_preorder(self):
         tree = Return(join(scan("t"), scan("u")))
-        assert plan_operators(tree) == ["RETURN", "HSJOIN", "TBSCAN", "TBSCAN"]
+        assert [op.KIND for op in tree.walk()] == [
+            "RETURN", "HSJOIN", "TBSCAN", "TBSCAN",
+        ]
 
     def test_join_order_rendering(self):
         tree = Return(join(join(scan("t"), scan("u")), scan("v")))

@@ -7,7 +7,7 @@ from repro.core.flavors import ECB, ECDC, ECWC, LC, LCEM
 from repro.core.placement import place_checkpoints
 from repro.expr.expressions import ColumnRef, Literal
 from repro.expr.predicates import Comparison, JoinPredicate
-from repro.optimizer.enumeration import OptimizerOptions
+from repro.optimizer.enumeration import OptimizerOptions, PlanEnumerator
 from repro.plan.logical import Query, TableRef
 from repro.plan.physical import BufCheck, Check, NLJoin, Sort, Temp, find_ops
 
@@ -26,12 +26,13 @@ def nljn_query():
 
 
 def optimize(db, query, **options):
-    if options:
-        db.optimizer.options = OptimizerOptions(**options)
-    try:
-        return db.optimizer.optimize(query).plan
-    finally:
-        db.optimizer.options = OptimizerOptions()
+    return db.optimizer.optimize(query, options=OptimizerOptions(**options)).plan
+
+
+@pytest.fixture
+def no_ranges(monkeypatch):
+    """The optimizer narrows no validity range."""
+    monkeypatch.setattr(PlanEnumerator, "_narrow_against", lambda self, winner: None)
 
 
 def place(db, plan, **config):
@@ -156,13 +157,13 @@ class TestFlavorSelection:
 
 
 class TestGuards:
-    def test_require_alternatives_skips_trivial_ranges(self, star_db):
-        plan = optimize(star_db, nljn_query(), compute_validity_ranges=False)
+    def test_require_alternatives_skips_trivial_ranges(self, star_db, no_ranges):
+        plan = optimize(star_db, nljn_query())
         result = place(star_db, plan, require_alternatives=True)
         assert result.count == 0
 
-    def test_adhoc_threshold_mode(self, star_db):
-        plan = optimize(star_db, nljn_query(), compute_validity_ranges=False)
+    def test_adhoc_threshold_mode(self, star_db, no_ranges):
+        plan = optimize(star_db, nljn_query())
         result = place(star_db, plan, adhoc_threshold_factor=5.0)
         checks = find_ops(result.plan, Check)
         assert checks

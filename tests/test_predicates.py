@@ -9,7 +9,6 @@ from repro.expr.predicates import (
     Comparison,
     InList,
     JoinPredicate,
-    Like,
     Or,
     predicate_set_id,
 )
@@ -71,11 +70,6 @@ class TestInListAndLike:
     def test_in_list_columns(self):
         pred = InList(col("t", "a"), (1, 2, 3))
         assert list(pred.columns()) == [col("t", "a")]
-
-    def test_like_prefix_detection(self):
-        assert Like(col("t", "s"), "abc%").has_prefix
-        assert not Like(col("t", "s"), "%abc").has_prefix
-        assert not Like(col("t", "s"), "_bc").has_prefix
 
 
 class TestOr:

@@ -61,12 +61,6 @@ class TestValidityRange:
         rng.narrow_high(1000)
         assert not rng.is_trivial
 
-    def test_intersect(self):
-        a = ValidityRange(low=5, high=50)
-        b = ValidityRange(low=10, high=100)
-        c = a.intersect(b)
-        assert (c.low, c.high) == (10, 50)
-
     def test_copy_is_independent(self):
         a = ValidityRange(low=1, high=2)
         b = a.copy()

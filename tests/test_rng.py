@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.rng import WeightedChooser, make_rng, zipf_chooser, zipf_weights
+from repro.common.rng import WeightedChooser, make_rng, zipf_weights
 
 
 class TestZipfWeights:
@@ -48,13 +48,13 @@ class TestWeightedChooser:
         assert all(chooser.choose(rng) == "only" for _ in range(20))
 
     def test_skew_shows_in_frequencies(self):
-        chooser = zipf_chooser(list(range(10)), skew=1.5)
+        chooser = WeightedChooser(list(range(10)), zipf_weights(10, 1.5))
         rng = make_rng(3)
         draws = [chooser.choose(rng) for _ in range(5000)]
         assert draws.count(0) > draws.count(9) * 3
 
     def test_deterministic_for_fixed_seed(self):
-        chooser = zipf_chooser("abcdef", skew=1.0)
+        chooser = WeightedChooser("abcdef", zipf_weights(6, 1.0))
         a = [chooser.choose(make_rng(42)) for _ in range(1)]
         b = [chooser.choose(make_rng(42)) for _ in range(1)]
         assert a == b

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.chaosutil import spill_dirs
 from repro.common.errors import ExecutionError
 from repro.core.config import MemoryPolicy
 from repro.executor.base import ExecutionContext
@@ -472,12 +473,13 @@ class TestSpillLifecycle:
         child = scan_plan(600)
         plan = Sort(child, ("t.a",), child.properties.with_order(("t.a",)), 5)
         ctx = squeezed_ctx(cat, 1 / 64.0)
+        before = spill_dirs()
         rows = run_plan(plan, ctx)
         assert len(rows) == 600
         summary = ctx.spill_summary()
         assert summary is not None and summary["files"] > 0
         assert ctx.spill.released
-        assert ctx.spill.open_files() == []
+        assert spill_dirs() - before == set()
 
     def test_run_plan_releases_spill_on_abort(self):
         cat = make_catalog([(i, "x") for i in range(600)])
@@ -488,10 +490,11 @@ class TestSpillLifecycle:
         ctx = squeezed_ctx(cat, 1 / 64.0, work_deadline=0.0)
         from repro.common.errors import ExecutionTimeout
 
+        before = spill_dirs()
         with pytest.raises(ExecutionTimeout):
             run_plan(plan, ctx)
         assert ctx.spill.released
-        assert ctx.spill.open_files() == []
+        assert spill_dirs() - before == set()
         summary = ctx.spill_summary()
         assert summary is not None and summary["files"] > 0  # stats survive
 

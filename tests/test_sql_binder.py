@@ -136,7 +136,7 @@ class TestMarkers:
         query = bind_sql(
             "SELECT e.name FROM emp e WHERE e.pay > ? AND e.id = ?", catalog
         )
-        assert query.parameter_names() == ["p1", "p2"]
+        assert [p.operand.name for p in query.local_predicates] == ["p1", "p2"]
 
     def test_named_markers(self, catalog):
         query = bind_sql(

@@ -182,8 +182,6 @@ class _FakeEnumerator:
 
     class _Options:
         validity_iterations = 3
-        commit_without_inversion = True
-        compute_validity_ranges = True
 
     options = _Options()
 

@@ -84,28 +84,20 @@ class TestNarrowValidityRange:
         narrow_validity_range(rng, 10.0, linear(0, 0.1), linear(1, 0.2))
         assert rng.is_trivial
 
-    def test_conservative_mode_requires_inversion(self):
+    def test_step_g_commits_the_probe_point_without_inversion(self):
         # One downward iteration cannot reach the crossover at c=100 from
-        # est=1000; strict mode must then leave the lower bound alone,
-        # while paper-literal mode commits the probe point.
-        strict = ValidityRange()
+        # est=1000; Fig. 5 step (g) still commits the converging probe
+        # point, which stays above the crossover (conservative).
+        rng = ValidityRange()
         narrow_validity_range(
-            strict, 1000.0, linear(100, 0.1), linear(10, 1.0),
-            max_iterations=1, commit_without_inversion=False,
+            rng, 1000.0, linear(100, 0.1), linear(10, 1.0), max_iterations=1,
         )
-        assert strict.low == 0.0
-        literal = ValidityRange()
-        narrow_validity_range(
-            literal, 1000.0, linear(100, 0.1), linear(10, 1.0),
-            max_iterations=1, commit_without_inversion=True,
-        )
-        assert literal.low > 0.0
+        assert 100.0 < rng.low < 1000.0
 
     def test_paper_literal_mode_commits_converging_bound(self):
         rng = ValidityRange()
         narrow_validity_range(
-            rng, 10.0, linear(10, 1.0), linear(1e5, 0.5),
-            max_iterations=2, commit_without_inversion=True,
+            rng, 10.0, linear(10, 1.0), linear(1e5, 0.5), max_iterations=2,
         )
         # Bound committed even though the crossover was not reached...
         assert rng.high < math.inf
