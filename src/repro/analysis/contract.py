@@ -8,9 +8,10 @@ breaks the reproduction rather than crashing it:
   when it overrides ``open``/``close``, delegates to ``super()`` so span
   tracking and operator registration keep working.
 * **batch-contract** — every ``next_batch`` returns ``self.emit_batch(...)``
-  or the ``None`` EOF sentinel, and every ``probe`` (an index-NLJN inner's
-  batched lookup) calls ``self.emit_batch(...)`` once per call, so rows
-  reach ``rows_out`` accounting and the cancellation poll.
+  or the ``None`` EOF sentinel, every ``probe`` (an index-NLJN inner's
+  batched lookup) calls ``self.emit_batch(...)`` once per call, and every
+  ``next_matches`` (a hash join's groupjoin pull) ``self.emit_count(...)``,
+  so rows reach ``rows_out`` accounting and the cancellation poll.
 * **float-eq** — no ``==`` / ``!=`` on numbers inside
   ``optimizer/costmodel.py`` or ``repro/cache/``: validity-range analysis
   evaluates the cost functions at perturbed, non-integral cardinalities,
@@ -599,11 +600,16 @@ def check_close_guarded(graph: _OperatorGraph) -> Iterator[Finding]:
 # ---------------------------------------------------------- batch-contract
 
 
-def _is_self_emit(node: Optional[ast.AST]) -> bool:
+#: Methods that hand rows over grouped, or without building them, and the
+#: funnel each must count them through once per call.
+_COUNTED_ONCE = {"probe": "emit_batch", "next_matches": "emit_count"}
+
+
+def _is_self_call(node: Optional[ast.AST], funnel: str = "emit_batch") -> bool:
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "emit_batch"
+        and node.func.attr == funnel
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "self"
     )
@@ -615,37 +621,49 @@ def _batch_return_ok(value: Optional[ast.expr]) -> bool:
     ``self.emit_batch(...)``."""
     if value is None or (isinstance(value, ast.Constant) and value.value is None):
         return True
-    return _is_self_emit(value)
+    return _is_self_call(value)
 
 
-def _counts_once(method: ast.FunctionDef) -> bool:
-    """One ``self.emit_batch`` call, a top-level statement: once per call."""
-    emits = [sub for sub in ast.walk(method) if _is_self_emit(sub)]
-    return len(emits) == 1 and any(getattr(s, "value", None) is emits[0] for s in method.body)
+def _counts_once(method: ast.FunctionDef, funnel: str) -> bool:
+    """One ``self.<funnel>`` call, the value (or an element of the tuple
+    value) of a top-level statement: once per call."""
+    calls = [sub for sub in ast.walk(method) if _is_self_call(sub, funnel)]
+    if len(calls) != 1:
+        return False
+    for stmt in method.body:
+        value = getattr(stmt, "value", None)
+        elts = value.elts if isinstance(value, ast.Tuple) else [value]
+        if any(elt is calls[0] for elt in elts):
+            return True
+    return False
 
 
 def check_batch_contract(graph: _OperatorGraph) -> Iterator[Finding]:
-    """``next_batch`` and ``probe`` implementations preserve row accounting.
+    """``next_batch``, ``probe`` and ``next_matches`` implementations
+    preserve row accounting.
 
     POP's cardinality feedback is exact only if every operator returns
     either ``self.emit_batch(...)`` — the single place rows enter
     ``rows_out`` and the cancellation token is polled — or the ``None``
     EOF sentinel.  A ``probe`` returns its rows grouped per key, so it
-    counts them with one ``self.emit_batch(...)`` call per invocation.
+    counts them with one ``self.emit_batch(...)`` call per invocation; a
+    hash join's ``next_matches`` hands them to a groupjoin unbuilt, so it
+    counts them with one ``self.emit_count(...)`` call per invocation.
     """
     for name in graph.operators:
         rel, node = graph.classes[name]
         methods = _methods(node)
-        probe = methods.get("probe")
-        if probe is not None and not _counts_once(probe):
-            yield Finding(
-                rule="batch-contract",
-                severity=ERROR,
-                message=f"{name}.probe() must count its rows with one "
-                "self.emit_batch(...) statement outside any loop or branch",
-                file=rel,
-                line=probe.lineno,
-            )
+        for counted, funnel in _COUNTED_ONCE.items():
+            method = methods.get(counted)
+            if method is not None and not _counts_once(method, funnel):
+                yield Finding(
+                    rule="batch-contract",
+                    severity=ERROR,
+                    message=f"{name}.{counted}() must count its rows with one "
+                    f"self.{funnel}(...) statement outside any loop or branch",
+                    file=rel,
+                    line=method.lineno,
+                )
         method = methods.get("next_batch")
         if method is None:
             continue

@@ -412,13 +412,21 @@ class Operator:
         ``rows_out`` advances by the individual row count, so the
         cardinality feedback POP harvests does not depend on batch width.
         """
+        self.emit_count(len(rows))
+        return rows
+
+    def emit_count(self, n: int) -> int:
+        """Count ``n`` output rows and return ``n``: :meth:`emit_batch`'s
+        accounting and cancellation poll for rows handed over without
+        being built (a hash join's matches folded by the GROUP BY above
+        it)."""
         cancel = self.ctx.cancel
         if cancel is not None and cancel.cancelled:
             raise ExecutionCancelled(
                 f"statement cancelled: {cancel.reason or 'cancelled'}"
             )
-        self.rows_out += len(rows)
-        return rows
+        self.rows_out += n
+        return n
 
     def finish(self) -> None:
         """Mark end-of-stream (rows_out is now the exact edge cardinality)."""

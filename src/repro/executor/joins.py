@@ -478,25 +478,55 @@ class HashJoinExec(Operator):
                 return None
             self.ctx.meter.charge(len(out) * p.cpu_emit)
             return self.emit_batch(out)
-        out: list[tuple] = []
+        pairs, n = self._probe(max_rows)
+        if not n:
+            self.finish()
+            return None
+        self.ctx.meter.charge(n * p.cpu_emit)
+        return self.emit_batch([orow + m for orow, matches in pairs for m in matches])
+
+    def next_matches(self, max_rows: int) -> Optional[tuple[list, int]]:
+        """``next_batch`` for a GROUP BY that folds this join's output (a
+        groupjoin): the same pulls, charges and counters, but the batch is
+        left as ``(probe row, matches)`` pairs, its rows never built.
+        Returns ``(pairs, n)``, ``n`` the rows they stand for, or ``None``
+        at end of stream.  In-memory joins only: a spilled join has no
+        probe loop to share."""
+        self.require_open()
+        pairs, n = self._probe(max_rows)
+        if not n:
+            self.finish()
+            return None
+        self.ctx.meter.charge(n * self.ctx.cost_params.cpu_emit)
+        return pairs, self.emit_count(n)
+
+    def _probe(self, max_rows: int) -> tuple[list, int]:
+        """Probe up to ``max_rows`` output rows' worth of outer rows: the
+        ``(outer row, its matches)`` pairs, in output order, and the row
+        count ``n`` they stand for (0 only at end of stream).  A key with
+        more matches than still fit is served across calls from the carry
+        (``_matches`` from ``_match_pos``).  Charges each outer batch it
+        pulls; the caller charges the ``n`` rows."""
+        pairs: list[tuple[tuple, list[tuple]]] = []
+        n = 0
         get = self._table.get
         key_of = self._outer_key
-        probe_charge = p.cpu_hash_probe + self._probe_spill_per_row
-        while len(out) < max_rows:
+        probe_charge = self.ctx.cost_params.cpu_hash_probe + self._probe_spill_per_row
+        while n < max_rows:
             if self._match_pos < len(self._matches):
                 # One key's matches overflowed an earlier request: serve
                 # the carry before probing on.
-                orow = self._outer_row
                 mp = self._match_pos
-                take = min(max_rows - len(out), len(self._matches) - mp)
-                out += [orow + m for m in self._matches[mp:mp + take]]
+                take = min(max_rows - n, len(self._matches) - mp)
+                pairs.append((self._outer_row, self._matches[mp:mp + take]))
+                n += take
                 self._match_pos = mp + take
                 continue
             pending = self._outer_pending[self._pending_pos:]
             if pending:
                 # NULL keys need no test here: the build skipped them, so
                 # they miss like any other absent key.
-                room = max_rows - len(out)
+                room = max_rows - n
                 probed = 0
                 for key, orow in zip(map(key_of, pending), pending):
                     probed += 1
@@ -508,28 +538,25 @@ class HashJoinExec(Operator):
                         self._matches = matches
                         self._match_pos = 0
                         break
-                    out += [orow + m for m in matches]
+                    pairs.append((orow, matches))
                     room -= len(matches)
                     if not room:
                         break
                 self._pending_pos += probed
+                n = max_rows - room
                 continue
             if self._outer_eof:
                 break
             # Outer request capped at the rows still wanted: the pull is
             # demand-driven up to one batch of slack.
-            batch = self.outer.next_batch(max_rows - len(out))
+            batch = self.outer.next_batch(max_rows - n)
             if batch is None:
                 self._outer_eof = True
                 break
             self.ctx.meter.charge(len(batch) * probe_charge)
             self._outer_pending = batch
             self._pending_pos = 0
-        if out:
-            self.ctx.meter.charge(len(out) * p.cpu_emit)
-            return self.emit_batch(out)
-        self.finish()
-        return None
+        return pairs, n
 
     def profile_extras(self) -> dict:
         extras = {

@@ -35,9 +35,10 @@ def explain_analyze_plan(root: OpRecord) -> str:
 
     A profiled record extends each operator line with its *exclusive*
     runtime — self work units and self wall milliseconds, children's time
-    subtracted — plus its spill page share when it degraded to disk, and
-    for a spilled hash join its Grace recursion depth and block nested-loop
-    chunks.
+    subtracted — plus its spill page share when it degraded to disk, for
+    a spilled hash join its Grace recursion depth and block nested-loop
+    chunks, and ``groupjoin`` on a GROUP BY that folded its hash join's
+    matches.
     """
     lines: list[str] = []
 
@@ -59,6 +60,8 @@ def explain_analyze_plan(root: OpRecord) -> str:
                     f" grace_depth={extras['grace_depth']}"
                     f" block_chunks={extras['block_chunks']}"
                 )
+            if extras.get("groupjoin"):  # folded its hash join's matches
+                text += " groupjoin"
         lines.append(
             f"{'  ' * depth}{record.label}  "
             f"{{est={record.est_card:.1f} actual={text}}}"

@@ -22,8 +22,9 @@ plan through a statement execution:
 Execution faults trigger on a *global* pull counter that spans all
 operators and all attempts of one statement, so a fault schedule is a pure
 function of the seed, the batch width, and the (deterministic) execution it
-perturbs.  A pull is one ``next_batch`` call, whatever it returns, or one
-key of an index scan's ``probe`` (k keys, k pulls): wide batches make a
+perturbs.  A pull is one ``next_batch`` call, whatever it returns (a hash
+join's ``next_matches`` under a groupjoin counts as one), or one key of an
+index scan's ``probe`` (k keys, k pulls): wide batches make a
 statement take fewer pulls, so a late ``trigger_at`` that a width-1 run
 reaches may lie past the end of a width-1024 run and never fire.  Each
 spec fires at most ``times`` times (default once — "transient").
@@ -160,8 +161,9 @@ class FaultInjector:
     """Carries one :class:`FaultPlan` through a statement execution.
 
     The injector is armed over a freshly built operator tree by
-    ``run_plan`` (it wraps each operator's ``next_batch``, and a correlated
-    index scan's ``probe``, with a counting prologue), fires due faults,
+    ``run_plan`` (it wraps each operator's ``next_batch``, a hash join's
+    ``next_matches`` and a correlated index scan's ``probe`` with a
+    counting prologue), fires due faults,
     and records every firing in
     :attr:`fired`.  ``disarm()`` makes all later arming a no-op — the
     guard disarms before running the safe-plan fallback so the fallback is
@@ -206,6 +208,13 @@ class FaultInjector:
             return inner(max_rows)
 
         op.next_batch = next_batch_with_faults
+        next_matches = getattr(op, "next_matches", None)
+        if next_matches is not None:
+            def next_matches_with_faults(max_rows):
+                self._before_pull(op, ctx)
+                return next_matches(max_rows)
+
+            op.next_matches = next_matches_with_faults
         probe = getattr(op, "probe", None)
         if probe is not None:
             def probe_with_faults(keys, room):

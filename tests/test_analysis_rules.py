@@ -935,6 +935,33 @@ class TestBatchContractRule:
         count = "        self.emit_batch([r for g in groups for r in g])\n"
         assert check_module(self.PROBE.format(count=count)) == []
 
+    MATCHES = (
+        "class Join(Operator):\n"
+        "    def next_batch(self, max_rows):\n"
+        "        return None\n"
+        "    def next_matches(self, max_rows):\n"
+        "        pairs, n = self._probe(max_rows)\n"
+        "{count}"
+    )
+
+    @pytest.mark.parametrize("count", [
+        "        return pairs, n\n",  # never counted
+        "        self.rows_out += n\n        return pairs, n\n",  # no cancel poll
+        "        for orow, matches in pairs:\n"
+        "            self.emit_count(len(matches))\n        return pairs, n\n",
+        "        if n:\n            return pairs, self.emit_count(n)\n",
+        "        return pairs, self.emit_batch(pairs)\n",  # the wrong funnel
+    ])
+    def test_next_matches_not_counted_once_flagged(self, count):
+        findings = check_module(self.MATCHES.format(count=count))
+        assert [f.rule for f in findings] == ["batch-contract"]
+        assert "next_matches()" in findings[0].message
+        assert "emit_count" in findings[0].message
+
+    def test_next_matches_counting_once_per_call_is_fine(self):
+        count = "        return pairs, self.emit_count(n)\n"
+        assert check_module(self.MATCHES.format(count=count)) == []
+
     def test_live_tree_is_clean(self):
         assert [
             f for f in run_contract_checks() if f.rule == "batch-contract"

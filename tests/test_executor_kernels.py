@@ -16,6 +16,9 @@ faster loop could silently lose:
   never regenerate);
 * **fan-out carry** — one probe key with more matches than a request can
   hold is served across calls, at every width;
+* **groupjoin** — a GROUP BY over an in-memory hash join folds each probe
+  row's matches unbuilt, to the row path's groups, float bits, meter and
+  row counters;
 * **index-NLJN batches** — probing ``room // fan`` outer rows at once
   moves no row, counter, meter total or CHECK stamp against one outer row
   per probe, and an outer CHECK that can still fire gets one-row pulls;
@@ -34,6 +37,7 @@ import json
 import random
 import sqlite3
 import sys
+import traceback
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -44,6 +48,8 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.common.errors import ExecutionCancelled
+from repro.executor import aggregate as aggregate_module
+from repro.executor.aggregate import GroupByExec
 from repro.executor.base import ExecutionContext, ReoptimizationSignal
 from repro.executor.check import CheckExec
 from repro.executor.meter import WorkMeter
@@ -59,6 +65,7 @@ from repro.expr.predicates import (
     Like,
     Or,
 )
+from repro.plan.analyze import explain_analyze
 from repro.plan.logical import Aggregate, HavingPredicate
 from repro.plan.physical import (
     Check,
@@ -489,6 +496,213 @@ class TestJoinKernels:
         assert got == naive_equi_join(left, right, [0], [0])
 
 
+# ------------------------------------------------------------- groupjoin
+
+#: Group keys of ``l ⋈ r`` from the probe side (``l``), the build side
+#: (``r``), both, or none.
+GROUPJOIN_KEYS = st.sampled_from([
+    (), (("l", "k1"),), (("l", "k1"), ("l", "k3")), (("r", "k3"),),
+    (("r", "k1"), ("r", "k2")), (("l", "k2"), ("r", "k3")),
+])
+GROUPJOIN_AGGREGATES = st.lists(
+    st.sampled_from(
+        [("count", None)]
+        + [(f, (side, c)) for side in "lr" for c in ("v", "f")
+           for f in ("count", "sum", "avg", "min", "max")]
+        + [(f, (side, "s")) for side in "lr" for f in ("count", "sum", "min", "max")]
+    ),
+    max_size=6,
+)
+GROUPJOIN_WIDTHS = (1, 7, 1024)
+#: Every aggregate over both sides' float column.
+EVERY_AGGREGATE = [("count", None)] + [
+    (f, (side, "f")) for side in "lr" for f in ("count", "sum", "avg", "min", "max")
+]
+
+
+def groupjoin(left, right, join_keys, keys, aggregates):
+    """GROUP BY ``keys`` over the hash join ``l ⋈ r`` on ``join_keys``
+    (``l`` probes, ``r`` is built)."""
+    cat, hsjoin = join(HashJoin, left, right, join_keys)
+    aggs = [
+        Aggregate(func, None if arg is None else ColumnRef(*arg), f"agg{i}")
+        for i, (func, arg) in enumerate(aggregates)
+    ]
+    layout = RowLayout([f"{a}.{c}" for a, c in keys] + [a.alias for a in aggs])
+    plan = GroupBy(
+        hsjoin, [ColumnRef(*k) for k in keys], aggs, props("l", "r"), layout,
+        est_card=4.0, est_cost=6.0,
+    )
+    return cat, plan
+
+
+def run_groupjoin(left, right, join_keys, keys, aggregates, width, fused=True):
+    """The rows, meter units, every operator's ``(rows_out, EOF)`` and the
+    GROUP BY's ``groupjoin`` flag of one run; ``fused=False`` takes the
+    row path."""
+    cat, plan = groupjoin(left, right, join_keys, keys, aggregates)
+    number_plan(plan)
+    ctx = ExecutionContext(cat, batch_size=width)
+    seam = contextlib.nullcontext()
+    if not fused:
+        seam = mock.patch.object(aggregate_module, "_folds_matches", lambda child: False)
+    with seam:
+        rows = run_plan(plan, ctx)
+    counters = [(op.plan.KIND, op.rows_out, op.eof_seen) for op in ctx.operators]
+    (grpby,) = [op for op in ctx.operators if isinstance(op, GroupByExec)]
+    return rows, ctx.meter.units, counters, grpby.groupjoin
+
+
+def reference_groupjoin(left, right, join_keys, keys, aggregates):
+    """Group the naive join's rows: the row path's semantics."""
+    layout = layout_of("l").concat(layout_of("r"))
+    slots = key_slots(join_keys)
+    return naive_aggregate(
+        naive_equi_join(left, right, slots, slots),
+        [layout.slot(f"{a}.{c}") for a, c in keys],
+        [(f, None if arg is None else layout.slot("{}.{}".format(*arg)))
+         for f, arg in aggregates],
+    )
+
+
+class TestGroupjoinKernel:
+    """A GROUP BY directly over an in-memory hash join folds each probe
+    row's matches without building the joined rows.  Same groups in
+    first-seen order, same values to the last bit, and the same meter,
+    row counters and EOF flags as the row path, at every width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(left=st.integers(0, 9).flatmap(lambda w: rows_strategy(w, 40)),
+           right=st.integers(0, 9).flatmap(lambda w: rows_strategy(w, 40)),
+           join_keys=JOIN_KEYS, keys=GROUPJOIN_KEYS,
+           aggregates=GROUPJOIN_AGGREGATES,
+           width=st.sampled_from(GROUPJOIN_WIDTHS))
+    def test_matches_the_row_path_and_the_reference(
+        self, left, right, join_keys, keys, aggregates, width
+    ):
+        if not aggregates:
+            aggregates = [("count", None)]
+        args = (left, right, join_keys, keys, aggregates, width)
+        rows, units, counters, fused = run_groupjoin(*args)
+        assert fused
+        assert rows == reference_groupjoin(*args[:-1])
+        assert (rows, units, counters, False) == run_groupjoin(*args, fused=False)
+
+    @pytest.mark.parametrize("width", GROUPJOIN_WIDTHS)
+    @pytest.mark.parametrize("keys", [(), (("l", "k3"),), (("r", "k3"),)])
+    def test_matches_overflowing_every_request(self, keys, width):
+        """3,000 build rows share one key: its matches are folded from the
+        carry across calls, between single-match keys on both sides."""
+        fan = 3000
+        right = [(7, 0, "x", i, i / 7, None) for i in range(fan)]
+        right += [(k, 0, "y", -k, k / 3, None) for k in (1, 2, 3)]
+        left = [(k, 0, "xy"[i % 2], 100 + i, i / 9, None)
+                for i, k in enumerate([1, 7, 2, None, 7, 9, 3])]
+        args = (left, right, ("k1",), keys, EVERY_AGGREGATE, width)
+        rows, units, counters, fused = run_groupjoin(*args)
+        assert fused and ("HSJOIN", 2 * fan + 3, True) in counters
+        assert rows == reference_groupjoin(*args[:-1])
+        assert (rows, units, counters, False) == run_groupjoin(*args, fused=False)
+
+    @pytest.mark.parametrize("width", GROUPJOIN_WIDTHS)
+    @pytest.mark.parametrize("empty", ["build", "probe"])
+    def test_empty_side(self, empty, width):
+        rows = [(1, 0, "x", 4, 0.5, "ab")] * 3
+        left, right = ([], rows) if empty == "probe" else (rows, [])
+        for keys in [(), (("l", "k1"),), (("r", "k1"),)]:
+            args = (left, right, ("k1",), keys, EVERY_AGGREGATE, width)
+            got, units, counters, fused = run_groupjoin(*args)
+            assert fused
+            assert got == ([(0, 0, None, None, None, None, 0, None, None, None, None)]
+                           if not keys else [])
+            assert (got, units, counters, False) == run_groupjoin(*args, fused=False)
+
+
+def star_oracle(db: Database, sql: str) -> list[tuple]:
+    """``sql`` over an sqlite3 copy of ``build_star_db``'s two tables,
+    rows sorted."""
+    lite = sqlite3.connect(":memory:")
+    try:
+        for name in ("cust", "orders"):
+            table = db.catalog.table(name)
+            lite.execute(f"CREATE TABLE {name} ({', '.join(table.schema.names())})")
+            marks = ", ".join("?" * len(table.schema))
+            lite.executemany(f"INSERT INTO {name} VALUES ({marks})", table.rows)
+        return sorted(lite.execute(sql).fetchall())
+    finally:
+        lite.close()
+
+
+def assert_rows_match(got: list[tuple], want: list[tuple]) -> None:
+    """Same rows up to order; floats to 1e-9 (sqlite adds in its own order)."""
+    got = sorted(got)
+    assert [row[:-1] for row in got] == [row[:-1] for row in want]
+    assert [row[-1] for row in got] == [pytest.approx(row[-1], rel=1e-9) for row in want]
+
+
+class TestGroupjoinFallbacks:
+    """Where the join does not hand its matches straight to the GROUP BY,
+    the row path runs, and EXPLAIN ANALYZE / ``\\profile last`` say so
+    through the GROUP BY's ``groupjoin`` extra."""
+
+    def grpby_extras(self, result) -> list[dict]:
+        return [
+            r.profile.extras for a in result.report.attempts
+            for r in a.record.walk() if r.kind == "GRPBY"
+        ]
+
+    def test_in_memory_hash_join_is_fused(self):
+        db = build_star_db()
+        result = db.execute(GROUPJOIN_SQL, profile=True)
+        assert [e["groupjoin"] for e in self.grpby_extras(result)] == [True]
+        assert " groupjoin}" in explain_analyze(result.report)
+        assert_rows_match(result.rows, star_oracle(db, GROUPJOIN_SQL))
+
+    def test_spilled_hash_join(self):
+        """Under ``mem_squeeze``'s 16-page budget the build goes Grace."""
+        from repro.core.config import MemoryPolicy
+
+        db = build_star_db()
+        db.enable_memory_governor(policy=MemoryPolicy(
+            budget_pages=16, min_reservation_pages=1, min_grant_pages=1
+        ))
+        result = db.execute(GROUPJOIN_SQL, profile=True)
+        assert result.report.spilled
+        (hsjoin,) = [r for a in result.report.attempts
+                     for r in a.record.walk() if r.kind == "HSJOIN"]
+        assert hsjoin.profile.extras["spilled"]
+        assert [e["groupjoin"] for e in self.grpby_extras(result)] == [False]
+        assert "groupjoin" not in explain_analyze(result.report)
+        assert_rows_match(result.rows, star_oracle(db, GROUPJOIN_SQL))
+
+    def test_group_by_over_nljn(self):
+        from repro.optimizer.enumeration import OptimizerOptions
+
+        db = build_star_db()
+        result = db.execute(GROUPJOIN_SQL, profile=True, optimizer_options=OptimizerOptions(
+            enable_hash_join=False, enable_merge_join=False
+        ))
+        (attempt,) = result.report.attempts
+        assert [r.kind for r in attempt.record.walk()][1:3] == ["GRPBY", "NLJOIN"]
+        assert [e["groupjoin"] for e in self.grpby_extras(result)] == [False]
+        assert_rows_match(result.rows, star_oracle(db, GROUPJOIN_SQL))
+
+    @pytest.mark.parametrize("width", GROUPJOIN_WIDTHS)
+    def test_check_between_group_by_and_join(self, width):
+        left = [(k % 4, 0, "x", k, k / 3, None) for k in range(30)]
+        right = [(k % 3, k % 2, "y", -k, k / 7, None) for k in range(20)]
+        keys, aggregates = (("r", "k2"),), EVERY_AGGREGATE
+        cat, plan = groupjoin(left, right, ("k1",), keys, aggregates)
+        hsjoin = plan.children[0]
+        plan.children[0] = Check(hsjoin, ValidityRange(0.0, float("inf")), "ECWC")
+        number_plan(plan)
+        ctx = ExecutionContext(cat, batch_size=width)
+        got = run_plan(plan, ctx)
+        (grpby,) = [op for op in ctx.operators if isinstance(op, GroupByExec)]
+        assert not grpby.groupjoin
+        assert got == reference_groupjoin(left, right, ("k1",), keys, aggregates)
+
+
 # ------------------------------------------------------- index NLJN batches
 
 #: Skewed inner keys: key 0 is hot (its rid list can outgrow any request),
@@ -845,6 +1059,11 @@ JOIN_SORT_SQL = (
     "WHERE o.o_custkey = c.c_id ORDER BY o.o_total, c.c_segment"
 )
 
+GROUPJOIN_SQL = (
+    "SELECT c.c_segment, count(*) AS n, sum(o.o_total) AS t FROM cust c, orders o "
+    "WHERE o.o_custkey = c.c_id GROUP BY c.c_segment"
+)
+
 
 class TestBuffersFreedByRefcount:
     def alive(self, refs) -> list:
@@ -871,6 +1090,18 @@ class TestBuffersFreedByRefcount:
             db.execute(JOIN_SORT_SQL, cancel=CountdownToken(5))
         assert operator_refs and self.alive(operator_refs) == []
         assert excinfo.value.__traceback__ is not None  # still debuggable
+
+    def test_cancelled_mid_groupjoin(self, operator_refs):
+        """The token trips in the hash join's count of a batch whose
+        matches the GROUP BY folds: the unwind leaks no operator, and the
+        statement then runs to the same rows as without a token."""
+        db = build_star_db()
+        with pytest.raises(ExecutionCancelled) as excinfo:
+            db.execute(GROUPJOIN_SQL, cancel=CountdownToken(10))
+        frames = [f.name for f in traceback.extract_tb(excinfo.value.__traceback__)]
+        assert frames[-2:] == ["next_matches", "emit_count"]
+        assert operator_refs and self.alive(operator_refs) == []
+        assert db.execute(GROUPJOIN_SQL).rows == build_star_db().execute(GROUPJOIN_SQL).rows
 
 
 def test_holds_is_the_semantics_the_docstring_promises():

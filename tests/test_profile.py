@@ -30,6 +30,7 @@ from repro import PopConfig
 from repro.cli import Shell
 from repro.core import driver as driver_module
 from repro.core.flavors import ECB, ECDC
+from repro.executor import aggregate
 from repro.executor.meter import WorkMeter
 from repro.obs import (
     MetricsRegistry,
@@ -226,6 +227,37 @@ class TestExtrasAgreeWithRowCounts:
         assert record.profile.extras == {
             "flavor": "LCEM", "observed": event.observed, "evaluated": True,
         }
+
+
+class TestGroupjoinAttribution:
+    """A GROUP BY over an in-memory hash join folds the join's matches
+    (groupjoin); the profiler still books the probe and emit work to the
+    join, exactly as on the row path."""
+
+    SQL = (
+        "SELECT c.c_segment, count(*) AS n, sum(o.o_total) AS t "
+        "FROM cust c, orders o WHERE o.o_custkey = c.c_id GROUP BY c.c_segment"
+    )
+
+    def records(self, db):
+        (attempt,) = run_profiled(db, self.SQL).attempts
+        return attempt, profiled_records(attempt)
+
+    def test_self_units_and_rows_equal_the_row_path(self, star_db, monkeypatch):
+        attempt, fused = self.records(star_db)
+        monkeypatch.setattr(aggregate, "_folds_matches", lambda child: False)
+        _, row_path = self.records(star_db)
+        kinds = [r.kind for r in fused]
+        assert kinds[1:3] == ["GRPBY", "HSJOIN"]
+        assert fused[1].profile.extras["groupjoin"] is True
+        assert row_path[1].profile.extras["groupjoin"] is False
+        assert [(r.kind, r.profile.self_units, r.profile.calls, r.rows_out) for r in fused] == [
+            (r.kind, r.profile.self_units, r.profile.calls, r.rows_out) for r in row_path
+        ]
+        assert fused[2].rows_out == 12000
+        assert sum(r.profile.self_units for r in fused) == pytest.approx(
+            attempt.execution_units, rel=1e-9
+        )
 
 
 class TestObsOffFastPath:

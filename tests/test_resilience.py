@@ -169,6 +169,32 @@ class TestInjectorCountsBatchPulls:
             (s.kind, s.trigger_at) for s in reached
         )
 
+    def test_groupjoin_pulls_count_like_the_row_path(self, star_db, monkeypatch):
+        """A GROUP BY that folds a hash join's matches pulls them through
+        ``next_matches``; each call is one pull, so a schedule lands on the
+        operators where the row path's ``next_batch`` pulls put it."""
+        from repro.executor import aggregate
+
+        sql = (
+            "SELECT c.c_segment, count(*) AS n FROM cust c, orders o "
+            "WHERE o.o_custkey = c.c_id GROUP BY c.c_segment"
+        )
+        physical = star_db.execute_without_pop(sql).report.attempts[0].plan
+
+        def pulls() -> list:
+            plan = FaultPlan(specs=[
+                FaultSpec("stall", trigger_at=k, payload=1.0) for k in range(1, 100)
+            ])
+            injector = FaultInjector(plan)
+            ctx = ExecutionContext(star_db.catalog, fault_injector=injector)
+            run_plan(physical, ctx)
+            return [(f.at_call, f.op_kind) for f in injector.fired]
+
+        fused = pulls()
+        assert ("HSJOIN" in {kind for _, kind in fused}) and len(fused) < 99
+        monkeypatch.setattr(aggregate, "_folds_matches", lambda child: False)
+        assert pulls() == fused
+
 
 class TestExecutionGuard:
     def test_backoff_schedule_is_capped_exponential(self):
