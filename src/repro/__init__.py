@@ -14,8 +14,8 @@ Public API highlights:
 * :class:`PopConfig` — checkpoint flavors, re-optimization limits, reuse
   policy.
 * :class:`Query` and the expression classes — programmatic query building.
-* :class:`ResiliencePolicy` and :class:`FaultPlan` — execution guard knobs
-  and seeded fault injection (see :mod:`repro.resilience`).
+* :class:`ResiliencePolicy` and :class:`FaultPlan` — the statement wall
+  deadline and seeded fault injection (see :mod:`repro.resilience`).
 * :func:`explain_analyze` and :class:`OpRecord` — each attempt's
   per-operator record (``report.attempts[i].record``) and its rendering.
 """

@@ -128,14 +128,13 @@ CONFINEMENTS = (
         "profile-exclusive-time",
         # The observability package that defines the clock, the POP driver
         # (per-attempt wall time), the memory governor (admission-queue
-        # wait), the execution guard (statement deadlines), the execution
-        # context (deadline probes in ``check_interrupt``), and the server
+        # wait), the execution context (deadline probes in
+        # ``check_interrupt``), and the server
         # runtime (statement timeouts, idle reaping, drain budgets).
         allowed=(
             "obs/",
             "core/driver.py",
             "governor/__init__.py",
-            "resilience/guard.py",
             "executor/base.py",
             "server/",
         ),

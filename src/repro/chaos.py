@@ -3,16 +3,17 @@
 Ten ``(seed) -> ScenarioOutcome`` runners, each checked against clean
 oracles and audited for leaks (:mod:`repro.common.chaosutil`):
 
-* ``faults``, ``stampede``, ``memory`` — seeded fault injection under the
-  execution guard, a cold plan-cache stampede, concurrent spilling under
-  an undersized governor budget (:mod:`repro.resilience.chaos`);
+* ``faults``, ``stampede``, ``memory`` — seeded ``stats`` and governed
+  ``mem_shrink`` fault injection, a cold plan-cache stampede, concurrent
+  spilling under an undersized governor budget
+  (:mod:`repro.resilience.chaos`);
 * ``disconnect``, ``slowloris``, ``malformed``, ``overload``,
   ``killspill`` — connection chaos against a live server
   (:mod:`repro.server.chaos`);
 * ``crash``, ``snapshot`` — kill-crash recovery and snapshot isolation
   (:mod:`repro.txn.chaos`).
 
-Exit status is 1 if any run fails (CI's five chaos steps are all this
+Exit status is 1 if any run fails (CI's six chaos steps are all this
 command)::
 
     python -m repro.chaos --scenario faults stampede memory --seeds 1 2 --quiet

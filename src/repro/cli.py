@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional, TextIO
 
 from repro import NO_POP, Database, PopConfig
 from repro.common.errors import ReproError, failure_class
-from repro.core.config import ResiliencePolicy
 from repro.core.flavors import ALL_FLAVORS
 from repro.obs import MetricsRegistry, Tracer, render_progress
 
@@ -68,10 +67,13 @@ meta commands:
                             when omitted); \\serve status shows live
                             sessions, \\serve stop drains and stops
   \\kill SESSION_ID          cancel a served session's in-flight statement
-  \\chaos SEED|off           run statements under seeded fault injection
-                            (retry/backoff and safe-plan fallback engaged)
+  \\chaos SEED|off           run statements under seeded fault injection:
+                            stats faults (the statement plans with
+                            corrupted statistics) and, under \\memory on,
+                            mid-query reservation shrinks
   \\chaos mem [SEED]         memory-pressure mode: inject only mid-query
-                            grant shrinks (operators degrade by spilling)
+                            reservation shrinks (operators degrade by
+                            spilling); needs \\memory on
   \\trace on|off [FILE]      record a JSONL execution trace (spans/events
                             for optimize, checkpoint placement, execution,
                             re-optimization; default file repro_trace.jsonl;
@@ -107,8 +109,8 @@ class Shell:
         self.timing = True
         self.running = True
         #: ``\chaos SEED`` runs every statement under seeded fault
-        #: injection with the execution guard engaged; per-statement seeds
-        #: derive from this plus a statement counter.
+        #: injection; per-statement seeds derive from this plus a
+        #: statement counter.
         self.chaos_seed: Optional[int] = None
         self._chaos_statements = 0
         #: ``\chaos mem`` narrows injection to memory-pressure faults only.
@@ -465,6 +467,12 @@ class Shell:
             self.write("chaos off")
             return
         if args[0] == "mem":
+            if self.db.memory_governor is None:
+                self.write(
+                    "chaos mem needs the memory governor: run \\memory on "
+                    "first (a shrink renegotiates a governed reservation)"
+                )
+                return
             try:
                 self.chaos_seed = int(args[1]) if len(args) > 1 else 1
             except ValueError:
@@ -474,7 +482,7 @@ class Shell:
             self._chaos_statements = 0
             self.write(
                 f"chaos on (memory pressure, seed {self.chaos_seed}) — "
-                "grants will be squeezed mid-query; sorts/joins/temps spill"
+                "reservations will shrink mid-query; sorts/joins/temps spill"
             )
             return
         try:
@@ -687,20 +695,15 @@ class Shell:
 
     @staticmethod
     def _format_error(exc: ReproError) -> str:
-        """One-line classified error, e.g. ``error[transient]: ...``."""
+        """One-line classified error, e.g. ``error[timeout]: ...``."""
         return f"error[{failure_class(exc)}]: {exc}"
 
     def _config(self) -> PopConfig:
-        resilience = (
-            ResiliencePolicy() if self.chaos_seed is not None else None
-        )
         if not self.pop_enabled:
-            if resilience is not None:
-                return PopConfig(enabled=False, resilience=resilience)
             return NO_POP
         if self.flavors is not None:
-            return PopConfig(flavors=self.flavors, resilience=resilience)
-        return PopConfig(resilience=resilience)
+            return PopConfig(flavors=self.flavors)
+        return PopConfig()
 
     def _faults(self):
         """The next statement's fault plan when ``\\chaos`` is on."""
@@ -785,10 +788,6 @@ class Shell:
                 notes.append(f"{report.reoptimizations} re-optimization(s)")
             if report.faults_injected:
                 notes.append(f"{report.faults_injected} fault(s)")
-            if report.retries:
-                notes.append(f"{report.retries} retry(ies)")
-            if report.fallback_used:
-                notes.append("safe-plan fallback")
             if report.spilled:
                 notes.append(
                     f"spilled {report.spill_pages:.0f} page(s) in "

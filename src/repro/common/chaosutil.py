@@ -165,17 +165,17 @@ class Baseline:
         self.spill = spill_dirs()
         self.threads = threading.active_count()
 
-    def audit(self, problems: list, db=None) -> None:
+    def audit(self, problems: list, *dbs) -> None:
         """The teardown audit every scenario ends with.
 
-        Threads back to the baseline; ``db``'s governor (if given) drained
+        Threads back to the baseline; each of ``dbs``' governors drained
         and never over budget, then switched off; no spill dir leaked; and,
         with ``REPRO_LOCK_WITNESS=1``, every lock edge observed at runtime
         present in the static lock graph (one that is not is a static
         analysis false negative) with nothing waiting while holding a lock.
         """
         self._audit_threads(problems)
-        if db is not None:
+        for db in dbs:
             snap = db.memory_governor.snapshot()
             if snap["used_pages"] != 0 or snap["reservations"]:
                 problems.append(

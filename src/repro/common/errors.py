@@ -48,45 +48,12 @@ class ExecutionError(ReproError):
     """A runtime failure inside the executor."""
 
 
-class TransientError(ExecutionError):
-    """A failure that may not recur on retry (lost page read, injected
-    chaos fault, flaky resource).  The execution guard retries these with
-    capped exponential backoff before falling back to a safe plan."""
-
-
-class ResourceExhausted(TransientError):
-    """A runtime resource (memory grant, buffer) shrank below the minimum
-    the operator can make progress with.  Transient: a retry re-plans and
-    may avoid the starved operator entirely.
-
-    Carries the structured facts of the starved request — which grant
-    *category* (sort/hash/temp), how many pages were *requested*, and what
-    the *effective grant* came out to — so memory failures are diagnosable
-    from trace/metrics output alone, without a debugger.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        category: str | None = None,
-        requested_pages: float | None = None,
-        granted_pages: float | None = None,
-    ):
-        super().__init__(message)
-        self.category = category
-        self.requested_pages = requested_pages
-        self.granted_pages = granted_pages
-
-
 class AdmissionRejected(ReproError):
     """The memory governor shed this statement instead of admitting it.
 
     Raised before any execution work happens: the shared page budget is
     saturated and the admission queue is full (or the queue wait timed
-    out).  Deliberately *not* a :class:`TransientError` — the execution
-    guard must not burn its retry budget on a statement the governor has
-    already decided to shed; the caller (application) owns the retry
-    decision."""
+    out).  The caller (application) owns the decision to resubmit."""
 
     def __init__(
         self,
@@ -102,9 +69,8 @@ class AdmissionRejected(ReproError):
 
 
 class ExecutionTimeout(ExecutionError):
-    """The statement exceeded its work-unit or wall-clock deadline.  Not
-    retried — the same plan would time out again; the guard goes straight
-    to the safe-plan fallback (or raises, when fallback is disabled)."""
+    """The statement exceeded its wall-clock deadline
+    (``ResiliencePolicy.deadline_seconds``)."""
 
 
 class ExecutionCancelled(ExecutionError):
@@ -113,8 +79,8 @@ class ExecutionCancelled(ExecutionError):
     Raised from the operator interrupt checks when the statement's
     :class:`~repro.common.cancel.CancelToken` trips — a client
     disconnect, a ``\\kill`` from another session, or server drain.
-    Never retried and never diverted to the safe plan: the caller asked
-    for the statement to stop, so stopping *is* the correct outcome."""
+    The caller asked for the statement to stop, so stopping *is* the
+    correct outcome."""
 
 
 class TransactionError(ReproError):
@@ -122,15 +88,14 @@ class TransactionError(ReproError):
     into a finished transaction, nested ``begin`` on one thread)."""
 
 
-class TransactionConflict(TransientError):
+class TransactionConflict(ReproError):
     """First-committer-wins validation failed at commit.
 
     Another transaction committed to one of this transaction's write-set
     tables after this transaction began.  Retryable by construction: the
-    caller re-runs the transaction against the new snapshot (a
-    :class:`TransientError` so :func:`is_retryable` holds), but it gets
-    its own ``conflict`` failure class so clients and the CLI can
-    distinguish "re-run your transaction" from an engine hiccup.
+    caller re-runs the transaction against the new snapshot.  Its own
+    ``conflict`` failure class lets clients and the CLI tell "re-run your
+    transaction" from an engine failure.
     """
 
     def __init__(
@@ -156,9 +121,8 @@ class ServerOverloaded(ReproError):
     """The server shed this request instead of queueing it.
 
     Raised before any execution work happens: the session registry or the
-    bounded statement queue is full.  Like
-    :class:`AdmissionRejected`, deliberately not a
-    :class:`TransientError` — the client owns the retry decision."""
+    bounded statement queue is full.  Like :class:`AdmissionRejected`, the
+    client owns the retry decision."""
 
     def __init__(
         self,
@@ -183,8 +147,6 @@ class UnboundParameterError(ExecutionError):
 
 
 #: Failure classes returned by :func:`failure_class`.
-TRANSIENT = "transient"
-RESOURCE = "resource"
 TIMEOUT = "timeout"
 ADMISSION = "admission"
 CANCELLED = "cancelled"
@@ -194,30 +156,25 @@ USER = "user"
 FATAL = "fatal"
 
 #: Errors caused by the statement itself (bad SQL, unknown objects,
-#: malformed wire frames) rather than by the runtime; retrying or
+#: malformed wire frames) rather than by the runtime; re-running or
 #: re-planning cannot help.
 _USER_ERRORS = (ParseError, BindError, SchemaError, CatalogError, ProtocolError)
 
 
 def failure_class(exc: BaseException) -> str:
-    """Classify an exception for the execution guard, the server, and the CLI.
+    """Classify an exception for the server, the CLI and the metrics.
 
-    ``transient`` / ``resource`` / ``conflict`` failures are retryable
-    (``conflict`` means first-committer-wins validation failed — re-run
-    the transaction against the fresh snapshot), ``timeout`` goes
-    straight to the safe-plan fallback, ``admission`` means the memory
+    ``conflict`` means first-committer-wins validation failed (re-run the
+    transaction against the fresh snapshot), ``timeout`` that the
+    statement out-ran its wall deadline, ``admission`` that the memory
     governor shed the statement before it ran (the caller decides whether
-    to resubmit), ``cancelled`` means the caller asked the statement to
-    stop, ``overloaded`` means the server shed the request before
-    admission, ``user`` means the statement is at fault, and ``fatal`` is
+    to resubmit), ``cancelled`` that the caller asked the statement to
+    stop, ``overloaded`` that the server shed the request before
+    admission, ``user`` that the statement is at fault, and ``fatal`` is
     everything else (a genuine engine failure).
     """
     if isinstance(exc, TransactionConflict):
         return CONFLICT
-    if isinstance(exc, ResourceExhausted):
-        return RESOURCE
-    if isinstance(exc, TransientError):
-        return TRANSIENT
     if isinstance(exc, ExecutionTimeout):
         return TIMEOUT
     if isinstance(exc, ExecutionCancelled):
@@ -230,7 +187,3 @@ def failure_class(exc: BaseException) -> str:
         return USER
     return FATAL
 
-
-def is_retryable(exc: BaseException) -> bool:
-    """Whether the guard may retry the attempt after this failure."""
-    return isinstance(exc, TransientError)

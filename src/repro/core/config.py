@@ -54,33 +54,29 @@ def _default_strict_analysis() -> bool:
 
 @dataclass
 class ResiliencePolicy:
-    """Knobs of the execution guard (:mod:`repro.resilience`).
+    """The statement's wall-clock deadline (``PopConfig.resilience``).
 
-    Attached to :class:`PopConfig` (``resilience=...``), the guard wraps
-    every execution attempt: transient failures are retried a fixed number
-    of times with capped exponential backoff (charged to the work meter,
-    so retries are visible in the same cost currency as everything else;
-    see :mod:`repro.resilience.guard`), and once retries are exhausted or
-    a deadline blows, the statement completes on a conservative
-    POP-disabled safe plan that cannot signal re-optimization.
+    Set once per statement, when its first attempt starts executing (after
+    admission), and shared by every re-optimized round; exceeding it
+    raises :class:`~repro.common.errors.ExecutionTimeout`.  The server
+    runs every statement under one.
     """
 
-    #: Per-attempt work-unit deadline; ``None`` disables the deadline.
-    #: Exceeding it raises :class:`~repro.common.errors.ExecutionTimeout`,
-    #: which goes straight to the safe-plan fallback (no retry).
-    deadline_units: Optional[float] = None
     #: Per-*statement* wall-clock deadline in seconds; ``None`` disables
-    #: it.  Complements ``deadline_units``: the work-unit clock cannot see
-    #: real time lost to a stalled operator (a blocked socket, a slow
-    #: disk), so the wall deadline is the server's tail-latency backstop.
-    #: Statement-scoped — retries do not extend it — and, like the
-    #: work-unit deadline, never applied to the safe-plan fallback (which
-    #: must be guaranteed to complete).  Exceeding it raises
-    #: :class:`~repro.common.errors.ExecutionTimeout`.
+    #: it.  The work-unit clock cannot see real time lost to a stalled
+    #: operator (a blocked socket, a slow disk), so the wall deadline is
+    #: the server's tail-latency backstop.
     deadline_seconds: Optional[float] = None
-    #: When retries are exhausted or a deadline blows, fall back to the
-    #: safe plan instead of raising.  Disable to surface the failure.
-    fallback_enabled: bool = True
+    #: Only ``False`` is accepted: the safe-plan fallback was removed, so
+    #: an over-deadline statement always raises.
+    fallback_enabled: bool = False
+
+    def __post_init__(self) -> None:
+        if self.fallback_enabled:
+            raise ValueError(
+                "fallback_enabled must be False: the safe-plan fallback was "
+                "removed, a failed attempt raises its classified error"
+            )
 
 
 @dataclass
@@ -88,15 +84,11 @@ class MemoryPolicy:
     """Memory-governor policy (:mod:`repro.governor`).
 
     Activated by :meth:`repro.core.database.Database.enable_memory_governor`.
-    When absent (the default) the engine keeps its legacy behavior: every
-    operator gets its full modeled grant and a squeeze below the minimum
-    raises :class:`~repro.common.errors.ResourceExhausted`.
-
-    With a policy in place the degradation ladder replaces the hard
-    failure: operators whose footprint exceeds their grant *spill* to
-    disk (external-merge sort, Grace-partitioned hash join, file-backed
-    TEMP) before the guard ever considers robust flavors or the safe
-    plan.
+    When absent (the default) every operator gets its full modeled grant.
+    With a policy in place each statement's grants are capped at its
+    reservation, and operators whose footprint exceeds their grant
+    *spill* to disk (external-merge sort, Grace-partitioned hash join,
+    file-backed TEMP).
     """
 
     #: Shared page budget owned by the governor; all concurrently running
@@ -189,10 +181,8 @@ class PopConfig:
     #: statement on error-severity findings.  Defaults from the
     #: ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
     strict_analysis: bool = field(default_factory=_default_strict_analysis)
-    #: Execution-guard policy (:mod:`repro.resilience`): retry/backoff for
-    #: transient failures, work-unit and wall deadlines, safe-plan
-    #: fallback.  ``None`` disables the guard entirely (the default — no
-    #: behavior change and zero overhead).
+    #: The statement's wall-clock deadline; ``None`` (the default) runs
+    #: without one.
     resilience: Optional[ResiliencePolicy] = None
     #: Rows per executor batch (>= 1; docs/vectorized.md).  Rows, CHECK
     #: decisions, re-opt counts, and meter totals do not depend on it —

@@ -133,8 +133,9 @@ class Database:
         once its first plan is chosen, with a reservation sized from that
         plan's estimated memory (queuing, then shedding with
         :class:`~repro.common.errors.AdmissionRejected` when saturated),
-        and memory-consuming operators degrade by spilling instead of
-        raising ``ResourceExhausted`` when their grants are squeezed.
+        every grant is capped at the statement's reservation, and
+        memory-consuming operators degrade by spilling when their grants
+        are squeezed.
 
         ``metrics`` / ``tracer`` attach ``governor.*`` observability to
         admission decisions and renegotiations.
@@ -354,7 +355,7 @@ class Database:
         tracing and metric collection to this statement; both default to
         off, which costs nothing.  ``faults`` (a
         :class:`repro.resilience.FaultPlan`) runs the statement under
-        fault injection with the execution guard engaged.  ``profile=True``
+        fault injection.  ``profile=True``
         attaches the live per-operator profiler (results land on the
         report's attempts).  Progress is read off the returned report
         (:func:`repro.obs.progress_history`).
@@ -373,9 +374,9 @@ class Database:
         :class:`repro.txn.Snapshot` (the server passes the session
         transaction's).  When omitted and transactions are enabled, the
         statement reads at the calling thread's open transaction's
-        snapshot, or a fresh per-statement pin — either way every retry,
-        spill, and re-optimization round of the statement sees one
-        immutable row-set.
+        snapshot, or a fresh per-statement pin — either way every spill and
+        re-optimization round of the statement sees one immutable
+        row-set.
 
         ``optimizer_options`` are this statement's optimizer switches (e.g.
         hash joins off for Fig. 12; the defaults when omitted).  A statement

@@ -11,16 +11,17 @@ Rows already pipelined to the application before an ECDC check fired are
 compensated with an anti-join on the next attempt, so the application never
 observes duplicates (paper §3.3).
 
-Every attempt — first plan, cache hit, re-optimized round, guard retry,
-safe-plan fallback — goes through the same four phases, ``_plan`` →
-``_execute`` → ``_finish`` → ``_settle``, over one
-:class:`StatementContext`, which ``Database.execute`` builds.  That context
-owns everything scoped to the statement (meter, feedback, compensation set,
-guard, temp-MV registry, the statement's own ``OptimizerOptions`` and
-statistics overrides, its observers).  The rule it enforces: nothing
-reachable from two statements — the catalog and its statistics — is
-written while a statement runs; what statements do share (plan cache,
-learned feedback, metrics) is shared on purpose and guards itself.
+Every attempt — first plan, cache hit, re-optimized round — goes through
+the same four phases, ``_plan`` → ``_execute`` → ``_finish`` →
+``_settle``, over one :class:`StatementContext`, which ``Database.execute``
+builds.  An attempt that fails raises its classified error; nothing
+retries it.  That context owns everything scoped to the statement (meter,
+feedback, compensation set, wall deadline, temp-MV registry, the
+statement's own ``OptimizerOptions`` and statistics overrides, its
+observers).  The rule it enforces: nothing reachable from two statements
+— the catalog and its statistics — is written while a statement runs;
+what statements do share (plan cache, learned feedback, metrics) is
+shared on purpose and guards itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Optional
 
 from repro.analysis.plan_lint import LintContext, assert_plan_clean
-from repro.common.errors import ExecutionError, ReproError, failure_class
+from repro.common.errors import TIMEOUT, ExecutionError, ReproError, failure_class
 from repro.core.config import NO_POP, PopConfig
 from repro.core.feedback import CardinalityFeedback
 from repro.core.intermediates import harvest_execution_state
@@ -58,7 +59,7 @@ from repro.plan.physical import (
     find_ops,
     number_plan,
 )
-from repro.resilience import RAISE, ExecutionGuard, FaultInjector, FaultPlan
+from repro.resilience import FaultInjector, FaultPlan
 from repro.storage.catalog import TempMVRegistry
 
 
@@ -86,11 +87,6 @@ class AttemptReport:
     #: estimated vs actual rows, EOF, q-error and spill share always, the
     #: profiler's measurements when it was armed (set by ``_finish``).
     record: Optional[OpRecord] = None
-    #: Set when this attempt ended in a classified failure (guard path).
-    failure: Optional[str] = None
-    failure_class: Optional[str] = None
-    #: True for the conservative safe plan run after the guard gave up.
-    fallback: bool = False
     #: True when this attempt re-executed a cached plan (optimizer skipped).
     cache_hit: bool = False
     #: Fingerprint of the reused cached plan.
@@ -139,11 +135,7 @@ class PopReport:
     total_units: float
     wall_seconds: float
     pop_enabled: bool
-    #: Resilience accounting (zeros when no guard/faults were configured).
-    retries: int = 0
-    backoff_units: float = 0.0
-    fallback_used: bool = False
-    fallback_reason: Optional[str] = None
+    #: Faults the statement's injector fired (0 without ``faults``).
     faults_injected: int = 0
 
     @property
@@ -211,13 +203,10 @@ class PopReport:
                     f" -> reopt at CHECK[{a.signal_flavor}] op={a.signal_op_id} "
                     f"observed={a.signal_observed:.0f}"
                 )
-            elif a.failure is not None:
-                tag = f" -> failed[{a.failure_class}]"
             else:
                 tag = " -> completed"
-            label = "fallback" if a.fallback else f"attempt {i}"
             lines.append(
-                f"  {label}: {a.join_order} "
+                f"  attempt {i}: {a.join_order} "
                 f"(exec {a.execution_units:.1f}u, opt {a.optimization_units:.1f}u)"
                 + tag
             )
@@ -234,13 +223,6 @@ class PopReport:
                 f"  profile: {len(records)} operator(s), "
                 f"{self_units:.1f}u self time attributed"
             )
-        if self.retries or self.fallback_used:
-            detail = f"  resilience: {self.retries} retry(ies)"
-            if self.backoff_units:
-                detail += f", {self.backoff_units:.1f}u backoff"
-            if self.fallback_used:
-                detail += f", safe-plan fallback ({self.fallback_reason})"
-            lines.append(detail)
         return "\n".join(lines)
 
 
@@ -266,8 +248,7 @@ class StatementContext:
     #: May be pre-seeded (cross-query learning, §7); everything observed
     #: during the statement is added to it.
     feedback: CardinalityFeedback = field(default_factory=CardinalityFeedback)
-    #: Becomes ``injector`` and, like ``config.resilience``, puts every
-    #: attempt under the ``guard``.
+    #: Becomes ``injector``.
     faults: InitVar[Optional[FaultPlan]] = None
     #: Engaged only together with ``statement``, the parameterized form
     #: whose bound query is ``query``.
@@ -285,7 +266,10 @@ class StatementContext:
     #: Sized from attempt 0's plan; every later attempt keeps it.
     reservation: Any = field(init=False, default=None)
     injector: Optional[FaultInjector] = field(init=False, default=None)
-    guard: Optional[ExecutionGuard] = field(init=False, default=None)
+    #: Absolute wall-clock deadline (``config.resilience``), set once by
+    #: the first attempt's execution context, after admission; every
+    #: re-optimized round shares it.
+    wall_deadline: Optional[float] = field(init=False, default=None)
     #: Bind-value peeking: cached-path statements are optimized at their
     #: actual parameter values, so plans and validity ranges are tailored
     #: to them (and the admission test has teeth).
@@ -303,11 +287,9 @@ class StatementContext:
     compensation: Counter = field(init=False, default_factory=Counter)
     delivered: list = field(init=False, default_factory=list)
     attempts: list = field(init=False, default_factory=list)
-    #: ``attempt`` indexes reports; ``reopt_round`` consumes the
-    #: re-optimization budget.  Guard retries advance only the former, so
-    #: a transient crash never eats a CHECK's re-planning round.
+    #: Indexes reports; every attempt after the first is a re-optimized
+    #: round, so it also counts the re-optimization budget spent.
     attempt: int = field(init=False, default=0)
-    reopt_round: int = field(init=False, default=0)
 
     def __post_init__(self, faults: Optional[FaultPlan]) -> None:
         if self.meter is None:
@@ -317,20 +299,6 @@ class StatementContext:
         )
         if faults is not None:
             self.injector = FaultInjector(faults)
-        if self.config.resilience is not None or faults is not None:
-            self.guard = ExecutionGuard(
-                self.config.resilience,
-                meter=self.meter,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                injector=self.injector,
-            )
-
-    @property
-    def fallback(self) -> bool:
-        """True once the guard asked for the safe plan: every attempt from
-        then on runs it."""
-        return self.guard is not None and self.guard.fallback_reason is not None
 
     @property
     def caching(self) -> bool:
@@ -339,12 +307,11 @@ class StatementContext:
     @property
     def can_reopt(self) -> bool:
         """Whether a CHECK firing in the current attempt may re-optimize;
-        the last permitted round and the safe plan run without CHECKs, so
-        termination is guaranteed (paper §7)."""
+        the last permitted round runs without CHECKs, so termination is
+        guaranteed (paper §7)."""
         return (
-            not self.fallback
-            and self.config.enabled
-            and self.reopt_round < self.config.max_reoptimizations
+            self.config.enabled
+            and self.attempt < self.config.max_reoptimizations
         )
 
 
@@ -424,7 +391,6 @@ class PopDriver:
                 pop=sc.config.enabled,
                 tables=len(sc.query.tables),
                 reopt_limit=sc.config.max_reoptimizations,
-                guarded=sc.guard is not None,
             )
         if metrics is not None:
             metrics.inc("pop.statements")
@@ -438,7 +404,7 @@ class PopDriver:
             )
 
     def _close_statement(self, sc: StatementContext, wall: float) -> PopReport:
-        meter, guard, attempts = sc.meter, sc.guard, sc.attempts
+        meter, attempts = sc.meter, sc.attempts
         report = PopReport(
             attempts=attempts,
             total_units=meter.snapshot(),
@@ -448,11 +414,6 @@ class PopDriver:
                 len(sc.injector.fired) if sc.injector is not None else 0
             ),
         )
-        if guard is not None:
-            report.retries = guard.retries
-            report.backoff_units = guard.backoff_units_charged
-            report.fallback_used = guard.fallback_reason is not None
-            report.fallback_reason = guard.fallback_reason
         if sc.metrics is not None:
             sc.metrics.inc("pop.attempts", len(attempts))
             for category, units in meter.by_category().items():
@@ -464,17 +425,12 @@ class PopDriver:
                 reoptimizations=report.reoptimizations,
                 total_units=report.total_units,
                 rows=len(sc.delivered),
-                retries=report.retries,
-                fallback=report.fallback_used,
             )
         return report
 
     def _run_attempts(self, sc: StatementContext) -> None:
-        """Figure 3's loop: one attempt after another until one completes.
-
-        A CHECK firing, a guard retry and the safe-plan fallback all come
-        back through here; they differ only in what ``_plan`` produces.
-        """
+        """Figure 3's loop: one attempt after another until one completes;
+        a CHECK firing comes back through here."""
         while True:
             planned = self._plan(sc)
             if sc.governor is not None and sc.reservation is None:
@@ -499,14 +455,12 @@ class PopDriver:
     # ------------------------------------------------------------ phase: plan
 
     def _plan(self, sc: StatementContext) -> PlannedAttempt:
-        """Choose this attempt's plan: the safe plan when the guard asked
-        for it, else a cached plan on a first-round hit, else a freshly
-        optimized one with CHECKs placed."""
+        """Choose this attempt's plan: a cached plan on a first-round hit,
+        else a freshly optimized one with CHECKs placed."""
         span = None
         if sc.tracer is not None:
-            attrs = {"fallback": True} if sc.fallback else {}
             span = sc.tracer.start_span(
-                "pop.attempt", parent=sc.span, attempt=sc.attempt, **attrs
+                "pop.attempt", parent=sc.span, attempt=sc.attempt
             )
         units_before = sc.meter.snapshot()
         cached = None
@@ -515,9 +469,7 @@ class PopDriver:
             # runtime knowledge invalidated the plan in hand, which a
             # cached plan cannot survive either.
             cached = self._cache_lookup(sc, span)
-        if sc.fallback:
-            plan, checkpoints = self._plan_safe(sc), 0
-        elif cached is not None:
+        if cached is not None:
             plan, checkpoints = cached.entry.plan, cached.entry.checkpoints
         else:
             plan, checkpoints = self._optimize_and_place(sc, span)
@@ -553,33 +505,6 @@ class PopDriver:
             span=span,
         )
         return placement.plan, placement.count
-
-    def _plan_safe(self, sc: StatementContext) -> PlanOp:
-        """The conservative safe plan (guaranteed to complete).
-
-        No CHECKs are placed, so nothing can signal; the optimizer is
-        restricted to robust join flavors (hash and sort-merge — no nested
-        loops whose worst case is quadratic) and ignores both the feedback
-        and the temp MVs of the thrashing attempts, but plans with the
-        statement's statistics overrides like every attempt.  The
-        restriction is a copy of the statement's options.
-        No tracer or metrics are passed: the fallback's optimizer call is
-        not part of the ``optimizer.*`` spans and counters.
-        """
-        safe_options = replace(
-            sc.options,
-            enable_index_nljn=False,
-            enable_rescan_nljn=False,
-            enable_hash_join=True,
-            enable_merge_join=True,
-            mv_cost_zero=False,
-        )
-        _opt, placement = optimize_and_place(
-            self.optimizer, sc.query, NO_POP,
-            options=safe_options, stats_overrides=sc.stats_overrides,
-            meter=sc.meter,
-        )
-        return placement.plan
 
     def _cache_lookup(self, sc: StatementContext, span):
         """Probe the plan cache; returns the hit LookupResult or None.
@@ -637,17 +562,15 @@ class PopDriver:
         Raises :class:`repro.analysis.PlanLintError` on error-severity
         findings; warn/info findings flow to tracing.  Re-optimized plans
         (attempt > 0) are additionally checked for consistency with the
-        exact feedback harvested so far — except the safe plan, which was
-        optimized without it.
+        exact feedback harvested so far.
         """
         attempt = sc.attempt
-        reoptimized = attempt > 0 and not sc.fallback
         context = LintContext(
             catalog=self.optimizer.catalog,
             temp_mvs=sc.temp_mvs,
             cost_model=self.optimizer.cost_model,
             config=sc.config,
-            feedback=sc.feedback if reoptimized else None,
+            feedback=sc.feedback if attempt > 0 else None,
         )
         findings = assert_plan_clean(
             planned.plan, context, where=f"attempt {attempt} plan"
@@ -687,16 +610,11 @@ class PopDriver:
             reservation.renegotiations if reservation is not None else 0
         )
         if tracer is not None:
-            attrs = (
-                {"fallback": True}
-                if sc.fallback
-                else {"cached": cached is not None}
-            )
             ctx.exec_span_id = tracer.start_span(
                 "pop.execute",
                 parent=planned.span,
                 checkpoints=planned.checkpoints,
-                **attrs,
+                cached=cached is not None,
             )
         report = AttemptReport(
             plan=plan,
@@ -704,7 +622,6 @@ class PopDriver:
             optimization_units=planned.optimization_units,
             units_at_start=meter.snapshot(),
             execution_units=0.0,
-            fallback=sc.fallback,
             cache_hit=cached is not None,
             cache_fingerprint=(
                 cached.entry.fingerprint if cached is not None else None
@@ -727,13 +644,14 @@ class PopDriver:
     def _execution_context(self, sc: StatementContext) -> ExecutionContext:
         """The attempt's executor context, wired to the statement's state.
 
-        The safe plan runs without deadlines — it must be guaranteed to
-        complete, so the guard hands out none once it asked for it (and has
-        disarmed the injector) — but the ``cancel`` token still applies: a
-        disconnected client has no use for a safe plan's rows, so
-        cancellation beats completion.
+        The first attempt's context starts the statement's wall deadline:
+        admission is behind it, and no later round resets it.
         """
-        config, meter, guard = sc.config, sc.meter, sc.guard
+        config, meter = sc.config, sc.meter
+        if sc.attempt == 0 and config.resilience is not None:
+            seconds = config.resilience.deadline_seconds
+            if seconds is not None:
+                sc.wall_deadline = wall_clock() + seconds
         ctx = ExecutionContext(
             self.optimizer.catalog,
             params=sc.params,
@@ -746,17 +664,8 @@ class PopDriver:
             tracer=sc.tracer,
             metrics=sc.metrics,
             fault_injector=sc.injector,
-            work_deadline=(
-                guard.deadline_for_attempt(meter) if guard is not None else None
-            ),
             cancel=sc.cancel,
-            # Statement-scoped wall deadline: set once on the first
-            # attempt, shared by every retry/re-optimization round.
-            wall_deadline=(
-                guard.wall_deadline_for_statement()
-                if guard is not None
-                else None
-            ),
+            wall_deadline=sc.wall_deadline,
             memory=sc.governor.policy if sc.governor is not None else None,
             reservation=sc.reservation,
             # One collector per attempt so re-optimized rounds stay
@@ -774,7 +683,7 @@ class PopDriver:
 
     def _finish(self, sc: StatementContext, run: AttemptRun) -> None:
         """Complete the attempt's report — the same accounting whether it
-        completed, signalled re-optimization, failed, or was the fallback.
+        completed, signalled re-optimization or failed.
 
         Spill statistics survive the spill manager's cleanup (files are
         already deleted by ``run_plan``'s ``finally`` when this runs), so
@@ -792,9 +701,6 @@ class PopDriver:
             report.signal_observed = float(signal.observed)
             report.signal_complete = signal.complete
             report.signal_reason = "cardinality"
-        elif run.error is not None:
-            report.failure = str(run.error)
-            report.failure_class = failure_class(run.error)
         summary = ctx.spill_summary()
         if summary is not None and summary["files"]:
             report.spilled = True
@@ -818,55 +724,49 @@ class PopDriver:
     ) -> bool:
         """Act on how the attempt ended; True when the statement is done.
 
-        Routes the attempt's rows, harvests what it learned, settles the
-        plan cache, and lets the guard decide what an interrupted attempt
-        is followed by: another round, the safe plan, or the error itself.
+        Routes the attempt's rows, harvests what it learned and settles the
+        plan cache; a failed attempt raises its error, a re-optimization
+        signal is followed by another round.
         """
-        guard, config = sc.guard, sc.config
+        if run.error is not None:
+            if sc.metrics is not None and failure_class(run.error) == TIMEOUT:
+                sc.metrics.inc("resilience.timeouts")
+            self._observe_attempt(sc, planned, run)
+            raise run.error
         if run.signal is not None:
             self._announce_reoptimization(sc, planned, run)
-        elif run.error is not None:
-            decision = guard.on_failure(run.error) if guard is not None else RAISE
-            if decision == RAISE:
-                self._observe_attempt(sc, planned, run)
-                raise run.error
         self._route_rows(sc, run)
-        harvested = None
-        if run.signal is not None:
-            harvested = harvest_execution_state(
-                run.ctx, run.signal, sc.feedback,
-                promote=config.reuse_policy != "never",
-            )
-        elif not run.report.fallback:
-            # Exact cardinalities only, no MV promotion: what a retry
-            # re-plans with, and what cross-query learning absorbs (§7).
+        if run.signal is None:
+            # Exact cardinalities only, no MV promotion: what cross-query
+            # learning absorbs (§7).
             harvest_execution_state(run.ctx, None, sc.feedback, promote=False)
-        if not run.interrupted and sc.caching and planned.cached is None:
-            # A reused plan needs no check here: ``PlanCache.lookup``
-            # re-fingerprints every candidate, so one mutated while it ran
-            # is dropped before it can run again.
-            self._cache_install(sc, run.report)
-        self._observe_attempt(sc, planned, run, harvested)
-        if not run.interrupted:
+            if sc.caching and planned.cached is None:
+                # A reused plan needs no check here: ``PlanCache.lookup``
+                # re-fingerprints every candidate, so one mutated while it
+                # ran is dropped before it can run again.
+                self._cache_install(sc, run.report)
+            self._observe_attempt(sc, planned, run)
             return True
+        harvested = harvest_execution_state(
+            run.ctx, run.signal, sc.feedback,
+            promote=sc.config.reuse_policy != "never",
+        )
+        self._observe_attempt(sc, planned, run, harvested)
         sc.attempt += 1
-        if run.signal is not None:
-            sc.reopt_round += 1
         return False
 
     def _route_rows(self, sc: StatementContext, run: AttemptRun) -> None:
         """Hand the attempt's rows to the application exactly once.
 
-        Rows an interrupted attempt had already pipelined out — before a
-        late CHECK fired or before a failure — must not be re-delivered:
-        they join the ECDC compensation set the next plan anti-joins
-        against (paper §3.3).
+        Rows an interrupted attempt had already pipelined out before a late
+        CHECK fired must not be re-delivered: they join the ECDC
+        compensation set the next plan anti-joins against (paper §3.3).
         """
-        if run.interrupted:
+        if run.signal is not None:
             if not run.ctx.rows_returned:
                 return
             # Only compensating flavors may fire after rows went out.
-            if run.signal is not None and run.report.signal_flavor != "ECDC":
+            if run.report.signal_flavor != "ECDC":
                 raise ExecutionError(
                     f"non-compensating checkpoint {run.report.signal_flavor} "
                     "fired after rows were returned"
@@ -918,7 +818,7 @@ class PopDriver:
         only make sense for this statement's already-delivered rows.
         """
         metrics, plan = sc.metrics, report.plan
-        if report.fallback or find_ops(plan, (AntiJoin, MVScan)):
+        if find_ops(plan, (AntiJoin, MVScan)):
             return
         entry, evicted = sc.plan_cache.install(
             sc.statement.shape,

@@ -18,7 +18,6 @@ from repro.common.errors import (
     ExecutionCancelled,
     ExecutionError,
     ExecutionTimeout,
-    ResourceExhausted,
 )
 from repro.core.config import DEFAULT_BATCH_SIZE, check_batch_size
 from repro.executor.meter import WorkMeter
@@ -79,7 +78,6 @@ class ExecutionContext:
         tracer=None,
         metrics=None,
         fault_injector=None,
-        work_deadline: Optional[float] = None,
         memory=None,
         reservation=None,
         profiler=None,
@@ -120,34 +118,26 @@ class ExecutionContext:
         #: runtime arms it after building the operator tree; no other
         #: executor code may reference it (contract rule ``fault-isolation``).
         self.fault_injector = fault_injector
-        #: Absolute work-unit deadline for this attempt (guard policy);
-        #: exceeded at the plan root -> :class:`ExecutionTimeout`.
-        self.work_deadline = work_deadline
         #: Optional :class:`repro.common.cancel.CancelToken`.  Checked in
         #: :meth:`Operator.emit_batch` (one attribute read when absent) and
         #: at every :meth:`check_interrupt` site, so client disconnects and
         #: ``\\kill`` unwind mid-query through the normal teardown path.
         self.cancel = cancel
-        #: Absolute wall-clock deadline for the whole *statement* (guard
-        #: policy ``deadline_seconds``, shared across attempts); checked
-        #: at :meth:`check_interrupt` sites ->
+        #: Absolute wall-clock deadline for the whole *statement*
+        #: (``ResiliencePolicy.deadline_seconds``, shared across attempts);
+        #: checked at :meth:`check_interrupt` sites ->
         #: :class:`~repro.common.errors.ExecutionTimeout`.
         self.wall_deadline = wall_deadline
         #: True when any interrupt source is armed: operators consult this
         #: once per blocking loop instead of re-deriving it per batch.
         self.interruptible = cancel is not None or wall_deadline is not None
-        #: Memory-pressure factor applied to every sort/hash/temp memory
-        #: grant (1.0 = unconstrained).  Runtime state — mid-execution
-        #: grant shrinks (e.g. chaos faults) lower it.
-        self.mem_shrink = 1.0
         #: Optional :class:`repro.core.config.MemoryPolicy`.  ``None``
-        #: keeps the legacy behavior: full grants, and a squeeze below one
-        #: page hard-fails with :class:`ResourceExhausted`.
+        #: means full grants and no spilling.
         self.memory = memory
         #: Optional :class:`repro.governor.Reservation` — this statement's
-        #: slice of the shared budget.  Every grant is capped at its
-        #: *current* size, so mid-query renegotiation takes effect at the
-        #: next ``grant_pages`` call.
+        #: slice of the shared budget, which comes with ``memory``.  Every
+        #: grant is capped at its *current* size, so mid-query
+        #: renegotiation takes effect at the next ``grant_pages`` call.
         self.reservation = reservation
         #: Rows per batch (>= 1): ``run_plan`` drains the root and blocking
         #: operators drain their children in :meth:`Operator.next_batch`
@@ -176,8 +166,8 @@ class ExecutionContext:
 
     @property
     def spill_enabled(self) -> bool:
-        """Whether squeezed operators may degrade to disk instead of
-        raising: whenever a :class:`MemoryPolicy` is attached."""
+        """Whether squeezed operators degrade to disk: whenever a
+        :class:`MemoryPolicy` is attached."""
         return self.memory is not None
 
     @property
@@ -235,59 +225,32 @@ class ExecutionContext:
         """The effective memory grant for a ``pages``-page request.
 
         The grant is capped at the statement's current reservation (when
-        the memory governor admitted it) and scaled by the legacy
-        memory-pressure factor.  A squeezed grant degrades or dies
-        depending on policy:
-
-        * with a :class:`MemoryPolicy` — the grant is floored at the
-          policy's ``min_grant_pages`` and the operator spills the excess;
-        * without one — a grant below one page cannot make progress and raises
-          :class:`~repro.common.errors.ResourceExhausted` (transient,
-          retryable) carrying the category, requested pages, and effective
-          grant.
+        the memory governor admitted it) and floored at the policy's
+        ``min_grant_pages``; the operator spills the excess.
         """
-        effective = pages
-        if self.reservation is not None:
-            effective = min(effective, self.reservation.pages)
-        if self.mem_shrink < 1.0:
-            effective *= self.mem_shrink
-        if effective >= pages:
+        reservation = self.reservation
+        if reservation is None or reservation.pages >= pages:
             return pages
-        if self.spill_enabled:
-            granted = min(pages, max(self.memory.min_grant_pages, effective))
-            if self.metrics is not None:
-                self.metrics.inc("governor.grants_squeezed", category=category)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "governor.grant",
-                    span=self.exec_span_id,
-                    category=category,
-                    requested_pages=pages,
-                    granted_pages=granted,
-                )
-            return granted
-        if effective < 1.0:
-            raise ResourceExhausted(
-                f"{category} memory grant shrunk below one page "
-                f"(requested={pages:g} pages, effective grant={effective:.3f})",
+        granted = min(pages, max(self.memory.min_grant_pages, reservation.pages))
+        if self.metrics is not None:
+            self.metrics.inc("governor.grants_squeezed", category=category)
+        if self.tracer is not None:
+            self.tracer.event(
+                "governor.grant",
+                span=self.exec_span_id,
                 category=category,
                 requested_pages=pages,
-                granted_pages=effective,
+                granted_pages=granted,
             )
-        return effective
+        return granted
 
     def apply_memory_pressure(self, factor: float) -> None:
-        """Shrink this statement's memory mid-execution.
-
-        With a governor reservation this is structured renegotiation —
-        the reservation shrinks (never below the policy floor) and the
-        next grant sees the smaller limit.  Without one it falls back to
-        the legacy blunt ``mem_shrink`` factor.
-        """
+        """Shrink this statement's memory mid-execution: renegotiate its
+        governor reservation down by ``factor`` (never below the policy
+        floor), so the next grant sees the smaller limit.  An ungoverned
+        statement holds no reservation and is left as it is."""
         if self.reservation is not None:
             self.reservation.shrink_to(self.reservation.pages * factor)
-        else:
-            self.mem_shrink = min(self.mem_shrink, factor)
 
     def log_checkpoint(self, event: CheckpointEvent) -> None:
         self.checkpoint_events.append(event)

@@ -4,8 +4,8 @@ Under the memory governor, :class:`HashJoinExec` degrades Grace-style: a
 build side that outgrows its grant is partitioned to spill files by a
 deterministic key hash, the probe side is partitioned the same way, and
 each partition pair is joined independently — recursing on partitions
-that are still too big, and falling back to block nested-loop (the NLJN
-flavor of the degradation ladder) past the recursion depth cap.
+that are still too big, and falling back to block nested-loop past the
+recursion depth cap.
 """
 
 from __future__ import annotations
@@ -433,7 +433,7 @@ class HashJoinExec(Operator):
                 yield from self._join_partition(b, pr, depth + 1, fanout, capacity)
             return
         else:
-            # Degradation ladder, last rung before the guard's safe plan:
+            # Degradation ladder, last rung:
             # block nested-loop within the partition (NLJN flavor) — the
             # build is processed one grant-sized chunk at a time, the probe
             # file rescanned per chunk.

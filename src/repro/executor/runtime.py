@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.errors import ExecutionError, ExecutionTimeout
+from repro.common.errors import ExecutionError
 from repro.executor.aggregate import DistinctExec, GroupByExec
 from repro.executor.base import ExecutionContext, Operator
 from repro.executor.check import BufCheckExec, CheckExec
@@ -77,14 +77,6 @@ def build_executor(plan: PlanOp, ctx: ExecutionContext) -> Operator:
     raise ExecutionError(f"no executor for plan operator {plan.KIND}")
 
 
-def _check_deadline(ctx: ExecutionContext, deadline: float) -> None:
-    if ctx.meter.units > deadline:
-        raise ExecutionTimeout(
-            f"work deadline exceeded: {ctx.meter.units:.1f} of "
-            f"{deadline:.1f} units spent"
-        )
-
-
 def run_plan(
     plan: PlanOp,
     ctx: ExecutionContext,
@@ -99,10 +91,9 @@ def run_plan(
 
     When a fault injector is mounted on the context, it is armed over the
     freshly built operator tree here — the single sanctioned injection
-    point (see :mod:`repro.resilience`).  When the context carries a work
-    deadline, it is enforced at the plan root after ``open`` and after
-    every emitted batch; a cancel token or wall-clock deadline is likewise
-    polled at the root via :meth:`ExecutionContext.check_interrupt`.
+    point (see :mod:`repro.resilience`).  A cancel token or wall-clock
+    deadline is polled at the root after ``open`` and after every emitted
+    batch via :meth:`ExecutionContext.check_interrupt`.
 
     Teardown ordering matters on abort paths: every registered operator
     is closed (a ``close`` that itself fails must not stop the remaining
@@ -110,7 +101,7 @@ def run_plan(
     spill manager is released exactly once in a nested ``finally`` so a
     cancellation mid-spill can never leak pages.  A close-time failure is
     re-raised only when the plan otherwise completed; an in-flight
-    exception (signal, fault, cancel, timeout) is never masked by one.
+    exception (signal, error, cancel, timeout) is never masked by one.
     """
     root = build_executor(plan, ctx)
     if ctx.fault_injector is not None:
@@ -121,13 +112,10 @@ def run_plan(
     if ctx.profiler is not None:
         ctx.profiler.arm(ctx)
     rows = sink if sink is not None else []
-    deadline = ctx.work_deadline
     interruptible = ctx.interruptible
     completed = False
     try:
         root.open()
-        if deadline is not None:
-            _check_deadline(ctx, deadline)
         if interruptible:
             ctx.check_interrupt()
         batch_size = ctx.batch_size
@@ -136,8 +124,6 @@ def run_plan(
             if batch is None:
                 break
             rows.extend(batch)
-            if deadline is not None:
-                _check_deadline(ctx, deadline)
             if interruptible:
                 ctx.check_interrupt()
         completed = True
@@ -152,7 +138,7 @@ def run_plan(
                         close_failure = exc
         finally:
             # Spill files are attempt-scoped: success and every abort path
-            # (signal, fault, cancel, timeout — even a failing close above)
+            # (signal, error, cancel, timeout — even a failing close above)
             # release them here (contract rule ``spill-lifecycle``).
             ctx.release_spill()
         if completed and close_failure is not None:

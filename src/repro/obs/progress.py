@@ -58,8 +58,8 @@ def _replay(report) -> Iterator[tuple[dict, bool]]:
     a fresh promise about the remaining work, not a continuation of the
     abandoned one), so ``fraction`` is monotone within an attempt but may
     drop across re-optimization.  An interrupted attempt ends where the
-    next one began planning — after its harvest and any guard backoff; the
-    last, completed one ends at the statement's total.
+    next one began planning, after its harvest; the last, completed one
+    ends at the statement's total.
     """
     attempts = report.attempts
     for i, attempt in enumerate(attempts):

@@ -1,16 +1,17 @@
 """Chaos scenarios of the resilience layer: faults, stampede, memory.
 
 ``faults``
-    Every query of both small workloads under a seeded fault schedule.
-    For each query and chaos seed the runner replays the query (oracle
-    rows computed once, cleanly, before the first seed) under a per-query
-    fault schedule derived from the seed (stable across processes —
-    :func:`zlib.crc32`, not ``hash()``) with the execution guard engaged,
-    and asserts that the guarded run returns oracle-identical rows, that
-    retries stayed within the configured bound, and that every injected
-    fault is visible in the :mod:`repro.obs` trace and metrics.  A seed
-    also fails when it planned execution faults and fired none: a
-    disconnected injector tests nothing.
+    Every query of both small workloads under a seeded fault schedule of
+    ``stats`` and ``mem_shrink`` faults, with a memory governor on each
+    database whose budget admits every statement.  For each query and
+    chaos seed the runner replays the query (oracle rows computed once,
+    cleanly and ungoverned, before the first seed) under a per-query fault
+    schedule derived from the seed (stable across processes —
+    :func:`zlib.crc32`, not ``hash()``), and asserts that the run returns
+    oracle-identical rows and that every injected fault is visible in the
+    :mod:`repro.obs` trace and metrics.  A seed also fails when it planned
+    ``mem_shrink`` faults and fired none, or fired some and renegotiated
+    no reservation: a disconnected injector tests nothing.
 ``stampede``
     Many threads hammer one statement shape against a cold plan cache.
 ``memory``
@@ -27,7 +28,6 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 from repro.common.chaosutil import (
     HEAVY_QUERIES,
@@ -38,11 +38,9 @@ from repro.common.chaosutil import (
     query_seed,
     run_together,
 )
-from repro.core.config import PopConfig, ResiliencePolicy
-from repro.executor.meter import WorkMeter
+from repro.core.config import MemoryPolicy, PopConfig
 from repro.obs import MetricsRegistry, Tracer
-from repro.resilience.faults import ALL_KINDS, EXEC_KINDS, STATS, FaultPlan
-from repro.resilience.guard import MAX_RETRIES
+from repro.resilience.faults import ALL_KINDS, MEM_SHRINK, STATS, FaultPlan
 from repro.workloads import small_workload_databases
 
 __all__ = [
@@ -53,47 +51,44 @@ __all__ = [
     "run_memory",
 ]
 
-#: Faults injected per query run; small enough that the guard's default
-#: retry budget can absorb a worst-case all-iterator draw via fallback.
+#: Faults injected per query run.
 FAULTS_PER_QUERY = 3
+
+#: The campaign's governor policy: the default budget admits every
+#: statement (they run one at a time), and one-page floors let a
+#: ``mem_shrink`` fault squeeze a reservation far enough to make its
+#: operators spill.
+FAULT_MEMORY = MemoryPolicy(min_reservation_pages=1.0, min_grant_pages=1.0)
 
 
 @dataclass
 class FaultTally:
-    """Faults per kind, planned and fired, and what the guard did about them.
+    """Faults per kind, planned and fired, and what the shrinks did.
 
-    An execution fault whose trigger lies past the statement's last pull is
-    planned but never fires.
+    A ``mem_shrink`` fault whose trigger lies past the statement's last
+    pull is planned but never fires.
     """
 
     planned: Counter = field(default_factory=Counter)
     fired: Counter = field(default_factory=Counter)
-    retries: int = 0
-    fallbacks: int = 0
+    renegotiations: int = 0
+    spilled: int = 0
 
     def __add__(self, other: "FaultTally") -> "FaultTally":
         return FaultTally(
             self.planned + other.planned,
             self.fired + other.fired,
-            self.retries + other.retries,
-            self.fallbacks + other.fallbacks,
+            self.renegotiations + other.renegotiations,
+            self.spilled + other.spilled,
         )
 
     def __str__(self) -> str:
-        by_kind = ", ".join(
-            f"{kind} {self.fired[kind]}/{self.planned[kind]}"
-            for kind in EXEC_KINDS
-        )
         return (
-            f"{_execution(self.fired)}/{_execution(self.planned)} "
-            f"execution faults fired ({by_kind}), "
-            f"{self.fired[STATS]}/{self.planned[STATS]} stats faults fired, "
-            f"{self.retries} retries, {self.fallbacks} fallbacks"
+            f"{self.fired[MEM_SHRINK]}/{self.planned[MEM_SHRINK]} mem_shrink "
+            f"faults fired, {self.fired[STATS]}/{self.planned[STATS]} stats "
+            f"faults fired, {self.renegotiations} renegotiations, "
+            f"{self.spilled} spilled statements"
         )
-
-
-def _execution(counts: Counter) -> int:
-    return sum(counts[kind] for kind in EXEC_KINDS)
 
 
 def run_query_under_chaos(
@@ -104,11 +99,10 @@ def run_query_under_chaos(
     chaos_seed: int,
     oracle: list,
     tally: FaultTally,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> list:
     """Execute one query under a seeded fault schedule; returns its problems
-    and adds what was planned, fired, retried and fallen back to ``tally``."""
-    policy = policy if policy is not None else ResiliencePolicy()
+    and adds what was planned, fired, renegotiated and spilled to
+    ``tally``."""
     tables = [t.name for t in db.catalog.tables()]
     plan = FaultPlan.seeded(
         query_seed(chaos_seed, workload, name),
@@ -119,24 +113,18 @@ def run_query_under_chaos(
     tally.planned.update(spec.kind for spec in plan.specs)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    meter = WorkMeter(track_categories=True)
     try:
-        result = db.execute(
-            sql, pop=PopConfig(resilience=policy), meter=meter, tracer=tracer,
-            metrics=metrics, faults=plan,
-        )
+        result = db.execute(sql, tracer=tracer, metrics=metrics, faults=plan)
     except Exception as exc:  # the whole point is that this never happens
         return [f"unhandled {type(exc).__name__}: {exc}"]
     report = result.report
-    tally.retries += report.retries
-    tally.fallbacks += int(report.fallback_used)
+    tally.renegotiations += report.renegotiations
+    tally.spilled += report.spilled
     problems = []
     if canonical_rows(result.rows) != oracle:
         problems.append(
             f"rows diverge from oracle ({len(result.rows)} vs {len(oracle)})"
         )
-    if report.retries > MAX_RETRIES:
-        problems.append(f"retries {report.retries} exceed bound {MAX_RETRIES}")
     # Every injected fault must be observable: one trace event each, and a
     # matching counter total.
     events = tracer.events("fault.injected")
@@ -152,12 +140,6 @@ def run_query_under_chaos(
             f"{report.faults_injected} faults fired but metrics counted "
             f"{int(counted)}"
         )
-    if report.retries != len(tracer.events("guard.retry")):
-        problems.append("guard.retry events disagree with report.retries")
-    if report.fallback_used and not tracer.events("guard.fallback"):
-        problems.append("fallback used but no guard.fallback event")
-    if report.retries and meter.by_category().get("backoff", 0.0) <= 0.0:
-        problems.append("retries occurred but no backoff units were charged")
     return problems
 
 
@@ -166,7 +148,9 @@ def fault_campaign(workloads=None):
     sql)])`` triples, by default both small workloads.
 
     The databases and their oracle rows are built on the first seed and
-    shared by the rest of the run, as the seeds' fault schedules are.
+    shared by the rest of the run, as the seeds' fault schedules are; each
+    seed governs them with :data:`FAULT_MEMORY` and its leak audit turns
+    the governors off again.
     """
     prepared = []
 
@@ -182,17 +166,24 @@ def fault_campaign(workloads=None):
         problems: list = []
         tally = FaultTally()
         for label, db, queries, oracles in prepared:
+            db.enable_memory_governor(policy=FAULT_MEMORY)
             for name, sql in queries:
                 for problem in run_query_under_chaos(
                     db, label, name, sql, seed, oracles[name], tally
                 ):
                     problems.append(f"{label}/{name} seed={seed}: {problem}")
-        planned = _execution(tally.planned)
-        if planned and not _execution(tally.fired):
+        shrinks = tally.fired[MEM_SHRINK]
+        if tally.planned[MEM_SHRINK] and not shrinks:
             problems.append(
-                f"{planned} execution faults planned, none fired"
+                f"{tally.planned[MEM_SHRINK]} mem_shrink faults planned, "
+                "none fired"
             )
-        baseline.audit(problems)
+        if shrinks and not tally.renegotiations:
+            problems.append(
+                f"{shrinks} mem_shrink faults fired, no reservation "
+                "renegotiated"
+            )
+        baseline.audit(problems, *(db for _label, db, _q, _o in prepared))
         return ScenarioOutcome(
             "faults", seed, not problems, problems, detail=str(tally),
             tally=tally,
@@ -313,8 +304,7 @@ def run_memory(
 
     * every query returns oracle-identical rows (spilling changes cost,
       never answers),
-    * zero ``ResourceExhausted`` (or any other) escapes — operators
-      degrade instead of dying,
+    * nothing escapes — operators degrade instead of dying,
     * the reservation high-water mark never exceeds ``budget_pages``
       (checked via the governor's peak gauge), and
     * the pressure was real: spill work is visible in the governor's

@@ -5,16 +5,11 @@ hand or generated reproducibly from a seed (:meth:`FaultPlan.seeded` via
 :func:`repro.common.rng.make_rng`).  A :class:`FaultInjector` carries one
 plan through a statement execution:
 
-* **iterator** — raise :class:`~repro.common.errors.TransientError` on the
-  Nth ``next_batch`` pull anywhere in the operator tree (a mid-pipeline
-  crash);
-* **stall** — charge extra work units on the Nth ``next_batch`` pull (a
-  slow operator, against the deterministic work-unit clock);
-* **mem_shrink** — apply memory pressure mid-execution: with a governor
-  reservation the statement's reservation is renegotiated down and the
-  operators spill; without one, every subsequent sort/hash/temp grant is
-  shrunk by the factor (grants below one page raise
-  :class:`~repro.common.errors.ResourceExhausted`);
+* **mem_shrink** — apply memory pressure on the Nth ``next_batch`` pull
+  anywhere in the operator tree: a statement the memory governor admitted
+  has its reservation renegotiated down by the factor and its operators
+  spill; an ungoverned statement holds no reservation, so the fault is
+  recorded as fired and changes nothing;
 * **stats** — corrupt (scale the row count of) or drop a table's
   statistics for one statement: the statement plans with overrides, the
   catalog is never written.
@@ -27,7 +22,7 @@ join's ``next_matches`` under a groupjoin counts as one), or one key of an
 index scan's ``probe`` (k keys, k pulls): wide batches make a
 statement take fewer pulls, so a late ``trigger_at`` that a width-1 run
 reaches may lie past the end of a width-1024 run and never fire.  Each
-spec fires at most ``times`` times (default once — "transient").
+spec fires at most ``times`` times (default once).
 
 The injector is mounted on :class:`~repro.executor.base.ExecutionContext`
 as ``fault_injector`` and armed by ``run_plan`` — the single sanctioned
@@ -40,23 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.common.errors import TransientError
 from repro.common.rng import make_rng
 
-#: Execution-time fault kinds (trigger on the global pull counter).
-ITERATOR = "iterator"
-STALL = "stall"
+#: Execution-time fault kind (triggers on the global pull counter).
 MEM_SHRINK = "mem_shrink"
 #: Statement-level fault kind (overrides the statistics a statement plans
 #: with).
 STATS = "stats"
 
-EXEC_KINDS = (ITERATOR, STALL, MEM_SHRINK)
+EXEC_KINDS = (MEM_SHRINK,)
 ALL_KINDS = EXEC_KINDS + (STATS,)
 
-#: Payload choices for seeded generation: stall units, shrink factors, and
-#: stats row-count scale factors (0.0 means "drop the statistics").
-_STALL_UNITS = (250.0, 1000.0, 4000.0)
+#: Payload choices for seeded generation: shrink factors and stats
+#: row-count scale factors (0.0 means "drop the statistics").
 _SHRINK_FACTORS = (0.5, 0.25, 0.1)
 _STATS_SCALES = (100.0, 0.01, 0.0)
 
@@ -68,8 +59,7 @@ class FaultSpec:
     ``trigger_at`` is the 1-based global ``next_batch``-pull index for
     execution kinds (how many pulls a statement makes depends on its batch
     width — see the module docstring) and ignored for ``stats`` faults;
-    ``payload`` is the stall charge (work units), the shrink factor, or the
-    stats scale (0.0 = drop); ``target_table`` names the table whose
+    ``payload`` is the shrink factor or the stats scale (0.0 = drop); ``target_table`` names the table whose
     statistics a ``stats`` fault corrupts; ``times`` caps how often the
     spec may fire.
     """
@@ -130,12 +120,7 @@ class FaultPlan:
         for _ in range(n_faults):
             kind = pool[rng.randrange(len(pool))]
             trigger = int(max_trigger ** rng.random())
-            if kind == ITERATOR:
-                specs.append(FaultSpec(ITERATOR, trigger_at=trigger))
-            elif kind == STALL:
-                payload = _STALL_UNITS[rng.randrange(len(_STALL_UNITS))]
-                specs.append(FaultSpec(STALL, trigger_at=trigger, payload=payload))
-            elif kind == MEM_SHRINK:
+            if kind == MEM_SHRINK:
                 payload = _SHRINK_FACTORS[rng.randrange(len(_SHRINK_FACTORS))]
                 specs.append(
                     FaultSpec(MEM_SHRINK, trigger_at=trigger, payload=payload)
@@ -163,18 +148,14 @@ class FaultInjector:
     The injector is armed over a freshly built operator tree by
     ``run_plan`` (it wraps each operator's ``next_batch``, a hash join's
     ``next_matches`` and a correlated index scan's ``probe`` with a
-    counting prologue), fires due faults,
-    and records every firing in
-    :attr:`fired`.  ``disarm()`` makes all later arming a no-op — the
-    guard disarms before running the safe-plan fallback so the fallback is
-    guaranteed a clean run.
+    counting prologue), fires due faults, and records every firing in
+    :attr:`fired`.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.fired: list[FiredFault] = []
         self.call_count = 0
-        self._active = True
         # Mutable remaining-fire budget per exec spec, trigger-sorted so
         # one pass per call suffices.
         self._pending = sorted(
@@ -182,17 +163,11 @@ class FaultInjector:
             key=lambda entry: entry[0].trigger_at,
         )
 
-    # ------------------------------------------------------------ lifecycle
-
-    def disarm(self) -> None:
-        """Stop firing (already-armed wrappers become pass-through)."""
-        self._active = False
-
     # -------------------------------------------------------------- arming
 
     def arm(self, ctx) -> None:
         """Wrap every operator registered in ``ctx`` with fault firing."""
-        if not self._active or not self._pending:
+        if not self._pending:
             return
         for op in ctx.operators:
             if getattr(op, "_fault_armed", False):
@@ -227,7 +202,7 @@ class FaultInjector:
     # -------------------------------------------------------------- firing
 
     def _before_pull(self, op, ctx) -> None:
-        if not self._active or not self._pending:
+        if not self._pending:
             return
         self.call_count += 1
         count = self.call_count
@@ -252,19 +227,7 @@ class FaultInjector:
         )
         self.fired.append(record)
         self._observe(record, ctx.tracer, ctx.metrics)
-        if spec.kind == STALL:
-            ctx.meter.charge(spec.payload, "fault.stall")
-        elif spec.kind == MEM_SHRINK:
-            # Structured renegotiation when the memory governor holds a
-            # reservation for this statement (the reservation shrinks, and
-            # operators degrade by spilling); the blunt context-wide
-            # ``mem_shrink`` factor otherwise.
-            ctx.apply_memory_pressure(spec.payload)
-        elif spec.kind == ITERATOR:
-            raise TransientError(
-                f"injected transient failure at {op.plan.KIND}"
-                f"[op={op.plan.op_id}] next_batch pull {count}"
-            )
+        ctx.apply_memory_pressure(spec.payload)
 
     @staticmethod
     def _observe(record: FiredFault, tracer, metrics) -> None:

@@ -14,11 +14,10 @@ thread-pool socket server speaking the line-delimited JSON protocol of
   ``kill`` op from another session flips the token; the statement unwinds
   with :class:`~repro.common.errors.ExecutionCancelled`, releasing every
   spill file and governor reservation on the way out.
-* **Deadlines** — per-statement wall-clock deadlines ride the execution
-  guard (``ResiliencePolicy.deadline_seconds``, fallback disabled: an
-  over-deadline statement is shed with a classified ``timeout``, never
-  silently completed); per-session idle timeouts are enforced by a reaper
-  thread.  Activity is stamped on *complete* frames only, so slowloris
+* **Deadlines** — each statement runs under a wall-clock deadline
+  (``ResiliencePolicy.deadline_seconds``): an over-deadline statement is
+  shed with a classified ``timeout``; per-session idle timeouts are
+  enforced by a reaper thread.  Activity is stamped on *complete* frames only, so slowloris
   trickle connections are reaped as idle.
 * **Overload shedding** — two bounded admission points, both shedding
   with a classified :class:`~repro.common.errors.ServerOverloaded`:
@@ -102,9 +101,8 @@ class ServerConfig:
     workers: int = 4
     #: Bounded statement queue; a full queue sheds with ``overloaded``.
     max_pending_statements: int = 16
-    #: Per-statement wall-clock deadline (``None`` disables); enforced by
-    #: the execution guard with fallback disabled, so expiry surfaces as a
-    #: classified ``timeout``.
+    #: Per-statement wall-clock deadline (``None`` disables); expiry
+    #: surfaces as a classified ``timeout``.
     statement_timeout_seconds: Optional[float] = 30.0
     #: Idle sessions (no complete frame) past this are reaped.
     idle_timeout_seconds: float = 60.0
@@ -476,14 +474,7 @@ class ReproServer:
         timeout = self.config.statement_timeout_seconds
         if timeout is None:
             return PopConfig()
-        # Fallback disabled: a statement past its wall deadline is shed
-        # with a classified ``timeout`` — completing it on the safe plan
-        # would hide the overrun from the client and the queue.
-        return PopConfig(
-            resilience=ResiliencePolicy(
-                deadline_seconds=timeout, fallback_enabled=False
-            )
-        )
+        return PopConfig(resilience=ResiliencePolicy(deadline_seconds=timeout))
 
     # ----------------------------------------------------------- control ops
 

@@ -35,6 +35,19 @@ that tripped the deleted re-optimization circuit breaker left ``SCENARIOS``.
 Every kept scenario's frozen ``breaker_tripped`` is asserted ``false``, then
 dropped.
 
+The execution guard's retry, backoff and safe-plan fallback are deleted
+too: a failed attempt raises its classified error.  The scenarios that
+froze them (``transient_retry``, ``fault_after_rows``,
+``deadline_fallback``) left ``SCENARIOS``.  Every kept scenario's frozen
+guard keys are asserted neutral, then dropped: the report's ``retries``
+(0), ``backoff_units`` (0.0), ``fallback_used`` (false) and
+``fallback_reason`` (null), each attempt's ``fallback`` (false),
+``failure`` and ``failure_class`` (null), and the ``pop.statement`` span's
+``guarded``, ``retries`` and ``fallback`` attributes.  The trace freezes
+attribute names only; those three held ``sc.guard is not None`` (no kept
+scenario passes ``resilience`` or ``faults``) and the report's
+``retries`` and ``fallback_used``, asserted above.
+
 Each scenario builds its own database, so temp-MV names and learned state
 cannot depend on test order.
 
@@ -54,7 +67,7 @@ import pytest
 from repro import Database, PopConfig
 from repro.core import driver as driver_module
 from repro.core.config import MemoryPolicy, ResiliencePolicy
-from repro.core.driver import AttemptReport
+from repro.core.driver import AttemptReport, PopDriver
 from repro.core.flavors import ECDC
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
@@ -62,14 +75,12 @@ from repro.optimizer.enumeration import OptimizerOptions
 from repro.optimizer.fingerprint import plan_fingerprint
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.explain import explain_plan
-from repro.plan.physical import Check, HashJoin, NLJoin, find_ops
-from repro.resilience import FaultPlan, FaultSpec
+from repro.plan.physical import Check, HashJoin, find_ops
 
 from .conftest import build_dmv_db, build_star_db, canonical
 from .test_executor_batch_differential import rows_record
 from .test_obs import marker_query
 from .test_plan_cache import make_db as build_cache_db
-from .test_resilience import JOIN_SQL
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "driver_pipeline_golden.json"
 
@@ -202,7 +213,9 @@ def cache_install_then_hit():
     return [observed(db, f"SELECT t.v FROM t WHERE t.k = {k}") for k in (1, 2)]
 
 
-def cache_hit_check_fires():
+def narrowed_cache_db() -> Database:
+    """A DMV database whose plan cache holds a POP plan with a CHECK that
+    ``DMV_MODEL_TEMPLATE`` at ``MODEL00_7`` fires on its cache hit."""
     db = build_dmv_db()
     db.enable_plan_cache()
     db.execute(DMV_MODEL_TEMPLATE.format(m="MODEL00_8"))
@@ -215,39 +228,11 @@ def cache_hit_check_fires():
         entry.shape, entry.plan, entry.tables,
         params=entry.params, checkpoints=entry.checkpoints,
     )
-    return [observed(db, DMV_MODEL_TEMPLATE.format(m="MODEL00_7"))]
+    return db
 
 
-def transient_retry():
-    return [
-        observed(
-            build_star_db(), JOIN_SQL,
-            pop=PopConfig(resilience=ResiliencePolicy()),
-            faults=FaultPlan(specs=[FaultSpec("iterator", trigger_at=4)]),
-        )
-    ]
-
-
-def fault_after_rows():
-    """Re-optimizes, then faults with 1024 rows already delivered: the retry
-    must compensate for them (signal, failure and success in one statement)."""
-    return [
-        observed(
-            build_star_db(), marker_query(), params={"p": "COMMON"},
-            pop=PopConfig(resilience=ResiliencePolicy()),
-            faults=FaultPlan(specs=[FaultSpec("iterator", trigger_at=14)]),
-        )
-    ]
-
-
-def deadline_fallback():
-    return [
-        observed(
-            build_star_db(), JOIN_SQL,
-            pop=PopConfig(resilience=ResiliencePolicy(deadline_units=1.0)),
-            faults=FaultPlan(),
-        )
-    ]
+def cache_hit_check_fires():
+    return [observed(narrowed_cache_db(), DMV_MODEL_TEMPLATE.format(m="MODEL00_7"))]
 
 
 def governed_spill():
@@ -271,8 +256,8 @@ SCENARIOS = {
     fn.__name__: fn
     for fn in (
         single_attempt, reopt_mv_reuse, ecdc_compensation,
-        cache_install_then_hit, cache_hit_check_fires, transient_retry,
-        fault_after_rows, deadline_fallback, governed_spill, profile_on,
+        cache_install_then_hit, cache_hit_check_fires, governed_spill,
+        profile_on,
     )
 }
 
@@ -300,12 +285,32 @@ def assert_same(got, want, path: str) -> None:
         assert got == want, path
 
 
+#: Deleted keys and the neutral value every kept scenario froze for them.
+DELETED_REPORT_KEYS = {
+    "breaker_tripped": False,
+    "retries": 0,
+    "backoff_units": 0.0,
+    "fallback_used": False,
+    "fallback_reason": None,
+}
+DELETED_ATTEMPT_KEYS = {"fallback": False, "failure": None, "failure_class": None}
+DELETED_STATEMENT_SPAN_ATTRS = ("fallback", "guarded", "retries")
+
+
 def frozen(name: str) -> list:
-    """The fixture's statements for ``name``, less the deleted
-    ``breaker_tripped`` report key (false in every kept scenario)."""
+    """The fixture's statements for ``name``, less the deleted keys, each
+    asserted to hold its neutral value first."""
     statements = json.loads(GOLDEN_PATH.read_text())[name]
     for statement in statements:
-        assert statement["report"].pop("breaker_tripped") is False, name
+        for key, neutral in DELETED_REPORT_KEYS.items():
+            assert statement["report"].pop(key) == neutral, (name, key)
+        for attempt in statement["attempts"]:
+            for key, neutral in DELETED_ATTEMPT_KEYS.items():
+                assert attempt.pop(key) == neutral, (name, key)
+        for record in statement["trace"]:
+            if record[:2] == ["span", "pop.statement"]:
+                for key in DELETED_STATEMENT_SPAN_ATTRS:
+                    record[3].remove(key)
     return statements
 
 
@@ -330,12 +335,6 @@ def test_golden_scenarios_cover_every_outcome():
     ]
     fired = attempts("cache_hit_check_fires")
     assert fired[0]["cache_hit"] and fired[0]["signal_op_id"] is not None
-    assert attempts("transient_retry")[0]["failure_class"] == "transient"
-    late = attempts("fault_after_rows")
-    assert [bool(a["signal_op_id"]) for a in late] == [True, False, False]
-    assert late[1]["failure_class"] == "transient" and late[1]["rows_emitted"]
-    assert attempts("deadline_fallback")[0]["failure_class"] == "timeout"
-    assert attempts("deadline_fallback")[-1]["fallback"]
     assert attempts("governed_spill")[-1]["spilled"]
     assert all(a["profiles"] for a in attempts("profile_on"))
 
@@ -469,21 +468,47 @@ def test_per_call_optimizer_options_bypass_the_plan_cache():
     assert not any(k.startswith("plan_cache.") for k in counters)
 
 
-def test_fallback_restricts_its_own_copy_of_the_options(monkeypatch):
-    """The safe plan restricts join methods on a copy of the statement's
-    options: the attempts before it optimized with nested loops enabled,
-    and so does the next statement."""
+def governed_star_db() -> Database:
     db = build_star_db()
-    seen = spy_optimizer_options(monkeypatch)
-    # The route ``deadline_fallback`` freezes: here the first plan's CHECK
-    # fires, the re-optimized plan blows its deadline, the safe plan runs.
-    config = PopConfig(resilience=ResiliencePolicy(deadline_units=1.0))
-    result = db.execute(
-        marker_query(), params=COMMON, pop=config, faults=FaultPlan()
-    )
-    assert result.report.fallback_used
-    assert find_ops(result.report.attempts[0].plan, NLJoin)
-    assert not find_ops(result.report.final_plan, NLJoin)
-    assert [o.enable_index_nljn for o in seen] == [True, True, False]
-    db.execute(marker_query(), params=COMMON)
-    assert seen[3].enable_index_nljn
+    db.enable_memory_governor()
+    return db
+
+
+#: Re-optimizing routes through the driver, each re-optimizing once:
+#: name -> () -> (database, statement, ``execute`` keywords, ``PopConfig``).
+DEADLINE_ROUTES = {
+    "reopt": lambda: (build_star_db(), marker_query(), {"params": COMMON}, PopConfig()),
+    "ecdc": lambda: (
+        build_star_db(), marker_query(), {"params": COMMON},
+        PopConfig(flavors=frozenset({ECDC}), min_cost_for_checkpoints=0.0),
+    ),
+    "cache-hit": lambda: (
+        narrowed_cache_db(), DMV_MODEL_TEMPLATE.format(m="MODEL00_7"), {}, PopConfig()
+    ),
+    "governed": lambda: (
+        governed_star_db(), marker_query(), {"params": COMMON}, PopConfig()
+    ),
+}
+
+
+@pytest.mark.parametrize("route", DEADLINE_ROUTES)
+def test_wall_deadline_is_set_once_and_shared_by_every_round(route, monkeypatch):
+    """The statement's wall deadline starts with its first attempt and is
+    not reset by a re-optimized round."""
+    db, statement, kwargs, config = DEADLINE_ROUTES[route]()
+    deadlines = []
+    real_context = PopDriver._execution_context
+
+    def spy(self, sc):
+        ctx = real_context(self, sc)
+        deadlines.append(ctx.wall_deadline)
+        return ctx
+
+    monkeypatch.setattr(PopDriver, "_execution_context", spy)
+    deadline = ResiliencePolicy(deadline_seconds=60)
+    pop = dataclasses.replace(config, resilience=deadline)
+    result = db.execute(statement, pop=pop, **kwargs)
+    assert result.report.reoptimizations == 1
+    assert len(deadlines) == len(result.report.attempts) == 2
+    assert None not in deadlines
+    assert len(set(deadlines)) == 1

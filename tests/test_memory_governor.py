@@ -20,8 +20,6 @@ from repro.common.errors import (
     CANCELLED,
     AdmissionRejected,
     ExecutionCancelled,
-    ResourceExhausted,
-    TransientError,
     failure_class,
 )
 from repro.core.config import MemoryPolicy, PopConfig
@@ -111,9 +109,6 @@ class TestAdmission:
         assert exc.budget_pages == 100.0
         assert exc.queue_depth == 0
         assert failure_class(exc) == ADMISSION
-        # Deliberately not transient: the guard must not retry a shed
-        # statement into the same saturated governor.
-        assert not isinstance(exc, TransientError)
 
     def test_wait_timeout_sheds(self):
         gov = MemoryGovernor(
@@ -159,20 +154,6 @@ class TestRenegotiation:
 
 
 class TestGrantPlumbing:
-    def test_resource_exhausted_carries_structured_fields(self):
-        # Satellite: the legacy hard-failure must name the category, the
-        # requested pages, and the effective grant.
-        ctx = ExecutionContext(Database().catalog)
-        ctx.mem_shrink = 1 / 256.0
-        with pytest.raises(ResourceExhausted) as err:
-            ctx.grant_pages(128.0, "sort")
-        exc = err.value
-        assert exc.category == "sort"
-        assert exc.requested_pages == 128.0
-        assert exc.granted_pages == pytest.approx(0.5)
-        assert "sort" in str(exc)
-        assert "requested=128" in str(exc)
-
     def test_reservation_caps_grants_and_pressure_renegotiates(self):
         gov = MemoryGovernor(policy())
         res = gov.admit(50.0)
@@ -188,9 +169,36 @@ class TestGrantPlumbing:
             "governor.grants_squeezed{category=hash}": 1.0
         }
         ctx.apply_memory_pressure(0.5)
-        assert res.pages == 25.0  # structured shrink, not mem_shrink
-        assert ctx.mem_shrink == 1.0
+        assert res.pages == 25.0
         assert ctx.grant_pages(128.0, "hash") == 25.0
+
+    @pytest.mark.parametrize(
+        "reserved, asked, floor, granted",
+        [
+            (None, 128.0, 8.0, 128.0),  # ungoverned: the full grant
+            (200.0, 128.0, 8.0, 128.0),  # fits the reservation
+            (50.0, 128.0, 8.0, 50.0),  # capped at the reservation
+            (4.0, 128.0, 8.0, 8.0),  # floored at min_grant_pages
+            (4.0, 6.0, 8.0, 6.0),  # never more than asked
+        ],
+    )
+    def test_grant_rule(self, reserved, asked, floor, granted):
+        memory = policy(
+            budget_pages=512.0, min_reservation_pages=1.0, min_grant_pages=floor
+        )
+        ctx = ExecutionContext(
+            Database().catalog,
+            memory=memory if reserved is not None else None,
+            reservation=(
+                MemoryGovernor(memory).admit(reserved) if reserved is not None else None
+            ),
+        )
+        assert ctx.grant_pages(asked, "sort") == granted
+
+    def test_pressure_without_a_reservation_changes_nothing(self):
+        ctx = ExecutionContext(Database().catalog)
+        ctx.apply_memory_pressure(0.001)
+        assert ctx.grant_pages(128.0, "sort") == 128.0
 
 
 def _estimate(db, sql):
@@ -230,7 +238,7 @@ class TestEndToEnd:
     ):
         """Acceptance: at 100%, 50% and 25% of estimated memory, every
         workload query still returns oracle-identical rows by spilling —
-        zero ResourceExhausted escapes — and the squeeze costs bounded
+        nothing escapes — and the squeeze costs bounded
         extra I/O, never a cliff: 25% costs at least what 100% does and at
         most 5x, and spill volume only grows as the budget shrinks.
 
@@ -334,6 +342,24 @@ class TestEndToEnd:
             for r in report.attempts[-1].record.walk()
         )
         assert report.attempts[-1].reservation_pages < 512.0
+
+    def test_ungoverned_mem_shrink_fault_fires_and_changes_nothing(self, dmv_db):
+        from repro.resilience import MEM_SHRINK, FaultPlan, FaultSpec
+
+        sql = (
+            "SELECT o.o_name, c.c_model FROM car c, owner o "
+            "WHERE c.c_owner_id = o.o_id ORDER BY o.o_name, c.c_model"
+        )
+        config = PopConfig(reuse_policy="never")
+        clean = dmv_db.execute(sql, pop=config)
+        faults = FaultPlan(
+            [FaultSpec(MEM_SHRINK, trigger_at=2, payload=0.001)]
+        )
+        shrunk = dmv_db.execute(sql, pop=config, faults=faults)
+        assert shrunk.report.faults_injected == 1
+        assert shrunk.rows == clean.rows
+        assert shrunk.report.total_units == clean.report.total_units
+        assert not shrunk.report.spilled
 
 
 def roomy_policy():
@@ -596,8 +622,12 @@ class TestCli:
 
     def test_chaos_mem_mode(self):
         shell, out = self._shell(self._db())
+        shell.run(["\\chaos mem 9", "\\chaos"])
+        assert "chaos mem needs the memory governor" in out.getvalue()
+        assert "chaos is off" in out.getvalue()
         shell.run(
             [
+                "\\memory on",
                 "\\chaos mem 9",
                 "\\chaos",
                 "SELECT t.a FROM t WHERE t.a < 50;",

@@ -336,12 +336,11 @@ class TestObsOffFastPath:
 PROGRESS_GOLDEN = Path(__file__).parent / "fixtures" / "progress_history_golden.json"
 
 #: The driver outcomes the fixture covers, each a scenario of
-#: ``tests/test_driver_pipeline.py``.  The fixture's ``breaker_fallback``
-#: history is not replayed: the circuit breaker it froze is deleted.
-PROGRESS_OUTCOMES = (
-    "single_attempt", "reopt_mv_reuse", "ecdc_compensation",
-    "transient_retry", "fault_after_rows", "deadline_fallback",
-)
+#: ``tests/test_driver_pipeline.py``.  The fixture's ``breaker_fallback``,
+#: ``transient_retry``, ``fault_after_rows`` and ``deadline_fallback``
+#: histories are not replayed: the circuit breaker, the guard's retries
+#: and its safe-plan fallback they froze are deleted.
+PROGRESS_OUTCOMES = ("single_attempt", "reopt_mv_reuse", "ecdc_compensation")
 
 
 def one_attempt(plan, events=(), total_units=0.0):

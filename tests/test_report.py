@@ -78,7 +78,7 @@ def test_dry_run_reports_events_without_reopt(tpch_db):
 
 
 def test_plan_renderings_are_computed_when_read(star_db, monkeypatch):
-    """A statement run without a tracer, metrics or guard renders no
+    """A statement run without a tracer or metrics renders no
     attempt's join order; reading the report renders it."""
     calls = []
 

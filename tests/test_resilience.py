@@ -1,16 +1,13 @@
-"""Fault injection, execution guards, retry/backoff, and safe-plan fallback.
+"""Fault injection, failure classification and exception safety.
 
 Covers:
 
 * the error taxonomy and ``failure_class`` classification;
 * seeded fault-plan determinism (same seed -> identical schedule, identical
-  retry/fallback sequence, identical rows);
-* retry correctness against the reference oracle, with backoff charged to
-  the work meter;
-* the fixed retry budget and backoff schedule, and the safe-plan
-  fallback's correctness;
-* deadline timeouts, memory-grant exhaustion, and statistics corruption
-  (a per-statement override: the catalog is never written);
+  renegotiations, identical rows);
+* memory-pressure (``mem_shrink``) faults against a governed statement and
+  statistics corruption (a per-statement override: the catalog is never
+  written);
 * exception safety: every operator is closed (and closable twice) on
   error paths;
 * the CLI's classified one-line errors and ``\\chaos`` mode;
@@ -23,48 +20,51 @@ import io
 
 import pytest
 
-from repro import Database, PopConfig
+from repro import Database
 from repro.analysis.contract import check_module
 from repro.cli import Shell
-from repro.common.chaosutil import canonical_rows, query_seed
+from repro.common.chaosutil import canonical_rows, query_seed, spill_dirs
 from repro.common.errors import (
+    ADMISSION,
+    CANCELLED,
+    CONFLICT,
     FATAL,
-    RESOURCE,
+    OVERLOADED,
     TIMEOUT,
-    TRANSIENT,
     USER,
+    AdmissionRejected,
+    BindError,
+    CatalogError,
+    ExecutionCancelled,
     ExecutionError,
     ExecutionTimeout,
     ParseError,
+    ProtocolError,
     ReproError,
-    ResourceExhausted,
-    TransientError,
+    SchemaError,
+    ServerOverloaded,
+    TransactionConflict,
+    WalError,
     failure_class,
-    is_retryable,
 )
-from repro.core.config import ResiliencePolicy
+from repro.core.config import MemoryPolicy, ResiliencePolicy
 from repro.core.driver import PopDriver
 from repro.executor.base import ExecutionContext
 from repro.executor.meter import WorkMeter
 from repro.executor.runtime import run_plan
 from repro.obs import MetricsRegistry, Tracer
-from repro.plan.explain import explain_plan
-from repro.plan.physical import NLJoin, find_ops
 from repro.resilience import (
-    EXEC_KINDS,
-    FALLBACK,
-    RAISE,
-    RETRY,
-    ExecutionGuard,
+    ALL_KINDS,
+    MEM_SHRINK,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     fault_campaign,
 )
-from repro.resilience.chaos import FaultTally, run_query_under_chaos
-from repro.resilience.guard import MAX_RETRIES, backoff_units
+from repro.resilience.chaos import FAULT_MEMORY, FaultTally, run_query_under_chaos
 from tests.conftest import canonical
 from tests.reference import evaluate_reference
+from tests.test_cancellation import CountdownToken
 
 JOIN_SQL = (
     "SELECT c.c_id, o.o_total FROM cust c, orders o "
@@ -77,9 +77,11 @@ SORT_SQL = (
     "ORDER BY o.o_total DESC"
 )
 
-
-def guarded(**kwargs) -> PopConfig:
-    return PopConfig(resilience=ResiliencePolicy(**kwargs))
+#: Spills under a 16-page budget (``tests/test_cancellation.py``'s join).
+SPILL_JOIN_SQL = (
+    "SELECT c.c_segment, o.o_total FROM cust c, orders o "
+    "WHERE o.o_custkey = c.c_id ORDER BY o.o_total, c.c_segment"
+)
 
 
 def oracle_rows(db: Database, sql: str):
@@ -89,22 +91,40 @@ def oracle_rows(db: Database, sql: str):
 # ---------------------------------------------------------------- taxonomy
 
 
+#: Every failure class, with each exception that must land in it.
+FAILURE_CLASSES = [
+    (ExecutionTimeout, TIMEOUT),
+    (ExecutionCancelled, CANCELLED),
+    (AdmissionRejected, ADMISSION),
+    (ServerOverloaded, OVERLOADED),
+    (TransactionConflict, CONFLICT),
+    (ParseError, USER),
+    (BindError, USER),
+    (SchemaError, USER),
+    (CatalogError, USER),
+    (ProtocolError, USER),
+    (ExecutionError, FATAL),
+    (WalError, FATAL),
+    (ValueError, FATAL),
+]
+
+
 class TestErrorTaxonomy:
-    def test_failure_classes(self):
-        assert failure_class(TransientError("x")) == TRANSIENT
-        assert failure_class(ResourceExhausted("x")) == RESOURCE
-        assert failure_class(ExecutionTimeout("x")) == TIMEOUT
-        assert failure_class(ParseError("x")) == USER
-        assert failure_class(ExecutionError("x")) == FATAL
-        assert failure_class(ValueError("x")) == FATAL
+    @pytest.mark.parametrize(
+        "error, cls", FAILURE_CLASSES, ids=[e.__name__ for e, _ in FAILURE_CLASSES]
+    )
+    def test_failure_classes(self, error, cls):
+        assert failure_class(error("x")) == cls
 
     def test_hierarchy(self):
-        # ResourceExhausted is retryable-transient; timeouts are not.
-        assert is_retryable(ResourceExhausted("x"))
-        assert is_retryable(TransientError("x"))
-        assert not is_retryable(ExecutionTimeout("x"))
-        assert isinstance(ResourceExhausted("x"), TransientError)
-        assert isinstance(ExecutionTimeout("x"), ReproError)
+        assert isinstance(ExecutionTimeout("x"), ExecutionError)
+        assert isinstance(TransactionConflict("x"), ReproError)
+        assert not isinstance(TransactionConflict("x"), ExecutionError)
+
+    def test_the_safe_plan_cannot_be_asked_for(self):
+        assert not ResiliencePolicy().fallback_enabled
+        with pytest.raises(ValueError, match="safe-plan fallback was removed"):
+            ResiliencePolicy(fallback_enabled=True)
 
 
 # ------------------------------------------------------------- fault plans
@@ -126,47 +146,41 @@ class TestFaultPlans:
         with pytest.raises(ValueError):
             FaultSpec("stats", payload=2.0)
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["segfault", "iterator", "stall"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError):
-            FaultSpec("segfault", trigger_at=1)
+            FaultSpec(kind, trigger_at=1)
 
 
-# ------------------------------------------------------------ guard (unit)
+# ------------------------------------------------------- injector (unit)
+
+
+def markers(triggers) -> FaultPlan:
+    """``mem_shrink`` faults that shrink nothing: pull-clock markers."""
+    return FaultPlan(
+        specs=[FaultSpec(MEM_SHRINK, trigger_at=k, payload=1.0) for k in triggers]
+    )
 
 
 class TestInjectorCountsBatchPulls:
     """The injector's clock is the ``next_batch`` pull: whatever the batch
     width, a fault whose trigger the statement reaches must fire."""
 
-    @pytest.mark.parametrize("width", [1, 1024])
+    @pytest.mark.parametrize("width", [1, 7, 1024])
     def test_every_reached_exec_fault_fires(self, star_db, width):
         physical = star_db.execute_without_pop(SORT_SQL).report.attempts[0].plan
-        # Seed 3 draws all three execution kinds at six distinct triggers
-        # (2..39), inside the 91 pulls this plan takes at width 1024.
-        plan = FaultPlan.seeded(3, n_faults=6, max_trigger=40)
-        assert {s.kind for s in plan.specs} == set(EXEC_KINDS)
+        # Six distinct triggers inside the 91 pulls this plan takes at
+        # width 1024.
+        plan = markers((2, 5, 11, 17, 29, 39))
         injector = FaultInjector(plan)
-        for _attempt in range(len(plan.specs) + 1):
-            # One injector across attempts, like the driver's retry loop:
-            # the pull counter keeps running, each attempt gets a fresh
-            # context (and with it un-shrunk memory).
-            ctx = ExecutionContext(
-                star_db.catalog, batch_size=width, fault_injector=injector
-            )
-            try:
-                rows = run_plan(physical, ctx)
-            except (TransientError, ResourceExhausted):
-                continue
-            break
-        else:
-            pytest.fail("statement never survived its fault schedule")
+        ctx = ExecutionContext(
+            star_db.catalog, batch_size=width, fault_injector=injector
+        )
+        rows = run_plan(physical, ctx)
         assert canonical(rows) == oracle_rows(star_db, SORT_SQL)
-        reached = [
-            s for s in plan.exec_specs if s.trigger_at <= injector.call_count
-        ]
-        assert len(reached) == 6
+        assert injector.call_count >= 39
         assert sorted((f.kind, f.at_call) for f in injector.fired) == sorted(
-            (s.kind, s.trigger_at) for s in reached
+            (s.kind, s.trigger_at) for s in plan.specs
         )
 
     def test_groupjoin_pulls_count_like_the_row_path(self, star_db, monkeypatch):
@@ -182,10 +196,7 @@ class TestInjectorCountsBatchPulls:
         physical = star_db.execute_without_pop(sql).report.attempts[0].plan
 
         def pulls() -> list:
-            plan = FaultPlan(specs=[
-                FaultSpec("stall", trigger_at=k, payload=1.0) for k in range(1, 100)
-            ])
-            injector = FaultInjector(plan)
+            injector = FaultInjector(markers(range(1, 100)))
             ctx = ExecutionContext(star_db.catalog, fault_injector=injector)
             run_plan(physical, ctx)
             return [(f.at_call, f.op_kind) for f in injector.fired]
@@ -196,194 +207,31 @@ class TestInjectorCountsBatchPulls:
         assert pulls() == fused
 
 
-class TestExecutionGuard:
-    def test_backoff_schedule_is_capped_exponential(self):
-        assert [backoff_units(i) for i in range(6)] == [
-            50.0, 100.0, 200.0, 400.0, 800.0, 800.0,
-        ]
-
-    def test_retry_then_fallback_then_exhausted(self):
-        meter = WorkMeter(track_categories=True)
-        guard = ExecutionGuard(ResiliencePolicy(), meter=meter)
-        assert guard.on_failure(TransientError("a")) == RETRY
-        assert guard.on_failure(ResourceExhausted("b")) == RETRY
-        assert guard.on_failure(TransientError("c")) == FALLBACK
-        assert guard.retries == 2
-        assert meter.by_category()["backoff"] == pytest.approx(
-            guard.backoff_units_charged
-        )
-
-    def test_fatal_and_user_errors_raise(self):
-        guard = ExecutionGuard(ResiliencePolicy())
-        assert guard.on_failure(ExecutionError("boom")) == RAISE
-        assert guard.on_failure(ParseError("bad sql")) == RAISE
-        assert guard.retries == 0
-
-    def test_timeout_goes_straight_to_fallback(self):
-        guard = ExecutionGuard(ResiliencePolicy())
-        assert guard.on_failure(ExecutionTimeout("late")) == FALLBACK
-        assert "deadline" in guard.fallback_reason
-
-    def test_fallback_disabled_raises_instead(self):
-        guard = ExecutionGuard(ResiliencePolicy(fallback_enabled=False))
-        for _ in range(MAX_RETRIES):
-            assert guard.on_failure(TransientError("a")) == RETRY
-        assert guard.on_failure(TransientError("a")) == RAISE
-
-    def test_requested_fallback_gets_no_deadline_and_no_second_chance(self):
-        """The safe plan must complete: once the guard asked for it, it
-        hands out no deadline, and a failure of it is raised uncounted."""
-        metrics = MetricsRegistry()
-        guard = ExecutionGuard(
-            ResiliencePolicy(deadline_units=10.0, deadline_seconds=60.0),
-            meter=WorkMeter(),
-            metrics=metrics,
-        )
-        assert guard.deadline_for_attempt(WorkMeter()) == 10.0
-        assert guard.wall_deadline_for_statement() is not None
-        assert guard.on_failure(ExecutionTimeout("late")) == FALLBACK
-        counters = metrics.snapshot()["counters"]
-        assert guard.deadline_for_attempt(WorkMeter()) is None
-        assert guard.wall_deadline_for_statement() is None
-        assert guard.on_failure(TransientError("again")) == RAISE
-        assert guard.on_failure(ExecutionTimeout("again")) == RAISE
-        assert guard.retries == 0
-        assert metrics.snapshot()["counters"] == counters
+# ---------------------------------------------------- mem_shrink through driver
 
 
-# ----------------------------------------------------- retry through driver
-
-
-class TestRetry:
-    def test_transient_fault_retried_and_correct(self, star_db):
-        oracle = oracle_rows(star_db, JOIN_SQL)
-        meter = WorkMeter(track_categories=True)
-        plan = FaultPlan(specs=[FaultSpec("iterator", trigger_at=4)])
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), meter=meter, faults=plan
-        )
-        assert canonical(result.rows) == oracle
-        assert result.report.retries == 1
-        assert not result.report.fallback_used
-        assert result.report.faults_injected == 1
-        failed = result.report.attempts[0]
-        assert failed.failure_class == TRANSIENT
-        assert "injected transient" in failed.failure
-
-    def test_backoff_charged_to_meter(self, star_db):
-        meter = WorkMeter(track_categories=True)
-        plan = FaultPlan(specs=[FaultSpec("iterator", trigger_at=4)])
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), meter=meter, faults=plan
-        )
-        assert result.report.retries == 1
-        assert meter.by_category()["backoff"] == backoff_units(0)
-        assert result.report.backoff_units == backoff_units(0)
-
-    def test_retries_do_not_consume_reopt_budget(self, star_db):
-        # A retry re-optimizes but must not burn a CHECK's re-planning
-        # round: with reopt_limit untouched, a fault on attempt 0 still
-        # leaves the full budget for genuine checkpoint triggers.
-        plan = FaultPlan(specs=[FaultSpec("iterator", trigger_at=2)])
-        result = star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
-        checkpointed = [
-            a for a in result.report.attempts if a.checkpoints_placed
-        ]
-        assert checkpointed, "retry attempt should still place checkpoints"
-
-    def test_mem_shrink_resource_exhaustion_retried(self, star_db):
-        oracle = oracle_rows(star_db, SORT_SQL)
-        plan = FaultPlan(
-            specs=[FaultSpec("mem_shrink", trigger_at=2, payload=0.0001)]
-        )
-        result = star_db.execute(SORT_SQL, pop=guarded(), faults=plan)
-        assert canonical(result.rows) == oracle
-        assert result.report.retries >= 1
-        assert result.report.attempts[0].failure_class == RESOURCE
-
+class TestMemShrinkFaults:
     def test_seeded_fault_runs_are_identical(self, star_db):
+        star_db.enable_memory_governor(policy=FAULT_MEMORY)
         outcomes = []
         for _ in range(2):
             plan = FaultPlan.seeded(
-                7,
-                n_faults=4,
-                kinds=("iterator", "stall", "mem_shrink"),
+                7, n_faults=4, kinds=ALL_KINDS, tables=("cust", "orders")
             )
             meter = WorkMeter(track_categories=True)
-            result = star_db.execute(
-                SORT_SQL, pop=guarded(), meter=meter, faults=plan
-            )
+            result = star_db.execute(SORT_SQL, meter=meter, faults=plan)
             outcomes.append(
                 (
                     canonical(result.rows),
-                    result.report.retries,
-                    result.report.fallback_used,
                     result.report.faults_injected,
-                    [a.failure_class for a in result.report.attempts],
+                    result.report.renegotiations,
+                    result.report.spilled,
                     meter.snapshot(),
                 )
             )
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == oracle_rows(star_db, SORT_SQL)
-
-
-# ----------------------------------------------------------------- fallback
-
-
-class TestFallback:
-    def test_persistent_fault_falls_back_correctly(self, star_db):
-        oracle = oracle_rows(star_db, JOIN_SQL)
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
-        )
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=plan
-        )
-        assert canonical(result.rows) == oracle
-        assert result.report.retries == MAX_RETRIES
-        assert result.report.fallback_used
-        assert "retries exhausted" in result.report.fallback_reason
-        final = result.report.attempts[-1]
-        assert final.fallback
-        assert final.checkpoints_placed == 0
-        assert final.failure is None
-
-    def test_fallback_disabled_raises(self, star_db):
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
-        )
-        with pytest.raises(TransientError):
-            star_db.execute(
-                JOIN_SQL,
-                pop=guarded(fallback_enabled=False),
-                faults=plan,
-            )
-
-    def test_fallback_avoids_nested_loop_joins(self, star_db):
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
-        )
-        result = star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
-        assert result.report.fallback_used
-        assert not find_ops(result.report.attempts[-1].plan, NLJoin)
-
-    def test_fallback_restriction_ends_with_its_statement(self, star_db):
-        before = explain_plan(star_db.plan(JOIN_SQL)[1].plan)
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
-        )
-        star_db.execute(JOIN_SQL, pop=guarded(), faults=plan)
-        assert explain_plan(star_db.plan(JOIN_SQL)[1].plan) == before
-
-    def test_deadline_timeout_falls_back(self, star_db):
-        oracle = oracle_rows(star_db, JOIN_SQL)
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(deadline_units=1.0), faults=FaultPlan()
-        )
-        assert canonical(result.rows) == oracle
-        assert result.report.fallback_used
-        assert "deadline" in result.report.fallback_reason
-        assert result.report.attempts[0].failure_class == TIMEOUT
+        assert outcomes[0][2] >= 1
 
 
 # -------------------------------------------------------------- stats faults
@@ -429,7 +277,7 @@ class TestStatsFaults:
         clean = star_db.plan(ORDERS_SQL)[0].plan.est_card
         seen = inside_the_statement(star_db, monkeypatch)
         result = star_db.execute(
-            ORDERS_SQL, pop=guarded(), faults=stats_fault(100.0)
+            ORDERS_SQL, faults=stats_fault(100.0)
         )
         assert canonical(result.rows) == oracle_rows(star_db, ORDERS_SQL)
         assert result.report.faults_injected == 1
@@ -446,23 +294,18 @@ class TestStatsFaults:
     ):
         before = star_db.catalog.statistics("orders")
         seen = inside_the_statement(star_db, monkeypatch)
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=stats_fault(0.0)
-        )
+        result = star_db.execute(JOIN_SQL, faults=stats_fault(0.0))
         assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
         assert seen and all(stats is before for stats, _ in seen)
         with pytest.raises(ReproError):
             star_db.execute(
-                "SELECT c.nope FROM cust c", pop=guarded(),
-                faults=stats_fault(0.0),
+                "SELECT c.nope FROM cust c", faults=stats_fault(0.0)
             )
         assert star_db.catalog.statistics("orders") is before
 
     def test_stats_faulted_statement_skips_the_plan_cache(self, star_db):
         cache = star_db.enable_plan_cache()
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=stats_fault(100.0)
-        )
+        result = star_db.execute(JOIN_SQL, faults=stats_fault(100.0))
         assert canonical(result.rows) == oracle_rows(star_db, JOIN_SQL)
         assert result.report.faults_injected == 1
         stats = cache.stats
@@ -474,22 +317,32 @@ class TestStatsFaults:
 
 
 class TestExceptionSafety:
-    def test_operators_closed_on_fault(self, star_db):
-        tracer = Tracer()
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
+    def test_operators_closed_on_error(self, star_db):
+        """A governed, spilling join cancelled mid-drain: every operator
+        span ends, and no spill file or reservation is left behind."""
+        before = spill_dirs()
+        governor = star_db.enable_memory_governor(
+            policy=MemoryPolicy(
+                budget_pages=16.0, min_reservation_pages=4.0, min_grant_pages=2.0
+            )
         )
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=plan, tracer=tracer
-        )
-        assert result.report.fallback_used
-        # Every operator span must have ended despite the mid-plan crashes.
+        tracer, metrics = Tracer(), MetricsRegistry()
+        # Poll 20: the build side is on disk, the probe side mid-partition.
+        with pytest.raises(ExecutionCancelled):
+            star_db.execute(
+                SPILL_JOIN_SQL, cancel=CountdownToken(20), tracer=tracer,
+                metrics=metrics,
+            )
+        assert metrics.total("governor.spill_files") > 0
         op_spans = [
             r for r in tracer.records
             if r["type"] == "span" and r["name"].startswith("op.")
         ]
         assert op_spans
         assert all(r["t1"] is not None for r in op_spans)
+        snap = governor.snapshot()
+        assert snap["used_pages"] == 0 and snap["reservations"] == []
+        assert spill_dirs() - before == set()
 
     def test_close_is_idempotent_on_every_operator(self, star_db):
         from repro.executor.base import ExecutionContext
@@ -528,22 +381,30 @@ class TestChaosHarness:
         assert outcome.ok, outcome.problems
         assert sum(outcome.tally.fired.values()) >= 1
 
-    def test_silent_injector_fails_the_campaign(self, monkeypatch, capsys):
-        """A seed that planned execution faults and fired none did not test
-        anything: that seed fails on its own, whatever the others fired."""
-        from repro.common.chaosutil import scenario_main
+    @staticmethod
+    def _small_campaign():
+        """Two TPC-H queries whose shrinks renegotiate at seeds 1 and 2 (a
+        shrink of a one-table statement's floor-sized reservation frees
+        nothing)."""
         from repro.workloads import small_workload_databases
 
-        workloads = [
-            (label, db, queries[:2])
+        return fault_campaign([
+            (label, db, [q for q in queries if q[0] in ("Q3", "Q9")])
             for label, db, queries in small_workload_databases("tpch")
-        ]
-        run_faults = fault_campaign(workloads)
+        ])
+
+    def test_silent_injector_fails_the_campaign(self, monkeypatch, capsys):
+        """A seed that planned ``mem_shrink`` faults and fired none did not
+        test anything: that seed fails on its own, whatever the others
+        fired."""
+        from repro.common.chaosutil import scenario_main
+
+        run_faults = self._small_campaign()
         assert run_faults(1).ok
         monkeypatch.setattr(FaultInjector, "_wrap", lambda self, op, ctx: None)
         silent = run_faults(2)
         assert not silent.ok
-        assert silent.problems[-1].endswith("execution faults planned, none fired")
+        assert silent.problems[-1].endswith("mem_shrink faults planned, none fired")
         runners = {"faults": run_faults}
         assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 1
         out = capsys.readouterr().out
@@ -552,24 +413,35 @@ class TestChaosHarness:
         assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 0
         assert "none fired" not in capsys.readouterr().out
 
+    def test_shrinks_that_renegotiate_nothing_fail_the_campaign(
+        self, monkeypatch
+    ):
+        """A ``mem_shrink`` fault that fires but never reaches the
+        governor's reservation tested nothing either."""
+        run_faults = self._small_campaign()
+        monkeypatch.setattr(
+            ExecutionContext, "apply_memory_pressure", lambda self, factor: None
+        )
+        outcome = run_faults(1)
+        assert outcome.tally.fired[MEM_SHRINK]
+        assert not outcome.ok
+        assert outcome.problems[-1].endswith("no reservation renegotiated")
+
     def test_seeded_campaign_reaches_the_operators(self, capsys):
         """The injector wraps ``next_batch`` (and an index-NLJN inner's
         ``probe``) per operator instance, and the pull sequence is what
-        places the faults.  The batched index NLJN removed pulls on purpose
-        — one outer pull per batch of rows instead of one per row, and no
-        per-row inner EOF pull — so the campaign reaches fewer of its
-        late triggers: 139/223 (iterator 40, stall 50, mem_shrink 49) with
-        per-row NLJN pulls.  Counting a k-key probe as k pulls keeps every
-        kind above 80 % of that."""
+        places the faults; under the campaign's governor a fired shrink
+        renegotiates the statement's reservation, and some statements spill
+        for it.  The counts are a pure function of the seeds."""
         from repro.chaos import main
 
         args = ["--scenario", "faults", "stampede", "memory",
                 "--seeds", "1", "2", "--quiet"]
         assert main(args) == 0
         assert (
-            "chaos: 6/6 scenario runs ok, 121/223 execution faults fired "
-            "(iterator 37/64, stall 43/80, mem_shrink 41/79), "
-            "83/83 stats faults fired, 37 retries, 0 fallbacks"
+            "chaos: 6/6 scenario runs ok, 78/140 mem_shrink faults fired, "
+            "166/166 stats faults fired, 48 renegotiations, "
+            "14 spilled statements"
         ) in capsys.readouterr().out
 
     def test_chaos_detects_divergence(self, star_db):
@@ -726,45 +598,20 @@ class TestFaultIsolationRule:
 
 class TestObservability:
     def test_every_fault_visible_in_trace_and_metrics(self, star_db):
+        star_db.enable_memory_governor(policy=FAULT_MEMORY)
         tracer = Tracer()
         metrics = MetricsRegistry()
         plan = FaultPlan(
             specs=[
-                FaultSpec("iterator", trigger_at=4),
-                FaultSpec("stall", trigger_at=10, payload=500.0),
+                FaultSpec(MEM_SHRINK, trigger_at=4, payload=0.1),
                 FaultSpec("stats", payload=50.0, target_table="orders"),
             ]
         )
         result = star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=plan,
-            tracer=tracer, metrics=metrics,
+            SORT_SQL, faults=plan, tracer=tracer, metrics=metrics
         )
-        assert result.report.faults_injected == 3
-        assert len(tracer.events("fault.injected")) == 3
-        assert metrics.total("resilience.faults_injected") == 3
-        assert len(tracer.events("guard.retry")) == result.report.retries
-        assert metrics.total("resilience.retries") == result.report.retries
-
-    def test_fallback_events(self, star_db):
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        plan = FaultPlan(
-            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
-        )
-        star_db.execute(
-            JOIN_SQL, pop=guarded(), faults=plan,
-            tracer=tracer, metrics=metrics,
-        )
-        assert len(tracer.events("guard.fallback")) == 1
-        assert metrics.total("resilience.fallbacks") == 1
-
-    def test_stall_fault_charges_meter(self, star_db):
-        meter = WorkMeter(track_categories=True)
-        plan = FaultPlan(
-            specs=[FaultSpec("stall", trigger_at=5, payload=777.0)]
-        )
-        result = star_db.execute(
-            JOIN_SQL, pop=guarded(), meter=meter, faults=plan
-        )
-        assert result.report.faults_injected == 1
-        assert meter.by_category()["fault.stall"] == pytest.approx(777.0)
+        assert canonical(result.rows) == oracle_rows(star_db, SORT_SQL)
+        assert result.report.faults_injected == 2
+        assert len(tracer.events("fault.injected")) == 2
+        assert metrics.total("resilience.faults_injected") == 2
+        assert result.report.renegotiations == 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import chain, count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -71,16 +72,42 @@ def spill_policy(**overrides):
     return MemoryPolicy(**defaults)
 
 
+class SqueezedContext(ExecutionContext):
+    """A context whose every grant is capped at ``factor`` of the request,
+    as if each ran under a reservation that size."""
+
+    def __init__(self, *args, factor, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.factor = factor
+
+    def grant_pages(self, pages, category):
+        self.reservation = SimpleNamespace(pages=pages * self.factor)
+        return super().grant_pages(pages, category)
+
+
 def squeezed_ctx(cat, factor, policy=None, **kwargs):
     """A context whose every grant is scaled down by ``factor``."""
-    ctx = ExecutionContext(
+    return SqueezedContext(
         cat,
+        factor=factor,
         meter=WorkMeter(track_categories=True),
         memory=policy if policy is not None else spill_policy(),
         **kwargs,
     )
-    ctx.mem_shrink = factor
-    return ctx
+
+
+class TripAfterFirstSpill:
+    """Duck-typed cancel token that trips once ``ctx`` wrote a spill file."""
+
+    reason = "tripped after the first spill file"
+
+    def __init__(self):
+        self.ctx = None
+
+    @property
+    def cancelled(self):
+        summary = self.ctx.spill_summary()
+        return bool(summary and summary["files"])
 
 
 class TestSpillFile:
@@ -485,13 +512,14 @@ class TestSpillLifecycle:
         cat = make_catalog([(i, "x") for i in range(600)])
         child = scan_plan(600)
         plan = Sort(child, ("t.a",), child.properties.with_order(("t.a",)), 5)
-        # A zero-unit deadline aborts at the root right after open() — by
-        # which point the sort has already spilled its runs.
-        ctx = squeezed_ctx(cat, 1 / 64.0, work_deadline=0.0)
-        from repro.common.errors import ExecutionTimeout
+        # The token trips once the sort spilled its first run: the next
+        # batch the scan emits unwinds the build mid-way.
+        token = TripAfterFirstSpill()
+        ctx = token.ctx = squeezed_ctx(cat, 1 / 64.0, cancel=token)
+        from repro.common.errors import ExecutionCancelled
 
         before = spill_dirs()
-        with pytest.raises(ExecutionTimeout):
+        with pytest.raises(ExecutionCancelled):
             run_plan(plan, ctx)
         assert ctx.spill.released
         assert spill_dirs() - before == set()

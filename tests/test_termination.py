@@ -1,13 +1,15 @@
 """The paper's §7 cap is the only rule that ends a POP statement.
 
 A statement re-optimizes at most ``PopConfig.max_reoptimizations`` times,
-and the last permitted round runs without CHECKs.  With the execution guard
-on, transient failures add at most ``MAX_RETRIES`` attempts and the safe
-plan one more, so no statement runs more than
-``2 + max_reoptimizations + MAX_RETRIES`` attempts.  Pinned here:
+and the last permitted round runs without CHECKs.  Every attempt after the
+first is a re-optimized round (a failed attempt raises, nothing retries
+it), so no statement runs more than ``1 + max_reoptimizations`` attempts.
+Pinned here:
 
 * the bound on every DMV statement, with the default and with all five
-  CHECK flavors, with and without seeded execution faults;
+  CHECK flavors, with and without seeded ``stats`` and ``mem_shrink``
+  faults, ungoverned and under the fault campaign's governor (where the
+  shrinks renegotiate reservations and operators spill);
 * a plan-cache hit obeys the cap of the statement that hits it: a variant
   serves only statements that place the same CHECKs
   (``PopConfig.checks_key``), so a POP-off statement never runs a cached
@@ -19,21 +21,18 @@ from __future__ import annotations
 import pytest
 
 from repro import PopConfig
-from repro.core.config import NO_POP, ResiliencePolicy
+from repro.core.config import NO_POP
 from repro.core.flavors import ALL_FLAVORS
-from repro.plan.physical import Check, find_ops
-from repro.resilience import FaultPlan
-from repro.resilience.guard import MAX_RETRIES
+from repro.resilience import ALL_KINDS, FaultPlan
+from repro.resilience.chaos import FAULT_MEMORY
 from repro.workloads.dmv.queries import dmv_queries
 
 from .conftest import build_dmv_db, canonical
-from .test_driver_pipeline import DMV_MODEL_TEMPLATE
+from .test_driver_pipeline import DMV_MODEL_TEMPLATE, narrowed_cache_db
 
 FLAVOR_CONFIGS = {
-    "default-flavors": PopConfig(resilience=ResiliencePolicy()),
-    "all-flavors": PopConfig(
-        flavors=frozenset(ALL_FLAVORS), resilience=ResiliencePolicy()
-    ),
+    "default-flavors": PopConfig(),
+    "all-flavors": PopConfig(flavors=frozenset(ALL_FLAVORS)),
 }
 
 
@@ -49,37 +48,34 @@ def dmv():
     return db, queries, static
 
 
-@pytest.mark.parametrize("faults", ["no-faults", "seeded-faults"])
+@pytest.mark.parametrize(
+    "faults", ["no-faults", "seeded-faults", "governed-seeded-faults"]
+)
 @pytest.mark.parametrize(
     "config", FLAVOR_CONFIGS.values(), ids=FLAVOR_CONFIGS.keys()
 )
-def test_every_dmv_statement_ends_within_the_cap(dmv, config, faults):
+def test_every_dmv_statement_ends_within_the_cap(dmv, config, faults, request):
     db, queries, static = dmv
     cap = config.max_reoptimizations
+    tables = [t.name for t in db.catalog.tables()]
+    governed = faults.startswith("governed")
+    if governed:
+        db.enable_memory_governor(policy=FAULT_MEMORY)
+        request.addfinalizer(db.disable_memory_governor)
+    renegotiations = 0
     for i, (name, sql) in enumerate(queries):
-        plan = FaultPlan.seeded(i) if faults == "seeded-faults" else None
+        plan = (
+            FaultPlan.seeded(i, kinds=ALL_KINDS, tables=tables)
+            if faults != "no-faults"
+            else None
+        )
         result = db.execute(sql, pop=config, faults=plan)
         report = result.report
         assert report.reoptimizations <= cap, name
-        assert len(report.attempts) <= 2 + cap + MAX_RETRIES, name
-        assert report.retries <= MAX_RETRIES, name
+        assert len(report.attempts) <= 1 + cap, name
         assert canonical(result.rows) == static[name], name
-
-
-def _cached_narrow_check():
-    """A DMV database whose plan cache holds a POP plan with a CHECK the
-    next bind fires (the ``cache_hit_check_fires`` scenario's set-up)."""
-    db = build_dmv_db()
-    db.enable_plan_cache()
-    db.execute(DMV_MODEL_TEMPLATE.format(m="MODEL00_8"))
-    entry = db.plan_cache.entries()[0]
-    db.plan_cache.discard(entry.shape, entry.fingerprint)
-    find_ops(entry.plan, Check)[0].check_range.high = 50.0
-    db.plan_cache.install(
-        entry.shape, entry.plan, entry.tables,
-        params=entry.params, checkpoints=entry.checkpoints,
-    )
-    return db
+        renegotiations += report.renegotiations
+    assert bool(renegotiations) == governed
 
 
 @pytest.mark.parametrize(
@@ -88,10 +84,10 @@ def _cached_narrow_check():
     ids=["pop-off", "cap-0"],
 )
 def test_a_cached_check_never_outruns_the_cap(config):
-    db = _cached_narrow_check()
+    db = narrowed_cache_db()
     fired = db.execute(DMV_MODEL_TEMPLATE.format(m="MODEL00_7")).report
     assert fired.cache_hit and fired.reoptimizations == 1
-    db = _cached_narrow_check()
+    db = narrowed_cache_db()
     report = db.execute(DMV_MODEL_TEMPLATE.format(m="MODEL00_7"), pop=config).report
     assert not report.cache_hit
     assert report.reoptimizations == 0
