@@ -23,6 +23,13 @@ from repro.expr.evaluate import compile_filter
 from repro.plan.physical import Check, HashJoin, MergeJoin, NLJoin, find_ops
 
 
+def _integral(value):
+    """``value`` with an integral float replaced by the int it equals."""
+    if value.__class__ is float and value.is_integer():
+        return int(value)
+    return value
+
+
 def _key_hashes(keys: list):
     """The 32-bit hash of each join key: ``crc32`` over its repr.
 
@@ -30,11 +37,24 @@ def _key_hashes(keys: list):
     would make partition contents (and thus spill volume and row order)
     irreproducible across runs.  A single-column key arrives as the bare
     value (see :func:`_key_kernels`) and is hashed as the 1-tuple, so the
-    hash does not depend on that representation.
+    hash does not depend on that representation.  An integral float is
+    hashed as the int it equals, column by column: ``5 == 5.0`` match in
+    the build table, so they must share a partition.  The batch's key
+    types are taken once: an all-``int`` batch formats its 1-tuple bytes
+    directly, any other bare key formats its 1-tuple text without
+    building the tuple.
     """
-    if keys and keys[0].__class__ is not tuple:
-        keys = zip(keys)
-    return map(zlib.crc32, map(str.encode, map(repr, keys)))
+    types = set(map(type, keys))
+    if tuple in types:
+        if float in set(map(type, chain.from_iterable(keys))):
+            keys = [tuple(map(_integral, key)) for key in keys]
+        return map(zlib.crc32, map(str.encode, map(repr, keys)))
+    if float in types:
+        keys = list(map(_integral, keys))
+        types = set(map(type, keys))
+    if types == {int}:
+        return map(zlib.crc32, map(b"(%d,)".__mod__, keys))
+    return map(zlib.crc32, map(str.encode, map("(%r,)".__mod__, keys)))
 
 
 def _route(rows: list[tuple], keys: list, depth: int, parts: list) -> None:

@@ -103,17 +103,23 @@ def _merge_blocks(runs: list, key) -> Iterator[list[tuple]]:
         yield list(map(out.__getitem__, order))
 
 
-def _sort_in_place(rows: list[tuple], slots: list[int], ascending: list[bool]) -> None:
+def _sort_in_place(rows: list[tuple], slots: list[int], ascending: list[bool]) -> bool:
     """Stable multi-key sort honoring per-key direction: one pass per key,
     least significant first.  A column holding no NULL sorts on the bare
     C-level ``itemgetter``; one that does sorts through the ``(is NULL,
-    value)`` pair, NULL after every value."""
+    value)`` pair, NULL after every value.  The rows come out in the order
+    of a stable sort on :func:`_composite_key` (a descending pass with
+    ``reverse=True`` keeps ties in input order).  Returns whether any key
+    column held a NULL."""
+    saw_null = False
     for slot, asc in reversed(list(zip(slots, ascending))):
         column = itemgetter(slot)
         if None in map(column, rows):
+            saw_null = True
             rows.sort(key=lambda r, s=slot: (r[s] is None, r[s]), reverse=not asc)
         else:
             rows.sort(key=column, reverse=not asc)
+    return saw_null
 
 
 class SortExec(Operator):
@@ -172,11 +178,11 @@ class SortExec(Operator):
         p = self.ctx.cost_params
         grant = self.ctx.grant_pages(p.sort_mem_pages, "sort")
         capacity = max(1, int(grant * p.rows_per_page))
-        key = _composite_key(
-            [self.plan.layout.slot(k) for k in self.plan.keys], self.plan.ascending
-        )
+        slots = [self.plan.layout.slot(k) for k in self.plan.keys]
+        ascending = self.plan.ascending
         interruptible = self.ctx.interruptible
         runs = []
+        saw_null = False
         buf: list[tuple] = []
         n = 0
         batch_size = self.ctx.batch_size
@@ -197,7 +203,7 @@ class SortExec(Operator):
                 # arrives — an input that exactly fills the grant stays in
                 # memory.
                 if len(buf) >= capacity:
-                    buf.sort(key=key)
+                    saw_null |= _sort_in_place(buf, slots, ascending)
                     runs.append(
                         self.ctx.spill.spill_rows(
                             "sort", buf, f"sort-run-{len(runs)}"
@@ -210,19 +216,24 @@ class SortExec(Operator):
             n += len(batch)
         if n:
             self.ctx.meter.charge(n * max(1.0, math.log2(n + 1)) * p.cpu_sort, "sort")
+        saw_null |= _sort_in_place(buf, slots, ascending)
         if runs:
-            # The merge is stable across runs in arrival order, and each run
-            # was sorted with the same composite key, so the merged stream
-            # equals the in-memory stable sort row for row.
             if buf:
-                buf.sort(key=key)
                 runs.append(self.ctx.spill.spill_rows("sort", buf, "sort-run-final"))
+            # Every run is in composite-key order, and the merge is stable
+            # across runs in arrival order, so the merged stream equals the
+            # in-memory stable sort row for row.  With no NULL key and every
+            # key ascending, the bare key columns order rows exactly as the
+            # composite key does.
+            if saw_null or not all(ascending):
+                key = _composite_key(slots, ascending)
+            else:
+                key = itemgetter(*slots)
             self.spilled = True
             self._merge = chain.from_iterable(
                 _merge_blocks([run.batches() for run in runs], key)
             )
         else:
-            buf.sort(key=key)
             self._rows = buf
         self._pos = 0
         self.build_complete = True

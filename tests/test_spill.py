@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import heapq
 import os
+import sqlite3
+import zlib
 from itertools import chain, count
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.common.chaosutil import spill_dirs
 from repro.common.errors import ExecutionError
-from repro.core.config import MemoryPolicy
+from repro.core.config import MemoryPolicy, PopConfig
+from repro.executor import sort as sort_module
 from repro.executor.base import ExecutionContext
 from repro.executor.joins import _key_hashes, _route
 from repro.executor.meter import WorkMeter
@@ -330,6 +335,81 @@ class TestBlockMerge:
         assert got == list(heapq.merge(*runs, key=key))
 
 
+class TestExternalSortDifferential:
+    """The external sort sorts its runs with the in-memory sort's passes
+    and merges on the bare key columns where no NULL key was seen and
+    every key ascends: its output equals the in-memory sort row for row,
+    and its charges and spill files equal those of runs sorted and merged
+    on the composite key."""
+
+    #: Key values: few, so ties abound, with ints and floats that tie.
+    VALUES = [0, 1, 1.0, 1.5, 2, 2.0, 3]
+    #: Rows per run: one page under a 1/128 squeeze of the sort grant.
+    CAPACITY = 64
+
+    def plan(self, rows, ascending):
+        cat = Catalog()
+        table = cat.create_table(
+            "t", Schema.of(("a", "float"), ("b", "float"), ("c", "int"))
+        )
+        table.load_raw(rows)
+        scan = TableScan(
+            "t", "t", [], PlanProperties(frozenset({"t"}), frozenset()),
+            RowLayout(["t.a", "t.b", "t.c"]), est_card=len(rows), est_cost=1,
+        )
+        plan = Sort(
+            scan, ("t.a", "t.b"), scan.properties.with_order(("t.a", "t.b")), 5,
+            ascending=ascending,
+        )
+        return cat, plan
+
+    def spilled(self, cat, plan):
+        ctx = squeezed_ctx(cat, 1 / 128.0)
+        rows = run_plan(plan, ctx)
+        return rows, ctx.meter.by_category(), ctx.spill_summary()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_runs=st.integers(3, 5),
+        last_run=st.integers(1, CAPACITY),
+        nulls=st.sampled_from([None, "first", "last"]),
+        ascending=st.tuples(st.booleans(), st.booleans()),
+        data=st.data(),
+    )
+    def test_equals_in_memory_sort_and_composite_key_runs(
+        self, n_runs, last_run, nulls, ascending, data
+    ):
+        n = (n_runs - 1) * self.CAPACITY + last_run
+        null_rows = {
+            None: range(0),
+            "first": range(self.CAPACITY),
+            "last": range(n - last_run, n),
+        }[nulls]
+        value = st.sampled_from(self.VALUES)
+        keys = data.draw(st.lists(st.tuples(value, value), min_size=n, max_size=n))
+        # ``c`` makes the order of ties visible.
+        rows = [(a, b, i) for i, (a, b) in enumerate(keys)]
+        if null_rows:
+            for i in data.draw(st.lists(st.sampled_from(null_rows), min_size=1)):
+                column = data.draw(st.integers(0, 1))
+                rows[i] = rows[i][:column] + (None,) + rows[i][column + 1:]
+        cat, plan = self.plan(rows, ascending)
+        oracle = run_plan(plan, ExecutionContext(cat))
+        got, units, summary = self.spilled(cat, plan)
+
+        def composite_sort(rows, slots, ascending):
+            rows.sort(key=_composite_key(slots, ascending))
+            return True  # as if a NULL was seen: merge on the composite key
+
+        with mock.patch.object(sort_module, "_sort_in_place", composite_sort):
+            expect, expect_units, expect_summary = self.spilled(cat, plan)
+        assert summary["files"] == n_runs
+        assert list(map(repr, got)) == list(map(repr, oracle))
+        assert list(map(repr, expect)) == list(map(repr, oracle))
+        assert units == expect_units
+        assert summary == expect_summary
+
+
 class TestSpillingTemp:
     def test_overflow_survives_rescans(self):
         rows = [(i, f"v{i}") for i in range(700)]
@@ -492,6 +572,104 @@ class TestGracePartitioning:
             sizes = [len(part.rows) for part in parts]
             assert sum(sizes) == len(keys)
             assert max(sizes) <= 2 * len(keys) / fanout, (depth, sizes)
+
+
+#: Bare join keys whose digests are pinned: ints, strings, and floats
+#: that are not integral (an integral float hashes as its int).
+_bare_keys = st.one_of(
+    st.integers(),
+    st.text(max_size=8),
+    st.floats().filter(lambda f: not f.is_integer()),
+)
+
+
+class TestKeyHash:
+    """``_key_hashes`` is ``crc32`` over the key's 1-tuple repr (a tuple
+    key's own repr), and keys that compare equal share a digest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.one_of(
+            st.lists(_bare_keys, max_size=20),
+            st.lists(st.tuples(_bare_keys, _bare_keys), max_size=20),
+        )
+    )
+    def test_digest_is_crc32_of_the_tuple_repr(self, keys):
+        want = [
+            zlib.crc32(repr(key if type(key) is tuple else (key,)).encode())
+            for key in keys
+        ]
+        assert list(_key_hashes(keys)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ints=st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=10),
+        others=st.lists(st.one_of(_bare_keys, st.floats()), max_size=10),
+        pair_with=st.one_of(st.none(), st.text(max_size=3)),
+    )
+    def test_equal_int_and_float_keys_share_a_digest(self, ints, others, pair_with):
+        keys = ints + [float(i) for i in ints] + others
+        if pair_with is not None:
+            keys = [(k, pair_with) for k in keys] + [(pair_with, k) for k in keys]
+        digests = list(_key_hashes(keys))
+        for key, digest in zip(keys, digests):
+            assert list(_key_hashes([key])) == [digest]  # batch-independent
+        for a, da in zip(keys, digests):
+            for b, db in zip(keys, digests):
+                if a == b:
+                    assert da == db, (a, b)
+
+
+class TestMixedNumericJoinKeys:
+    """An INT = FLOAT equi-join returns the same rows spilled as in memory
+    and as sqlite3: ``5`` and ``5.0`` match in the build table, so the
+    Grace partitioner must send them to one partition."""
+
+    N = 2000
+    STATEMENTS = [
+        "SELECT a.x, b.y FROM a, b WHERE a.x = b.y",
+        "SELECT a.x, a.u, b.y, b.v FROM a, b WHERE a.x = b.y AND a.u = b.v",
+    ]
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        a = [(i, float(i % 7)) for i in range(self.N)]
+        b = [(i + (0.5 if i % 5 == 0 else 0.0), i % 7) for i in range(self.N)]
+
+        def load():
+            db = Database()
+            db.create_table("a", [("x", "int"), ("u", "float")])
+            db.create_table("b", [("y", "float"), ("v", "int")])
+            db.insert("a", a)
+            db.insert("b", b)
+            db.runstats()
+            return db
+
+        governed = load()
+        governed.enable_memory_governor(
+            policy=MemoryPolicy(
+                budget_pages=16, min_reservation_pages=1, min_grant_pages=1
+            )
+        )
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE a (x, u)")
+        lite.execute("CREATE TABLE b (y, v)")
+        lite.executemany("INSERT INTO a VALUES (?, ?)", a)
+        lite.executemany("INSERT INTO b VALUES (?, ?)", b)
+        yield load(), governed, lite
+        lite.close()
+
+    @pytest.mark.parametrize("width", [1, 7, 1024])
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_spilled_join_matches_in_memory_and_sqlite(self, dbs, sql, width):
+        db, governed, lite = dbs
+        pop = PopConfig(batch_size=width)
+        want = sorted(lite.execute(sql).fetchall())
+        assert len(want) == self.N * 4 // 5
+        assert sorted(db.execute(sql, pop=pop).rows) == want
+        result = governed.execute(sql, pop=pop)
+        assert result.report.spilled
+        assert sorted(result.rows) == want
 
 
 class TestSpillLifecycle:
