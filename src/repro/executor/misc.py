@@ -20,12 +20,10 @@ class ProjectExec(Operator):
         child_layout = plan.children[0].layout
         self._slots = [child_layout.slot(c) for c in plan.columns]
         # Compiled once: one C-level itemgetter call per row instead of
-        # rebuilding a generator expression per row.
-        if len(self._slots) == 1:
-            slot = self._slots[0]
-            self._proj = lambda row: (row[slot],)
-        else:
-            self._proj = _operator.itemgetter(*self._slots)
+        # rebuilding a generator expression per row.  One slot's getter
+        # returns the bare value, which ``zip`` wraps in a 1-tuple.
+        self._proj = _operator.itemgetter(*self._slots)
+        self._single = len(self._slots) == 1
 
     def open(self) -> None:
         super().open()
@@ -37,7 +35,10 @@ class ProjectExec(Operator):
         if batch is None:
             self.finish()
             return None
-        out = list(map(self._proj, batch))
+        if self._single:
+            out = list(zip(map(self._proj, batch)))
+        else:
+            out = list(map(self._proj, batch))
         self.ctx.meter.charge(len(out) * self.ctx.cost_params.cpu_emit)
         return self.emit_batch(out)
 

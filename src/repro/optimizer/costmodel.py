@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from math import ceil, log, log2
 from typing import Optional
 
 
@@ -153,19 +154,23 @@ class CostModel:
 
         The spill term is a step function of the input cardinality — one of
         the discontinuities that defeats analytic root finding (paper §2.2).
+        The validity probe evaluates it at every probe point of a merge
+        join, so it spells out ``max(0.0, card)``, ``max(1.0, ...)`` and
+        :meth:`pages_for` as conditionals (the same floating-point
+        operations, without the calls).
         """
-        p = self.params
-        card = max(0.0, card)
-        if card <= 0.0:
+        if not card > 0.0:
             return 0.0
-        cpu = card * max(1.0, math.log2(card + 1)) * p.cpu_sort
-        pages = self.pages_for(card)
-        io = 0.0
+        p = self.params
+        levels = log2(card + 1)
+        cpu = card * (levels if levels > 1.0 else 1.0) * p.cpu_sort
+        pages = card / p.rows_per_page
+        pages = pages if pages > 1.0 else 1.0
         if pages > p.sort_mem_pages:
             # External sort: write + read runs once per extra merge pass.
-            passes = math.ceil(math.log(pages / p.sort_mem_pages, 8)) + 1
-            io = 2.0 * pages * p.io_page * passes
-        return cpu + io
+            passes = ceil(log(pages / p.sort_mem_pages, 8)) + 1
+            return cpu + 2.0 * pages * p.io_page * passes
+        return cpu
 
     def temp_cost(self, card: float) -> float:
         """Materializing ``card`` rows into a TEMP."""

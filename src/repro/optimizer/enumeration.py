@@ -11,32 +11,37 @@ The DP names table subsets by alias bitmasks (``JoinGraph.bit``): a split is
 skipped before its join predicates are looked up when either side has no
 plan.  A split's join methods are priced once per pair of input
 cardinalities (merge once per sort-flag pair too), not once per pair of kept
-input plans, and a candidate is a cost, a cost description and its inputs;
-the operator tree is built (:meth:`PlanEnumerator._build_join`) only for the
-candidates pruning keeps.
+input plans.  A join candidate is a plain tuple, ``(cost, order, cost
+description, inputs, partition, probe)``; pruning makes a
+:class:`Candidate` only of the few it keeps, and no operator tree exists
+for a join until the DP is done: :meth:`PlanEnumerator.run` builds
+(:meth:`PlanEnumerator._build_join`) the joins of the returned plan and
+nothing else.
 
-Validity-range narrowing (paper §2.2) is recorded at pruning and evaluated
-for the chosen plan.  The candidates of a subset reach pruning grouped by
-their pair of input-edge row sets; a kept join notes, once per distinct cost
-function, every not-cheaper *structurally equivalent* candidate — its own
-group and the commuted one — and once the DP has picked the final plan the
-Fig. 5 sensitivity probe narrows the per-edge validity ranges of exactly the
-join operators in it, evaluating the winner's cost at each probe point once.
-Narrowing depends only on the winner, the distinct cost functions of its
-alternatives and the subset estimates (a bound is a min or a max, so a
-repeated cost function cannot move it), so the ranges are the ones narrowing
-inside the prune loop against every alternative would give; the probes for
-sub-plans nobody returns are never run.  Join-order changes never narrow
-ranges, exactly as the paper prescribes (the conservatism that avoids
-guessing unobservable correlations).
+Validity-range narrowing (paper §2.2) runs for those joins only.  A kept
+join holds on to its subset's candidates, grouped by their pair of
+input-edge row sets; when the join turns out to be in the returned plan,
+:meth:`PlanEnumerator._alternatives` derives from them every not-cheaper
+*structurally equivalent* candidate — its own group and the commuted one —
+once per distinct cost function, and the Fig. 5 sensitivity probe narrows
+the join's per-edge validity ranges against them, evaluating the winner's
+cost at each probe point once.  Narrowing depends only on the winner, the
+distinct cost functions of its alternatives and the subset estimates (a
+bound is a min or a max, so a repeated cost function cannot move it), so
+the ranges are the ones narrowing inside the prune loop against every
+alternative would give; the probes for sub-plans nobody returns are never
+run.  Join-order changes never narrow ranges, exactly as the paper
+prescribes (the conservatism that avoids guessing unobservable
+correlations).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.common.errors import OptimizerError
 from repro.expr.evaluate import RowLayout
@@ -75,6 +80,8 @@ from repro.storage.catalog import Catalog, TempMVRegistry
 AUTO_BUSHY_LIMIT = 8
 #: Interesting-order plans kept per table subset.
 MAX_PLANS_PER_SUBSET = 4
+#: A candidate tuple's cost (join and leaf tuples both start with it).
+_COST = operator.itemgetter(0)
 
 
 @dataclass
@@ -93,17 +100,23 @@ class OptimizerOptions:
 
 @dataclass(slots=True)
 class Candidate:
-    """One physical alternative for a table subset during DP."""
+    """One plan pruning kept for a table subset during DP.
 
-    #: The operator tree.  A join candidate's is made by
-    #: :meth:`PlanEnumerator._build_join` when pruning keeps it; candidates
-    #: pruning drops never have one.
+    The DP generates candidates as plain tuples: a join is ``(cost, order,
+    cost_desc, inputs, part, probe)`` and a leaf (scan, MV scan) is
+    ``(cost, order, plan)``.  Only the ones pruning keeps become a
+    ``Candidate``.
+    """
+
+    #: The operator tree.  A leaf's is made with it; a join's is made by
+    #: :meth:`PlanEnumerator._build_join` once the join is in the returned
+    #: plan, and never otherwise.
     plan: Optional[PlanOp]
     cost: float
     order: tuple
-    #: Identity of the two input edges as (outer tables, inner tables);
-    #: ``None`` for leaf candidates (scans, MV scans).
-    edge_subsets: Optional[tuple] = None
+    #: Estimated output rows: the leaf plan's ``est_card``, a join's
+    #: ``part.card_out``.
+    card: float
     #: Total cost as a function of (outer_card, inner_card), as a
     #: ``(kind, *constants)`` description that ``CostModel.edge_kernel``
     #: restricts to one edge and the built node carries as
@@ -116,11 +129,10 @@ class Candidate:
     #: ``(predicate, index, cost of one probe)`` of an index nested-loop
     #: join (one of ``part.index_inner``'s probes); None otherwise.
     probe: Optional[tuple] = None
-    #: Set by pruning when this candidate is kept: ``(cost_desc, commuted)``
-    #: of every not-cheaper structurally equivalent candidate, each distinct
-    #: pair once, ``commuted`` when that one takes the two edges in the
-    #: opposite argument order.
-    alternatives: Sequence[tuple] = ()
+    #: A join's subset's candidate tuples by pair of input-edge subsets,
+    #: as pruning saw them: what :meth:`PlanEnumerator._alternatives`
+    #: reads.  None for leaves.
+    groups: Optional[dict] = None
 
 
 @dataclass(slots=True)
@@ -200,8 +212,9 @@ class PlanEnumerator:
             return supports_range
         return False
 
-    def access_paths(self, alias: str) -> list[Candidate]:
-        """Scan alternatives for one base table."""
+    def access_paths(self, alias: str) -> list[tuple]:
+        """Scan alternatives for one base table, as ``(cost, order, plan)``
+        leaf tuples."""
         table_name = self.query.table_for(alias).table
         table = self.catalog.table(table_name)
         stats = self.estimator.statistics(alias)
@@ -212,16 +225,11 @@ class PlanEnumerator:
         props = self._leaf_properties(alias)
         card = self.estimator.filtered_cardinality(alias)
 
+        cost = self.cost_model.table_scan_cost(pages, base_rows)
         candidates = [
-            Candidate(
-                plan=TableScan(
-                    alias, table_name, preds, props, layout,
-                    est_card=card,
-                    est_cost=self.cost_model.table_scan_cost(pages, base_rows),
-                ),
-                cost=self.cost_model.table_scan_cost(pages, base_rows),
-                order=(),
-            )
+            (cost, (), TableScan(
+                alias, table_name, preds, props, layout, est_card=card, est_cost=cost,
+            ))
         ]
         self.plans_enumerated += 1
 
@@ -250,7 +258,7 @@ class PlanEnumerator:
                 props.with_order(order), layout,
                 est_card=card, est_cost=cost,
             )
-            candidates.append(Candidate(plan=plan, cost=cost, order=order))
+            candidates.append((cost, order, plan))
             self.plans_enumerated += 1
 
         candidates.extend(self._mv_candidates(frozenset({alias})))
@@ -258,8 +266,9 @@ class PlanEnumerator:
 
     # ================================================================ MV reuse
 
-    def _mv_candidates(self, subset: frozenset) -> list[Candidate]:
-        """MV-scan alternatives for ``subset`` from temp MVs (paper §2.3)."""
+    def _mv_candidates(self, subset: frozenset) -> list[tuple]:
+        """MV-scan alternatives for ``subset`` from temp MVs (paper §2.3), as
+        ``(cost, order, plan)`` leaf tuples."""
         if not self.temp_mvs:
             return []
         required = predicate_set_id(self.estimator.predicates_for_subset(subset))
@@ -295,9 +304,7 @@ class PlanEnumerator:
                 mv.name, props, RowLayout(list(mv.columns)),
                 est_card=card, est_cost=cost, filters=residual,
             )
-            candidates.append(
-                Candidate(plan=plan, cost=cost, order=tuple(mv.order))
-            )
+            candidates.append((cost, tuple(mv.order), plan))
             self.plans_enumerated += 1
         return candidates
 
@@ -305,21 +312,19 @@ class PlanEnumerator:
 
     def _join_candidates(
         self, part: _Partition, left_plans: list, right_plans: list
-    ) -> list[Candidate]:
+    ) -> list[tuple]:
         """Every join of ``part`` over each pair of kept input plans (the
-        left one is the outer).
+        left one is the outer), as ``(cost, order, cost_desc, inputs, part,
+        probe)`` tuples.
 
         The kept plans of one subset mostly share their cardinality, so each
         method's two-variable cost is evaluated once per pair of input
-        cardinalities (merge once per sort-flag pair too).  A candidate is
-        its cost, its cost description and its inputs; the operator tree is
-        made by :meth:`_build_join` for the candidates pruning keeps.
+        cardinalities (merge once per sort-flag pair too).
         """
         cm = self.cost_model
         options = self.options
         preds = part.preds
         card_out = part.card_out
-        edges = part.edge_subsets
         hash_on = options.enable_hash_join and bool(preds)
         merge_on = options.enable_merge_join and bool(preds)
         # ``preds`` are applied as join filters; empty = cross product.
@@ -333,16 +338,18 @@ class PlanEnumerator:
             emit_cost = card_out * cm.params.cpu_emit
         else:
             probes = ()
-        out: list[Candidate] = []
+        out: list[tuple] = []
         for left in left_plans:
-            card_l = left.plan.est_card
+            card_l = left.card
             sort_l = not order_satisfies(left.order, key_l)
             for right in right_plans:
-                card_r = right.plan.est_card
+                card_r = right.card
                 cards = (card_l, card_r)
                 # Effective join selectivity: keeps out(cl, cr) consistent
-                # with the subset estimate at the current operating point.
-                sel_eff = card_out / max(1e-9, card_l * card_r)
+                # with the subset estimate at the current operating point
+                # (the conditional is ``max(1e-9, pairs)`` without a call).
+                pairs = card_l * card_r
+                sel_eff = card_out / (pairs if pairs > 1e-9 else 1e-9)
                 base_cost = left.cost + right.cost
                 inputs = (left, right)
                 if hash_on:
@@ -351,9 +358,9 @@ class PlanEnumerator:
                         cost = hash_costs[cards] = cm.hash_join_cost(
                             card_l, card_r, card_out
                         )
-                    out.append(Candidate(
-                        None, base_cost + cost, left.order, edges,
-                        ("hash", base_cost, sel_eff), inputs, part,
+                    out.append((
+                        base_cost + cost, left.order, ("hash", base_cost, sel_eff),
+                        inputs, part, None,
                     ))
                 if merge_on:
                     sort_r = not order_satisfies(right.order, key_r)
@@ -363,9 +370,9 @@ class PlanEnumerator:
                         cost = merge_costs[key] = cm.merge_join_cost(
                             card_l, card_r, card_out, sort_l, sort_r
                         )
-                    out.append(Candidate(
-                        None, base_cost + cost, key_l, edges,
-                        ("merge", base_cost, sel_eff, sort_l, sort_r), inputs, part,
+                    out.append((
+                        base_cost + cost, key_l,
+                        ("merge", base_cost, sel_eff, sort_l, sort_r), inputs, part, None,
                     ))
                 if rescan_on:
                     cost = rescan_costs.get(cards)
@@ -373,25 +380,24 @@ class PlanEnumerator:
                         cost = rescan_costs[cards] = cm.nljn_rescan_cost(
                             card_l, card_r, card_out
                         )
-                    out.append(Candidate(
-                        None, base_cost + cost, left.order, edges,
-                        ("rescan", base_cost, sel_eff), inputs, part,
+                    out.append((
+                        base_cost + cost, left.order, ("rescan", base_cost, sel_eff),
+                        inputs, part, None,
                     ))
             # Index nested loop: probe an inner index once per outer row.
             if probes:
                 sel_eff = card_out / max(1e-9, card_l * card_idx)
                 for probe in probes:
                     probe_cost = probe[2]
-                    out.append(Candidate(
-                        None, left.cost + card_l * probe_cost + emit_cost,
-                        left.order, edges,
+                    out.append((
+                        left.cost + card_l * probe_cost + emit_cost, left.order,
                         ("index", left.cost, probe_cost, sel_eff), (left,), part, probe,
                     ))
         self.plans_enumerated += len(out)
         return out
 
     def _build_join(self, cand: Candidate) -> PlanOp:
-        """The operator tree of a join candidate pruning kept.
+        """The operator tree of a kept join, its inputs' trees built.
 
         Hash/nested-loop joins stream the outer (build/materialize the
         inner), so they deliver rows in the outer's order.
@@ -493,74 +499,89 @@ class PlanEnumerator:
     # =============================================================== pruning
 
     def _keep_best(self, groups: dict) -> list[Candidate]:
-        """Dominance-prune a subset's candidates and record what narrowing
-        the kept ones' validity ranges will need.
+        """Dominance-prune a subset's candidates.
 
-        ``groups`` maps each pair of input-edge subsets to the join
-        candidates made for it, in enumeration order (``None`` to the
-        leaves and MV scans).  A candidate is kept when no cheaper candidate
-        provides (a prefix of) its output order.  Every kept *join*
-        candidate remembers the cost function of each more expensive
-        structurally equivalent alternative (its own group or the commuted
-        one), each distinct one once — not the alternative's plan tree,
-        which is dropped here; :meth:`_narrow_against` reads them if the
-        candidate ends up in the returned plan.
+        ``groups`` maps each pair of input-edge subsets to the join tuples
+        made for it, in enumeration order (``None`` to the leaf tuples of
+        the scans and MV scans, last).  A candidate is kept when no cheaper
+        candidate provides (a prefix of) its output order; the costs are
+        visited in ascending order (stable: ties in enumeration order), so
+        that is when no kept candidate's order has the candidate's as a
+        prefix.  A kept join keeps ``groups`` for :meth:`_alternatives`.
         """
-        candidates = sorted(
-            itertools.chain.from_iterable(groups.values()), key=lambda c: c.cost
-        )
         kept: list[Candidate] = []
-        for cand in candidates:
-            if any(
-                k.cost <= cand.cost and order_satisfies(k.order, cand.order)
-                for k in kept
-            ):
+        covered: set = set()  # every prefix of a kept candidate's order
+        for entry in sorted(itertools.chain.from_iterable(groups.values()), key=_COST):
+            cost, order = entry[0], entry[1]
+            if order in covered:
                 continue
-            kept.append(cand)
+            if len(entry) == 3:
+                plan = entry[2]
+                kept.append(Candidate(plan, cost, order, plan.est_card))
+            else:
+                _, _, desc, inputs, part, probe = entry
+                kept.append(Candidate(
+                    None, cost, order, part.card_out, desc, inputs, part, probe, groups,
+                ))
             if len(kept) >= MAX_PLANS_PER_SUBSET:
                 break
-        for cand in kept:
-            if cand.plan is None:
-                cand.plan = self._build_join(cand)
-
-        for winner in kept:
-            if winner.edge_subsets is None:
-                continue
-            edges = winner.edge_subsets
-            # Same pair of input edges, either way round: structurally
-            # equivalent.  Any other pair is a join-order change.
-            recorded: dict = {}
-            for commuted, group in (
-                (False, groups[edges]), (True, groups.get(edges[::-1], ())),
-            ):
-                for alt in group:
-                    if alt.cost >= winner.cost and alt is not winner:
-                        recorded[(alt.cost_desc, commuted)] = None
-            winner.alternatives = list(recorded)
+            covered.update(order[:i] for i in range(len(order) + 1))
         return kept
+
+    def _alternatives(self, winner: Candidate) -> list[tuple]:
+        """``(cost_desc, commuted)`` of every candidate of ``winner``'s subset
+        that is not cheaper and structurally equivalent to it (the same pair
+        of input edges, or the commuted pair), each distinct pair once;
+        ``commuted`` when that one takes the two edges in the opposite
+        argument order.  Any other pair of edges is a join-order change."""
+        edges = winner.part.edge_subsets
+        cost, desc = winner.cost, winner.cost_desc
+        recorded: dict = {}
+        for commuted, group in (
+            (False, winner.groups[edges]), (True, winner.groups.get(edges[::-1], ())),
+        ):
+            for alt in group:
+                # Each join tuple has a description of its own, so this
+                # identity test leaves out the winner alone.
+                if alt[0] >= cost and alt[2] is not desc:
+                    recorded[(alt[2], commuted)] = None
+        return list(recorded)
 
     def _narrow_against(self, winner: Candidate) -> None:
         """Narrow ``winner``'s edge validity ranges with the Fig. 5 probe
-        against each alternative pruning recorded for it.  Every probe of an
-        edge starts at the same points, so the winner's cost at a point is
+        against each of its :meth:`_alternatives`.  Every probe of an edge
+        starts at the same points, so the winner's cost at a point is
         computed once for all of them."""
-        if not winner.alternatives:
+        alternatives = self._alternatives(winner)
+        if not alternatives:
             return
         kernel = self.cost_model.edge_kernel
+        ranges = winner.plan.validity_ranges
+        iterations = self.options.validity_iterations
         est_l, est_r = (
-            self.estimator.subset_cardinality(e) for e in winner.edge_subsets
+            self.estimator.subset_cardinality(e) for e in winner.part.edge_subsets
         )
         for i, (est, other) in enumerate(((est_l, est_r), (est_r, est_l))):
             cost_opt = functools.cache(kernel(winner.cost_desc, i, other))
-            for alt_desc, commuted in winner.alternatives:
+            for alt_desc, commuted in alternatives:
                 self.newton_iterations += narrow_validity_range(
-                    winner.plan.validity_ranges[i],
+                    ranges[i],
                     est,
                     cost_opt,
                     # A commuted alternative takes this edge in the other slot.
                     kernel(alt_desc, 1 - i if commuted else i, other),
-                    max_iterations=self.options.validity_iterations,
+                    iterations,
                 )
+
+    def _materialize(self, cand: Candidate) -> PlanOp:
+        """``cand``'s operator tree: a join's is built, inputs first, and
+        its validity ranges narrowed, the first time it is asked for."""
+        if cand.plan is None:
+            for child in cand.inputs:
+                self._materialize(child)
+            cand.plan = self._build_join(cand)
+            self._narrow_against(cand)
+        return cand.plan
 
     # ============================================================== main DP
 
@@ -653,13 +674,10 @@ class PlanEnumerator:
                 table[mask] = self._keep_best(groups)
 
         best = min(table[self.graph.mask(aliases)], key=lambda c: c.cost)
-        # Sensitivity analysis only for the plan that survives: the joins
-        # reachable from ``best`` are exactly the joins of the returned plan.
-        chosen = [best]
-        while chosen:
-            cand = chosen.pop()
-            self._narrow_against(cand)
-            chosen.extend(cand.inputs)
+        # Trees and sensitivity analysis only for the plan that survives:
+        # the joins reachable from ``best`` are the joins of the returned
+        # plan.
+        self._materialize(best)
         return self._finalize(best)
 
     # ============================================================ finalization

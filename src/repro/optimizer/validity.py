@@ -39,9 +39,12 @@ PROBE_STEP = 1.1
 DIVERGENCE_JUMP = 10.0
 #: Fig. 5 caps the iteration count at 3.
 DEFAULT_MAX_ITERATIONS = 3
+_INF = math.inf
+#: Fig. 5's damping constant, 11 (the secant step's denominator factor).
+_DAMPING = PROBE_STEP * 10.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SensitivityResult:
     """Outcome of one directional probe."""
 
@@ -64,10 +67,14 @@ def _probe(
 
     ``upward=True`` searches for the upper bound (card grows); ``False``
     mirrors every multiplicative step to search downward for the lower bound.
+    It runs once per edge, direction and alternative of every join of a
+    returned plan, so its clamps and finiteness tests are comparisons, not
+    ``max()`` / ``math.isfinite()`` calls (``not 0.0 < card < inf`` is
+    ``card <= 0 or not isfinite(card)``, NaN included).
     """
     step = PROBE_STEP if upward else 1.0 / PROBE_STEP
     jump = DIVERGENCE_JUMP if upward else 1.0 / DIVERGENCE_JUMP
-    card = max(est_card, 1e-6)
+    card = 1e-6 if 1e-6 > est_card else est_card  # max(est_card, 1e-6)
     bound: Optional[float] = None
     iterations = 0
     converging = False
@@ -85,7 +92,7 @@ def _probe(
         iterations += 1
         curr_diff = alt - opt  # (a) — positive
         card *= step  # (b) need another point for the gradient
-        if card <= 0 or not math.isfinite(card):
+        if not 0.0 < card < _INF:
             break
         stepped = card
         opt, alt = cost_opt(card), cost_alt(card)
@@ -93,8 +100,7 @@ def _probe(
         if new_diff < 0:
             # (d) cost inversion: the alternative is now cheaper — a genuine
             # crossover lies at or before this probe point.
-            bound = card
-            return SensitivityResult(bound, True, iterations, converging=True)
+            return SensitivityResult(card, True, iterations, True)
         converging = new_diff < curr_diff
         if new_diff > curr_diff:
             # (e) diverging: jump an order of magnitude to find the regime
@@ -102,14 +108,15 @@ def _probe(
             card *= jump
         elif new_diff < curr_diff:
             # (f) converging: Newton/secant extrapolation towards the root.
-            # The 11 in the denominator is Fig. 5's damping constant.
-            factor = 1.0 + new_diff / (PROBE_STEP * 10.0 * (curr_diff - new_diff))
+            factor = 1.0 + new_diff / (_DAMPING * (curr_diff - new_diff))
+            if factor < 1.0:  # max(factor, 1.0)
+                factor = 1.0
             if upward:
-                card *= max(factor, 1.0)
+                card *= factor
             else:
-                card /= max(factor, 1.0)
+                card /= factor
         # new_diff == curr_diff: flat difference; keep the geometric step only.
-        if card <= 0 or not math.isfinite(card):
+        if not 0.0 < card < _INF:
             break
         # (g) remember the most advanced probe point as the candidate bound.
         bound = card
@@ -117,13 +124,13 @@ def _probe(
             opt, alt = cost_opt(card), cost_alt(card)
         if opt >= alt:
             # Inversion (or tie) discovered after the extrapolation step.
-            return SensitivityResult(bound, True, iterations, converging=True)
+            return SensitivityResult(bound, True, iterations, True)
 
     # Iteration cap reached without an inversion.  Fig. 5 commits the last
     # probe point (step g); we report whether the probe was still converging
     # so the caller can avoid committing a bound in pure-divergence cases
     # (where no crossover exists and the probe point is meaningless).
-    return SensitivityResult(bound, False, iterations, converging=converging)
+    return SensitivityResult(bound, False, iterations, converging)
 
 
 def narrow_validity_range(
@@ -143,12 +150,10 @@ def narrow_validity_range(
     Returns the total Newton–Raphson iterations spent across both probes
     (observability: ``optimizer.newton_iterations``).
     """
-    up = _probe(est_card, cost_opt, cost_alt, upward=True, max_iterations=max_iterations)
+    up = _probe(est_card, cost_opt, cost_alt, True, max_iterations)
     if up.bound is not None and up.converging:
         validity.narrow_high(up.bound)
-    down = _probe(
-        est_card, cost_opt, cost_alt, upward=False, max_iterations=max_iterations
-    )
+    down = _probe(est_card, cost_opt, cost_alt, False, max_iterations)
     # Lower bounds under one row could only ever trigger on an empty
     # intermediate result; suppress them as noise.
     if down.bound is not None and down.bound >= 1.0 and down.converging:

@@ -8,7 +8,10 @@ Responsibilities:
 * classify WHERE conjuncts into local predicates, equi-join predicates, and
   OR groups (which must stay within one table);
 * coerce literals to the column's type (ISO date strings become day
-  numbers for DATE columns);
+  numbers for DATE columns), and reject a literal or a join partner the
+  column's type cannot compare with (a string against a number or a date,
+  a number against a string): such a predicate would otherwise fail or
+  match nothing depending on the plan;
 * name aggregates (explicit alias, else ``func_column``).
 """
 
@@ -115,6 +118,10 @@ class Binder:
                 return date_to_days(value)
             except ValueError as exc:
                 raise BindError(f"invalid date literal {value!r}") from exc
+        if (dtype is DataType.STR) is not isinstance(value, str):
+            raise BindError(
+                f"cannot compare a {dtype.value} column with {value!r}"
+            )
         if dtype is DataType.FLOAT and isinstance(value, int):
             return float(value)
         return value
@@ -192,6 +199,12 @@ class Binder:
                 )
             if cond.op != "=":
                 raise BindError(f"only equi-joins are supported, got {cond.op!r}")
+            left_type, right_type = self._column_type(left), self._column_type(right)
+            if (left_type is DataType.STR) is not (right_type is DataType.STR):
+                raise BindError(
+                    f"cannot join {left} ({left_type.value}) with "
+                    f"{right} ({right_type.value})"
+                )
             return JoinPredicate(left, right)
         if isinstance(cond.left, ColumnName):
             column = self.resolve_column(cond.left)

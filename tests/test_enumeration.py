@@ -215,11 +215,12 @@ PLAN_HEAVY = ("Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10")
 
 
 class TestAlternativeBookkeeping:
-    """Pruning sees a subset's candidates grouped by input edges.  Each kept
-    join records, once each, the cost functions that a scan of every
-    candidate of the subset finds — not cheaper, the same or the commuted
-    edge pair, not the winner — and the probe makes one edge kernel per edge
-    for the winner and for each of them."""
+    """Pruning sees a subset's candidates grouped by input edges, and a kept
+    join keeps them.  Its alternatives are, once each, the cost functions
+    that a scan of every candidate of the subset finds — not cheaper, the
+    same or the commuted edge pair, not the winner.  Only the joins of the
+    returned plan are built (once each) and probed, and the probe makes one
+    edge kernel per edge for the winner and for each alternative."""
 
     @pytest.fixture
     def audit(self, monkeypatch):
@@ -227,28 +228,32 @@ class TestAlternativeBookkeeping:
         kernels = Counter()
         real_keep_best = PlanEnumerator._keep_best
         real_narrow = PlanEnumerator._narrow_against
+        real_build = PlanEnumerator._build_join
         real_kernel = CostModel.edge_kernel
 
         def keep_best(self, groups):
             candidates = [c for group in groups.values() for c in group]
             kept = real_keep_best(self, groups)
             for winner in kept:
-                if winner.edge_subsets is None:
+                if winner.part is None:
                     continue
-                edges = winner.edge_subsets
+                assert winner.plan is None
+                edges = winner.part.edge_subsets
+                (entry,) = [c for c in candidates if c[2] is winner.cost_desc]
                 scanned = [
-                    (alt.cost_desc, alt.edge_subsets != edges)
+                    (alt[2], alt[4].edge_subsets != edges)
                     for alt in candidates
-                    if alt.cost >= winner.cost
-                    and alt.edge_subsets in (edges, edges[::-1])
-                    and alt is not winner
-                    and alt.cost_desc is not None
+                    if len(alt) == 6
+                    and alt[0] >= winner.cost
+                    and alt[4].edge_subsets in (edges, edges[::-1])
+                    and alt is not entry
                 ]
-                assert set(winner.alternatives) == set(scanned)
-                assert len(set(winner.alternatives)) == len(winner.alternatives)
+                alternatives = self._alternatives(winner)
+                assert set(alternatives) == set(scanned)
+                assert len(set(alternatives)) == len(alternatives)
                 tally["winners"] += 1
                 tally["scanned"] += len(scanned)
-                tally["recorded"] += len(winner.alternatives)
+                tally["recorded"] += len(alternatives)
             return kept
 
         def edge_kernel(self, *args):
@@ -259,11 +264,16 @@ class TestAlternativeBookkeeping:
             before = kernels["calls"]
             real_narrow(self, winner)
             made = kernels["calls"] - before
-            assert made <= 2 * (1 + len(set(winner.alternatives)))
+            assert made <= 2 * (1 + len(self._alternatives(winner)))
             tally["probed"] += bool(made)
+
+        def build_join(self, cand):
+            tally["built"] += 1
+            return real_build(self, cand)
 
         monkeypatch.setattr(PlanEnumerator, "_keep_best", keep_best)
         monkeypatch.setattr(PlanEnumerator, "_narrow_against", narrow_against)
+        monkeypatch.setattr(PlanEnumerator, "_build_join", build_join)
         monkeypatch.setattr(CostModel, "edge_kernel", edge_kernel)
         return tally
 
@@ -271,12 +281,19 @@ class TestAlternativeBookkeeping:
     def test_tpch_plan_heavy(self, tpch_db, audit, mode, monkeypatch):
         if mode == "leftdeep":
             monkeypatch.setattr(enumeration, "AUTO_BUSHY_LIMIT", 0)
+        joins = 0
         for name in PLAN_HEAVY:
-            tpch_db.optimizer.optimize(tpch_db._to_query(TPCH_QUERIES[name]))
+            plan = tpch_db.optimizer.optimize(tpch_db._to_query(TPCH_QUERIES[name])).plan
+            joins += len(find_ops(plan, JoinOp))
         assert audit["probed"] > 0
+        # One operator tree per join of the returned plans, none for the
+        # joins pruning kept elsewhere.
+        assert audit["built"] == joins
+        if mode == "auto":
+            assert joins == 31
         # The same cost function reaches a winner more than once; it is
         # recorded once.
-        assert audit["winners"] > 0
+        assert audit["winners"] > audit["built"]
         assert audit["recorded"] < audit["scanned"]
 
     def test_dmv_statements(self, dmv_db, audit):

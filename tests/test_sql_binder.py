@@ -131,6 +131,78 @@ class TestCoercion:
             bind_sql("SELECT e.name FROM emp e WHERE e.id LIKE '5%'", catalog)
 
 
+class TestTypeMismatch:
+    """A string compared with a number or a date (or the other way round)
+    is a bind error, whatever plan would run it: a hash join found no
+    match, an index nested loop raised ``TypeError`` from its bisect and a
+    histogram ``TypeError`` while estimating."""
+
+    @pytest.mark.parametrize("where", [
+        "e.name = d.id",
+        "d.id = e.name",
+        "e.hired = d.title",
+        "e.pay = d.title",
+    ])
+    def test_join_of_string_and_non_string_columns(self, catalog, where):
+        with pytest.raises(BindError, match="cannot join"):
+            bind_sql(f"SELECT e.name FROM emp e, dept d WHERE {where}", catalog)
+
+    def test_join_of_number_and_date_columns_binds(self, catalog):
+        query = bind_sql("SELECT e.name FROM emp e, dept d WHERE e.hired = d.id", catalog)
+        assert len(query.join_predicates) == 1
+
+    @pytest.mark.parametrize("where", [
+        "e.id = '5'",
+        "'5' = e.id",
+        "e.pay < '5'",
+        "e.name = 5",
+        "e.name = 2.5",
+        "e.id BETWEEN '1' AND '5'",
+        "e.name BETWEEN 1 AND 5",
+        "e.id IN ('1', '2')",
+        "e.name IN (1, 2)",
+        "e.id = 1 OR e.id = '2'",
+    ])
+    def test_literal_of_the_wrong_type(self, catalog, where):
+        with pytest.raises(BindError, match="cannot compare"):
+            bind_sql(f"SELECT e.name FROM emp e WHERE {where}", catalog)
+
+    def test_null_and_numbers_still_bind(self, catalog):
+        query = bind_sql(
+            "SELECT e.name FROM emp e WHERE e.id = 2.5 AND e.hired > 11000 "
+            "AND e.name IN ('a', 'b')",
+            catalog,
+        )
+        assert len(query.local_predicates) == 3
+
+    @pytest.fixture
+    def db(self):
+        from repro import Database
+
+        db = Database()
+        db.create_table("a", [("x", "str"), ("y", "int")])
+        db.create_table("b", [("k", "int"), ("v", "int")])
+        db.insert("a", [(str(i), i) for i in range(20)])
+        db.insert("b", [(i, 10 * i) for i in range(20)])
+        db.create_index("b_k", "b", "k")
+        db.runstats()
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a.y, b.v FROM a, b WHERE a.x = b.k",
+        "SELECT b.v FROM b WHERE b.k = '5'",
+        "SELECT b.v FROM b WHERE b.k BETWEEN '1' AND '5'",
+        "SELECT b.v FROM b WHERE b.k IN ('1', '5')",
+    ])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_database_rejects_before_planning(self, db, sql, cached):
+        if cached:
+            db.enable_plan_cache()
+        with pytest.raises(BindError):
+            db.execute(sql)
+        assert db.execute("SELECT b.v FROM b WHERE b.k = 5").rows == [(50,)]
+
+
 class TestMarkers:
     def test_positional_markers_named_in_order(self, catalog):
         query = bind_sql(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizer.costmodel import CostModel
+from repro.optimizer.enumeration import PlanEnumerator, _Partition
 from repro.optimizer.validity import _probe, narrow_validity_range
 from repro.plan.properties import ValidityRange
 
@@ -107,64 +108,57 @@ class TestEndToEndGuarantee:
         *different* set of input edges (a join-order change) must not narrow
         validity ranges — only structurally equivalent plans (same edges,
         commutations included) may."""
-        from repro.optimizer.enumeration import Candidate
-
-        winner = Candidate(
-            plan=_dummy_join(),
-            cost=10.0,
-            order=(),
-            edge_subsets=(frozenset({"a"}), frozenset({"b"})),
-            cost_desc=("merge", 0.0, 0.0, False, False),  # (cl + cr) · cpu_row
+        winner = _join_tuple(
+            10.0, ({"a"}, {"b"}),
+            ("merge", 0.0, 0.0, False, False),  # (cl + cr) · cpu_row
         )
         # Alternative joins a different pair of subsets: join-order change.
-        alt = Candidate(
-            plan=_dummy_join(),
-            cost=100.0,
-            order=(),
-            edge_subsets=(frozenset({"a", "b"}), frozenset({"c"})),
-            # 0.0 everywhere: would narrow instantly if compared
-            cost_desc=("index", 0.0, 0.0, 0.0),
-        )
-        _prune_then_narrow(winner, alt)
-        assert winner.alternatives == []
-        assert all(r.is_trivial for r in winner.plan.validity_ranges)
+        # 0.0 everywhere: would narrow instantly if compared.
+        alt = _join_tuple(100.0, ({"a", "b"}, {"c"}), ("index", 0.0, 0.0, 0.0))
+        kept, fake = _prune_then_narrow(winner, alt)
+        assert PlanEnumerator._alternatives(fake, kept) == []
+        assert all(r.is_trivial for r in kept.plan.validity_ranges)
 
     def test_commuted_edge_sets_do_narrow(self):
         """Commutations share the edge set and therefore do narrow."""
-        from repro.optimizer.enumeration import Candidate
-
-        winner = Candidate(
-            plan=_dummy_join(),
-            cost=10.0,
-            order=(),
-            edge_subsets=(frozenset({"a"}), frozenset({"b"})),
-            cost_desc=("index", 0.0, 1.0, 0.0),  # cl · 1.0
+        winner = _join_tuple(
+            10.0, ({"a"}, {"b"}), ("index", 0.0, 1.0, 0.0),  # cl · 1.0
         )
-        alt = Candidate(
-            plan=_dummy_join(),
-            cost=100.0,
-            order=(),
-            edge_subsets=(frozenset({"b"}), frozenset({"a"})),  # commuted
+        alt = _join_tuple(
+            100.0, ({"b"}, {"a"}),  # commuted
             # 100 + cl · cr · 2.5 · cpu_emit = 100 + cr · 0.1 at cl = 10
-            cost_desc=("index", 100.0, 0.0, 2.5),
+            ("index", 100.0, 0.0, 2.5),
         )
-        _prune_then_narrow(winner, alt)
-        assert any(not r.is_trivial for r in winner.plan.validity_ranges)
+        kept, fake = _prune_then_narrow(winner, alt)
+        assert PlanEnumerator._alternatives(fake, kept) == [(alt[2], True)]
+        assert any(not r.is_trivial for r in kept.plan.validity_ranges)
+
+
+def _join_tuple(cost, edges, cost_desc):
+    """A join candidate as the DP makes it: ``(cost, order, cost_desc,
+    inputs, part, probe)``, for a split of ``edges`` (outer, inner)."""
+    outer, inner = frozenset(edges[0]), frozenset(edges[1])
+    part = _Partition(
+        (outer, inner), outer | inner, [], 10.0, frozenset(), ((), ()), None,
+    )
+    return (cost, (), cost_desc, (), part, None)
 
 
 def _prune_then_narrow(winner, alt):
-    """Pruning records the structurally equivalent alternatives on the
-    winner; narrowing — run for the chosen plan only — reads them."""
-    from repro.optimizer.enumeration import PlanEnumerator
-
+    """Pruning keeps the winner with its subset's candidates; narrowing —
+    run for the chosen plan only, once its tree is built — derives the
+    structurally equivalent alternatives from them.  Returns the kept
+    candidate and the enumerator stand-in."""
     fake = _FakeEnumerator()
     # The DP hands pruning a subset's candidates grouped by input edges.
     groups: dict = {}
     for cand in (winner, alt):
-        groups.setdefault(cand.edge_subsets, []).append(cand)
-    kept = PlanEnumerator._keep_best(fake, groups)
-    assert kept == [winner]
-    PlanEnumerator._narrow_against(fake, winner)
+        groups.setdefault(cand[4].edge_subsets, []).append(cand)
+    (kept,) = PlanEnumerator._keep_best(fake, groups)
+    assert kept.cost_desc is winner[2] and kept.plan is None
+    kept.plan = _dummy_join()
+    PlanEnumerator._narrow_against(fake, kept)
+    return kept, fake
 
 
 class _FakeEnumerator:
@@ -184,6 +178,8 @@ class _FakeEnumerator:
         validity_iterations = 3
 
     options = _Options()
+
+    _alternatives = PlanEnumerator._alternatives
 
 
 def _dummy_join():
