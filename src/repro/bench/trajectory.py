@@ -18,7 +18,8 @@ Run from the repository root, for example::
 Each row holds, per workload, every pair's value of each end-to-end
 metric with their median and quartiles, the pair wins of the change on
 each metric, the summed attempted/failed counts, and the traced pass's
-``*share*`` / ``*frac*`` metrics and invariant counters.  Rows are
+``*share*`` / ``*frac*`` metrics, invariant counters and set-up layer
+times (``stats.runstats_ms``, ``workloads.datagen_ms``).  Rows are
 appended to the file, one a line.
 """
 
@@ -45,6 +46,9 @@ INVARIANTS = (
     "core.attempts",
     "core.pop_speedup_units",
 )
+#: Traced-pass set-up layer times, kept for the catalog and data builds
+#: that the end-to-end ``setup_s`` sums.
+SETUP_LAYERS = ("stats.runstats_ms", "workloads.datagen_ms")
 ABOUT = (
     "Benchmark trajectory, one row per measured commit, written by "
     "python -m repro.bench.trajectory (see its docstring)."
@@ -99,10 +103,11 @@ def wins(parent: list[dict], change: list[dict]) -> dict:
 
 
 def traced_view(run: dict) -> dict:
-    """The traced pass's shares, fractions and invariant counters."""
+    """The traced pass's shares, fractions, invariant counters and set-up
+    layer times."""
     return {
         name: m["value"] for name, m in run["metrics"].items()
-        if "share" in name or "frac" in name or name in INVARIANTS
+        if "share" in name or "frac" in name or name in INVARIANTS or name in SETUP_LAYERS
     }
 
 

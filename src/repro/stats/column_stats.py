@@ -53,26 +53,27 @@ class ColumnStatistics:
         num_buckets: int = 20,
         num_mcvs: int = 10,
     ) -> "ColumnStatistics":
-        """Compute full statistics from the column's values."""
+        """Compute full statistics from the column's values: one ``Counter``
+        pass, then work per distinct value only (the histogram, whose first
+        and last bounds are the extrema, is cut from those counts)."""
         row_count = len(values)
-        non_null = [v for v in values if v is not None]
-        null_count = row_count - len(non_null)
-        if not non_null:
+        counter = Counter(values)
+        null_count = counter.pop(None, 0)
+        if not counter:
             return cls(column, row_count, null_count, ndv=0)
-        counter = Counter(non_null)
         mcvs = [
             (value, count)
             for value, count in counter.most_common(num_mcvs)
             if count > 1
         ]
-        histogram = EquiDepthHistogram.build(non_null, num_buckets)
+        histogram = EquiDepthHistogram.from_counts(counter, num_buckets)
         return cls(
             column=column,
             row_count=row_count,
             null_count=null_count,
             ndv=len(counter),
-            min_value=min(non_null),
-            max_value=max(non_null),
+            min_value=histogram.min_value,
+            max_value=histogram.max_value,
             mcvs=mcvs,
             histogram=histogram,
         )

@@ -5,12 +5,20 @@ The estimator mirrors what commercial optimizers of the paper's era used
 boundaries are data values.  Within a bucket the classic uniformity
 assumption applies — both over the value range (for numeric interpolation)
 and over the bucket's distinct values (for equality estimates).
+
+A histogram is built from the column's distinct values and their counts
+(the ``Counter`` RUNSTATS already keeps for the most-common values): only the
+distinct values are sorted, and the bucket cuts are found by binary search
+on the running counts, so no pass touches every row in Python.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Sequence
+from itertools import accumulate
+from typing import Any, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -32,33 +40,45 @@ class EquiDepthHistogram:
         self.total = total
 
     @classmethod
-    def build(cls, values: Sequence[Any], num_buckets: int = 20) -> "EquiDepthHistogram":
+    def build(cls, values: Iterable[Any], num_buckets: int = 20) -> "EquiDepthHistogram":
         """Build from a collection of non-NULL values (any comparable type)."""
-        data = sorted(values)
-        total = len(data)
+        return cls.from_counts(Counter(values), num_buckets)
+
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[Any, int], num_buckets: int = 20
+    ) -> "EquiDepthHistogram":
+        """Build from each distinct non-NULL value's row count.
+
+        The cuts are those of the sorted column: bucket *b* nominally ends at
+        row ``(b + 1) * total // num_buckets`` and is extended to the end of
+        the run of equal values holding its last row, so equal values never
+        straddle a boundary (which keeps equality estimates consistent).
+        """
+        distinct = sorted(counts)
+        cumulative = list(accumulate(map(counts.__getitem__, distinct)))
+        total = cumulative[-1] if cumulative else 0
         if total == 0:
             return cls([], 0)
         num_buckets = max(1, min(num_buckets, total))
         buckets: list[Bucket] = []
-        start = 0
+        start = first = 0
         for b in range(num_buckets):
             end = ((b + 1) * total) // num_buckets
             if end <= start:
                 continue
-            # Extend the bucket so equal values never straddle a boundary;
-            # this keeps equality estimates consistent.
-            while end < total and data[end] == data[end - 1]:
-                end += 1
-            chunk = data[start:end]
+            # The run holding row ``end - 1`` ends at ``cumulative[last]``.
+            last = bisect_left(cumulative, end, first)
+            end = cumulative[last]
             buckets.append(
                 Bucket(
-                    lower=chunk[0],
-                    upper=chunk[-1],
-                    count=len(chunk),
-                    distinct=len(set(chunk)),
+                    lower=distinct[first],
+                    upper=distinct[last],
+                    count=end - start,
+                    distinct=last - first + 1,
                 )
             )
-            start = end
+            start, first = end, last + 1
             if start >= total:
                 break
         return cls(buckets, total)

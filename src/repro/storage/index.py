@@ -6,7 +6,11 @@ Two index kinds are modeled:
   hash-based index nested-loop joins and point predicates.
 * :class:`SortedIndex` — a sorted ``(key, rid)`` array probed with binary
   search; supports range scans and provides an ordering (making index scans a
-  source of *interesting orders* for the optimizer, as in System R).
+  source of *interesting orders* for the optimizer, as in System R).  It is
+  built as parallel ``keys`` / ``rids`` lists: the column is taken once with
+  ``itemgetter``, the non-NULL rids are sorted with the column as the key
+  (a stable sort, so equal keys stay in rid order: exactly the order of
+  sorted ``(key, rid)`` pairs), and the keys are read back in that order.
 
 Both index kinds ignore NULL keys, matching SQL semantics where ``col = x``
 never matches NULL.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.storage.table import Table
@@ -112,16 +117,17 @@ class SortedIndex(Index):
         self.rebuild()
 
     def rebuild(self) -> None:
-        pos = self._col_pos
-        pairs = sorted(
-            (row[pos], rid)
-            for rid, row in enumerate(self.table.rows)
-            if row[pos] is not None
-        )
+        column = list(map(itemgetter(self._col_pos), self.table.rows))
+        if None in column:
+            rids = [rid for rid, key in enumerate(column) if key is not None]
+        else:
+            rids = list(range(len(column)))
+        # Stable: equal keys keep rid order, the order of ``(key, rid)`` pairs.
+        rids.sort(key=column.__getitem__)
         # Keys and rids are published as one tuple in a single assignment so
         # a concurrent probe never pairs new keys with old rids (or reads a
         # torn keys/rids pair mid-rebuild).
-        self._published = ([k for k, _ in pairs], [r for _, r in pairs])
+        self._published = (list(map(column.__getitem__, rids)), rids)
         self._fan = None
 
     def lookup(self, key: Any) -> list[int]:
@@ -129,8 +135,7 @@ class SortedIndex(Index):
             return []
         keys, rids = self._published
         lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key)
-        return rids[lo:hi]
+        return rids[lo:bisect_right(keys, key, lo)]
 
     def range_scan(
         self,

@@ -11,6 +11,7 @@ page units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import SchemaError
@@ -144,5 +145,4 @@ class Table:
 
     def column_values(self, name: str) -> list[Any]:
         """All values of one column, in rid order (used by RUNSTATS)."""
-        pos = self.schema.index_of(name)
-        return [row[pos] for row in self.rows]
+        return list(map(itemgetter(self.schema.index_of(name)), self.rows))

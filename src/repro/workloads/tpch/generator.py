@@ -116,20 +116,20 @@ def generate_tpch(
     orders = []
     lineitems = []
     for i in range(scale.orders):
-        odate = date_string(rng, 1992, 1998)
+        odate = date_to_days(date_string(rng, 1992, 1998))
         orders.append(
             (
                 i,
                 rng.randrange(scale.customer),
                 rng.choice(s.ORDER_STATUS),
                 round(rng.uniform(1000.0, 450_000.0), 2),
-                date_to_days(odate),
+                odate,
                 rng.choice(s.PRIORITIES),
             )
         )
         for _ in range(rng.randint(1, 7)):
-            ship = date_to_days(odate) + rng.randint(1, 121)
-            commit = date_to_days(odate) + rng.randint(30, 90)
+            ship = odate + rng.randint(1, 121)
+            commit = odate + rng.randint(30, 90)
             receipt = ship + rng.randint(1, 30)
             lineitems.append(
                 (

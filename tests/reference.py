@@ -9,12 +9,15 @@ test compares the engine's output against this.
 It shares no evaluation code with the engine: predicates are closures applied
 one row at a time (:func:`row_test`), and the ``naive_*`` functions are the
 per-row references the executor's compiled kernels are compared against
-(``tests/test_executor_kernels.py``).
+(``tests/test_executor_kernels.py``).  The ``reference_*`` catalog builders
+sort every value (every ``(key, rid)`` pair for an index): they are the
+oracles of ``tests/test_catalog_build.py``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from itertools import product
 from typing import Any, Optional, Sequence
 
@@ -31,6 +34,8 @@ from repro.expr.predicates import (
     Predicate,
 )
 from repro.plan.logical import Aggregate, Query
+from repro.stats.column_stats import ColumnStatistics
+from repro.stats.histogram import Bucket, EquiDepthHistogram
 from repro.storage.catalog import Catalog
 
 _COMPARE = {
@@ -170,6 +175,59 @@ def naive_equi_join(
             if okey == [irow[s] for s in inner_slots]:
                 out.append(orow + irow)
     return out
+
+
+def reference_sorted_index(rows: Sequence[tuple], pos: int) -> tuple[list, list[int]]:
+    """A sorted index's ``(keys, rids)``: the sort of every non-NULL
+    ``(key, rid)`` pair."""
+    pairs = sorted((row[pos], rid) for rid, row in enumerate(rows) if row[pos] is not None)
+    return [k for k, _ in pairs], [r for _, r in pairs]
+
+
+def reference_histogram(values: Sequence[Any], num_buckets: int = 20) -> EquiDepthHistogram:
+    """An equi-depth histogram cut from every value sorted, each bucket
+    extended over the run of values equal to its last one."""
+    data = sorted(values)
+    total = len(data)
+    if total == 0:
+        return EquiDepthHistogram([], 0)
+    num_buckets = max(1, min(num_buckets, total))
+    buckets = []
+    start = 0
+    for b in range(num_buckets):
+        end = ((b + 1) * total) // num_buckets
+        if end <= start:
+            continue
+        while end < total and data[end] == data[end - 1]:
+            end += 1
+        chunk = data[start:end]
+        buckets.append(Bucket(chunk[0], chunk[-1], len(chunk), len(set(chunk))))
+        start = end
+        if start >= total:
+            break
+    return EquiDepthHistogram(buckets, total)
+
+
+def reference_column_statistics(
+    column: str, values: Sequence[Any], num_buckets: int = 20, num_mcvs: int = 10
+) -> ColumnStatistics:
+    """RUNSTATS for one column with a list of the non-NULL values, their
+    ``min`` / ``max`` and :func:`reference_histogram`."""
+    non_null = [v for v in values if v is not None]
+    null_count = len(values) - len(non_null)
+    if not non_null:
+        return ColumnStatistics(column, len(values), null_count, ndv=0)
+    counter = Counter(non_null)
+    return ColumnStatistics(
+        column=column,
+        row_count=len(values),
+        null_count=null_count,
+        ndv=len(counter),
+        min_value=min(non_null),
+        max_value=max(non_null),
+        mcvs=[(v, c) for v, c in counter.most_common(num_mcvs) if c > 1],
+        histogram=reference_histogram(non_null, num_buckets),
+    )
 
 
 def two_variable_cost(cm, description: tuple):

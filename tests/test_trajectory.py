@@ -13,7 +13,8 @@ def fake_run(checkout, workload, seed, seconds, trace):
     rate = 10.0 * seed + (seed if checkout == "change" else 0)
     metrics = {"stmts_per_s": rate, "work_units": 7.0}
     if trace:
-        metrics = {"executor.share": 0.5, "core.attempts": 3.0, "sql.parse_ms": 1.0}
+        metrics = {"executor.share": 0.5, "core.attempts": 3.0, "sql.parse_ms": 1.0,
+                   "stats.runstats_ms": 40.0, "workloads.datagen_ms": 90.0}
     return {
         "correct": True, "attempted": 4, "failed": 0,
         "metrics": {name: {"value": v, "unit": "x"} for name, v in metrics.items()},
@@ -45,7 +46,8 @@ def test_rows_round_trip(tmp_path, monkeypatch):
     assert dmv["metrics"]["stmts_per_s"]["values"] == [11.0, 22.0, 33.0, 44.0]
     assert dmv["metrics"]["stmts_per_s"]["median"] == 27.5
     assert dmv["pair_wins"] == {"stmts_per_s": 4, "work_units": 0}
-    assert dmv["traced"] == {"executor.share": 0.5, "core.attempts": 3.0}
+    assert dmv["traced"] == {"executor.share": 0.5, "core.attempts": 3.0,
+                             "stats.runstats_ms": 40.0, "workloads.datagen_ms": 90.0}
     assert (dmv["attempted"], dmv["failed"]) == (16, 0)
     # A second invocation appends.
     assert trajectory.main(argv) == 0

@@ -1,8 +1,10 @@
 """Tests for the TPC-H and DMV workload generators and query sets."""
 
 import collections
+import hashlib
 
 import pytest
+from bench.data import DMV_SEED, DMV_SMOKE_SCALE, TPCH_SEED, TPCH_SMOKE_SCALE
 
 from repro.expr.expressions import ParameterMarker
 from repro.workloads.dmv.generator import DmvScale, generate_dmv
@@ -52,6 +54,36 @@ class TestTpchGenerator:
         top = counts.most_common(1)[0][1]
         bottom = min(counts.values())
         assert top / max(1, bottom) > 50  # the Figure 11 sweep range
+
+
+#: SHA-256 of ``repr`` of each generated dataset: the generators' defaults
+#: (also the benchmark's data) and the benchmark's smoke data
+#: (``bench/data.py``).  A generator change that moves one row of these
+#: shifts the data under every frozen fixture, so it has to fail here first.
+DATA_DIGESTS = {
+    "tpch": (
+        lambda: generate_tpch(0.01, 42),
+        "c01be56314ebb4b21b38b0fcc8567c34734a24e1fabc8de3f4bbf925ee1c7326",
+    ),
+    "tpch_smoke": (
+        lambda: generate_tpch(TPCH_SMOKE_SCALE, TPCH_SEED),
+        "6cb3df9a53e241d67278156fd3a9f5e079bf69e68a680d57fb2d4c12a59a6af7",
+    ),
+    "dmv": (
+        lambda: generate_dmv(None, 7),
+        "ee71b0629a49b4c8556030009d199ffa353e65ed6a11f08556004dbd49af0260",
+    ),
+    "dmv_smoke": (
+        lambda: generate_dmv(DMV_SMOKE_SCALE, DMV_SEED),
+        "f596ea241755f822f6a8a86516eba54c0f5c7071eb1c184c5853fb951e0bf4c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DATA_DIGESTS)
+def test_generated_data_is_pinned(name):
+    generate, digest = DATA_DIGESTS[name]
+    assert hashlib.sha256(repr(generate()).encode()).hexdigest() == digest
 
 
 class TestTpchQueries:
