@@ -1,10 +1,9 @@
 """``python -m repro.chaos``: every chaos scenario behind one command line.
 
-Ten ``(seed) -> ScenarioOutcome`` runners, each checked against clean
+Nine ``(seed) -> ScenarioOutcome`` runners, each checked against clean
 oracles and audited for leaks (:mod:`repro.common.chaosutil`):
 
-* ``faults``, ``stampede``, ``memory`` — seeded ``stats`` and governed
-  ``mem_shrink`` fault injection, a cold plan-cache stampede, concurrent
+* ``stampede``, ``memory`` — a cold plan-cache stampede, concurrent
   spilling under an undersized governor budget
   (:mod:`repro.resilience.chaos`);
 * ``disconnect``, ``slowloris``, ``malformed``, ``overload``,
@@ -13,10 +12,11 @@ oracles and audited for leaks (:mod:`repro.common.chaosutil`):
 * ``crash``, ``snapshot`` — kill-crash recovery and snapshot isolation
   (:mod:`repro.txn.chaos`).
 
-Exit status is 1 if any run fails (CI's six chaos steps are all this
-command)::
+Seeded ``stats`` and ``mem_shrink`` faults are an axis of the cross-feature
+matrix (``tests/test_matrix.py``), not a scenario.  Exit status is 1 if any
+run fails (every CI chaos step is this command)::
 
-    python -m repro.chaos --scenario faults stampede memory --seeds 1 2 --quiet
+    python -m repro.chaos --scenario stampede memory --seeds 1 2 --quiet
 """
 
 from __future__ import annotations
@@ -25,16 +25,14 @@ import sys
 from typing import Optional
 
 from repro.common.chaosutil import scenario_main
-from repro.resilience import fault_campaign, run_memory, run_stampede
+from repro.resilience import run_memory, run_stampede
 from repro.server import chaos as server_chaos
 from repro.txn import chaos as txn_chaos
 
 
 def scenarios() -> dict:
-    """The registry, fresh per run: the fault campaign's workload databases
-    are shared by the seeds of one run, never across runs."""
+    """The registry: scenario name to runner."""
     return {
-        "faults": fault_campaign(),
         "stampede": run_stampede,
         "memory": run_memory,
         "disconnect": server_chaos.run_disconnect,

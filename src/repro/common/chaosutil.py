@@ -1,7 +1,7 @@
 """The chaos harness: one outcome type, one seed × scenario loop, one CLI.
 
-Every chaos scenario — the fault campaign, cache stampede and memory
-pressure of :mod:`repro.resilience.chaos`, the connection chaos of
+Every chaos scenario — the cache stampede and memory pressure of
+:mod:`repro.resilience.chaos`, the connection chaos of
 :mod:`repro.server.chaos`, the kill-crash and snapshot runs of
 :mod:`repro.txn.chaos` — is a ``(seed) -> ScenarioOutcome`` runner,
 registered once in :mod:`repro.chaos` and driven by :func:`scenario_main`.
@@ -22,7 +22,8 @@ import tempfile
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 from repro.common.locking import active_witness
 
@@ -57,9 +58,6 @@ class ScenarioOutcome:
     ok: bool
     problems: list = field(default_factory=list)
     detail: str = ""
-    #: Counts that add up across the run's outcomes into the summary line
-    #: (the fault campaign's fired/planned tallies); ``None`` for the rest.
-    tally: Any = None
 
 
 # ------------------------------------------------------ shared workload set-up
@@ -211,13 +209,19 @@ class Baseline:
         )
 
 
+@lru_cache(maxsize=None)
+def _static_lock_graph() -> frozenset:
+    """The static lock graph, built once: harnesses audit after every run."""
+    from repro.analysis.concurrency import static_lock_graph
+
+    return frozenset(static_lock_graph())
+
+
 def _audit_witness(problems: list) -> None:
     witness = active_witness()
     if witness is None:
         return
-    from repro.analysis.concurrency import static_lock_graph
-
-    unexpected = witness.edges() - static_lock_graph()
+    unexpected = witness.edges() - _static_lock_graph()
     if unexpected:
         problems.append(
             "witness observed lock edge(s) missing from the static lock "
@@ -281,9 +285,5 @@ def scenario_main(
         runners, args.seeds, args.scenario, verbose=not args.quiet
     )
     passed = sum(o.ok for o in outcomes)
-    summary = f"chaos: {passed}/{len(outcomes)} scenario runs ok"
-    tallies = [o.tally for o in outcomes if o.tally is not None]
-    if tallies:
-        summary += f", {sum(tallies[1:], tallies[0])}"
-    print(summary)
+    print(f"chaos: {passed}/{len(outcomes)} scenario runs ok")
     return 0 if passed == len(outcomes) else 1

@@ -408,6 +408,12 @@ class Operator:
         """Fully built intermediate result, if this operator holds one."""
         return None
 
+    @property
+    def materialized_count(self) -> Optional[int]:
+        """Exact row count of a completed materialization, spilled or not
+        (a CHECK above it evaluates once, at ``open``)."""
+        return None
+
     def profile_extras(self) -> dict:
         """Operator-kind detail counters for the profiler.
 

@@ -47,10 +47,11 @@ class CheckExec(Operator):
         self._evaluated_once = False
         self._forced = self.plan.op_id in self.ctx.force_trigger_op_ids
         # Materialization-point optimization: the child already knows its
-        # exact cardinality — evaluate the check once, right now.
-        mat = self.child.materialized_rows
-        if mat is not None:
-            self.count = len(mat)
+        # exact cardinality, spilled or not — evaluate the check once, right
+        # now, before any row can reach the client.
+        count = self.child.materialized_count
+        if count is not None:
+            self.count = count
             self._evaluate(complete=True)
             self._evaluated_once = True
 

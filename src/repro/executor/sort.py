@@ -136,6 +136,7 @@ class SortExec(Operator):
         self.child = child
         self._rows: Optional[list[tuple]] = None
         self._pos = 0
+        self._count = 0
         self.build_complete = False
         self.spilled = False
         self._merge = None
@@ -170,6 +171,7 @@ class SortExec(Operator):
                 passes = math.ceil(math.log(pages / grant, 8)) + 1
                 self.ctx.meter.charge(2.0 * pages * p.io_page * passes, "sort")
         self._rows = rows
+        self._count = n
         self._pos = 0
         self.build_complete = True
 
@@ -235,6 +237,7 @@ class SortExec(Operator):
             )
         else:
             self._rows = buf
+        self._count = n
         self._pos = 0
         self.build_complete = True
 
@@ -263,6 +266,10 @@ class SortExec(Operator):
         if self.spilled:
             return None
         return self._rows if self.build_complete else None
+
+    @property
+    def materialized_count(self) -> Optional[int]:
+        return self._count if self.build_complete else None
 
     def profile_extras(self) -> dict:
         return {

@@ -130,6 +130,13 @@ class TempExec(Operator):
             return None
         return self._rows if self.build_complete else None
 
+    @property
+    def materialized_count(self) -> Optional[int]:
+        if not self.build_complete:
+            return None
+        overflow = self._overflow.row_count if self._overflow is not None else 0
+        return len(self._rows) + overflow
+
     def profile_extras(self) -> dict:
         return {
             "build_complete": self.build_complete,

@@ -8,12 +8,12 @@ error, and re-optimization ends by the paper's §7 cap alone
 (``PopConfig.max_reoptimizations``).  :class:`ResiliencePolicy` holds the
 statement's wall-clock deadline.
 
-Its chaos scenarios (``faults``, ``stampede``, ``memory``) are exported here
+Its chaos scenarios (``stampede``, ``memory``) are exported here
 for the one chaos command, ``python -m repro.chaos``.
 """
 
 from repro.core.config import ResiliencePolicy
-from repro.resilience.chaos import fault_campaign, run_memory, run_stampede
+from repro.resilience.chaos import run_memory, run_stampede
 from repro.resilience.faults import (
     ALL_KINDS,
     EXEC_KINDS,
@@ -35,7 +35,6 @@ __all__ = [
     "FaultInjector",
     "FiredFault",
     "ResiliencePolicy",
-    "fault_campaign",
     "run_stampede",
     "run_memory",
 ]

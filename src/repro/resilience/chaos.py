@@ -1,32 +1,19 @@
-"""Chaos scenarios of the resilience layer: faults, stampede, memory.
+"""Chaos scenarios of the resilience layer: stampede, memory.
 
-``faults``
-    Every query of both small workloads under a seeded fault schedule of
-    ``stats`` and ``mem_shrink`` faults, with a memory governor on each
-    database whose budget admits every statement.  For each query and
-    chaos seed the runner replays the query (oracle rows computed once,
-    cleanly and ungoverned, before the first seed) under a per-query fault
-    schedule derived from the seed (stable across processes —
-    :func:`zlib.crc32`, not ``hash()``), and asserts that the run returns
-    oracle-identical rows and that every injected fault is visible in the
-    :mod:`repro.obs` trace and metrics.  A seed also fails when it planned
-    ``mem_shrink`` faults and fired none, or fired some and renegotiated
-    no reservation: a disconnected injector tests nothing.
 ``stampede``
     Many threads hammer one statement shape against a cold plan cache.
 ``memory``
     Concurrent seeded queries against a deliberately undersized governor
     budget: spilling changes the cost, never the answer.
 
-All three run through ``python -m repro.chaos`` (see :mod:`repro.chaos`).
+Both run through ``python -m repro.chaos`` (see :mod:`repro.chaos`); seeded
+faults are an axis of the cross-feature matrix (``tests/test_matrix.py``).
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 
 from repro.common.chaosutil import (
@@ -38,158 +25,10 @@ from repro.common.chaosutil import (
     query_seed,
     run_together,
 )
-from repro.core.config import MemoryPolicy, PopConfig
-from repro.obs import MetricsRegistry, Tracer
-from repro.resilience.faults import ALL_KINDS, MEM_SHRINK, STATS, FaultPlan
-from repro.workloads import small_workload_databases
+from repro.core.config import PopConfig
+from repro.obs import MetricsRegistry
 
-__all__ = [
-    "FaultTally",
-    "fault_campaign",
-    "run_query_under_chaos",
-    "run_stampede",
-    "run_memory",
-]
-
-#: Faults injected per query run.
-FAULTS_PER_QUERY = 3
-
-#: The campaign's governor policy: the default budget admits every
-#: statement (they run one at a time), and one-page floors let a
-#: ``mem_shrink`` fault squeeze a reservation far enough to make its
-#: operators spill.
-FAULT_MEMORY = MemoryPolicy(min_reservation_pages=1.0, min_grant_pages=1.0)
-
-
-@dataclass
-class FaultTally:
-    """Faults per kind, planned and fired, and what the shrinks did.
-
-    A ``mem_shrink`` fault whose trigger lies past the statement's last
-    pull is planned but never fires.
-    """
-
-    planned: Counter = field(default_factory=Counter)
-    fired: Counter = field(default_factory=Counter)
-    renegotiations: int = 0
-    spilled: int = 0
-
-    def __add__(self, other: "FaultTally") -> "FaultTally":
-        return FaultTally(
-            self.planned + other.planned,
-            self.fired + other.fired,
-            self.renegotiations + other.renegotiations,
-            self.spilled + other.spilled,
-        )
-
-    def __str__(self) -> str:
-        return (
-            f"{self.fired[MEM_SHRINK]}/{self.planned[MEM_SHRINK]} mem_shrink "
-            f"faults fired, {self.fired[STATS]}/{self.planned[STATS]} stats "
-            f"faults fired, {self.renegotiations} renegotiations, "
-            f"{self.spilled} spilled statements"
-        )
-
-
-def run_query_under_chaos(
-    db,
-    workload: str,
-    name: str,
-    sql: str,
-    chaos_seed: int,
-    oracle: list,
-    tally: FaultTally,
-) -> list:
-    """Execute one query under a seeded fault schedule; returns its problems
-    and adds what was planned, fired, renegotiated and spilled to
-    ``tally``."""
-    tables = [t.name for t in db.catalog.tables()]
-    plan = FaultPlan.seeded(
-        query_seed(chaos_seed, workload, name),
-        n_faults=FAULTS_PER_QUERY,
-        kinds=ALL_KINDS,
-        tables=tables,
-    )
-    tally.planned.update(spec.kind for spec in plan.specs)
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    try:
-        result = db.execute(sql, tracer=tracer, metrics=metrics, faults=plan)
-    except Exception as exc:  # the whole point is that this never happens
-        return [f"unhandled {type(exc).__name__}: {exc}"]
-    report = result.report
-    tally.renegotiations += report.renegotiations
-    tally.spilled += report.spilled
-    problems = []
-    if canonical_rows(result.rows) != oracle:
-        problems.append(
-            f"rows diverge from oracle ({len(result.rows)} vs {len(oracle)})"
-        )
-    # Every injected fault must be observable: one trace event each, and a
-    # matching counter total.
-    events = tracer.events("fault.injected")
-    tally.fired.update(e["attrs"]["kind"] for e in events)
-    if len(events) != report.faults_injected:
-        problems.append(
-            f"{report.faults_injected} faults fired but "
-            f"{len(events)} fault.injected events traced"
-        )
-    counted = metrics.total("resilience.faults_injected")
-    if int(counted) != report.faults_injected:
-        problems.append(
-            f"{report.faults_injected} faults fired but metrics counted "
-            f"{int(counted)}"
-        )
-    return problems
-
-
-def fault_campaign(workloads=None):
-    """The ``faults`` runner over ``workloads`` — ``(label, db, [(name,
-    sql)])`` triples, by default both small workloads.
-
-    The databases and their oracle rows are built on the first seed and
-    shared by the rest of the run, as the seeds' fault schedules are; each
-    seed governs them with :data:`FAULT_MEMORY` and its leak audit turns
-    the governors off again.
-    """
-    prepared = []
-
-    def run_faults(seed: int) -> ScenarioOutcome:
-        if not prepared:
-            for label, db, queries in workloads or small_workload_databases("all"):
-                oracles = {
-                    name: canonical_rows(db.execute(sql).rows)
-                    for name, sql in queries
-                }
-                prepared.append((label, db, queries, oracles))
-        baseline = Baseline()
-        problems: list = []
-        tally = FaultTally()
-        for label, db, queries, oracles in prepared:
-            db.enable_memory_governor(policy=FAULT_MEMORY)
-            for name, sql in queries:
-                for problem in run_query_under_chaos(
-                    db, label, name, sql, seed, oracles[name], tally
-                ):
-                    problems.append(f"{label}/{name} seed={seed}: {problem}")
-        shrinks = tally.fired[MEM_SHRINK]
-        if tally.planned[MEM_SHRINK] and not shrinks:
-            problems.append(
-                f"{tally.planned[MEM_SHRINK]} mem_shrink faults planned, "
-                "none fired"
-            )
-        if shrinks and not tally.renegotiations:
-            problems.append(
-                f"{shrinks} mem_shrink faults fired, no reservation "
-                "renegotiated"
-            )
-        baseline.audit(problems, *(db for _label, db, _q, _o in prepared))
-        return ScenarioOutcome(
-            "faults", seed, not problems, problems, detail=str(tally),
-            tally=tally,
-        )
-
-    return run_faults
+__all__ = ["run_stampede", "run_memory"]
 
 
 def run_stampede(

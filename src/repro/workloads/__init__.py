@@ -6,7 +6,7 @@ def small_workload_databases(which: str):
     ``"dmv"`` or ``"all"``.
 
     The tiny deterministic scales the test suite uses: fast enough for a CI
-    gate (the chaos campaign, the plan linter) while exercising every query
+    gate (the cross-feature matrix, the plan linter) while exercising every query
     shape.
     """
     out = []

@@ -5,11 +5,12 @@ import io
 
 import pytest
 
-from repro import Database
+from repro import Database, MemoryPolicy
 from repro.executor.base import ExecutionContext, ReoptimizationSignal
 from repro.executor.runtime import build_executor
 from repro.expr.evaluate import RowLayout
-from repro.plan.physical import BufCheck, Check, TableScan, number_plan
+from repro.governor import MemoryGovernor
+from repro.plan.physical import BufCheck, Check, Sort, TableScan, Temp, number_plan
 from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
@@ -63,6 +64,27 @@ class TestCheckBoundaries:
         with pytest.raises(ReoptimizationSignal) as exc:
             drain(plan, cat)
         assert exc.value.complete
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("kind", [Sort, Temp], ids=["SORT", "TEMP"])
+    def test_check_above_a_spilled_materialization_fires_at_open(self, kind, width):
+        """Spilled, a SORT or TEMP holds no row list, but it knows its exact
+        count: the CHECK above it fires when ``open`` returns, before any row
+        can leave, as it does above an in-memory one."""
+        scan = scan_plan()
+        child = Sort(scan, ["t.a"], scan.properties, 1.0) if kind is Sort else Temp(scan, 1.0)
+        plan = Check(child, ValidityRange(0, 10), "LC")
+        number_plan(plan)
+        memory = MemoryPolicy(budget_pages=1.0, min_reservation_pages=1.0, min_grant_pages=1.0)
+        ctx = ExecutionContext(catalog_with_rows(200), memory=memory, batch_size=width,
+                               reservation=MemoryGovernor(memory).admit(1.0))
+        op = build_executor(plan, ctx)
+        try:
+            with pytest.raises(ReoptimizationSignal) as exc:
+                op.open()
+        finally:
+            ctx.release_spill()
+        assert (exc.value.observed, exc.value.complete, op.child.spilled) == (200, True, True)
 
 
 class TestBufCheckBoundaries:

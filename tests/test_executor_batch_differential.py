@@ -41,22 +41,68 @@ import pytest
 from repro import Database, PopConfig
 from repro.plan.explain import explain_plan
 from repro.sql.binder import bind_sql
+from repro.workloads.dmv import schema as dmv_schema
 from repro.workloads.dmv.generator import DmvScale, make_dmv_db
 from repro.workloads.dmv.queries import dmv_queries
+from repro.workloads.tpch import schema as tpch_schema
 from repro.workloads.tpch.generator import make_tpch_db
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
 from .conftest import build_dmv_db, build_tpch_db, canonical
 from .reference import evaluate_reference
-from .test_plan_cache_differential import (
-    DMV_TEMPLATES,
-    TPCH_TEMPLATES,
-    dmv_params,
-    tpch_params,
-)
 
 SEEDS = [11, 23]
 BATCH_SIZES = [1, 7, 64, 1024]
+
+# The fixture recorded the texts these draw (``run_stream`` checks they do not
+# drift): literals from the generators' domains, popular and rare regimes.
+TPCH_TEMPLATES = [
+    ("q6_band",
+     "SELECT count(*) AS qualifying, sum(l.l_extendedprice) AS revenue "
+     "FROM lineitem l WHERE l.l_quantity < {qty} AND l.l_discount BETWEEN {dlo} AND {dhi}"),
+    ("segment_orders",
+     "SELECT o.o_orderkey, o.o_orderdate FROM customer c, orders o "
+     "WHERE c.c_custkey = o.o_custkey AND c.c_mktsegment = '{segment}' "
+     "AND o.o_orderdate < '{date}' ORDER BY o.o_orderkey LIMIT 20"),
+    ("order_priority",
+     "SELECT o.o_orderpriority, count(*) AS order_count "
+     "FROM orders o, lineitem l WHERE l.l_orderkey = o.o_orderkey "
+     "AND o.o_orderdate >= '{date}' AND o.o_orderdate < '{date2}' AND l.l_quantity < {qty} "
+     "GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority"),
+]
+
+DMV_TEMPLATES = [
+    ("make_model_owner",
+     "SELECT o.o_id, o.o_name FROM car c, owner o WHERE c.c_owner_id = o.o_id "
+     "AND c.c_make = '{make}' AND c.c_model = '{model}'"),
+    ("make_color_accidents",
+     "SELECT count(*) AS accidents FROM car c, accident a WHERE a.a_car_id = c.c_id "
+     "AND c.c_make = '{make}' AND c.c_color = '{color}'"),
+]
+
+
+def tpch_params(rng: random.Random) -> dict:
+    year = rng.randint(1993, 1996)
+    month = rng.randint(1, 9)
+    return {
+        "qty": rng.randint(5, 35),
+        "dlo": round(rng.uniform(0.0, 0.05), 2),
+        "dhi": round(rng.uniform(0.05, 0.1), 2),
+        "segment": rng.choice(tpch_schema.SEGMENTS),
+        "date": f"{year}-0{month}-15",
+        "date2": f"{year}-0{month + 3 if month <= 6 else 9}-15",
+    }
+
+
+def dmv_params(rng: random.Random) -> dict:
+    make_idx = rng.randrange(4)  # popular (Zipf head) makes
+    model_idx = rng.randrange(dmv_schema.MODELS_PER_MAKE)
+    return {
+        "make": dmv_schema.MAKES[make_idx],
+        "model": dmv_schema.model_name(make_idx, model_idx),
+        "color": rng.choice(dmv_schema.COLORS),
+    }
+
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "row_engine_golden.json").read_text()
@@ -132,8 +178,8 @@ def replay(db, golden_records, batch_size):
 
 @pytest.fixture(scope="module")
 def small_tpch():
-    # Sized for the oracle's cross-product materialization, like the plan
-    # cache differential — volume lives in benchmarks/bench_vectorized.py.
+    # Sized for the oracle's cross-product materialization — volume lives
+    # in benchmarks/bench_vectorized.py.
     return make_tpch_db(0.0005, 42)
 
 

@@ -1,16 +1,14 @@
 """Engine-vs-oracle integration tests.
 
 Every query here is executed three ways — brute-force reference evaluator,
-engine without POP, engine with POP — and all three must agree.  A
-hypothesis-driven generator also produces random schemas/data/queries and
-checks the same invariant.
+engine without POP, engine with POP — and all three must agree.  Generated
+statements over the workload schemas, against sqlite and across every
+feature axis, are ``test_matrix``'s.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import Database, PopConfig
 from repro.core.flavors import ECB, ECDC, LC, LCEM
@@ -115,39 +113,3 @@ def test_flavor_mixes_match_oracle(flavors):
     for query in FIXED_QUERIES[:2]:
         expected = canonical(evaluate_reference(db.catalog, query))
         assert canonical(db.execute(query, pop=config).rows) == expected
-
-
-@st.composite
-def random_case(draw):
-    seed = draw(st.integers(0, 10_000))
-    filter_grp = draw(st.integers(0, 5))
-    op = draw(st.sampled_from(["=", "<", ">="]))
-    want_agg = draw(st.booleans())
-    return seed, filter_grp, op, want_agg
-
-
-@settings(max_examples=20, deadline=None)
-@given(random_case())
-def test_random_queries_match_oracle(case):
-    seed, filter_grp, op, want_agg = case
-    db = make_three_table_db(seed=seed, sizes=(25, 80, 0))
-    local = [Comparison(ColumnRef("a", "grp"), op, Literal(filter_grp))]
-    joins = [JoinPredicate(ColumnRef("b", "a_id"), ColumnRef("a", "id"))]
-    if want_agg:
-        query = Query(
-            tables=[TableRef("a", "a"), TableRef("b", "b")],
-            select=[ColumnRef("a", "grp"), Aggregate("sum", ColumnRef("b", "v"), "s")],
-            local_predicates=local,
-            join_predicates=joins,
-            group_by=[ColumnRef("a", "grp")],
-        )
-    else:
-        query = Query(
-            tables=[TableRef("a", "a"), TableRef("b", "b")],
-            select=[ColumnRef("a", "id"), ColumnRef("b", "v")],
-            local_predicates=local,
-            join_predicates=joins,
-        )
-    expected = canonical(evaluate_reference(db.catalog, query))
-    assert canonical(db.execute_without_pop(query).rows) == expected
-    assert canonical(db.execute(query).rows) == expected

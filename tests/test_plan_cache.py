@@ -3,12 +3,14 @@
 Covers cache mechanics (install/lookup/LRU/invalidation), the driver
 integration (hits skip the optimizer, reopt discards the variant, metrics
 and the meter category), bind-value peeking, the mutation self-heal, DDL
-and statistics invalidation hooks, and the ``\\cache`` CLI command.
+and statistics invalidation hooks, the ``\\cache`` CLI command, and the
+volume replay: repeated parameterized traffic skips the optimizer.
 """
 
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
@@ -21,7 +23,12 @@ from repro.optimizer.parametric import PeekingSelectivity, evaluate_plan_validit
 from repro.sql.parameterize import parameterize_sql
 from repro.stats.selectivity import SelectivityEstimator
 
+from repro.workloads import small_workload_databases
+from repro.workloads.dmv import schema as dmv_schema
+from repro.workloads.tpch import schema as tpch_schema
+
 from .conftest import canonical
+from .test_executor_batch_differential import DMV_TEMPLATES, TPCH_TEMPLATES
 
 
 def make_db(rows: int = 2000) -> Database:
@@ -459,3 +466,74 @@ class TestCliCacheCommand:
     def test_cache_help_listed(self):
         text = self.run_shell(["\\help"])
         assert "\\cache" in text
+
+
+# ------------------------------------------------------------------ volume
+
+#: A GROUP BY over a hash join whose LCEM TEMP needs memory.
+MAKE_VIOLATIONS = (
+    "SELECT v.v_type, count(*) AS n FROM car c, violation v "
+    "WHERE v.v_car_id = c.c_id AND c.c_make = '{make}' "
+    "GROUP BY v.v_type ORDER BY v.v_type"
+)
+
+VOLUME_SEED = 2004
+VOLUME_STATEMENTS = 60
+# Unlike the batch differential's ``order_priority``, open-ended in the
+# date: no oracle is consulted here, so the join need not stay selective.
+ORDER_PRIORITY_OPEN = (
+    "SELECT o.o_orderpriority, count(*) AS order_count "
+    "FROM orders o, lineitem l WHERE l.l_orderkey = o.o_orderkey "
+    "AND o.o_orderdate >= '{date}' AND l.l_quantity < {qty} "
+    "GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority"
+)
+VOLUME_TEMPLATES = {
+    "tpch": [TPCH_TEMPLATES[0][1], TPCH_TEMPLATES[1][1], ORDER_PRIORITY_OPEN],
+    "dmv": [DMV_TEMPLATES[0][1], DMV_TEMPLATES[1][1], MAKE_VIOLATIONS],
+}
+
+
+def volume_params(label: str, rng: random.Random) -> dict:
+    if label == "tpch":
+        return {
+            "qty": rng.randint(5, 45),
+            "dlo": round(rng.uniform(0.0, 0.05), 2),
+            "dhi": round(rng.uniform(0.05, 0.1), 2),
+            "segment": rng.choice(tpch_schema.SEGMENTS),
+            "date": f"199{rng.randint(3, 7)}-0{rng.randint(1, 9)}-15",
+        }
+    make_idx = rng.randrange(6)
+    return {
+        "make": dmv_schema.MAKES[make_idx],
+        "model": dmv_schema.model_name(make_idx, rng.randrange(dmv_schema.MODELS_PER_MAKE)),
+        "color": rng.choice(dmv_schema.COLORS),
+    }
+
+
+def replay(db, statements, cached: bool):
+    """(canonical rows per statement, optimizer invocations, cache hits)."""
+    metrics = MetricsRegistry()
+    config = PopConfig(plan_cache=cached)
+    rows = [canonical(db.execute(sql, pop=config, metrics=metrics).rows) for sql in statements]
+    counters = metrics.snapshot()["counters"]
+    return rows, counters.get("optimizer.invocations", 0), counters.get("plan_cache.hits", 0)
+
+
+def test_repeated_traffic_skips_the_optimizer():
+    """Repeated parameterized traffic — the regime the cache targets: reuse
+    never changes a row, and saves at least 5x the optimizer invocations."""
+    rng = random.Random(VOLUME_SEED)
+    for label, db, _queries in small_workload_databases("all"):
+        templates = VOLUME_TEMPLATES[label]
+        statements = [
+            templates[rng.randrange(len(templates))].format(**volume_params(label, rng))
+            for _ in range(VOLUME_STATEMENTS)
+        ]
+        db.enable_plan_cache()
+        on_rows, on_calls, hits = replay(db, statements, cached=True)
+        off_rows, off_calls, off_hits = replay(db, statements, cached=False)
+        divergent = [sql for sql, a, b in zip(statements, on_rows, off_rows) if a != b]
+        assert not divergent, (label, divergent)
+        assert hits > 0 and off_hits == 0, label
+        assert off_calls >= VOLUME_STATEMENTS, label
+        assert off_calls >= 5 * on_calls, (label, on_calls, off_calls)

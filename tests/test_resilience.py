@@ -59,12 +59,14 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    fault_campaign,
 )
-from repro.resilience.chaos import FAULT_MEMORY, FaultTally, run_query_under_chaos
 from tests.conftest import canonical
 from tests.reference import evaluate_reference
 from tests.test_cancellation import CountdownToken
+
+#: The default budget admits every statement; one-page floors let a
+#: ``mem_shrink`` fault squeeze a reservation until its operators spill.
+ONE_PAGE_FLOORS = MemoryPolicy(min_reservation_pages=1.0, min_grant_pages=1.0)
 
 JOIN_SQL = (
     "SELECT c.c_id, o.o_total FROM cust c, orders o "
@@ -212,7 +214,7 @@ class TestInjectorCountsBatchPulls:
 
 class TestMemShrinkFaults:
     def test_seeded_fault_runs_are_identical(self, star_db):
-        star_db.enable_memory_governor(policy=FAULT_MEMORY)
+        star_db.enable_memory_governor(policy=ONE_PAGE_FLOORS)
         outcomes = []
         for _ in range(2):
             plan = FaultPlan.seeded(
@@ -376,95 +378,6 @@ class TestChaosHarness:
         assert canonical_rows(a) == canonical_rows(b)
         assert canonical_rows([(1, 1.0)]) != canonical_rows([(1, 2.0)])
 
-    def test_one_query_under_chaos(self, star_db):
-        outcome = fault_campaign([("unit", star_db, [("join", JOIN_SQL)])])(5)
-        assert outcome.ok, outcome.problems
-        assert sum(outcome.tally.fired.values()) >= 1
-
-    @staticmethod
-    def _small_campaign():
-        """Two TPC-H queries whose shrinks renegotiate at seeds 1 and 2 (a
-        shrink of a one-table statement's floor-sized reservation frees
-        nothing)."""
-        from repro.workloads import small_workload_databases
-
-        return fault_campaign([
-            (label, db, [q for q in queries if q[0] in ("Q3", "Q9")])
-            for label, db, queries in small_workload_databases("tpch")
-        ])
-
-    def test_silent_injector_fails_the_campaign(self, monkeypatch, capsys):
-        """A seed that planned ``mem_shrink`` faults and fired none did not
-        test anything: that seed fails on its own, whatever the others
-        fired."""
-        from repro.common.chaosutil import scenario_main
-
-        run_faults = self._small_campaign()
-        assert run_faults(1).ok
-        monkeypatch.setattr(FaultInjector, "_wrap", lambda self, op, ctx: None)
-        silent = run_faults(2)
-        assert not silent.ok
-        assert silent.problems[-1].endswith("mem_shrink faults planned, none fired")
-        runners = {"faults": run_faults}
-        assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] faults seed=1 0/" in out and "none fired" in out
-        monkeypatch.undo()
-        assert scenario_main(runners, ["--seeds", "1", "--quiet"]) == 0
-        assert "none fired" not in capsys.readouterr().out
-
-    def test_shrinks_that_renegotiate_nothing_fail_the_campaign(
-        self, monkeypatch
-    ):
-        """A ``mem_shrink`` fault that fires but never reaches the
-        governor's reservation tested nothing either."""
-        run_faults = self._small_campaign()
-        monkeypatch.setattr(
-            ExecutionContext, "apply_memory_pressure", lambda self, factor: None
-        )
-        outcome = run_faults(1)
-        assert outcome.tally.fired[MEM_SHRINK]
-        assert not outcome.ok
-        assert outcome.problems[-1].endswith("no reservation renegotiated")
-
-    def test_seeded_campaign_reaches_the_operators(self, capsys):
-        """The injector wraps ``next_batch`` (and an index-NLJN inner's
-        ``probe``) per operator instance, and the pull sequence is what
-        places the faults; under the campaign's governor a fired shrink
-        renegotiates the statement's reservation, and some statements spill
-        for it.  The counts are a pure function of the seeds."""
-        from repro.chaos import main
-
-        args = ["--scenario", "faults", "stampede", "memory",
-                "--seeds", "1", "2", "--quiet"]
-        assert main(args) == 0
-        assert (
-            "chaos: 6/6 scenario runs ok, 78/140 mem_shrink faults fired, "
-            "166/166 stats faults fired, 48 renegotiations, "
-            "14 spilled statements"
-        ) in capsys.readouterr().out
-
-    def test_chaos_detects_divergence(self, star_db):
-        assert run_query_under_chaos(
-            star_db, "unit", "join", JOIN_SQL, 5, [("wrong",)], FaultTally()
-        )[0].startswith("rows diverge")
-
-    def test_failing_query_is_named(self, star_db, capsys):
-        from repro.common.chaosutil import scenario_main
-
-        runners = {
-            "faults": fault_campaign([("unit", star_db, [("join", JOIN_SQL)])])
-        }
-        assert scenario_main(runners, ["--seeds", "5", "--quiet"]) == 0
-        # The oracle was taken on the first seed; new data makes the next
-        # seed's rows diverge from it.
-        mid = star_db.execute(
-            "SELECT c.c_id FROM cust c WHERE c.c_segment = 'MID'"
-        ).rows[0][0]
-        star_db.insert("orders", [(99999, mid, 1.0)])
-        assert scenario_main(runners, ["--seeds", "5", "--quiet"]) == 1
-        assert "unit/join seed=5: rows diverge" in capsys.readouterr().out
-
 
 # --------------------------------------------------------------------- CLI
 
@@ -598,7 +511,7 @@ class TestFaultIsolationRule:
 
 class TestObservability:
     def test_every_fault_visible_in_trace_and_metrics(self, star_db):
-        star_db.enable_memory_governor(policy=FAULT_MEMORY)
+        star_db.enable_memory_governor(policy=ONE_PAGE_FLOORS)
         tracer = Tracer()
         metrics = MetricsRegistry()
         plan = FaultPlan(

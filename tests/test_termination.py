@@ -8,7 +8,7 @@ Pinned here:
 
 * the bound on every DMV statement, with the default and with all five
   CHECK flavors, with and without seeded ``stats`` and ``mem_shrink``
-  faults, ungoverned and under the fault campaign's governor (where the
+  faults, ungoverned and under a governor with one-page floors (where the
   shrinks renegotiate reservations and operators spill);
 * a plan-cache hit obeys the cap of the statement that hits it: a variant
   serves only statements that place the same CHECKs
@@ -24,11 +24,11 @@ from repro import PopConfig
 from repro.core.config import NO_POP
 from repro.core.flavors import ALL_FLAVORS
 from repro.resilience import ALL_KINDS, FaultPlan
-from repro.resilience.chaos import FAULT_MEMORY
 from repro.workloads.dmv.queries import dmv_queries
 
 from .conftest import build_dmv_db, canonical
 from .test_driver_pipeline import DMV_MODEL_TEMPLATE, narrowed_cache_db
+from .test_resilience import ONE_PAGE_FLOORS
 
 FLAVOR_CONFIGS = {
     "default-flavors": PopConfig(),
@@ -60,7 +60,7 @@ def test_every_dmv_statement_ends_within_the_cap(dmv, config, faults, request):
     tables = [t.name for t in db.catalog.tables()]
     governed = faults.startswith("governed")
     if governed:
-        db.enable_memory_governor(policy=FAULT_MEMORY)
+        db.enable_memory_governor(policy=ONE_PAGE_FLOORS)
         request.addfinalizer(db.disable_memory_governor)
     renegotiations = 0
     for i, (name, sql) in enumerate(queries):

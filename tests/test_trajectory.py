@@ -52,3 +52,17 @@ def test_rows_round_trip(tmp_path, monkeypatch):
     # A second invocation appends.
     assert trajectory.main(argv) == 0
     assert len(json.loads(out.read_text())["rows"]) == 4
+
+
+def test_server_mix_invariants_are_filed_as_timing_dependent():
+    """``server_mix``'s paced writers move its counters from run to run, so
+    they are kept apart from the deterministic workloads' invariants."""
+    traced = fake_run("change", "server_mix", 1, 2, 1)
+    assert trajectory.traced_view(traced, "dmv_reopt") == {
+        "executor.share": 0.5, "core.attempts": 3.0,
+        "stats.runstats_ms": 40.0, "workloads.datagen_ms": 90.0,
+    }
+    assert trajectory.traced_view(traced, "server_mix") == {
+        "executor.share": 0.5, "timing_dependent": {"core.attempts": 3.0},
+        "stats.runstats_ms": 40.0, "workloads.datagen_ms": 90.0,
+    }
