@@ -45,9 +45,9 @@ and one walker, :func:`check_confinement`:
   on.
 * **fault-isolation** — fault injection stays inside ``repro.resilience``:
   no module outside it may import a ``repro.resilience`` submodule or
-  reference a ``fault_injector`` attribute, except the three plumbing sites
-  (the context declaration in ``executor/base.py``, the arm site in
-  ``executor/runtime.py``, and the driver).  Package-level imports
+  reference a ``fault_injector`` attribute, except the two plumbing sites
+  (the context in ``executor/base.py``, which declares it and fires it at
+  each memory grant, and the driver).  Package-level imports
   (``from repro.resilience import FaultPlan``) stay legal everywhere.
 * **profile-exclusive-time** — ``wall_clock()`` may only be called (or
   imported) at the sanctioned timing sites.  An operator or optimizer
@@ -111,14 +111,9 @@ CONFINEMENTS = (
     ),
     Confinement(
         "fault-isolation",
-        # The resilience package plus the three plumbing sites
-        # (declaration, arm, driver).
-        allowed=(
-            "resilience/",
-            "executor/base.py",
-            "executor/runtime.py",
-            "core/driver.py",
-        ),
+        # The resilience package plus the two plumbing sites (the
+        # context, which fires it at each grant, and the driver).
+        allowed=("resilience/", "executor/base.py", "core/driver.py"),
         why="fault injection must not leak into operator logic; use the "
         "package surface (from repro.resilience import ...)",
         packages=("repro.resilience.",),

@@ -70,8 +70,9 @@ meta commands:
   \\chaos SEED|off           run statements under seeded fault injection:
                             stats faults (the statement plans with
                             corrupted statistics) and, under \\memory on,
-                            mid-query reservation shrinks
-  \\chaos mem [SEED]         memory-pressure mode: inject only mid-query
+                            reservation shrinks before one of the
+                            statement's first eight memory grants
+  \\chaos mem [SEED]         memory-pressure mode: inject only those
                             reservation shrinks (operators degrade by
                             spilling); needs \\memory on
   \\trace on|off [FILE]      record a JSONL execution trace (spans/events

@@ -184,9 +184,11 @@ class PopConfig:
     #: The statement's wall-clock deadline; ``None`` (the default) runs
     #: without one.
     resilience: Optional[ResiliencePolicy] = None
-    #: Rows per executor batch (>= 1; docs/vectorized.md).  Rows, CHECK
-    #: decisions, re-opt counts, and meter totals do not depend on it —
-    #: only how much work passes between two cancellation/deadline polls.
+    #: Rows per executor batch (>= 1; docs/vectorized.md).  Rows do not
+    #: depend on it, and neither do CHECK decisions, re-opt counts and
+    #: meter totals up to the first ECDC signal (which rows an ECDC CHECK
+    #: lets out before it fires does, and the next plan anti-joins them);
+    #: it sets how much work passes between two cancellation/deadline polls.
     #: Defaults from the ``REPRO_BATCH_SIZE`` environment variable, else
     #: :data:`DEFAULT_BATCH_SIZE`.
     batch_size: int = field(default_factory=_default_batch_size)

@@ -114,9 +114,9 @@ class ExecutionContext:
         #: (the "dummy re-optimization" of Fig. 12).
         self.force_trigger_op_ids = force_trigger_op_ids or set()
         #: The single sanctioned fault-injection mount point: a
-        #: :class:`repro.resilience.FaultInjector` (or ``None``).  The
-        #: runtime arms it after building the operator tree; no other
-        #: executor code may reference it (contract rule ``fault-isolation``).
+        #: :class:`repro.resilience.FaultInjector` (or ``None``), which
+        #: :meth:`grant_pages` fires before each grant; no other executor
+        #: code may reference it (contract rule ``fault-isolation``).
         self.fault_injector = fault_injector
         #: Optional :class:`repro.common.cancel.CancelToken`.  Checked in
         #: :meth:`Operator.emit_batch` (one attribute read when absent) and
@@ -141,9 +141,11 @@ class ExecutionContext:
         self.reservation = reservation
         #: Rows per batch (>= 1): ``run_plan`` drains the root and blocking
         #: operators drain their children in :meth:`Operator.next_batch`
-        #: pulls of this size.  Rows, row counters, CHECK decisions and
-        #: meter totals do not depend on it (see docs/vectorized.md); it
-        #: only sets how much work passes between two
+        #: pulls of this size.  Rows do not depend on it, and row counters,
+        #: CHECK decisions and meter totals do not either up to the first
+        #: ECDC signal: which rows an ECDC CHECK lets out before it fires
+        #: does, and the next plan anti-joins them (docs/vectorized.md).
+        #: Otherwise it only sets how much work passes between two
         #: cancellation/deadline polls.
         self.batch_size = check_batch_size(batch_size)
         #: Optional :class:`repro.txn.Snapshot` pinning this attempt to a
@@ -226,8 +228,13 @@ class ExecutionContext:
 
         The grant is capped at the statement's current reservation (when
         the memory governor admitted it) and floored at the policy's
-        ``min_grant_pages``; the operator spills the excess.
+        ``min_grant_pages``; the operator spills the excess.  Operators
+        read their reservation only here, so a ``mem_shrink`` fault fires
+        here too, before the grant it is due at is sized.
         """
+        injector = self.fault_injector
+        if injector is not None:
+            injector.before_grant(self, category)
         reservation = self.reservation
         if reservation is None or reservation.pages >= pages:
             return pages
@@ -243,14 +250,6 @@ class ExecutionContext:
                 granted_pages=granted,
             )
         return granted
-
-    def apply_memory_pressure(self, factor: float) -> None:
-        """Shrink this statement's memory mid-execution: renegotiate its
-        governor reservation down by ``factor`` (never below the policy
-        floor), so the next grant sees the smaller limit.  An ungoverned
-        statement holds no reservation and is left as it is."""
-        if self.reservation is not None:
-            self.reservation.shrink_to(self.reservation.pages * factor)
 
     def log_checkpoint(self, event: CheckpointEvent) -> None:
         self.checkpoint_events.append(event)

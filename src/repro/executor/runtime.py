@@ -89,11 +89,9 @@ def run_plan(
     still closed (``close`` is idempotent and does not discard harvested
     materializations), so no error path leaks open state.
 
-    When a fault injector is mounted on the context, it is armed over the
-    freshly built operator tree here — the single sanctioned injection
-    point (see :mod:`repro.resilience`).  A cancel token or wall-clock
-    deadline is polled at the root after ``open`` and after every emitted
-    batch via :meth:`ExecutionContext.check_interrupt`.
+    A cancel token or wall-clock deadline is polled at the root after
+    ``open`` and after every emitted batch via
+    :meth:`ExecutionContext.check_interrupt`.
 
     Teardown ordering matters on abort paths: every registered operator
     is closed (a ``close`` that itself fails must not stop the remaining
@@ -104,11 +102,7 @@ def run_plan(
     exception (signal, error, cancel, timeout) is never masked by one.
     """
     root = build_executor(plan, ctx)
-    if ctx.fault_injector is not None:
-        ctx.fault_injector.arm(ctx)
-    # Profiling arms after fault injection so injected-fault overhead is
-    # attributed to the operator it fires in; like the injector this is
-    # the single mount point and costs nothing when no profiler is set.
+    # The single profiler mount point; costs nothing when none is set.
     if ctx.profiler is not None:
         ctx.profiler.arm(ctx)
     rows = sink if sink is not None else []

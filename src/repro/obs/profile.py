@@ -7,8 +7,8 @@ ANALYZE, the driver's per-operator metrics and the JSONL export all read
 it.
 
 An attempt can also carry a :class:`ProfileCollector`; the runtime arms it
-over the freshly built operator tree — the same opt-in shape as tracing,
-metrics, and fault injection: ``ctx.profiler is None`` keeps the
+over the freshly built operator tree — the same opt-in shape as tracing
+and metrics: ``ctx.profiler is None`` keeps the
 executor's hot path at one comparison per open/close and zero allocations.
 What it measures (an :class:`OpProfile` per operator) hangs off the
 record.
@@ -198,7 +198,7 @@ class ProfileCollector:
 
     One collector profiles one execution attempt (the driver creates a
     fresh one per attempt so re-optimized rounds stay distinguishable).
-    ``arm`` is idempotent per operator, mirroring the fault injector.
+    ``arm`` is idempotent per operator.
     """
 
     def __init__(self, meter):

@@ -155,12 +155,17 @@ class TestRenegotiation:
 
 class TestGrantPlumbing:
     def test_reservation_caps_grants_and_pressure_renegotiates(self):
+        from repro.resilience import MEM_SHRINK, FaultInjector, FaultPlan, FaultSpec
+
         gov = MemoryGovernor(policy())
         res = gov.admit(50.0)
         metrics = MetricsRegistry()
+        injector = FaultInjector(
+            FaultPlan([FaultSpec(MEM_SHRINK, trigger_at=3, payload=0.5)])
+        )
         ctx = ExecutionContext(
             Database().catalog, memory=gov.policy, reservation=res,
-            metrics=metrics,
+            metrics=metrics, fault_injector=injector,
         )
         assert ctx.grant_pages(40.0, "sort") == 40.0  # fits: exact
         granted = ctx.grant_pages(128.0, "hash")
@@ -168,9 +173,10 @@ class TestGrantPlumbing:
         assert metrics.snapshot()["counters"] == {
             "governor.grants_squeezed{category=hash}": 1.0
         }
-        ctx.apply_memory_pressure(0.5)
-        assert res.pages == 25.0
+        # The shrink due at grant 3 renegotiates before that grant is sized.
         assert ctx.grant_pages(128.0, "hash") == 25.0
+        assert res.pages == 25.0
+        assert [(f.at, f.category) for f in injector.fired] == [(3, "hash")]
 
     @pytest.mark.parametrize(
         "reserved, asked, floor, granted",
@@ -196,9 +202,14 @@ class TestGrantPlumbing:
         assert ctx.grant_pages(asked, "sort") == granted
 
     def test_pressure_without_a_reservation_changes_nothing(self):
-        ctx = ExecutionContext(Database().catalog)
-        ctx.apply_memory_pressure(0.001)
+        from repro.resilience import MEM_SHRINK, FaultInjector, FaultPlan, FaultSpec
+
+        injector = FaultInjector(
+            FaultPlan([FaultSpec(MEM_SHRINK, trigger_at=1, payload=0.001)])
+        )
+        ctx = ExecutionContext(Database().catalog, fault_injector=injector)
         assert ctx.grant_pages(128.0, "sort") == 128.0
+        assert [(f.at, f.category) for f in injector.fired] == [(1, "sort")]
 
 
 def _estimate(db, sql):
@@ -261,10 +272,9 @@ class TestEndToEnd:
         assert snap["spill_files_total"] == report.spill_files
 
     def test_mem_shrink_fault_renegotiates_reservation(self, dmv_db, governed):
-        # A mid-build shrink is seen by the hash join's post-build
-        # overcommit re-check: the build fit its original grant, no
-        # longer fits the renegotiated one, and spills instead of
-        # passing silently.
+        # A shrink due at the hash join's post-build overcommit re-check:
+        # the build fit its original grant, no longer fits the
+        # renegotiated one, and spills instead of passing silently.
         from repro.resilience import MEM_SHRINK, FaultPlan, FaultSpec
 
         governed(dmv_db, budget_pages=512.0)
@@ -274,8 +284,8 @@ class TestEndToEnd:
         )
         config = PopConfig(reuse_policy="never")
         oracle = canonical(dmv_db.execute(sql, pop=config).rows)
-        # Pull 2 is the build-side scan's second batch (1500 owners at the
-        # default width): the build is under way, its grant already taken.
+        # Grant 2 is the hash join's re-check after the build: the shrink
+        # fires before it, once the build fit its first grant.
         faults = FaultPlan(
             [FaultSpec(MEM_SHRINK, trigger_at=2, payload=0.001)]
         )
