@@ -14,14 +14,19 @@ Run from the repository root, for example::
 
     python -m repro.bench.trajectory --parent ../parent --change . \\
         --workloads dmv_reopt --pairs 10 --seconds 15 \\
-        --parent-commit 8ce6ab9 --change-commit HEAD --note "4-core VM"
+        --parent-commit 8ce6ab9 --change-commit HEAD --pr N --note "4-core VM"
+
+where ``N`` is the number of the PR that ships the change.
 
 Each row holds, per workload, every pair's value of each end-to-end
 metric with their median and quartiles, the pair wins of the change on
 each metric, the summed attempted/failed counts, and the traced pass's
 ``*share*`` / ``*frac*`` metrics, invariant counters and set-up layer
 times (``stats.runstats_ms``, ``workloads.datagen_ms``).  Rows are
-appended to the file, one a line.
+appended to the file, one a line.  The change row also names the PR
+that ships it and its parent commit (``"pr"``, ``"parent"``), so
+``git log --grep '^PR N:'`` finds the shipped commit even when the
+change was measured as an uncommitted tree.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ INVARIANTS = (
 #: number of times, each invalidating cached plans (at seed 1,
 #: ``core.attempts`` read 585 and 644 in two runs of one commit).
 TIMING_DEPENDENT = ("server_mix",)
+#: Traced-pass latencies kept for a :data:`TIMING_DEPENDENT` workload,
+#: under ``timing_dependent``: the commit and read-tail latencies that
+#: work under the epoch lock shows up in.
+TIMING_DEPENDENT_METRICS = (
+    "txn.checkpoint_commit_ms",
+    "txn.commit_mean_ms",
+    "server.stmt_p99_ms",
+)
 #: Traced-pass set-up layer times, kept for the catalog and data builds
 #: that the end-to-end ``setup_s`` sums.
 SETUP_LAYERS = ("stats.runstats_ms", "workloads.datagen_ms")
@@ -111,7 +124,8 @@ def wins(parent: list[dict], change: list[dict]) -> dict:
 def traced_view(run: dict, workload: str) -> dict:
     """The traced pass's shares, fractions, invariant counters and set-up
     layer times; a :data:`TIMING_DEPENDENT` workload's invariant counters
-    sit under ``timing_dependent`` instead."""
+    sit under ``timing_dependent`` instead, beside its
+    :data:`TIMING_DEPENDENT_METRICS`."""
     view = {
         name: m["value"] for name, m in run["metrics"].items()
         if "share" in name or "frac" in name or name in INVARIANTS or name in SETUP_LAYERS
@@ -119,6 +133,9 @@ def traced_view(run: dict, workload: str) -> dict:
     if workload in TIMING_DEPENDENT:
         view["timing_dependent"] = {
             name: view.pop(name) for name in INVARIANTS if name in view
+        } | {
+            name: run["metrics"][name]["value"]
+            for name in TIMING_DEPENDENT_METRICS if name in run["metrics"]
         }
     return view
 
@@ -168,6 +185,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
+    parser.add_argument("--pr", type=int, required=True,
+                        help="number of the PR that ships the change")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
@@ -183,13 +202,11 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "source": "measured",
     }
+    parent = commit_of(args.parent, args.parent_commit)
     rows = [
-        {**common, "side": side, "commit": commit_of(checkout, commit),
-         "workloads": runs[side]}
-        for side, checkout, commit in (
-            ("parent", args.parent, args.parent_commit),
-            ("change", args.change, args.change_commit),
-        )
+        {**common, "side": "parent", "commit": parent, "workloads": runs["parent"]},
+        {**common, "side": "change", "commit": commit_of(args.change, args.change_commit),
+         "pr": args.pr, "parent": parent, "workloads": runs["change"]},
     ]
     append_rows(Path(args.out), rows)
     return 0

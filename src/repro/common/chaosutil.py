@@ -148,12 +148,15 @@ def run_together(label: str, workers: list) -> None:
 
 
 def spill_dirs() -> set:
-    """Current ``repro-spill-*`` dirs in the system temp directory."""
+    """This process's current ``repro-spill-<pid>-*`` dirs in the system
+    temp directory (another process spilling at the same time is not a
+    leak of this one)."""
+    prefix = f"repro-spill-{os.getpid()}-"
     try:
         names = os.listdir(tempfile.gettempdir())
     except OSError:
         return set()
-    return {n for n in names if n.startswith("repro-spill-")}
+    return {n for n in names if n.startswith(prefix)}
 
 
 class Baseline:

@@ -223,7 +223,11 @@ class SpillManager:
             if self.released:
                 raise ExecutionError("spill manager used after release")
             if self._dir is None:
-                self._dir = tempfile.mkdtemp(prefix="repro-spill-")
+                # The pid in the name lets a leak audit tell this
+                # process's directories from a concurrent one's.
+                self._dir = tempfile.mkdtemp(
+                    prefix=f"repro-spill-{os.getpid()}-"
+                )
             self._seq += 1
             name = label if label is not None else f"{category}-{self._seq}"
             path = os.path.join(self._dir, f"{self._seq:06d}-{category}")

@@ -16,35 +16,45 @@ the file back to the last good record (re-running recovery is therefore
 idempotent — the second pass sees only whole records).
 
 Checkpoints bound replay time.  A checkpoint is one JSON file carrying
-the full catalog state (:func:`capture_state`: tables, rows, index
-definitions) plus the epoch it captured, written to a ``.tmp`` sibling,
-fsynced, and atomically installed with ``os.replace`` — a crash at any
-point leaves either the old checkpoint or the new one, never a torn
-hybrid (leftover ``.tmp`` files are swept by :func:`recover`).  The body
-rides under its own CRC32 so silent corruption is detected rather than
-loaded.  It is the database's only on-disk format: a durable database
-(:mod:`repro.txn`) and a saved one (:mod:`repro.storage.persistence`)
-both write it, and both open through :func:`recover` +
-:func:`apply_state`.
+the full catalog state (tables, rows, index definitions) plus the epoch
+it captured, written to a ``.tmp`` sibling, fsynced, and atomically
+installed with ``os.replace`` — a crash at any point leaves either the
+old checkpoint or the new one, never a torn hybrid (leftover ``.tmp``
+files are swept by :func:`recover`).  The file is::
+
+    {"crc":C,"state":<state as compact, key-sorted JSON>}
+
+with ``C`` the CRC32 of the state's bytes as stored, so silent
+corruption is detected rather than loaded.  :func:`capture_state` takes
+no row: it records each table's row list and watermark
+(:class:`RowCut`), and :func:`write_checkpoint` encodes
+``rows[:watermark]`` once, a block of rows per C-encoder call, into the
+one serialized copy it writes.  It is the database's only on-disk
+format: a durable database (:mod:`repro.txn`) and a saved one
+(:mod:`repro.storage.persistence`) both write it, and both open through
+:func:`recover` + :func:`apply_state`.
 
 Crash injection rides a single optional hook so the storage layer never
 imports the fault machinery: ``crash_hook(point, size, write_partial)``
 is called at every named point (``wal.append``, ``wal.fsync``,
-``wal.durable``, ``checkpoint.write``, ``checkpoint.fsync``,
-``checkpoint.rename``, ``checkpoint.done``).  The hook may return
-``None`` (continue), raise (a simulated process death, or an ``OSError``
-standing in for a failed fsync), or call ``write_partial(k)`` first to
-leave ``k`` bytes of the pending record behind — a torn write.
+``wal.durable``, ``checkpoint.capture``, ``checkpoint.write``,
+``checkpoint.fsync``, ``checkpoint.rename``, ``checkpoint.done``).
+``checkpoint.capture`` opens the window between the cut and its
+encoding, in which commits may land past the watermarks.  The hook may
+return ``None`` (continue), raise (a simulated process death, or an
+``OSError`` standing in for a failed fsync), or call ``write_partial(k)``
+first to leave ``k`` bytes of the pending record behind — a torn write.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.common.errors import WalError
 from repro.storage.table import Schema
@@ -59,6 +69,7 @@ __all__ = [
     "read_checkpoint",
     "recover",
     "RecoveredState",
+    "RowCut",
     "capture_state",
     "apply_state",
 ]
@@ -91,10 +102,7 @@ class WalRecord:
             {
                 "txn": self.txn_id,
                 "epoch": self.epoch,
-                "writes": {
-                    name: [list(row) for row in rows]
-                    for name, rows in self.writes.items()
-                },
+                "writes": self.writes,
             },
             separators=(",", ":"),
             sort_keys=True,
@@ -250,6 +258,48 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+#: The encoder of every checkpoint byte: ``json.dumps``' compact,
+#: key-sorted form, on the C encoder (tuples are written as arrays).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: Rows per encoder call: bounds the transient text of one call.
+_ROW_BLOCK = 4096
+#: The frame up to the state's first byte.  The writer puts no
+#: whitespace in it; the reader lets a re-serialized file's through, so
+#: its altered state bytes fail the CRC rather than the frame.
+_FRAME = re.compile(rb'\{\s*"crc"\s*:\s*(\d+)\s*,\s*"state"\s*:')
+
+
+def _encode_rows(rows: list, watermark: int) -> Iterator:
+    """``rows[:watermark]`` as one JSON array, a block of rows per call."""
+    if watermark == 0:
+        yield b"[]"
+        return
+    for start in range(0, watermark, _ROW_BLOCK):
+        block = rows[start:min(start + _ROW_BLOCK, watermark)]
+        text = _ENCODER.encode(block).encode("ascii")
+        # Each block's array brackets are dropped (a view, not a copy);
+        # the first and last blocks supply the outer pair.
+        yield b"[" if start == 0 else b","
+        yield memoryview(text)[1:-1]
+    yield b"]"
+
+
+def _encode_state(obj) -> Iterator:
+    """``obj`` in the pieces of ``json.dumps(obj, separators=(",", ":"),
+    sort_keys=True)`` — byte-identical once joined — with each
+    :class:`RowCut` encoded in place of the row list it cuts."""
+    if isinstance(obj, RowCut):
+        yield from _encode_rows(obj.rows, obj.watermark)
+    elif isinstance(obj, dict):
+        yield b"{"
+        for i, key in enumerate(sorted(obj)):
+            yield (b"," if i else b"") + _ENCODER.encode(key).encode("ascii") + b":"
+            yield from _encode_state(obj[key])
+        yield b"}"
+    else:
+        yield _ENCODER.encode(obj).encode("ascii")
+
+
 def write_checkpoint(
     directory: str,
     state: dict,
@@ -257,62 +307,75 @@ def write_checkpoint(
 ) -> int:
     """Atomically install ``state`` as the checkpoint; returns bytes written.
 
-    ``state`` must be JSON-serializable (a :func:`capture_state` body,
-    ``{"epoch": E, "tables": {...}}``).  Temp file + fsync +
+    ``state`` is a :func:`capture_state` cut or a JSON-serializable
+    ``{"epoch": E, "tables": {...}}``.  Its rows are encoded once, and
+    the pieces written are the only serialized copy.  Temp file + fsync +
     ``os.replace``: a crash at any point leaves the previous checkpoint
     intact or the new one fully installed.
     """
-    body = json.dumps(state, separators=(",", ":"), sort_keys=True)
-    content = json.dumps(
-        {"crc": zlib.crc32(body.encode("utf-8")), "state": state},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
+
+    def hook(point: str, size: int = 0, writer=_no_partial) -> None:
+        if crash_hook is not None:
+            crash_hook(point, size, writer)
+
+    hook("checkpoint.capture")
+    body = list(_encode_state(state))
+    crc = 0
+    for piece in body:
+        crc = zlib.crc32(piece, crc)
+    pieces = [b'{"crc":%d,"state":' % crc, *body, b"}"]
+    size = sum(len(piece) for piece in pieces)
     final = os.path.join(directory, CHECKPOINT_FILE)
     tmp = final + ".tmp"
-
-    def hook(point: str, record: bytes = b"", writer=None) -> None:
-        if crash_hook is None:
-            return
-        crash_hook(point, len(record), writer if writer is not None else _no_partial)
-
     with open(tmp, "wb") as f:
 
         def write_partial(k: int) -> None:
-            f.write(content[:k])
+            for piece in pieces:
+                if k <= 0:
+                    break
+                f.write(piece[:k])
+                k -= len(piece)
             f.flush()
 
-        hook("checkpoint.write", content, write_partial)
-        f.write(content)
+        hook("checkpoint.write", size, write_partial)
+        f.writelines(pieces)
         f.flush()
-        hook("checkpoint.fsync", content)
+        hook("checkpoint.fsync", size)
         os.fsync(f.fileno())
     hook("checkpoint.rename")
     os.replace(tmp, final)
     _fsync_directory(directory)
     hook("checkpoint.done")
-    return len(content)
+    return size
 
 
 def read_checkpoint(directory: str) -> Optional[dict]:
     """The installed checkpoint's state, or ``None`` when there is none.
 
-    A CRC mismatch is a hard :class:`~repro.common.errors.WalError`:
-    ``os.replace`` is atomic, so a bad checksum means silent corruption,
-    not a crash artifact — loading it would be a wrong-answer bug.
+    The CRC is checked over the state's bytes as stored, which are then
+    parsed once.  A file not framed as :func:`write_checkpoint` frames it,
+    or a CRC mismatch, is a hard :class:`~repro.common.errors.WalError`:
+    ``os.replace`` is atomic, so a bad file means silent corruption, not a
+    crash artifact — loading it would be a wrong-answer bug.
     """
     path = os.path.join(directory, CHECKPOINT_FILE)
     if not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as f:
-            obj = json.load(f)
-    except (OSError, ValueError) as exc:
+            data = f.read()
+    except OSError as exc:
         raise WalError(f"unreadable checkpoint {path!r}: {exc}") from exc
-    body = json.dumps(obj.get("state"), separators=(",", ":"), sort_keys=True)
-    if zlib.crc32(body.encode("utf-8")) != obj.get("crc"):
+    frame = _FRAME.match(data)
+    if frame is None or not data.endswith(b"}"):
+        raise WalError(f"unreadable checkpoint {path!r}: not a framed state")
+    body = memoryview(data)[frame.end():-1]
+    if zlib.crc32(body) != int(frame.group(1)):
         raise WalError(f"checkpoint checksum mismatch in {path!r}")
-    return obj["state"]
+    try:
+        return json.loads(bytes(body))
+    except ValueError as exc:
+        raise WalError(f"unreadable checkpoint {path!r}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ recover
@@ -367,20 +430,37 @@ def recover(directory: str) -> RecoveredState:
 # ------------------------------------------------------------ catalog state
 
 
-def capture_state(catalog, epoch: int) -> dict:
-    """The checkpoint body of ``catalog`` at ``epoch``.
+@dataclass(frozen=True)
+class RowCut:
+    """A table's rows as of a capture: the first ``watermark`` of ``rows``.
 
-    Per table: ``[name, type]`` column pairs, the rows, and the index
-    definitions as ``[name, column, kind]`` — the indexes are part of the
-    state because the optimizer's plans and validity ranges are computed
-    over them.
+    Tables are append-only (only recovery replaces a row list, under the
+    epoch lock at open), so ``rows[:watermark]`` read after the capture,
+    outside any lock, is exactly the rows the capture saw.
+    """
+
+    rows: list
+    watermark: int
+
+    def __len__(self) -> int:
+        return self.watermark
+
+
+def capture_state(catalog, epoch: int) -> dict:
+    """The checkpoint body of ``catalog`` at ``epoch``, without its rows.
+
+    Per table: ``[name, type]`` column pairs, the rows as a
+    :class:`RowCut` (O(1): no row is read), and the index definitions as
+    ``[name, column, kind]`` — the indexes are part of the state because
+    the optimizer's plans and validity ranges are computed over them.
+    :func:`write_checkpoint` encodes the cut.
     """
     return {
         "epoch": epoch,
         "tables": {
             table.name: {
                 "columns": [[c.name, c.dtype.value] for c in table.schema],
-                "rows": [list(r) for r in table.rows],
+                "rows": RowCut(table.rows, len(table.rows)),
                 "indexes": [
                     [ix.name, ix.column, "sorted" if ix.supports_range else "hash"]
                     for ix in catalog.indexes_on(table.name)

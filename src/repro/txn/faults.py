@@ -15,6 +15,12 @@ ways a process death interacts with a log:
   dying; the WAL must roll the unsynced record back and fail the commit
   cleanly (:class:`~repro.common.errors.WalError`), never replay it.
 
+The checkpoint points run in order: ``checkpoint.capture`` (the cut —
+epoch, tables, watermarks — is taken and the epoch lock released, no row
+encoded yet; commits may land past the watermarks here), then
+``checkpoint.write``, ``checkpoint.fsync``, ``checkpoint.rename`` and
+``checkpoint.done``.
+
 A simulated death is a :class:`SimulatedCrash`, deliberately derived
 from ``BaseException`` so no ``except Exception`` cleanup handler can
 accidentally swallow it — exactly like a real ``kill -9``, the only
@@ -70,6 +76,7 @@ CRASH_KINDS = (CRASH, TORN, FSYNC_FAIL)
 #: Hook points the WAL announces (see :mod:`repro.storage.wal`).
 WAL_POINTS = ("wal.append", "wal.fsync", "wal.durable")
 CHECKPOINT_POINTS = (
+    "checkpoint.capture",
     "checkpoint.write",
     "checkpoint.fsync",
     "checkpoint.rename",
@@ -83,6 +90,7 @@ _KINDS_FOR_POINT = {
     "wal.append": (CRASH, TORN),
     "wal.fsync": (CRASH, FSYNC_FAIL),
     "wal.durable": (CRASH,),
+    "checkpoint.capture": (CRASH,),
     "checkpoint.write": (CRASH, TORN),
     "checkpoint.fsync": (CRASH, FSYNC_FAIL),
     "checkpoint.rename": (CRASH,),

@@ -432,10 +432,15 @@ class TransactionManager:
     def checkpoint(self, _resume: bool = False) -> Optional[int]:
         """Fold the WAL into an atomic checkpoint; returns its epoch.
 
-        The state is captured under the epoch lock (a consistent cut),
-        written outside it (the slow part), and the WAL truncated only if
-        no commit interleaved — otherwise the newer records stay and
-        recovery's epoch filter skips the checkpointed prefix.
+        Under the epoch lock only the cut is taken: the epoch, the tables,
+        their schemas and index definitions, and each table's watermark
+        (:func:`~repro.storage.wal.capture_state`, O(tables), no row
+        read).  The rows below the watermarks are encoded and written
+        outside it — commits landing meanwhile append past the
+        watermarks — and the WAL is truncated only if no commit
+        interleaved; otherwise the newer records stay and recovery's
+        epoch filter skips the checkpointed prefix.  The governor is
+        charged ``watermark × row_width`` per table.
         """
         if self._wal is None:
             return None

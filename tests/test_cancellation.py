@@ -16,14 +16,13 @@ Covers the interrupt plumbing the server runtime depends on:
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 import time
 
 import pytest
 
 from repro.common.cancel import CancelToken
+from repro.common.chaosutil import spill_dirs
 from repro.common.errors import (
     ExecutionCancelled,
     ExecutionTimeout,
@@ -37,11 +36,6 @@ JOIN_SQL = (
     "SELECT c.c_segment, o.o_total FROM cust c, orders o "
     "WHERE o.o_custkey = c.c_id ORDER BY o.o_total, c.c_segment"
 )
-
-
-def spill_dirs() -> set:
-    tmp = tempfile.gettempdir()
-    return {n for n in os.listdir(tmp) if n.startswith("repro-spill-")}
 
 
 class CountdownToken:

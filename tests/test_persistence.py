@@ -7,6 +7,7 @@ directory, and recovery restores indexes along with the rows.
 
 import json
 import os
+import zlib
 from functools import partial
 
 import pytest
@@ -135,6 +136,30 @@ class TestCrashSafeFormat:
         ]
         assert leftovers == []
 
+    def test_saved_file_is_the_pinned_format(self, tmp_path):
+        """A save writes ``{"crc":C,"state":<compact, key-sorted JSON>}``
+        of the captured rows, byte for byte: files written before the
+        one-pass writer stay readable, and this one reads back."""
+        db = make_db()
+        db.insert("t", [(3, -2.25, "Z\u00fcrich \u65e5", "2020-02-29")])
+        path = tmp_path / "db"
+        save_database(db, str(path))
+        table = db.catalog.table("t")
+        state = {
+            "epoch": 0,
+            "tables": {
+                "t": {
+                    "columns": [[c.name, c.dtype.value] for c in table.schema],
+                    "indexes": [["ix_t_i", "i", "sorted"], ["ix_t_s", "s", "hash"]],
+                    "rows": [list(row) for row in table.rows],
+                }
+            },
+        }
+        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        expected = '{"crc":%d,"state":%s}' % (zlib.crc32(body.encode()), body)
+        assert (path / CHECKPOINT_FILE).read_bytes() == expected.encode()
+        assert load_database(str(path)).catalog.table("t").rows == table.rows
+
     def test_corrupt_checkpoint_is_loud_through_both_entry_points(self, tmp_path):
         path = tmp_path / "db"
         save_database(make_db(), str(path))
@@ -153,6 +178,7 @@ class TestCrashSafeFormat:
     @pytest.mark.parametrize(
         "point, kind, survives",
         [
+            ("checkpoint.capture", "crash", "old"),
             ("checkpoint.write", "torn", "old"),
             ("checkpoint.fsync", "crash", "old"),
             ("checkpoint.rename", "crash", "old"),

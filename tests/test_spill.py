@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 import sqlite3
+import tempfile
 import zlib
 from itertools import chain, count
 from types import SimpleNamespace
@@ -703,6 +704,34 @@ class TestSpillLifecycle:
         assert spill_dirs() - before == set()
         summary = ctx.spill_summary()
         assert summary is not None and summary["files"] > 0  # stats survive
+
+    def test_audit_sees_only_this_process(self):
+        """Spill dirs carry the pid, and a ``repro-spill-*`` dir another
+        process makes while this one is audited is not reported as a
+        leak."""
+        from repro.common.chaosutil import Baseline
+
+        baseline = Baseline()
+        mgr = SpillManager(WorkMeter(track_categories=True), _params())
+        spill = mgr.create("sort", "run-0")
+        own = os.path.basename(os.path.dirname(spill.path))
+        assert own.startswith(f"repro-spill-{os.getpid()}-")
+        assert own in spill_dirs()
+        foreign = tempfile.mkdtemp(prefix=f"repro-spill-{os.getpid() + 1}-")
+        try:
+            assert os.path.basename(foreign) not in spill_dirs()
+            mgr.close_all()
+            problems: list = []
+            baseline.audit(problems)
+            assert problems == []
+            # The audit still catches a leak of this process's own.
+            mgr = SpillManager(WorkMeter(track_categories=True), _params())
+            mgr.create("sort", "run-1")
+            baseline.audit(problems)
+            assert [p for p in problems if "leaked spill dirs" in p]
+        finally:
+            mgr.close_all()
+            os.rmdir(foreign)
 
     def test_contract_rule_flags_unmanaged_spill_files(self):
         from repro.analysis.contract import check_module

@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.common.errors import WalError
+from repro.storage import wal as wal_module
 from repro.storage.wal import (
     CHECKPOINT_FILE,
     WAL_FILE,
     RecoveredState,
+    RowCut,
     WalRecord,
     WriteAheadLog,
     read_checkpoint,
@@ -206,6 +211,26 @@ class TestWriteAheadLog:
 
 
 STATE = {"epoch": 7, "tables": {"t": {"columns": [["a", "int"]], "rows": [[1]]}}}
+#: Several tables, keys out of order, and every stored value kind: int,
+#: float, NULL and non-ASCII text.
+MULTI = {
+    "tables": {
+        "zeta": {
+            "rows": [[1, 2.5, "na\u00efve"], [-7, None, "\u65e5\u672c"],
+                     [None, 1e-07, "it's \"q\""]],
+            "indexes": [["ix_zeta_k", "k", "sorted"]],
+            "columns": [["k", "int"], ["x", "float"], ["s", "str"]],
+        },
+        "alpha": {"columns": [["a", "int"]], "indexes": [], "rows": []},
+    },
+    "epoch": 12,
+}
+
+
+def framed(state) -> bytes:
+    """The checkpoint file's bytes as the format defines them."""
+    body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return ('{"crc":%d,"state":%s}' % (zlib.crc32(body.encode()), body)).encode()
 
 
 class TestCheckpoints:
@@ -225,6 +250,135 @@ class TestCheckpoints:
         with pytest.raises(WalError, match="checksum mismatch"):
             read_checkpoint(str(tmp_path))
 
+    def test_format_is_pinned(self, tmp_path):
+        """``{"crc":C,"state":<compact, key-sorted JSON>}``, byte for byte,
+        so files written before the one-pass writer stay readable."""
+        size = write_checkpoint(str(tmp_path), MULTI)
+        stored = (tmp_path / CHECKPOINT_FILE).read_bytes()
+        assert stored == framed(MULTI)
+        assert size == len(stored)
+        assert read_checkpoint(str(tmp_path)) == MULTI
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(_values, st.one_of(st.floats(allow_nan=False), st.none())),
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_row_cut_encodes_its_prefix_in_blocks(self, tmp_path_factory, rows, data):
+        """A :class:`RowCut` is written as ``rows[:watermark]``, whatever
+        the block size of the encoder calls."""
+        watermark = data.draw(st.integers(0, len(rows)), label="watermark")
+        block = data.draw(st.integers(1, 7), label="block")
+        cut = {"epoch": 1, "tables": {"t": {"rows": RowCut(rows, watermark)}}}
+        plain = {"epoch": 1, "tables": {"t": {"rows": rows[:watermark]}}}
+        directory = str(tmp_path_factory.mktemp("cut"))
+        saved = wal_module._ROW_BLOCK
+        wal_module._ROW_BLOCK = block
+        try:
+            write_checkpoint(directory, cut)
+        finally:
+            wal_module._ROW_BLOCK = saved
+        with open(os.path.join(directory, CHECKPOINT_FILE), "rb") as f:
+            assert f.read() == framed(plain)
+
+    def test_flipped_row_byte_that_still_parses_is_a_checksum_mismatch(
+        self, tmp_path
+    ):
+        write_checkpoint(str(tmp_path), MULTI)
+        path = tmp_path / CHECKPOINT_FILE
+        stored = path.read_bytes()
+        at = stored.index(b"[-7,")
+        flipped = stored[: at + 2] + b"8" + stored[at + 3:]
+        json.loads(flipped)  # still well-formed JSON
+        path.write_bytes(flipped)
+        with pytest.raises(WalError, match="checksum mismatch"):
+            read_checkpoint(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"state":{"epoch":7,"tables":{}},"crc":1}',
+            b'{"crc":1,"state":{"epoch":7,"tables":',
+            b'{"crc":-1,"state":{}}',
+            b"",
+        ],
+        ids=["keys-swapped", "unclosed", "negative-crc", "empty"],
+    )
+    def test_unframed_file_is_refused(self, tmp_path, content):
+        (tmp_path / CHECKPOINT_FILE).write_bytes(content)
+        with pytest.raises(WalError, match="not a framed state"):
+            read_checkpoint(str(tmp_path))
+
+    def test_commit_inside_the_capture_window(self, tmp_path):
+        """The capture holds no lock and copies no row: a commit issued
+        while the checkpoint is paused between its cut and the encoding
+        completes, its rows stay out of the checkpoint, and recovery
+        restores them from the WAL."""
+        directory = str(tmp_path)
+        db = Database()
+        db.create_table("t", [("i", "int"), ("s", "str")])
+        manager = db.enable_transactions(path=directory, checkpoint_interval=100)
+        db.insert("t", [(i, f"r{i}") for i in range(5)])
+        table = db.catalog.table("t")
+        checkpointer = threading.current_thread()
+        lock = manager._epoch_lock
+        row_reads = []  # (under the epoch lock?) per row read by this thread
+
+        class WatchedRows(list):
+            def _note(self):
+                if threading.current_thread() is checkpointer:
+                    free = lock.acquire(False)
+                    if free:
+                        lock.release()
+                    row_reads.append(not free)
+
+            def __getitem__(self, i):
+                self._note()
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                self._note()
+                return super().__iter__()
+
+        table.rows = WatchedRows(table.rows)
+        window_commits = []
+
+        def commit_in_window(point, size, write_partial):
+            if point != "checkpoint.capture" or window_commits:
+                return
+            worker = threading.Thread(
+                target=lambda: window_commits.append(
+                    manager.autocommit("t", [(100, "late"), (101, "late")])
+                ),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(10.0)
+            assert not worker.is_alive(), "the commit waited on the checkpoint"
+
+        manager.set_crash_hook(commit_in_window)
+        epoch = manager.checkpoint()
+        manager.set_crash_hook(None)
+        assert window_commits == [epoch + 1]
+        # The rows were read, and never under the epoch lock.
+        assert row_reads and not any(row_reads)
+        assert len(db.catalog.table("t").rows) == 7
+        state = read_checkpoint(directory)
+        assert state["epoch"] == epoch
+        assert state["tables"]["t"]["rows"] == [[i, f"r{i}"] for i in range(5)]
+        db.close()
+        recovered = recover(directory)
+        assert [r.epoch for r in recovered.records] == [epoch + 1]
+        db2 = Database()
+        db2.enable_transactions(path=directory)
+        assert db2.catalog.table("t").rows == [
+            (i, f"r{i}") for i in range(5)
+        ] + [(100, "late"), (101, "late")]
+        db2.close()
+
     def test_crash_before_rename_keeps_the_old_checkpoint(self, tmp_path):
         write_checkpoint(str(tmp_path), STATE)
         newer = {"epoch": 9, "tables": {}}
@@ -240,17 +394,29 @@ class TestCheckpoints:
         assert any(".tmp" in n for n in state.removed_temp_files)
         assert not any(".tmp" in n for n in os.listdir(tmp_path))
 
-    def test_torn_checkpoint_write_never_installs(self, tmp_path):
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.99])
+    def test_torn_checkpoint_write_never_installs(self, tmp_path, fraction):
         write_checkpoint(str(tmp_path), STATE)
-        plan = CrashPlan(
-            specs=[CrashSpec("checkpoint.write", "torn", tear_fraction=0.3)]
+        full = tmp_path / "full"
+        full.mkdir()
+        size = write_checkpoint(str(full), MULTI)
+        injector = CrashInjector(
+            CrashPlan(
+                specs=[
+                    CrashSpec("checkpoint.write", "torn", tear_fraction=fraction)
+                ]
+            )
         )
         with pytest.raises(SimulatedCrash):
-            write_checkpoint(
-                str(tmp_path), {"epoch": 9, "tables": {}},
-                crash_hook=CrashInjector(plan).hook,
-            )
+            write_checkpoint(str(tmp_path), MULTI, crash_hook=injector.hook)
+        # The torn file holds the first k bytes of the whole file, k drawn
+        # across the frame and the state's pieces.
+        k = injector.fired[0].bytes_written
+        assert k == max(1, min(size - 1, int(size * fraction)))
+        torn = (tmp_path / (CHECKPOINT_FILE + ".tmp")).read_bytes()
+        assert torn == (full / CHECKPOINT_FILE).read_bytes()[:k]
         assert read_checkpoint(str(tmp_path)) == STATE
+        assert recover(str(tmp_path)).checkpoint == STATE
 
     def test_recovery_filters_checkpointed_epochs(self, tmp_path):
         write_checkpoint(str(tmp_path), STATE)  # epoch 7
