@@ -7,8 +7,6 @@ outer errors; adding ECB reacts earlier on gross over-estimates."""
 
 from __future__ import annotations
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import NO_POP, PopConfig
 from repro.core.flavors import ECB, ECDC, LC, LCEM
 from repro.workloads.dmv.queries import dmv_queries
@@ -23,7 +21,8 @@ MIXES = [
 ]
 
 
-def measure(tpch, dmv):
+def measure(inputs):
+    tpch, dmv = inputs.tpch, inputs.dmv
     dmv_sqls = dict(dmv_queries())
     cases = [
         ("Q10 marker @55%", tpch, Q10_MARKER, {"p1": "MODE00"}),
@@ -32,34 +31,35 @@ def measure(tpch, dmv):
     ]
     rows = []
     for label, db, sql, params in cases:
-        cells = {}
+        row = {"case": label}
         for mix_name, flavors in MIXES:
             config = NO_POP if flavors is None else PopConfig(flavors=flavors)
-            outcome = run_once(db, sql, params=params, pop=config)
-            cells[mix_name] = outcome.units
-        rows.append((label, cells))
+            row[mix_name] = db.execute(sql, params=params, pop=config).report.total_units
+        rows.append(row)
     return rows
 
 
-def test_ablation_flavor_mixes(tpch, dmv, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch, dmv), rounds=1, iterations=1)
-    table = format_table(
-        ["case"] + [name for name, _ in MIXES],
-        [
-            tuple([label] + [cells[name] for name, _ in MIXES])
-            for label, cells in rows
-        ],
-    )
-    publish("ablation_flavors", "Ablation: checkpoint flavor mixes", table)
+def headline(rows):
+    high_sel, low_sel = rows[0], rows[1]
+    return {
+        "high_sel": {name: high_sel[name] for name, _ in MIXES},
+        "low_sel": {name: low_sel[name] for name, _ in MIXES},
+        "default_low_sel_extra_pct": 100 * (
+            low_sel["LC+LCEM (default)"] / low_sel["no POP"] - 1
+        ),
+        "ecb_low_sel_vs_no_pop": low_sel["LC+ECB"] / low_sel["no POP"],
+    }
 
-    high_sel = rows[0][1]
+
+def test_ablation_flavor_mixes(paper):
+    h = paper["ablation_flavors"]["headline"]
+    high_sel, low_sel = h["high_sel"], h["low_sel"]
     # The default mix must beat both no-POP and LC-only on the
     # high-selectivity misestimate (LC alone has no NLJN-outer checkpoint).
     assert high_sel["LC+LCEM (default)"] < high_sel["no POP"]
     assert high_sel["LC+LCEM (default)"] <= high_sel["LC only"] * 1.02
     # At the accurate end the lazy mixes stay within a few percent of
     # no-POP (the "insurance premium" is small)...
-    low_sel = rows[1][1]
     for name in ("LC only", "LC+LCEM (default)", "LC+LCEM+ECDC"):
         assert low_sel[name] <= low_sel["no POP"] * 1.10, name
     # ...while ECB exhibits exactly the risk Table 1 assigns it: an eager

@@ -11,8 +11,6 @@ compares the three policies on queries that trigger re-optimization:
 
 from __future__ import annotations
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 from repro.workloads.dmv.queries import dmv_queries
 from repro.workloads.tpch.queries import Q10_MARKER
@@ -20,7 +18,8 @@ from repro.workloads.tpch.queries import Q10_MARKER
 POLICIES = ("cost", "always", "never")
 
 
-def measure(tpch, dmv):
+def measure(inputs):
+    tpch, dmv = inputs.tpch, inputs.dmv
     dmv_sqls = dict(dmv_queries())
     cases = [
         ("TPC-H Q10 marker @55%", tpch, Q10_MARKER, {"p1": "MODE00"}),
@@ -30,43 +29,34 @@ def measure(tpch, dmv):
     ]
     rows = []
     for label, db, sql, params in cases:
-        per_policy = {}
+        row = {"case": label}
         for policy in POLICIES:
-            outcome = run_once(
-                db, sql, params=params, pop=PopConfig(reuse_policy=policy)
-            )
-            per_policy[policy] = outcome
-        rows.append((label, per_policy))
+            report = db.execute(
+                sql, params=params, pop=PopConfig(reuse_policy=policy)
+            ).report
+            row[policy] = report.total_units
+            if policy == "cost":
+                row["cost_reopts"] = report.reoptimizations
+        rows.append(row)
     return rows
 
 
-def test_ablation_reuse_policy(tpch, dmv, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch, dmv), rounds=1, iterations=1)
-    table = format_table(
-        ["case", "cost-based units", "always units", "never units",
-         "cost-based reopts"],
-        [
-            (
-                label,
-                p["cost"].units,
-                p["always"].units,
-                p["never"].units,
-                p["cost"].reoptimizations,
-            )
-            for label, p in rows
-        ],
-    )
-    summary = (
-        "\n'never' repeats work already done before the checkpoint fired;"
-        "\n'always' can force reuse of an inconveniently shaped intermediate."
-        "\nThe cost-based policy tracks the better of the two per case."
-    )
-    publish("ablation_reuse", "Ablation: intermediate-result reuse policy",
-            table + summary)
+def headline(rows):
+    # 'never' repeats work already done before the checkpoint fired;
+    # 'always' can force reuse of an inconveniently shaped intermediate.
+    discard = [r["never"] / r["cost"] for r in rows]
+    return {
+        "cases": len(rows),
+        "cost_equals_always": sum(1 for r in rows if r["cost"] == r["always"]),
+        "min_discard_vs_cost": min(discard),
+        "max_discard_vs_cost": max(discard),
+    }
 
-    for label, p in rows:
+
+def test_ablation_reuse_policy(paper):
+    rows = paper["ablation_reuse"]["rows"]
+    for r in rows:
         # Cost-based reuse is never meaningfully worse than either extreme.
-        best = min(p["always"].units, p["never"].units)
-        assert p["cost"].units <= best * 1.10, label
+        assert r["cost"] <= min(r["always"], r["never"]) * 1.10, r["case"]
     # And discarding intermediates costs extra on at least one case.
-    assert any(p["never"].units > p["cost"].units * 1.05 for _, p in rows)
+    assert any(r["never"] > r["cost"] * 1.05 for r in rows)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import collections
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 from repro.workloads.tpch.queries import Q10_MARKER
 from repro.workloads.tpch.schema import shipmodes
@@ -30,46 +28,44 @@ def sweep(tpch, config):
     reopts = 0
     useless = 0
     for mode in modes:
-        outcome = run_once(tpch, Q10_MARKER, params={"p1": mode}, pop=config)
-        total_units += outcome.units
-        reopts += outcome.reoptimizations
-        attempts = outcome.report.attempts
+        report = tpch.execute(Q10_MARKER, params={"p1": mode}, pop=config).report
+        total_units += report.total_units
+        reopts += report.reoptimizations
+        attempts = report.attempts
         for before, after in zip(attempts, attempts[1:]):
             if before.join_order == after.join_order and not after.reused_mvs:
                 useless += 1
     return {"units": total_units, "reopts": reopts, "useless": useless}
 
 
-def test_ablation_validity_vs_adhoc(tpch, benchmark):
-    def run():
-        results = {}
-        results["validity ranges (paper)"] = sweep(tpch, PopConfig())
-        for k in (2.0, 5.0, 20.0):
-            results[f"ad hoc threshold K={k:g}"] = sweep(
-                tpch,
-                PopConfig(adhoc_threshold_factor=k, require_alternatives=False),
-            )
-        return results
+def measure(inputs):
+    rows = [{"policy": "validity ranges (paper)", **sweep(inputs.tpch, PopConfig())}]
+    for k in (2.0, 5.0, 20.0):
+        config = PopConfig(adhoc_threshold_factor=k, require_alternatives=False)
+        rows.append({"policy": f"ad hoc threshold K={k:g}", **sweep(inputs.tpch, config)})
+    return rows
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["trigger policy", "total units", "reoptimizations", "useless reopts"],
-        [
-            (name, r["units"], r["reopts"], r["useless"])
-            for name, r in results.items()
-        ],
-    )
-    validity = results["validity ranges (paper)"]
-    tight = results["ad hoc threshold K=2"]
-    summary = (
-        "\nTight ad hoc thresholds re-optimize on harmless errors; loose ones"
-        "\nmiss harmful errors. Validity ranges adapt the trigger to actual"
-        "\nplan crossovers, which is the paper's core argument."
-    )
-    publish("ablation_validity", "Ablation: validity ranges vs ad hoc thresholds",
-            table + summary)
 
+def headline(rows):
+    # Tight ad hoc thresholds re-optimize on harmless errors; loose ones
+    # miss harmful errors.  Validity ranges adapt the trigger to actual
+    # plan crossovers, which is the paper's core argument.
+    by_policy = {r["policy"]: r for r in rows}
+    validity = by_policy["validity ranges (paper)"]
+    return {
+        "validity": validity,
+        "k2": by_policy["ad hoc threshold K=2"],
+        "k20": by_policy["ad hoc threshold K=20"],
+        "k20_extra_pct": 100 * (
+            by_policy["ad hoc threshold K=20"]["units"] / validity["units"] - 1
+        ),
+        "min_units": min(r["units"] for r in rows),
+    }
+
+
+def test_ablation_validity_vs_adhoc(paper):
+    h = paper["ablation_validity"]["headline"]
     # The paper's claim, measurably: a tight fixed threshold triggers at
     # least as many re-optimizations, without being cheaper overall.
-    assert tight["reopts"] >= validity["reopts"]
-    assert validity["units"] <= min(r["units"] for r in results.values()) * 1.05
+    assert h["k2"]["reopts"] >= h["validity"]["reopts"]
+    assert h["validity"]["units"] <= h["min_units"] * 1.05

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import collections
 
-from repro.bench.harness import run_once
-from repro.bench.plotting import line_chart
-from repro.bench.reporting import format_table, publish
 from repro.core.config import NO_POP, PopConfig
 from repro.workloads.tpch.queries import Q10_MARKER
 from repro.workloads.tpch.schema import shipmodes
 
 
-def sweep(tpch):
+def measure(inputs):
+    tpch = inputs.tpch
     lineitem = tpch.catalog.table("lineitem")
     counts = collections.Counter(row[10] for row in lineitem.rows)
     total = lineitem.row_count
@@ -37,73 +35,46 @@ def sweep(tpch):
     literal_query = Q10_MARKER.replace("= ?", "= '{mode}'")
 
     rows = []
-    optimal_orders = set()
     for mode in modes:
-        selectivity = counts[mode] / total
-        pop = run_once(tpch, Q10_MARKER, params={"p1": mode}, pop=PopConfig())
-        static = run_once(tpch, Q10_MARKER, params={"p1": mode}, pop=NO_POP)
-        optimal = run_once(tpch, literal_query.format(mode=mode), pop=NO_POP)
-        optimal_orders.add(optimal.final_join_order)
+        pop = tpch.execute(Q10_MARKER, params={"p1": mode}, pop=PopConfig()).report
+        static = tpch.execute(Q10_MARKER, params={"p1": mode}, pop=NO_POP).report
+        optimal = tpch.execute(literal_query.format(mode=mode), pop=NO_POP).report
         rows.append(
             {
                 "mode": mode,
-                "selectivity": selectivity,
-                "pop": pop.units,
-                "static": static.units,
-                "optimal": optimal.units,
+                "selectivity": counts[mode] / total,
+                "pop": pop.total_units,
+                "static": static.total_units,
+                "optimal": optimal.total_units,
                 "reopts": pop.reoptimizations,
+                "optimal_order": optimal.attempts[-1].join_order,
             }
         )
-    return rows, optimal_orders
+    return rows
 
 
-def test_fig11_robustness(tpch, benchmark):
-    rows, optimal_orders = benchmark.pedantic(
-        lambda: sweep(tpch), rounds=1, iterations=1
-    )
-    table = format_table(
-        ["shipmode", "actual_sel%", "POP(default est)", "noPOP(default est)",
-         "noPOP(correct est)", "reopts"],
-        [
-            (
-                r["mode"],
-                100 * r["selectivity"],
-                r["pop"],
-                r["static"],
-                r["optimal"],
-                r["reopts"],
-            )
-            for r in rows
-        ],
-    )
-    worst_vs_optimal = max(r["pop"] / r["optimal"] for r in rows)
+def headline(rows):
     high = rows[-1]
-    summary = (
-        f"\nPOP worst case vs optimal: {worst_vs_optimal:.2f}x "
-        f"(paper: within a factor of two)\n"
-        f"At highest selectivity ({100 * high['selectivity']:.1f}%): "
-        f"POP is {high['static'] / high['pop']:.2f}x faster than the static plan\n"
-        f"Distinct optimal plans across the sweep: {len(optimal_orders)} "
-        f"(paper: 5)\n"
-        + "\n".join(sorted(optimal_orders))
-    )
-    chart = line_chart(
-        [r["selectivity"] for r in rows],
-        {
-            "POP": [r["pop"] for r in rows],
-            "static": [r["static"] for r in rows],
-            "optimal": [r["optimal"] for r in rows],
-        },
-        log_y=True,
-        x_label="actual selectivity (low -> high)",
-        y_label="work units",
-    )
-    publish("fig11_robustness", "Figure 11: robustness of TPC-H Q10 under POP",
-            table + summary + "\n\n" + chart)
+    return {
+        "min_selectivity_pct": 100 * rows[0]["selectivity"],
+        "max_selectivity_pct": 100 * high["selectivity"],
+        "worst_pop_vs_optimal": max(r["pop"] / r["optimal"] for r in rows),
+        "high_static_units": high["static"],
+        "high_optimal_units": high["optimal"],
+        "high_speedup": high["static"] / high["pop"],
+        "distinct_optimal_plans": len({r["optimal_order"] for r in rows}),
+        # POP's premium where its CHECKs never fired.
+        "worst_overhead_without_reopt_pct": 100 * max(
+            r["pop"] / r["static"] - 1 for r in rows if r["reopts"] == 0
+        ),
+    }
 
+
+def test_fig11_robustness(paper):
+    h = paper["fig11_robustness"]["headline"]
     # Shape assertions (who wins, where): POP must never be catastrophically
     # far from optimal, and must clearly beat the static plan at the
     # high-selectivity end.
-    assert worst_vs_optimal < 4.0
-    assert high["static"] > 1.5 * high["pop"]
-    assert len(optimal_orders) >= 2
+    assert h["worst_pop_vs_optimal"] < 4.0
+    assert h["high_speedup"] > 1.5
+    assert h["distinct_optimal_plans"] >= 2

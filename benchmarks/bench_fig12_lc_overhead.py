@@ -11,10 +11,7 @@ measured a total overhead of ~2-3%.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
-from repro.core.flavors import LC, LCEM
 from repro.optimizer.enumeration import OptimizerOptions
 from repro.workloads.tpch.queries import TPCH_QUERIES
 
@@ -24,28 +21,26 @@ MAX_TRIGGERS = 2
 NO_HASH = OptimizerOptions(enable_hash_join=False)
 
 
-def measure(tpch):
+def measure(inputs):
+    tpch = inputs.tpch
     rows = []
     for name in QUERIES:
         sql = TPCH_QUERIES[name]
-        baseline = run_once(
-            tpch, sql, pop=PopConfig(dry_run=True), optimizer_options=NO_HASH
-        )
-        events = [
-            e for a in baseline.report.attempts for e in a.checkpoint_events
-        ]
+        baseline = tpch.execute(
+            sql, pop=PopConfig(dry_run=True), optimizer_options=NO_HASH
+        ).report
+        events = [e for a in baseline.attempts for e in a.checkpoint_events]
         checkpoint_ids = sorted({e.op_id for e in events})
         for label, op_id in zip("ab", checkpoint_ids[:MAX_TRIGGERS]):
-            forced = run_once(
-                tpch,
+            forced = tpch.execute(
                 sql,
                 pop=PopConfig(
                     force_trigger_op_ids=frozenset({op_id}),
                     max_reoptimizations=1,
                 ),
                 optimizer_options=NO_HASH,
-            )
-            attempts = forced.report.attempts
+            ).report
+            attempts = forced.attempts
             before = attempts[0].execution_units + attempts[0].optimization_units
             opt = attempts[1].optimization_units if len(attempts) > 1 else 0.0
             after = attempts[1].execution_units if len(attempts) > 1 else 0.0
@@ -53,36 +48,32 @@ def measure(tpch):
                 {
                     "query": name,
                     "run": label,
-                    "baseline": baseline.units,
-                    "before": before / baseline.units,
-                    "opt": opt / baseline.units,
-                    "after": after / baseline.units,
-                    "total": forced.units / baseline.units,
+                    "baseline": baseline.total_units,
+                    "before": before / baseline.total_units,
+                    "opt": opt / baseline.total_units,
+                    "after": after / baseline.total_units,
+                    "total": forced.total_units / baseline.total_units,
                 }
             )
     return rows
 
 
-def test_fig12_lc_overhead(tpch, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch), rounds=1, iterations=1)
-    table = format_table(
-        ["query", "run", "before/base", "opt/base", "after/base", "normalized total"],
-        [
-            (r["query"], r["run"], r["before"], r["opt"], r["after"], r["total"])
-            for r in rows
-        ],
-    )
-    worst = max(r["total"] for r in rows)
-    mean = sum(r["total"] for r in rows) / len(rows)
-    summary = (
-        f"\nmean normalized total: {mean:.3f}  worst: {worst:.3f} "
-        f"(paper: ~1.02-1.03; re-optimized runs reuse the checkpointed "
-        f"materialization, so totals stay near 1)"
-    )
-    publish("fig12_lc_overhead", "Figure 12: LC dummy-reoptimization overhead",
-            table + summary)
+def headline(rows):
+    totals = [r["total"] for r in rows]
+    return {
+        "runs": len(rows),
+        "mean_total": sum(totals) / len(totals),
+        "worst_total": max(totals),
+        "min_opt_pct": 100 * min(r["opt"] for r in rows),
+        "max_opt_pct": 100 * max(r["opt"] for r in rows),
+    }
 
-    assert rows, "hash-join-free plans must expose LC checkpoints"
-    # Dummy reopt must not blow up execution: modest overhead only.
-    assert worst < 1.6
-    assert mean < 1.25
+
+def test_fig12_lc_overhead(paper):
+    h = paper["fig12_lc_overhead"]["headline"]
+    assert h["runs"], "hash-join-free plans must expose LC checkpoints"
+    # Dummy reopt must not blow up execution: modest overhead only (the
+    # paper: ~1.02-1.03; re-optimized runs reuse the checkpointed
+    # materialization, so totals stay near 1).
+    assert h["worst_total"] < 1.6
+    assert h["mean_total"] < 1.25

@@ -7,13 +7,11 @@ The paper's scatter plot shows opportunities clustered early in execution,
 with one or two mid-execution checkpoints per query.
 
 A second pass enables ECB valves, whose opportunity is a *window* (from the
-first buffered row to the valve's decision point), shown as ranges.
+first buffered row to the valve's decision point).
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 from repro.core.flavors import ECB, LC, LCEM
 from repro.plan.physical import Sort, Temp
@@ -37,15 +35,15 @@ def classify(plan, event):
     return "LC (above HJ)"
 
 
-def measure(tpch, flavors, lc_above_hash_build):
+def opportunities(tpch, flavors, lc_above_hash_build):
     config = PopConfig(
         flavors=flavors, dry_run=True, lc_above_hash_build=lc_above_hash_build
     )
     rows = []
     for name in QUERIES:
-        outcome = run_once(tpch, TPCH_QUERIES[name], pop=config)
-        total = outcome.units
-        attempt = outcome.report.attempts[0]
+        report = tpch.execute(TPCH_QUERIES[name], pop=config).report
+        total = report.total_units
+        attempt = report.attempts[0]
         for event in attempt.checkpoint_events:
             rows.append(
                 {
@@ -58,32 +56,36 @@ def measure(tpch, flavors, lc_above_hash_build):
     return rows
 
 
-def test_fig14_opportunities(tpch, benchmark):
-    def run():
-        lazy = measure(tpch, frozenset({LC, LCEM}), lc_above_hash_build=True)
-        eager = measure(tpch, frozenset({LC, ECB}), lc_above_hash_build=False)
-        return lazy, [r for r in eager if r["kind"] == "ECB"]
-
-    lazy, ecb = benchmark.pedantic(run, rounds=1, iterations=1)
-    all_rows = lazy + ecb
-    table = format_table(
-        ["query", "checkpoint kind", "fraction of execution completed"],
-        [
-            (r["query"], r["kind"], r["fraction"])
-            for r in sorted(all_rows, key=lambda r: (r["query"], r["fraction"]))
-        ],
+def measure(inputs):
+    lazy = opportunities(
+        inputs.tpch, frozenset({LC, LCEM}), lc_above_hash_build=True
     )
-    early = sum(1 for r in all_rows if r["fraction"] < 0.3)
-    summary = (
-        f"\ncheckpoint opportunities: {len(all_rows)} across {len(QUERIES)} queries; "
-        f"{early} occur in the first 30% of execution "
-        f"(paper: opportunities cluster early, with 1-2 mid-execution)"
+    eager = opportunities(
+        inputs.tpch, frozenset({LC, ECB}), lc_above_hash_build=False
     )
-    publish("fig14_opportunities", "Figure 14: checkpoint opportunities", table + summary)
+    return lazy + [r for r in eager if r["kind"] == "ECB"]
 
-    assert len(all_rows) >= len(QUERIES), "every query should expose checkpoints"
-    kinds = {r["kind"] for r in all_rows}
-    assert "LCEM" in kinds
-    assert "LC (above TMP/SORT)" in kinds or "LC (above HJ)" in kinds
+
+def headline(rows):
+    ecb = [r["fraction"] for r in rows if r["kind"] == "ECB"]
+    return {
+        "queries": len(QUERIES),
+        "opportunities": len(rows),
+        # The paper: opportunities cluster early, with 1-2 mid-execution.
+        "early": sum(1 for r in rows if r["fraction"] < 0.3),
+        "kinds": sorted({r["kind"] for r in rows}),
+        "ecb_first_pct": 100 * min(ecb),
+        "ecb_last_pct": 100 * max(ecb),
+    }
+
+
+def test_fig14_opportunities(paper):
+    entry = paper["fig14_opportunities"]
+    h = entry["headline"]
+    assert h["opportunities"] >= len(QUERIES), (
+        "every query should expose checkpoints"
+    )
+    assert "LCEM" in h["kinds"]
+    assert "LC (above TMP/SORT)" in h["kinds"] or "LC (above HJ)" in h["kinds"]
     # Every fraction is a valid progress point.
-    assert all(0.0 <= r["fraction"] <= 1.0 for r in all_rows)
+    assert all(0.0 <= r["fraction"] <= 1.0 for r in entry["rows"])

@@ -10,46 +10,34 @@ without POP and reports the scatter points plus the headline aggregates.
 
 from __future__ import annotations
 
-from repro.bench.plotting import scatter
-from repro.bench.reporting import format_table, publish
+
+def measure(inputs):
+    return inputs.dmv_pairs
 
 
-def test_fig15_dmv_scatter(dmv_results, benchmark):
-    rows = benchmark.pedantic(lambda: dmv_results, rounds=1, iterations=1)
-    table = format_table(
-        ["query", "noPOP units", "POP units", "reopts"],
-        [
-            (r["query"], r["nopop"], r["pop"], r["reopts"])
-            for r in sorted(rows, key=lambda r: -r["nopop"])
-        ],
-    )
+def headline(rows):
     improved = sum(1 for r in rows if r["factor"] > 1.05)
     regressed = sum(1 for r in rows if r["factor"] < -1.05)
-    unchanged = len(rows) - improved - regressed
     longest_nopop = max(r["nopop"] for r in rows)
     longest_pop = max(r["pop"] for r in rows)
-    summary = (
-        f"\nqueries improved: {improved}, regressed: {regressed}, "
-        f"unchanged: {unchanged} of {len(rows)} "
-        f"(paper: 22 improved / 17 regressed)\n"
-        f"longest query: {longest_nopop:,.0f} units without POP vs "
-        f"{longest_pop:,.0f} with POP "
-        f"({longest_nopop / longest_pop:.1f}x shorter; paper: >20min -> <5min)"
-    )
-    chart = scatter(
-        [r["nopop"] for r in rows],
-        [r["pop"] for r in rows],
-        x_label="response without POP",
-        y_label="response with POP",
-    )
-    publish("fig15_dmv_scatter", "Figure 15: DMV response times with/without POP",
-            table + summary + "\n\n" + chart)
+    return {
+        "queries": len(rows),
+        "improved": improved,
+        "regressed": regressed,
+        "unchanged": len(rows) - improved - regressed,
+        "longest_nopop": longest_nopop,
+        "longest_pop": longest_pop,
+        "longest_ratio": longest_nopop / longest_pop,
+        "total_saved": sum(r["nopop"] - r["pop"] for r in rows),
+    }
 
-    assert improved >= 3, "POP must visibly improve part of the workload"
-    assert longest_pop < longest_nopop, (
+
+def test_fig15_dmv_scatter(paper):
+    h = paper["fig15_dmv_scatter"]["headline"]
+    assert h["improved"] >= 3, "POP must visibly improve part of the workload"
+    assert h["longest_pop"] < h["longest_nopop"], (
         "the worst-case query must be shorter under POP"
     )
     # The scatter's lower-right half: improvements dominate regressions in
     # magnitude even when fewer in count.
-    total_saved = sum(r["nopop"] - r["pop"] for r in rows)
-    assert total_saved > 0
+    assert h["total_saved"] > 0

@@ -11,39 +11,34 @@ a few large speedups, a broad unchanged middle, a few mild regressions.
 
 from __future__ import annotations
 
-from repro.bench.plotting import bar_chart
-from repro.bench.reporting import format_table, publish
+
+def measure(inputs):
+    """The Figure 15 run as bars, largest speedup first."""
+    return [
+        {"query": r["query"], "factor": r["factor"], "reopts": r["reopts"]}
+        for r in sorted(inputs.dmv_pairs, key=lambda r: -r["factor"])
+    ]
 
 
-def test_fig16_speedup_regression(dmv_results, benchmark):
-    rows = benchmark.pedantic(lambda: dmv_results, rounds=1, iterations=1)
-    ordered = sorted(rows, key=lambda r: -r["factor"])
-    table = format_table(
-        ["query", "speedup(+)/regression(-)", "reopts"],
-        [(r["query"], r["factor"], r["reopts"]) for r in ordered],
-    )
-    best = ordered[0]
-    worst = ordered[-1]
-    summary = (
-        f"\nmax speedup: {best['factor']:.2f}x ({best['query']}) "
-        f"(paper: up to ~90x)\n"
-        f"max regression: {abs(min(-1.0, worst['factor'])):.2f}x ({worst['query']}) "
-        f"(paper: up to 5x)"
-    )
-    chart = bar_chart(
-        [r["query"] for r in ordered],
-        [r["factor"] for r in ordered],
-        zero_line=0.0,
-    )
-    publish(
-        "fig16_speedup",
-        "Figure 16: per-query speedup/regression",
-        table + summary + "\n\n" + chart,
-    )
+def headline(rows):
+    best, worst = rows[0], rows[-1]
+    return {
+        "max_speedup": best["factor"],
+        "max_speedup_query": best["query"],
+        "max_regression": abs(min(-1.0, worst["factor"])),
+        "max_regression_query": worst["query"],
+        "worst_factor": worst["factor"],
+        "wins_without_reopt": sum(
+            1 for r in rows if r["factor"] > 1.2 and r["reopts"] < 1
+        ),
+    }
 
-    assert best["factor"] > 2.0, "the workload must contain clear POP wins"
-    assert worst["factor"] > -3.0, (
+
+def test_fig16_speedup_regression(paper):
+    h = paper["fig16_speedup"]["headline"]
+    assert h["max_speedup"] > 2.0, "the workload must contain clear POP wins"
+    assert h["worst_factor"] > -3.0, (
         "regressions must stay mild — validity ranges bound the risk"
     )
     # Every re-optimization that fired is visible in the factor accounting.
-    assert all(r["reopts"] >= 1 for r in rows if r["factor"] > 1.2)
+    assert h["wins_without_reopt"] == 0

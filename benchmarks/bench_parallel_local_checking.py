@@ -13,8 +13,6 @@ variant per fragment, and compares:
 
 from __future__ import annotations
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish
 from repro.core.config import NO_POP, PopConfig
 from repro.parallel import PartitionedExecutor
 from repro.workloads.tpch.queries import Q10_MARKER
@@ -22,7 +20,8 @@ from repro.workloads.tpch.queries import Q10_MARKER
 PARTITIONS = 4
 
 
-def measure(tpch):
+def measure(inputs):
+    tpch = inputs.tpch
     executor = PartitionedExecutor(tpch, partitions=PARTITIONS)
     rows = []
     for mode, note in [("MODE00", "55% selectivity"), ("MODE27", "0.1%")]:
@@ -31,7 +30,7 @@ def measure(tpch):
             Q10_MARKER, "lineitem", params=params, pop=PopConfig()
         )
         static = executor.run(Q10_MARKER, "lineitem", params=params, pop=NO_POP)
-        unpartitioned = run_once(tpch, Q10_MARKER, params=params, pop=PopConfig())
+        unpartitioned = tpch.execute(Q10_MARKER, params=params, pop=PopConfig())
         rows.append(
             {
                 "bind": f"{mode} ({note})",
@@ -39,40 +38,30 @@ def measure(tpch):
                 "local_reopts": local.local_reoptimizations,
                 "distinct_plans": local.distinct_final_plans,
                 "static": static.total_units,
-                "global_pop": unpartitioned.units,
+                "global_pop": unpartitioned.report.total_units,
             }
         )
     return rows
 
 
-def test_parallel_local_checking(tpch, benchmark):
-    rows = benchmark.pedantic(lambda: measure(tpch), rounds=1, iterations=1)
-    table = format_table(
-        ["bind", "partitioned+local POP", "per-fragment reopts",
-         "distinct fragment plans", "partitioned static", "global POP"],
-        [
-            (
-                r["bind"],
-                r["local_pop"],
-                str(r["local_reopts"]),
-                r["distinct_plans"],
-                r["static"],
-                r["global_pop"],
-            )
-            for r in rows
-        ],
-    )
-    summary = (
-        "\nLocal checking lets each fragment adapt to its own data without "
-        "\nglobal counter synchronization; misestimated binds re-optimize "
-        "\nper fragment and beat the static fragments."
-    )
-    publish("parallel_local_checking",
-            "§7 exploration: local checking under partitioned execution",
-            table + summary)
-
+def headline(rows):
+    # Local checking lets each fragment adapt to its own data without
+    # global counter synchronization; misestimated binds re-optimize per
+    # fragment and beat the static fragments.
     high = rows[0]
+    return {
+        "fragments": len(high["local_reopts"]),
+        "high_local_reopts": sum(high["local_reopts"]),
+        "high_distinct_plans": high["distinct_plans"],
+        "high_local_pop": high["local_pop"],
+        "high_static": high["static"],
+        "high_static_vs_local": high["static"] / high["local_pop"],
+    }
+
+
+def test_parallel_local_checking(paper):
+    h = paper["parallel_local_checking"]["headline"]
     # The misestimated bind: local POP beats static fragments.
-    assert high["local_pop"] < high["static"]
+    assert h["high_local_pop"] < h["high_static"]
     # And the fragments genuinely re-optimized locally.
-    assert sum(high["local_reopts"]) >= 1
+    assert h["high_local_reopts"] >= 1

@@ -9,20 +9,21 @@ operator frame), within 1%.
 Each query then gets a :class:`repro.obs.RobustnessMap` — the final plan
 re-costed over a cardinality grid swept around its join edges' validity
 ranges (Markl et al. §5; the cost-surface view of robustness follows
-Graefe's robust-plan work).  The JSON surface and ASCII heatmap land in
-``benchmarks/results/`` as CI artifacts.
+Graefe's robust-plan work).  The JSON surface and ASCII heatmap, and the
+reconciliation summary, land in :data:`ARTIFACTS` as CI artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from pathlib import Path
 
-from repro.bench.harness import run_once
-from repro.bench.reporting import format_table, publish, results_dir
 from repro.obs import RobustnessMap, progress_history
 from repro.workloads.dmv.queries import dmv_queries
 from repro.workloads.tpch.queries import TPCH_QUERIES
+
+#: Where the artifacts are written.
+ARTIFACTS = Path(__file__).resolve().parent / "results"
 
 #: Profile self-time totals must reconcile with the WorkMeter within this.
 RECONCILE_TOLERANCE = 0.01
@@ -31,8 +32,8 @@ DMV_QUERY = "zip_inspection_rescan_0"
 
 
 def _measure(db, name, sql):
-    outcome = run_once(db, sql, profile=True)
-    report = outcome.report
+    result = db.execute(sql, profile=True)
+    report = result.report
     assert report.profiled, f"{name}: profiler attached but no profiles"
     attempts = []
     for i, attempt in enumerate(report.attempts):
@@ -67,8 +68,8 @@ def _measure(db, name, sql):
     surface = rmap.compute()
     return {
         "query": name,
-        "rows": outcome.rows,
-        "units": outcome.units,
+        "rows": len(result.rows),
+        "units": report.total_units,
         "attempts": attempts,
         "progress_fraction": progress_history(report)[-1]["fraction"],
         "map": rmap,
@@ -78,13 +79,11 @@ def _measure(db, name, sql):
 
 def _publish_artifacts(results):
     """Write the JSON surfaces and heatmaps CI uploads as artifacts."""
-    out = results_dir()
+    ARTIFACTS.mkdir(parents=True, exist_ok=True)
     for r in results:
-        base = os.path.join(out, f"robustness_map_{r['query']}")
-        with open(base + ".json", "w") as f:
-            f.write(r["map"].to_json())
-        with open(base + ".txt", "w") as f:
-            f.write(r["map"].heatmap() + "\n")
+        base = ARTIFACTS / f"robustness_map_{r['query']}"
+        base.with_suffix(".json").write_text(r["map"].to_json())
+        base.with_suffix(".txt").write_text(r["map"].heatmap() + "\n")
     summary = {
         r["query"]: {
             "rows": r["rows"],
@@ -94,45 +93,17 @@ def _publish_artifacts(results):
         }
         for r in results
     }
-    with open(os.path.join(out, "profile_reconciliation.json"), "w") as f:
+    with open(ARTIFACTS / "profile_reconciliation.json", "w") as f:
         json.dump(summary, f, indent=2)
 
 
-def test_robustness_map_artifacts(tpch, dmv, benchmark):
+def test_robustness_map_artifacts(tpch, dmv):
     queries = [
         (tpch, "tpch_Q3", TPCH_QUERIES["Q3"]),
         (dmv, DMV_QUERY, dict(dmv_queries())[DMV_QUERY]),
     ]
-    results = benchmark.pedantic(
-        lambda: [_measure(db, name, sql) for db, name, sql in queries],
-        rounds=1,
-        iterations=1,
-    )
+    results = [_measure(db, name, sql) for db, name, sql in queries]
     _publish_artifacts(results)
-    table = format_table(
-        ["query", "attempt", "ops", "self units", "metered", "drift", "fragility"],
-        [
-            (
-                r["query"],
-                a["attempt"],
-                a["operators"],
-                a["self_units"],
-                a["metered_units"],
-                f"{a['drift'] * 100:.4f}%",
-                r["fragility"],
-            )
-            for r in results
-            for a in r["attempts"]
-        ],
-    )
-    heatmaps = "\n\n".join(
-        f"[{r['query']}]\n{r['map'].heatmap()}" for r in results
-    )
-    publish(
-        "robustness_map",
-        "Profiler reconciliation + robustness maps",
-        table + "\n\n" + heatmaps,
-    )
 
     for r in results:
         # The accounting identity behind the profiler: every work unit is

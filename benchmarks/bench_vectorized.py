@@ -14,9 +14,7 @@ The acceptance gate covers all four statements: width 1024 must process
 **at least 2x the rows/sec of width 1**.  (The aggregation- and
 sort-dominated ones were reported ungated while aggregation ran row at a
 time inside the operator, whatever the width; their folds are batch
-kernels now.)
-
-Results are published to ``benchmarks/results/vectorized_throughput.txt``.
+kernels now.)  Run with ``-s`` to see the rows/sec of each engine.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import sqlite3
 import time
 
 from repro import Database
-from repro.bench.reporting import format_table, publish
 from repro.core.config import PopConfig
 
 N_ROWS = 80_000
@@ -104,63 +101,26 @@ def time_sqlite(con: sqlite3.Connection, sql: str):
     return (time.perf_counter() - t0) / REPS, out
 
 
-def test_vectorized_throughput(benchmark):
+def test_vectorized_throughput():
     rows = make_rows()
     db = make_db(rows)
     con = make_sqlite(rows)
 
-    def run():
-        measurements = []
-        for name, sql in STATEMENTS:
-            narrow_time, narrow_rows = time_engine(
-                db, sql, PopConfig(batch_size=NARROW)
-            )
-            wide_time, wide_rows = time_engine(
-                db, sql, PopConfig(batch_size=WIDE)
-            )
-            assert wide_rows == narrow_rows, f"{name}: width changed the result"
-            sqlite_time, _ = time_sqlite(con, SQLITE_SQL[name])
-            measurements.append(
-                {
-                    "name": name,
-                    "narrow": narrow_time,
-                    "wide": wide_time,
-                    "sqlite": sqlite_time,
-                    "speedup": narrow_time / wide_time,
-                }
-            )
-        return measurements
+    speedups = {}
+    for name, sql in STATEMENTS:
+        narrow_time, narrow_rows = time_engine(db, sql, PopConfig(batch_size=NARROW))
+        wide_time, wide_rows = time_engine(db, sql, PopConfig(batch_size=WIDE))
+        assert wide_rows == narrow_rows, f"{name}: width changed the result"
+        sqlite_time, _ = time_sqlite(con, SQLITE_SQL[name])
+        speedups[name] = narrow_time / wide_time
+        print(
+            f"{name}: width {NARROW} {rows_per_sec(narrow_time):,.0f} rows/s, "
+            f"width {WIDE} {rows_per_sec(wide_time):,.0f}, "
+            f"sqlite3 {rows_per_sec(sqlite_time):,.0f}"
+        )
 
-    measurements = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    table = format_table(
-        [
-            "statement",
-            f"width {NARROW} rows/s",
-            f"width {WIDE} rows/s",
-            "sqlite rows/s",
-            "speedup",
-        ],
-        [
-            (
-                m["name"],
-                f"{rows_per_sec(m['narrow']):,.0f}",
-                f"{rows_per_sec(m['wide']):,.0f}",
-                f"{rows_per_sec(m['sqlite']):,.0f}",
-                f"{m['speedup']:.2f}x",
-            )
-            for m in measurements
-        ],
-    )
-    publish(
-        "vectorized_throughput",
-        f"Executor batch protocol: rows/sec over {N_ROWS:,} rows "
-        f"(width {NARROW} vs width {WIDE} vs sqlite3)",
-        table,
-    )
-
-    for m in measurements:
-        assert m["speedup"] >= MIN_SPEEDUP, (
-            f"{m['name']}: width {WIDE} is only {m['speedup']:.2f}x "
+    for name, speedup in speedups.items():
+        assert speedup >= MIN_SPEEDUP, (
+            f"{name}: width {WIDE} is only {speedup:.2f}x "
             f"width {NARROW} (gate: {MIN_SPEEDUP}x)"
         )

@@ -141,6 +141,15 @@ class TransactionManager:
         self._active: set = set()  # guarded-by: _epoch_lock
         self._commits_since_checkpoint = 0  # guarded-by: _epoch_lock
         self._checkpointing = False  # guarded-by: _epoch_lock
+        # Thread running the checkpoint, while one runs.
+        self._checkpointer = None  # guarded-by: _epoch_lock
+        # DDL statements so far, and how many of them the checkpoint on
+        # disk includes.
+        self._ddl_count = 0  # guarded-by: _epoch_lock
+        self._ddl_durable = 0  # guarded-by: _epoch_lock
+        # Notified, under the epoch lock, when a checkpoint ends: a DDL
+        # that found another thread's checkpoint running waits on it.
+        self._checkpoint_ended = threading.Condition(self._epoch_lock)
         self.commits = 0
         self.rollbacks = 0
         self.conflicts = 0
@@ -237,11 +246,31 @@ class TransactionManager:
 
     def on_ddl(self, table) -> None:
         """DDL hook (a new table or index): watermark the table and
-        persist the catalog."""
+        persist the catalog.
+
+        DDL is not WAL-logged, so with a WAL this returns only once a
+        checkpoint whose cut includes the DDL is on disk: a checkpoint
+        already running cuts again before it ends (see
+        :meth:`checkpoint`), and this waits for it.  Only the running
+        checkpoint's own thread (a crash hook) does not wait; its
+        checkpoint still ends with the DDL on disk.
+        """
         with self._epoch_lock:
             self._visible[table.name] = len(table.rows)
-        if self._wal is not None:
-            self.checkpoint()
+            self._ddl_count += 1
+            wanted = self._ddl_count
+        if self._wal is None:
+            return
+        while self.checkpoint() is None:
+            with self._epoch_lock:
+                if self._checkpointer == threading.get_ident():
+                    return
+                self._checkpoint_ended.wait_for(
+                    lambda: not self._checkpointing
+                    or self._ddl_durable >= wanted
+                )
+                if self._ddl_durable >= wanted:
+                    return
 
     # ---------------------------------------------------------------- staging
 
@@ -439,8 +468,10 @@ class TransactionManager:
         outside it — commits landing meanwhile append past the
         watermarks — and the WAL is truncated only if no commit
         interleaved; otherwise the newer records stay and recovery's
-        epoch filter skips the checkpointed prefix.  The governor is
-        charged ``watermark × row_width`` per table.
+        epoch filter skips the checkpointed prefix.  A DDL that lands
+        meanwhile (not WAL-logged, so this cut misses it) makes the
+        checkpoint cut and write again before it ends.  Returns ``None``
+        without writing while another checkpoint runs.
         """
         if self._wal is None:
             return None
@@ -448,7 +479,31 @@ class TransactionManager:
             if not _resume and self._checkpointing:
                 return None
             self._checkpointing = True
+            self._checkpointer = threading.get_ident()
             state = capture_state(self.catalog, self._epoch)
+            covered = self._ddl_count
+        try:
+            while True:
+                self._write_checkpoint(state)
+                with self._epoch_lock:
+                    self._ddl_durable = covered
+                    if self._ddl_count == covered:
+                        break
+                    state = capture_state(self.catalog, self._epoch)
+                    covered = self._ddl_count
+        finally:
+            with self._epoch_lock:
+                self._checkpointing = False
+                self._checkpointer = None
+                self._checkpoint_ended.notify_all()
+        with self._epoch_lock:
+            if self._epoch == state["epoch"]:
+                self._wal.reset()
+        return state["epoch"]
+
+    def _write_checkpoint(self, state: dict) -> None:
+        """Encode and install one cut, its buffer charged to the governor
+        at ``watermark × row_width`` per table."""
         governor = (
             self._governor_source() if self._governor_source is not None else None
         )
@@ -468,17 +523,11 @@ class TransactionManager:
         finally:
             if reservation is not None:
                 governor.release(reservation)
-            with self._epoch_lock:
-                self._checkpointing = False
-        with self._epoch_lock:
-            if self._epoch == state["epoch"]:
-                self._wal.reset()
         self.checkpoints_written += 1
         if self.metrics is not None:
             self.metrics.inc("txn.checkpoints")
         if self.tracer is not None:
             self.tracer.event("txn.checkpoint", epoch=state["epoch"])
-        return state["epoch"]
 
     # ------------------------------------------------------------------ close
 

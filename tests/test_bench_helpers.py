@@ -1,82 +1,8 @@
-"""Tests for the benchmark harness helpers (reporting, plotting, runners)."""
-
-import os
+"""Tests for the helpers the figure scripts share (``benchmarks/conftest.py``)."""
 
 import pytest
 
-from repro.bench.harness import run_once, run_pair, speedup_factor
-from repro.bench.plotting import bar_chart, line_chart, scatter
-from repro.bench.reporting import format_table, publish, results_dir
-
-
-class TestFormatTable:
-    def test_alignment_and_separator(self):
-        text = format_table(["name", "value"], [("a", 1.0), ("long-name", 12345.6)])
-        lines = text.splitlines()
-        assert lines[0].startswith("name")
-        assert set(lines[1]) <= {"-", " "}
-        assert "12,346" in text
-
-    def test_float_formats(self):
-        text = format_table(["v"], [(0.1234567,), (42.42,), (0.0,)])
-        assert "0.123" in text
-        assert "42.4" in text
-
-    def test_empty_rows(self):
-        text = format_table(["a"], [])
-        assert "a" in text
-
-
-class TestPublish:
-    def test_writes_file_and_returns_path(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-        path = publish("unit_test_artifact", "A Title", "body text")
-        assert os.path.exists(path)
-        with open(path) as f:
-            content = f.read()
-        assert "A Title" in content and "body text" in content
-        assert "A Title" in capsys.readouterr().out
-
-    def test_results_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path / "sub"))
-        assert results_dir() == str(tmp_path / "sub")
-        assert os.path.isdir(results_dir())
-
-
-class TestCharts:
-    def test_line_chart_contains_markers_and_legend(self):
-        text = line_chart(
-            [1, 2, 3], {"pop": [10, 20, 30], "static": [10, 40, 90]},
-            width=20, height=8,
-        )
-        assert "*" in text and "o" in text
-        assert "*=pop" in text and "o=static" in text
-
-    def test_line_chart_log_scale(self):
-        text = line_chart([1, 2], {"s": [1, 1_000_000]}, log_y=True, height=6)
-        assert "1,000,000" in text
-
-    def test_line_chart_empty(self):
-        assert line_chart([], {}) == "(no data)"
-
-    def test_bar_chart_plain(self):
-        text = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10  # max bar fills the width
-        assert lines[0].count("#") == 5
-
-    def test_bar_chart_zero_line(self):
-        text = bar_chart(["up", "down"], [2.0, -2.0], width=20, zero_line=0.0)
-        up_line, down_line = text.splitlines()
-        assert up_line.index("|") < up_line.index("#")
-        assert down_line.index("#") < down_line.index("|")
-
-    def test_scatter_diagonal_and_points(self):
-        text = scatter([1, 10, 100], [1, 5, 200], width=20, height=10)
-        assert "o" in text and "." in text
-
-    def test_scatter_empty(self):
-        assert scatter([], []) == "(no data)"
+from benchmarks.conftest import run_pair, speedup_factor
 
 
 class TestRunners:
@@ -84,16 +10,9 @@ class TestRunners:
         baseline, progressive = run_pair(
             star_db, "SELECT c.c_id FROM cust c WHERE c.c_segment = 'RARE'"
         )
-        assert baseline.reoptimizations == 0
-        assert baseline.rows == progressive.rows
-        assert baseline.units > 0
-
-    def test_run_once_join_order_string(self, star_db):
-        outcome = run_once(
-            star_db,
-            "SELECT c.c_id, o.o_id FROM cust c JOIN orders o ON c.c_id = o.o_custkey",
-        )
-        assert "JOIN" in outcome.final_join_order
+        assert baseline.report.reoptimizations == 0
+        assert len(baseline.rows) == len(progressive.rows)
+        assert baseline.report.total_units > 0
 
     @pytest.mark.parametrize(
         "base,pop,expected",

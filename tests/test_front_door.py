@@ -6,8 +6,8 @@ Three things are pinned here:
 * ``REPRO_STRICT_ANALYSIS`` is parsed once (``repro/core/config.py``) and,
   through ``PopConfig``'s default, makes the driver lint every attempt's plan
   on every path into the engine — the socket server, the transaction chaos
-  harness, a bare ``Database.execute`` and the figure scripts' ``run_once`` —
-  and costs nothing when unset (the linter is never called);
+  harness and a bare ``Database.execute`` (the figure scripts' path) — and
+  costs nothing when unset (the linter is never called);
 * ``Database.plan`` is the first attempt of ``Database.execute`` without the
   execution: same fingerprint, same CHECKs, same explain text — with
   cross-statement learning on too, where both plan with what was learned;
@@ -17,12 +17,12 @@ Three things are pinned here:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import PopConfig
-from repro.bench.harness import run_once
 from repro.core import driver as driver_module
 from repro.core.flavors import ALL_FLAVORS, LC, LCEM
 from repro.optimizer.fingerprint import plan_fingerprint
@@ -100,12 +100,6 @@ def test_database_execute_lints_every_attempt(star_db, lint_spy, strict_env):
     attempts = len(result.report.attempts)
     assert attempts == 2  # the marker misestimate re-optimizes once
     assert lint_spy == expected_lints(strict_env, attempts)
-
-
-def test_run_once_lints_every_attempt(star_db, lint_spy, strict_env):
-    outcome = run_once(star_db, marker_query(), params={"p": "COMMON"})
-    assert outcome.reoptimizations == 1
-    assert lint_spy == expected_lints(strict_env, len(outcome.report.attempts))
 
 
 def test_server_statements_are_linted(dmv_db, lint_spy, strict_env):
@@ -201,13 +195,14 @@ def _lc_above_hash_join(report) -> list:
 
 
 def test_lc_above_hash_build_reproduces_fig14():
-    published = [
-        (line.split()[0], line.split()[-1])
-        for line in (
-            REPO_ROOT / "benchmarks" / "results" / "fig14_opportunities.txt"
-        ).read_text().splitlines()
-        if "LC (above HJ)" in line
-    ]
+    paper = json.loads(
+        (REPO_ROOT / "benchmarks" / "results" / "paper.json").read_text()
+    )
+    published = sorted(
+        (row["query"], row["fraction"])
+        for row in paper["fig14_opportunities"]["rows"]
+        if row["kind"] == "LC (above HJ)"
+    )
     assert published, "the published figure has LC-above-HJ opportunities"
     tpch = make_tpch_db(scale_factor=0.01, seed=42)  # benchmarks/conftest.py
     lazy = PopConfig(flavors={LC, LCEM}, dry_run=True, lc_above_hash_build=True)
@@ -215,7 +210,7 @@ def test_lc_above_hash_build_reproduces_fig14():
     for name in sorted({query for query, _ in published}):
         sql = TPCH_QUERIES[name]
         fractions = _lc_above_hash_join(tpch.execute(sql, pop=lazy).report)
-        measured += [(name, f"{f:.3f}") for f in sorted(fractions)]
+        measured += [(name, f) for f in sorted(fractions)]
         plain = PopConfig(flavors={LC, LCEM}, dry_run=True)
         assert not _lc_above_hash_join(tpch.execute(sql, pop=plain).report)
     assert measured == published

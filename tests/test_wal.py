@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import zlib
 
@@ -378,6 +379,135 @@ class TestCheckpoints:
             (i, f"r{i}") for i in range(5)
         ] + [(100, "late"), (101, "late")]
         db2.close()
+
+    @staticmethod
+    def _ddl_in_capture_window(manager, ddl, in_hook):
+        """Run ``ddl`` from one checkpoint's ``checkpoint.capture`` hook:
+        in the hook itself, or in a worker thread that the hook lets run
+        on once the DDL's own checkpoint has found this one running."""
+        refused = threading.Event()
+        fired = []
+        worker = threading.Thread(target=ddl, daemon=True)
+        checkpoint = manager.checkpoint
+
+        def counting_checkpoint(*args, **kwargs):
+            epoch = checkpoint(*args, **kwargs)
+            if epoch is None:
+                refused.set()
+            return epoch
+
+        def hook(point, size, write_partial):
+            if point != "checkpoint.capture" or fired:
+                return
+            fired.append(point)
+            if in_hook:
+                ddl()
+                return
+            worker.start()
+            assert refused.wait(10.0), "the DDL did not reach its checkpoint"
+
+        manager.checkpoint = counting_checkpoint
+        manager.set_crash_hook(hook)
+        try:
+            assert checkpoint() is not None
+        finally:
+            manager.set_crash_hook(None)
+            del manager.checkpoint
+        assert fired
+        if not in_hook:
+            worker.join(10.0)
+            assert not worker.is_alive(), "the DDL never returned"
+
+    @pytest.mark.parametrize("in_hook", [False, True], ids=["worker", "hook"])
+    def test_table_created_inside_the_capture_window_survives_recovery(
+        self, tmp_path, in_hook
+    ):
+        """DDL is not WAL-logged: a table created while a checkpoint runs
+        must reach a checkpoint before its first WAL-logged insert can
+        need it at recovery."""
+        directory = str(tmp_path)
+        db = Database()
+        db.create_table("t", [("i", "int")])
+        manager = db.enable_transactions(path=directory, checkpoint_interval=100)
+
+        def ddl():
+            db.create_table("u", [("i", "int")])
+            db.insert("u", [(1,), (2,)])
+
+        self._ddl_in_capture_window(manager, ddl, in_hook)
+        db.close()
+        reopened = Database()
+        reopened.enable_transactions(path=directory)
+        assert reopened.catalog.table("u").rows == [(1,), (2,)]
+        reopened.close()
+
+    @pytest.mark.parametrize("in_hook", [False, True], ids=["worker", "hook"])
+    def test_index_created_inside_the_capture_window_survives_recovery(
+        self, tmp_path, in_hook
+    ):
+        directory = str(tmp_path)
+        db = Database()
+        db.create_table("t", [("i", "int")])
+        db.insert("t", [(i,) for i in range(5)])
+        manager = db.enable_transactions(path=directory, checkpoint_interval=100)
+
+        def ddl():
+            db.create_index("ix_t_i", "t", "i")
+            db.insert("t", [(7,)])
+
+        self._ddl_in_capture_window(manager, ddl, in_hook)
+        db.close()
+        reopened = Database()
+        reopened.enable_transactions(path=directory)
+        assert [ix.name for ix in reopened.catalog.indexes_on("t")] == ["ix_t_i"]
+        assert reopened.catalog.index_on_column("t", "i").lookup(7) == [5]
+        reopened.close()
+
+    def test_concurrent_ddl_and_commits_all_survive_recovery(self, tmp_path):
+        """More DDL threads than cores, each creating tables and inserting
+        into them while checkpoints run every other commit: each table is
+        in the checkpoint on disk once its creation returns, and after a
+        clean close every table and row recovers."""
+        directory = str(tmp_path)
+        db = Database()
+        db.create_table("t", [("i", "int")])
+        db.enable_transactions(path=directory, checkpoint_interval=2)
+        names = [f"u{w}_{k}" for w in range(6) for k in range(3)]
+        missing = []
+
+        def work(w):
+            for k in range(3):
+                db.create_table(f"u{w}_{k}", [("i", "int")])
+                if f"u{w}_{k}" not in read_checkpoint(directory)["tables"]:
+                    missing.append(f"u{w}_{k}")
+                db.insert(f"u{w}_{k}", [(w,), (k,)])
+                db.insert("t", [(w * 10 + k,)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(w,), daemon=True)
+                for w in range(6)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive(), "a DDL or commit never returned"
+        finally:
+            sys.setswitchinterval(interval)
+        assert missing == []
+        db.close()
+        reopened = Database()
+        reopened.enable_transactions(path=directory)
+        for name in names:
+            w, k = (int(part) for part in name[1:].split("_"))
+            assert reopened.catalog.table(name).rows == [(w,), (k,)]
+        assert sorted(reopened.catalog.table("t").rows) == sorted(
+            (w * 10 + k,) for w in range(6) for k in range(3)
+        )
+        reopened.close()
 
     def test_crash_before_rename_keeps_the_old_checkpoint(self, tmp_path):
         write_checkpoint(str(tmp_path), STATE)
