@@ -20,7 +20,7 @@ Public API highlights:
   per-operator record (``report.attempts[i].record``) and its rendering.
 """
 
-from repro.analysis import Finding, LintContext, PlanLintError, lint_plan
+from repro.analysis import Finding, PlanLintError, lint_plan
 from repro.core.config import NO_POP, MemoryPolicy, PopConfig, ResiliencePolicy
 from repro.core.database import Database, Result
 from repro.core.driver import PopDriver, PopReport
@@ -84,7 +84,6 @@ __all__ = [
     "DEFAULT_FLAVORS",
     "TABLE1",
     "Finding",
-    "LintContext",
     "PlanLintError",
     "lint_plan",
     "__version__",

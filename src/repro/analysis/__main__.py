@@ -4,8 +4,8 @@ Runs the engine contract checker over the ``repro`` source tree and, on
 request, the plan-semantics linter over every plan the optimizer
 and checkpoint placer produce for the TPC-H and/or DMV workloads.
 
-Exit status: 0 when no finding reaches the ``--fail-on`` severity
-(default: ``error``), 1 otherwise — suitable as a blocking CI job.
+Exit status: 0 when there is no finding, 1 otherwise — suitable as a
+blocking CI job.
 ``--concurrency`` instead runs only the concurrency contract analyzer
 (:mod:`repro.analysis.concurrency`) and exits 2 on findings, so the CI
 ``concurrency-gate`` step is distinguishable from the general gate.
@@ -14,19 +14,11 @@ Exit status: 0 when no finding reaches the ``--fail-on`` severity
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.analysis.contract import run_contract_checks
-from repro.analysis.findings import (
-    ERROR,
-    WARN,
-    Finding,
-    count_by_severity,
-    render_jsonl,
-    render_text,
-    severity_rank,
-    sort_findings,
-)
+from repro.analysis.findings import Finding, render_text
 from repro.analysis.plan_lint import lint_statement, rule_listing
 
 
@@ -39,9 +31,10 @@ def lint_workload_plans(which: str) -> list[Finding]:
     config = PopConfig()
     for label, db, queries in small_workload_databases(which):
         for name, sql in queries:
-            for finding in lint_statement(db, sql, config):
-                finding.data.setdefault("query", f"{label}/{name}")
-                findings.append(finding)
+            findings.extend(
+                dataclasses.replace(f, message=f"{label}/{name}: {f.message}")
+                for f in lint_statement(db, sql, config)
+            )
     return findings
 
 
@@ -65,24 +58,12 @@ def main(argv=None) -> int:
         "--concurrency",
         action="store_true",
         help="run only the concurrency contract analyzer (exit code 2 on "
-        "findings): lock order, guarded state, callbacks-under-lock",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "jsonl"),
-        default="text",
-        help="output rendering (jsonl: one finding object per line)",
-    )
-    parser.add_argument(
-        "--fail-on",
-        choices=(ERROR, WARN),
-        default=ERROR,
-        help="exit non-zero when a finding of this severity (or worse) exists",
+        "findings): lock order, waits, guarded state, locked helpers",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the plan-rule catalog and exit",
+        help="print the plan and concurrency rule catalog and exit",
     )
     args = parser.parse_args(argv)
 
@@ -100,21 +81,8 @@ def main(argv=None) -> int:
         if args.plans != "none":
             findings.extend(lint_workload_plans(args.plans))
 
-    findings = sort_findings(findings)
-    if args.format == "jsonl":
-        if findings:
-            print(render_jsonl(findings))
-    else:
-        print(render_text(findings))
-
-    counts = count_by_severity(findings)
-    threshold = severity_rank(args.fail_on)
-    failing = sum(
-        count
-        for severity, count in counts.items()
-        if severity_rank(severity) <= threshold
-    )
-    if not failing:
+    print(render_text(findings))
+    if not findings:
         return 0
     return 2 if args.concurrency else 1
 

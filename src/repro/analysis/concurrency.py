@@ -1,4 +1,4 @@
-"""Concurrency contract analyzer: lock order, guarded state, callbacks.
+"""Concurrency contract analyzer: lock order, guarded state, waits.
 
 The multi-session roadmap (server sessions, exchange parallelism) will
 multiply the threads touching the shared classes — the
@@ -14,10 +14,6 @@ single policy declaration in :mod:`repro.common.locking`:
 * **wait-while-holding** (``cc-wait-holding``) — a ``Condition.wait``
   reachable while any *other* policy lock is held (the waiter sleeps
   with a lock the waker may need);
-* **callback-under-lock** (``cc-callback-under-lock``) — user/operator
-  callbacks (``on_*`` attributes, ``*_callbacks`` / ``*_hooks``
-  registries) invoked with a policy lock held, a re-entrancy deadlock
-  seed;
 * **guarded state** (``cc-unguarded-state``) — reads/writes of
   attributes annotated ``# guarded-by: <lock>`` outside a ``with`` on
   that lock and outside a ``*_locked`` helper (the documented
@@ -29,17 +25,17 @@ single policy declaration in :mod:`repro.common.locking`:
 
 The analysis is two-phase.  Phase one indexes classes, their methods,
 and their ``# guarded-by:`` annotations.  Phase two builds per-method
-event summaries (acquire / wait / call / callback, each with the lexical
-held-lock stack) and then propagates entry held-sets over the heuristic
-call graph with a worklist, so a callback fired three calls below a
-``with self._cond:`` block is still caught.  Receivers are resolved by
+event summaries (acquire / wait / call, each with the lexical held-lock
+stack) and then propagates entry held-sets over the heuristic call graph
+with a worklist, so a wait three calls below a ``with self._cond:`` block
+is still caught.  Receivers are resolved by
 the ``(class, attribute)`` pairs of the policy locks plus the
 ``RECEIVER_HINTS`` naming conventions — deliberately heuristic, precise
 enough for this codebase, and cross-checked at runtime: the opt-in
 lock-order witness (``REPRO_LOCK_WITNESS=1``) records the acquisition
-edges that actually happen under the chaos scenarios, and the memory
-chaos harness asserts every observed edge is present in
-:func:`static_lock_graph`, so false negatives surface as test failures.
+edges that actually happen under the chaos scenarios, and every
+scenario's teardown audit asserts each observed edge is present in
+:func:`static_lock_graph`, so false negatives surface as failed runs.
 
 A finding can be waived on its line with ``# concurrency-ok: <reason>``.
 """
@@ -47,14 +43,12 @@ A finding can be waived on its line with ``# concurrency-ok: <reason>``.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.analysis.contract import SourceTree, parse_sources, read_source_tree
-from repro.analysis.findings import ERROR, Finding
+from repro.analysis.findings import Finding
 from repro.common.locking import (
-    CALLBACK_ATTR_PATTERN,
     LOCK_ORDER,
     RECEIVER_HINTS,
     WAIVER_TOKEN,
@@ -82,10 +76,6 @@ CONCURRENCY_RULES = {
     "cc-wait-holding": (
         "Condition.wait must not be reachable while another policy lock "
         "is held"
-    ),
-    "cc-callback-under-lock": (
-        "user/operator callbacks (on_*, *_callbacks, *_hooks) must not "
-        "be invoked with a policy lock held"
     ),
     "cc-unguarded-state": (
         "attributes annotated '# guarded-by:' may only be accessed under "
@@ -116,13 +106,11 @@ class ConcurrencyPolicy:
 
     locks: tuple[LockSpec, ...] = LOCK_ORDER
     receiver_hints: dict = field(default_factory=lambda: dict(RECEIVER_HINTS))
-    callback_pattern: str = CALLBACK_ATTR_PATTERN
     waiver_token: str = WAIVER_TOKEN
 
     def __post_init__(self) -> None:
         self._by_cls_attr = {(s.cls, s.attr): s for s in self.locks}
         self._by_name = {s.name: s for s in self.locks}
-        self._callback_re = re.compile(self.callback_pattern)
 
     def lock_for(self, cls: Optional[str], attr: str) -> Optional[LockSpec]:
         if cls is None:
@@ -137,11 +125,6 @@ class ConcurrencyPolicy:
 
     def owned_by(self, cls: str) -> tuple[str, ...]:
         return tuple(s.name for s in self.locks if s.cls == cls)
-
-    def is_callback_name(self, attr: str) -> bool:
-        # search, not match: the *_callbacks / *_hooks alternatives are
-        # suffix patterns ("_invalidation_callbacks" must qualify).
-        return bool(self._callback_re.search(attr))
 
 
 def default_policy() -> ConcurrencyPolicy:
@@ -168,8 +151,8 @@ class _Event:
     it with the caller-supplied entry set.
     """
 
-    kind: str  # "acquire" | "wait" | "call" | "callback"
-    name: str  # lock name, callback label, or callee display name
+    kind: str  # "acquire" | "wait" | "call"
+    name: str  # lock name or callee display name
     line: int
     held: tuple
     target: Optional[tuple] = None  # summary key for "call" events
@@ -363,18 +346,6 @@ class _TreeAnalyzer:
                             data={"waiting_on": event.name,
                                   "held": sorted(others)},
                         )
-                elif event.kind == "callback":
-                    if effective:
-                        self._emit(
-                            "cc-callback-under-lock",
-                            summary.rel,
-                            event.line,
-                            f"callback '{event.name}' invoked while holding "
-                            f"{_names(effective)} (in {_label(summary)}); "
-                            "collect under the lock, dispatch after release",
-                            data={"callback": event.name,
-                                  "held": sorted(effective)},
-                        )
                 elif event.kind == "call" and event.target in self.summaries:
                     next_state = (event.target, frozenset(effective))
                     if next_state not in seen:
@@ -419,7 +390,6 @@ class _TreeAnalyzer:
         self.findings.append(
             Finding(
                 rule=rule,
-                severity=ERROR,
                 message=message,
                 file=rel,
                 line=line,
@@ -447,7 +417,6 @@ class _SummaryBuilder:
         self.summary = summary
         self.cls_info = analyzer.classes.get(summary.cls)
         self.waived = analyzer.waived.get(summary.rel, set())
-        self.callback_vars: set = set()
         if summary.name.endswith("_locked"):
             self.assumed = set(analyzer.class_lock_assumption(summary.cls))
         else:
@@ -472,11 +441,7 @@ class _SummaryBuilder:
         if isinstance(node, ast.With):
             self._walk_with(node, held)
             return
-        if isinstance(node, ast.For):
-            self._track_for_callbacks(node)
-        elif isinstance(node, ast.Assign):
-            self._track_assign_callbacks(node)
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             self._classify_call(node, held)
         elif isinstance(node, ast.Attribute):
             self._check_guarded_access(node, held)
@@ -518,17 +483,9 @@ class _SummaryBuilder:
     def _classify_call(self, node: ast.Call, held: tuple) -> None:
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id in self.callback_vars:
-                self._event("callback", func.id, node.lineno, held)
-            elif func.id in self.analyzer.module_funcs.get(self.summary.rel,
-                                                           ()):
+            if func.id in self.analyzer.module_funcs.get(self.summary.rel, ()):
                 self._event("call", func.id, node.lineno, held,
                             target=("F", self.summary.rel, func.id))
-            return
-        if isinstance(func, ast.Subscript):
-            parts = _attr_chain(func.value)
-            if parts and self.policy.is_callback_name(parts[-1]):
-                self._event("callback", parts[-1], node.lineno, held)
             return
         if not isinstance(func, ast.Attribute):
             return
@@ -556,8 +513,6 @@ class _SummaryBuilder:
                         target=("C", target_cls, meth))
             if meth.endswith("_locked"):
                 self._check_locked_helper(target_cls, meth, node.lineno, held)
-        elif receiver == "self" and self.policy.is_callback_name(meth):
-            self._event("callback", meth, node.lineno, held)
 
     def _check_locked_helper(self, target_cls, meth, line, held) -> None:
         if self.single_threaded:
@@ -575,26 +530,6 @@ class _SummaryBuilder:
                 data={"helper": f"{target_cls}.{meth}",
                       "required": sorted(need)},
             )
-
-    # ----------------------------------------------------- callback locals
-
-    def _track_for_callbacks(self, node: ast.For) -> None:
-        parts = _attr_chain(node.iter)
-        if parts is None or not self.policy.is_callback_name(parts[-1]):
-            return
-        if isinstance(node.target, ast.Name):
-            self.callback_vars.add(node.target.id)
-
-    def _track_assign_callbacks(self, node: ast.Assign) -> None:
-        value = node.value
-        if isinstance(value, ast.Subscript):
-            value = value.value
-        parts = _attr_chain(value)
-        if parts is None or not self.policy.is_callback_name(parts[-1]):
-            return
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self.callback_vars.add(target.id)
 
     # ------------------------------------------------------- guarded state
 
@@ -647,7 +582,7 @@ def static_lock_graph(root: Optional[str] = None,
                       policy: Optional[ConcurrencyPolicy] = None) -> set:
     """Every statically-possible ``(held, acquired)`` edge under ``root``.
 
-    The chaos memory-pressure scenario asserts the runtime witness's
+    Every chaos scenario's teardown audit asserts the runtime witness's
     observed edges are a subset of this graph, so a resolution gap in the
     static analysis shows up as a failing cross-check instead of staying
     invisible.

@@ -1,28 +1,16 @@
-"""Finding objects and their renderings.
+"""Finding objects and their rendering.
 
 Every analysis rule — plan-semantics rules over :class:`~repro.plan.physical.PlanOp`
 trees and engine-contract rules over the source tree — reports through the
 same structured :class:`Finding` record, so downstream consumers (the CLI,
-CI, the strict-mode driver) handle one shape.  Two renderings exist,
-mirroring the :mod:`repro.obs` conventions: machine-readable JSONL (one
-object per line, non-finite floats stringified) and aligned human text.
+CI, the strict-mode driver) handle one shape.  There is one severity: a
+finding fails its gate, or it is not reported.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
-
-#: Severity levels, most severe first.
-ERROR = "error"
-WARN = "warn"
-INFO = "info"
-
-SEVERITIES = (ERROR, WARN, INFO)
-
-_SEVERITY_RANK = {severity: rank for rank, severity in enumerate(SEVERITIES)}
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -31,11 +19,10 @@ class Finding:
 
     Plan findings carry ``op_id``/``op_kind``; source findings carry
     ``file``/``line``.  ``rule`` is the stable registry id the finding can
-    be suppressed or asserted by.
+    be asserted by.
     """
 
     rule: str
-    severity: str
     message: str
     op_id: Optional[int] = None
     op_kind: Optional[str] = None
@@ -43,10 +30,6 @@ class Finding:
     line: Optional[int] = None
     #: Free-form structured context (estimates, bounds, names).
     data: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
 
     @property
     def where(self) -> str:
@@ -57,49 +40,12 @@ class Finding:
             return f"{self.op_kind or 'op'}#{self.op_id if self.op_id is not None else '?'}"
         return "-"
 
-    def to_dict(self) -> dict:
-        record: dict[str, Any] = {
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
-        if self.op_id is not None:
-            record["op_id"] = self.op_id
-        if self.op_kind is not None:
-            record["op_kind"] = self.op_kind
-        if self.file is not None:
-            record["file"] = self.file
-        if self.line is not None:
-            record["line"] = self.line
-        if self.data:
-            record["data"] = {k: _jsonable(v) for k, v in sorted(self.data.items())}
-        return record
-
-
-def _jsonable(value: Any) -> Any:
-    """Strict-JSON projection (same policy as the obs trace export)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in sorted(value, key=str)] if isinstance(
-            value, (set, frozenset)
-        ) else [_jsonable(v) for v in value]
-    return value
-
-
-def severity_rank(severity: str) -> int:
-    """0 for error, 1 for warn, 2 for info (sortable, lower = worse)."""
-    return _SEVERITY_RANK[severity]
-
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
-    """Stable order: severity first, then rule id, then location."""
+    """Stable order: rule id, then location."""
     return sorted(
         findings,
         key=lambda f: (
-            severity_rank(f.severity),
             f.rule,
             f.file or "",
             f.line if f.line is not None else -1,
@@ -108,39 +54,16 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     )
 
 
-def count_by_severity(findings: Iterable[Finding]) -> dict[str, int]:
-    counts = {severity: 0 for severity in SEVERITIES}
-    for finding in findings:
-        counts[finding.severity] += 1
-    return counts
-
-
-def has_errors(findings: Iterable[Finding]) -> bool:
-    return any(f.severity == ERROR for f in findings)
-
-
-def render_jsonl(findings: Iterable[Finding]) -> str:
-    """One JSON object per finding, in sorted order."""
-    return "\n".join(
-        json.dumps(f.to_dict(), default=str) for f in sort_findings(findings)
-    )
-
-
 def render_text(findings: Iterable[Finding]) -> str:
-    """Aligned human-readable listing with a one-line summary tail."""
+    """Aligned human-readable listing with a one-line count tail."""
     ordered = sort_findings(findings)
     if not ordered:
         return "no findings"
     loc_width = max(len(f.where) for f in ordered)
     rule_width = max(len(f.rule) for f in ordered)
     lines = [
-        f"{f.severity.upper():5s}  {f.where.ljust(loc_width)}  "
-        f"{f.rule.ljust(rule_width)}  {f.message}"
+        f"{f.where.ljust(loc_width)}  {f.rule.ljust(rule_width)}  {f.message}"
         for f in ordered
     ]
-    counts = count_by_severity(ordered)
-    summary = ", ".join(
-        f"{counts[severity]} {severity}" for severity in SEVERITIES if counts[severity]
-    )
-    lines.append(f"{len(ordered)} finding(s): {summary}")
+    lines.append(f"{len(ordered)} finding(s)")
     return "\n".join(lines)

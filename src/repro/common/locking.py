@@ -49,7 +49,8 @@ spill bookkeeping is a leaf — it must never call back into obs or the
 governor while locked (the analyzer enforces this: ``SpillManager``
 takes its metrics/meter charges *outside* its lock).
 
-Three further disciplines ride on the same declaration:
+Three further disciplines ride on the same declaration (the analyzer
+checks the first two):
 
 * **guarded state** — mutable attributes of the shared classes carry a
   ``# guarded-by: <lock-attr>`` comment; the analyzer flags any access
@@ -57,10 +58,11 @@ Three further disciplines ride on the same declaration:
   the documented "caller holds the lock" naming convention);
 * **no waits while holding** — ``Condition.wait`` may not be reachable
   while any *other* policy lock is held;
-* **no callbacks under locks** — user/operator callbacks (``on_*``
-  attributes, ``*_callbacks`` / ``*_hooks`` registries) are never
+* **no callbacks under locks** — user/operator callbacks are never
   invoked with a policy lock held; collect them under the lock,
   dispatch after release (see ``TransactionManager._notify_invalidation``).
+  The runtime witness holds this one: a callback under a lock shows as
+  an acquisition edge the static graph does not have.
 
 A finding can be waived on its line with ``# concurrency-ok: <reason>``;
 the reason is mandatory and CI reviewers treat waivers as diffs to argue
@@ -78,7 +80,6 @@ __all__ = [
     "LockSpec",
     "LOCK_ORDER",
     "RECEIVER_HINTS",
-    "CALLBACK_ATTR_PATTERN",
     "WAIVER_TOKEN",
     "lock_rank",
     "LockOrderWitness",
@@ -95,9 +96,6 @@ WITNESS_ENV = "REPRO_LOCK_WITNESS"
 
 #: Line-comment token that waives a concurrency finding (reason required).
 WAIVER_TOKEN = "# concurrency-ok:"
-
-#: Attribute names whose *invocation* counts as a user/operator callback.
-CALLBACK_ATTR_PATTERN = r"^on_[a-z0-9_]+$|_?callbacks?$|_hooks?$"
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,11 @@ class LockOrderWitness:
     Wrap each shared lock with :meth:`wrap` (or construct it through
     :func:`maybe_witness`); whenever a thread acquires lock ``B`` while
     already holding lock ``A``, the ordered edge ``(A, B)`` is recorded.
-    The chaos memory-pressure scenario cross-checks the recorded edges
-    against the static analyzer's lock graph: an observed edge the static
-    graph does not contain is a static-analysis false negative, surfaced
-    as a test failure instead of staying invisible.
+    Every chaos scenario's teardown audit (``Baseline.audit`` in
+    :mod:`repro.common.chaosutil`) cross-checks the recorded edges against
+    the static analyzer's lock graph: an observed edge the static graph
+    does not contain is a static-analysis false negative, surfaced as a
+    failed run instead of staying invisible.
     """
 
     def __init__(self) -> None:

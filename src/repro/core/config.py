@@ -176,10 +176,9 @@ class PopConfig:
     #: :func:`repro.cache.cache_usable`).
     plan_cache: bool = True
     #: Strict analysis: run the plan-semantics linter (:mod:`repro.analysis`)
-    #: on every plan the driver is about to execute — including re-optimized
-    #: plans, where feedback consistency is also audited — and fail the
-    #: statement on error-severity findings.  Defaults from the
-    #: ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
+    #: on every plan the driver is about to execute — first, cached and
+    #: re-optimized — and fail the statement on any finding.  Defaults from
+    #: the ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
     strict_analysis: bool = field(default_factory=_default_strict_analysis)
     #: The statement's wall-clock deadline; ``None`` (the default) runs
     #: without one.

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Optional
 
-from repro.analysis.plan_lint import LintContext, assert_plan_clean
+from repro.analysis.plan_lint import assert_plan_clean
 from repro.common.errors import TIMEOUT, ExecutionError, ReproError, failure_class
 from repro.core.config import NO_POP, PopConfig
 from repro.core.feedback import CardinalityFeedback
@@ -485,7 +485,8 @@ class PopDriver:
             cached=cached,
         )
         if sc.config.strict_analysis:
-            self._lint_attempt_plan(sc, planned)
+            # Raises PlanLintError on any finding.
+            assert_plan_clean(plan, where=f"attempt {sc.attempt} plan")
         return planned
 
     def _optimize_and_place(self, sc: StatementContext, span) -> tuple[PlanOp, int]:
@@ -553,39 +554,6 @@ class PopDriver:
                 ),
             )
         return lookup if lookup.hit else None
-
-    def _lint_attempt_plan(
-        self, sc: StatementContext, planned: PlannedAttempt
-    ) -> None:
-        """Strict mode: lint the plan this attempt is about to execute.
-
-        Raises :class:`repro.analysis.PlanLintError` on error-severity
-        findings; warn/info findings flow to tracing.  Re-optimized plans
-        (attempt > 0) are additionally checked for consistency with the
-        exact feedback harvested so far.
-        """
-        attempt = sc.attempt
-        context = LintContext(
-            catalog=self.optimizer.catalog,
-            temp_mvs=sc.temp_mvs,
-            cost_model=self.optimizer.cost_model,
-            config=sc.config,
-            feedback=sc.feedback if attempt > 0 else None,
-        )
-        findings = assert_plan_clean(
-            planned.plan, context, where=f"attempt {attempt} plan"
-        )
-        for finding in findings:
-            if sc.tracer is not None:
-                sc.tracer.event(
-                    "analysis.finding", attempt=attempt, **finding.to_dict()
-                )
-            if sc.metrics is not None:
-                sc.metrics.inc(
-                    "analysis.findings",
-                    rule=finding.rule,
-                    severity=finding.severity,
-                )
 
     @staticmethod
     def _wrap_compensation(plan: PlanOp) -> PlanOp:

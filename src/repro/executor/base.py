@@ -195,8 +195,7 @@ class ExecutionContext:
         """Delete every spill file of this attempt (idempotent).
 
         Called from ``run_plan``'s ``finally`` block — the success path
-        and every abort path release their disk footprint here (contract
-        rule ``spill-lifecycle``)."""
+        and every abort path release their disk footprint here."""
         if self._spill is not None:
             self._spill.close_all()
 
@@ -333,8 +332,7 @@ class Operator:
         made as one ``n × per-row`` bulk charge per batch, and a consumer
         that must not over-pull (a CHECK about to cross its bound, a LIMIT,
         a nested-loop outer) caps its request (see docs/vectorized.md).
-        Rows are returned via :meth:`emit_batch` (contract rule
-        ``batch-contract``).
+        Rows are returned via :meth:`emit_batch`.
         """
         raise NotImplementedError
 

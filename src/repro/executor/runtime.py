@@ -133,7 +133,7 @@ def run_plan(
         finally:
             # Spill files are attempt-scoped: success and every abort path
             # (signal, error, cancel, timeout — even a failing close above)
-            # release them here (contract rule ``spill-lifecycle``).
+            # release them here.
             ctx.release_spill()
         if completed and close_failure is not None:
             raise close_failure

@@ -31,7 +31,7 @@ rounding, which is the invariant the profile-smoke CI step cross-checks
 against the :class:`~repro.executor.meter.WorkMeter` (within 1%).
 
 Wall time uses :func:`repro.obs.trace.wall_clock`, the single sanctioned
-clock source (contract rule ``profile-exclusive-time``); work units come
+clock source; work units come
 from the deterministic meter, so unit profiles are reproducible while wall
 profiles reflect the host.
 """

@@ -18,11 +18,6 @@ Two classes:
   else), feeds the ``governor.spill_*`` metrics, and guarantees cleanup:
   ``close_all()`` runs in the executor's ``finally`` block, on success and
   abort paths alike.
-
-The ``spill-lifecycle`` contract rule (:mod:`repro.analysis.contract`)
-enforces the lifecycle statically: spill files may only be constructed
-through a manager, and ``run_plan`` must release the manager in a
-``finally`` block.
 """
 
 from __future__ import annotations
@@ -47,10 +42,9 @@ BATCH_ROWS = 512
 class SpillFile:
     """One spill file: write rows in order, then stream them back.
 
-    Instances are created by :meth:`SpillManager.create` only (contract
-    rule ``spill-lifecycle``); the manager charges I/O and guarantees the
-    file is closed and deleted when the execution attempt ends, whichever
-    way it ends.
+    Instances are created by :meth:`SpillManager.create` only; the
+    manager charges I/O and guarantees the file is closed and deleted when
+    the execution attempt ends, whichever way it ends.
     """
 
     def __init__(self, manager: "SpillManager", path: str, category: str, label: str):

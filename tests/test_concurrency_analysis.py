@@ -9,6 +9,7 @@ runtime graph back to the static one.
 import textwrap
 import threading
 
+from repro.analysis import render_text
 from repro.analysis.concurrency import (
     ConcurrencyPolicy,
     check_concurrency_module,
@@ -126,65 +127,6 @@ def test_wait_while_holding_flagged():
     assert findings[0].data["held"] == ["beta"]
 
 
-def test_callback_under_lock_flagged():
-    findings = check(
-        """
-        class Alpha:
-            def __init__(self):
-                self._lock = object()
-                self._hooks = []
-
-            def fire(self):
-                with self._lock:
-                    for hook in self._hooks:
-                        hook(self)
-        """
-    )
-    assert codes(findings) == ["cc-callback-under-lock"]
-    assert findings[0].data["held"] == ["alpha"]
-
-
-def test_callback_reached_through_call_chain():
-    # The violation is two calls below the with-block: requires the
-    # worklist propagation, not just the lexical pass.
-    findings = check(
-        """
-        class Alpha:
-            def __init__(self):
-                self._lock = object()
-                self._callbacks = []
-
-            def outer(self):
-                with self._lock:
-                    self.middle()
-
-            def middle(self):
-                self.inner()
-
-            def inner(self):
-                for cb in self._callbacks:
-                    cb()
-        """
-    )
-    assert codes(findings) == ["cc-callback-under-lock"]
-
-
-def test_on_attribute_invocation_is_a_callback():
-    findings = check(
-        """
-        class Alpha:
-            def __init__(self):
-                self._lock = object()
-                self.on_change = None
-
-            def mutate(self):
-                with self._lock:
-                    self.on_change(self)
-        """
-    )
-    assert codes(findings) == ["cc-callback-under-lock"]
-
-
 def test_unguarded_state_flagged():
     findings = check(
         """
@@ -290,6 +232,103 @@ def test_clean_fixture_has_zero_findings():
     assert findings == []
 
 
+# ------------------------------------------- catch-table mutants, unique
+# Each defect of docs/static_analysis.md's catch table that only one cc-*
+# check catches, in the shape it takes in the engine, under the production
+# policy (repro.common.locking's ranks and receiver hints).
+
+
+def production(source: str, filename: str):
+    return check_concurrency_module(textwrap.dedent(source), filename)
+
+
+def test_mutant_26_metrics_bumped_under_the_spill_lock():
+    """A spill-file counter bumped inside ``SpillManager``'s lock takes
+    obs.metrics (rank 4) under spill (rank 6).  The runtime witness misses
+    it: it only checks observed edges against the static graph, which then
+    holds the inverted edge."""
+    findings = production(
+        """
+        class MetricsRegistry:
+            def inc(self, name, **labels):
+                with self._lock:
+                    pass
+
+        class SpillManager:
+            def create(self, category):
+                with self._lock:
+                    self._seq += 1
+                    if self.metrics is not None:
+                        self.metrics.inc("governor.spill_files", category=category)
+        """,
+        "storage/spill.py",
+    )
+    assert codes(findings) == ["cc-lock-order"]
+    assert findings[0].data == {"acquiring": "obs.metrics", "holding": "spill"}
+
+
+def test_mutant_27_wal_admission_under_the_epoch_lock():
+    """Admitting the WAL buffer inside the epoch lock sleeps on the
+    governor's condition with txn.epoch held."""
+    findings = production(
+        """
+        class MemoryGovernor:
+            def admit(self, pages, label="stmt"):
+                with self._cond:
+                    self._cond.wait(0.1)
+
+        class TransactionManager:
+            def commit(self, txn, governor):
+                with self._epoch_lock:
+                    reservation = governor.admit(1.0, label="txn.wal")
+                return reservation
+        """,
+        "txn/manager.py",
+    )
+    assert codes(findings) == ["cc-wait-holding"]
+    assert findings[0].data == {"waiting_on": "governor", "held": ["txn.epoch"]}
+
+
+SPILL_COUNTER = """
+    class SpillManager:
+        def __init__(self):
+            self.rows_read_back = 0  # guarded-by: {guard}
+
+        def _note_read(self, spill, row_count):
+            self.rows_read_back += row_count
+"""
+
+
+def test_mutant_29_spill_counter_updated_outside_its_lock():
+    findings = production(SPILL_COUNTER.format(guard="_lock"), "storage/spill.py")
+    assert codes(findings) == ["cc-unguarded-state"]
+    assert findings[0].data == {"attr": "rows_read_back", "guard": "spill"}
+
+
+def test_mutant_31_misspelt_guard_annotation():
+    """With the guard misspelt the counter is unguarded as far as the
+    analyzer knows, so the annotation check is the only one left."""
+    findings = production(SPILL_COUNTER.format(guard="_lokc"), "storage/spill.py")
+    assert codes(findings) == ["cc-annotation"]
+    assert findings[0].data["annotation"] == "_lokc"
+
+
+def test_mutant_30_locked_helper_called_without_the_condition():
+    findings = production(
+        """
+        class MemoryGovernor:
+            def used_pages(self):
+                return self._used_locked()
+
+            def _used_locked(self):
+                return 0.0
+        """,
+        "governor/__init__.py",
+    )
+    assert codes(findings) == ["cc-locked-helper"]
+    assert findings[0].data["required"] == ["governor"]
+
+
 # ----------------------------------------------------- gate & real tree
 
 
@@ -329,7 +368,7 @@ def test_repo_tree_is_clean():
     findings = [
         f for f in run_concurrency_checks() if f.rule.startswith("cc-")
     ]
-    assert findings == [], [str(f.to_dict()) for f in findings]
+    assert findings == [], render_text(findings)
 
 
 def test_static_lock_graph_contains_governor_obs_edges():

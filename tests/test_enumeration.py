@@ -194,6 +194,23 @@ class TestMVCandidates:
         )
         assert len(result) == joined
 
+    def test_mv_filtered_beyond_the_query_is_not_reused(self, star_db):
+        """An MV that applied a predicate the query does not have holds too
+        few rows for it, so it is no candidate (catch-table mutant 15 drops
+        this guard; no plan of the engine's own registers such an MV)."""
+        seg = Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))
+        extra = Comparison(ColumnRef("c", "c_nation"), "=", Literal(3))
+        query = two_table_query(local=[seg])
+        temp_mvs = TempMVRegistry()
+        temp_mvs.register(
+            tables=frozenset({"c"}),
+            predicate_ids=predicate_set_id([seg, extra]),
+            columns=("c.c_id", "c.c_segment", "c.c_nation"),
+            rows=[],
+        )
+        plan = star_db.optimizer.optimize(query, temp_mvs=temp_mvs).plan
+        assert not find_ops(plan, MVScan)
+
     def test_mvs_come_only_from_the_registry_passed(self, star_db):
         """The safe plan ignores temp MVs by passing no registry."""
         query = two_table_query(

@@ -73,9 +73,9 @@ def lint_spy(monkeypatch):
     calls = []
     real = driver_module.assert_plan_clean
 
-    def spy(plan, context=None, where="plan"):
+    def spy(plan, where="plan"):
         calls.append(where)
-        return real(plan, context, where=where)
+        return real(plan, where=where)
 
     monkeypatch.setattr(driver_module, "assert_plan_clean", spy)
     return calls

@@ -2,8 +2,8 @@
 
 Join nodes carry the enumerator's cost description (``JoinOp.cost_desc``),
 and every other operator's formula follows from its kind, so ``recost``
-replays the optimizer's own arithmetic.  The robustness map and the
-``cost-monotone`` lint both price plans through it.
+replays the optimizer's own arithmetic.  The robustness map prices plans
+through it.
 
 * (a) At the estimates every node recosts to its ``est_cost`` with ``==``:
   every node of the TPC-H and DMV optimizer plans, and every node of each

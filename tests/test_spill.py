@@ -733,35 +733,6 @@ class TestSpillLifecycle:
             mgr.close_all()
             os.rmdir(foreign)
 
-    def test_contract_rule_flags_unmanaged_spill_files(self):
-        from repro.analysis.contract import check_module
-
-        findings = check_module(
-            "from repro.storage.spill import SpillFile\n"
-            "f = SpillFile(mgr, '/tmp/x', 'sort', 'rogue')\n",
-            "executor/rogue.py",
-        )
-        assert any(f.rule == "spill-lifecycle" for f in findings)
-
-    def test_contract_rule_requires_release_in_finally(self):
-        from repro.analysis.contract import check_module
-
-        findings = check_module(
-            "def run_plan(plan, ctx):\n"
-            "    rows = []\n"
-            "    ctx.release_spill()\n"
-            "    return rows\n",
-            "executor/runtime.py",
-        )
-        assert any(f.rule == "spill-lifecycle" for f in findings)
-
-    def test_contract_rule_passes_live_tree(self):
-        from repro.analysis.contract import run_contract_checks
-
-        assert [
-            f for f in run_contract_checks() if f.rule == "spill-lifecycle"
-        ] == []
-
 
 class TestDegradedWidthInvariance:
     """Spilling operators must produce the same rows *and* the same

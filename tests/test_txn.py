@@ -357,6 +357,26 @@ class TestInvalidationCoalescing:
         db.commit()
         assert calls == [["t"]]  # exactly once, at the commit boundary
 
+    def test_invalidation_callbacks_run_outside_the_epoch_lock(self):
+        """A callback may take locks ranked after txn.epoch (the plan
+        cache's does), so commit dispatches it only after releasing the
+        epoch lock (catch-table row 28 of docs/static_analysis.md)."""
+        db = fresh_db()
+        manager = db.enable_transactions()
+        held = []
+
+        def callback(tables):
+            free = manager._epoch_lock.acquire(blocking=False)
+            if free:
+                manager._epoch_lock.release()
+            held.append(not free)
+
+        manager.add_invalidation_callback(callback)
+        txn = manager.begin()
+        manager.stage(txn, "t", [(10, "new")])
+        manager.commit(txn)
+        assert held == [False]
+
     def test_legacy_path_invalidates_per_insert(self):
         db = fresh_db()
         cache = db.enable_plan_cache()
