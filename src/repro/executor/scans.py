@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Optional
 
 from repro.common.errors import ExecutionError
@@ -93,7 +94,7 @@ class IndexScanExec(Operator):
                 break
         if self.index is None:
             raise ExecutionError(f"index {plan.index_name!r} not found")
-        self._rids: list[int] = []
+        self._rids: Sequence[int] = []
         self._pos = 0
         self._scan = None
         self.probes = 0  #: index probes issued (1 sarg, or 1 per probe key)
@@ -129,7 +130,7 @@ class IndexScanExec(Operator):
                 * self.ctx.cost_params.io_page
             )
 
-    def _rids_for_sarg(self) -> list[int]:
+    def _rids_for_sarg(self) -> Sequence[int]:
         sarg = self.plan.sarg
         if sarg is None:
             raise ExecutionError("sarg-mode index scan without a sarg")
@@ -176,7 +177,7 @@ class IndexScanExec(Operator):
         groups: list[list[tuple]] = []
         found: list[tuple] = []
         scanned = pos = 0
-        rids: list[int] = []
+        rids: Sequence[int] = []
         last = len(keys) - 1
         for i, key in enumerate(keys):
             rids = lookup(key)

@@ -16,9 +16,11 @@ and audit the robustness contract the tentpole promises:
     classified error and a hangup; *semantic* protocol errors (unknown
     op, bad SQL) keep the connection alive.
 ``overload``
-    A connection storm against tight session/queue limits; every client
-    either succeeds with oracle rows or is shed with a classified
-    ``overloaded`` — never hung, never given wrong rows.
+    A connection storm against tight session/queue limits, all connected
+    at once: exactly the clients over the session limit are refused as
+    ``overloaded``, and every admitted statement either succeeds with
+    oracle rows or is shed as ``overloaded`` — never hung, never given
+    wrong rows.
 ``killspill``
     One session kills another mid-spilling-query; the victim's statement
     dies as ``cancelled`` but its *session* survives and serves the next
@@ -32,7 +34,8 @@ directories, the process thread count back to its baseline, and (when
 static lock graph with no wait-while-holding violations.
 
 All five run through ``python -m repro.chaos`` (see :mod:`repro.chaos`);
-CI runs them with two fixed seeds and killspill over ten more.
+CI runs them with two fixed seeds, and overload and killspill over ten
+more each.
 """
 
 from __future__ import annotations
@@ -308,9 +311,15 @@ def run_malformed(seed: int) -> ScenarioOutcome:
 
 
 def run_overload(seed: int, clients: int = 10) -> ScenarioOutcome:
-    """Storm vs tight limits: every client succeeds exactly or is shed."""
+    """Storm vs tight limits: every client succeeds exactly or is shed.
+
+    Every client holds at a barrier once it is connected or refused, so all
+    ``clients`` connections are open at once however the threads are
+    scheduled: exactly ``clients - max_sessions`` are refused at accept.
+    """
+    max_sessions = 4
     h = _Harness(
-        max_sessions=4,
+        max_sessions=max_sessions,
         workers=2,
         max_pending_statements=2,
         statement_timeout_seconds=120.0,
@@ -321,24 +330,33 @@ def run_overload(seed: int, clients: int = 10) -> ScenarioOutcome:
         HEAVY_QUERIES[rng.randrange(len(HEAVY_QUERIES))]
         for _ in range(clients)
     ]
-    counts = {"ok": 0, "shed": 0}
+    counts = {"refused": 0, "ok": 0, "shed": 0}
     problems: list = []
     lock = threading.Lock()
+    # Bounds the wait, so a client that fails to connect cannot hang the rest.
+    all_connected = threading.Barrier(clients, timeout=60.0)
 
     def worker(tid: int, name: str, sql: str) -> None:
         try:
             cli = h.client()
         except OSError as exc:
+            all_connected.abort()
             with lock:
                 problems.append(f"storm client {tid}: connect failed: {exc}")
             return
         try:
+            try:
+                all_connected.wait()
+            except threading.BrokenBarrierError:
+                with lock:
+                    problems.append(f"storm client {tid}: storm never all connected")
+                return
             if cli.session_id is None:
                 # Refused at accept — must be a classified shed.
                 greeting = cli.greeting or {}
                 if greeting.get("error_class") == "overloaded":
                     with lock:
-                        counts["shed"] += 1
+                        counts["refused"] += 1
                 else:
                     with lock:
                         problems.append(
@@ -377,14 +395,20 @@ def run_overload(seed: int, clients: int = 10) -> ScenarioOutcome:
     run_together(
         "storm", [partial(worker, tid, *picks[tid]) for tid in range(clients)]
     )
+    if counts["refused"] != clients - max_sessions:
+        problems.append(
+            f"{counts['refused']} of {clients} clients refused at accept, "
+            f"expected {clients - max_sessions}"
+        )
     if counts["ok"] == 0:
         problems.append("storm produced zero successful statements")
-    if counts["shed"] == 0:
-        problems.append("storm produced zero sheds — limits not exercised")
     h.finish(problems)
     return ScenarioOutcome(
         "overload", seed, not problems, problems,
-        detail=f"clients={clients} ok={counts['ok']} shed={counts['shed']}",
+        detail=(
+            f"clients={clients} refused={counts['refused']} "
+            f"ok={counts['ok']} shed={counts['shed']}"
+        ),
     )
 
 

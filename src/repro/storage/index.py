@@ -7,10 +7,17 @@ Two index kinds are modeled:
 * :class:`SortedIndex` — a sorted ``(key, rid)`` array probed with binary
   search; supports range scans and provides an ordering (making index scans a
   source of *interesting orders* for the optimizer, as in System R).  It is
-  built as parallel ``keys`` / ``rids`` lists: the column is taken once with
-  ``itemgetter``, the non-NULL rids are sorted with the column as the key
-  (a stable sort, so equal keys stay in rid order: exactly the order of
+  built as parallel ``keys`` / ``rids`` sequences: the column is taken once
+  with ``itemgetter``, the non-NULL rids are sorted with the column as the
+  key (a stable sort, so equal keys stay in rid order: exactly the order of
   sorted ``(key, rid)`` pairs), and the keys are read back in that order.
+
+Row ids are stored as 8-byte machine words, an ``array("q")`` (the sorted
+index's one rid array, or one per hash bucket), not as a list of ``int``
+objects: an entry costs its key pointer and 8 bytes instead of a list slot
+plus a 32-byte ``int``.  Keys stay a list, so ``bisect`` keeps its C fast
+path.  ``lookup`` and ``range_scan`` return the stored array or a slice of
+it; readers index and iterate it like a list.
 
 Both index kinds ignore NULL keys, matching SQL semantics where ``col = x``
 never matches NULL.
@@ -30,8 +37,10 @@ maintenance must copy on write: build the new bucket, then publish it.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from operator import itemgetter
 from typing import Any, Optional
 
@@ -56,7 +65,7 @@ class Index:
     def rebuild(self) -> None:
         raise NotImplementedError
 
-    def lookup(self, key: Any) -> list[int]:
+    def lookup(self, key: Any) -> Sequence[int]:
         """Rids of rows whose indexed column equals ``key``."""
         raise NotImplementedError
 
@@ -77,7 +86,7 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality-only index: key -> list of rids."""
+    """Equality-only index: key -> ``array("q")`` of rids."""
 
     def __init__(self, name: str, table: Table, column: str):
         super().__init__(name, table, column)
@@ -92,10 +101,10 @@ class HashIndex(Index):
                 continue
             buckets.setdefault(key, []).append(rid)
         # Single assignment: concurrent probes see old or new, never partial.
-        self._published = buckets
+        self._published = {key: array("q", rids) for key, rids in buckets.items()}
         self._fan = None
 
-    def lookup(self, key: Any) -> list[int]:
+    def lookup(self, key: Any) -> Sequence[int]:
         if key is None:
             return []
         return self._published.get(key, [])
@@ -103,7 +112,7 @@ class HashIndex(Index):
     def distinct_keys(self) -> int:
         return len(self._published)
 
-    def _longest_rid_list(self, buckets: dict[Any, list[int]]) -> int:
+    def _longest_rid_list(self, buckets: dict[Any, array]) -> int:
         return max(map(len, buckets.values()), default=0)
 
 
@@ -127,10 +136,10 @@ class SortedIndex(Index):
         # Keys and rids are published as one tuple in a single assignment so
         # a concurrent probe never pairs new keys with old rids (or reads a
         # torn keys/rids pair mid-rebuild).
-        self._published = (list(map(column.__getitem__, rids)), rids)
+        self._published = (list(map(column.__getitem__, rids)), array("q", rids))
         self._fan = None
 
-    def lookup(self, key: Any) -> list[int]:
+    def lookup(self, key: Any) -> Sequence[int]:
         if key is None:
             return []
         keys, rids = self._published
@@ -143,7 +152,7 @@ class SortedIndex(Index):
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Rids with keys in the given (possibly open-ended) range, in key
         order."""
         keys, rids = self._published
@@ -155,5 +164,5 @@ class SortedIndex(Index):
             hi = bisect_right(keys, high) if high_inclusive else bisect_left(keys, high)
         return rids[lo:hi]
 
-    def _longest_rid_list(self, entries: tuple[list[Any], list[int]]) -> int:
+    def _longest_rid_list(self, entries: tuple[list[Any], array]) -> int:
         return max(Counter(entries[0]).values(), default=0)

@@ -81,7 +81,7 @@ class TestIndexes:
         catalog.create_index("ix", "t", "a", kind="hash")
         catalog.table("t").insert((1, "x"))
         catalog.rebuild_indexes("t")
-        assert catalog.index_on_column("t", "a").lookup(1) == [0]
+        assert list(catalog.index_on_column("t", "a").lookup(1)) == [0]
 
 
 class TestStatistics:

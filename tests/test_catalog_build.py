@@ -15,6 +15,8 @@ and no generator or coercion puts one in a column.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,12 @@ def sorted_index_over(column: list) -> SortedIndex:
     return SortedIndex("t_k", table, "k")
 
 
+def published_view(index: SortedIndex) -> tuple[list, list[int]]:
+    """The published ``(keys, rids)`` with the rid array read as a list."""
+    keys, rids = index._published
+    return keys, list(rids)
+
+
 def histogram_view(histogram: EquiDepthHistogram) -> tuple:
     return (
         histogram.total,
@@ -78,9 +86,9 @@ class TestSortedIndexRebuild:
         def check(column):
             index = sorted_index_over(column)
             expected = reference_sorted_index(index.table.rows, 0)
-            assert repr(index._published) == repr(expected)
+            assert repr(published_view(index)) == repr(expected)
             for key in set(column) - {None}:
-                assert index.lookup(key) == [rid for rid, k in enumerate(column) if k == key]
+                assert list(index.lookup(key)) == [rid for rid, k in enumerate(column) if k == key]
 
         check()
 
@@ -89,7 +97,7 @@ class TestSortedIndexRebuild:
     )
     def test_edge_columns(self, column):
         index = sorted_index_over(column)
-        assert repr(index._published) == repr(reference_sorted_index(index.table.rows, 0))
+        assert repr(published_view(index)) == repr(reference_sorted_index(index.table.rows, 0))
 
 
 class TestHistogramBuild:
@@ -184,6 +192,33 @@ def test_whole_catalog_equals_the_reference(make, runstats):
         for index in db.catalog.indexes_on(table.name):
             if isinstance(index, SortedIndex):
                 expected = reference_sorted_index(table.rows, index._col_pos)
-                assert index._published == expected, index.name
+                assert published_view(index) == expected, index.name
                 checked += 1
     assert checked > 0
+
+
+def test_tpch_indexes_store_rids_as_machine_words():
+    """Every index of the default TPC-H catalog publishes its rids as one
+    8-byte ``array`` equal to the reference, and a build retains at most 24
+    bytes per entry: a key pointer and an 8-byte rid.  A list of ``int``
+    objects held about 48 (a list slot plus a 32-byte ``int``)."""
+    db = make_tpch_db()
+    indexes = [ix for t in db.catalog.tables() for ix in db.catalog.indexes_on(t.name)]
+    assert len(indexes) == 17
+    for index in indexes:
+        assert isinstance(index, SortedIndex), index.name
+        rids = index._published[1]
+        assert rids.typecode == "q" and rids.itemsize == 8, index.name
+        assert published_view(index) == reference_sorted_index(
+            index.table.rows, index._col_pos
+        ), index.name
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = [SortedIndex(ix.name, ix.table, ix.column) for ix in indexes]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(ix._published[1]) for ix in built)
+    assert entries > 250_000
+    assert retained / entries <= 24, retained / entries

@@ -22,8 +22,8 @@ class TestHashIndex:
     def test_lookup_finds_all_duplicates(self):
         table = make_table([5, 3, 5, 7, 5])
         index = HashIndex("ix", table, "k")
-        assert index.lookup(5) == [0, 2, 4]
-        assert index.lookup(3) == [1]
+        assert list(index.lookup(5)) == [0, 2, 4]
+        assert list(index.lookup(3)) == [1]
 
     def test_lookup_missing_key(self):
         index = HashIndex("ix", make_table([1, 2]), "k")
@@ -40,7 +40,7 @@ class TestHashIndex:
         index = HashIndex("ix", table, "k")
         table.rows.append((1, "new"))
         index.rebuild()
-        assert index.lookup(1) == [0, 1]
+        assert list(index.lookup(1)) == [0, 1]
 
     def test_leaf_pages_positive(self):
         index = HashIndex("ix", make_table([1]), "k")

@@ -58,7 +58,7 @@ class TestRoundTrip:
         indexes = restored.catalog.indexes_on("t")
         assert {ix.name for ix in indexes} == {"ix_t_i", "ix_t_s"}
         sorted_ix = restored.catalog.index_on_column("t", "i")
-        assert sorted_ix.lookup(1) == [0]
+        assert list(sorted_ix.lookup(1)) == [0]
 
     def test_queries_work_after_load(self, tmp_path):
         original = make_db()
@@ -221,7 +221,7 @@ def durable_db(path: str) -> Database:
 
 def assert_indexed(db: Database) -> None:
     assert {ix.name for ix in db.catalog.indexes_on("t")} == {"ix_t_i", "ix_t_s"}
-    assert db.catalog.index_on_column("t", "i").lookup(250) == [250]
+    assert list(db.catalog.index_on_column("t", "i").lookup(250)) == [250]
     assert len(db.catalog.index_on_column("t", "s").lookup("s2")) == 60
     db.runstats()
     assert "IXSCAN" in db.explain("SELECT t.s FROM t WHERE t.i = 2")

@@ -52,7 +52,9 @@ from repro.core.driver import PopDriver
 from repro.executor.meter import WorkMeter
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import ALL_KINDS, MEM_SHRINK, FaultPlan, FaultSpec
-from tests.conftest import canonical
+from repro.optimizer.enumeration import OptimizerOptions
+from repro.workloads.tpch.queries import TPCH_QUERIES
+from tests.conftest import build_tpch_db, canonical
 from tests.reference import evaluate_reference
 
 #: The default budget admits every statement; one-page floors let a
@@ -171,6 +173,36 @@ def test_a_shrink_fires_at_the_same_grant_at_every_width(star_db, width):
     assert report.attempts[-1].reservation_pages == 1.0
     assert report.spill_pages == 564.625
     assert canonical(result.rows) == oracle_rows(star_db, SORT_SQL)
+
+
+def test_a_shrink_due_at_a_temp_grant_fires_there_not_at_a_sort_grant():
+    """Without hash joins (as Fig. 12 runs) Q10's governed grants are
+    sort, temp, sort, temp, sort.  A shrink due at grant 4 fires at the
+    TEMP above the merge join, and only that TEMP and the final SORT
+    spill.  A SORT that counted its own grant an extra time would move
+    the fault onto the sort grant before it and spill that sort too."""
+    db = build_tpch_db()
+    sql, no_hash = TPCH_QUERIES["Q10"], OptimizerOptions(enable_hash_join=False)
+    expected = canonical(db.execute(sql, optimizer_options=no_hash).rows)
+    db.enable_memory_governor(policy=ONE_PAGE_FLOORS)
+    tracer = Tracer()
+    result = db.execute(
+        sql,
+        optimizer_options=no_hash,
+        faults=FaultPlan([FaultSpec(MEM_SHRINK, trigger_at=4, payload=0.001)]),
+        tracer=tracer,
+    )
+    assert [e["attrs"]["category"] for e in tracer.events("governor.grant")] == [
+        "sort", "temp", "sort", "temp", "sort",
+    ]
+    assert [
+        (e["attrs"]["at"], e["attrs"]["category"])
+        for e in tracer.events("fault.injected")
+    ] == [(4, "temp")]
+    (attempt,) = result.report.attempts
+    spilled = [(r.kind, r.label) for r in attempt.record.walk() if r.spill_pages]
+    assert spilled == [("SORT", "SORT(revenue, c.c_custkey)"), ("TEMP", "TEMP")]
+    assert canonical(result.rows) == expected
 
 
 # ---------------------------------------------------- mem_shrink through driver

@@ -460,7 +460,7 @@ class TestCheckpoints:
         reopened = Database()
         reopened.enable_transactions(path=directory)
         assert [ix.name for ix in reopened.catalog.indexes_on("t")] == ["ix_t_i"]
-        assert reopened.catalog.index_on_column("t", "i").lookup(7) == [5]
+        assert list(reopened.catalog.index_on_column("t", "i").lookup(7)) == [5]
         reopened.close()
 
     def test_concurrent_ddl_and_commits_all_survive_recovery(self, tmp_path):
