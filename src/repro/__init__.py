@@ -20,7 +20,6 @@ Public API highlights:
   per-operator record (``report.attempts[i].record``) and its rendering.
 """
 
-from repro.analysis import Finding, PlanLintError, lint_plan
 from repro.core.config import NO_POP, MemoryPolicy, PopConfig, ResiliencePolicy
 from repro.core.database import Database, Result
 from repro.core.driver import PopDriver, PopReport
@@ -83,8 +82,5 @@ __all__ = [
     "explain_analyze",
     "DEFAULT_FLAVORS",
     "TABLE1",
-    "Finding",
-    "PlanLintError",
-    "lint_plan",
     "__version__",
 ]

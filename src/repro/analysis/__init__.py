@@ -6,9 +6,9 @@ Three faces:
   list of rules over physical plan trees (today: the ordering claims the
   enumerator's merge-join admission and final-sort elision rely on);
 * the **engine contract checker** (:mod:`repro.analysis.contract`) — an
-  ``ast``-based lint of the ``repro`` source tree enforcing three source
-  contracts no test observes (``close()`` safety, fault isolation, no
-  float equality in cost and cache arithmetic);
+  ``ast``-based lint of the ``repro`` source tree enforcing two source
+  contracts no test observes (``close()`` safety, no float equality in
+  cost and cache arithmetic);
 * the **concurrency contract analyzer** (:mod:`repro.analysis.concurrency`)
   — lock-order, wait-while-holding, guarded-state and locked-helper
   verification against the policy declared in :mod:`repro.common.locking`
@@ -20,8 +20,7 @@ The two source-tree faces read and parse the tree through one pass
 (:func:`repro.analysis.contract.read_source_tree`).  ``python -m
 repro.analysis`` runs the contract checker (plus, on request, the plan
 linter over every workload plan) and exits non-zero on any finding; the
-CLI's ``\\lint`` and the strict mode of :class:`~repro.core.driver.PopDriver`
-reuse the same rules.
+CLI's ``\\lint`` reuses the same rules.
 """
 
 from repro.analysis.concurrency import (
@@ -29,29 +28,19 @@ from repro.analysis.concurrency import (
     ConcurrencyPolicy,
     check_concurrency_module,
     run_concurrency_checks,
-    static_lock_graph,
 )
 from repro.analysis.findings import Finding, render_text, sort_findings
-from repro.analysis.plan_lint import (
-    PLAN_RULES,
-    PlanLintError,
-    assert_plan_clean,
-    lint_plan,
-    lint_statement,
-)
+from repro.analysis.plan_lint import PLAN_RULES, lint_plan, lint_statement
 
 __all__ = [
     "Finding",
     "render_text",
     "sort_findings",
-    "PlanLintError",
     "PLAN_RULES",
     "lint_plan",
     "lint_statement",
-    "assert_plan_clean",
     "CONCURRENCY_RULES",
     "ConcurrencyPolicy",
     "check_concurrency_module",
     "run_concurrency_checks",
-    "static_lock_graph",
 ]

@@ -30,14 +30,8 @@ stack) and then propagates entry held-sets over the heuristic call graph
 with a worklist, so a wait three calls below a ``with self._cond:`` block
 is still caught.  Receivers are resolved by
 the ``(class, attribute)`` pairs of the policy locks plus the
-``RECEIVER_HINTS`` naming conventions — deliberately heuristic, precise
-enough for this codebase, and cross-checked at runtime: the opt-in
-lock-order witness (``REPRO_LOCK_WITNESS=1``) records the acquisition
-edges that actually happen under the chaos scenarios, and every
-scenario's teardown audit asserts each observed edge is present in
-:func:`static_lock_graph`, so false negatives surface as failed runs.
-
-A finding can be waived on its line with ``# concurrency-ok: <reason>``.
+``RECEIVER_HINTS`` naming conventions — deliberately heuristic, and
+precise enough for this codebase.
 """
 
 from __future__ import annotations
@@ -48,12 +42,7 @@ from typing import Iterable, Optional
 
 from repro.analysis.contract import SourceTree, parse_sources, read_source_tree
 from repro.analysis.findings import Finding
-from repro.common.locking import (
-    LOCK_ORDER,
-    RECEIVER_HINTS,
-    WAIVER_TOKEN,
-    LockSpec,
-)
+from repro.common.locking import LOCK_ORDER, RECEIVER_HINTS, LockSpec
 
 __all__ = [
     "CONCURRENCY_RULES",
@@ -61,7 +50,6 @@ __all__ = [
     "default_policy",
     "check_concurrency_module",
     "run_concurrency_checks",
-    "static_lock_graph",
 ]
 
 #: Comment token that attaches a guard annotation to an attribute.
@@ -106,7 +94,6 @@ class ConcurrencyPolicy:
 
     locks: tuple[LockSpec, ...] = LOCK_ORDER
     receiver_hints: dict = field(default_factory=lambda: dict(RECEIVER_HINTS))
-    waiver_token: str = WAIVER_TOKEN
 
     def __post_init__(self) -> None:
         self._by_cls_attr = {(s.cls, s.attr): s for s in self.locks}
@@ -181,18 +168,14 @@ def _attr_chain(node: ast.AST) -> Optional[list]:
 
 
 class _TreeAnalyzer:
-    """Whole-tree analysis state: class index, summaries, findings, edges."""
+    """Whole-tree analysis state: class index, summaries, findings."""
 
     def __init__(self, policy: Optional[ConcurrencyPolicy] = None):
         self.policy = policy if policy is not None else default_policy()
         self.classes: dict = {}  # class name -> _ClassInfo
         self.module_funcs: dict = {}  # rel -> set of top-level func names
-        self.waived: dict = {}  # rel -> set of waived line numbers
         self.summaries: dict = {}  # key -> _MethodSummary
         self.findings: list = []
-        #: (held, acquired) -> first (rel, line) site; legal edges included —
-        #: this is the static lock graph the runtime witness checks against.
-        self.edges: dict = {}
         self._emitted: set = set()
 
     # ---------------------------------------------------------------- run
@@ -201,11 +184,6 @@ class _TreeAnalyzer:
         self.findings.extend(source_tree.findings)
         for rel, tree in source_tree.trees.items():
             lines = source_tree.sources[rel].splitlines()
-            self.waived[rel] = {
-                i + 1
-                for i, text in enumerate(lines)
-                if self.policy.waiver_token in text
-            }
             self._index_module(rel, tree, lines)
         for rel, tree in source_tree.trees.items():
             self._summarize_module(rel, tree)
@@ -365,7 +343,6 @@ class _TreeAnalyzer:
                         data={"lock": lock},
                     )
                 continue
-            self.edges.setdefault((held, lock), (summary.rel, event.line))
             if self.policy.rank(held) >= self.policy.rank(lock):
                 self._emit(
                     "cc-lock-order",
@@ -381,8 +358,6 @@ class _TreeAnalyzer:
     # ------------------------------------------------------------ findings
 
     def _emit(self, rule, rel, line, message, data=None) -> None:
-        if line in self.waived.get(rel, ()):
-            return
         key = (rule, rel, line, message)
         if key in self._emitted:
             return
@@ -416,7 +391,6 @@ class _SummaryBuilder:
         self.policy = analyzer.policy
         self.summary = summary
         self.cls_info = analyzer.classes.get(summary.cls)
-        self.waived = analyzer.waived.get(summary.rel, set())
         if summary.name.endswith("_locked"):
             self.assumed = set(analyzer.class_lock_assumption(summary.cls))
         else:
@@ -519,7 +493,7 @@ class _SummaryBuilder:
             return
         need = self.analyzer.class_lock_assumption(target_cls)
         effective = set(held) | self.assumed
-        if need and need.isdisjoint(effective) and line not in self.waived:
+        if need and need.isdisjoint(effective):
             self.analyzer._emit(
                 "cc-locked-helper",
                 self.summary.rel,
@@ -542,7 +516,7 @@ class _SummaryBuilder:
         if guard is None:
             return
         effective = set(held) | self.assumed
-        if guard in effective or node.lineno in self.waived:
+        if guard in effective:
             return
         self.analyzer._emit(
             "cc-unguarded-state",
@@ -576,17 +550,3 @@ def run_concurrency_checks(root: Optional[str] = None,
                            policy: Optional[ConcurrencyPolicy] = None) -> list:
     """Concurrency findings for ``root`` (default: the live ``repro`` package)."""
     return _TreeAnalyzer(policy).run(read_source_tree(root))
-
-
-def static_lock_graph(root: Optional[str] = None,
-                      policy: Optional[ConcurrencyPolicy] = None) -> set:
-    """Every statically-possible ``(held, acquired)`` edge under ``root``.
-
-    Every chaos scenario's teardown audit asserts the runtime witness's
-    observed edges are a subset of this graph, so a resolution gap in the
-    static analysis shows up as a failing cross-check instead of staying
-    invisible.
-    """
-    analyzer = _TreeAnalyzer(policy)
-    analyzer.run(read_source_tree(root))
-    return set(analyzer.edges)

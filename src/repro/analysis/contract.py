@@ -1,6 +1,6 @@
 """The engine contract checker: ``ast``-based lint of the repro source.
 
-Three codebase invariants whose violation no test observes (the catch
+Two codebase invariants whose violation no test observes (the catch
 table in ``docs/static_analysis.md`` records the seeded defect each one
 alone catches):
 
@@ -10,12 +10,6 @@ alone catches):
   ``close`` must be safe on a half-opened operator and when called twice.
   An attribute first assigned in ``open()`` would raise AttributeError on
   exactly the error paths ``close`` exists to clean up.
-* **fault-isolation** — fault injection stays inside ``repro.resilience``:
-  no module outside it may import a ``repro.resilience`` submodule or
-  reference a ``fault_injector`` attribute, except the two plumbing sites
-  (the context in ``executor/base.py``, which declares it and fires it at
-  each memory grant, and the driver).  Package-level imports
-  (``from repro.resilience import FaultPlan``) stay legal everywhere.
 * **float-eq** — no ``==`` / ``!=`` on numbers inside
   ``optimizer/costmodel.py`` or ``repro/cache/``: validity-range analysis
   evaluates the cost functions at perturbed, non-integral cardinalities,
@@ -37,15 +31,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.analysis.findings import Finding
-
-
-#: Where fault injection may be referenced: the resilience package plus
-#: the two plumbing sites (the context, which fires it at each grant, and
-#: the driver).
-FAULT_SITES = ("resilience/", "executor/base.py", "core/driver.py")
-
-#: Package prefix whose submodule imports fault isolation confines.
-_FAULT_PACKAGE = "repro.resilience."
 
 
 @dataclass
@@ -111,8 +96,6 @@ def _check_trees(
     """The one rule list: per-module rules, then the class-graph one."""
     findings: list[Finding] = list(source_tree.findings)
     for rel, tree in source_tree.trees.items():
-        if not rel.startswith(FAULT_SITES) and not rel.endswith(FAULT_SITES):
-            findings.extend(check_fault_isolation(tree, rel))
         # Cost arithmetic and the plan cache's admission test both compare
         # derived floats; == on them is always a bug.
         if (
@@ -125,41 +108,6 @@ def _check_trees(
             )
     findings.extend(check_close_guarded(source_tree.trees))
     return findings
-
-
-# --------------------------------------------------------- fault isolation
-
-
-def _fault_use(node: ast.AST) -> Optional[str]:
-    """How ``node`` reaches past the resilience package surface, or ``None``."""
-    if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        if module.startswith(_FAULT_PACKAGE):
-            return f"import of {module}"
-    elif isinstance(node, ast.Import):
-        names = [a.name for a in node.names if a.name.startswith(_FAULT_PACKAGE)]
-        if names:
-            return f"import of {', '.join(names)}"
-    elif isinstance(node, ast.Attribute) and node.attr == "fault_injector":
-        return "fault_injector referenced"
-    return None
-
-
-def check_fault_isolation(tree: ast.Module, rel: str) -> Iterator[Finding]:
-    """Fault injection stays behind the ``repro.resilience`` package surface."""
-    for node in ast.walk(tree):
-        use = _fault_use(node)
-        if use is not None:
-            yield Finding(
-                rule="fault-isolation",
-                message=(
-                    f"{use} outside {', '.join(FAULT_SITES)}: fault injection "
-                    "must not leak into operator logic; use the package "
-                    "surface (from repro.resilience import ...)"
-                ),
-                file=rel,
-                line=node.lineno,
-            )
 
 
 # ---------------------------------------------------------------- float ==

@@ -3,7 +3,7 @@
 Every analysis rule — plan-semantics rules over :class:`~repro.plan.physical.PlanOp`
 trees and engine-contract rules over the source tree — reports through the
 same structured :class:`Finding` record, so downstream consumers (the CLI,
-CI, the strict-mode driver) handle one shape.  There is one severity: a
+CI, the tests) handle one shape.  There is one severity: a
 finding fails its gate, or it is not reported.
 """
 

@@ -2,34 +2,19 @@
 
 A rule is a plain function ``rule(root) -> iterable[Finding]``;
 :data:`PLAN_RULES` lists every rule with its id and paper reference.
-``lint_plan`` runs them all and never raises on findings;
-``assert_plan_clean`` is the strict-mode wrapper that raises
-:class:`PlanLintError` when any finding exists.  A rule stays only while
-it catches a seeded defect nothing else in the test suite catches: the
-catch table in ``docs/static_analysis.md`` records which one.
+``lint_plan`` runs them all and never raises on findings.  A rule stays
+only while it catches a seeded defect nothing else in the test suite
+catches: the catch table in ``docs/static_analysis.md`` records which one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.concurrency import CONCURRENCY_RULES
 from repro.analysis.findings import Finding, sort_findings
-from repro.common.errors import ReproError
 from repro.optimizer.enumeration import order_satisfies
 from repro.plan.physical import MergeJoin, PlanOp, Sort
-
-
-class PlanLintError(ReproError):
-    """Strict mode: a linted plan produced findings."""
-
-    def __init__(self, findings: Sequence[Finding], where: str = "plan"):
-        super().__init__(
-            f"{where}: {len(findings)} plan-lint finding(s): "
-            + "; ".join(f"[{f.rule}] {f.message}" for f in findings[:5])
-            + (" ..." if len(findings) > 5 else "")
-        )
-        self.findings = list(findings)
 
 
 def _finding(rule: str, op: PlanOp, message: str, **data) -> Finding:
@@ -86,13 +71,6 @@ def lint_plan(root: PlanOp) -> list[Finding]:
     return sort_findings(
         finding for _rule_id, _ref, rule in PLAN_RULES for finding in rule(root)
     )
-
-
-def assert_plan_clean(root: PlanOp, where: str = "plan") -> None:
-    """Lint ``root`` and raise :class:`PlanLintError` on any finding."""
-    findings = lint_plan(root)
-    if findings:
-        raise PlanLintError(findings, where=where)
 
 
 def lint_statement(db, sql: str, config) -> list[Finding]:

@@ -35,7 +35,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.common.locking import maybe_witness
 from repro.core.feedback import CardinalityFeedback
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.fingerprint import plan_fingerprint
@@ -150,7 +149,7 @@ class PlanCache:
         )
         # Ranked "cache" in the repo lock order (repro.common.locking);
         # reentrant because lookup/install helpers nest public methods.
-        self._lock = maybe_witness(threading.RLock(), "cache")
+        self._lock = threading.RLock()
 
     # ---------------------------------------------------------------- lookup
 

@@ -9,9 +9,7 @@ What the scenarios share lives here: oracle canonicalisation, per-case
 seeds, the governed DMV database two of them squeeze, the barrier-released
 thread pool, and the leak audits every scenario ends with.  What a scenario
 *does* stays in its own package, so the server and transaction scenarios do
-not import the fault-injection module (fault machinery stays confined to
-:mod:`repro.resilience` — the ``fault-isolation`` contract rule enforces
-that).
+not import the fault-injection module.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import tempfile
 import threading
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
-
-from repro.common.locking import active_witness
 
 
 def canonical_rows(rows) -> list[tuple]:
@@ -170,10 +165,7 @@ class Baseline:
         """The teardown audit every scenario ends with.
 
         Threads back to the baseline; each of ``dbs``' governors drained
-        and never over budget, then switched off; no spill dir leaked; and,
-        with ``REPRO_LOCK_WITNESS=1``, every lock edge observed at runtime
-        present in the static lock graph (one that is not is a static
-        analysis false negative) with nothing waiting while holding a lock.
+        and never over budget, then switched off; no spill dir leaked.
         """
         self._audit_threads(problems)
         for db in dbs:
@@ -193,7 +185,6 @@ class Baseline:
         leaked = spill_dirs() - self.spill
         if leaked:
             problems.append(f"leaked spill dirs: {sorted(leaked)}")
-        _audit_witness(problems)
 
     def _audit_threads(self, problems: list) -> None:
         # Threads unwind asynchronously after join-with-timeout; stragglers
@@ -209,31 +200,6 @@ class Baseline:
         problems.append(
             f"thread leak: {threading.active_count()} alive vs baseline "
             f"{self.threads}: {leftover}"
-        )
-
-
-@lru_cache(maxsize=None)
-def _static_lock_graph() -> frozenset:
-    """The static lock graph, built once: harnesses audit after every run."""
-    from repro.analysis.concurrency import static_lock_graph
-
-    return frozenset(static_lock_graph())
-
-
-def _audit_witness(problems: list) -> None:
-    witness = active_witness()
-    if witness is None:
-        return
-    unexpected = witness.edges() - _static_lock_graph()
-    if unexpected:
-        problems.append(
-            "witness observed lock edge(s) missing from the static lock "
-            f"graph: {sorted(unexpected)}"
-        )
-    for violation in witness.wait_violations():
-        problems.append(
-            f"witness saw wait on {violation.waiting_on!r} while holding "
-            f"{violation.held}"
         )
 
 

@@ -1,16 +1,11 @@
-"""The repo-wide lock-order policy, and the runtime lock-order witness.
+"""The repo-wide lock-order policy.
 
 This module is the **single declaration** of the concurrency contract the
 multi-session roadmap items (server sessions, exchange parallelism) will
-lean on.  Everything else derives from here:
-
-* the static concurrency analyzer (:mod:`repro.analysis.concurrency`)
-  loads :data:`LOCK_ORDER` instead of hard-coding module names, and
-  reports any acquisition edge that contradicts it;
-* the shared classes construct their locks through :func:`maybe_witness`,
-  so the opt-in runtime witness (``REPRO_LOCK_WITNESS=1``) can record the
-  acquisition orders that *actually* happen under the chaos scenarios and
-  cross-check them against the static lock graph.
+lean on.  The static concurrency analyzer
+(:mod:`repro.analysis.concurrency`) loads :data:`LOCK_ORDER` instead of
+hard-coding module names, and reports any acquisition edge that
+contradicts it.
 
 Lock-order policy
 -----------------
@@ -61,41 +56,18 @@ checks the first two):
 * **no callbacks under locks** — user/operator callbacks are never
   invoked with a policy lock held; collect them under the lock,
   dispatch after release (see ``TransactionManager._notify_invalidation``).
-  The runtime witness holds this one: a callback under a lock shows as
-  an acquisition edge the static graph does not have.
-
-A finding can be waived on its line with ``# concurrency-ok: <reason>``;
-the reason is mandatory and CI reviewers treat waivers as diffs to argue
-about.
+  A tier-1 test holds this one for commit's invalidation callbacks.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 __all__ = [
     "LockSpec",
     "LOCK_ORDER",
     "RECEIVER_HINTS",
-    "WAIVER_TOKEN",
-    "lock_rank",
-    "LockOrderWitness",
-    "maybe_witness",
-    "enable_witness",
-    "disable_witness",
-    "active_witness",
-    "witness_env_requested",
 ]
-
-#: Environment flag that arms the witness for a whole process (the chaos
-#: CI jobs set it; unit tests use :func:`enable_witness` directly).
-WITNESS_ENV = "REPRO_LOCK_WITNESS"
-
-#: Line-comment token that waives a concurrency finding (reason required).
-WAIVER_TOKEN = "# concurrency-ok:"
 
 
 @dataclass(frozen=True)
@@ -103,7 +75,7 @@ class LockSpec:
     """One named lock in the repo-wide acquisition order."""
 
     #: Policy-level name ("governor", "obs.metrics", ...): the identity
-    #: both the static lock graph and the runtime witness key edges on.
+    #: the analyzer's findings name the lock by.
     name: str
     #: Class the lock attribute lives on.
     cls: str
@@ -155,176 +127,3 @@ RECEIVER_HINTS: dict[str, str] = {
     "_manager": "SpillManager",
     "spill_manager": "SpillManager",
 }
-
-
-def lock_rank(name: str) -> int:
-    """Rank of a policy lock by name (raises KeyError for unknown names)."""
-    for spec in LOCK_ORDER:
-        if spec.name == name:
-            return spec.rank
-    raise KeyError(name)
-
-
-# ---------------------------------------------------------------- witness
-
-
-class _HeldStack(threading.local):
-    """Per-thread stack of policy-lock names currently held."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-
-
-@dataclass
-class WaitViolation:
-    """A ``Condition.wait`` observed while other policy locks were held."""
-
-    waiting_on: str
-    held: tuple[str, ...] = field(default_factory=tuple)
-
-
-class LockOrderWitness:
-    """Records the lock-acquisition edges that actually happen at runtime.
-
-    Wrap each shared lock with :meth:`wrap` (or construct it through
-    :func:`maybe_witness`); whenever a thread acquires lock ``B`` while
-    already holding lock ``A``, the ordered edge ``(A, B)`` is recorded.
-    Every chaos scenario's teardown audit (``Baseline.audit`` in
-    :mod:`repro.common.chaosutil`) cross-checks the recorded edges against
-    the static analyzer's lock graph: an observed edge the static graph
-    does not contain is a static-analysis false negative, surfaced as a
-    failed run instead of staying invisible.
-    """
-
-    def __init__(self) -> None:
-        self._held = _HeldStack()
-        # The witness's own mutex is a leaf: it is never held while a
-        # policy lock is acquired, so it is deliberately not in LOCK_ORDER.
-        self._mutex = threading.Lock()
-        self._edges: set[tuple[str, str]] = set()
-        self._waits: list[WaitViolation] = []
-
-    # ------------------------------------------------------------- record
-
-    def _record_acquire(self, name: str) -> None:
-        held = self._held.names
-        new_edges = [(h, name) for h in held if h != name]
-        with self._mutex:
-            self._edges.update(new_edges)
-        held.append(name)
-
-    def _record_release(self, name: str) -> None:
-        held = self._held.names
-        for i in range(len(held) - 1, -1, -1):
-            if held[i] == name:
-                del held[i]
-                break
-
-    def _record_wait(self, name: str) -> None:
-        others = tuple(h for h in self._held.names if h != name)
-        if others:
-            with self._mutex:
-                self._waits.append(WaitViolation(name, others))
-
-    # ------------------------------------------------------------ surface
-
-    def edges(self) -> set[tuple[str, str]]:
-        """All observed ``(held, acquired)`` pairs, deduplicated."""
-        with self._mutex:
-            return set(self._edges)
-
-    def wait_violations(self) -> list[WaitViolation]:
-        with self._mutex:
-            return list(self._waits)
-
-    def wrap(self, lock, name: str):
-        """A witnessing proxy around ``lock`` reporting under ``name``."""
-        return _WitnessedLock(lock, name, self)
-
-
-class _WitnessedLock:
-    """Context-manager/Condition proxy that reports to a witness.
-
-    Delegates everything to the wrapped lock; only the bookkeeping is
-    added.  Supports the surface the repro classes use: ``with``,
-    ``acquire``/``release``, and (for conditions) ``wait`` /
-    ``notify`` / ``notify_all``.
-    """
-
-    def __init__(self, lock, name: str, witness: LockOrderWitness):
-        self._lock = lock
-        self._name = name
-        self._witness = witness
-
-    def __enter__(self):
-        result = self._lock.__enter__()
-        self._witness._record_acquire(self._name)
-        return result
-
-    def __exit__(self, exc_type, exc, tb):
-        self._witness._record_release(self._name)
-        return self._lock.__exit__(exc_type, exc, tb)
-
-    def acquire(self, *args, **kwargs):
-        acquired = self._lock.acquire(*args, **kwargs)
-        if acquired:
-            self._witness._record_acquire(self._name)
-        return acquired
-
-    def release(self):
-        self._witness._record_release(self._name)
-        return self._lock.release()
-
-    def wait(self, timeout: Optional[float] = None):
-        self._witness._record_wait(self._name)
-        return self._lock.wait(timeout)
-
-    def wait_for(self, predicate, timeout: Optional[float] = None):
-        self._witness._record_wait(self._name)
-        return self._lock.wait_for(predicate, timeout)
-
-    def notify(self, n: int = 1):
-        return self._lock.notify(n)
-
-    def notify_all(self):
-        return self._lock.notify_all()
-
-
-_active: Optional[LockOrderWitness] = None
-
-
-def witness_env_requested() -> bool:
-    return os.environ.get(WITNESS_ENV, "").strip() not in ("", "0")
-
-
-def enable_witness() -> LockOrderWitness:
-    """Arm (or return the already-armed) process-global witness."""
-    global _active
-    if _active is None:
-        _active = LockOrderWitness()
-    return _active
-
-
-def disable_witness() -> None:
-    global _active
-    _active = None
-
-
-def active_witness() -> Optional[LockOrderWitness]:
-    """The armed witness, auto-arming when the environment requests it."""
-    if _active is None and witness_env_requested():
-        enable_witness()
-    return _active
-
-
-def maybe_witness(lock, name: str):
-    """Wrap ``lock`` for witnessing when a witness is armed.
-
-    The shared classes construct their locks through this hook; with no
-    witness armed (the default) the lock is returned unchanged, so the
-    production path pays nothing.
-    """
-    witness = active_witness()
-    if witness is None:
-        return lock
-    return witness.wrap(lock, name)

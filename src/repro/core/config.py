@@ -43,15 +43,6 @@ def _default_batch_size() -> int:
     return check_batch_size(value, "REPRO_BATCH_SIZE")
 
 
-def _default_strict_analysis() -> bool:
-    """Strict analysis from the ``REPRO_STRICT_ANALYSIS`` environment
-    variable: on for exactly ``1``, ``true``, ``yes`` or ``on`` (any case),
-    off for everything else, unset included.  An env route for the same
-    reason ``REPRO_BATCH_SIZE`` is one."""
-    raw = os.environ.get("REPRO_STRICT_ANALYSIS", "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
-
-
 @dataclass
 class ResiliencePolicy:
     """The statement's wall-clock deadline (``PopConfig.resilience``).
@@ -175,11 +166,6 @@ class PopConfig:
     #: modes that change plan semantics disable caching regardless (see
     #: :func:`repro.cache.cache_usable`).
     plan_cache: bool = True
-    #: Strict analysis: run the plan-semantics linter (:mod:`repro.analysis`)
-    #: on every plan the driver is about to execute — first, cached and
-    #: re-optimized — and fail the statement on any finding.  Defaults from
-    #: the ``REPRO_STRICT_ANALYSIS`` environment variable, else off.
-    strict_analysis: bool = field(default_factory=_default_strict_analysis)
     #: The statement's wall-clock deadline; ``None`` (the default) runs
     #: without one.
     resilience: Optional[ResiliencePolicy] = None

@@ -77,6 +77,9 @@ class Database:
         #: Validity-range-aware plan cache (:mod:`repro.cache`); off until
         #: :meth:`enable_plan_cache`.
         self.plan_cache = None
+        #: Further caches this database serves (one per server session):
+        #: :meth:`_invalidate` reaches them as it does :attr:`plan_cache`.
+        self._session_caches: set = set()
         #: Per-database memory governor (:mod:`repro.governor`); off until
         #: :meth:`enable_memory_governor`.
         self.memory_governor = None
@@ -119,6 +122,13 @@ class Database:
 
     def disable_plan_cache(self) -> None:
         self.plan_cache = None
+
+    def attach_plan_cache(self, cache) -> None:
+        """Have every invalidation of this database reach ``cache`` too."""
+        self._session_caches.add(cache)
+
+    def detach_plan_cache(self, cache) -> None:
+        self._session_caches.discard(cache)
 
     def enable_memory_governor(
         self,
@@ -256,12 +266,15 @@ class Database:
         makes stale."""
         if self.learning is not None:
             self.learning.forget(tables)
-        if self.plan_cache is None:
-            return
-        if tables is None:
-            self.plan_cache.clear()
-        else:
-            self.plan_cache.invalidate_tables(tables)
+        # A copy: server threads attach and detach caches meanwhile.
+        caches = list(self._session_caches)
+        if self.plan_cache is not None:
+            caches.append(self.plan_cache)
+        for cache in caches:
+            if tables is None:
+                cache.clear()
+            else:
+                cache.invalidate_tables(tables)
 
     # ------------------------------------------------------------------ DDL
 

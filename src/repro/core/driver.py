@@ -31,7 +31,6 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Optional
 
-from repro.analysis.plan_lint import assert_plan_clean
 from repro.common.errors import TIMEOUT, ExecutionError, ReproError, failure_class
 from repro.core.config import NO_POP, PopConfig
 from repro.core.feedback import CardinalityFeedback
@@ -477,17 +476,13 @@ class PopDriver:
             # Cached plans are never reached here: compensation is empty
             # on the first round, the only one that probes the cache.
             plan = self._wrap_compensation(plan)
-        planned = PlannedAttempt(
+        return PlannedAttempt(
             span=span,
             plan=plan,
             checkpoints=checkpoints,
             optimization_units=sc.meter.snapshot() - units_before,
             cached=cached,
         )
-        if sc.config.strict_analysis:
-            # Raises PlanLintError on any finding.
-            assert_plan_clean(plan, where=f"attempt {sc.attempt} plan")
-        return planned
 
     def _optimize_and_place(self, sc: StatementContext, span) -> tuple[PlanOp, int]:
         """Optimize under everything learned so far, then place CHECKs."""

@@ -116,7 +116,7 @@ class ExecutionContext:
         #: The single sanctioned fault-injection mount point: a
         #: :class:`repro.resilience.FaultInjector` (or ``None``), which
         #: :meth:`grant_pages` fires before each grant; no other executor
-        #: code may reference it (contract rule ``fault-isolation``).
+        #: code references it (a tier-1 test pins where a due fault fires).
         self.fault_injector = fault_injector
         #: Optional :class:`repro.common.cancel.CancelToken`.  Checked in
         #: :meth:`Operator.emit_batch` (one attribute read when absent) and

@@ -44,7 +44,6 @@ import threading
 from typing import Optional
 
 from repro.common.errors import AdmissionRejected, ExecutionCancelled
-from repro.common.locking import maybe_witness
 from repro.core.config import MemoryPolicy
 from repro.obs import wall_clock
 from repro.plan.physical import HashJoin, PlanOp, Sort, Temp
@@ -135,7 +134,7 @@ class MemoryGovernor:
         self.policy = policy
         self.metrics = metrics
         self.tracer = tracer
-        self._cond = maybe_witness(threading.Condition(), "governor")
+        self._cond = threading.Condition()
         self._running: list[Reservation] = []  # guarded-by: _cond
         self._queue_depth = 0  # guarded-by: _cond
         self._seq = 0  # guarded-by: _cond

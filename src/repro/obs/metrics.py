@@ -19,7 +19,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.common.locking import maybe_witness
 
 #: General-purpose bucket bounds (work units, row counts, ...).
 DEFAULT_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
@@ -85,7 +84,7 @@ class MetricsRegistry:
         # Ranked "obs.metrics" in the repo lock order (repro.common.locking):
         # safe to take while holding the governor condition, never the
         # other way around.
-        self._lock = maybe_witness(threading.Lock(), "obs.metrics")
+        self._lock = threading.Lock()
         self._counters: dict[tuple, float] = {}  # guarded-by: _lock
         self._gauges: dict[tuple, float] = {}  # guarded-by: _lock
         self._histograms: dict[tuple, _Histogram] = {}  # guarded-by: _lock

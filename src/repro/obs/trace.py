@@ -30,17 +30,14 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Optional, TextIO
 
-from repro.common.locking import maybe_witness
-
 
 def wall_clock() -> float:
     """Wall-clock seconds (monotonic, reference only).
 
-    The single sanctioned wall-clock source outside :mod:`repro.obs`: the
-    engine contract checker (:mod:`repro.analysis.contract`) forbids direct
-    ``time.*`` calls elsewhere so that every timing dependency is explicit
-    and mockable.  Work-unit clocks, not this, are what reproduced figures
-    are built on.
+    The single sanctioned wall-clock source outside :mod:`repro.obs`: by
+    convention no other module calls ``time.*`` directly, so that every
+    timing dependency is explicit and mockable.  Work-unit clocks, not
+    this, are what reproduced figures are built on.
     """
     return time.perf_counter()
 
@@ -60,7 +57,7 @@ class Tracer:
         # Ranked "obs.trace" in the repo lock order (repro.common.locking):
         # emission is safe under the governor condition, and the tracer
         # itself never takes another policy lock.
-        self._lock = maybe_witness(threading.Lock(), "obs.trace")
+        self._lock = threading.Lock()
         self._records: list[dict] = []  # guarded-by: _lock
         self._open: dict[int, dict] = {}  # guarded-by: _lock
         self._stack: list[int] = []  # guarded-by: _lock

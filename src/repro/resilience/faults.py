@@ -25,8 +25,7 @@ fires once.
 
 The injector is mounted on :class:`~repro.executor.base.ExecutionContext`
 as ``fault_injector``; ``grant_pages`` is the one site that fires it, and
-the ``fault-isolation`` contract rule keeps injection out of every other
-module.
+no other module references it.
 """
 
 from __future__ import annotations

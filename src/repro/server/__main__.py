@@ -65,18 +65,18 @@ def main(argv: Optional[list] = None) -> int:
         ),
         idle_timeout_seconds=args.idle_timeout,
     )
-    server = ReproServer(db, config)
-    host, port = server.start()
-    print(f"repro server listening on {host}:{port} "
-          f"(workload={args.workload})", flush=True)
-
     stop = threading.Event()
 
     def _request_stop(_signum, _frame):
         stop.set()
 
+    # Before the listening line: a caller may signal as soon as it reads it.
     signal.signal(signal.SIGTERM, _request_stop)
     signal.signal(signal.SIGINT, _request_stop)
+    server = ReproServer(db, config)
+    host, port = server.start()
+    print(f"repro server listening on {host}:{port} "
+          f"(workload={args.workload})", flush=True)
     try:
         while not stop.wait(0.2):
             pass

@@ -29,9 +29,7 @@ and audit the robustness contract the tentpole promises:
 After each scenario the harness drains the server and asserts the
 shared invariants: the governor back to zero pages used with no
 reservations and peak within budget, zero leaked ``repro-spill-*``
-directories, the process thread count back to its baseline, and (when
-``REPRO_LOCK_WITNESS=1``) every witnessed lock edge present in the
-static lock graph with no wait-while-holding violations.
+directories, and the process thread count back to its baseline.
 
 All five run through ``python -m repro.chaos`` (see :mod:`repro.chaos`);
 CI runs them with two fixed seeds, and overload and killspill over ten

@@ -219,12 +219,8 @@ class ReproServer:
             self.metrics.inc("server.shed", kind="session")
             self._refuse(sock, exc)
             return
-        if self.db.txn_manager is not None:
-            # Commit-coalesced invalidation for the per-session cache;
-            # deregistered by the teardown funnel.
-            self.db.txn_manager.add_invalidation_callback(
-                plan_cache.invalidate_tables
-            )
+        # Detached by the teardown funnel.
+        self.db.attach_plan_cache(plan_cache)
         self.metrics.inc("server.sessions_accepted")
         session.send(
             encode_frame(
@@ -278,6 +274,7 @@ class ReproServer:
             session.mark_closing()
             session.cancel(reason)
             self._abort_session_txn(session)
+            self.db.detach_plan_cache(session.plan_cache)
             self.registry.remove(session)
             _close_socket(session.sock)
             self.metrics.inc("server.sessions_closed")
@@ -287,15 +284,10 @@ class ReproServer:
 
         Every exit path funnels through here (clean close, abrupt
         disconnect, protocol violation, reaper, drain), so a disconnected
-        client's staged writes are always discarded — and the per-session
-        cache's invalidation callback is detached so the manager never
-        calls into a dead session."""
+        client's staged writes are always discarded."""
         manager = self.db.txn_manager
         if manager is None:
             return
-        manager.remove_invalidation_callback(
-            session.plan_cache.invalidate_tables
-        )
         txn = session.take_txn()
         if txn is None:
             return

@@ -28,7 +28,7 @@ The per-session ``send_lock`` (serializing socket writes between the
 reader thread's control responses and a worker thread's statement
 response) is a deliberate **non-policy leaf**: it is only ever held
 around ``socket.sendall`` and nothing is acquired under it, so it stays
-out of ``LOCK_ORDER`` — same rationale as the witness's own mutex.
+out of ``LOCK_ORDER``: it can take no part in a lock-order cycle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Optional
 
 from repro.common.cancel import CancelToken
 from repro.common.errors import ProtocolError, ServerOverloaded
-from repro.common.locking import maybe_witness
 
 #: Session states.  ``RUNNING`` covers queued *and* executing — the state
 #: flips at enqueue time, which is what enforces one statement in flight.
@@ -202,7 +201,7 @@ class SessionRegistry:
     def __init__(self, max_sessions: int):
         self.max_sessions = max_sessions
         # Rank 0 in the repo-wide order: outermost, engine never takes it.
-        self._lock = maybe_witness(threading.Lock(), "server.sessions")
+        self._lock = threading.Lock()
         self._sessions: dict[int, Session] = {}  # guarded-by: _lock
         self._next_id = 0  # guarded-by: _lock
         self.accepted_total = 0  # guarded-by: _lock

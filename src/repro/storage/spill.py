@@ -32,7 +32,6 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from repro.common.errors import ExecutionError
-from repro.common.locking import maybe_witness
 
 #: Rows per pickled batch: large enough to amortize pickling overhead,
 #: small enough that one in-flight batch never dominates the grant.
@@ -195,7 +194,7 @@ class SpillManager:
         # It guards bookkeeping only; meter charges and metrics/tracer
         # emission happen *after* it is released, so no spill->obs
         # acquisition edge exists.
-        self._lock = maybe_witness(threading.Lock(), "spill")
+        self._lock = threading.Lock()
         self._dir: Optional[str] = None  # guarded-by: _lock
         self._files: list[SpillFile] = []  # guarded-by: _lock
         self._seq = 0  # guarded-by: _lock

@@ -35,9 +35,8 @@ contracts end to end:
 
 After each scenario the shared invariants are audited: the governor
 drained with zero reservations, zero leaked spill directories or
-``.tmp`` durability files, active-transaction count zero, and (when
-``REPRO_LOCK_WITNESS=1``) every witnessed lock edge present in the
-static lock graph.  Both run through ``python -m repro.chaos`` (see
+``.tmp`` durability files, and active-transaction count zero.  Both run
+through ``python -m repro.chaos`` (see
 :mod:`repro.chaos`); CI runs them blocking with two fixed seeds.
 """
 

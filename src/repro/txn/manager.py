@@ -50,7 +50,6 @@ from repro.common.errors import (
     TransactionConflict,
     TransactionError,
 )
-from repro.common.locking import maybe_witness
 from repro.common.values import coerce
 from repro.storage.table import PAGE_SIZE
 from repro.storage.wal import (
@@ -133,7 +132,7 @@ class TransactionManager:
         self._governor_source = governor_source
         # Rank 1 in the repo-wide order: inside the session layer,
         # outside every engine lock (see repro.common.locking).
-        self._epoch_lock = maybe_witness(threading.Lock(), "txn.epoch")
+        self._epoch_lock = threading.Lock()
         self._epoch = 0  # guarded-by: _epoch_lock
         self._next_txn_id = 0  # guarded-by: _epoch_lock
         self._visible: dict = {}  # guarded-by: _epoch_lock
@@ -211,9 +210,9 @@ class TransactionManager:
 
     def add_invalidation_callback(self, callback: Callable) -> None:
         """Register ``callback(tables)`` to run once per commit (outside
-        the epoch lock).  Used by the database-wide and per-session plan
-        caches so bulk loads invalidate at commit boundaries, not per
-        insert."""
+        the epoch lock).  The database registers the one route to every
+        plan cache it serves, so bulk loads invalidate at commit
+        boundaries, not per insert."""
         if callback not in self._invalidation_callbacks:
             self._invalidation_callbacks.append(callback)
 

@@ -1,31 +1,18 @@
-"""Concurrency contract analyzer + runtime lock-order witness tests.
+"""Concurrency contract analyzer tests.
 
 Fixture modules seed one violation each and assert the exact finding
-code; the clean fixture asserts zero findings.  The witness tests cover
-edge recording, wait violations, and the chaos cross-check that ties the
-runtime graph back to the static one.
+code; the clean fixture asserts zero findings.
 """
 
 import textwrap
-import threading
 
 from repro.analysis import render_text
 from repro.analysis.concurrency import (
     ConcurrencyPolicy,
     check_concurrency_module,
     run_concurrency_checks,
-    static_lock_graph,
 )
-from repro.common.locking import (
-    LOCK_ORDER,
-    LockOrderWitness,
-    LockSpec,
-    active_witness,
-    disable_witness,
-    enable_witness,
-    lock_rank,
-    maybe_witness,
-)
+from repro.common.locking import LOCK_ORDER, LockSpec
 
 
 def fixture_policy() -> ConcurrencyPolicy:
@@ -148,6 +135,23 @@ def test_unguarded_state_flagged():
     assert findings[0].data == {"attr": "_counters", "guard": "alpha"}
 
 
+def test_no_comment_waives_a_finding():
+    """There is no waiver: a comment beside an unguarded write is still
+    reported."""
+    findings = check(
+        """
+        class Alpha:
+            def __init__(self):
+                self._lock = object()
+                self._counters = {}  # guarded-by: _lock
+
+            def bad(self):
+                self._counters["x"] = 2  # concurrency-ok: test hook
+        """
+    )
+    assert codes(findings) == ["cc-unguarded-state"]
+
+
 def test_locked_suffix_methods_assume_the_lock():
     findings = check(
         """
@@ -181,21 +185,6 @@ def test_unresolvable_annotation_flagged():
         """
     )
     assert codes(findings) == ["cc-annotation"]
-
-
-def test_waiver_comment_suppresses():
-    findings = check(
-        """
-        class Alpha:
-            def __init__(self):
-                self._lock = object()
-                self._counters = {}  # guarded-by: _lock
-
-            def bad(self):
-                self._counters["x"] = 2  # concurrency-ok: single-threaded test hook
-        """
-    )
-    assert findings == []
 
 
 def test_clean_fixture_has_zero_findings():
@@ -244,9 +233,7 @@ def production(source: str, filename: str):
 
 def test_mutant_26_metrics_bumped_under_the_spill_lock():
     """A spill-file counter bumped inside ``SpillManager``'s lock takes
-    obs.metrics (rank 4) under spill (rank 6).  The runtime witness misses
-    it: it only checks observed edges against the static graph, which then
-    holds the inverted edge."""
+    obs.metrics (rank 4) under spill (rank 6)."""
     findings = production(
         """
         class MetricsRegistry:
@@ -371,88 +358,9 @@ def test_repo_tree_is_clean():
     assert findings == [], render_text(findings)
 
 
-def test_static_lock_graph_contains_governor_obs_edges():
-    graph = static_lock_graph()
-    assert ("governor", "obs.metrics") in graph
-    # Every static edge respects the declared ranks (the gate enforces it,
-    # but assert directly so this file stands alone).
-    for held, acquired in graph:
-        assert lock_rank(held) < lock_rank(acquired)
-
-
 def test_policy_declaration_is_a_total_order():
     ranks = [spec.rank for spec in LOCK_ORDER]
     assert ranks == sorted(ranks)
     assert len(set(ranks)) == len(ranks)
     names = {spec.name for spec in LOCK_ORDER}
     assert {"governor", "cache", "obs.metrics", "obs.trace", "spill"} <= names
-
-
-# ------------------------------------------------------------- witness
-
-
-def test_witness_records_nested_acquisition_edges():
-    witness = LockOrderWitness()
-    outer = witness.wrap(threading.Lock(), "governor")
-    inner = witness.wrap(threading.Lock(), "obs.metrics")
-    with outer:
-        with inner:
-            pass
-    assert witness.edges() == {("governor", "obs.metrics")}
-    assert witness.wait_violations() == []
-
-
-def test_witness_flags_wait_while_holding():
-    witness = LockOrderWitness()
-    other = witness.wrap(threading.Lock(), "cache")
-    cond = witness.wrap(threading.Condition(), "governor")
-    with other:
-        with cond:
-            cond.wait(timeout=0.001)
-    violations = witness.wait_violations()
-    assert len(violations) == 1
-    assert violations[0].waiting_on == "governor"
-    assert violations[0].held == ("cache",)
-
-
-def test_maybe_witness_passthrough_and_wrap():
-    disable_witness()
-    lock = threading.Lock()
-    assert maybe_witness(lock, "cache") is lock
-    try:
-        witness = enable_witness()
-        wrapped = maybe_witness(threading.Lock(), "cache")
-        assert wrapped is not lock
-        with wrapped:
-            with maybe_witness(threading.Lock(), "spill"):
-                pass
-        assert witness.edges() == {("cache", "spill")}
-    finally:
-        disable_witness()
-
-
-def test_witness_env_arming(monkeypatch):
-    disable_witness()
-    monkeypatch.setenv("REPRO_LOCK_WITNESS", "1")
-    try:
-        assert active_witness() is not None
-    finally:
-        disable_witness()
-    monkeypatch.setenv("REPRO_LOCK_WITNESS", "0")
-    assert active_witness() is None
-
-
-def test_chaos_memory_pressure_cross_checks_witness():
-    from repro.resilience import run_memory
-
-    disable_witness()
-    witness = enable_witness()
-    try:
-        outcome = run_memory(5, threads=3, statements_per_thread=1)
-        assert outcome.ok, outcome.problems
-        edges = witness.edges()
-        assert edges, "witnessed no lock edges under memory pressure"
-        assert edges <= static_lock_graph()
-        assert witness.wait_violations() == []
-    finally:
-        disable_witness()

@@ -1,13 +1,12 @@
 """One front door: every harness plans and runs statements through
-``Database``, and the one strict-analysis switch reaches all of them.
+``Database`` and its POP driver.
 
 Three things are pinned here:
 
-* ``REPRO_STRICT_ANALYSIS`` is parsed once (``repro/core/config.py``) and,
-  through ``PopConfig``'s default, makes the driver lint every attempt's plan
-  on every path into the engine — the socket server, the transaction chaos
-  harness and a bare ``Database.execute`` (the figure scripts' path) — and
-  costs nothing when unset (the linter is never called);
+* every path into the engine — the socket server, the transaction chaos
+  harness and a bare ``Database.execute`` (the figure scripts' path) —
+  plans each attempt in the driver (``PopDriver._plan``), and the engine
+  reads one environment variable, ``REPRO_BATCH_SIZE``;
 * ``Database.plan`` is the first attempt of ``Database.execute`` without the
   execution: same fingerprint, same CHECKs, same explain text — with
   cross-statement learning on too, where both plan with what was learned;
@@ -17,6 +16,7 @@ Three things are pinned here:
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -42,67 +42,30 @@ OWNER_SQL = (
 )
 
 
-# ------------------------------------------------------------- the env switch
-
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [
-        (None, False), ("", False), ("0", False), ("false", False),
-        ("no", False), ("off", False), ("2", False),
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        (" On ", True),
-    ],
-)
-def test_strict_analysis_env_parser(monkeypatch, raw, expected):
-    if raw is None:
-        monkeypatch.delenv("REPRO_STRICT_ANALYSIS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_STRICT_ANALYSIS", raw)
-    assert PopConfig().strict_analysis is expected
-    # An explicit value beats the environment, both ways.
-    assert PopConfig(strict_analysis=not expected).strict_analysis is not expected
-
-
-# ------------------------------------------------------- the lint really runs
+# ------------------------------------------------ every path takes the driver
 
 
 @pytest.fixture
-def lint_spy(monkeypatch):
-    """Record every in-flight lint: the ``where`` label of each call."""
+def plan_spy(monkeypatch):
+    """Record the attempt number of every plan the driver chooses."""
     calls = []
-    real = driver_module.assert_plan_clean
+    real = driver_module.PopDriver._plan
 
-    def spy(plan, where="plan"):
-        calls.append(where)
-        return real(plan, where=where)
+    def spy(self, sc):
+        calls.append(sc.attempt)
+        return real(self, sc)
 
-    monkeypatch.setattr(driver_module, "assert_plan_clean", spy)
+    monkeypatch.setattr(driver_module.PopDriver, "_plan", spy)
     return calls
 
 
-@pytest.fixture(params=["1", None], ids=["strict", "unset"])
-def strict_env(request, monkeypatch):
-    """``REPRO_STRICT_ANALYSIS=1``, then unset; yields whether it is on."""
-    if request.param is None:
-        monkeypatch.delenv("REPRO_STRICT_ANALYSIS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_STRICT_ANALYSIS", request.param)
-    return request.param is not None
-
-
-def expected_lints(strict: bool, attempts: int) -> list:
-    return [f"attempt {i} plan" for i in range(attempts)] if strict else []
-
-
-def test_database_execute_lints_every_attempt(star_db, lint_spy, strict_env):
+def test_database_execute_plans_every_attempt_in_the_driver(star_db, plan_spy):
     result = star_db.execute(marker_query(), params={"p": "COMMON"})
-    attempts = len(result.report.attempts)
-    assert attempts == 2  # the marker misestimate re-optimizes once
-    assert lint_spy == expected_lints(strict_env, attempts)
+    assert len(result.report.attempts) == 2  # the marker re-optimizes once
+    assert plan_spy == [0, 1]
 
 
-def test_server_statements_are_linted(dmv_db, lint_spy, strict_env):
+def test_server_statements_are_planned_by_the_driver(dmv_db, plan_spy):
     server = ReproServer(dmv_db, ServerConfig(workers=1))
     host, port = server.start()
     try:
@@ -113,21 +76,38 @@ def test_server_statements_are_linted(dmv_db, lint_spy, strict_env):
         server.shutdown(drain=False)
     assert first["ok"] and second["ok"]
     assert first["rows"] == second["rows"]
-    attempts = first["attempts"] + second["attempts"]
-    assert len(lint_spy) == (attempts if strict_env else 0)
+    assert len(plan_spy) == first["attempts"] + second["attempts"]
 
 
-def test_txn_chaos_snapshot_readers_are_linted(lint_spy, strict_env):
+def test_txn_chaos_snapshot_readers_are_planned_by_the_driver(plan_spy):
     from repro.txn.chaos import run_snapshot
 
     outcome = run_snapshot(7, writers=2, txns_per_writer=2, rows_per_txn=2)
     assert outcome.ok, outcome.problems
-    if strict_env:
-        # Two readers x (4 repeats + 1 late read), less the one that
-        # vanishes after its first statement, plus the pinned re-reads.
-        assert len(lint_spy) >= 6
-    else:
-        assert lint_spy == []
+    # Two readers x (4 repeats + 1 late read), less the one that vanishes
+    # after its first statement, plus the pinned re-reads.
+    assert len(plan_spy) >= 6
+
+
+def test_the_engine_reads_one_environment_variable():
+    """``REPRO_BATCH_SIZE`` (a ``PopConfig`` default) is the only switch
+    outside the API; every other setting is a constructor argument."""
+    names = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                target, key = node.value, node.slice
+            elif isinstance(node, ast.Call) and node.args:
+                target, key = node.func, node.args[0]
+                if isinstance(target, ast.Attribute) and target.attr == "get":
+                    target = target.value
+            else:
+                continue
+            if isinstance(target, ast.Attribute) and target.attr in (
+                "environ", "getenv"
+            ):
+                names.add((path.name, ast.literal_eval(key)))
+    assert names == {("config.py", "REPRO_BATCH_SIZE")}
 
 
 # ------------------------------------------------------------- Database.plan

@@ -4,8 +4,9 @@ statement's cost, never its answer (§2.3), whatever else is switched on.
 Each example draws a statement and every axis together (batch width, memory,
 plan cache, snapshot, CHECK placement, ``stats`` and ``mem_shrink`` faults, an
 interleaved statement) and runs it through ``Database.execute`` on the small
-TPC-H or DMV database under strict plan analysis; :func:`run_case` checks it
-against a sqlite twin (``bench/oracle.py``) and for the invariants it lists.
+TPC-H or DMV database; :func:`run_case` checks it against a sqlite twin
+(``bench/oracle.py``), lints every attempt's plan, and checks the invariants
+it lists.
 One test per property and workload keeps every axis drawn, so each failure
 shrinks on its own; the last test fails if an axis value was never reached.
 """
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MemoryPolicy, PopConfig
+from repro.analysis import lint_plan
 from repro.common.chaosutil import Baseline
 from repro.common.errors import AdmissionRejected, BindError
 from repro.core import driver as driver_module
@@ -286,7 +288,7 @@ def config(db, case) -> PopConfig:
     cfg = PopConfig(
         flavors=FLAVOR_MIXES[case.flavors],
         min_cost_for_checkpoints=25.0 if case.flavors == "LC+LCEM" else 0.0,
-        lc_above_hash_build=case.hash_build_lc, strict_analysis=True, batch_size=case.width,
+        lc_above_hash_build=case.hash_build_lc, batch_size=case.width,
         reuse_policy=case.reuse,
     )
     if case.force is None or case.stmt.bad:
@@ -316,8 +318,8 @@ def interleaving(db, sql: str, out: list):
 
 def run_case(world, case, fresh_cache=True):
     """Run and check ``case``; its report, or ``None`` after a ``BindError``.
-    Rows equal sqlite's (the interleaved statement's too); strict analysis
-    passes each plan; re-optimizations stay capped; a cache hit's admissions
+    Rows equal sqlite's (the interleaved statement's too); the plan linter
+    passes each attempt's plan; re-optimizations stay capped; a cache hit's admissions
     are inside, low <= fresh <= high; each fired fault is one event and one
     count; the governor drains within budget; nothing leaks (spill dirs,
     threads, transactions)."""
@@ -378,6 +380,7 @@ def run_case(world, case, fresh_cache=True):
         return None
     assert report.reoptimizations <= cfg.max_reoptimizations
     for attempt in report.attempts:
+        assert lint_plan(attempt.plan) == [], stmt.sql
         for evaluation in attempt.cache_admission if attempt.cache_hit else ():
             assert evaluation["inside"], evaluation
             assert evaluation["low"] <= evaluation["fresh_estimate"] <= evaluation["high"]

@@ -11,7 +11,7 @@ Covers:
 * exception safety: every operator is closed (and closable twice) on
   error paths;
 * the CLI's classified one-line errors and ``\\chaos`` mode;
-* the ``close-guarded`` and ``fault-isolation`` contract rules.
+* the ``close-guarded`` contract rule.
 """
 
 from __future__ import annotations
@@ -491,29 +491,6 @@ class Spanner(Operator):
 """
         )
         assert [f.rule for f in findings] == []
-
-
-class TestFaultIsolationRule:
-    def test_submodule_import_flagged(self):
-        findings = check_module(
-            "from repro.resilience.faults import FaultInjector\n"
-        )
-        assert [f.rule for f in findings] == ["fault-isolation"]
-
-    def test_package_import_allowed(self):
-        assert check_module("from repro.resilience import FaultPlan\n") == []
-
-    def test_attribute_reference_flagged(self):
-        findings = check_module("def f(ctx):\n    return ctx.fault_injector\n")
-        assert [f.rule for f in findings] == ["fault-isolation"]
-
-    def test_live_package_is_clean(self):
-        from repro.analysis.contract import run_contract_checks
-
-        assert [
-            f for f in run_contract_checks()
-            if f.rule in ("fault-isolation", "close-guarded")
-        ] == []
 
 
 # ------------------------------------------------------------ observability

@@ -8,12 +8,17 @@ are deterministic rather than workload-sized.
 
 from __future__ import annotations
 
+import os
+import re
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,23 @@ LIGHT_SQL = (
     "SELECT o.o_id, o.o_name FROM owner o WHERE o.o_zip < 5 ORDER BY o.o_id"
 )
 SCAN_SQL = "SELECT o.o_id FROM owner o"
+
+# A star_db statement that reads only ``cust``, and the changes to ``cust``
+# that must drop its cached plans: the data, statistics and DDL rows of
+# docs/plan_cache.md's invalidation table.
+CUST_SQL = "SELECT c.c_nation FROM cust c WHERE c.c_nation < 3"
+CUST_CHANGES = {
+    "index+runstats": lambda db: (
+        db.create_index("ix_cust_nation", "cust", "c_nation"), db.runstats()
+    ),
+    "insert": lambda db: db.insert("cust", [(5000, "RARE", 1)]),
+    "load_raw": lambda db: db.load_raw("cust", [(5000, "RARE", 1)]),
+    "create_index": lambda db: db.create_index(
+        "ix_cust_nation", "cust", "c_nation"
+    ),
+    "runstats-table": lambda db: db.runstats(["cust"]),
+    "runstats-all": lambda db: db.runstats(),
+}
 
 
 @contextmanager
@@ -177,6 +199,94 @@ class TestSessionLifecycle:
                 # a's repeated statement hit only a's cache
                 assert caches[a.session_id].stats.hits >= 1
                 assert caches[b.session_id].stats.hits == 0
+
+    @pytest.mark.parametrize("transactions", [False, True], ids=["direct", "txn"])
+    @pytest.mark.parametrize("change", list(CUST_CHANGES))
+    def test_session_caches_see_every_invalidation(
+        self, star_db, change, transactions
+    ):
+        """A data, statistics or DDL change drops the plans every session
+        cached for that table, as it does the database's own cache."""
+        if transactions:
+            star_db.enable_transactions()
+        with serve(star_db) as (server, host, port):
+            with ReproClient(host, port) as cli:
+                cli.execute(CUST_SQL)
+                cli.execute(CUST_SQL)
+                (session,) = server.registry.sessions()
+                stats = session.plan_cache.stats
+                assert (stats.hits, stats.invalidations) == (1, 0)
+                CUST_CHANGES[change](star_db)
+                assert stats.invalidations == 1
+                resp = cli.execute(CUST_SQL)
+                assert resp["ok"] and stats.hits == 1
+
+    @pytest.mark.parametrize("transactions", [False, True], ids=["direct", "txn"])
+    def test_session_caches_keep_plans_of_untouched_tables(
+        self, star_db, transactions
+    ):
+        """A change to ``orders`` leaves a plan that reads only ``cust``."""
+        if transactions:
+            star_db.enable_transactions()
+        with serve(star_db) as (server, host, port):
+            with ReproClient(host, port) as cli:
+                cli.execute(CUST_SQL)
+                (session,) = server.registry.sessions()
+                star_db.insert("orders", [(90000, 1, 1.0)])
+                star_db.runstats(["orders"])
+                cli.execute(CUST_SQL)
+                stats = session.plan_cache.stats
+                assert (stats.hits, stats.invalidations) == (1, 0)
+
+    def test_one_change_reaches_every_session_cache(self, star_db):
+        with serve(star_db) as (server, host, port):
+            with ReproClient(host, port) as a, ReproClient(host, port) as b:
+                a.execute(CUST_SQL)
+                b.execute(CUST_SQL)
+                caches = [s.plan_cache for s in server.registry.sessions()]
+                assert len(caches) == 2
+                star_db.insert("cust", [(5000, "RARE", 1)])
+                assert [c.stats.invalidations for c in caches] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "exit_path",
+        ["close", "drop", "protocol-error", "idle-reap", "shutdown"],
+    )
+    def test_teardown_detaches_the_session_cache(self, star_db, exit_path):
+        """Every exit funnels through teardown, which stops invalidations
+        from reaching the gone session's cache."""
+        overrides = {}
+        if exit_path == "idle-reap":
+            overrides = dict(
+                idle_timeout_seconds=0.3, reap_interval_seconds=0.02
+            )
+        server = ReproServer(star_db, ServerConfig(**overrides))
+        host, port = server.start()
+        try:
+            cli = ReproClient(host, port)
+            assert cli.execute(CUST_SQL)["ok"]
+            (session,) = server.registry.sessions()
+            cache = session.plan_cache
+            assert len(cache) == 1
+            if exit_path == "close":
+                cli.close()
+            elif exit_path == "drop":
+                cli.drop()
+            elif exit_path == "protocol-error":
+                cli.send_raw(b"this is not a frame\n")
+                assert cli.recv()["error_class"] == "user"
+            elif exit_path == "shutdown":
+                server.shutdown(drain=True)
+            deadline = time.monotonic() + 10.0
+            while server.registry.count() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.registry.count() == 0
+            cli.drop()
+        finally:
+            server.shutdown(drain=False)
+        star_db.insert("cust", [(5000, "RARE", 1)])
+        star_db.runstats()
+        assert (len(cache), cache.stats.invalidations) == (1, 0)
 
     def test_concurrent_sessions_share_no_statement_state(self, star_db):
         """Two sessions loop the same marker statement with different binds
@@ -496,3 +606,35 @@ class TestServeMeta:
         assert "usage: \\kill SESSION_ID" in text
         assert "no such session 999" in text
         assert f"killed session {victim.session_id} (statement cancelled)" in text
+
+
+# ----------------------------------------------------- python -m repro.server
+
+
+def test_module_entry_point_serves_until_sigterm():
+    """The standalone server: announces its port, serves a statement, and
+    drains and exits 0 on SIGTERM."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.server", "--port", "0",
+         "--workload", "tpch", "--scale", "0.001"],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        match = re.match(
+            r"repro server listening on ([\d.]+):(\d+) \(workload=tpch\)$",
+            proc.stdout.readline().strip(),
+        )
+        assert match, "no listening line"
+        with ReproClient(match[1], int(match[2])) as cli:
+            resp = cli.execute("SELECT r.r_name FROM region r")
+        assert resp["ok"] and len(resp["rows"]) == 5
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert out.splitlines() == ["draining...", "stopped."]
+    assert proc.returncode == 0

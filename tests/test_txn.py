@@ -433,6 +433,45 @@ class TestInvalidationCoalescing:
         db.commit()
         assert cache.stats.invalidations > before
 
+    def attached_cache(self, db):
+        """A session-style cache attached to ``db`` holding SCAN's plan."""
+        from repro.cache import PlanCache
+
+        cache = PlanCache()
+        db.attach_plan_cache(cache)
+        db.execute(SCAN, plan_cache=cache)
+        assert len(cache) == 1
+        return cache
+
+    def test_attached_cache_invalidated_once_at_commit(self):
+        db = fresh_db()
+        db.enable_transactions()
+        cache = self.attached_cache(db)
+        db.begin()
+        for i in range(5):
+            db.insert("t", [(600 + i, "staged")])
+        assert cache.stats.invalidations == 0  # staging touches no cache
+        db.commit()
+        assert (len(cache), cache.stats.invalidations) == (0, 1)
+
+    def test_rollback_leaves_attached_cache_alone(self):
+        db = fresh_db()
+        db.enable_transactions()
+        cache = self.attached_cache(db)
+        db.begin()
+        db.insert("t", [(700, "gone")])
+        db.rollback()
+        assert (len(cache), cache.stats.invalidations) == (1, 0)
+
+    def test_detached_cache_sees_no_further_invalidation(self):
+        db = fresh_db()
+        db.enable_transactions()
+        cache = self.attached_cache(db)
+        db.detach_plan_cache(cache)
+        db.insert("t", [(800, "late")])  # autocommit
+        db.runstats()
+        assert (len(cache), cache.stats.invalidations) == (1, 0)
+
 
 # ------------------------------------------------------------------ server
 
